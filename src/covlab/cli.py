@@ -22,10 +22,9 @@ from .cohomology2 import (SearchSpaceTooLarge, classify_h2, cohomologous,
                           trivial_cochain, validate_cocycle)
 from .covariance import (compare_implementations, compute_gauge_group,
                          extract_cocycle, lift_to_extension)
-from .covering import (all_sections, check_centre_hom, cyclic_cover,
-                       induced_gauge_cocycle, q8_cover, spin_obstruction,
-                       split_cover, z_class_trivial, z_cocycle)
-from .extension import build_extension, classify_type
+from .covering import (all_sections, check_centre_hom, induced_gauge_cocycle,
+                       spin_obstruction, z_class_trivial, z_cocycle)
+from .extension import InvalidCocycle, build_extension, classify_type
 from .fingroup import GroupHom, direct_product, quotient, standard_group
 from .multiplet import (PreconditionFailed, build_rho, detect_mixing,
                         verify_field_action)
@@ -34,39 +33,6 @@ from .schemas import (ParseError, SchemaError, cochain_from_obj, cochain_to_obj,
 from .wickscale import (gauge_scaling_action, GaugeElement, parse_wickpoly,
                         scale_wick_power, scaling_cocycle_nontrivial,
                         wick_product)
-
-COCHAIN_FIXTURES = {
-    "trivial-z2z2": lambda: trivial_cochain(fg.cyclic(2), fg.cyclic(2)),
-    "z4-producing": lambda: __import__("covlab.cohomology2", fromlist=["Cochain2"])
-    .Cochain2(fg.cyclic(2), fg.cyclic(2), ((0, 0), (0, 1)), (0, 0)),
-    "s3-producing": lambda: __import__("covlab.cohomology2", fromlist=["Cochain2"])
-    .Cochain2(fg.cyclic(2), fg.cyclic(3), ((0, 0), (0, 0)),
-              (0, fg.compute_aut(fg.cyclic(3)).index_of((0, 2, 1)))),
-}
-
-FIELD_FIXTURES = {
-    "vector": models.vector_multiplet_action,
-    "blocks": lambda: models.block_diagonal_fixtures()[0],
-    "blocks-z4": lambda: models.block_diagonal_fixtures()[2],
-    "equivalent-blocks": models.equivalent_blocks_action,
-    "central-z4": models.central_z4_mixing_action,
-    "q8": models.q8_mixing_action,
-}
-
-COVERS = {
-    "q8": q8_cover,
-    "z4-z2": lambda: cyclic_cover(4, 2),
-    "split-z2-z3": lambda: split_cover(2, fg.cyclic(3)),
-}
-
-Q8_REPS = {
-    "2d": models.q8_two_dim_rep,
-    "sign-1": lambda: models.q8_sign_rep("1"),
-    "sign-i": lambda: models.q8_sign_rep("i"),
-    "sign-j": lambda: models.q8_sign_rep("j"),
-    "sign-k": lambda: models.q8_sign_rep("k"),
-}
-
 
 @dataclass
 class RunReport:
@@ -124,10 +90,10 @@ def _read_cochain(args, report: RunReport):
         report.digest("cochain", obj)
         return cochain_from_obj(obj)
     fixture = args.fixture or "trivial-z2z2"
-    if fixture not in COCHAIN_FIXTURES:
+    if fixture not in models.COCHAIN_FIXTURES:
         raise SchemaError("fixture", f"unknown {fixture!r}; "
-                          f"known: {sorted(COCHAIN_FIXTURES)}")
-    c = COCHAIN_FIXTURES[fixture]()
+                          f"known: {sorted(models.COCHAIN_FIXTURES)}")
+    c = models.COCHAIN_FIXTURES[fixture]()
     report.digest("cochain", cochain_to_obj(c))
     return c
 
@@ -219,7 +185,7 @@ def cmd_lift_extension(args, report: RunReport) -> None:
 
 
 def cmd_verify_multiplet(args, report: RunReport) -> None:
-    a = FIELD_FIXTURES[args.fixture]()
+    a = models.FIELD_FIXTURES[args.fixture]()
     report.digest("fixture", args.fixture)
     res = verify_field_action(a)
     report.verdict("field-action-laws", res.valid,
@@ -232,7 +198,7 @@ def cmd_verify_multiplet(args, report: RunReport) -> None:
 
 
 def cmd_detect_mixing(args, report: RunReport) -> None:
-    a = FIELD_FIXTURES[args.fixture]()
+    a = models.FIELD_FIXTURES[args.fixture]()
     report.digest("fixture", args.fixture)
     ext = build_extension(a.cocycle)
     rho = build_rho(a, ext)
@@ -248,7 +214,7 @@ def cmd_detect_mixing(args, report: RunReport) -> None:
 
 
 def cmd_cover_z(args, report: RunReport) -> None:
-    cover = COVERS[args.cover]()
+    cover = models.COVERS[args.cover]()
     report.digest("cover", args.cover)
     sections = all_sections(cover)
     idx = args.section
@@ -290,11 +256,11 @@ def cmd_cover_z(args, report: RunReport) -> None:
 
 
 def cmd_spin_obstruction(args, report: RunReport) -> None:
-    cover = COVERS[args.cover]()
+    cover = models.COVERS[args.cover]()
     report.digest("cover", args.cover)
     if args.cover != "q8":
         raise SchemaError("rep", "built-in representations exist for the q8 cover")
-    rep = Q8_REPS[args.rep]()
+    rep = models.Q8_REPS[args.rep]()
     report.digest("rep", args.rep)
     k_group, _ = cover.kernel_group()
     zeta_map = (0, 0) if args.zeta == "trivial" else (0, 1)
@@ -360,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def cochain_flags(p):
         p.add_argument("--input", help="cochain JSON file ('-' for stdin)")
-        p.add_argument("--fixture", choices=sorted(COCHAIN_FIXTURES),
+        p.add_argument("--fixture", choices=sorted(models.COCHAIN_FIXTURES),
                        help="built-in cochain")
 
     p = sub.add_parser("validate-cocycle", help="check the two cocycle laws")
@@ -380,16 +346,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift-extension", help="lift a model to its extension group")
     p.add_argument("--model", default="Z4Rot", choices=sorted(models.NAMED_MODELS))
     p = sub.add_parser("verify-multiplet", help="check the field-action laws")
-    p.add_argument("--fixture", default="vector", choices=sorted(FIELD_FIXTURES))
+    p.add_argument("--fixture", default="vector", choices=sorted(models.FIELD_FIXTURES))
     p = sub.add_parser("detect-mixing", help="scan for submultiplet mixing")
-    p.add_argument("--fixture", default="blocks", choices=sorted(FIELD_FIXTURES))
+    p.add_argument("--fixture", default="blocks", choices=sorted(models.FIELD_FIXTURES))
     p = sub.add_parser("cover-z", help="factor set of a central cover section")
-    p.add_argument("--cover", default="q8", choices=sorted(COVERS))
+    p.add_argument("--cover", default="q8", choices=sorted(models.COVERS))
     p.add_argument("--section", type=int, default=0)
     p.add_argument("--zeta", default="flip", choices=["flip", "trivial"])
     p = sub.add_parser("spin-obstruction", help="descent of a cover representation")
-    p.add_argument("--cover", default="q8", choices=sorted(COVERS))
-    p.add_argument("--rep", default="2d", choices=sorted(Q8_REPS))
+    p.add_argument("--cover", default="q8", choices=sorted(models.COVERS))
+    p.add_argument("--rep", default="2d", choices=sorted(models.Q8_REPS))
     p.add_argument("--zeta", default="flip", choices=["flip", "trivial"])
     p = sub.add_parser("wick-product", help="star product of two polynomials")
     p.add_argument("--p", required=True)
@@ -429,7 +395,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         HANDLERS[args.verb](args, report)
     except (ParseError, SchemaError, FileNotFoundError, KeyError,
-            SearchSpaceTooLarge, PreconditionFailed, ValueError) as err:
+            SearchSpaceTooLarge, PreconditionFailed, ValueError,
+            InvalidCocycle) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
     if args.timing:

@@ -1,8 +1,18 @@
-"""Enumeration bounds, overridable via the COVLAB_ENUM_CAP environment variable."""
+"""Enumeration bounds, overridable via the COVLAB_ENUM_CAP environment variable,
+and the one capped product every exhaustive search runs over."""
 
+import itertools
+import math
 import os
+from typing import Iterator, Optional, Sequence, Tuple
 
 DEFAULT_ENUM_CAP = 10_000_000
+
+
+class SearchSpaceTooLarge(Exception):
+    def __init__(self, size: int, cap: int) -> None:
+        self.size, self.cap = size, cap
+        super().__init__(f"enumeration of size {size} exceeds cap {cap}")
 
 
 def enum_cap() -> int:
@@ -13,3 +23,14 @@ def enum_cap() -> int:
     if cap <= 0:
         raise ValueError("COVLAB_ENUM_CAP must be positive")
     return cap
+
+
+def capped_product(factors: Sequence[Sequence], cap: Optional[int] = None
+                   ) -> Iterator[Tuple]:
+    """itertools.product(*factors), refused up front with SearchSpaceTooLarge
+    when it has more than `cap` (default enum_cap()) elements."""
+    size = math.prod(len(f) for f in factors)
+    limit = cap if cap is not None else enum_cap()
+    if size > limit:
+        raise SearchSpaceTooLarge(size, limit)
+    return itertools.product(*factors)

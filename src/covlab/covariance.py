@@ -13,13 +13,11 @@ where Aut(Af) is the gauge group of natural automorphisms of Af.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
-from . import config
-from .cohomology2 import (Cochain2, SearchSpaceTooLarge, TwistMap,
-                          coboundary_twist, validate_cocycle)
+from .cohomology2 import Cochain2, TwistMap, coboundary_twist, validate_cocycle
+from .config import capped_product
 from .extension import ExtensionGroup
 from .fincat import (GAction, Report, TheoryFunctor, validate_functor,
                      validate_gaction)
@@ -81,15 +79,8 @@ def compute_gauge_group(F: TheoryFunctor, cap: Optional[int] = None) -> GaugeGro
     src, tgt = F.source, F.target
     objects = src.objects
     per_object = [tgt.invertible_endos(F.on_obj(x)) for x in objects]
-    total = 1
-    for opts in per_object:
-        total *= len(opts)
-    limit = cap if cap is not None else config.enum_cap()
-    if total > limit:
-        raise SearchSpaceTooLarge(total, limit)
-
     families = []
-    for combo in itertools.product(*per_object):
+    for combo in capped_product(per_object, cap):
         comp = dict(zip(objects, combo))
         natural = True
         for m, d, c in src.morphisms:

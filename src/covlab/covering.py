@@ -16,11 +16,11 @@ noninteger spin).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .cohomology2 import Cochain2, validate_cocycle
+from .cohomology2 import Cochain2, cohomologous, trivial_cochain, validate_cocycle
+from .config import capped_product
 from .exactlin import Mat
 from .fingroup import (GroupHom, GroupTable, centre, check_hom, cyclic,
                        direct_product, is_surjective, kernel, quaternion8,
@@ -84,15 +84,9 @@ class Section:
 
 def all_sections(cover: CentralCover) -> Tuple[Section, ...]:
     """Every section with lift(1) = 1, in lexicographic lift order."""
-    fibers = []
-    for l in cover.L.elements():
-        if l == 0:
-            fibers.append((0,))
-        else:
-            fibers.append(tuple(s for s in cover.S.elements()
-                                if cover.pi.map[s] == l))
-    return tuple(Section(cover, lift)
-                 for lift in itertools.product(*fibers))
+    fibers = [(0,)] + [tuple(s for s in cover.S.elements() if cover.pi.map[s] == l)
+                       for l in cover.L.elements() if l != 0]
+    return tuple(Section(cover, lift) for lift in capped_product(fibers))
 
 
 @dataclass(frozen=True)
@@ -139,22 +133,9 @@ def z_class_trivial(z: ZData) -> Optional[Tuple[int, ...]]:
     central, so the twisted factor set is zeta(l1) zeta(l0) z(l1,l0)
     zeta(l1 l0)^-1.
     """
-    L, K = z.cochain.G, z.k_group
-    for zeta in itertools.product(K.elements(), repeat=L.order):
-        ok = True
-        for l1 in L.elements():
-            for l0 in L.elements():
-                tw = K.mul(K.mul(K.mul(zeta[l1], zeta[l0]),
-                                 z.cochain.xi[l1][l0]),
-                           K.inv(zeta[L.mul(l1, l0)]))
-                if tw != 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return zeta
-    return None
+    w = cohomologous(z.cochain, trivial_cochain(z.cochain.G, z.k_group),
+                     normalized_only=False)
+    return None if w is None else w.zeta
 
 
 def induced_gauge_cocycle(s: Section, zeta_on_k: GroupHom) -> Cochain2:

@@ -147,9 +147,6 @@ class Mat:
         s = GaussRat.of(s)
         return Mat([[s * v for v in r] for r in self.rows])
 
-    def transpose(self) -> "Mat":
-        return Mat(list(zip(*self.rows)))
-
     def conjugate(self) -> "Mat":
         return Mat([[v.conjugate() for v in r] for r in self.rows])
 

@@ -11,14 +11,11 @@ image, giving the short exact sequence  1 -> A -> E -> G -> 1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from . import config
-from .cohomology2 import (Cochain2, SearchSpaceTooLarge, TwistMap,
-                          coboundary_twist, cohomologous, is_neutral,
-                          trivial_cochain)
+from .cohomology2 import (Cochain2, TwistMap, _twists, coboundary_twist,
+                          cohomologous, is_neutral, trivial_cochain)
 from .fingroup import (GroupHom, GroupTable, NotAssociative, centre, check_hom,
                        image, is_injective, is_surjective, kernel, make_group)
 
@@ -87,15 +84,6 @@ class ExtensionType:
     preferred: str            # direct > semidirect > central > general
 
 
-def _normalized_twists(G: GroupTable, A: GroupTable, cap: Optional[int]):
-    size = A.order ** (G.order - 1)
-    limit = cap if cap is not None else config.enum_cap()
-    if size > limit:
-        raise SearchSpaceTooLarge(size, limit)
-    for combo in itertools.product(A.elements(), repeat=G.order - 1):
-        yield TwistMap((0,) + combo)
-
-
 def classify_type(e: ExtensionGroup, cap: Optional[int] = None) -> ExtensionType:
     """Label the extension.  Labels can overlap; all that apply are reported.
 
@@ -107,8 +95,8 @@ def classify_type(e: ExtensionGroup, cap: Optional[int] = None) -> ExtensionType
     c = e.cochain
     direct = cohomologous(c, trivial_cochain(c.G, c.A), cap=cap) is not None
     semidirect = False
-    for zeta in _normalized_twists(c.G, c.A, cap):
-        if is_neutral(coboundary_twist(c, zeta)):
+    for zeta in _twists(c.G, c.A, True, cap):
+        if is_neutral(coboundary_twist(c, TwistMap(zeta))):
             semidirect = True
             break
     cent = set(centre(e.E))
@@ -146,15 +134,15 @@ def extensions_equivalent(e1: ExtensionGroup, e2: ExtensionGroup,
         raise ValueError("extensions are not over the same (G, A)")
     G, A = c1.G, c1.A
     size = e1.E.order
-    for zeta in _normalized_twists(G, A, cap):
+    for zeta in _twists(G, A, True, cap):
         iso = [0] * size
         for a in A.elements():
             for g in G.elements():
-                iso[e1.pair_index(a, g)] = e2.pair_index(A.mul(a, zeta.zeta[g]), g)
+                iso[e1.pair_index(a, g)] = e2.pair_index(A.mul(a, zeta[g]), g)
         ok = all(
             iso[e1.E.mul(x, y)] == e2.E.mul(iso[x], iso[y])
             for x in range(size) for y in range(size)
         )
         if ok:
-            return ExtensionEquivalence(tuple(iso), zeta.zeta)
+            return ExtensionEquivalence(tuple(iso), zeta)
     return None

@@ -7,11 +7,11 @@ them needs external data.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from . import fingroup as fg
 from .cohomology2 import Cochain2, trivial_cochain
 from .covariance import Implementation, compute_gauge_group
+from .covering import cyclic_cover, q8_cover, split_cover
 from .exactlin import I as IU, Mat, ONE
 from .fincat import (FinCat, GAction, TheoryFunctor, decorated_frames_category,
                      group_as_category, identity_functor)
@@ -285,3 +285,39 @@ def named_model(name: str) -> Implementation:
     except KeyError:
         raise KeyError(f"unknown model {name!r}; known: {sorted(NAMED_MODELS)}") \
             from None
+
+
+# ---------------------------------------------------------------------------
+# fixture registries: name -> zero-argument builder
+
+COCHAIN_FIXTURES = {
+    "trivial-z2z2": lambda: trivial_cochain(fg.cyclic(2), fg.cyclic(2)),
+    "z4-producing": lambda: Cochain2(fg.cyclic(2), fg.cyclic(2),
+                                     ((0, 0), (0, 1)), (0, 0)),
+    "s3-producing": lambda: Cochain2(
+        fg.cyclic(2), fg.cyclic(3), ((0, 0), (0, 0)),
+        (0, fg.compute_aut(fg.cyclic(3)).index_of((0, 2, 1)))),
+}
+
+FIELD_FIXTURES = {
+    "vector": vector_multiplet_action,
+    "blocks": lambda: block_diagonal_fixtures()[0],
+    "blocks-z4": lambda: block_diagonal_fixtures()[2],
+    "equivalent-blocks": equivalent_blocks_action,
+    "central-z4": central_z4_mixing_action,
+    "q8": q8_mixing_action,
+}
+
+COVERS = {
+    "q8": q8_cover,
+    "z4-z2": lambda: cyclic_cover(4, 2),
+    "split-z2-z3": lambda: split_cover(2, fg.cyclic(3)),
+}
+
+Q8_REPS = {
+    "2d": q8_two_dim_rep,
+    "sign-1": lambda: q8_sign_rep("1"),
+    "sign-i": lambda: q8_sign_rep("i"),
+    "sign-j": lambda: q8_sign_rep("j"),
+    "sign-k": lambda: q8_sign_rep("k"),
+}

@@ -279,11 +279,6 @@ class ScaleWeights:
         """Net lam-power per field factor after smearing: field - test."""
         return self.field - self.test
 
-    def eta_powers_compose(self, k: int, m1: int, m0: int) -> bool:
-        """Scale exponents of eta(lam^m1) o eta(lam^m0) equal eta(lam^(m1+m0))."""
-        return (self.field * k) * m1 + (self.field * k) * m0 \
-            == (self.field * k) * (m1 + m0)
-
 
 def scale_wick_power(k: int, weights: Optional[ScaleWeights] = None) -> WickPoly:
     """The scaled Wick power lam*Phi^k as a WickPoly.
@@ -314,11 +309,6 @@ def scale_wick_power(k: int, weights: Optional[ScaleWeights] = None) -> WickPoly
 def coupling_constant_value(xi: Fraction) -> Fraction:
     """The coupling symbol c as an exact rational multiple of 1/pi^2."""
     return (6 * Fraction(xi) - 1) / 96
-
-
-# Config stub: a background mass-squared parameter would rescale with weight
-# -2 (backgrounds themselves are out of scope here).
-MASS_SQUARED_WEIGHT = -2
 
 
 # ---------------------------------------------------------------------------

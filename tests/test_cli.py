@@ -130,6 +130,19 @@ def test_invalid_cochain_file_fails_validation(capsys, tmp_path):
     assert code == 1
 
 
+def test_build_extension_on_non_cocycle_is_an_input_error(capsys, tmp_path):
+    # normalized, but xi fails the factor-set law, so the pair product on
+    # A x G is not associative
+    payload = {"G": "Z3", "A": "Z3",
+               "xi": [[0, 0, 0], [0, 1, 0], [0, 0, 0]], "phi": [0, 0, 0]}
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "build-extension", "--input", str(f))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "cocycle conditions" in err
+
+
 def test_schema_helpers():
     with pytest.raises(ParseError):
         loads("{")

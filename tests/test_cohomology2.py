@@ -4,6 +4,7 @@ import random
 import pytest
 
 from covlab import fingroup as fg
+from covlab.config import capped_product
 from covlab.cohomology2 import (Cochain2, TwistMap, classify_h2, coboundary_twist,
                                 cohomologous, enumerate_normalized_cocycles,
                                 is_neutral, trivial_cochain, validate_cocycle,
@@ -187,6 +188,25 @@ def test_twist_preserves_cocycle_property_randomized():
                                 for _ in range(G.order - 1)])
             c = coboundary_twist(c, TwistMap(zeta))
             assert validate_cocycle(c).valid
+
+
+def test_every_normalized_twist_of_every_cocycle_is_a_cocycle():
+    # coboundary_twist does not re-validate its output; this is the check
+    for G, A in [(Z2, Z2), (Z2, Z3), (Z2, Z4), (Z3, Z3)]:
+        for c in enumerate_normalized_cocycles(G, A):
+            for zeta in itertools.product(A.elements(), repeat=G.order - 1):
+                tw = coboundary_twist(c, TwistMap((0,) + zeta))
+                assert validate_cocycle(tw).valid, (G.name, A.name, c, zeta)
+                assert tw.is_normalized()
+
+
+def test_capped_product_refuses_above_cap():
+    assert list(capped_product([range(3), (7, 8)], cap=6)) \
+        == list(itertools.product(range(3), (7, 8)))
+    with pytest.raises(SearchSpaceTooLarge) as err:
+        capped_product([range(3), (7, 8)], cap=5)
+    assert (err.value.size, err.value.cap) == (6, 5)
+    assert str(err.value) == "enumeration of size 6 exceeds cap 5"
 
 
 def test_search_space_cap():

@@ -4,7 +4,8 @@ import pytest
 
 from covlab import fingroup as fg
 from covlab import models
-from covlab.cohomology2 import coboundary_twist, cohomologous, validate_cocycle
+from covlab.cohomology2 import (SearchSpaceTooLarge, coboundary_twist, cohomologous,
+                                validate_cocycle)
 from covlab.covariance import (Eq18Violated, active_passive_compose,
                                compare_implementations, compute_gauge_group,
                                extract_cocycle, lift_to_extension,
@@ -50,6 +51,14 @@ def test_gauge_group_one_object_z4():
     gauge = compute_gauge_group(impl.functor)
     assert gauge.order == 4
     assert gauge.table.order_profile() == (1, 2, 4, 4)
+
+
+def test_gauge_group_search_is_capped():
+    functor = models.one_object_cyclic_model().functor
+    with pytest.raises(SearchSpaceTooLarge) as err:
+        compute_gauge_group(functor, cap=3)
+    assert err.value.size == 4
+    assert compute_gauge_group(functor, cap=4).order == 4
 
 
 def test_gauge_group_discrete_source_naturality_vacuous():

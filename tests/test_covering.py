@@ -4,7 +4,8 @@ import pytest
 
 from covlab import fingroup as fg
 from covlab import models
-from covlab.cohomology2 import cohomologous, trivial_cochain, validate_cocycle
+from covlab.cohomology2 import (SearchSpaceTooLarge, cohomologous, trivial_cochain,
+                                validate_cocycle)
 from covlab.covering import (CentralCover, NotCentral, Section,
                              SectionInvalid, all_sections, check_centre_hom,
                              cyclic_cover, induced_gauge_cocycle, q8_cover,
@@ -70,6 +71,47 @@ def test_q8_every_section_gives_nontrivial_class():
     for sec in all_sections(cov):
         z = z_cocycle(sec)
         assert z_class_trivial(z) is None
+
+
+def reference_z_class_trivial(z):
+    """The direct twist loop z_class_trivial ran before it went through
+    cohomologous: the first zeta: L -> K, in product order, with
+    zeta(l1) zeta(l0) z(l1,l0) zeta(l1 l0)^-1 == 1 everywhere."""
+    L, K = z.cochain.G, z.k_group
+    for zeta in itertools.product(K.elements(), repeat=L.order):
+        if all(K.mul(K.mul(K.mul(zeta[l1], zeta[l0]), z.cochain.xi[l1][l0]),
+                     K.inv(zeta[L.mul(l1, l0)])) == 0
+               for l1 in L.elements() for l0 in L.elements()):
+            return zeta
+    return None
+
+
+def test_z_class_trivial_matches_reference_twist_loop():
+    covers = [q8_cover(), cyclic_cover(4, 2), cyclic_cover(8, 2),
+              cyclic_cover(6, 3), cyclic_cover(9, 3),
+              split_cover(2, fg.cyclic(3)), split_cover(3, fg.cyclic(2))]
+    trivial = 0
+    for cov in covers:
+        for sec in all_sections(cov):
+            z = z_cocycle(sec)
+            got = z_class_trivial(z)
+            assert got == reference_z_class_trivial(z), (cov.S.name, sec.lift)
+            trivial += got is not None
+    assert trivial > 0
+
+
+def test_section_and_twist_searches_are_capped(monkeypatch):
+    cov = q8_cover()
+    z = z_cocycle(all_sections(cov)[0])
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "15")
+    assert len(all_sections(cov)) == 8
+    with pytest.raises(SearchSpaceTooLarge) as err:
+        z_class_trivial(z)  # all 2^4 maps L -> K
+    assert err.value.size == 16
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "7")
+    with pytest.raises(SearchSpaceTooLarge) as err:
+        all_sections(cov)  # 2^3 lifts of the three non-identity elements
+    assert err.value.size == 8
 
 
 def test_q8_all_raw_lift_choices_nontrivial():

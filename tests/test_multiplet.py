@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +7,7 @@ import pytest
 from covlab import fingroup as fg
 from covlab import models
 from covlab.cohomology2 import trivial_cochain
-from covlab.exactlin import I as IU, Mat, ONE
+from covlab.exactlin import I as IU, GaussRat, Mat, ONE
 from covlab.extension import build_extension, classify_type
 from covlab.multiplet import (FieldSpaceAction, MatrixRep, PreconditionFailed,
                               SubMultiplet, build_rho, conjugate_rep,
@@ -194,6 +196,105 @@ def test_equivalent_grid_fallback_decides_singular_span():
     assert len(basis) == 2
     assert all(b.det().is_zero() for b in basis)
     assert not equivalent(r1, r2)
+
+
+def reference_equivalent(r1: MatrixRep, r2: MatrixRep) -> bool:
+    """The intertwiner search `equivalent` ran before it compared characters:
+    look for an invertible element of the intertwiner space among the basis,
+    64 seeded random combinations, then the whole grid {0..d}^dim(space)
+    (a nonzero polynomial of total degree d cannot vanish on all of it)."""
+    if r1.dim != r2.dim:
+        return False
+    basis = intertwiners(r1, r2)
+    if not basis:
+        return False
+    d = r1.dim
+    for b in basis:
+        if not b.det().is_zero():
+            return True
+    rng = random.Random(0xC0C)
+    for _ in range(64):
+        m = Mat.zeros(d, d)
+        for b in basis:
+            m = m + b.scale(Fraction(rng.randrange(-3, 4)))
+        if not m.det().is_zero():
+            return True
+    for coeffs in itertools.product(range(d + 1), repeat=len(basis)):
+        m = Mat.zeros(d, d)
+        for q, b in zip(coeffs, basis):
+            if q:
+                m = m + b.scale(Fraction(q))
+        if not m.det().is_zero():
+            return True
+    return False
+
+
+def direct_sum(*reps: MatrixRep) -> MatrixRep:
+    dim = sum(r.dim for r in reps)
+    mats = []
+    for g in reps[0].group.elements():
+        rows, off = [], 0
+        for r in reps:
+            for i in range(r.dim):
+                row = [0] * dim
+                row[off:off + r.dim] = [r(g)[i, j] for j in range(r.dim)]
+                rows.append(row)
+            off += r.dim
+        mats.append(Mat(rows))
+    return MatrixRep(reps[0].group, dim, tuple(mats))
+
+
+def similar(r: MatrixRep, rng: random.Random) -> MatrixRep:
+    """s r(g) s^-1 for a random invertible s with Gaussian-integer entries."""
+    while True:
+        s = Mat([[GaussRat(Fraction(rng.randrange(-2, 3)),
+                           Fraction(rng.randrange(-2, 3)))
+                  for _ in range(r.dim)] for _ in range(r.dim)])
+        if not s.det().is_zero():
+            break
+    s_inv = s.inverse()
+    return MatrixRep(r.group, r.dim, tuple(s * m * s_inv for m in r.matrices))
+
+
+def oracle_rep_families():
+    """Per group: irreducibles, sums of two, and sums up to dimension 3."""
+    t, s = z2_reps()
+    z2 = [t, s, direct_sum(t, t), direct_sum(t, s), direct_sum(s, s),
+          direct_sum(t, t, s), direct_sum(t, s, s)]
+    chi = [MatrixRep(Z4, 1, tuple(Mat([[IU ** (k * g)]]) for g in range(4)))
+           for k in range(4)]
+    rot = z4_rotation_rep()  # equivalent to chi[1] + chi[3] over Q(i)
+    z4 = chi + [rot] + [direct_sum(a, b) for i, a in enumerate(chi)
+                        for b in chi[i:]]
+    z4 += [direct_sum(rot, c) for c in chi]
+    z4 += [direct_sum(chi[1], chi[k], chi[3]) for k in (0, 2)]
+    two = models.q8_two_dim_rep()
+    signs = [models.q8_sign_rep(axis) for axis in "1ijk"]
+    q8 = [two] + signs + [direct_sum(a, b) for i, a in enumerate(signs)
+                          for b in signs[i:]]
+    q8 += [direct_sum(two, c) for c in signs] + [direct_sum(signs[1], two)]
+    return z2, z4, q8
+
+
+def test_character_test_matches_intertwiner_search():
+    rng = random.Random(1609)
+    verdicts = []
+    for family in oracle_rep_families():
+        assert all(validate_rep(r) for r in family)
+        pairs = list(itertools.combinations_with_replacement(family, 2))
+        pairs += [(v, r) for r in family
+                  for v in (similar(r, rng), conjugate_rep(r))]
+        for r1, r2 in pairs:
+            want = reference_equivalent(r1, r2)
+            assert equivalent(r1, r2) == want, (r1, r2)
+            verdicts.append(want)
+    assert True in verdicts and False in verdicts
+
+
+def test_equivalent_rejects_different_groups():
+    t, _ = z2_reps()
+    with pytest.raises(ValueError):
+        equivalent(t, MatrixRep(Z4, 1, tuple(Mat([[1]]) for _ in range(4))))
 
 
 # ---------------------------------------------------------------------------
