@@ -18,8 +18,9 @@ from typing import Any, Dict, List, Optional
 from . import __version__
 from . import fingroup as fg
 from . import models
-from .cohomology2 import (SearchSpaceTooLarge, classify_h2, cohomologous,
-                          trivial_cochain, validate_cocycle)
+from .cohomology2 import (SearchSpaceTooLarge, classify_h2, coboundary_twist,
+                          cohomologous, is_neutral, trivial_cochain,
+                          validate_cocycle)
 from .covariance import (compare_implementations, compute_gauge_group,
                          extract_cocycle, lift_to_extension)
 from .covering import (all_sections, check_centre_hom, induced_gauge_cocycle,
@@ -164,13 +165,12 @@ def cmd_compare_impls(args, report: RunReport) -> None:
     i2 = models.named_model(args.other)
     report.digest("model", args.model)
     report.digest("other", args.other)
-    try:
-        w = compare_implementations(i1, i2)
-    except AssertionError as err:
-        report.verdict("cocycles-cohomologous", False, error=str(err))
-        return
+    gauge = compute_gauge_group(i1.functor)
+    w = compare_implementations(i1, i2, gauge)
     report.verdict("witness-found", True, zeta=list(w.zeta))
-    report.verdict("cocycles-cohomologous", True)
+    report.verdict("cocycles-cohomologous",
+                   coboundary_twist(extract_cocycle(i1, gauge), w)
+                   == extract_cocycle(i2, gauge))
 
 
 def cmd_lift_extension(args, report: RunReport) -> None:
@@ -179,9 +179,8 @@ def cmd_lift_extension(args, report: RunReport) -> None:
     c = extract_cocycle(impl)
     ext = build_extension(c)
     lifted = lift_to_extension(impl, ext)
-    ec = extract_cocycle(lifted)
-    neutral = all(v == 0 for row in ec.xi for v in row)
-    report.verdict("lifted-cocycle-neutral", neutral, extension_order=ext.E.order)
+    report.verdict("lifted-cocycle-neutral", is_neutral(extract_cocycle(lifted)),
+                   extension_order=ext.E.order)
 
 
 def cmd_verify_multiplet(args, report: RunReport) -> None:
@@ -221,7 +220,7 @@ def cmd_cover_z(args, report: RunReport) -> None:
     if not (0 <= idx < len(sections)):
         raise SchemaError("section", f"index out of range 0..{len(sections)-1}")
     z = z_cocycle(sections[idx])
-    report.verdict("factor-set-valid", True)
+    report.verdict("factor-set-valid", validate_cocycle(z.cochain).valid)
     trivializer = z_class_trivial(z)
     report.data["z_values"] = [list(r) for r in z.values]
     report.data["class_trivial"] = trivializer is not None

@@ -20,10 +20,11 @@ imposed (none exists for nonabelian A).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, Iterator, Optional, Tuple
 
 from .config import SearchSpaceTooLarge, capped_product  # noqa: F401 (re-export)
-from .fingroup import (AutGroup, GroupTable, compose_perm, compute_aut,
+from .fingroup import (AutGroup, GroupTable, Perm, compose_perm, compute_aut,
                        inner_perm, invert_perm)
 
 
@@ -117,39 +118,64 @@ def validate_cocycle(c: Cochain2) -> CocycleReport:
 
 
 def is_neutral(c: Cochain2) -> bool:
-    """True iff xi is identically 1; phi is then necessarily a homomorphism."""
-    if any(v != 0 for row in c.xi for v in row):
-        return False
-    aut = c.aut
-    for g1 in c.G.elements():
-        for g0 in c.G.elements():
-            assert aut.table.mul(c.phi[g1], c.phi[g0]) == c.phi[c.G.mul(g1, g0)], \
-                "neutral cochain whose phi is not a homomorphism"
-    return True
+    """True iff xi is identically 1; phi is then necessarily a homomorphism
+    (the tests check this on every enumerated cocycle)."""
+    return all(v == 0 for row in c.xi for v in row)
+
+
+@lru_cache(maxsize=None)
+def _inner_auts(A: GroupTable) -> Tuple[Tuple[Perm, ...], Dict[Perm, int]]:
+    """ad(a) for every a in A, and each automorphism's index in Aut(A)."""
+    aut = compute_aut(A)
+    return (tuple(inner_perm(A, a) for a in A.elements()),
+            {p: i for i, p in enumerate(aut.perms)})
+
+
+def _twister(c: Cochain2):
+    """The twist formula, the one place it is written.  Returns
+    twist(zeta, expect=None), which builds the (xi, phi) tables of c
+    twisted by zeta.  Given `expect`, an (xi, phi) pair, twist compares the
+    tables with it as they are built, phi first, and returns None at the
+    first entry that differs.  Trusts its input; callers check it once."""
+    G, A = c.G, c.A
+    ads, index = _inner_auts(A)
+    perms = [c.aut.perms[p] for p in c.phi]
+    elems = G.elements()
+
+    def twist(zeta: Tuple[int, ...], expect: Optional[Tuple[tuple, tuple]] = None
+              ) -> Optional[Tuple[tuple, tuple]]:
+        phi = []
+        for g in elems:
+            p = index[compose_perm(ads[zeta[g]], perms[g])]
+            if expect is not None and p != expect[1][g]:
+                return None
+            phi.append(p)
+        xi = []
+        for g1 in elems:
+            row = []
+            for g0 in elems:
+                v = A.mul(A.mul(A.mul(zeta[g1], perms[g1][zeta[g0]]), c.xi[g1][g0]),
+                          A.inv(zeta[G.mul(g1, g0)]))
+                if expect is not None and v != expect[0][g1][g0]:
+                    return None
+                row.append(v)
+            xi.append(tuple(row))
+        return tuple(xi), tuple(phi)
+
+    return twist
 
 
 def coboundary_twist(c: Cochain2, t: TwistMap) -> Cochain2:
-    """Twist a cocycle by zeta; the output is again a valid cocycle (the
-    tests check this on every normalized twist of every enumerated cocycle)."""
-    if not validate_cocycle(c):
-        raise ValueError("input cochain is not a cocycle")
-    G, A, aut = c.G, c.A, c.aut
-    if len(t.zeta) != G.order or any(not (0 <= z < A.order) for z in t.zeta):
+    """Twist the cochain c by zeta.  Only the twist map is checked here.
+    Twisting is defined on every cochain and maps cocycles to cocycles (the
+    tests validate every normalized twist of every enumerated cocycle), so
+    c is not validated: callers holding a cochain from outside check it
+    once, as `cohomologous` and the CLI verbs do, and the classification
+    loops twist cocycles that the enumerator has already validated."""
+    if len(t.zeta) != c.G.order or any(not (0 <= z < c.A.order) for z in t.zeta):
         raise ValueError("twist map is not total on G")
-    new_phi = tuple(
-        aut.index_of(compose_perm(inner_perm(A, t.zeta[g]), c.phi_perm(g)))
-        for g in G.elements()
-    )
-    new_xi = tuple(
-        tuple(
-            A.mul(A.mul(A.mul(t.zeta[g1], c.phi_perm(g1)[t.zeta[g0]]),
-                        c.xi[g1][g0]),
-                  A.inv(t.zeta[G.mul(g1, g0)]))
-            for g0 in G.elements()
-        )
-        for g1 in G.elements()
-    )
-    return Cochain2(G, A, new_xi, new_phi)
+    xi, phi = _twister(c)(t.zeta)
+    return Cochain2(c.G, c.A, xi, phi)
 
 
 def _twists(G: GroupTable, A: GroupTable, normalized: bool,
@@ -165,6 +191,8 @@ def cohomologous(c1: Cochain2, c2: Cochain2,
                  normalized_only: Optional[bool] = None) -> Optional[TwistMap]:
     """Search all twist maps for a witness that c1 ~ c2.
 
+    Both inputs are validated once, here; each candidate zeta is then
+    tested by twisting c1 with the one twist formula and comparing with c2.
     When both cocycles are normalized the connecting twist necessarily has
     zeta(1) = 1, so only normalized twists are tried (the full space can be
     forced with normalized_only=False).  Returns the lexicographically first
@@ -177,26 +205,9 @@ def cohomologous(c1: Cochain2, c2: Cochain2,
             raise ValueError("input cochain is not a cocycle")
     if normalized_only is None:
         normalized_only = c1.is_normalized() and c2.is_normalized()
-    G, A, aut = c1.G, c1.A, c1.aut
-    perms1 = [c1.phi_perm(g) for g in G.elements()]
-    perms2 = [c2.phi_perm(g) for g in G.elements()]
-    ads = [inner_perm(A, a) for a in A.elements()]
-    for zeta in _twists(G, A, normalized_only, cap):
-        ok = all(compose_perm(ads[zeta[g]], perms1[g]) == perms2[g]
-                 for g in G.elements())
-        if not ok:
-            continue
-        for g1 in G.elements():
-            for g0 in G.elements():
-                lhs = A.mul(A.mul(A.mul(zeta[g1], perms1[g1][zeta[g0]]),
-                                  c1.xi[g1][g0]),
-                            A.inv(zeta[G.mul(g1, g0)]))
-                if lhs != c2.xi[g1][g0]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+    twist, target = _twister(c1), (c2.xi, c2.phi)
+    for zeta in _twists(c1.G, c1.A, normalized_only, cap):
+        if twist(zeta, target) is not None:
             return TwistMap(zeta)
     return None
 
@@ -274,21 +285,18 @@ def classify_h2(G: GroupTable, A: GroupTable,
         orbit = set()
         for zeta in twists:
             tw = coboundary_twist(c, TwistMap(zeta))
-            j = index[_cocycle_key(tw.xi, tw.phi)]
-            orbit.add(j)
+            orbit.add(index[_cocycle_key(tw.xi, tw.phi)])
         for j in orbit:
             seen[j] = True
         rep = min((cocycles[j] for j in orbit),
                   key=lambda cc: _cocycle_key(cc.xi, cc.phi))
-        assert rep.is_normalized()
         classes.append(H2Class(
             representative=rep,
             size=len(orbit),
             distinguished=any(
                 _cocycle_key(cocycles[j].xi, cocycles[j].phi) == trivial_key
                 for j in orbit),
-            neutral=any(all(v == 0 for row in cocycles[j].xi for v in row)
-                        for j in orbit),
+            neutral=any(is_neutral(cocycles[j]) for j in orbit),
         ))
     classes.sort(key=lambda cls: _cocycle_key(cls.representative.xi,
                                               cls.representative.phi))

@@ -94,11 +94,8 @@ def classify_type(e: ExtensionGroup, cap: Optional[int] = None) -> ExtensionType
     """
     c = e.cochain
     direct = cohomologous(c, trivial_cochain(c.G, c.A), cap=cap) is not None
-    semidirect = False
-    for zeta in _twists(c.G, c.A, True, cap):
-        if is_neutral(coboundary_twist(c, TwistMap(zeta))):
-            semidirect = True
-            break
+    semidirect = any(is_neutral(coboundary_twist(c, TwistMap(zeta)))
+                     for zeta in _twists(c.G, c.A, True, cap))
     cent = set(centre(e.E))
     central = all(m in cent for m in e.inclusion.map)
     labels = tuple(sorted(

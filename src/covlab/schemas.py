@@ -1,4 +1,4 @@
-"""JSON ingestion for groups, cochains, covers, sections and matrix reps.
+"""JSON ingestion for groups and cochains.
 
 Every reference slot accepts either an inline record, a {"name": ...}
 stub, or a bare name string resolved against the built-in constructors.
@@ -7,14 +7,10 @@ stub, or a bare name string resolved against the built-in constructors.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Any
 
 from .cohomology2 import Cochain2
-from .covering import CentralCover, Section
-from .exactlin import Mat
-from .fingroup import GroupHom, GroupTable, make_group, standard_group
-from .multiplet import MatrixRep, validate_rep
+from .fingroup import GroupTable, make_group, standard_group
 
 
 class ParseError(Exception):
@@ -58,6 +54,14 @@ def group_from_obj(obj: Any, field: str = "group") -> GroupTable:
         raise SchemaError(f"{field}.table", str(err)) from None
 
 
+def _ints(seq: Any, field: str) -> tuple:
+    """A JSON list of integers, taken as is: floats, booleans, nested lists
+    and anything else are refused rather than coerced."""
+    if not isinstance(seq, list) or any(type(v) is not int for v in seq):
+        raise SchemaError(field, f"expected a list of integers, got {json.dumps(seq)}")
+    return tuple(seq)
+
+
 def cochain_from_obj(obj: Any) -> Cochain2:
     if not isinstance(obj, dict):
         raise SchemaError("cochain", "expected an object")
@@ -66,133 +70,14 @@ def cochain_from_obj(obj: Any) -> Cochain2:
             raise SchemaError(key, "missing")
     g = group_from_obj(obj["G"], "G")
     a = group_from_obj(obj["A"], "A")
+    if not isinstance(obj["xi"], list):
+        raise SchemaError("xi", f"expected a list of rows, got {json.dumps(obj['xi'])}")
+    xi = tuple(_ints(row, "xi") for row in obj["xi"])
+    phi = _ints(obj["phi"], "phi")
     try:
-        return Cochain2(g, a,
-                        tuple(tuple(int(v) for v in row) for row in obj["xi"]),
-                        tuple(int(v) for v in obj["phi"]))
+        return Cochain2(g, a, xi, phi)
     except ValueError as err:
         raise SchemaError("xi/phi", str(err)) from None
-
-
-def cover_from_obj(obj: Any) -> CentralCover:
-    if not isinstance(obj, dict):
-        raise SchemaError("cover", "expected an object")
-    for key in ("S", "L", "pi"):
-        if key not in obj:
-            raise SchemaError(key, "missing")
-    s = group_from_obj(obj["S"], "S")
-    l = group_from_obj(obj["L"], "L")
-    try:
-        return CentralCover(s, l, GroupHom(s, l, tuple(int(v) for v in obj["pi"])))
-    except ValueError as err:
-        raise SchemaError("pi", str(err)) from None
-
-
-def section_from_obj(cover: CentralCover, obj: Any) -> Section:
-    if isinstance(obj, dict):
-        obj = obj.get("lift")
-    if obj is None:
-        raise SchemaError("lift", "missing")
-    return Section(cover, tuple(int(v) for v in obj))
-
-
-def _entry_to_scalar(v: Any):
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return Fraction(int(v[0]), int(v[1]))
-    if isinstance(v, int):
-        return Fraction(v)
-    raise SchemaError("matrices", f"bad entry {v!r}; use [num, den] pairs")
-
-
-def rep_from_obj(obj: Any) -> MatrixRep:
-    if not isinstance(obj, dict):
-        raise SchemaError("rep", "expected an object")
-    for key in ("group", "dim", "matrices"):
-        if key not in obj:
-            raise SchemaError(key, "missing")
-    g = group_from_obj(obj["group"], "group")
-    dim = int(obj["dim"])
-    mats = tuple(Mat([[_entry_to_scalar(v) for v in row] for row in m])
-                 for m in obj["matrices"])
-    rep = MatrixRep(g, dim, mats)
-    check = validate_rep(rep)
-    if not check:
-        raise SchemaError("matrices", f"{check.violation} {check.witness}")
-    return rep
-
-
-def fincat_from_obj(obj: Any) -> "FinCat":
-    """Category record: {"objects": [...], "morphisms": [{"id","dom","cod"}],
-    "compose": [[f, g, h], ...] meaning f o g = h (g applied first),
-    "identities": [...] aligned with objects (or an object -> morphism map)."""
-    from .fincat import FinCat, validate_fincat
-    if not isinstance(obj, dict):
-        raise SchemaError("category", "expected an object")
-    for key in ("objects", "morphisms", "compose", "identities"):
-        if key not in obj:
-            raise SchemaError(key, "missing")
-    mors = []
-    for m in obj["morphisms"]:
-        try:
-            mors.append((m["id"], m["dom"], m["cod"]))
-        except (TypeError, KeyError):
-            raise SchemaError("morphisms", f"bad record {m!r}") from None
-    compose = {}
-    for triple in obj["compose"]:
-        if len(triple) != 3:
-            raise SchemaError("compose", f"bad triple {triple!r}")
-        f, g, h = triple
-        compose[(f, g)] = h
-    idents = obj["identities"]
-    if isinstance(idents, list):
-        if len(idents) != len(obj["objects"]):
-            raise SchemaError("identities", "must align with objects")
-        idents = dict(zip(obj["objects"], idents))
-    try:
-        cat = FinCat(obj["objects"], mors, compose, idents, obj.get("name"))
-    except ValueError as err:
-        raise SchemaError("category", str(err)) from None
-    report = validate_fincat(cat)
-    if not report:
-        raise SchemaError("category", f"{report.violation} {report.witness}")
-    return cat
-
-
-def functor_from_obj(source, target, obj: Any) -> "TheoryFunctor":
-    """Functor record: {"objects": {obj: obj}, "morphisms": {mor: mor}}."""
-    from .fincat import TheoryFunctor, validate_functor
-    if not isinstance(obj, dict) or "objects" not in obj or "morphisms" not in obj:
-        raise SchemaError("functor", "needs objects and morphisms maps")
-    f = TheoryFunctor(source, target, obj["objects"], obj["morphisms"],
-                      obj.get("name"))
-    report = validate_functor(f)
-    if not report:
-        raise SchemaError("functor", f"{report.violation} {report.witness}")
-    return f
-
-
-def implementation_from_obj(obj: Any) -> "Implementation":
-    """Implementation record:
-    {"category": cat, "target": cat, "functor": functor record,
-     "group": group ref, "action": [functor record per element],
-     "eta": [{object: morphism}, ...] one family per group element}."""
-    from .covariance import Implementation, validate_implementation
-    from .fincat import GAction
-    for key in ("category", "target", "functor", "group", "action", "eta"):
-        if key not in obj:
-            raise SchemaError(key, "missing")
-    src = fincat_from_obj(obj["category"])
-    tgt = fincat_from_obj(obj["target"]) if obj["target"] != obj["category"] \
-        else src
-    functor = functor_from_obj(src, tgt, obj["functor"])
-    group = group_from_obj(obj["group"])
-    functors = [functor_from_obj(src, src, rec) for rec in obj["action"]]
-    impl = Implementation(functor, GAction(group, functors),
-                          [dict(fam) for fam in obj["eta"]])
-    report = validate_implementation(impl)
-    if not report:
-        raise SchemaError("eta", f"{report.violation} {report.witness}")
-    return impl
 
 
 def group_to_obj(g: GroupTable) -> dict:

@@ -4,7 +4,7 @@ import pytest
 
 from covlab.cli import main
 from covlab.schemas import (ParseError, SchemaError, cochain_from_obj,
-                            group_from_obj, loads, rep_from_obj)
+                            group_from_obj, loads)
 
 
 def run(capsys, *argv):
@@ -143,6 +143,30 @@ def test_build_extension_on_non_cocycle_is_an_input_error(capsys, tmp_path):
     assert "input error" in err and "cocycle conditions" in err
 
 
+@pytest.mark.parametrize("xi, phi, bad", [
+    ([[0, 0], [0, 0]], [0, 0.5], "0.5"),
+    ([[0, 0], [0, True]], [0, 0], "true"),
+    ([[0, [0]], [0, 0]], [0, 0], "[0, [0]]"),
+])
+def test_non_integer_cochain_cells_are_refused(capsys, tmp_path, xi, phi, bad):
+    f = tmp_path / "cochain.json"
+    f.write_text(json.dumps({"G": "Z2", "A": "Z2", "xi": xi, "phi": phi}))
+    code, out, err = run(capsys, "build-extension", "--input", str(f))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and bad in err
+
+
+@pytest.mark.parametrize("model, other", [("Z4Rot", "SwapIso"),
+                                          ("FrameRot", "SpinFrame")])
+def test_compare_impls_across_theories_is_an_input_error(capsys, model, other):
+    code, out, err = run(capsys, "compare-impls", "--model", model,
+                         "--other", other)
+    assert code == 2
+    assert out == ""
+    assert "input error: implementations live on different categories" in err
+
+
 def test_schema_helpers():
     with pytest.raises(ParseError):
         loads("{")
@@ -154,12 +178,6 @@ def test_schema_helpers():
     assert g.order == 2
     with pytest.raises(SchemaError):
         cochain_from_obj({"G": "Z2", "A": "Z2", "xi": [[0]], "phi": [0, 0]})
-    rep = rep_from_obj({"group": "Z2", "dim": 1,
-                        "matrices": [[[1]], [[-1]]]})
-    assert rep.dim == 1
-    with pytest.raises(SchemaError):
-        rep_from_obj({"group": "Z2", "dim": 1,
-                      "matrices": [[[1]], [[2]]]})
 
 
 def test_env_cap_override(capsys, monkeypatch):
@@ -167,62 +185,3 @@ def test_env_cap_override(capsys, monkeypatch):
     code, out, err = run(capsys, "classify-h2", "--G", "Z3", "--A", "Z3")
     assert code == 2
     assert "input error" in err
-
-
-def _bz2_category_obj():
-    return {
-        "objects": ["*"],
-        "morphisms": [{"id": "e", "dom": "*", "cod": "*"},
-                      {"id": "s", "dom": "*", "cod": "*"}],
-        "compose": [["e", "e", "e"], ["e", "s", "s"],
-                    ["s", "e", "s"], ["s", "s", "e"]],
-        "identities": ["e"],
-    }
-
-
-def test_category_json_records():
-    from covlab.schemas import (fincat_from_obj, functor_from_obj,
-                                implementation_from_obj)
-    from covlab.covariance import extract_cocycle
-
-    cat = fincat_from_obj(_bz2_category_obj())
-    assert cat.objects == ("*",)
-    assert cat.compose("s", "s") == "e"
-
-    missing = _bz2_category_obj()
-    missing["compose"] = missing["compose"][:-1]
-    with pytest.raises(SchemaError) as exc:
-        fincat_from_obj(missing)
-    assert "MissingComposite" in str(exc.value)
-
-    ident = {"objects": {"*": "*"}, "morphisms": {"e": "e", "s": "s"}}
-    functor_from_obj(cat, cat, ident)
-    with pytest.raises(SchemaError):
-        functor_from_obj(cat, cat, {"objects": {"*": "*"},
-                                    "morphisms": {"e": "s", "s": "e"}})
-
-    impl_obj = {
-        "category": _bz2_category_obj(),
-        "target": _bz2_category_obj(),
-        "functor": ident,
-        "group": "Z2",
-        "action": [ident, ident],
-        "eta": [{"*": "e"}, {"*": "s"}],
-    }
-    impl = implementation_from_obj(impl_obj)
-    c = extract_cocycle(impl)
-    # eta(g) = s with s^2 = e: the extracted factor set is trivial here
-    assert c.xi[1][1] == 0
-
-
-def test_cover_json_records():
-    from covlab.schemas import cover_from_obj, section_from_obj
-    from covlab.covering import z_cocycle
-
-    obj = {"S": "Z4", "L": "Z2", "pi": [0, 1, 0, 1]}
-    cover = cover_from_obj(obj)
-    sec = section_from_obj(cover, {"lift": [0, 1]})
-    z = z_cocycle(sec)
-    assert z.values[1][1] == 2  # lift(g)^2 in the kernel
-    with pytest.raises(SchemaError):
-        cover_from_obj({"S": "Z4", "L": "Z2", "pi": [0, 0, 0, 0]})

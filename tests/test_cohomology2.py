@@ -5,9 +5,10 @@ import pytest
 
 from covlab import fingroup as fg
 from covlab.config import capped_product
-from covlab.cohomology2 import (Cochain2, TwistMap, classify_h2, coboundary_twist,
-                                cohomologous, enumerate_normalized_cocycles,
-                                is_neutral, trivial_cochain, validate_cocycle,
+from covlab.cohomology2 import (Cochain2, TwistMap, _twists, classify_h2,
+                                coboundary_twist, cohomologous,
+                                enumerate_normalized_cocycles, is_neutral,
+                                trivial_cochain, validate_cocycle,
                                 SearchSpaceTooLarge)
 
 Z2 = fg.cyclic(2)
@@ -83,6 +84,19 @@ def test_double_twist_returns_original_exactly():
             assert back == base
 
 
+def test_twist_is_defined_on_every_cochain():
+    # coboundary_twist checks the twist map only: a non-cocycle twists to a
+    # non-cocycle, and twisting back recovers it exactly.
+    c = Cochain2(Z2, Z4, ((1, 0), (0, 0)), (0, 0))
+    assert not validate_cocycle(c)
+    tw = coboundary_twist(c, TwistMap((0, 1)))
+    assert not validate_cocycle(tw)
+    assert coboundary_twist(tw, TwistMap((0, 3))) == c
+    for bad in ((0,), (0, 4)):
+        with pytest.raises(ValueError, match="twist map"):
+            coboundary_twist(c, TwistMap(bad))
+
+
 def test_cohomologous_reflexive_with_identity_witness():
     c = z4_producing_cochain()
     w = cohomologous(c, c)
@@ -154,9 +168,11 @@ def test_classify_h2_z2_z4_four_classes():
 
 
 def test_class_representatives_are_normalized_and_least():
-    res = classify_h2(Z2, Z4)
-    for cls in res.classes:
-        assert cls.representative.is_normalized()
+    # classify_h2 does not re-check its representatives; this is the check
+    for G, A in [(Z2, Z3), (Z2, Z4), (Z3, Z3), (Z2, fg.standard_group("Z2xZ2")),
+                 (Z2, fg.standard_group("S3"))]:
+        for cls in classify_h2(G, A).classes:
+            assert cls.representative.is_normalized()
 
 
 def test_abelian_sector_count_equals_cocycles_over_coboundaries():
@@ -198,6 +214,59 @@ def test_every_normalized_twist_of_every_cocycle_is_a_cocycle():
                 tw = coboundary_twist(c, TwistMap((0,) + zeta))
                 assert validate_cocycle(tw).valid, (G.name, A.name, c, zeta)
                 assert tw.is_normalized()
+
+
+def test_neutral_cocycles_have_homomorphic_phi():
+    # is_neutral reads xi only; that phi is then a homomorphism is checked here
+    for G, A in [(Z2, Z2), (Z2, Z3), (Z2, Z4), (Z3, Z3),
+                 (Z2, fg.standard_group("Z2xZ2")), (Z2, fg.standard_group("S3"))]:
+        aut = fg.compute_aut(A)
+        for c in enumerate_normalized_cocycles(G, A):
+            if not is_neutral(c):
+                continue
+            for g1 in G.elements():
+                for g0 in G.elements():
+                    assert aut.table.mul(c.phi[g1], c.phi[g0]) \
+                        == c.phi[G.mul(g1, g0)], (G.name, A.name, c.phi)
+
+
+def reference_cohomologous(c1, c2, normalized_only):
+    """The twist search as written before the one twist kernel: check phi
+    through precomputed inner automorphisms, then xi cell by cell."""
+    G, A = c1.G, c1.A
+    perms1 = [c1.phi_perm(g) for g in G.elements()]
+    perms2 = [c2.phi_perm(g) for g in G.elements()]
+    ads = [fg.inner_perm(A, a) for a in A.elements()]
+    for zeta in _twists(G, A, normalized_only, None):
+        ok = all(fg.compose_perm(ads[zeta[g]], perms1[g]) == perms2[g]
+                 for g in G.elements())
+        if not ok:
+            continue
+        for g1 in G.elements():
+            for g0 in G.elements():
+                lhs = A.mul(A.mul(A.mul(zeta[g1], perms1[g1][zeta[g0]]),
+                                  c1.xi[g1][g0]),
+                            A.inv(zeta[G.mul(g1, g0)]))
+                if lhs != c2.xi[g1][g0]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            return TwistMap(zeta)
+    return None
+
+
+def test_cohomologous_matches_reference_twist_loop():
+    for G, A in [(Z2, Z4), (Z2, fg.standard_group("Z2xZ2")), (Z3, Z3),
+                 (Z2, fg.standard_group("S3"))]:
+        cocycles = enumerate_normalized_cocycles(G, A)
+        for c1 in cocycles:
+            for c2 in cocycles:
+                for normalized_only in (True, False):
+                    assert cohomologous(c1, c2, normalized_only=normalized_only) \
+                        == reference_cohomologous(c1, c2, normalized_only), \
+                        (G.name, A.name, c1, c2, normalized_only)
 
 
 def test_capped_product_refuses_above_cap():

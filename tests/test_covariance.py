@@ -172,6 +172,38 @@ def test_lift_to_extension_neutral():
         assert all(v == 0 for row in ec.xi for v in row)
 
 
+def _criterion_4_fixtures():
+    fixtures = [models.one_object_cyclic_model(p) for p in range(4)]
+    return fixtures + [models.swap_model(), models.spin_frame_model(),
+                       models.frame_rotation_model()[0]]
+
+
+def test_extracted_cocycles_are_valid_and_normalized():
+    # extract_cocycle does not re-validate its output; this is the check
+    for impl in _criterion_4_fixtures():
+        c = extract_cocycle(impl)
+        assert validate_cocycle(c).valid, impl.name
+        assert c.is_normalized(), impl.name
+
+
+def test_lift_is_valid_with_phi_ad_a_after_phi_g():
+    # lift_to_extension does not re-check its output; this is the check
+    for impl in _criterion_4_fixtures():
+        gauge = compute_gauge_group(impl.functor)
+        A = gauge.table
+        aut = fg.compute_aut(A)
+        c = extract_cocycle(impl, gauge)
+        ext = build_extension(c)
+        lifted = lift_to_extension(impl, ext, gauge)
+        assert validate_implementation(lifted).valid, impl.name
+        ec = extract_cocycle(lifted, gauge)
+        assert validate_cocycle(ec).valid and ec.is_normalized(), impl.name
+        for e in ext.E.elements():
+            a, g = ext.unpair(e)
+            expected = tuple(A.mul(A.mul(a, x), A.inv(a)) for x in c.phi_perm(g))
+            assert aut.perms[ec.phi[e]] == expected, (impl.name, e)
+
+
 def test_active_passive_frame_rotation():
     impl, psi, base = models.frame_rotation_model(twist_parity=True)
     res = active_passive_compose(psi, impl, base)
