@@ -26,14 +26,16 @@ from .covariance import (compare_implementations, compute_gauge_group,
 from .covering import (all_sections, check_centre_hom, induced_gauge_cocycle,
                        spin_obstruction, z_class_trivial, z_cocycle)
 from .extension import InvalidCocycle, build_extension, classify_type
-from .fingroup import GroupHom, direct_product, quotient, standard_group
+from .fingroup import (GroupHom, check_hom, direct_product, image,
+                       is_injective, is_surjective, kernel, quotient,
+                       standard_group)
 from .multiplet import (PreconditionFailed, build_rho, detect_mixing,
                         verify_field_action)
 from .schemas import (ParseError, SchemaError, cochain_from_obj, cochain_to_obj,
                       group_to_obj, loads)
-from .wickscale import (gauge_scaling_action, GaugeElement, parse_wickpoly,
-                        scale_wick_power, scaling_cocycle_nontrivial,
-                        wick_product)
+from .wickscale import (gauge_scaling_action, GaugeElement, ordering_route,
+                        parse_wickpoly, scale_wick_power,
+                        scaling_cocycle_nontrivial, wick_product)
 
 @dataclass
 class RunReport:
@@ -130,8 +132,12 @@ def cmd_build_extension(args, report: RunReport) -> None:
     c = _read_cochain(args, report)
     ext = build_extension(c)
     t = classify_type(ext)
+    inc, proj = ext.inclusion, ext.projection
+    exact = (check_hom(inc).valid and check_hom(proj).valid
+             and is_injective(inc) and is_surjective(proj)
+             and image(inc) == kernel(proj))
     report.verdict("extension-built", True, order=ext.E.order)
-    report.verdict("exact-sequence", True)
+    report.verdict("exact-sequence", exact)
     report.data["labels"] = list(t.labels)
     report.data["preferred"] = t.preferred
     report.data["order_profile"] = list(ext.E.order_profile())
@@ -286,9 +292,10 @@ def cmd_wick_product(args, report: RunReport) -> None:
 def cmd_scale_power(args, report: RunReport) -> None:
     report.digest("k", args.k)
     out = scale_wick_power(args.k)
+    report.verdict("closed-form-matches-ordering-route",
+                   out == ordering_route(args.k))
     if args.conformal:
         out = out.set_symbol("c", Fraction(0))
-    report.verdict("closed-form-matches-ordering-route", True)
     report.data["scaled_power"] = str(out)
 
 

@@ -233,13 +233,6 @@ class H2Classification:
     def count(self) -> int:
         return len(self.classes)
 
-    @property
-    def distinguished_index(self) -> int:
-        for i, cls in enumerate(self.classes):
-            if cls.distinguished:
-                return i
-        raise AssertionError("no class contains the trivial cocycle")
-
 
 def _cocycle_key(xi, phi):
     return (tuple(v for row in xi for v in row), tuple(phi))

@@ -215,7 +215,8 @@ def spin_obstruction(s: Section, zeta_on_k: GroupHom,
     identity; the first kernel element acting nontrivially is the witness.
     When the kernel gauge assignment zeta is trivial, every multiplet in the
     model must descend; a non-descending representation then flags the model
-    as inconsistent.
+    as inconsistent.  That the descended map is a representation of L is a
+    theorem; the tests validate it for every shipped case.
     """
     cov = s.cover
     if rep.group != cov.S:
@@ -235,8 +236,6 @@ def spin_obstruction(s: Section, zeta_on_k: GroupHom,
     L = cov.L
     mats = tuple(rep(s.lift[l]) for l in L.elements())
     descended = MatrixRep(L, rep.dim, mats)
-    dv = validate_rep(descended)
-    assert dv.valid, f"descended map is not a representation: {dv.violation}"
     return SpinVerdict(True, None, descended, zeta_trivial, model_consistent=True)
 
 

@@ -15,15 +15,14 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .cohomology2 import (Cochain2, TwistMap, _twists, coboundary_twist,
-                          cohomologous, is_neutral, trivial_cochain)
-from .fingroup import (GroupHom, GroupTable, NotAssociative, centre, check_hom,
-                       image, is_injective, is_surjective, kernel, make_group)
+                          is_neutral, validate_cocycle)
+from .fingroup import GroupHom, GroupTable, centre
 
 
 class InvalidCocycle(Exception):
-    def __init__(self, witness) -> None:
-        self.witness = witness
-        super().__init__(f"pair product is not a group (witness {witness}); "
+    def __init__(self, law: str, witness) -> None:
+        self.law, self.witness = law, witness
+        super().__init__(f"{law} fails at {witness}; "
                          "the input fails the cocycle conditions")
 
 
@@ -42,9 +41,19 @@ class ExtensionGroup:
 
 
 def build_extension(c: Cochain2) -> ExtensionGroup:
-    """Build E from a valid normalized cocycle and verify exactness."""
+    """Build E from a normalized cocycle.
+
+    The cocycle laws are checked once, here (InvalidCocycle otherwise).  On
+    a normalized cochain they hold exactly when the pair product is
+    associative, so E is a group and 1 -> A -> E -> G -> 1 is exact; the
+    build-extension verdict checks exactness and the tests check both on
+    every cocycle of the small pairs.
+    """
     if not c.is_normalized():
         raise ValueError("extension construction requires a normalized cochain")
+    res = validate_cocycle(c)
+    if not res.valid:
+        raise InvalidCocycle(res.law, res.witness)
     G, A = c.G, c.A
     ng, na = G.order, A.order
     size = na * ng
@@ -60,18 +69,10 @@ def build_extension(c: Cochain2) -> ExtensionGroup:
                 for g0 in G.elements():
                     a = A.mul(A.mul(a1, perm1[a0]), c.xi[g1][g0])
                     table[pair(a1, g1)][pair(a0, g0)] = pair(a, G.mul(g1, g0))
-    try:
-        E = make_group(tuple(tuple(r) for r in table),
-                       name=f"Ext({A.name or na},{G.name or ng})")
-    except NotAssociative as err:
-        raise InvalidCocycle(err.witness) from err
-    assert E.order == size
-
+    E = GroupTable(tuple(tuple(r) for r in table),
+                   name=f"Ext({A.name or na},{G.name or ng})")
     inc = GroupHom(A, E, tuple(pair(a, 0) for a in A.elements()))
     proj = GroupHom(E, G, tuple(e % ng for e in range(size)))
-    assert check_hom(inc).valid and check_hom(proj).valid
-    assert is_injective(inc) and is_surjective(proj)
-    assert sorted(image(inc)) == sorted(kernel(proj))
     return ExtensionGroup(E, c, inc, proj)
 
 
@@ -87,25 +88,32 @@ class ExtensionType:
 def classify_type(e: ExtensionGroup, cap: Optional[int] = None) -> ExtensionType:
     """Label the extension.  Labels can overlap; all that apply are reported.
 
-    direct_product: cocycle cohomologous to (1, id);
+    direct_product: cohomologous to (1, id), i.e. some normalized twist
+                    gives the trivial cocycle;
     semidirect:     cohomologous to some neutral cocycle (1, phi0), i.e. some
                     normalized twist kills xi (a splitting section exists);
     central:        the included copy of A lies in the centre of E.
+    One pass over the normalized twists decides both cohomological labels;
+    it stops at the first twist that gives the trivial cocycle.
     """
     c = e.cochain
-    direct = cohomologous(c, trivial_cochain(c.G, c.A), cap=cap) is not None
-    semidirect = any(is_neutral(coboundary_twist(c, TwistMap(zeta)))
-                     for zeta in _twists(c.G, c.A, True, cap))
+    direct = semidirect = False
+    for zeta in _twists(c.G, c.A, True, cap):
+        tw = coboundary_twist(c, TwistMap(zeta))
+        if is_neutral(tw):
+            semidirect = True
+            if not any(tw.phi):
+                direct = True
+                break
     cent = set(centre(e.E))
     central = all(m in cent for m in e.inclusion.map)
     labels = tuple(sorted(
         lbl for lbl, flag in (("central", central), ("direct_product", direct),
                               ("semidirect", semidirect)) if flag
     )) or ("general",)
-    for pref in ("direct_product", "semidirect", "central", "general"):
-        if pref in labels or labels == ("general",):
-            return ExtensionType(labels, pref if pref in labels else "general")
-    raise AssertionError("unreachable")
+    preferred = next(p for p in ("direct_product", "semidirect", "central",
+                                 "general") if p in labels)
+    return ExtensionType(labels, preferred)
 
 
 # ---------------------------------------------------------------------------

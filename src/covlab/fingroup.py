@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
+from .config import capped_product
+
 Perm = Tuple[int, ...]
 
 
@@ -78,14 +80,6 @@ class GroupTable:
     def elements(self) -> range:
         return range(self.order)
 
-    def power(self, a: int, n: int) -> int:
-        if n < 0:
-            return self.power(self.inv(a), -n)
-        out = 0
-        for _ in range(n):
-            out = self.mul(out, a)
-        return out
-
     def element_order(self, a: int) -> int:
         x, n = a, 1
         while x != 0:
@@ -127,6 +121,8 @@ def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> Gr
     The first violated axiom is reported: IndexOutOfRange, NoIdentity,
     NotInvertible (with the offending element) or NotAssociative (with the
     witness triple).  Tables whose identity is not element 0 are reindexed.
+    The associativity check visits all n^3 triples through the capped
+    product, so an order past the enumeration cap is refused up front.
     """
     rows = []
     n = len(table)
@@ -156,12 +152,9 @@ def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> Gr
     for x in range(n):
         if frozenset(rows[x]) != full or frozenset(rows[y][x] for y in range(n)) != full:
             raise NotInvertible(x)
-    for x in range(n):
-        for y in range(n):
-            xy = rows[x][y]
-            for z in range(n):
-                if rows[xy][z] != rows[x][rows[y][z]]:
-                    raise NotAssociative((x, y, z))
+    for x, y, z in capped_product([range(n)] * 3):
+        if rows[rows[x][y]][z] != rows[x][rows[y][z]]:
+            raise NotAssociative((x, y, z))
     for x in range(n):
         if not any(rows[x][y] == 0 and rows[y][x] == 0 for y in range(n)):
             raise NotInvertible(x)
@@ -498,6 +491,4 @@ def compute_aut(g: GroupTable, cap: int = 128) -> AutGroup:
     table = tuple(
         tuple(index[compose_perm(p, q)] for q in perms) for p in perms
     )
-    aut = AutGroup(make_group(table, name=f"Aut({g.name or g.order})"), perms)
-    assert aut.perms[0] == identity_perm(g.order)
-    return aut
+    return AutGroup(make_group(table, name=f"Aut({g.name or g.order})"), perms)

@@ -253,57 +253,28 @@ def change_of_ordering(p: WickPoly, delta: WickPoly) -> WickPoly:
 # ---------------------------------------------------------------------------
 # scaling
 
-@dataclass(frozen=True)
-class ScaleWeights:
-    """Fixed scale weights in four dimensions.
+def scale_wick_power(k: int) -> WickPoly:
+    """The scaled Wick power lam*Phi^k in closed form,
 
-    field: a Wick power of degree k picks up lam^(field*k) under the scaling
-    isomorphisms; test: test functions rescale with lam^test; kernel: the
-    two-point kernel rescales with lam^kernel.
-    """
+        lam^k sum_j k!/(j!(k-2j)!) c^j L^j R^j Phi^(k-2j).
 
-    dimension: int = 4
-    field: int = -3
-    test: int = -4
-    kernel: int = 6
-
-    def check(self) -> None:
-        assert self.kernel == 2 * (-self.field), \
-            "kernel weight must be twice the field weight magnitude"
-        # commutator consistency: the causal propagator pairing scales with
-        # (box weight) + (one volume factor) = 2 + dimension
-        assert self.kernel == 2 + self.dimension
-        assert self.net_field_power() == 1
-
-    def net_field_power(self) -> int:
-        """Net lam-power per field factor after smearing: field - test."""
-        return self.field - self.test
-
-
-def scale_wick_power(k: int, weights: Optional[ScaleWeights] = None) -> WickPoly:
-    """The scaled Wick power lam*Phi^k as a WickPoly.
-
-    Computed by composing the scale weights with the ordering shift
-    D = 2 c L R, then asserted equal to the closed form
-    lam^k sum_j k!/(j!(k-2j)!) c^j L^j R^j Phi^(k-2j).
+    `ordering_route` derives it from the ordering shift instead; the
+    scale-power verdict compares the two.
     """
     if k < 1:
         raise ValueError("field power must be >= 1")
-    weights = weights or ScaleWeights()
-    weights.check()
-    net = weights.net_field_power() * k
-    shift = WickPoly.symbol(c=1, log=1, ricci=1).scale(2)
-    via_ordering = change_of_ordering(WickPoly.phi_power(k), shift) \
-        * WickPoly.symbol(lam=net)
+    return WickPoly({
+        Monomial(phi=k - 2 * j, ricci=j, log=j, lam=k, c=j):
+        Fraction(math.factorial(k), math.factorial(j) * math.factorial(k - 2 * j))
+        for j in range(k // 2 + 1)})
 
-    closed = WickPoly.zero()
-    for j in range(k // 2 + 1):
-        coeff = Fraction(math.factorial(k),
-                         math.factorial(j) * math.factorial(k - 2 * j))
-        closed = closed + WickPoly(
-            {Monomial(phi=k - 2 * j, ricci=j, log=j, lam=net, c=j): coeff})
-    assert via_ordering == closed, "ordering-shift route disagrees with closed form"
-    return closed
+
+def ordering_route(k: int) -> WickPoly:
+    """lam*Phi^k composed from the scale weights and the ordering shift
+    D = 2 c L R: Phi^k rewritten against K + D, times lam^k."""
+    shift = WickPoly.symbol(c=1, log=1, ricci=1).scale(2)
+    # lam^1 net per smeared field factor: field weight -3, test weight -4
+    return change_of_ordering(WickPoly.phi_power(k), shift) * WickPoly.symbol(lam=k)
 
 
 def coupling_constant_value(xi: Fraction) -> Fraction:
@@ -337,34 +308,19 @@ def gauge_ad(a: GaugeElement, x: GaugeElement) -> GaugeElement:
     return gauge_mul(gauge_mul(a, x), gauge_inv(a))
 
 
-_SAMPLE_MUS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 2),
-               Fraction(-2, 7)]
-
-
 def gauge_scaling_action(lam: Fraction, el: GaugeElement,
                          xi_nonzero: bool = False) -> GaugeElement:
     """The scaling automorphism (sigma, mu) -> (sigma, mu/lam).
 
-    With xi_nonzero the gauge group is just Z2 (mu must vanish).  The
-    automorphism property is asserted on a fixed sample of element pairs.
+    With xi_nonzero the gauge group is just Z2 (mu must vanish).  That the
+    map is an automorphism is checked in the tests.
     """
     lam = Fraction(lam)
     if lam <= 0:
         raise NonPositiveLambda(f"lambda must be positive, got {lam}")
     if xi_nonzero and el.mu != 0:
         raise ValueError("mu must vanish when the coupling is nonzero")
-    samples = [GaugeElement(s, Fraction(0) if xi_nonzero else m)
-               for s in (1, -1) for m in _SAMPLE_MUS]
-
-    def act(x: GaugeElement) -> GaugeElement:
-        return GaugeElement(x.sigma, x.mu / lam)
-
-    for x in samples:
-        for y in samples:
-            assert act(gauge_mul(x, y)) == gauge_mul(act(x), act(y)), \
-                "scaling map fails the automorphism law"
-    assert act(GaugeElement(1)) == GaugeElement(1)
-    return act(el)
+    return GaugeElement(el.sigma, el.mu / lam)
 
 
 @dataclass(frozen=True)
@@ -394,15 +350,11 @@ def scaling_cocycle_nontrivial(xi_nonzero: bool = False) -> ScalingCocycleCertif
         )
     lam = Fraction(2)
     el = GaugeElement(1, Fraction(1))
-    reachable = []
-    for sigma in (1, -1):
-        conj = gauge_ad(GaugeElement(sigma, Fraction(5, 3)), el)
-        assert conj == GaugeElement(1, sigma * el.mu)
-        reachable.append(sigma * el.mu)
+    reachable = [gauge_ad(GaugeElement(sigma, Fraction(5, 3)), el).mu
+                 for sigma in (1, -1)]
     required = gauge_scaling_action(lam, el).mu
-    assert required not in reachable
     return ScalingCocycleCertificate(
-        nontrivial=True, lam=lam, element=el,
+        nontrivial=required not in reachable, lam=lam, element=el,
         reachable_mus=tuple(sorted(reachable)), required_mu=required,
         reason="inner automorphisms act on the mu-line only by a sign, "
                "but scaling divides mu by lambda",

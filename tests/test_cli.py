@@ -185,3 +185,16 @@ def test_env_cap_override(capsys, monkeypatch):
     code, out, err = run(capsys, "classify-h2", "--G", "Z3", "--A", "Z3")
     assert code == 2
     assert "input error" in err
+
+
+def test_ingested_group_order_is_capped(capsys, tmp_path, monkeypatch):
+    # the associativity scan of a Z12 table visits 12^3 = 1728 triples
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "1000")
+    z12 = [[(i + j) % 12 for j in range(12)] for i in range(12)]
+    f = tmp_path / "cochain.json"
+    f.write_text(json.dumps({"G": {"table": z12}, "A": "Z2",
+                             "xi": [[0] * 12] * 12, "phi": [0] * 12}))
+    code, out, err = run(capsys, "validate-cocycle", "--input", str(f))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "cap 1000" in err

@@ -6,13 +6,14 @@ from covlab import fingroup as fg
 from covlab import models
 from covlab.cohomology2 import (SearchSpaceTooLarge, coboundary_twist, cohomologous,
                                 validate_cocycle)
-from covlab.covariance import (Eq18Violated, active_passive_compose,
-                               compare_implementations, compute_gauge_group,
-                               extract_cocycle, lift_to_extension,
-                               twist_implementation, validate_implementation)
+from covlab.covariance import (Eq18Violated, Implementation,
+                               active_passive_compose, compare_implementations,
+                               compute_gauge_group, extract_cocycle,
+                               lift_to_extension, twist_implementation,
+                               validate_implementation)
 from covlab.extension import build_extension
-from covlab.fincat import (FinCat, TheoryFunctor, group_as_category, identity_functor,
-                           validate_fincat, validate_gaction)
+from covlab.fincat import (FinCat, GAction, TheoryFunctor, group_as_category,
+                           identity_functor, validate_fincat, validate_gaction)
 
 
 def test_one_object_category_valid():
@@ -172,10 +173,31 @@ def test_lift_to_extension_neutral():
         assert all(v == 0 for row in ec.xi for v in row)
 
 
+def _point_into_s3_model(eta1: int):
+    """One object whose only morphism is its identity, mapped into B(S3);
+    Z2 acts trivially and eta(1) is the S3 element `eta1`.  The gauge group
+    is S3, so a lift that composes with a^-1 in place of a shows."""
+    point = group_as_category(fg.trivial_group(), prefix="e", name="Pt")
+    bs3 = group_as_category(fg.symmetric3(), prefix="s", name="BS3")
+    functor = TheoryFunctor(point, bs3, {"*": "*"}, {"e0": "s0"}, name="PtS3")
+    action = GAction(fg.cyclic(2), (identity_functor(point),) * 2)
+    return Implementation(functor, action, [{"*": "s0"}, {"*": f"s{eta1}"}],
+                          name=f"PtS3[eta1={eta1}]")
+
+
 def _criterion_4_fixtures():
     fixtures = [models.one_object_cyclic_model(p) for p in range(4)]
     return fixtures + [models.swap_model(), models.spin_frame_model(),
-                       models.frame_rotation_model()[0]]
+                       models.frame_rotation_model()[0],
+                       _point_into_s3_model(3),   # eta(1) a 3-cycle
+                       _point_into_s3_model(1)]   # eta(1) a transposition
+
+
+def test_point_into_s3_model_has_a_nonabelian_gauge_group():
+    for impl in (_point_into_s3_model(3), _point_into_s3_model(1)):
+        gauge = compute_gauge_group(impl.functor)
+        assert gauge.order == 6 and not gauge.table.is_abelian()
+        assert build_extension(extract_cocycle(impl, gauge)).E.order == 12
 
 
 def test_extracted_cocycles_are_valid_and_normalized():
@@ -204,6 +226,38 @@ def test_lift_is_valid_with_phi_ad_a_after_phi_g():
             assert aut.perms[ec.phi[e]] == expected, (impl.name, e)
 
 
+def _spin_frame_active_passive():
+    # in the spin-frame model, s=2 acts trivially on objects; psi_s is the
+    # undecorated frame jump, so psi_2 is the identity of F0
+    impl = models.spin_frame_model()
+    psi = {}
+    for s in range(4):
+        target = impl.action.act_obj((4 - s) % 4, "F0")
+        jump = int(target[1:])
+        psi[s] = f"m{jump}<0:0"
+    return impl, psi, "F0"
+
+
+def test_active_passive_composite_is_a_homomorphism():
+    # active_passive_compose does not re-check Xi; this is the check
+    for impl, psi, base in (models.frame_rotation_model(twist_parity=True),
+                            models.frame_rotation_model(twist_parity=False),
+                            _spin_frame_active_passive()):
+        res = active_passive_compose(psi, impl, base)
+        G = impl.action.group
+        src, tgt = impl.functor.source, impl.functor.target
+        xi = res.components
+        assert xi[0] == tgt.identity(impl.functor.on_obj(base)), impl.name
+        for g1 in G.elements():
+            for g0 in G.elements():
+                assert tgt.compose(xi[g1], xi[g0]) == xi[G.mul(g1, g0)], \
+                    (impl.name, g1, g0)
+        assert [k for k, _ in res.kernel_checks] \
+            == [k for k in G.elements() if psi[k] == src.identity(base)]
+        for k, zk in res.kernel_checks:
+            assert xi[k] == zk == impl.component(k, base), (impl.name, k)
+
+
 def test_active_passive_frame_rotation():
     impl, psi, base = models.frame_rotation_model(twist_parity=True)
     res = active_passive_compose(psi, impl, base)
@@ -219,16 +273,9 @@ def test_active_passive_trivial_for_plain_lift():
 
 
 def test_active_passive_kernel_element():
-    # in the spin-frame model, s=2 acts trivially on objects; with psi_2 = id
-    # the composite must equal the gauge component of eta(2)
-    impl = models.spin_frame_model()
-    src = impl.functor.source
-    psi = {}
-    for s in range(4):
-        target = impl.action.act_obj((4 - s) % 4, "F0")
-        jump = int(target[1:])
-        psi[s] = f"m{jump}<0:0"
-    res = active_passive_compose(psi, impl, "F0")
+    # with psi_2 = id the composite must equal the gauge component of eta(2)
+    impl, psi, base = _spin_frame_active_passive()
+    res = active_passive_compose(psi, impl, base)
     assert (2, impl.component(2, "F0")) in res.kernel_checks
     assert impl.component(2, "F0") == "m0<0:2"
 

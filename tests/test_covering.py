@@ -13,7 +13,7 @@ from covlab.covering import (CentralCover, NotCentral, Section,
                              z_cocycle)
 from covlab.exactlin import Mat
 from covlab.fingroup import GroupHom
-from covlab.multiplet import MatrixRep
+from covlab.multiplet import MatrixRep, validate_rep
 
 
 def test_q8_cover_well_formed():
@@ -258,6 +258,22 @@ def test_spin_obstruction_q8():
         v = spin_obstruction(sec, zeta, models.q8_sign_rep(axis))
         assert v.descends
         assert v.descended is not None and v.descended.group == cov.L
+
+
+def test_descended_maps_are_representations():
+    # spin_obstruction does not re-validate what it descends; this is the check
+    cov = q8_cover()
+    k, _ = cov.kernel_group()
+    descended = 0
+    for name, build in models.Q8_REPS.items():
+        for zeta_map in ((0, 0), (0, 1)):
+            zeta = GroupHom(k, fg.cyclic(2), zeta_map)
+            for i, sec in enumerate(all_sections(cov)):
+                verdict = spin_obstruction(sec, zeta, build())
+                if verdict.descends:
+                    descended += 1
+                    assert validate_rep(verdict.descended).valid, (name, zeta_map, i)
+    assert descended == 4 * 2 * len(all_sections(cov))  # the four sign reps
 
 
 def test_spin_obstruction_trivial_zeta_inconsistency_flag():

@@ -3,15 +3,17 @@ import itertools
 import pytest
 
 from covlab import fingroup as fg
+from covlab import models
 from covlab.cohomology2 import (Cochain2, TwistMap, coboundary_twist,
                                 cohomologous, enumerate_normalized_cocycles,
-                                trivial_cochain)
+                                trivial_cochain, validate_cocycle)
 from covlab.extension import (InvalidCocycle, build_extension, classify_type,
                               extensions_equivalent)
 
 Z2 = fg.cyclic(2)
 Z3 = fg.cyclic(3)
 Z4 = fg.cyclic(4)
+S3 = fg.symmetric3()
 
 
 def z4_producing():
@@ -63,13 +65,67 @@ def test_invalid_cocycle_rejected_with_witness():
 
 
 def test_exactness_elementwise():
-    for c in (trivial_cochain(Z2, Z3), z4_producing(), s3_producing()):
+    # build_extension neither runs make_group nor checks exactness; this
+    # checks both on every cocycle of the small pairs and every CLI fixture
+    cocycles = [c for G, A in [(Z2, Z2), (Z2, Z3), (Z2, Z4), (Z3, Z3), (Z2, S3)]
+                for c in enumerate_normalized_cocycles(G, A)]
+    cocycles += [build() for build in models.COCHAIN_FIXTURES.values()]
+    for c in cocycles:
         ext = build_extension(c)
-        incl_image = set(ext.inclusion.map)
-        proj_kernel = {e for e in ext.E.elements() if ext.projection.map[e] == 0}
+        assert fg.make_group(ext.E.table).table == ext.E.table
+        inc, proj = ext.inclusion, ext.projection
+        assert fg.check_hom(inc).valid and fg.check_hom(proj).valid
+        assert fg.is_injective(inc) and fg.is_surjective(proj)
+        incl_image = set(inc.map)
+        proj_kernel = {e for e in ext.E.elements() if proj.map[e] == 0}
         assert incl_image == proj_kernel
         # projection o inclusion is trivial
-        assert all(ext.projection.map[m] == 0 for m in ext.inclusion.map)
+        assert all(proj.map[m] == 0 for m in inc.map)
+
+
+def _pair_table(c):
+    """The pair product on A x G, for any cochain."""
+    G, A = c.G, c.A
+    ng = G.order
+    return [[A.mul(A.mul(a1, c.phi_perm(g1)[a0]), c.xi[g1][g0]) * ng + G.mul(g1, g0)
+             for a0 in A.elements() for g0 in G.elements()]
+            for a1 in A.elements() for g1 in G.elements()]
+
+
+def _normalized_cochains(G, A):
+    n, free = G.order, G.order - 1
+    naut = fg.compute_aut(A).order
+    for combo in itertools.product(*([range(naut)] * free
+                                     + [A.elements()] * (free * free))):
+        xi_flat = combo[free:]
+        xi = ((0,) * n,) + tuple((0,) + xi_flat[r * free:(r + 1) * free]
+                                 for r in range(free))
+        yield Cochain2(G, A, xi, (0,) + combo[:free])
+
+
+def test_pair_product_is_a_group_exactly_for_cocycles():
+    # why build_extension needs only validate_cocycle: on a normalized
+    # cochain, the pair product is associative iff both cocycle laws hold
+    seen = 0
+    for G, A in [(Z2, Z3), (Z3, Z2), (Z2, Z4), (Z3, Z3), (Z2, S3)]:
+        for c in _normalized_cochains(G, A):
+            seen += 1
+            if validate_cocycle(c).valid:
+                fg.make_group(_pair_table(c))
+            else:
+                with pytest.raises(fg.NotAssociative):
+                    fg.make_group(_pair_table(c))
+    assert seen == 390
+
+
+def test_invalid_cocycle_names_the_failing_law():
+    bad = Cochain2(Z3, Z3, ((0, 0, 0), (0, 1, 0), (0, 0, 0)), (0, 0, 0))
+    with pytest.raises(InvalidCocycle) as exc:
+        build_extension(bad)
+    res = validate_cocycle(bad)
+    assert res.law == "factor_set_condition"
+    assert (exc.value.law, exc.value.witness) == (res.law, res.witness)
+    assert "cocycle conditions" in str(exc.value)
 
 
 def test_equivalence_reflexive_identity_witness():

@@ -162,3 +162,10 @@ def test_direct_product_encoding():
 def test_cap_exceeded():
     with pytest.raises(fg.CapExceeded):
         fg.automorphism_perms(fg.cyclic(16), cap=8)
+
+
+def test_compute_aut_lists_the_identity_first():
+    for name in sorted(fg._STANDARD):
+        g = fg.standard_group(name)
+        assert fg.compute_aut(g).perms[0] == fg.identity_perm(g.order), name
+

@@ -417,6 +417,13 @@ def test_scaling_multiplet_k2_conformal():
     assert m.matrix[1][0].is_zero()
 
 
+def _sym_matmul(a, b):
+    n = len(a)
+    return tuple(tuple(
+        sum((a[i][k] * b[k][j] for k in range(n)), WickPoly.zero())
+        for j in range(n)) for i in range(n))
+
+
 def _stretch_log(poly: WickPoly, factor: Fraction) -> WickPoly:
     """Substitute L -> factor * L, keeping L symbolic."""
     return WickPoly({m: q * Fraction(factor) ** m.log for m, q in poly.terms})
@@ -425,7 +432,6 @@ def _stretch_log(poly: WickPoly, factor: Fraction) -> WickPoly:
 def test_scaling_multiplet_group_law_on_cyclic_powers():
     # the n-th matrix power at lam equals the matrix at lam^n once the
     # latter's log symbol (log lam^(2n)) is rewritten as n * log lam^2
-    from covlab.multiplet import _sym_matmul
     for k in (2, 3, 4, 5):
         base = scaling_multiplet(k, lam=Fraction(2))
         power = base.matrix
@@ -438,10 +444,25 @@ def test_scaling_multiplet_group_law_on_cyclic_powers():
 
 
 def test_scaling_multiplet_nilpotent_structure():
-    for k in (2, 3, 4, 5, 6):
-        m = scaling_multiplet(k)
-        n = m.dim
-        lamk = WickPoly.scalar(Fraction(2) ** k)
-        nil = tuple(tuple(m.matrix[i][j] - (lamk if i == j else WickPoly.zero())
-                          for j in range(n)) for i in range(n))
-        assert any(not c.is_zero() for row in nil for c in row)
+    # N = M - lam^k is nilpotent; N = 0 exactly for the "diagonal" verdict,
+    # and otherwise the chain is full length: N^(dim-1) != 0
+    def all_zero(mat):
+        return all(c.is_zero() for row in mat for c in row)
+
+    for coupling in ("generic", "minimal", "conformal"):
+        for k in range(1, 7):
+            m = scaling_multiplet(k, coupling=coupling)
+            dim = m.dim
+            lamk = WickPoly.scalar(Fraction(2) ** k)
+            nil = tuple(tuple(m.matrix[i][j] - (lamk if i == j else WickPoly.zero())
+                              for j in range(dim)) for i in range(dim))
+            powers = [nil]  # powers[i] == N^(i+1)
+            for _ in range(dim - 1):
+                powers.append(_sym_matmul(powers[-1], nil))
+            assert all_zero(powers[dim - 1]), (coupling, k)
+            diagonal = coupling == "conformal" or k == 1
+            assert (m.verdict == "diagonal") == diagonal, (coupling, k)
+            if diagonal:
+                assert all_zero(nil), (coupling, k)
+            else:
+                assert not all_zero(powers[dim - 2]), (coupling, k)

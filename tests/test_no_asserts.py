@@ -1,0 +1,64 @@
+"""Verdicts rest on explicit checks, never on `assert`: the library has no
+assert statement, and the README examples report the same under python -O.
+
+Run as a script, this module prints the exit code and stdout of each
+command given as a JSON list of argv lists; the -O test runs it that way.
+"""
+
+import ast
+import contextlib
+import io
+import json
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_library_has_no_assert_statements():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "covlab").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def readme_commands():
+    """Every `covlab ...` example line of the README, as argv with --json."""
+    return [["--json"] + shlex.split(line, comments=True)[1:]
+            for line in (ROOT / "README.md").read_text().splitlines()
+            if line.startswith("covlab ")]
+
+
+def run_all(commands):
+    """[exit code, stdout] of each command, run through cli.main."""
+    from covlab.cli import main
+    out = []
+    for argv in commands:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        out.append([code, buf.getvalue()])
+    return out
+
+
+def test_readme_examples_report_the_same_under_python_O(tmp_path, monkeypatch):
+    (tmp_path / "my_cochain.json").write_text(json.dumps(
+        {"G": "Z2", "A": "Z2", "xi": [[0, 0], [0, 1]], "phi": [0, 0]}))
+    commands = readme_commands()
+    assert len(commands) == 14
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-O", __file__, json.dumps(commands)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.chdir(tmp_path)
+    assert json.loads(proc.stdout) == run_all(commands)
+
+
+if __name__ == "__main__":
+    print(json.dumps(run_all(json.loads(sys.argv[1]))))
