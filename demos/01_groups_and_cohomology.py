@@ -1,4 +1,4 @@
-"""Walkthrough: finite groups, 2-cochains, and brute-force H^2 classification.
+"""Walkthrough: finite groups, 2-cochains, and H^2 classification.
 
 Run:  python3 demos/01_groups_and_cohomology.py
 """
@@ -40,7 +40,7 @@ print("twist of the trivial cochain by zeta(g)=r has xi(g,g) = r^2:",
 print("z4-producing ~ trivial?",
       cohomologous(z4_producing, trivial_cochain(z2, z2)) is not None)
 
-# -- full classification by exhaustive enumeration --------------------------
+# -- full classification: every normalized cocycle, grouped into classes ---
 
 for gn, an in [("Z2", "Z2"), ("Z2", "Z3"), ("Z3", "Z3"), ("Z2", "Z4")]:
     res = classify_h2(fg.standard_group(gn), fg.standard_group(an))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterator, Optional, Tuple
 
-from .config import SearchSpaceTooLarge, capped_product  # noqa: F401 (re-export)
+from .config import SearchSpaceTooLarge, capped_product, enum_cap
 from .fingroup import (AutGroup, GroupTable, Perm, compose_perm, compute_aut,
                        inner_perm, invert_perm)
 
@@ -238,22 +238,89 @@ def _cocycle_key(xi, phi):
     return (tuple(v for row in xi for v in row), tuple(phi))
 
 
+def _factor_set_schedule(G: GroupTable) -> Tuple[Tuple[int, ...], list]:
+    """The free xi cells of a normalized cochain, as flat indices g1*n + g0
+    with neither g1 nor g0 the identity, in row-major order; and for each
+    cell the factor-set triples whose four cells are all set once that cell
+    is, as (g2, a, b, c, d) for the law xi[a] * xi[b] == phi(g2)(xi[c]) *
+    xi[d].  A triple with no free cell holds for every phi, since all its
+    cells are the identity."""
+    n = G.order
+    cells = tuple(g1 * n + g0 for g1 in range(1, n) for g0 in range(1, n))
+    rank = {pos: k for k, pos in enumerate(cells)}
+    checks = [[] for _ in cells]
+    for g2 in G.elements():
+        for g1 in G.elements():
+            for g0 in G.elements():
+                law = (g2 * n + g1, G.mul(g2, g1) * n + g0,
+                       g1 * n + g0, g2 * n + G.mul(g1, g0))
+                last = max((rank[pos] for pos in law if pos in rank), default=None)
+                if last is not None:
+                    checks[last].append((g2,) + law)
+    return cells, checks
+
+
 def enumerate_normalized_cocycles(G: GroupTable, A: GroupTable,
                                   cap: Optional[int] = None) -> Tuple[Cochain2, ...]:
-    """All normalized valid 2-cocycles over (G, A), in lexicographic order."""
+    """All normalized valid 2-cocycles over (G, A), in lexicographic order.
+
+    A depth-first search.  For each phi tail, the pair law confines
+    xi(g1, g0) to the a in A with ad(a) equal to the defect
+    phi(g1) . phi(g0) . phi(g1*g0)^-1, and a phi with a non-inner defect is
+    dropped before any xi cell is set.  The free xi cells are set in
+    row-major order, and each factor-set triple is checked as soon as its
+    last cell is set.  validate_cocycle decides every leaf.  The phi tails
+    run over capped_product; the xi search counts the cell values it tries
+    and raises SearchSpaceTooLarge once that count passes the cap.
+    """
+    limit = cap if cap is not None else enum_cap()
     aut = compute_aut(A)
     n = G.order
-    free = n - 1
+    ads, _ = _inner_auts(A)
+    preimages: Dict[Perm, list] = {}
+    for a, ad in enumerate(ads):
+        preimages.setdefault(ad, []).append(a)
+    cells, checks = _factor_set_schedule(G)
+    pairs = [divmod(pos, n) for pos in cells]
+    mul = A.table
     found = []
-    candidates = capped_product([range(aut.order)] * free
-                                + [A.elements()] * (free * free), cap)
-    for combo in candidates:
-        phi, xi_flat = (0,) + combo[:free], combo[free:]
-        xi = ((0,) * n,) + tuple((0,) + xi_flat[r * free:(r + 1) * free]
-                                 for r in range(free))
-        c = Cochain2(G, A, xi, phi)
-        if validate_cocycle(c):
-            found.append(c)
+    visited = 0
+    xi = [0] * (n * n)
+
+    def solve(k: int) -> None:
+        # reads phi, perms and options, which the loop below sets per phi tail
+        nonlocal visited
+        if k == len(cells):
+            leaf = Cochain2(G, A, tuple(tuple(xi[r * n:(r + 1) * n])
+                                        for r in range(n)), phi)
+            if validate_cocycle(leaf):
+                found.append(leaf)
+            return
+        pos = cells[k]
+        for v in options[k]:
+            visited += 1
+            if visited > limit:
+                raise SearchSpaceTooLarge(visited, limit)
+            xi[pos] = v
+            for g2, a, b, c, d in checks[k]:
+                if mul[xi[a]][xi[b]] != mul[perms[g2][xi[c]]][xi[d]]:
+                    break
+            else:
+                solve(k + 1)
+
+    for tail in capped_product([range(aut.order)] * (n - 1), limit):
+        phi = (0,) + tail
+        perms = [aut.perms[p] for p in phi]
+        inverses = [invert_perm(p) for p in perms]
+        options = []
+        for g1, g0 in pairs:
+            defect = compose_perm(perms[g1], compose_perm(perms[g0],
+                                                          inverses[G.mul(g1, g0)]))
+            if defect not in preimages:
+                break
+            options.append(preimages[defect])
+        else:
+            solve(0)
     found.sort(key=lambda c: _cocycle_key(c.xi, c.phi))
     return tuple(found)
 
@@ -271,7 +338,8 @@ def classify_h2(G: GroupTable, A: GroupTable,
     twists = list(_twists(G, A, normalized=True, cap=cap))
     seen = [False] * len(cocycles)
     classes = []
-    trivial_key = _cocycle_key(trivial_cochain(G, A).xi, trivial_cochain(G, A).phi)
+    trivial = trivial_cochain(G, A)
+    trivial_key = _cocycle_key(trivial.xi, trivial.phi)
     for i, c in enumerate(cocycles):
         if seen[i]:
             continue

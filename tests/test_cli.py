@@ -187,6 +187,15 @@ def test_env_cap_override(capsys, monkeypatch):
     assert "input error" in err
 
 
+def test_cap_counts_cocycle_search_work(capsys, monkeypatch):
+    # S3/Z2 has a single phi tail; its xi search tries more than 1000 cells
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "1000")
+    code, out, err = run(capsys, "classify-h2", "--G", "S3", "--A", "Z2")
+    assert code == 2
+    assert "input error" in err
+    assert "enumeration of size 1001 exceeds cap 1000" in err
+
+
 def test_ingested_group_order_is_capped(capsys, tmp_path, monkeypatch):
     # the associativity scan of a Z12 table visits 12^3 = 1728 triples
     monkeypatch.setenv("COVLAB_ENUM_CAP", "1000")

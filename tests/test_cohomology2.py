@@ -1,5 +1,8 @@
+import importlib.util
 import itertools
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,12 @@ from covlab.cohomology2 import (Cochain2, TwistMap, _twists, classify_h2,
 Z2 = fg.cyclic(2)
 Z3 = fg.cyclic(3)
 Z4 = fg.cyclic(4)
+
+# the benchmark's H^2 grid, bench/workloads.py (standard library only)
+_spec = importlib.util.spec_from_file_location(
+    "bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def z4_producing_cochain() -> Cochain2:
@@ -282,3 +291,77 @@ def test_search_space_cap():
     with pytest.raises(SearchSpaceTooLarge):
         cohomologous(trivial_cochain(fg.cyclic(8), fg.cyclic(8)),
                      trivial_cochain(fg.cyclic(8), fg.cyclic(8)), cap=10)
+
+
+def reference_enumerate(G, A):
+    """The cocycle enumeration as written before the backtracking solver:
+    every (phi tail, xi cells) candidate is built and validated in full."""
+    aut = fg.compute_aut(A)
+    n = G.order
+    free = n - 1
+    found = []
+    for combo in capped_product([range(aut.order)] * free
+                                + [A.elements()] * (free * free)):
+        phi, xi_flat = (0,) + combo[:free], combo[free:]
+        xi = ((0,) * n,) + tuple((0,) + xi_flat[r * free:(r + 1) * free]
+                                 for r in range(free))
+        c = Cochain2(G, A, xi, phi)
+        if validate_cocycle(c):
+            found.append(c)
+    found.sort(key=lambda c: (tuple(v for row in c.xi for v in row), c.phi))
+    return tuple(found)
+
+
+def _naive_size(G, A):
+    return fg.compute_aut(A).order ** (G.order - 1) * A.order ** ((G.order - 1) ** 2)
+
+
+def test_solver_matches_reference_enumeration_on_the_h2_grid():
+    checked = 0
+    for gn, an in workloads.H2_PAIRS:
+        G, A = fg.standard_group(gn), fg.standard_group(an)
+        if _naive_size(G, A) > 10 ** 4:
+            continue
+        assert enumerate_normalized_cocycles(G, A) == reference_enumerate(G, A), \
+            (gn, an)
+        checked += 1
+    assert checked == 15
+
+
+def _trivial_phi_class_count(G, A):
+    return sum(all(p == 0 for p in cls.representative.phi)
+               for cls in classify_h2(G, A).classes)
+
+
+def test_cyclic_trivial_action_classes_number_a_mod_na():
+    # H^2(Z_n, A) = A / nA for abelian A acting trivially
+    for n, an, expected in [(3, "Z6", 3), (4, "Z2", 2), (4, "Z3", 1),
+                            (4, "Z4", 4), (4, "Z2xZ2", 4), (8, "Z2", 2)]:
+        A = fg.standard_group(an)
+        n_a = set()
+        for a in A.elements():
+            x = 0
+            for _ in range(n):
+                x = A.mul(x, a)
+            n_a.add(x)
+        assert A.order // len(n_a) == expected, (n, an)
+        assert _trivial_phi_class_count(fg.cyclic(n), A) == expected, (n, an)
+
+
+def test_pairs_beyond_the_naive_cap_classify():
+    # known H^2 for the trivial action: H^2(S3, Z2) = Z2, H^2(Q8, Z2) = Z2^2,
+    # H^2(Z2xZ2, Z2xZ2) = H^2(Z2xZ2, Z2)^2 = Z2^6; Aut(Z2) is trivial
+    S3, Q8, V4 = (fg.standard_group(x) for x in ("S3", "Q8", "Z2xZ2"))
+    for G, A in [(S3, Z2), (Q8, Z2), (V4, V4)]:
+        assert _naive_size(G, A) > 10 ** 7
+    assert classify_h2(S3, Z2).count == 2
+    assert classify_h2(Q8, Z2).count == 4
+    assert _trivial_phi_class_count(V4, V4) == 64
+
+
+def test_cap_counts_solver_work():
+    # S3/Z2 has one phi tail, which fits under the cap; the xi search does not
+    assert fg.compute_aut(Z2).order == 1
+    with pytest.raises(SearchSpaceTooLarge) as err:
+        enumerate_normalized_cocycles(fg.standard_group("S3"), Z2, cap=1000)
+    assert (err.value.size, err.value.cap) == (1001, 1000)
