@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -407,7 +408,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     if args.timing:
         report.timing_ms = (time.monotonic() - start) * 1000.0
-    print(report.to_json() if args.json else report.to_human())
+    try:
+        print(report.to_json() if args.json else report.to_human(), flush=True)
+    except BrokenPipeError:
+        # the reader has gone: point stdout at devnull so the interpreter's
+        # final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if report.all_ok else 1
 
 

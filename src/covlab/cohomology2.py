@@ -124,11 +124,9 @@ def is_neutral(c: Cochain2) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _inner_auts(A: GroupTable) -> Tuple[Tuple[Perm, ...], Dict[Perm, int]]:
-    """ad(a) for every a in A, and each automorphism's index in Aut(A)."""
-    aut = compute_aut(A)
-    return (tuple(inner_perm(A, a) for a in A.elements()),
-            {p: i for i, p in enumerate(aut.perms)})
+def _inner_auts(A: GroupTable) -> Tuple[Perm, ...]:
+    """ad(a) for every a in A."""
+    return tuple(inner_perm(A, a) for a in A.elements())
 
 
 def _twister(c: Cochain2):
@@ -138,8 +136,9 @@ def _twister(c: Cochain2):
     tables with it as they are built, phi first, and returns None at the
     first entry that differs.  Trusts its input; callers check it once."""
     G, A = c.G, c.A
-    ads, index = _inner_auts(A)
-    perms = [c.aut.perms[p] for p in c.phi]
+    ads, aut = _inner_auts(A), c.aut
+    index = aut.index
+    perms = [aut.perms[p] for p in c.phi]
     elems = G.elements()
 
     def twist(zeta: Tuple[int, ...], expect: Optional[Tuple[tuple, tuple]] = None
@@ -178,35 +177,31 @@ def coboundary_twist(c: Cochain2, t: TwistMap) -> Cochain2:
     return Cochain2(c.G, c.A, xi, phi)
 
 
-def _twists(G: GroupTable, A: GroupTable, normalized: bool,
-            cap: Optional[int]) -> Iterator[Tuple[int, ...]]:
+def _twists(G: GroupTable, A: GroupTable,
+            normalized: bool) -> Iterator[Tuple[int, ...]]:
     """Every map zeta: G -> A in lexicographic order; zeta(1) = 1 when
     normalized."""
     first = [(0,)] if normalized else [A.elements()]
-    return capped_product(first + [A.elements()] * (G.order - 1), cap)
+    return capped_product(first + [A.elements()] * (G.order - 1))
 
 
-def cohomologous(c1: Cochain2, c2: Cochain2,
-                 cap: Optional[int] = None,
-                 normalized_only: Optional[bool] = None) -> Optional[TwistMap]:
+def cohomologous(c1: Cochain2, c2: Cochain2) -> Optional[TwistMap]:
     """Search all twist maps for a witness that c1 ~ c2.
 
     Both inputs are validated once, here; each candidate zeta is then
     tested by twisting c1 with the one twist formula and comparing with c2.
-    When both cocycles are normalized the connecting twist necessarily has
-    zeta(1) = 1, so only normalized twists are tried (the full space can be
-    forced with normalized_only=False).  Returns the lexicographically first
-    witness, or None.
+    When both cocycles are normalized every witness has zeta(1) = 1 (the
+    twisted xi(1, 1) is zeta(1)), so only normalized twists are tried.
+    Returns the lexicographically first witness, or None.
     """
     if c1.G != c2.G or c1.A != c2.A:
         raise ValueError("cochains live over different (G, A)")
     for c in (c1, c2):
         if not validate_cocycle(c):
             raise ValueError("input cochain is not a cocycle")
-    if normalized_only is None:
-        normalized_only = c1.is_normalized() and c2.is_normalized()
+    normalized = c1.is_normalized() and c2.is_normalized()
     twist, target = _twister(c1), (c2.xi, c2.phi)
-    for zeta in _twists(c1.G, c1.A, normalized_only, cap):
+    for zeta in _twists(c1.G, c1.A, normalized):
         if twist(zeta, target) is not None:
             return TwistMap(zeta)
     return None
@@ -260,8 +255,8 @@ def _factor_set_schedule(G: GroupTable) -> Tuple[Tuple[int, ...], list]:
     return cells, checks
 
 
-def enumerate_normalized_cocycles(G: GroupTable, A: GroupTable,
-                                  cap: Optional[int] = None) -> Tuple[Cochain2, ...]:
+def enumerate_normalized_cocycles(G: GroupTable, A: GroupTable
+                                  ) -> Tuple[Cochain2, ...]:
     """All normalized valid 2-cocycles over (G, A), in lexicographic order.
 
     A depth-first search.  For each phi tail, the pair law confines
@@ -273,10 +268,10 @@ def enumerate_normalized_cocycles(G: GroupTable, A: GroupTable,
     run over capped_product; the xi search counts the cell values it tries
     and raises SearchSpaceTooLarge once that count passes the cap.
     """
-    limit = cap if cap is not None else enum_cap()
+    limit = enum_cap()
     aut = compute_aut(A)
     n = G.order
-    ads, _ = _inner_auts(A)
+    ads = _inner_auts(A)
     preimages: Dict[Perm, list] = {}
     for a, ad in enumerate(ads):
         preimages.setdefault(ad, []).append(a)
@@ -308,7 +303,7 @@ def enumerate_normalized_cocycles(G: GroupTable, A: GroupTable,
             else:
                 solve(k + 1)
 
-    for tail in capped_product([range(aut.order)] * (n - 1), limit):
+    for tail in capped_product([range(aut.order)] * (n - 1)):
         phi = (0,) + tail
         perms = [aut.perms[p] for p in phi]
         inverses = [invert_perm(p) for p in perms]
@@ -325,17 +320,16 @@ def enumerate_normalized_cocycles(G: GroupTable, A: GroupTable,
     return tuple(found)
 
 
-def classify_h2(G: GroupTable, A: GroupTable,
-                cap: Optional[int] = None) -> H2Classification:
+def classify_h2(G: GroupTable, A: GroupTable) -> H2Classification:
     """Partition all normalized valid cocycles into cohomology classes.
 
     The class of the trivial cocycle is flagged as the distinguished point.
     Canonical representatives are the lexicographically least (xi, phi)
     tables of each class; classes are listed in representative order.
     """
-    cocycles = enumerate_normalized_cocycles(G, A, cap)
+    cocycles = enumerate_normalized_cocycles(G, A)
     index = {_cocycle_key(c.xi, c.phi): i for i, c in enumerate(cocycles)}
-    twists = list(_twists(G, A, normalized=True, cap=cap))
+    twists = list(_twists(G, A, normalized=True))
     seen = [False] * len(cocycles)
     classes = []
     trivial = trivial_cochain(G, A)

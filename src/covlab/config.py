@@ -4,15 +4,15 @@ and the one capped product every exhaustive search runs over."""
 import itertools
 import math
 import os
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Iterator, Sequence, Tuple
 
 DEFAULT_ENUM_CAP = 10_000_000
 
 
 class SearchSpaceTooLarge(Exception):
-    def __init__(self, size: int, cap: int) -> None:
-        self.size, self.cap = size, cap
-        super().__init__(f"enumeration of size {size} exceeds cap {cap}")
+    def __init__(self, size: int, limit: int) -> None:
+        self.size, self.cap = size, limit
+        super().__init__(f"enumeration of size {size} exceeds cap {limit}")
 
 
 def enum_cap() -> int:
@@ -25,12 +25,11 @@ def enum_cap() -> int:
     return cap
 
 
-def capped_product(factors: Sequence[Sequence], cap: Optional[int] = None
-                   ) -> Iterator[Tuple]:
+def capped_product(factors: Sequence[Sequence]) -> Iterator[Tuple]:
     """itertools.product(*factors), refused up front with SearchSpaceTooLarge
-    when it has more than `cap` (default enum_cap()) elements."""
+    when it has more than enum_cap() elements."""
     size = math.prod(len(f) for f in factors)
-    limit = cap if cap is not None else enum_cap()
+    limit = enum_cap()
     if size > limit:
         raise SearchSpaceTooLarge(size, limit)
     return itertools.product(*factors)

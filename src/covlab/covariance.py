@@ -66,7 +66,7 @@ class GaugeGroup:
         return self.families[idx][self.objects.index(obj)]
 
 
-def compute_gauge_group(F: TheoryFunctor, cap: Optional[int] = None) -> GaugeGroup:
+def compute_gauge_group(F: TheoryFunctor) -> GaugeGroup:
     """Enumerate all natural automorphisms of F and the group they form.
 
     A family {alpha_C} of invertible morphisms F(C) -> F(C) is natural when
@@ -80,7 +80,7 @@ def compute_gauge_group(F: TheoryFunctor, cap: Optional[int] = None) -> GaugeGro
     objects = src.objects
     per_object = [tgt.invertible_endos(F.on_obj(x)) for x in objects]
     families = []
-    for combo in capped_product(per_object, cap):
+    for combo in capped_product(per_object):
         comp = dict(zip(objects, combo))
         natural = True
         for m, d, c in src.morphisms:

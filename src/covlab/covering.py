@@ -130,14 +130,14 @@ def z_cocycle(s: Section) -> ZData:
 
 
 def z_class_trivial(z: ZData) -> Optional[Tuple[int, ...]]:
-    """Search all maps L -> K (unnormalized included) for a twist killing z.
+    """Search the maps L -> K for a twist killing z.
 
     Returns the first trivializing twist (as K-indices) or None.  K is
     central, so the twisted factor set is zeta(l1) zeta(l0) z(l1,l0)
-    zeta(l1 l0)^-1.
+    zeta(l1 l0)^-1; z is normalized, so only twists with zeta(1) = 1 can
+    kill it and only those are tried.
     """
-    w = cohomologous(z.cochain, trivial_cochain(z.cochain.G, z.k_group),
-                     normalized_only=False)
+    w = cohomologous(z.cochain, trivial_cochain(z.cochain.G, z.k_group))
     return None if w is None else w.zeta
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .cohomology2 import (Cochain2, TwistMap, _twists, coboundary_twist,
-                          is_neutral, validate_cocycle)
+from .cohomology2 import (Cochain2, TwistMap, _twister, _twists,
+                          coboundary_twist, is_neutral, validate_cocycle)
 from .fingroup import GroupHom, GroupTable, centre
 
 
@@ -85,7 +85,7 @@ class ExtensionType:
     preferred: str            # direct > semidirect > central > general
 
 
-def classify_type(e: ExtensionGroup, cap: Optional[int] = None) -> ExtensionType:
+def classify_type(e: ExtensionGroup) -> ExtensionType:
     """Label the extension.  Labels can overlap; all that apply are reported.
 
     direct_product: cohomologous to (1, id), i.e. some normalized twist
@@ -98,7 +98,7 @@ def classify_type(e: ExtensionGroup, cap: Optional[int] = None) -> ExtensionType
     """
     c = e.cochain
     direct = semidirect = False
-    for zeta in _twists(c.G, c.A, True, cap):
+    for zeta in _twists(c.G, c.A, True):
         tw = coboundary_twist(c, TwistMap(zeta))
         if is_neutral(tw):
             semidirect = True
@@ -125,29 +125,25 @@ class ExtensionEquivalence:
     zeta: Tuple[int, ...]   # the G -> A map realizing (a,g) -> (a*zeta(g), g)
 
 
-def extensions_equivalent(e1: ExtensionGroup, e2: ExtensionGroup,
-                          cap: Optional[int] = None) -> Optional[ExtensionEquivalence]:
+def extensions_equivalent(e1: ExtensionGroup, e2: ExtensionGroup
+                          ) -> Optional[ExtensionEquivalence]:
     """Search for an isomorphism E1 -> E2 commuting with both inclusions and
     projections.
 
     Commutation forces the shape (a, g) |-> (a * zeta(g), g) with zeta(1) = 1,
-    so the search runs over maps zeta: G -> A and checks the homomorphism law
-    on every pair of E1 elements directly against the two tables.
+    so the search runs over maps zeta: G -> A.  That map is a homomorphism
+    exactly when twisting the first cocycle by g |-> zeta(g)^-1 gives the
+    second, which the one twist formula decides.
     """
     c1, c2 = e1.cochain, e2.cochain
     if c1.G != c2.G or c1.A != c2.A:
         raise ValueError("extensions are not over the same (G, A)")
     G, A = c1.G, c1.A
-    size = e1.E.order
-    for zeta in _twists(G, A, True, cap):
-        iso = [0] * size
-        for a in A.elements():
-            for g in G.elements():
-                iso[e1.pair_index(a, g)] = e2.pair_index(A.mul(a, zeta[g]), g)
-        ok = all(
-            iso[e1.E.mul(x, y)] == e2.E.mul(iso[x], iso[y])
-            for x in range(size) for y in range(size)
-        )
-        if ok:
-            return ExtensionEquivalence(tuple(iso), zeta)
+    twist, target = _twister(c1), (c2.xi, c2.phi)
+    for zeta in _twists(G, A, True):
+        if twist(tuple(A.inv(z) for z in zeta), target) is not None:
+            return ExtensionEquivalence(
+                tuple(e2.pair_index(A.mul(a, zeta[g]), g)
+                      for a in A.elements() for g in G.elements()),
+                zeta)
     return None

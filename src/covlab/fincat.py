@@ -13,9 +13,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Tuple
 
 
-HOM_SET_CAP = 64  # keeps natural-family enumeration tractable
-
-
 @dataclass(frozen=True)
 class Report:
     valid: bool
@@ -85,10 +82,6 @@ def validate_fincat(cat: FinCat) -> Report:
     for m, d, c in cat.morphisms:
         if d not in cat.objects or c not in cat.objects:
             return Report(False, "UnknownObject", (m, d, c))
-    for x in cat.objects:
-        for y in cat.objects:
-            if len(cat.hom(x, y)) > HOM_SET_CAP:
-                return Report(False, "HomSetCapExceeded", (x, y))
     for obj in cat.objects:
         i = cat.identities.get(obj)
         if i is None or i not in mor_ids:

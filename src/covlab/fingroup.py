@@ -11,9 +11,9 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .config import capped_product
 
@@ -46,12 +46,6 @@ class IndexOutOfRange(GroupError):
     def __init__(self, row: int, col: Optional[int], value) -> None:
         self.row, self.col, self.value = row, col, value
         super().__init__(f"bad table entry at ({row},{col}): {value!r}")
-
-
-class CapExceeded(GroupError):
-    def __init__(self, order: int, cap: int) -> None:
-        self.order, self.cap = order, cap
-        super().__init__(f"group order {order} exceeds enumeration cap {cap}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,10 +378,6 @@ def invert_perm(p: Perm) -> Perm:
     return tuple(out)
 
 
-def identity_perm(n: int) -> Perm:
-    return tuple(range(n))
-
-
 def is_automorphism(g: GroupTable, perm: Perm) -> bool:
     n = g.order
     return (perm[0] == 0 and sorted(perm) == list(range(n)) and
@@ -397,19 +387,23 @@ def is_automorphism(g: GroupTable, perm: Perm) -> bool:
 
 @dataclass(frozen=True)
 class AutGroup:
-    """Automorphism group with one realizing permutation per element."""
+    """Automorphism group with one realizing permutation per element; an
+    element is its index into `perms`, and `index` maps each perm back."""
 
-    table: GroupTable
     perms: Tuple[Perm, ...]
+    index: Dict[Perm, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "index", {p: i for i, p in enumerate(self.perms)})
 
     @property
     def order(self) -> int:
-        return self.table.order
+        return len(self.perms)
 
     def index_of(self, perm: Perm) -> int:
         try:
-            return self.perms.index(tuple(perm))
-        except ValueError:
+            return self.index[tuple(perm)]
+        except KeyError:
             raise KeyError(f"{perm} is not an automorphism of the group") from None
 
 
@@ -450,45 +444,36 @@ def _bfs_recipes(g: GroupTable, gens: Tuple[int, ...]):
     return recipe, order
 
 
-def automorphism_perms(g: GroupTable, cap: int = 128) -> Tuple[Perm, ...]:
-    if g.order > cap:
-        raise CapExceeded(g.order, cap)
-    if g.order == 1:
-        return (identity_perm(1),)
+@lru_cache(maxsize=None)
+def compute_aut(g: GroupTable) -> AutGroup:
+    """Full automorphism group, elements ordered lexicographically.
+
+    An automorphism is fixed by the images of a generating sequence, each of
+    the same element order as its generator; those choices run over the
+    capped product, and each is extended along the breadth-first recipes.
+    A bijection that respects right multiplication by every generator is an
+    automorphism, since every element is a product of generators.  The
+    identity permutation is lexicographically least among identity-fixing
+    permutations, so it lands at index 0.
+    """
     gens = generating_sequence(g)
     recipe, fill_order = _bfs_recipes(g, gens)
-    fill_order = [x for x in fill_order if recipe[x] is not None]
+    fill_order = fill_order[1:]  # the identity has no recipe and maps to 0
     elem_orders = [g.element_order(x) for x in g.elements()]
     candidates = [
         [y for y in g.elements() if elem_orders[y] == elem_orders[gen]]
         for gen in gens
     ]
+    full = list(g.elements())
     found = []
-    for images in itertools.product(*candidates):
+    for images in capped_product(candidates):
         img = [0] * g.order
         for x in fill_order:  # parents precede children in BFS order
             parent, gi = recipe[x]
             img[x] = g.mul(img[parent], images[gi])
-        if sorted(img) != list(range(g.order)):
-            continue
-        perm = tuple(img)
-        if all(perm[g.mul(x, y)] == g.mul(perm[x], perm[y])
-               for x in g.elements() for y in g.elements()):
-            found.append(perm)
+        if sorted(img) == full and all(
+                img[g.mul(x, gen)] == g.mul(img[x], images[gi])
+                for gi, gen in enumerate(gens) for x in full):
+            found.append(tuple(img))
     found.sort()
-    return tuple(found)
-
-
-@lru_cache(maxsize=None)
-def compute_aut(g: GroupTable, cap: int = 128) -> AutGroup:
-    """Full automorphism group, elements ordered lexicographically.
-
-    The identity permutation is lexicographically least among identity-fixing
-    permutations, so it lands at index 0 without reindexing.
-    """
-    perms = automorphism_perms(g, cap)
-    index = {p: i for i, p in enumerate(perms)}
-    table = tuple(
-        tuple(index[compose_perm(p, q)] for q in perms) for p in perms
-    )
-    return AutGroup(make_group(table, name=f"Aut({g.name or g.order})"), perms)
+    return AutGroup(tuple(found))

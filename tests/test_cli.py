@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from covlab.cli import main
 from covlab.schemas import (ParseError, SchemaError, cochain_from_obj,
                             group_from_obj, loads)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -207,3 +213,37 @@ def test_ingested_group_order_is_capped(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert out == ""
     assert "input error" in err and "cap 1000" in err
+
+
+@pytest.mark.parametrize("table, code, message", [
+    # Aut(Z129) is searched over the 84 images of the generator
+    ([[(i + j) % 129 for j in range(129)] for i in range(129)], 0, ""),
+    # (Z2)^4: 15^4 generator images, 20,160 automorphisms
+    ([[i ^ j for j in range(16)] for i in range(16)], 0, ""),
+    # (Z2)^5 has 31^5 generator images, past the default bound
+    ([[i ^ j for j in range(32)] for i in range(32)], 2,
+     "enumeration of size 28629151 exceeds cap 10000000"),
+], ids=["Z129", "Z2^4", "Z2^5"])
+def test_ingested_coefficient_group_aut_search_is_capped(capsys, tmp_path,
+                                                         table, code, message):
+    f = tmp_path / "cochain.json"
+    f.write_text(json.dumps({"G": "Z2", "A": {"table": table},
+                             "xi": [[0, 0], [0, 0]], "phi": [0, 0]}))
+    got, out, err = run(capsys, "validate-cocycle", "--input", str(f))
+    assert got == code, err
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [["classify-h2", "--G", "Z2", "--A", "Z4"],
+                                  ["scale-power", "--k", "2"]])
+def test_closed_stdout_pipe_is_not_an_error(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "covlab.cli", "--json", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env,
+                              text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")

@@ -235,18 +235,19 @@ def test_neutral_cocycles_have_homomorphic_phi():
                 continue
             for g1 in G.elements():
                 for g0 in G.elements():
-                    assert aut.table.mul(c.phi[g1], c.phi[g0]) \
+                    assert aut.index[fg.compose_perm(c.phi_perm(g1),
+                                                     c.phi_perm(g0))] \
                         == c.phi[G.mul(g1, g0)], (G.name, A.name, c.phi)
 
 
-def reference_cohomologous(c1, c2, normalized_only):
+def reference_cohomologous(c1, c2, normalized):
     """The twist search as written before the one twist kernel: check phi
     through precomputed inner automorphisms, then xi cell by cell."""
     G, A = c1.G, c1.A
     perms1 = [c1.phi_perm(g) for g in G.elements()]
     perms2 = [c2.phi_perm(g) for g in G.elements()]
     ads = [fg.inner_perm(A, a) for a in A.elements()]
-    for zeta in _twists(G, A, normalized_only, None):
+    for zeta in _twists(G, A, normalized):
         ok = all(fg.compose_perm(ads[zeta[g]], perms1[g]) == perms2[g]
                  for g in G.elements())
         if not ok:
@@ -272,25 +273,36 @@ def test_cohomologous_matches_reference_twist_loop():
         cocycles = enumerate_normalized_cocycles(G, A)
         for c1 in cocycles:
             for c2 in cocycles:
-                for normalized_only in (True, False):
-                    assert cohomologous(c1, c2, normalized_only=normalized_only) \
-                        == reference_cohomologous(c1, c2, normalized_only), \
-                        (G.name, A.name, c1, c2, normalized_only)
+                # every witness between normalized cocycles has zeta(1) = 1
+                w = cohomologous(c1, c2)
+                assert w == reference_cohomologous(c1, c2, True) \
+                    == reference_cohomologous(c1, c2, False), \
+                    (G.name, A.name, c1, c2)
+                # an unnormalized cocycle is searched over every twist
+                c2u = coboundary_twist(c2, TwistMap((1,) + (0,) * (G.order - 1)))
+                wu = cohomologous(c1, c2u)
+                assert not c2u.is_normalized()
+                assert wu == reference_cohomologous(c1, c2u, False), \
+                    (G.name, A.name, c1, c2u)
+                assert (wu is None) == (w is None)
 
 
-def test_capped_product_refuses_above_cap():
-    assert list(capped_product([range(3), (7, 8)], cap=6)) \
+def test_capped_product_refuses_above_cap(monkeypatch):
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "6")
+    assert list(capped_product([range(3), (7, 8)])) \
         == list(itertools.product(range(3), (7, 8)))
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "5")
     with pytest.raises(SearchSpaceTooLarge) as err:
-        capped_product([range(3), (7, 8)], cap=5)
+        capped_product([range(3), (7, 8)])
     assert (err.value.size, err.value.cap) == (6, 5)
     assert str(err.value) == "enumeration of size 6 exceeds cap 5"
 
 
-def test_search_space_cap():
+def test_search_space_cap(monkeypatch):
+    trivial = trivial_cochain(fg.cyclic(8), fg.cyclic(8))
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "10")
     with pytest.raises(SearchSpaceTooLarge):
-        cohomologous(trivial_cochain(fg.cyclic(8), fg.cyclic(8)),
-                     trivial_cochain(fg.cyclic(8), fg.cyclic(8)), cap=10)
+        cohomologous(trivial, trivial)
 
 
 def reference_enumerate(G, A):
@@ -359,9 +371,10 @@ def test_pairs_beyond_the_naive_cap_classify():
     assert _trivial_phi_class_count(V4, V4) == 64
 
 
-def test_cap_counts_solver_work():
+def test_cap_counts_solver_work(monkeypatch):
     # S3/Z2 has one phi tail, which fits under the cap; the xi search does not
     assert fg.compute_aut(Z2).order == 1
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "1000")
     with pytest.raises(SearchSpaceTooLarge) as err:
-        enumerate_normalized_cocycles(fg.standard_group("S3"), Z2, cap=1000)
+        enumerate_normalized_cocycles(fg.standard_group("S3"), Z2)
     assert (err.value.size, err.value.cap) == (1001, 1000)

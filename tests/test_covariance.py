@@ -22,13 +22,6 @@ def test_one_object_category_valid():
     assert cat.invertible_endos("*") == ("r0", "r1", "r2", "r3")
 
 
-def test_hom_set_cap_enforced():
-    cat = group_as_category(fg.cyclic(65))
-    rep = validate_fincat(cat)
-    assert not rep.valid
-    assert rep.violation == "HomSetCapExceeded"
-
-
 def test_missing_composite_detected():
     cat = group_as_category(fg.cyclic(2))
     broken = FinCat(cat.objects, cat.morphisms,
@@ -54,12 +47,19 @@ def test_gauge_group_one_object_z4():
     assert gauge.table.order_profile() == (1, 2, 4, 4)
 
 
-def test_gauge_group_search_is_capped():
+def test_gauge_group_search_is_capped(monkeypatch):
     functor = models.one_object_cyclic_model().functor
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "3")
     with pytest.raises(SearchSpaceTooLarge) as err:
-        compute_gauge_group(functor, cap=3)
+        compute_gauge_group(functor)
     assert err.value.size == 4
-    assert compute_gauge_group(functor, cap=4).order == 4
+    # the same bound covers make_group's 4^3 associativity triples
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "63")
+    with pytest.raises(SearchSpaceTooLarge) as err:
+        compute_gauge_group(functor)
+    assert err.value.size == 64
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "64")
+    assert compute_gauge_group(functor).order == 4
 
 
 def test_gauge_group_discrete_source_naturality_vacuous():

@@ -120,12 +120,13 @@ def test_factor_sets_and_induced_cochains_are_cocycles():
 def test_section_and_twist_searches_are_capped(monkeypatch):
     cov = q8_cover()
     z = z_cocycle(all_sections(cov)[0])
-    monkeypatch.setenv("COVLAB_ENUM_CAP", "15")
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "8")
     assert len(all_sections(cov)) == 8
-    with pytest.raises(SearchSpaceTooLarge) as err:
-        z_class_trivial(z)  # all 2^4 maps L -> K
-    assert err.value.size == 16
+    assert z_class_trivial(z) is None
     monkeypatch.setenv("COVLAB_ENUM_CAP", "7")
+    with pytest.raises(SearchSpaceTooLarge) as err:
+        z_class_trivial(z)  # the 2^3 maps L -> K with zeta(1) = 1
+    assert err.value.size == 8
     with pytest.raises(SearchSpaceTooLarge) as err:
         all_sections(cov)  # 2^3 lifts of the three non-identity elements
     assert err.value.size == 8
@@ -184,9 +185,7 @@ def test_induced_cocycle_trivial_zeta():
     for sec in all_sections(cov):
         out = induced_gauge_cocycle(sec, zeta)
         assert validate_cocycle(out).valid
-        w = cohomologous(out, trivial_cochain(out.G, out.A),
-                         normalized_only=False)
-        assert w is not None
+        assert cohomologous(out, trivial_cochain(out.G, out.A)) is not None
 
 
 def test_induced_cocycle_q8_univalence_nontrivial():
@@ -196,8 +195,7 @@ def test_induced_cocycle_q8_univalence_nontrivial():
     zeta = GroupHom(k, a, (0, 1))  # -1 -> the gauge flip
     for sec in all_sections(cov):
         out = induced_gauge_cocycle(sec, zeta)
-        assert cohomologous(out, trivial_cochain(out.G, out.A),
-                            normalized_only=False) is None
+        assert cohomologous(out, trivial_cochain(out.G, out.A)) is None
 
 
 def test_induced_cocycle_split_cover_trivial_regardless_of_zeta():

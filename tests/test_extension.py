@@ -4,10 +4,11 @@ import pytest
 
 from covlab import fingroup as fg
 from covlab import models
-from covlab.cohomology2 import (Cochain2, TwistMap, coboundary_twist,
+from covlab.cohomology2 import (Cochain2, TwistMap, _twists, coboundary_twist,
                                 cohomologous, enumerate_normalized_cocycles,
                                 trivial_cochain, validate_cocycle)
-from covlab.extension import (InvalidCocycle, build_extension, classify_type,
+from covlab.extension import (ExtensionEquivalence, InvalidCocycle,
+                              build_extension, classify_type,
                               extensions_equivalent)
 
 Z2 = fg.cyclic(2)
@@ -145,6 +146,39 @@ def test_cohomologous_cocycles_give_equivalent_extensions():
     w = cohomologous(base, twisted)
     assert w is not None
     assert extensions_equivalent(e1, e2).zeta in (w.zeta, eq.zeta)
+
+
+def reference_extensions_equivalent(e1, e2):
+    """The equivalence search as written before the one twist kernel: build
+    (a, g) -> (a*zeta(g), g) and check the homomorphism law on every pair of
+    E1 elements against the two tables."""
+    G, A = e1.cochain.G, e1.cochain.A
+    size = e1.E.order
+    for zeta in _twists(G, A, True):
+        iso = [0] * size
+        for a in A.elements():
+            for g in G.elements():
+                iso[e1.pair_index(a, g)] = e2.pair_index(A.mul(a, zeta[g]), g)
+        if all(iso[e1.E.mul(x, y)] == e2.E.mul(iso[x], iso[y])
+               for x in range(size) for y in range(size)):
+            return ExtensionEquivalence(tuple(iso), zeta)
+    return None
+
+
+def test_equivalence_matches_reference_homomorphism_scan():
+    pairs = 0
+    for gn, an in [("Z2", "Z2"), ("Z2", "Z3"), ("Z2", "Z4"), ("Z3", "Z3"),
+                   ("Z2", "S3"), ("Z2", "Z2xZ2"), ("Z3", "Z2"), ("Z4", "Z2"),
+                   ("Z2", "Q8")]:
+        G, A = fg.standard_group(gn), fg.standard_group(an)
+        exts = [build_extension(c) for c in enumerate_normalized_cocycles(G, A)]
+        for e1 in exts:
+            for e2 in exts:
+                assert extensions_equivalent(e1, e2) \
+                    == reference_extensions_equivalent(e1, e2), \
+                    (gn, an, e1.cochain, e2.cochain)
+                pairs += 1
+    assert pairs == 1377
 
 
 def test_z4_vs_z2xz2_not_equivalent():

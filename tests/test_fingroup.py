@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from covlab import fingroup as fg
+from covlab.config import SearchSpaceTooLarge
 
 
 def test_make_group_z2():
@@ -95,6 +96,18 @@ def test_aut_orders():
     assert fg.compute_aut(fg.cyclic(2)).order == 1
     assert fg.compute_aut(fg.cyclic(3)).order == 2
     assert fg.compute_aut(fg.standard_group("Z2xZ2")).order == 6
+    # products with more than one generator: GL(3,2), GL(2,3), Aut(D6) = D6,
+    # Aut(Z4 x Z2) = D4 and Aut(Q8 x Z2) of order 192; every perm found
+    # must be an automorphism
+    z2 = fg.cyclic(2)
+    for g, order in [(fg.direct_product(fg.standard_group("Z2xZ2"), z2), 168),
+                     (fg.direct_product(fg.cyclic(3), fg.cyclic(3)), 48),
+                     (fg.direct_product(fg.symmetric3(), z2), 12),
+                     (fg.direct_product(fg.cyclic(4), z2), 8),
+                     (fg.direct_product(fg.quaternion8(), z2), 192)]:
+        aut = fg.compute_aut(g)
+        assert aut.order == order, g.name
+        assert all(fg.is_automorphism(g, p) for p in aut.perms), g.name
 
 
 def test_aut_is_a_group_and_composition_matches_table():
@@ -103,16 +116,18 @@ def test_aut_is_a_group_and_composition_matches_table():
         aut = fg.compute_aut(g)
         for p in aut.perms:
             assert fg.is_automorphism(g, p)
-        for i, p in enumerate(aut.perms):
-            for j, q in enumerate(aut.perms):
-                assert aut.perms[aut.table.mul(i, j)] == fg.compose_perm(p, q)
+        assert aut.index == {p: i for i, p in enumerate(aut.perms)}
+        for p in aut.perms:
+            for q in aut.perms:
+                assert fg.compose_perm(p, q) in aut.index
+            assert fg.invert_perm(p) in aut.index
 
 
 def test_aut_deterministic_ordering():
     g = fg.standard_group("Z2xZ2")
     aut = fg.compute_aut(g)
     assert list(aut.perms) == sorted(aut.perms)
-    assert aut.perms[0] == fg.identity_perm(4)
+    assert aut.perms[0] == (0, 1, 2, 3)
 
 
 def test_aut_q8_order_24():
@@ -159,13 +174,19 @@ def test_direct_product_encoding():
     assert g.mul(1 * 3 + 2, 1 * 3 + 2) == ((0) * 3 + 1)
 
 
-def test_cap_exceeded():
-    with pytest.raises(fg.CapExceeded):
-        fg.automorphism_perms(fg.cyclic(16), cap=8)
+def test_cap_exceeded(monkeypatch):
+    # Q8's generating sequence is -1, i, j: 1 x 6 x 6 images of equal order
+    fg.compute_aut.cache_clear()
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "35")
+    with pytest.raises(SearchSpaceTooLarge) as err:
+        fg.compute_aut(fg.quaternion8())
+    assert (err.value.size, err.value.cap) == (36, 35)
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "36")
+    assert fg.compute_aut(fg.quaternion8()).order == 24
 
 
 def test_compute_aut_lists_the_identity_first():
     for name in sorted(fg._STANDARD):
         g = fg.standard_group(name)
-        assert fg.compute_aut(g).perms[0] == fg.identity_perm(g.order), name
+        assert fg.compute_aut(g).perms[0] == tuple(range(g.order)), name
 

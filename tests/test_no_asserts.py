@@ -1,5 +1,8 @@
 """Verdicts rest on explicit checks, never on `assert`: the library has no
 assert statement, and the README examples report the same under python -O.
+Every exhaustive search runs over `config.capped_product`, bounded by
+COVLAB_ENUM_CAP alone: no other module calls `itertools.product`, and no
+function takes a per-call bound.
 
 Run as a script, this module prints the exit code and stdout of each
 command given as a JSON list of argv lists; the -O test runs it that way.
@@ -23,6 +26,26 @@ def test_library_has_no_assert_statements():
              for path in sorted((ROOT / "src" / "covlab").glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_searches_have_one_bound():
+    found = []
+    for path in sorted((ROOT / "src" / "covlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if path.name != "config.py" and (
+                    isinstance(node, ast.Attribute) and node.attr == "product"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "itertools"
+                    or isinstance(node, ast.ImportFrom)
+                    and node.module == "itertools"
+                    and any(a.name == "product" for a in node.names)):
+                found.append(f"{path.name}:{node.lineno}: itertools.product")
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                for arg in a.posonlyargs + a.args + a.kwonlyargs:
+                    if arg.arg in ("cap", "normalized_only"):
+                        found.append(f"{path.name}:{node.lineno}: {arg.arg}")
     assert found == []
 
 
