@@ -7,6 +7,7 @@ Exit codes: 0 all verdicts pass, 1 a mathematical verdict is negative
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -89,7 +90,14 @@ class RunReport:
 
 def _read_cochain(args, report: RunReport):
     if args.input:
-        text = sys.stdin.read() if args.input == "-" else open(args.input).read()
+        try:
+            if args.input == "-":
+                text = sys.stdin.read()
+            else:
+                with open(args.input) as f:
+                    text = f.read()
+        except OSError as err:
+            raise SchemaError("input", str(err)) from None
         obj = loads(text)
         report.digest("cochain", obj)
         return cochain_from_obj(obj)
@@ -183,10 +191,12 @@ def cmd_compare_impls(args, report: RunReport) -> None:
 def cmd_lift_extension(args, report: RunReport) -> None:
     impl = models.named_model(args.model)
     report.digest("model", args.model)
-    c = extract_cocycle(impl)
-    ext = build_extension(c)
-    lifted = lift_to_extension(impl, ext)
-    report.verdict("lifted-cocycle-neutral", is_neutral(extract_cocycle(lifted)),
+    # the lift keeps impl's functor, so one gauge group serves both cocycles
+    gauge = compute_gauge_group(impl.functor)
+    ext = build_extension(extract_cocycle(impl, gauge))
+    lifted = lift_to_extension(impl, ext, gauge)
+    report.verdict("lifted-cocycle-neutral",
+                   is_neutral(extract_cocycle(lifted, gauge)),
                    extension_order=ext.E.order)
 
 
@@ -321,7 +331,9 @@ def cmd_scaling_cocycle(args, report: RunReport) -> None:
 
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; every parse_args call fills a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="covlab",
         description="exact group-cohomology / covariance / Wick-scaling workbench")
@@ -401,7 +413,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     start = time.monotonic()
     try:
         HANDLERS[args.verb](args, report)
-    except (ParseError, SchemaError, FileNotFoundError, KeyError,
+    except (ParseError, SchemaError, KeyError,
             SearchSpaceTooLarge, PreconditionFailed, ValueError,
             InvalidCocycle) as err:
         print(f"input error: {err}", file=sys.stderr)

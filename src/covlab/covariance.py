@@ -185,6 +185,11 @@ def extract_cocycle(impl: Implementation,
     _require_valid(impl)
     if gauge is None:
         gauge = compute_gauge_group(impl.functor)
+    return _extract(impl, gauge)
+
+
+def _extract(impl: Implementation, gauge: GaugeGroup) -> Cochain2:
+    """extract_cocycle on an implementation the caller has validated."""
     F, act = impl.functor, impl.action
     G = act.group
     tgt = F.target
@@ -302,7 +307,7 @@ def lift_to_extension(impl: Implementation, ext: ExtensionGroup,
     if gauge is None:
         gauge = compute_gauge_group(impl.functor)
     c = ext.cochain
-    if c != extract_cocycle(impl, gauge):
+    if c != _extract(impl, gauge):
         raise ValueError("extension was not built from this implementation's cocycle")
     F, act = impl.functor, impl.action
     G, tgt = act.group, F.target

@@ -42,6 +42,10 @@ class FinCat:
             raise ValueError("duplicate morphism ids")
         if len(set(self.objects)) != len(self.objects):
             raise ValueError("duplicate object ids")
+        homs = {}
+        for m, d, c in sorted(self.morphisms):
+            homs.setdefault((d, c), []).append(m)
+        self._hom = {key: tuple(ms) for key, ms in homs.items()}
 
     def dom(self, m: str) -> str:
         return self._dom[m]
@@ -57,8 +61,8 @@ class FinCat:
         return self.compose_table[(f, g)]
 
     def hom(self, x: str, y: str) -> Tuple[str, ...]:
-        return tuple(sorted(m for m, d, c in self.morphisms
-                            if d == x and c == y))
+        """Morphisms x -> y, sorted by id."""
+        return self._hom.get((x, y), ())
 
     def endos(self, x: str) -> Tuple[str, ...]:
         return self.hom(x, x)

@@ -30,6 +30,8 @@ def loads(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as err:
         raise ParseError(err.lineno, err.colno, err.msg) from None
+    except RecursionError:
+        raise ParseError(1, 1, "nesting exceeds the recursion limit") from None
 
 
 def group_from_obj(obj: Any, field: str = "group") -> GroupTable:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from covlab import cli, covariance, models
 from covlab.cli import main
 from covlab.schemas import (ParseError, SchemaError, cochain_from_obj,
                             group_from_obj, loads)
@@ -247,3 +248,65 @@ def test_closed_stdout_pipe_is_not_an_error(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_unreadable_input_is_an_input_error(capsys, tmp_path):
+    code, out, err = run(capsys, "validate-cocycle", "--input", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "Is a directory" in err
+
+
+def test_deeply_nested_input_is_a_parse_error(capsys, tmp_path):
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 5000 + "]" * 5000)
+    code, out, err = run(capsys, "validate-cocycle", "--input", str(f))
+    assert code == 2
+    assert out == ""
+    assert "input error: parse error" in err
+
+
+def _fresh_run(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "covlab.cli", *argv],
+                          capture_output=True, env=env, text=True, timeout=120)
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    run(capsys, "--json", "--timing", "scale-power", "--k", "4", "--conformal")
+    argv = ["--json", "scale-power", "--k", "4"]
+    code, out, _ = run(capsys, *argv)
+    fresh = _fresh_run(argv)
+    assert (code, out) == (fresh.returncode, fresh.stdout)
+    assert json.loads(out)["timing_ms"] is None
+
+    argv = ["classify-h2", "--G", "Z2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    fresh = _fresh_run(argv)
+    assert (2, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+    argv = ["--json", "classify-h2", "--G", "Z2", "--A", "Z4"]
+    code, out, _ = run(capsys, *argv)
+    fresh = _fresh_run(argv)
+    assert (code, out) == (fresh.returncode, fresh.stdout)
+
+
+@pytest.mark.parametrize("verb", ["extract-cocycle", "lift-extension"])
+def test_model_verbs_compute_one_gauge_group(capsys, monkeypatch, verb):
+    calls = []
+    compute = covariance.compute_gauge_group
+
+    def counted(functor):
+        calls.append(functor)
+        return compute(functor)
+
+    monkeypatch.setattr(cli, "compute_gauge_group", counted)
+    monkeypatch.setattr(covariance, "compute_gauge_group", counted)
+    for model in sorted(models.NAMED_MODELS):
+        calls.clear()
+        code, _, err = run(capsys, verb, "--model", model)
+        assert (code, len(calls)) == (0, 1), (model, err)

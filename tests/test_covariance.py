@@ -34,6 +34,34 @@ def test_missing_composite_detected():
     assert rep.witness == ("r1", "r1")
 
 
+def _reference_hom(cat, x, y):
+    """hom(x, y) by a sorted scan of every morphism."""
+    return tuple(sorted(m for m, d, c in cat.morphisms if d == x and c == y))
+
+
+def test_hom_index_matches_morphism_scan():
+    # two parallel arrows a -> b, listed out of id order, and nothing b -> a
+    arrows = FinCat(["a", "b"],
+                    [("z", "a", "b"), ("ida", "a", "a"), ("idb", "b", "b"),
+                     ("f", "a", "b")],
+                    {("ida", "ida"): "ida", ("idb", "idb"): "idb",
+                     ("f", "ida"): "f", ("z", "ida"): "z",
+                     ("idb", "f"): "f", ("idb", "z"): "z"},
+                    {"a": "ida", "b": "idb"})
+    assert validate_fincat(arrows).valid
+    cats = [arrows]
+    for name in sorted(models.NAMED_MODELS):
+        functor = models.named_model(name).functor
+        cats += [functor.source, functor.target]
+    for cat in cats:
+        for x in cat.objects:
+            for y in cat.objects:
+                assert cat.hom(x, y) == _reference_hom(cat, x, y), (cat.name, x, y)
+    assert arrows.hom("a", "b") == ("f", "z")
+    assert arrows.hom("b", "a") == ()
+    assert arrows.inverse("f") is None
+
+
 def test_swap_action_is_valid_gaction():
     impl = models.swap_model()
     assert validate_gaction(impl.action).valid
