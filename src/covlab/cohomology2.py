@@ -21,11 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .config import SearchSpaceTooLarge, capped_product, enum_cap
-from .fingroup import (AutGroup, GroupTable, Perm, compose_perm, compute_aut,
-                       inner_perm, invert_perm)
+from .fingroup import (AutGroup, GroupTable, Perm, _bfs_recipes, compose_perm,
+                       compute_aut, generating_sequence, inner_perm, invert_perm)
 
 
 @dataclass(frozen=True)
@@ -129,82 +129,68 @@ def _inner_auts(A: GroupTable) -> Tuple[Perm, ...]:
     return tuple(inner_perm(A, a) for a in A.elements())
 
 
-def _twister(c: Cochain2):
-    """The twist formula, the one place it is written.  Returns
-    twist(zeta, expect=None), which builds the (xi, phi) tables of c
-    twisted by zeta.  Given `expect`, an (xi, phi) pair, twist compares the
-    tables with it as they are built, phi first, and returns None at the
-    first entry that differs.  Trusts its input; callers check it once."""
+def coboundary_twist(c: Cochain2, t: TwistMap) -> Cochain2:
+    """Twist the cochain c by zeta; the one place the twist formula is
+    written.  Only the twist map is checked here.  Twisting maps cocycles to
+    cocycles (the tests validate every normalized twist of every enumerated
+    cocycle), so c is not validated: callers holding a cochain from outside
+    check it once, as `cohomologous` and the CLI verbs do."""
     G, A = c.G, c.A
+    zeta = t.zeta
+    if len(zeta) != G.order or any(not (0 <= z < A.order) for z in zeta):
+        raise ValueError("twist map is not total on G")
     ads, aut = _inner_auts(A), c.aut
-    index = aut.index
     perms = [aut.perms[p] for p in c.phi]
     elems = G.elements()
-
-    def twist(zeta: Tuple[int, ...], expect: Optional[Tuple[tuple, tuple]] = None
-              ) -> Optional[Tuple[tuple, tuple]]:
-        phi = []
-        for g in elems:
-            p = index[compose_perm(ads[zeta[g]], perms[g])]
-            if expect is not None and p != expect[1][g]:
-                return None
-            phi.append(p)
-        xi = []
-        for g1 in elems:
-            row = []
-            for g0 in elems:
-                v = A.mul(A.mul(A.mul(zeta[g1], perms[g1][zeta[g0]]), c.xi[g1][g0]),
-                          A.inv(zeta[G.mul(g1, g0)]))
-                if expect is not None and v != expect[0][g1][g0]:
-                    return None
-                row.append(v)
-            xi.append(tuple(row))
-        return tuple(xi), tuple(phi)
-
-    return twist
+    phi = tuple([aut.index[compose_perm(ads[zeta[g]], perms[g])] for g in elems])
+    xi = []
+    for g1 in elems:
+        row = []
+        for g0 in elems:
+            row.append(A.mul(A.mul(A.mul(zeta[g1], perms[g1][zeta[g0]]),
+                                   c.xi[g1][g0]),
+                             A.inv(zeta[G.mul(g1, g0)])))
+        xi.append(tuple(row))
+    return Cochain2(G, A, tuple(xi), phi)
 
 
-def coboundary_twist(c: Cochain2, t: TwistMap) -> Cochain2:
-    """Twist the cochain c by zeta.  Only the twist map is checked here.
-    Twisting is defined on every cochain and maps cocycles to cocycles (the
-    tests validate every normalized twist of every enumerated cocycle), so
-    c is not validated: callers holding a cochain from outside check it
-    once, as `cohomologous` and the CLI verbs do, and the classification
-    loops twist cocycles that the enumerator has already validated."""
-    if len(t.zeta) != c.G.order or any(not (0 <= z < c.A.order) for z in t.zeta):
-        raise ValueError("twist map is not total on G")
-    xi, phi = _twister(c)(t.zeta)
-    return Cochain2(c.G, c.A, xi, phi)
-
-
-def _twists(G: GroupTable, A: GroupTable,
-            normalized: bool) -> Iterator[Tuple[int, ...]]:
-    """Every map zeta: G -> A in lexicographic order; zeta(1) = 1 when
-    normalized."""
-    first = [(0,)] if normalized else [A.elements()]
-    return capped_product(first + [A.elements()] * (G.order - 1))
+def _twist_candidates(c: Cochain2, xi) -> list:
+    """The sorted maps zeta that may twist the cocycle c to one with factor
+    set xi; every witness is among them.  The twisted xi(1, 1) is
+    zeta(1) xi_c(1, 1), which fixes zeta(1); the values on a generating
+    sequence run over the capped product (|A|^d candidates), and the rest
+    follow along the breadth-first recipes from
+    zeta(g*s) = xi(g, s)^-1 zeta(g) phi_c(g)(zeta(s)) xi_c(g, s)."""
+    G, A = c.G, c.A
+    gens = generating_sequence(G)
+    recipe, order = _bfs_recipes(G, gens)
+    fill = [(y,) + recipe[y] for y in order[1 + len(gens):]]  # gens come first
+    perms = [c.phi_perm(g) for g in G.elements()]
+    first = A.mul(xi[0][0], A.inv(c.xi[0][0]))
+    found = []
+    for values in capped_product([A.elements()] * len(gens)):
+        zeta = [first] * G.order
+        for gen, v in zip(gens, values):
+            zeta[gen] = v
+        for y, g, gi in fill:
+            s = gens[gi]
+            zeta[y] = A.mul(A.inv(xi[g][s]),
+                            A.mul(A.mul(zeta[g], perms[g][zeta[s]]), c.xi[g][s]))
+        found.append(tuple(zeta))
+    return sorted(found)
 
 
 def cohomologous(c1: Cochain2, c2: Cochain2) -> Optional[TwistMap]:
-    """Search all twist maps for a witness that c1 ~ c2.
-
-    Both inputs are validated once, here; each candidate zeta is then
-    tested by twisting c1 with the one twist formula and comparing with c2.
-    When both cocycles are normalized every witness has zeta(1) = 1 (the
-    twisted xi(1, 1) is zeta(1)), so only normalized twists are tried.
-    Returns the lexicographically first witness, or None.
-    """
+    """The lexicographically first witness that c1 ~ c2, or None.  Both
+    inputs are validated once, here; each of the |A|^d `_twist_candidates`
+    is then checked by twisting c1 and comparing with c2."""
     if c1.G != c2.G or c1.A != c2.A:
         raise ValueError("cochains live over different (G, A)")
     for c in (c1, c2):
         if not validate_cocycle(c):
             raise ValueError("input cochain is not a cocycle")
-    normalized = c1.is_normalized() and c2.is_normalized()
-    twist, target = _twister(c1), (c2.xi, c2.phi)
-    for zeta in _twists(c1.G, c1.A, normalized):
-        if twist(zeta, target) is not None:
-            return TwistMap(zeta)
-    return None
+    return next((TwistMap(zeta) for zeta in _twist_candidates(c1, c2.xi)
+                 if coboundary_twist(c1, TwistMap(zeta)) == c2), None)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +315,7 @@ def classify_h2(G: GroupTable, A: GroupTable) -> H2Classification:
     """
     cocycles = enumerate_normalized_cocycles(G, A)
     index = {_cocycle_key(c.xi, c.phi): i for i, c in enumerate(cocycles)}
-    twists = list(_twists(G, A, normalized=True))
+    twists = list(capped_product([(0,)] + [A.elements()] * (G.order - 1)))
     seen = [False] * len(cocycles)
     classes = []
     trivial = trivial_cochain(G, A)

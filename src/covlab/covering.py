@@ -130,12 +130,12 @@ def z_cocycle(s: Section) -> ZData:
 
 
 def z_class_trivial(z: ZData) -> Optional[Tuple[int, ...]]:
-    """Search the maps L -> K for a twist killing z.
+    """Solve for a twist zeta: L -> K killing z, through `cohomologous`.
 
-    Returns the first trivializing twist (as K-indices) or None.  K is
-    central, so the twisted factor set is zeta(l1) zeta(l0) z(l1,l0)
-    zeta(l1 l0)^-1; z is normalized, so only twists with zeta(1) = 1 can
-    kill it and only those are tried.
+    Returns the lexicographically first trivializing twist (as K-indices) or
+    None.  K is central, so the twisted factor set is zeta(l1) zeta(l0)
+    z(l1,l0) zeta(l1 l0)^-1; such a twist is fixed by its values on a
+    generating sequence of L, so |K|^d candidates are checked.
     """
     w = cohomologous(z.cochain, trivial_cochain(z.cochain.G, z.k_group))
     return None if w is None else w.zeta

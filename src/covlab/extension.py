@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .cohomology2 import (Cochain2, TwistMap, _twister, _twists,
-                          coboundary_twist, is_neutral, validate_cocycle)
+from .cohomology2 import (Cochain2, TwistMap, _twist_candidates, coboundary_twist,
+                          is_neutral, trivial_cochain, validate_cocycle)
 from .fingroup import GroupHom, GroupTable, centre
 
 
@@ -93,12 +93,13 @@ def classify_type(e: ExtensionGroup) -> ExtensionType:
     semidirect:     cohomologous to some neutral cocycle (1, phi0), i.e. some
                     normalized twist kills xi (a splitting section exists);
     central:        the included copy of A lies in the centre of E.
-    One pass over the normalized twists decides both cohomological labels;
-    it stops at the first twist that gives the trivial cocycle.
+    Every twist that kills xi is a solution for the all-identity factor set,
+    so one pass over those candidates decides both cohomological labels; it
+    stops at the first twist that gives the trivial cocycle.
     """
     c = e.cochain
     direct = semidirect = False
-    for zeta in _twists(c.G, c.A, True):
+    for zeta in _twist_candidates(c, trivial_cochain(c.G, c.A).xi):
         tw = coboundary_twist(c, TwistMap(zeta))
         if is_neutral(tw):
             semidirect = True
@@ -127,23 +128,24 @@ class ExtensionEquivalence:
 
 def extensions_equivalent(e1: ExtensionGroup, e2: ExtensionGroup
                           ) -> Optional[ExtensionEquivalence]:
-    """Search for an isomorphism E1 -> E2 commuting with both inclusions and
+    """Solve for an isomorphism E1 -> E2 commuting with both inclusions and
     projections.
 
     Commutation forces the shape (a, g) |-> (a * zeta(g), g) with zeta(1) = 1,
-    so the search runs over maps zeta: G -> A.  That map is a homomorphism
-    exactly when twisting the first cocycle by g |-> zeta(g)^-1 gives the
-    second, which the one twist formula decides.
+    a homomorphism exactly when g |-> zeta(g)^-1 is a witness that the first
+    cocycle is cohomologous to the second.  The lexicographically first such
+    zeta is reported.
     """
     c1, c2 = e1.cochain, e2.cochain
     if c1.G != c2.G or c1.A != c2.A:
         raise ValueError("extensions are not over the same (G, A)")
     G, A = c1.G, c1.A
-    twist, target = _twister(c1), (c2.xi, c2.phi)
-    for zeta in _twists(G, A, True):
-        if twist(tuple(A.inv(z) for z in zeta), target) is not None:
-            return ExtensionEquivalence(
-                tuple(e2.pair_index(A.mul(a, zeta[g]), g)
-                      for a in A.elements() for g in G.elements()),
-                zeta)
-    return None
+    zeta = min((tuple(A.inv(w) for w in witness)
+                for witness in _twist_candidates(c1, c2.xi)
+                if coboundary_twist(c1, TwistMap(witness)) == c2), default=None)
+    if zeta is None:
+        return None
+    return ExtensionEquivalence(
+        tuple(e2.pair_index(A.mul(a, zeta[g]), g)
+              for a in A.elements() for g in G.elements()),
+        zeta)

@@ -238,6 +238,12 @@ def group_as_category(group, prefix: str = "r", name: Optional[str] = None) -> F
     return FinCat([obj], mors, compose, {obj: f"{prefix}0"}, name=name)
 
 
+def frame_mid(j: int, i: int, u: int) -> str:
+    """The id of the arrow F_i -> F_j with decoration u in
+    `decorated_frames_category`."""
+    return f"m{j}<{i}:{u}"
+
+
 def decorated_frames_category(n_frames: int, deco, name: Optional[str] = None) -> FinCat:
     """Codiscrete category on n frame objects with `deco`-decorated arrows.
 
@@ -248,18 +254,16 @@ def decorated_frames_category(n_frames: int, deco, name: Optional[str] = None) -
     mors = []
     compose = {}
 
-    def mid(j: int, i: int, u: int) -> str:
-        return f"m{j}<{i}:{u}"
-
     for j in range(n_frames):
         for i in range(n_frames):
             for u in deco.elements():
-                mors.append((mid(j, i, u), f"F{i}", f"F{j}"))
+                mors.append((frame_mid(j, i, u), f"F{i}", f"F{j}"))
     for k in range(n_frames):
         for j in range(n_frames):
             for i in range(n_frames):
                 for u in deco.elements():
                     for v in deco.elements():
-                        compose[(mid(k, j, u), mid(j, i, v))] = mid(k, i, deco.mul(u, v))
-    identities = {f"F{i}": mid(i, i, 0) for i in range(n_frames)}
+                        compose[(frame_mid(k, j, u), frame_mid(j, i, v))] = \
+                            frame_mid(k, i, deco.mul(u, v))
+    identities = {f"F{i}": frame_mid(i, i, 0) for i in range(n_frames)}
     return FinCat(objects, mors, compose, identities, name=name)

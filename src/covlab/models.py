@@ -14,7 +14,7 @@ from .covariance import Implementation, compute_gauge_group
 from .covering import cyclic_cover, q8_cover, split_cover
 from .exactlin import I as IU, Mat, ONE
 from .fincat import (FinCat, GAction, TheoryFunctor, decorated_frames_category,
-                     group_as_category, identity_functor)
+                     frame_mid, group_as_category, identity_functor)
 from .multiplet import FieldSpaceAction, MatrixRep, SubMultiplet
 
 
@@ -64,10 +64,6 @@ def swap_model():
 # ---------------------------------------------------------------------------
 # frame rotation model: Z4 relabelling 4 frames, Z2-decorated arrows
 
-def _frame_mid(j: int, i: int, u: int) -> str:
-    return f"m{j}<{i}:{u}"
-
-
 def frame_rotation_model(twist_parity: bool = True):
     """G = Z4 cyclically relabels 4 frame objects; arrows carry a Z2 decoration.
 
@@ -84,7 +80,7 @@ def frame_rotation_model(twist_parity: bool = True):
     functor = TheoryFunctor(
         plain, deco,
         {f"F{i}": f"F{i}" for i in range(n)},
-        {_frame_mid(j, i, 0): _frame_mid(j, i, 0)
+        {frame_mid(j, i, 0): frame_mid(j, i, 0)
          for j in range(n) for i in range(n)},
         name="A",
     )
@@ -92,7 +88,7 @@ def frame_rotation_model(twist_parity: bool = True):
     functors = []
     for g in range(4):
         obj_map = {f"F{i}": f"F{(i + g) % n}" for i in range(n)}
-        mor_map = {_frame_mid(j, i, 0): _frame_mid((j + g) % n, (i + g) % n, 0)
+        mor_map = {frame_mid(j, i, 0): frame_mid((j + g) % n, (i + g) % n, 0)
                    for j in range(n) for i in range(n)}
         functors.append(TheoryFunctor(plain, plain, obj_map, mor_map, name=f"T{g}"))
     action = GAction(z4, tuple(functors))
@@ -100,10 +96,10 @@ def frame_rotation_model(twist_parity: bool = True):
     eta = []
     for g in range(4):
         s = (g % 2) if twist_parity else 0
-        eta.append({f"F{i}": _frame_mid((i + g) % n, i, s) for i in range(n)})
+        eta.append({f"F{i}": frame_mid((i + g) % n, i, s) for i in range(n)})
     impl = Implementation(functor, action, eta,
                           name=f"FrameRot[{'parity' if twist_parity else 'plain'}]")
-    psi = {g: _frame_mid((-g) % n, 0, 0) for g in range(4)}
+    psi = {g: frame_mid((-g) % n, 0, 0) for g in range(4)}
     return impl, psi, "F0"
 
 
@@ -124,11 +120,11 @@ def spin_frame_model():
     functors = []
     for s in range(4):
         obj_map = {f"F{i}": f"F{(i + s) % n}" for i in range(n)}
-        mor_map = {_frame_mid(j, i, u): _frame_mid((j + s) % n, (i + s) % n, u)
+        mor_map = {frame_mid(j, i, u): frame_mid((j + s) % n, (i + s) % n, u)
                    for j in range(n) for i in range(n) for u in range(4)}
         functors.append(TheoryFunctor(cat, cat, obj_map, mor_map, name=f"T{s}"))
     action = GAction(z4, tuple(functors))
-    eta = [{f"F{i}": _frame_mid((i + s) % n, i, s) for i in range(n)}
+    eta = [{f"F{i}": frame_mid((i + s) % n, i, s) for i in range(n)}
            for s in range(4)]
     return Implementation(functor, action, eta, name="SpinFrame")
 

@@ -8,7 +8,7 @@ import pytest
 
 from covlab import fingroup as fg
 from covlab.config import capped_product
-from covlab.cohomology2 import (Cochain2, TwistMap, _twists, classify_h2,
+from covlab.cohomology2 import (Cochain2, TwistMap, classify_h2,
                                 coboundary_twist, cohomologous,
                                 enumerate_normalized_cocycles, is_neutral,
                                 trivial_cochain, validate_cocycle,
@@ -247,7 +247,8 @@ def reference_cohomologous(c1, c2, normalized):
     perms1 = [c1.phi_perm(g) for g in G.elements()]
     perms2 = [c2.phi_perm(g) for g in G.elements()]
     ads = [fg.inner_perm(A, a) for a in A.elements()]
-    for zeta in _twists(G, A, normalized):
+    first = [(0,)] if normalized else [A.elements()]
+    for zeta in itertools.product(*first, *[A.elements()] * (G.order - 1)):
         ok = all(fg.compose_perm(ads[zeta[g]], perms1[g]) == perms2[g]
                  for g in G.elements())
         if not ok:
@@ -268,23 +269,53 @@ def reference_cohomologous(c1, c2, normalized):
 
 
 def test_cohomologous_matches_reference_twist_loop():
-    for G, A in [(Z2, Z4), (Z2, fg.standard_group("Z2xZ2")), (Z3, Z3),
-                 (Z2, fg.standard_group("S3"))]:
+    # cyclic G has one generator; on S3 and Z2xZ2 (two generators) the
+    # solve fills the rest of each witness along the generator recipes.
+    # Z2xZ2/S3 is a single class of 216 cocycles, so every sampled pair is
+    # cohomologous
+    rng = random.Random(8)
+    for gn, an, sample in [("Z2", "Z4", None), ("Z2", "Z2xZ2", None),
+                           ("Z3", "Z3", None), ("Z2", "S3", None),
+                           ("S3", "Z2", None), ("Z2xZ2", "Z2", None),
+                           ("Z2xZ2", "S3", 20)]:
+        G, A = fg.standard_group(gn), fg.standard_group(an)
         cocycles = enumerate_normalized_cocycles(G, A)
-        for c1 in cocycles:
-            for c2 in cocycles:
-                # every witness between normalized cocycles has zeta(1) = 1
-                w = cohomologous(c1, c2)
-                assert w == reference_cohomologous(c1, c2, True) \
-                    == reference_cohomologous(c1, c2, False), \
-                    (G.name, A.name, c1, c2)
-                # an unnormalized cocycle is searched over every twist
-                c2u = coboundary_twist(c2, TwistMap((1,) + (0,) * (G.order - 1)))
-                wu = cohomologous(c1, c2u)
-                assert not c2u.is_normalized()
-                assert wu == reference_cohomologous(c1, c2u, False), \
-                    (G.name, A.name, c1, c2u)
-                assert (wu is None) == (w is None)
+        pairs = list(itertools.product(cocycles, repeat=2))
+        if sample is not None:
+            pairs = rng.sample(pairs, sample)
+        for c1, c2 in pairs:
+            # every witness between normalized cocycles has zeta(1) = 1
+            w = cohomologous(c1, c2)
+            assert w == reference_cohomologous(c1, c2, True) \
+                == reference_cohomologous(c1, c2, False), (gn, an, c1, c2)
+            # an unnormalized cocycle is searched over every twist
+            c2u = coboundary_twist(c2, TwistMap((1,) + (0,) * (G.order - 1)))
+            wu = cohomologous(c1, c2u)
+            assert not c2u.is_normalized()
+            assert wu == reference_cohomologous(c1, c2u, False), (gn, an, c1, c2u)
+            assert (wu is None) == (w is None)
+
+
+def test_witnesses_at_order_8_with_nonabelian_coefficients():
+    # |G| = 8 and nonabelian A, where a search over every twist is out of
+    # reach (Q8/Q8 has 8^8 maps, past the default bound): twist a cocycle by
+    # a random zeta and solve for it back.  The witness found reproduces the
+    # twisted cochain and is lexicographically no later than the zeta used
+    rng = random.Random(88)
+    for gn, an in [("Q8", "S3"), ("S3", "Q8"), ("Q8", "Q8"), ("Z8", "Z8")]:
+        G, A = fg.standard_group(gn), fg.standard_group(an)
+
+        def random_zeta():
+            return tuple(rng.randrange(A.order) for _ in G.elements())
+
+        base = coboundary_twist(trivial_cochain(G, A), TwistMap(random_zeta()))
+        for _ in range(3):
+            zeta = random_zeta()
+            twisted = coboundary_twist(base, TwistMap(zeta))
+            w = cohomologous(base, twisted)
+            assert w is not None, (gn, an, zeta)
+            assert coboundary_twist(base, w) == twisted, (gn, an, zeta)
+            assert w.zeta <= zeta, (gn, an, zeta)
 
 
 def test_capped_product_refuses_above_cap(monkeypatch):
@@ -299,10 +330,14 @@ def test_capped_product_refuses_above_cap(monkeypatch):
 
 
 def test_search_space_cap(monkeypatch):
+    # Z8 has one generator, so the witness search has 8^1 candidates
     trivial = trivial_cochain(fg.cyclic(8), fg.cyclic(8))
-    monkeypatch.setenv("COVLAB_ENUM_CAP", "10")
-    with pytest.raises(SearchSpaceTooLarge):
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "8")
+    assert cohomologous(trivial, trivial) == TwistMap((0,) * 8)
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "7")
+    with pytest.raises(SearchSpaceTooLarge) as err:
         cohomologous(trivial, trivial)
+    assert err.value.size == 8
 
 
 def reference_enumerate(G, A):

@@ -1,12 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from covlab import fingroup as fg
 from covlab import models
-from covlab.cohomology2 import (Cochain2, TwistMap, _twists, coboundary_twist,
+from covlab.cohomology2 import (Cochain2, TwistMap, coboundary_twist,
                                 cohomologous, enumerate_normalized_cocycles,
-                                trivial_cochain, validate_cocycle)
+                                is_neutral, trivial_cochain, validate_cocycle)
 from covlab.extension import (ExtensionEquivalence, InvalidCocycle,
                               build_extension, classify_type,
                               extensions_equivalent)
@@ -154,7 +155,8 @@ def reference_extensions_equivalent(e1, e2):
     E1 elements against the two tables."""
     G, A = e1.cochain.G, e1.cochain.A
     size = e1.E.order
-    for zeta in _twists(G, A, True):
+    for tail in itertools.product(A.elements(), repeat=G.order - 1):
+        zeta = (0,) + tail
         iso = [0] * size
         for a in A.elements():
             for g in G.elements():
@@ -169,7 +171,7 @@ def test_equivalence_matches_reference_homomorphism_scan():
     pairs = 0
     for gn, an in [("Z2", "Z2"), ("Z2", "Z3"), ("Z2", "Z4"), ("Z3", "Z3"),
                    ("Z2", "S3"), ("Z2", "Z2xZ2"), ("Z3", "Z2"), ("Z4", "Z2"),
-                   ("Z2", "Q8")]:
+                   ("Z2", "Q8"), ("S3", "Z2"), ("Z2xZ2", "Z2")]:
         G, A = fg.standard_group(gn), fg.standard_group(an)
         exts = [build_extension(c) for c in enumerate_normalized_cocycles(G, A)]
         for e1 in exts:
@@ -178,7 +180,44 @@ def test_equivalence_matches_reference_homomorphism_scan():
                     == reference_extensions_equivalent(e1, e2), \
                     (gn, an, e1.cochain, e2.cochain)
                 pairs += 1
-    assert pairs == 1377
+    assert pairs == 1377 + 32 ** 2 + 16 ** 2
+
+
+def reference_type_flags(e):
+    """The (direct_product, semidirect) decision of classify_type as written
+    before the solve: every normalized twist in product order, stopping at
+    the first that gives the trivial cocycle."""
+    c = e.cochain
+    direct = semidirect = False
+    for tail in itertools.product(c.A.elements(), repeat=c.G.order - 1):
+        tw = coboundary_twist(c, TwistMap((0,) + tail))
+        if is_neutral(tw):
+            semidirect = True
+            if not any(tw.phi):
+                direct = True
+                break
+    return direct, semidirect
+
+
+def test_classify_type_matches_reference_twist_loop():
+    # every cocycle of S3/Z2 and Z2xZ2/Z2, and a seeded sample of the 128 of
+    # Q8/Z2 and the 324 of S3/Z3, whose reference loops take 2^7 and 3^5
+    # twists per cocycle
+    rng = random.Random(3)
+    seen = set()
+    for gn, an, sample in [("S3", "Z2", None), ("Z2xZ2", "Z2", None),
+                           ("Q8", "Z2", 16), ("S3", "Z3", 16)]:
+        G, A = fg.standard_group(gn), fg.standard_group(an)
+        cocycles = enumerate_normalized_cocycles(G, A)
+        if sample is not None:
+            cocycles = rng.sample(cocycles, sample)
+        for c in cocycles:
+            ext = build_extension(c)
+            labels = classify_type(ext).labels
+            flags = ("direct_product" in labels, "semidirect" in labels)
+            assert flags == reference_type_flags(ext), (gn, an, c)
+            seen.add(flags)
+    assert seen == {(True, True), (False, True), (False, False)}
 
 
 def test_z4_vs_z2xz2_not_equivalent():

@@ -2,7 +2,8 @@
 assert statement, and the README examples report the same under python -O.
 Every exhaustive search runs over `config.capped_product`, bounded by
 COVLAB_ENUM_CAP alone: no other module calls `itertools.product`, and no
-function takes a per-call bound.
+function takes a per-call bound or a flag that narrows or cuts short a
+search (`normalized`, `expect`).
 
 Run as a script, this module prints the exit code and stdout of each
 command given as a JSON list of argv lists; the -O test runs it that way.
@@ -44,7 +45,7 @@ def test_searches_have_one_bound():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 a = node.args
                 for arg in a.posonlyargs + a.args + a.kwonlyargs:
-                    if arg.arg in ("cap", "normalized_only"):
+                    if arg.arg in ("cap", "normalized_only", "normalized", "expect"):
                         found.append(f"{path.name}:{node.lineno}: {arg.arg}")
     assert found == []
 
