@@ -42,10 +42,9 @@ print("lifted to |E| =", ext.E.order, "- extension cocycle neutral:",
 # -- a random gauge twist is always recovered exactly ------------------------
 
 spin = models.spin_frame_model()
-sg = compute_gauge_group(spin.functor)
-twisted = twist_implementation(spin, (0, 3, 1, 2), sg)
+twisted = twist_implementation(spin, (0, 3, 1, 2))
 print("\nspin-frame model: recovered twist",
-      compare_implementations(spin, twisted, sg).zeta)
+      compare_implementations(spin, twisted).zeta)
 
 # -- active vs passive: composing frame moves with the implementation -------
 

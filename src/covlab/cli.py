@@ -180,23 +180,18 @@ def cmd_compare_impls(args, report: RunReport) -> None:
     i2 = models.named_model(args.other)
     report.digest("model", args.model)
     report.digest("other", args.other)
-    gauge = compute_gauge_group(i1.functor)
-    w = compare_implementations(i1, i2, gauge)
+    w = compare_implementations(i1, i2)
     report.verdict("witness-found", True, zeta=list(w.zeta))
     report.verdict("cocycles-cohomologous",
-                   coboundary_twist(extract_cocycle(i1, gauge), w)
-                   == extract_cocycle(i2, gauge))
+                   coboundary_twist(extract_cocycle(i1), w) == extract_cocycle(i2))
 
 
 def cmd_lift_extension(args, report: RunReport) -> None:
     impl = models.named_model(args.model)
     report.digest("model", args.model)
-    # the lift keeps impl's functor, so one gauge group serves both cocycles
-    gauge = compute_gauge_group(impl.functor)
-    ext = build_extension(extract_cocycle(impl, gauge))
-    lifted = lift_to_extension(impl, ext, gauge)
-    report.verdict("lifted-cocycle-neutral",
-                   is_neutral(extract_cocycle(lifted, gauge)),
+    ext = build_extension(extract_cocycle(impl))
+    lifted = lift_to_extension(impl, ext)
+    report.verdict("lifted-cocycle-neutral", is_neutral(extract_cocycle(lifted)),
                    extension_order=ext.E.order)
 
 

@@ -19,7 +19,7 @@ imposed (none exists for nonabelian A).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
@@ -47,6 +47,7 @@ class Cochain2:
     A: GroupTable
     xi: Tuple[Tuple[int, ...], ...]
     phi: Tuple[int, ...]
+    aut: AutGroup = field(init=False, repr=False)  # compute_aut(A), read once
 
     def __post_init__(self) -> None:
         n, m = self.G.order, self.A.order
@@ -54,13 +55,9 @@ class Cochain2:
             raise ValueError("xi is not total on G x G")
         if any(not (0 <= v < m) for row in self.xi for v in row):
             raise ValueError("xi has entries outside A")
-        naut = self.aut.order
-        if len(self.phi) != n or any(not (0 <= v < naut) for v in self.phi):
+        object.__setattr__(self, "aut", compute_aut(self.A))
+        if len(self.phi) != n or any(not (0 <= v < self.aut.order) for v in self.phi):
             raise ValueError("phi is not total on G or indexes outside Aut(A)")
-
-    @property
-    def aut(self) -> AutGroup:
-        return compute_aut(self.A)
 
     def phi_perm(self, g: int):
         return self.aut.perms[self.phi[g]]

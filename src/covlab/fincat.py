@@ -10,6 +10,7 @@ cod(g), i.e. g is applied first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional, Sequence, Tuple
 
 
@@ -24,7 +25,8 @@ class Report:
 
 
 class FinCat:
-    """Immutable finite category; validate with validate_fincat."""
+    """Immutable finite category, equal by value (the name is only a label);
+    validate with validate_fincat."""
 
     def __init__(self, objects: Sequence[str],
                  morphisms: Sequence[Tuple[str, str, str]],
@@ -67,17 +69,31 @@ class FinCat:
     def endos(self, x: str) -> Tuple[str, ...]:
         return self.hom(x, x)
 
+    @cached_property
+    def _inverses(self) -> Mapping[str, Optional[str]]:
+        """Each morphism's first two-sided inverse in hom(cod, dom), or None."""
+        comp, ident = self.compose_table, self.identities
+        return {m: next((k for k in self.hom(c, d) if comp.get((k, m)) == ident[d]
+                         and comp.get((m, k)) == ident[c]), None)
+                for m, d, c in self.morphisms}
+
     def inverse(self, m: str) -> Optional[str]:
         """Two-sided inverse of m, or None."""
-        d, c = self.dom(m), self.cod(m)
-        for cand in self.hom(c, d):
-            if (self.compose_table.get((cand, m)) == self.identity(d)
-                    and self.compose_table.get((m, cand)) == self.identity(c)):
-                return cand
-        return None
+        return self._inverses[m]
 
     def invertible_endos(self, x: str) -> Tuple[str, ...]:
         return tuple(m for m in self.endos(x) if self.inverse(m) is not None)
+
+    @cached_property
+    def _key(self) -> tuple:
+        return (self.objects, self.morphisms, tuple(sorted(self.compose_table.items())),
+                tuple(sorted(self.identities.items())))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FinCat) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
 
 def validate_fincat(cat: FinCat) -> Report:
@@ -123,7 +139,8 @@ def validate_fincat(cat: FinCat) -> Report:
 
 
 class TheoryFunctor:
-    """A functor between finite categories, given by its object/morphism maps."""
+    """A functor between finite categories, given by its object/morphism maps;
+    equal by value, name included, since the name labels its gauge group."""
 
     def __init__(self, source: FinCat, target: FinCat,
                  obj_map: Mapping[str, str], mor_map: Mapping[str, str],
@@ -153,6 +170,17 @@ class TheoryFunctor:
 
     def maps_equal(self, other: "TheoryFunctor") -> bool:
         return self.obj_map == other.obj_map and self.mor_map == other.mor_map
+
+    @cached_property
+    def _key(self) -> tuple:
+        return (self.source, self.target, tuple(sorted(self.obj_map.items())),
+                tuple(sorted(self.mor_map.items())), self.name)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TheoryFunctor) and self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
 
 def identity_functor(cat: FinCat) -> TheoryFunctor:

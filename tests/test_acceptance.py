@@ -98,10 +98,10 @@ def test_criterion_2_implementation_cocycles_cohomologous():
             for _ in range(8):
                 zeta = tuple([0] + [rng.randrange(gauge.order)
                                     for _ in range(n - 1)])
-                other = twist_implementation(base, zeta, gauge)
-                w = compare_implementations(base, other, gauge)
-                c1 = extract_cocycle(base, gauge)
-                c2 = extract_cocycle(other, gauge)
+                other = twist_implementation(base, zeta)
+                w = compare_implementations(base, other)
+                c1 = extract_cocycle(base)
+                c2 = extract_cocycle(other)
                 assert coboundary_twist(c1, w) == c2
                 assert cohomologous(c1, c2) is not None
                 pairs += 1
@@ -231,11 +231,10 @@ def test_criterion_4_lift_neutrality():
         fixtures += [models.swap_model(), models.spin_frame_model(),
                      models.frame_rotation_model()[0]]
         for impl in fixtures:
-            gauge = compute_gauge_group(impl.functor)
-            c = extract_cocycle(impl, gauge)
+            c = extract_cocycle(impl)
             ext = build_extension(c)
-            lifted = lift_to_extension(impl, ext, gauge)
-            ec = extract_cocycle(lifted, gauge)
+            lifted = lift_to_extension(impl, ext)
+            ec = extract_cocycle(lifted)
             n = ext.E.order
             for e1 in range(n):
                 for e0 in range(n):

@@ -295,18 +295,12 @@ def test_parser_is_built_once_and_reused(capsys):
     assert (code, out) == (fresh.returncode, fresh.stdout)
 
 
-@pytest.mark.parametrize("verb", ["extract-cocycle", "lift-extension"])
-def test_model_verbs_compute_one_gauge_group(capsys, monkeypatch, verb):
-    calls = []
-    compute = covariance.compute_gauge_group
-
-    def counted(functor):
-        calls.append(functor)
-        return compute(functor)
-
-    monkeypatch.setattr(cli, "compute_gauge_group", counted)
-    monkeypatch.setattr(covariance, "compute_gauge_group", counted)
+@pytest.mark.parametrize("verb", ["extract-cocycle", "lift-extension", "compare-impls"])
+def test_model_verbs_compute_one_gauge_group(capsys, verb):
+    # compare-impls builds the model twice; the two equal functors share one
     for model in sorted(models.NAMED_MODELS):
-        calls.clear()
-        code, _, err = run(capsys, verb, "--model", model)
-        assert (code, len(calls)) == (0, 1), (model, err)
+        covariance.compute_gauge_group.cache_clear()
+        other = ["--other", model] if verb == "compare-impls" else []
+        code, _, err = run(capsys, verb, "--model", model, *other)
+        misses = covariance.compute_gauge_group.cache_info().misses
+        assert (code, misses) == (0, 1), (model, err)

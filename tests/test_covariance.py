@@ -39,6 +39,16 @@ def _reference_hom(cat, x, y):
     return tuple(sorted(m for m, d, c in cat.morphisms if d == x and c == y))
 
 
+def _reference_inverse(cat, m):
+    """The first two-sided inverse of m in the sorted hom(cod, dom), or None."""
+    d, c = cat.dom(m), cat.cod(m)
+    for cand in _reference_hom(cat, c, d):
+        if (cat.compose_table.get((cand, m)) == cat.identities[d]
+                and cat.compose_table.get((m, cand)) == cat.identities[c]):
+            return cand
+    return None
+
+
 def test_hom_index_matches_morphism_scan():
     # two parallel arrows a -> b, listed out of id order, and nothing b -> a
     arrows = FinCat(["a", "b"],
@@ -57,6 +67,8 @@ def test_hom_index_matches_morphism_scan():
         for x in cat.objects:
             for y in cat.objects:
                 assert cat.hom(x, y) == _reference_hom(cat, x, y), (cat.name, x, y)
+        for m, _, _ in cat.morphisms:
+            assert cat.inverse(m) == _reference_inverse(cat, m), (cat.name, m)
     assert arrows.hom("a", "b") == ("f", "z")
     assert arrows.hom("b", "a") == ()
     assert arrows.inverse("f") is None
@@ -76,6 +88,7 @@ def test_gauge_group_one_object_z4():
 
 
 def test_gauge_group_search_is_capped(monkeypatch):
+    compute_gauge_group.cache_clear()
     functor = models.one_object_cyclic_model().functor
     monkeypatch.setenv("COVLAB_ENUM_CAP", "3")
     with pytest.raises(SearchSpaceTooLarge) as err:
@@ -88,6 +101,33 @@ def test_gauge_group_search_is_capped(monkeypatch):
     assert err.value.size == 64
     monkeypatch.setenv("COVLAB_ENUM_CAP", "64")
     assert compute_gauge_group(functor).order == 4
+
+
+def test_separate_builds_share_one_functor_value_and_gauge_group():
+    for name in sorted(models.NAMED_MODELS):
+        f1 = models.named_model(name).functor
+        f2 = models.named_model(name).functor
+        assert f1 is not f2 and f1.source is not f2.source
+        assert f1 == f2 and hash(f1) == hash(f2), name
+        assert f1.source == f2.source and hash(f1.source) == hash(f2.source), name
+        assert compute_gauge_group(f1) is compute_gauge_group(f2), name
+
+
+def test_category_differing_in_one_composite_is_unequal():
+    cat = group_as_category(fg.cyclic(3))
+    same = FinCat(cat.objects, cat.morphisms, cat.compose_table, cat.identities,
+                  name="other label")
+    assert same == cat and hash(same) == hash(cat)
+    table = dict(cat.compose_table)
+    table[("r1", "r1")] = "r0"
+    changed = FinCat(cat.objects, cat.morphisms, table, cat.identities)
+    assert changed != cat
+    functor = identity_functor(cat)
+    maps = (functor.obj_map, functor.mor_map)
+    assert TheoryFunctor(cat, cat, *maps, name="Id") == functor
+    assert TheoryFunctor(changed, changed, *maps, name="Id") != functor
+    # the name labels the gauge table in reports, so it is part of the value
+    assert TheoryFunctor(cat, cat, *maps, name="other") != functor
 
 
 def test_gauge_group_discrete_source_naturality_vacuous():
@@ -143,19 +183,16 @@ def test_z4_model_extraction():
 
 def test_naturality_violation_detected():
     impl = models.swap_model()
-    bad = models.Implementation(impl.functor, impl.action,
-                                [impl.eta[0], {"X": "u", "Y": "u"}])
-    rep = validate_implementation(bad)
-    assert not rep.valid
+    with pytest.raises(ValueError, match="implementation invalid"):
+        models.Implementation(impl.functor, impl.action,
+                              [impl.eta[0], {"X": "u", "Y": "u"}])
 
 
 def test_implementation_with_eta_not_identity_at_1_rejected():
     impl = models.one_object_cyclic_model()
-    bad = models.Implementation(impl.functor, impl.action,
-                                [{"*": "r1"}, {"*": "r1"}])
-    rep = validate_implementation(bad)
-    assert not rep.valid
-    assert rep.violation == "IdentityFamilyNotIdentity"
+    with pytest.raises(ValueError, match="IdentityFamilyNotIdentity"):
+        models.Implementation(impl.functor, impl.action,
+                              [{"*": "r1"}, {"*": "r1"}])
 
 
 def test_compare_implementations_identity():
@@ -183,11 +220,11 @@ def test_random_gauge_twists_recover_witness():
         for _ in range(6):
             zeta = tuple([0] + [rng.randrange(gauge.order)
                                 for _ in range(base.action.group.order - 1)])
-            other = twist_implementation(base, zeta, gauge)
+            other = twist_implementation(base, zeta)
             assert validate_implementation(other).valid
-            w = compare_implementations(base, other, gauge)
-            assert coboundary_twist(extract_cocycle(base, gauge), w) \
-                == extract_cocycle(other, gauge)
+            w = compare_implementations(base, other)
+            assert coboundary_twist(extract_cocycle(base), w) \
+                == extract_cocycle(other)
 
 
 def test_lift_to_extension_neutral():
@@ -225,7 +262,7 @@ def test_point_into_s3_model_has_a_nonabelian_gauge_group():
     for impl in (_point_into_s3_model(3), _point_into_s3_model(1)):
         gauge = compute_gauge_group(impl.functor)
         assert gauge.order == 6 and not gauge.table.is_abelian()
-        assert build_extension(extract_cocycle(impl, gauge)).E.order == 12
+        assert build_extension(extract_cocycle(impl)).E.order == 12
 
 
 def test_extracted_cocycles_are_valid_and_normalized():
@@ -242,11 +279,11 @@ def test_lift_is_valid_with_phi_ad_a_after_phi_g():
         gauge = compute_gauge_group(impl.functor)
         A = gauge.table
         aut = fg.compute_aut(A)
-        c = extract_cocycle(impl, gauge)
+        c = extract_cocycle(impl)
         ext = build_extension(c)
-        lifted = lift_to_extension(impl, ext, gauge)
+        lifted = lift_to_extension(impl, ext)
         assert validate_implementation(lifted).valid, impl.name
-        ec = extract_cocycle(lifted, gauge)
+        ec = extract_cocycle(lifted)
         assert validate_cocycle(ec).valid and ec.is_normalized(), impl.name
         for e in ext.E.elements():
             a, g = ext.unpair(e)
