@@ -308,7 +308,8 @@ def classify_h2(G: GroupTable, A: GroupTable) -> H2Classification:
 
     The class of the trivial cocycle is flagged as the distinguished point.
     Canonical representatives are the lexicographically least (xi, phi)
-    tables of each class; classes are listed in representative order.
+    tables of each class; classes are listed in representative order.  The
+    cocycles come sorted, so the first one a class meets is its least.
     """
     cocycles = enumerate_normalized_cocycles(G, A)
     index = {_cocycle_key(c.xi, c.phi): i for i, c in enumerate(cocycles)}
@@ -316,7 +317,7 @@ def classify_h2(G: GroupTable, A: GroupTable) -> H2Classification:
     seen = [False] * len(cocycles)
     classes = []
     trivial = trivial_cochain(G, A)
-    trivial_key = _cocycle_key(trivial.xi, trivial.phi)
+    trivial_index = index[_cocycle_key(trivial.xi, trivial.phi)]
     for i, c in enumerate(cocycles):
         if seen[i]:
             continue
@@ -326,16 +327,10 @@ def classify_h2(G: GroupTable, A: GroupTable) -> H2Classification:
             orbit.add(index[_cocycle_key(tw.xi, tw.phi)])
         for j in orbit:
             seen[j] = True
-        rep = min((cocycles[j] for j in orbit),
-                  key=lambda cc: _cocycle_key(cc.xi, cc.phi))
         classes.append(H2Class(
-            representative=rep,
+            representative=c,
             size=len(orbit),
-            distinguished=any(
-                _cocycle_key(cocycles[j].xi, cocycles[j].phi) == trivial_key
-                for j in orbit),
+            distinguished=trivial_index in orbit,
             neutral=any(is_neutral(cocycles[j]) for j in orbit),
         ))
-    classes.sort(key=lambda cls: _cocycle_key(cls.representative.xi,
-                                              cls.representative.phi))
     return H2Classification(G, A, tuple(classes))

@@ -20,8 +20,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 from .cohomology2 import Cochain2, TwistMap
 from .config import capped_product
 from .extension import ExtensionGroup
-from .fincat import (GAction, Report, TheoryFunctor, validate_functor,
-                     validate_gaction)
+from .fincat import GAction, Report, TheoryFunctor
 from .fingroup import GroupTable, compute_aut, make_group
 
 
@@ -72,12 +71,10 @@ def compute_gauge_group(F: TheoryFunctor) -> GaugeGroup:
     A family {alpha_C} of invertible morphisms F(C) -> F(C) is natural when
     alpha_{C'} o F(gamma) == F(gamma) o alpha_C for every gamma: C -> C'.
     Families are ordered with the identity family first, then lexicographically.
-    Computed once per process for each functor value and shared by every
-    caller; COVLAB_ENUM_CAP bounds that one computation.
+    F is valid since it was built.  Computed once per process for each
+    functor value and shared by every caller; COVLAB_ENUM_CAP bounds that
+    one computation.
     """
-    rep = validate_functor(F)
-    if not rep:
-        raise ValueError(f"functor invalid: {rep.violation} {rep.witness}")
     src, tgt = F.source, F.target
     objects = src.objects
     per_object = [tgt.invertible_endos(F.on_obj(x)) for x in objects]
@@ -126,13 +123,9 @@ class Implementation:
 
 
 def validate_implementation(impl: Implementation) -> Report:
+    """The eta family: one natural isomorphism Af -> gAf per element, with
+    eta(1) = id.  The functor and the action were checked when built."""
     F, act = impl.functor, impl.action
-    rep = validate_functor(F)
-    if not rep:
-        return Report(False, f"Functor:{rep.violation}", rep.witness)
-    rep = validate_gaction(act)
-    if not rep:
-        return Report(False, f"GAction:{rep.violation}", rep.witness)
     src, tgt = F.source, F.target
     G = act.group
     if len(impl.eta) != G.order:

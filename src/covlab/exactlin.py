@@ -178,19 +178,10 @@ class Mat:
         if self.nrows != self.ncols:
             raise ValueError("inverse of non-square matrix")
         n = self.nrows
-        a = [list(r) + [ONE if i == j else ZERO for j in range(n)]
-             for i, r in enumerate(self.rows)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            inv = ONE / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for r in range(n):
-                if r != col and not a[r][col].is_zero():
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+        a, pivots = rref([list(r) + [ONE if i == j else ZERO for j in range(n)]
+                          for i, r in enumerate(self.rows)])
+        if pivots != list(range(n)):
+            raise ValueError("matrix is singular")
         return Mat([row[n:] for row in a])
 
 

@@ -140,6 +140,7 @@ def validate_fincat(cat: FinCat) -> Report:
 
 class TheoryFunctor:
     """A functor between finite categories, given by its object/morphism maps;
+    checked once when built (ValueError naming the violation otherwise), and
     equal by value, name included, since the name labels its gauge group."""
 
     def __init__(self, source: FinCat, target: FinCat,
@@ -150,26 +151,15 @@ class TheoryFunctor:
         self.obj_map = dict(obj_map)
         self.mor_map = dict(mor_map)
         self.name = name
+        rep = validate_functor(self)
+        if not rep:
+            raise ValueError(f"functor invalid: {rep.violation} {rep.witness}")
 
     def on_obj(self, x: str) -> str:
         return self.obj_map[x]
 
     def on_mor(self, m: str) -> str:
         return self.mor_map[m]
-
-    def then(self, outer: "TheoryFunctor", name: Optional[str] = None) -> "TheoryFunctor":
-        """outer o self."""
-        if outer.source is not self.target and outer.source.morphisms != self.target.morphisms:
-            raise ValueError("functors are not composable")
-        return TheoryFunctor(
-            self.source, outer.target,
-            {x: outer.on_obj(y) for x, y in self.obj_map.items()},
-            {m: outer.on_mor(f) for m, f in self.mor_map.items()},
-            name,
-        )
-
-    def maps_equal(self, other: "TheoryFunctor") -> bool:
-        return self.obj_map == other.obj_map and self.mor_map == other.mor_map
 
     @cached_property
     def _key(self) -> tuple:
@@ -215,11 +205,15 @@ def functor_is_invertible(F: TheoryFunctor) -> bool:
 
 
 class GAction:
-    """A homomorphism from a finite group into invertible endofunctors."""
+    """A homomorphism from a finite group into invertible endofunctors of one
+    category, checked once when built (ValueError naming the violation otherwise)."""
 
     def __init__(self, group, functors: Sequence[TheoryFunctor]) -> None:
         self.group = group
         self.functors = tuple(functors)
+        rep = validate_gaction(self)
+        if not rep:
+            raise ValueError(f"action invalid: {rep.violation} {rep.witness}")
 
     @property
     def category(self) -> FinCat:
@@ -233,23 +227,25 @@ class GAction:
 
 
 def validate_gaction(act: GAction) -> Report:
+    """The action laws: one invertible endofunctor T(g) of the category per
+    element, T(1) = Id and T(g) o T(h) = T(gh), compared map by map.  The
+    functors themselves were checked when they were built."""
     grp = act.group
     if len(act.functors) != grp.order:
         return Report(False, "FunctorPerElementMissing", (len(act.functors),))
     cat = act.category
     for g, F in enumerate(act.functors):
-        rep = validate_functor(F)
-        if not rep:
-            return Report(False, f"Functor({g}):{rep.violation}", rep.witness)
-        if not functor_is_invertible(F):
+        if F.source != cat or F.target != cat or not functor_is_invertible(F):
             return Report(False, "FunctorNotInvertible", (g,))
-    ident = identity_functor(cat)
-    if not act.functors[0].maps_equal(ident):
+    t1 = act.functors[0]
+    if (t1.obj_map != {x: x for x in cat.objects}
+            or t1.mor_map != {m: m for m, _, _ in cat.morphisms}):
         return Report(False, "IdentityElementNotIdentityFunctor", (0,))
-    for g in grp.elements():
-        for h in grp.elements():
-            composed = act.functors[h].then(act.functors[g])  # T(g) o T(h)
-            if not composed.maps_equal(act.functors[grp.mul(g, h)]):
+    for g, tg in enumerate(act.functors):
+        for h, th in enumerate(act.functors):
+            tgh = act.functors[grp.mul(g, h)]
+            if ({x: tg.obj_map[y] for x, y in th.obj_map.items()} != tgh.obj_map
+                    or {m: tg.mor_map[f] for m, f in th.mor_map.items()} != tgh.mor_map):
                 return Report(False, "NotAHomomorphism", (g, h))
     return Report(True)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 from .config import capped_product
@@ -64,12 +64,18 @@ class GroupTable:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
+    @cached_property
+    def _inverses(self) -> Tuple[Optional[int], ...]:
+        """Each element's first two-sided inverse, or None."""
+        t = self.table
+        return tuple(next((b for b, x in enumerate(row) if x == 0 and t[b][a] == 0), None)
+                     for a, row in enumerate(t))
+
     def inv(self, a: int) -> int:
-        row = self.table[a]
-        for b in range(self.order):
-            if row[b] == 0 and self.table[b][a] == 0:
-                return b
-        raise NotInvertible(a)
+        b = self._inverses[a]
+        if b is None:
+            raise NotInvertible(a)
+        return b
 
     def elements(self) -> range:
         return range(self.order)

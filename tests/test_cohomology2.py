@@ -184,6 +184,28 @@ def test_class_representatives_are_normalized_and_least():
             assert cls.representative.is_normalized()
 
 
+def test_each_class_is_listed_once_under_its_least_member():
+    # classify_h2 takes the first cocycle of each orbit as its least; this
+    # checks that against every normalized twist of every cocycle
+    for G, A in [(Z2, Z3), (Z2, Z4), (Z3, Z3), (Z2, fg.standard_group("Z2xZ2")),
+                 (Z2, fg.standard_group("S3")), (Z4, Z2)]:
+        def least(c):
+            return min((tw.xi, tw.phi) for tw in (
+                coboundary_twist(c, TwistMap((0,) + zeta))
+                for zeta in itertools.product(A.elements(), repeat=G.order - 1)))
+
+        sizes = {}
+        for c in enumerate_normalized_cocycles(G, A):
+            key = least(c)
+            sizes[key] = sizes.get(key, 0) + 1
+        classes = classify_h2(G, A).classes
+        reps = [(cls.representative.xi, cls.representative.phi) for cls in classes]
+        assert reps == sorted(sizes), (G, A)
+        assert [cls.size for cls in classes] == [sizes[r] for r in reps], (G, A)
+        trivial = least(trivial_cochain(G, A))
+        assert [cls.distinguished for cls in classes] == [r == trivial for r in reps]
+
+
 def test_abelian_sector_count_equals_cocycles_over_coboundaries():
     # for abelian A and phi == id, xi tables form a group under pointwise
     # product and the class count is |Z^2| / |B^2|

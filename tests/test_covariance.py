@@ -3,6 +3,7 @@ import random
 import pytest
 
 from covlab import fingroup as fg
+from covlab import fincat
 from covlab import models
 from covlab.cohomology2 import (SearchSpaceTooLarge, coboundary_twist, cohomologous,
                                 validate_cocycle)
@@ -388,3 +389,74 @@ def test_trivial_implementations_satisfy_trivial_relations():
                     rhs = tgt.compose(gauge.component(a, gx),
                                       impl.component(g, x))
                     assert lhs == rhs
+
+
+def _swap_category():
+    return models.swap_model().functor.source
+
+
+def test_functor_violations_are_refused_when_built():
+    bz2 = group_as_category(fg.cyclic(2))
+    bz4 = group_as_category(fg.cyclic(4))
+    swap = _swap_category()
+    same = {"idX": "idX", "idY": "idY"}
+    cases = [
+        ((bz2, bz2, {}, {"r0": "r0", "r1": "r1"}), "ObjectMapNotTotal", ("*",)),
+        ((bz2, bz2, {"*": "*"}, {"r0": "r0"}), "MorphismMapNotTotal", ("r1",)),
+        ((swap, swap, {"X": "X", "Y": "Y"}, {**same, "u": "v", "v": "u"}),
+         "DomCodNotPreserved", ("u",)),
+        ((bz2, bz2, {"*": "*"}, {"r0": "r1", "r1": "r0"}),
+         "IdentityNotPreserved", ("*",)),
+        # r1 o r1 is r0 in Z2 but r2 in Z4
+        ((bz2, bz4, {"*": "*"}, {"r0": "r0", "r1": "r1"}),
+         "CompositionNotPreserved", ("r1", "r1")),
+    ]
+    for args, violation, witness in cases:
+        with pytest.raises(ValueError) as err:
+            TheoryFunctor(*args)
+        assert str(err.value) == f"functor invalid: {violation} {witness}"
+
+
+def test_action_violations_are_refused_when_built():
+    cat = _swap_category()
+    ident = identity_functor(cat)
+    swap = TheoryFunctor(cat, cat, {"X": "Y", "Y": "X"},
+                         {"idX": "idY", "idY": "idX", "u": "v", "v": "u"})
+    to_x = TheoryFunctor(cat, cat, {"X": "X", "Y": "X"},
+                         {"idX": "idX", "idY": "idX", "u": "idX", "v": "idX"})
+    other = identity_functor(group_as_category(fg.cyclic(2)))
+    bz3 = group_as_category(fg.cyclic(3))
+    # r -> r^-1 fixes the one object, so only the morphism maps tell it apart
+    inverse = TheoryFunctor(bz3, bz3, {"*": "*"}, {"r0": "r0", "r1": "r2", "r2": "r1"})
+    z2, z3 = fg.cyclic(2), fg.cyclic(3)
+    cases = [
+        ((z2, (ident,)), "FunctorPerElementMissing", (1,)),
+        ((z2, (ident, to_x)), "FunctorNotInvertible", (1,)),
+        ((z2, (ident, other)), "FunctorNotInvertible", (1,)),  # another category
+        ((z2, (swap, ident)), "IdentityElementNotIdentityFunctor", (0,)),
+        # swap o swap = Id, but 1 + 1 = 2 in Z3 acts by swap
+        ((z3, (ident, swap, swap)), "NotAHomomorphism", (1, 1)),
+        ((z3, (identity_functor(bz3), inverse, inverse)), "NotAHomomorphism", (1, 1)),
+    ]
+    for args, violation, witness in cases:
+        with pytest.raises(ValueError) as err:
+            GAction(*args)
+        assert str(err.value) == f"action invalid: {violation} {witness}"
+    assert validate_gaction(GAction(z2, (ident, swap))).valid
+
+
+def test_lift_builds_no_functor(monkeypatch):
+    # the lifted action reuses the base functors, checked when they were built
+    calls = []
+    counted = fincat.validate_functor
+    monkeypatch.setattr(fincat, "validate_functor",
+                        lambda F: calls.append(F) or counted(F))
+    for name in sorted(models.NAMED_MODELS):
+        impl = models.named_model(name)
+        ext = build_extension(extract_cocycle(impl))
+        calls.clear()
+        lifted = lift_to_extension(impl, ext)
+        assert calls == [], name
+        assert lifted.action.group.order == ext.E.order, name
+    models.named_model("SwapIso")
+    assert calls, "a model build checks its functors"

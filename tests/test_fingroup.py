@@ -190,3 +190,26 @@ def test_compute_aut_lists_the_identity_first():
         g = fg.standard_group(name)
         assert fg.compute_aut(g).perms[0] == tuple(range(g.order)), name
 
+
+
+def _reference_inv(g, a):
+    """The inverse of a by a scan of its row, as GroupTable.inv once did."""
+    for b in range(g.order):
+        if g.table[a][b] == 0 and g.table[b][a] == 0:
+            return b
+    raise fg.NotInvertible(a)
+
+
+def test_inverse_table_matches_row_scan():
+    for name in sorted(fg._STANDARD):
+        g = fg.standard_group(name)
+        assert [g.inv(a) for a in g.elements()] \
+            == [_reference_inv(g, a) for a in g.elements()], name
+    # 1 * 2 = 0 but 2 * 1 = 1: 2 is a right inverse of 1, not a two-sided one
+    monoid = fg.GroupTable(((0, 1, 2), (1, 1, 0), (2, 1, 2)))
+    assert monoid.inv(0) == _reference_inv(monoid, 0) == 0
+    for a in (1, 2):
+        for inv in (monoid.inv, lambda x: _reference_inv(monoid, x)):
+            with pytest.raises(fg.NotInvertible) as err:
+                inv(a)
+            assert err.value.element == a

@@ -466,3 +466,28 @@ def test_scaling_multiplet_nilpotent_structure():
                 assert all_zero(nil), (coupling, k)
             else:
                 assert not all_zero(powers[dim - 2]), (coupling, k)
+
+
+def test_inverse_is_exact_and_refuses_singular_matrices():
+    rng = random.Random(7)
+
+    def entry():
+        return GaussRat(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                        Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+
+    inverted = 0
+    for n in range(1, 5):
+        for _ in range(6):
+            m = Mat([[entry() for _ in range(n)] for _ in range(n)])
+            if m.det().is_zero():
+                with pytest.raises(ValueError, match="matrix is singular"):
+                    m.inverse()
+                continue
+            assert m * m.inverse() == Mat.identity(n) == m.inverse() * m
+            inverted += 1
+    assert inverted >= 20
+    # ranks 1 and 2 (in the second, the third column repeats the first)
+    for singular in (Mat([[1, 2], [2, 4]]),
+                     Mat([[1, 0, 1], [0, 1, 0], [IU, 2, IU]])):
+        with pytest.raises(ValueError, match="matrix is singular"):
+            singular.inverse()

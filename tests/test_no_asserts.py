@@ -3,7 +3,8 @@ assert statement, and the README examples report the same under python -O.
 Every exhaustive search runs over `config.capped_product`, bounded by
 COVLAB_ENUM_CAP alone: no other module calls `itertools.product`, and no
 function takes a per-call bound or a flag that narrows or cuts short a
-search (`normalized`, `expect`).
+search (`normalized`, `expect`).  A functor, a group action and an
+implementation are each validated in their own constructor and nowhere else.
 
 Run as a script, this module prints the exit code and stdout of each
 command given as a JSON list of argv lists; the -O test runs it that way.
@@ -48,6 +49,33 @@ def test_searches_have_one_bound():
                     if arg.arg in ("cap", "normalized_only", "normalized", "expect"):
                         found.append(f"{path.name}:{node.lineno}: {arg.arg}")
     assert found == []
+
+
+def _called(node):
+    """The name called by a call node (`f(...)` or `x.f(...)`), else None."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return None
+
+
+def test_structures_are_checked_once_when_built():
+    owners = {"validate_functor": "TheoryFunctor", "validate_gaction": "GAction",
+              "validate_implementation": "Implementation"}
+    found, checked = [], set()
+    for path in sorted((ROOT / "src" / "covlab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(node): cls.name
+                   for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for init in cls.body
+                   if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+                   for node in ast.walk(init) if owners.get(_called(node)) == cls.name}
+        checked.update(allowed.values())
+        found += [f"{path.name}:{node.lineno}: {_called(node)}"
+                  for node in ast.walk(tree)
+                  if _called(node) in owners and id(node) not in allowed]
+    assert found == []
+    assert checked == set(owners.values())
 
 
 def readme_commands():
