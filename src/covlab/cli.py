@@ -31,8 +31,7 @@ from .extension import InvalidCocycle, build_extension, classify_type
 from .fingroup import (GroupHom, check_hom, direct_product, image,
                        is_injective, is_surjective, kernel, quotient,
                        standard_group)
-from .multiplet import (PreconditionFailed, build_rho, detect_mixing,
-                        verify_field_action)
+from .multiplet import PreconditionFailed, build_rho, detect_mixing
 from .schemas import (ParseError, SchemaError, cochain_from_obj, cochain_to_obj,
                       group_to_obj, loads)
 from .wickscale import (gauge_scaling_action, GaugeElement, ordering_route,
@@ -196,16 +195,13 @@ def cmd_lift_extension(args, report: RunReport) -> None:
 
 
 def cmd_verify_multiplet(args, report: RunReport) -> None:
+    # an action that breaks a field law is refused when it is built (exit 2)
     a = models.FIELD_FIXTURES[args.fixture]()
     report.digest("fixture", args.fixture)
-    res = verify_field_action(a)
-    report.verdict("field-action-laws", res.valid,
-                   **({} if res.valid else
-                      {"violation": res.violation, "witness": list(res.witness)}))
-    if res.valid:
-        ext = build_extension(a.cocycle)
-        build_rho(a, ext)
-        report.verdict("extended-rep-true", True, extension_order=ext.E.order)
+    report.verdict("field-action-laws", True)
+    ext = build_extension(a.cocycle)
+    build_rho(a, ext)
+    report.verdict("extended-rep-true", True, extension_order=ext.E.order)
 
 
 def cmd_detect_mixing(args, report: RunReport) -> None:

@@ -131,7 +131,7 @@ def coboundary_twist(c: Cochain2, t: TwistMap) -> Cochain2:
     written.  Only the twist map is checked here.  Twisting maps cocycles to
     cocycles (the tests validate every normalized twist of every enumerated
     cocycle), so c is not validated: callers holding a cochain from outside
-    check it once, as `cohomologous` and the CLI verbs do."""
+    check it once, as the CLI verbs and `cohomologous` (for c1) do."""
     G, A = c.G, c.A
     zeta = t.zeta
     if len(zeta) != G.order or any(not (0 <= z < A.order) for z in zeta):
@@ -178,14 +178,13 @@ def _twist_candidates(c: Cochain2, xi) -> list:
 
 
 def cohomologous(c1: Cochain2, c2: Cochain2) -> Optional[TwistMap]:
-    """The lexicographically first witness that c1 ~ c2, or None.  Both
-    inputs are validated once, here; each of the |A|^d `_twist_candidates`
-    is then checked by twisting c1 and comparing with c2."""
+    """The lexicographically first witness that c1 ~ c2, or None.  Only c1
+    is validated: the |A|^d `_twist_candidates`, each checked by twisting c1,
+    are complete for a cocycle c1, and no twist of one is a non-cocycle c2."""
     if c1.G != c2.G or c1.A != c2.A:
         raise ValueError("cochains live over different (G, A)")
-    for c in (c1, c2):
-        if not validate_cocycle(c):
-            raise ValueError("input cochain is not a cocycle")
+    if not validate_cocycle(c1):
+        raise ValueError("input cochain is not a cocycle")
     return next((TwistMap(zeta) for zeta in _twist_candidates(c1, c2.xi)
                  if coboundary_twist(c1, TwistMap(zeta)) == c2), None)
 

@@ -128,6 +128,8 @@ def validate_implementation(impl: Implementation) -> Report:
     F, act = impl.functor, impl.action
     src, tgt = F.source, F.target
     G = act.group
+    if act.category != src:
+        return Report(False, "ActionCategoryMismatch", ())
     if len(impl.eta) != G.order:
         return Report(False, "FamilyPerElementMissing", (len(impl.eta),))
     for x in src.objects:

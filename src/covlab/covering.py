@@ -33,6 +33,8 @@ class SectionInvalid(Exception):
 
 
 class NotCentral(Exception):
+    """zeta leaves the centre: witness (k, a), a not commuting with zeta(k)."""
+
     def __init__(self, witness) -> None:
         self.witness = witness
         super().__init__(f"image element is not central (witness {witness})")
@@ -145,21 +147,19 @@ def induced_gauge_cocycle(s: Section, zeta_on_k: GroupHom) -> Cochain2:
     """Push the factor set into a gauge group: the cochain (zeta o z, 1).
 
     zeta_on_k must be a homomorphism from the kernel group into the gauge
-    group A, landing in the centre of A (NotCentral otherwise).  The result
-    is a cocycle by construction and is not re-checked; the tests validate
-    it for the kernel homs cover-z builds.
+    group A, landing in the centre of A (`check_centre_hom`; NotCentral or
+    ValueError otherwise).  The result is a cocycle by construction and is
+    not re-checked; the tests validate it for the kernel homs cover-z builds.
     """
     z = z_cocycle(s)
     if zeta_on_k.source != z.k_group:
         raise ValueError("zeta is not defined on the kernel group")
-    rep = check_hom(zeta_on_k)
-    if not rep.valid:
-        raise ValueError(f"zeta is not a homomorphism (witness {rep.witness})")
+    rep = check_centre_hom(zeta_on_k)
+    if rep.hom_witness is not None:
+        raise ValueError(f"zeta is not a homomorphism (witness {rep.hom_witness})")
+    if not rep:
+        raise NotCentral(rep.centrality_witness)
     A = zeta_on_k.target
-    central = set(centre(A))
-    for k in z.k_group.elements():
-        if zeta_on_k.map[k] not in central:
-            raise NotCentral((k, zeta_on_k.map[k]))
     L = z.cochain.G
     xi = tuple(tuple(zeta_on_k.map[z.cochain.xi[l1][l0]] for l0 in L.elements())
                for l1 in L.elements())
@@ -186,11 +186,9 @@ def check_centre_hom(mapping: GroupHom) -> CentreHomReport:
     if not rep.valid:
         return CentreHomReport(False, hom_witness=rep.witness)
     A = mapping.target
-    central = set(centre(A))
-    for k in mapping.source.elements():
-        if mapping.map[k] not in central:
-            bad = next(a for a in A.elements()
-                       if A.mul(mapping.map[k], a) != A.mul(a, mapping.map[k]))
+    for k, z in enumerate(mapping.map):
+        bad = next((a for a in A.elements() if A.mul(z, a) != A.mul(a, z)), None)
+        if bad is not None:
             return CentreHomReport(False, centrality_witness=(k, bad))
     return CentreHomReport(True)
 

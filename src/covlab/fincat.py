@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence, Tuple
 
+from .fingroup import hom_law_witness
+
 
 @dataclass(frozen=True)
 class Report:
@@ -228,8 +230,8 @@ class GAction:
 
 def validate_gaction(act: GAction) -> Report:
     """The action laws: one invertible endofunctor T(g) of the category per
-    element, T(1) = Id and T(g) o T(h) = T(gh), compared map by map.  The
-    functors themselves were checked when they were built."""
+    element, T(1) = Id and T(g) o T(s) = T(gs) on generators s, map by map.
+    The functors themselves were checked when they were built."""
     grp = act.group
     if len(act.functors) != grp.order:
         return Report(False, "FunctorPerElementMissing", (len(act.functors),))
@@ -241,12 +243,11 @@ def validate_gaction(act: GAction) -> Report:
     if (t1.obj_map != {x: x for x in cat.objects}
             or t1.mor_map != {m: m for m, _, _ in cat.morphisms}):
         return Report(False, "IdentityElementNotIdentityFunctor", (0,))
-    for g, tg in enumerate(act.functors):
-        for h, th in enumerate(act.functors):
-            tgh = act.functors[grp.mul(g, h)]
-            if ({x: tg.obj_map[y] for x, y in th.obj_map.items()} != tgh.obj_map
-                    or {m: tg.mor_map[f] for m, f in th.mor_map.items()} != tgh.mor_map):
-                return Report(False, "NotAHomomorphism", (g, h))
+    maps = [(F.obj_map, F.mor_map) for F in act.functors]
+    witness = hom_law_witness(grp, maps.__getitem__, lambda t, u: (  # maps of T o U
+        {x: t[0][y] for x, y in u[0].items()}, {m: t[1][f] for m, f in u[1].items()}))
+    if witness is not None:
+        return Report(False, "NotAHomomorphism", witness)
     return Report(True)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from .config import capped_product
 
@@ -123,6 +123,8 @@ def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> Gr
     witness triple).  Tables whose identity is not element 0 are reindexed.
     The associativity check visits all n^3 triples through the capped
     product, so an order past the enumeration cap is refused up front.
+    Rows and columns being permutations, each x has some xy = 1 and y'x = 1,
+    and associativity gives y' = y'(xy) = (y'x)y = y: a two-sided inverse.
     """
     rows = []
     n = len(table)
@@ -155,9 +157,6 @@ def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> Gr
     for x, y, z in capped_product([range(n)] * 3):
         if rows[rows[x][y]][z] != rows[x][rows[y][z]]:
             raise NotAssociative((x, y, z))
-    for x in range(n):
-        if not any(rows[x][y] == 0 and rows[y][x] == 0 for y in range(n)):
-            raise NotInvertible(x)
     return GroupTable(rows, name)
 
 
@@ -263,19 +262,26 @@ class HomReport:
     witness: Optional[Tuple[int, int]] = None
 
 
+def hom_law_witness(g: GroupTable, image: Callable,
+                    compose: Callable) -> Optional[Tuple[int, int]]:
+    """The first (x, s), s in `generating_sequence(g)`, with image(x s) !=
+    compose(image(x), image(s)), else None.  Given image(1) = identity, None
+    means a homomorphism, by induction on y as a product of generators."""
+    gens = generating_sequence(g)
+    return next(((x, s) for x in g.elements() for s in gens
+                 if image(g.mul(x, s)) != compose(image(x), image(s))), None)
+
+
 def check_hom(h: GroupHom) -> HomReport:
-    """True iff the homomorphism law holds at every pair; else a witness pair."""
+    """True iff h is a homomorphism; else (0, 0) or the `hom_law_witness` pair."""
     if len(h.map) != h.source.order or any(
         not (0 <= v < h.target.order) for v in h.map
     ):
         raise ValueError("map is not total on the source group")
     if h.map[0] != 0:
         return HomReport(False, (0, 0))
-    for x in h.source.elements():
-        for y in h.source.elements():
-            if h.map[h.source.mul(x, y)] != h.target.mul(h.map[x], h.map[y]):
-                return HomReport(False, (x, y))
-    return HomReport(True)
+    witness = hom_law_witness(h.source, h.map.__getitem__, h.target.mul)
+    return HomReport(witness is None, witness)
 
 
 def kernel(h: GroupHom) -> Tuple[int, ...]:
@@ -385,10 +391,8 @@ def invert_perm(p: Perm) -> Perm:
 
 
 def is_automorphism(g: GroupTable, perm: Perm) -> bool:
-    n = g.order
-    return (perm[0] == 0 and sorted(perm) == list(range(n)) and
-            all(perm[g.mul(x, y)] == g.mul(perm[x], perm[y])
-                for x in range(n) for y in range(n)))
+    return (sorted(perm) == list(g.elements())
+            and check_hom(GroupHom(g, g, tuple(perm))).valid)
 
 
 @dataclass(frozen=True)
@@ -419,6 +423,7 @@ def inner_perm(g: GroupTable, a: int) -> Perm:
     return tuple(g.mul(g.mul(a, x), ai) for x in g.elements())
 
 
+@lru_cache(maxsize=None)
 def generating_sequence(g: GroupTable) -> Tuple[int, ...]:
     gens: list[int] = []
     gen = closure(g, gens)
@@ -456,10 +461,9 @@ def compute_aut(g: GroupTable) -> AutGroup:
 
     An automorphism is fixed by the images of a generating sequence, each of
     the same element order as its generator; those choices run over the
-    capped product, and each is extended along the breadth-first recipes.
-    A bijection that respects right multiplication by every generator is an
-    automorphism, since every element is a product of generators.  The
-    identity permutation is lexicographically least among identity-fixing
+    capped product, and each is extended along the breadth-first recipes
+    and kept if bijective and passing `hom_law_witness`.  The identity
+    permutation is lexicographically least among identity-fixing
     permutations, so it lands at index 0.
     """
     gens = generating_sequence(g)
@@ -477,9 +481,7 @@ def compute_aut(g: GroupTable) -> AutGroup:
         for x in fill_order:  # parents precede children in BFS order
             parent, gi = recipe[x]
             img[x] = g.mul(img[parent], images[gi])
-        if sorted(img) == full and all(
-                img[g.mul(x, gen)] == g.mul(img[x], images[gi])
-                for gi, gen in enumerate(gens) for x in full):
+        if sorted(img) == full and hom_law_witness(g, img.__getitem__, g.mul) is None:
             found.append(tuple(img))
     found.sort()
     return AutGroup(tuple(found))

@@ -165,30 +165,27 @@ def vector_multiplet_action():
     return FieldSpaceAction(dot, tuple(star), trivial_cochain(z4, triv))
 
 
-def block_diagonal_fixtures():
-    """Direct-product fixtures with two inequivalent irreducible one-
-    dimensional G-blocks; the no-mixing assertion is armed on all of them."""
+_BLOCK_SPECS = (  # (n, dot sign, c1, c2): G = Z_n, star(g) = diag(c1^g, c2^g)
+    (2, ONE, ONE, -ONE),   # trivial vs sign block
+    (2, -ONE, ONE, -ONE),
+    (4, -ONE, ONE, -ONE),
+    (4, -ONE, IU, -IU),    # the Gaussian character pair (i, -i)
+)
+
+
+def block_diagonal_action(row: int) -> FieldSpaceAction:
+    """The direct-product fixture of `_BLOCK_SPECS[row]`, with A = Z2."""
+    n, sign, c1, c2 = _BLOCK_SPECS[row]
     z2 = fg.cyclic(2)
-    z4 = fg.cyclic(4)
-    out = []
+    dot = MatrixRep(z2, 2, (Mat.identity(2), Mat([[sign, 0], [0, sign]])))
+    star = tuple(Mat([[c1 ** g, 0], [0, c2 ** g]]) for g in range(n))
+    return FieldSpaceAction(dot, star, trivial_cochain(fg.cyclic(n), z2))
 
-    def diag(a, b):
-        return Mat([[a, 0], [0, b]])
 
-    sign2 = [ONE, -ONE]
-    # G = Z2: trivial vs sign block
-    for dot_chars in ([ONE, ONE], sign2):
-        dot = MatrixRep(z2, 2, (Mat.identity(2), diag(dot_chars[1], dot_chars[1])))
-        star = (Mat.identity(2), diag(ONE, -ONE))
-        out.append(FieldSpaceAction(dot, star, trivial_cochain(z2, z2)))
-    # G = Z4: trivial vs sign, and the Gaussian character pair (i, -i)
-    dot = MatrixRep(z2, 2, (Mat.identity(2), diag(-ONE, -ONE)))
-    star = tuple(diag(ONE, (-ONE) ** g) for g in range(4))
-    out.append(FieldSpaceAction(dot, star, trivial_cochain(z4, z2)))
-    star = tuple(diag(IU ** g, (-IU) ** g) for g in range(4))
-    out.append(FieldSpaceAction(MatrixRep(z2, 2, (Mat.identity(2), diag(-ONE, -ONE))),
-                                star, trivial_cochain(z4, z2)))
-    return out
+def block_diagonal_fixtures():
+    """Every direct-product fixture with two inequivalent irreducible one-
+    dimensional G-blocks; the no-mixing assertion is armed on all of them."""
+    return [block_diagonal_action(row) for row in range(len(_BLOCK_SPECS))]
 
 
 def standard_submultiplets():
@@ -297,8 +294,8 @@ COCHAIN_FIXTURES = {
 
 FIELD_FIXTURES = {
     "vector": vector_multiplet_action,
-    "blocks": lambda: block_diagonal_fixtures()[0],
-    "blocks-z4": lambda: block_diagonal_fixtures()[2],
+    "blocks": lambda: block_diagonal_action(0),
+    "blocks-z4": lambda: block_diagonal_action(2),
     "equivalent-blocks": equivalent_blocks_action,
     "central-z4": central_z4_mixing_action,
     "q8": q8_mixing_action,

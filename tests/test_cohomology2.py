@@ -116,6 +116,17 @@ def test_z4_producing_not_cohomologous_to_trivial():
     assert cohomologous(z4_producing_cochain(), trivial_cochain(Z2, Z2)) is None
 
 
+def test_cohomologous_validates_its_first_input_only():
+    # every twist of the cocycle c1 is a cocycle, so a corrupted c2 lies in
+    # no class of c1; c1 itself is checked, since the candidates assume it
+    trivial = trivial_cochain(Z2, Z2)
+    corrupted = Cochain2(Z2, Z2, ((0, 1), (0, 0)), (0, 0))
+    assert not validate_cocycle(corrupted)
+    assert cohomologous(trivial, corrupted) is None
+    with pytest.raises(ValueError, match="not a cocycle"):
+        cohomologous(corrupted, trivial)
+
+
 def test_twist_roundtrip_recovers_witness():
     rng = random.Random(21)
     for G, A in [(Z2, Z4), (Z3, Z3)]:

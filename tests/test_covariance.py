@@ -196,6 +196,15 @@ def test_implementation_with_eta_not_identity_at_1_rejected():
                               [{"*": "r1"}, {"*": "r1"}])
 
 
+def test_implementation_of_an_action_on_another_category_rejected():
+    impl = models.swap_model()
+    z2 = fg.cyclic(2)
+    elsewhere = GAction(z2, (identity_functor(group_as_category(z2)),) * 2)
+    with pytest.raises(ValueError) as err:
+        Implementation(impl.functor, elsewhere, impl.eta)
+    assert str(err.value) == "implementation invalid: ActionCategoryMismatch ()"
+
+
 def test_compare_implementations_identity():
     impl = models.one_object_cyclic_model()
     w = compare_implementations(impl, impl)

@@ -1,9 +1,15 @@
 import itertools
+import random
 
 import pytest
 
 from covlab import fingroup as fg
+from covlab import models
 from covlab.config import SearchSpaceTooLarge
+from covlab.covariance import extract_cocycle, lift_to_extension
+from covlab.exactlin import Mat
+from covlab.extension import build_extension
+from covlab.multiplet import MatrixRep
 
 
 def test_make_group_z2():
@@ -213,3 +219,95 @@ def test_inverse_table_matches_row_scan():
             with pytest.raises(fg.NotInvertible) as err:
                 inv(a)
             assert err.value.element == a
+
+
+# ---------------------------------------------------------------------------
+# the homomorphism law, checked on generators
+
+def all_pairs_witness(g, image, compose):
+    """Reference: the first pair (x, y) of all of g x g breaking the law."""
+    return next(((x, y) for x in g.elements() for y in g.elements()
+                 if image(g.mul(x, y)) != compose(image(x), image(y))), None)
+
+
+def checked_witness(g, image, compose):
+    """hom_law_witness, required to agree with the reference on validity and
+    to return only a pair (x, s), s a generator, that breaks the law."""
+    witness = fg.hom_law_witness(g, image, compose)
+    assert (witness is None) == (all_pairs_witness(g, image, compose) is None)
+    if witness is not None:
+        x, s = witness
+        assert s in fg.generating_sequence(g)
+        assert image(g.mul(x, s)) != compose(image(x), image(s))
+    return witness
+
+
+def test_hom_law_witness_matches_all_pairs_on_random_maps():
+    rng = random.Random(1609)
+    names = ("1", "Z2", "Z3", "Z4", "Z6", "Z8", "Z2xZ2", "S3", "Q8")
+    verdicts = []
+    for gn, hn in itertools.product(names, repeat=2):
+        g, h = fg.standard_group(gn), fg.standard_group(hn)
+        maps = [(0,) * g.order] + [
+            (0,) + tuple(rng.randrange(h.order) for _ in range(g.order - 1))
+            for _ in range(20)]
+        if gn == hn:
+            maps += list(fg.compute_aut(g).perms)
+            maps += [(0,) + tuple(rng.sample(range(1, g.order), g.order - 1))
+                     for _ in range(10)]
+        for m in maps:
+            hom = checked_witness(g, m.__getitem__, h.mul) is None
+            verdicts.append(hom)
+            if gn == hn:
+                assert fg.is_automorphism(g, m) == (
+                    hom and sorted(m) == list(g.elements())), (gn, m)
+    assert True in verdicts and False in verdicts
+
+
+def perturbed(rep, rng):
+    """A copy of rep with one entry of one non-identity matrix changed."""
+    mats = list(rep.matrices)
+    g = rng.randrange(1, rep.group.order)
+    rows = [list(r) for r in mats[g].rows]
+    i, j = rng.randrange(rep.dim), rng.randrange(rep.dim)
+    rows[i][j] = rows[i][j] + 1
+    mats[g] = Mat(rows)
+    return MatrixRep(rep.group, rep.dim, tuple(mats))
+
+
+def test_hom_law_witness_matches_all_pairs_on_shipped_reps():
+    rng = random.Random(1609)
+    reps = [build() for build in models.Q8_REPS.values()]
+    reps += [build().dot for build in models.FIELD_FIXTURES.values()]
+    verdicts = []
+    for rep in reps:
+        assert checked_witness(rep.group, rep, Mat.__mul__) is None
+        if rep.group.order > 1:
+            bad = perturbed(rep, rng)
+            verdicts.append(checked_witness(bad.group, bad, Mat.__mul__) is None)
+    assert False in verdicts
+
+
+def _compose_maps(t, u):
+    """The (object map, morphism map) of T o U."""
+    return ({x: t[0][y] for x, y in u[0].items()},
+            {m: t[1][f] for m, f in u[1].items()})
+
+
+def test_hom_law_witness_matches_all_pairs_on_model_actions():
+    # each named model's action and its lift's action, and the same functors
+    # reshuffled over the non-identity elements
+    rng = random.Random(1609)
+    verdicts = []
+    for name in sorted(models.NAMED_MODELS):
+        impl = models.named_model(name)
+        lifted = lift_to_extension(impl, build_extension(extract_cocycle(impl)))
+        for act in (impl.action, lifted.action):
+            maps = [(F.obj_map, F.mor_map) for F in act.functors]
+            assert checked_witness(act.group, maps.__getitem__, _compose_maps) is None
+            rest = maps[1:]
+            rng.shuffle(rest)
+            shuffled = [maps[0]] + rest
+            verdicts.append(checked_witness(act.group, shuffled.__getitem__,
+                                            _compose_maps) is None)
+    assert False in verdicts

@@ -65,11 +65,32 @@ def test_field_action_sign_violation_detected():
     a = models.vector_multiplet_action()
     bad_star = list(a.star)
     bad_star[1] = bad_star[1].scale(-ONE)
-    bad = FieldSpaceAction(a.dot, tuple(bad_star), a.cocycle)
-    rep = verify_field_action(bad)
-    assert not rep.valid
-    assert rep.violation == "TwistedActionLaw"
-    assert rep.witness is not None
+    with pytest.raises(ValueError) as err:
+        FieldSpaceAction(a.dot, tuple(bad_star), a.cocycle)
+    assert str(err.value) == "field action invalid: TwistedActionLaw (1, 2)"
+
+
+def test_field_action_violations_are_refused_when_built():
+    # each case breaks one law of the equivalent-blocks fixture (G = A = Z2,
+    # dot(1) = swap, star = identity, trivial cocycle)
+    a = models.equivalent_blocks_action()
+    ident = a.dot.matrices[0]
+    z2_on_trivial = trivial_cochain(Z2, fg.trivial_group())
+    cases = [
+        ((a.dot, a.star, z2_on_trivial), "DotGroupMismatch ()"),
+        ((MatrixRep(Z2, 2, (ident, ident.scale(2))), a.star, a.cocycle),
+         "DotRep:NotAHomomorphism (1, 1)"),
+        ((a.dot, (ident,), a.cocycle), "StarPerElementMissing (1,)"),
+        ((a.dot, (-ident, ident), a.cocycle), "StarIdentity (0,)"),
+        ((a.dot, (ident, Mat.zeros(2, 2)), a.cocycle), "StarNotInvertible (1,)"),
+        ((a.dot, (ident, Mat([[1, 0], [0, -1]])), a.cocycle), "CompatibilityLaw (1, 1)"),
+        ((a.dot, (ident, ident.scale(2)), a.cocycle), "TwistedActionLaw (1, 1)"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError) as err:
+            FieldSpaceAction(*args)
+        assert str(err.value) == f"field action invalid: {message}"
+    assert FieldSpaceAction(a.dot, a.star, a.cocycle) == a
 
 
 def test_build_rho_direct_product_block_fixture():

@@ -3,8 +3,9 @@ assert statement, and the README examples report the same under python -O.
 Every exhaustive search runs over `config.capped_product`, bounded by
 COVLAB_ENUM_CAP alone: no other module calls `itertools.product`, and no
 function takes a per-call bound or a flag that narrows or cuts short a
-search (`normalized`, `expect`).  A functor, a group action and an
-implementation are each validated in their own constructor and nowhere else.
+search (`normalized`, `expect`).  A functor, a group action, an
+implementation and a field-space action are each validated in their own
+constructor (`__init__`, or a dataclass's `__post_init__`) and nowhere else.
 
 Run as a script, this module prints the exit code and stdout of each
 command given as a JSON list of argv lists; the -O test runs it that way.
@@ -61,14 +62,16 @@ def _called(node):
 
 def test_structures_are_checked_once_when_built():
     owners = {"validate_functor": "TheoryFunctor", "validate_gaction": "GAction",
-              "validate_implementation": "Implementation"}
+              "validate_implementation": "Implementation",
+              "verify_field_action": "FieldSpaceAction"}
     found, checked = [], set()
     for path in sorted((ROOT / "src" / "covlab").glob("*.py")):
         tree = ast.parse(path.read_text())
         allowed = {id(node): cls.name
                    for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                    for init in cls.body
-                   if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+                   if isinstance(init, ast.FunctionDef)
+                   and init.name in ("__init__", "__post_init__")
                    for node in ast.walk(init) if owners.get(_called(node)) == cls.name}
         checked.update(allowed.values())
         found += [f"{path.name}:{node.lineno}: {_called(node)}"
