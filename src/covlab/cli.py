@@ -100,11 +100,7 @@ def _read_cochain(args, report: RunReport):
         obj = loads(text)
         report.digest("cochain", obj)
         return cochain_from_obj(obj)
-    fixture = args.fixture or "trivial-z2z2"
-    if fixture not in models.COCHAIN_FIXTURES:
-        raise SchemaError("fixture", f"unknown {fixture!r}; "
-                          f"known: {sorted(models.COCHAIN_FIXTURES)}")
-    c = models.COCHAIN_FIXTURES[fixture]()
+    c = models.COCHAIN_FIXTURES[args.fixture or "trivial-z2z2"]()
     report.digest("cochain", cochain_to_obj(c))
     return c
 
@@ -117,7 +113,7 @@ def cmd_validate_cocycle(args, report: RunReport) -> None:
     res = validate_cocycle(c)
     report.verdict("cocycle-laws", res.valid,
                    **({} if res.valid else
-                      {"law": res.law, "witness": list(res.witness)}))
+                      {"law": res.violation, "witness": list(res.witness)}))
     report.data["normalized"] = c.is_normalized()
 
 

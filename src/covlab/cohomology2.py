@@ -24,8 +24,9 @@ from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from .config import SearchSpaceTooLarge, capped_product, enum_cap
-from .fingroup import (AutGroup, GroupTable, Perm, _bfs_recipes, compose_perm,
-                       compute_aut, generating_sequence, inner_perm, invert_perm)
+from .fingroup import (AutGroup, GroupTable, Perm, Report, _bfs_recipes,
+                       compose_perm, compute_aut, generating_sequence, inner_perm,
+                       invert_perm)
 
 
 @dataclass(frozen=True)
@@ -82,17 +83,7 @@ def trivial_cochain(G: GroupTable, A: GroupTable) -> Cochain2:
     return Cochain2(G, A, tuple((0,) * n for _ in range(n)), (0,) * n)
 
 
-@dataclass(frozen=True)
-class CocycleReport:
-    valid: bool
-    law: Optional[str] = None
-    witness: Optional[Tuple[int, ...]] = None
-
-    def __bool__(self) -> bool:
-        return self.valid
-
-
-def validate_cocycle(c: Cochain2) -> CocycleReport:
+def validate_cocycle(c: Cochain2) -> Report:
     """Check both cocycle conditions; report the first failing pair/triple."""
     G, A = c.G, c.A
     perms = [c.phi_perm(g) for g in G.elements()]
@@ -102,16 +93,15 @@ def validate_cocycle(c: Cochain2) -> CocycleReport:
                                compose_perm(perms[g0],
                                             invert_perm(perms[G.mul(g1, g0)])))
             if lhs != inner_perm(A, c.xi[g1][g0]):
-                return CocycleReport(False, "automorphism_condition", (g1, g0))
+                return Report(False, "automorphism_condition", (g1, g0))
     for g2 in G.elements():
         for g1 in G.elements():
             for g0 in G.elements():
                 lhs = A.mul(c.xi[g2][g1], c.xi[G.mul(g2, g1)][g0])
                 rhs = A.mul(perms[g2][c.xi[g1][g0]], c.xi[g2][G.mul(g1, g0)])
                 if lhs != rhs:
-                    return CocycleReport(False, "factor_set_condition",
-                                         (g2, g1, g0))
-    return CocycleReport(True)
+                    return Report(False, "factor_set_condition", (g2, g1, g0))
+    return Report(True)
 
 
 def is_neutral(c: Cochain2) -> bool:

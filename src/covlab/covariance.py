@@ -20,8 +20,8 @@ from typing import Mapping, Optional, Sequence, Tuple
 from .cohomology2 import Cochain2, TwistMap
 from .config import capped_product
 from .extension import ExtensionGroup
-from .fincat import GAction, Report, TheoryFunctor
-from .fingroup import GroupTable, compute_aut, make_group
+from .fincat import GAction, TheoryFunctor
+from .fingroup import GroupTable, Report, compute_aut, make_group
 
 
 class NotInGaugeGroup(Exception):
@@ -114,9 +114,7 @@ class Implementation:
         self.action = action
         self.eta = tuple(dict(e) for e in eta)
         self.name = name
-        rep = validate_implementation(self)
-        if not rep:
-            raise ValueError(f"implementation invalid: {rep.violation} {rep.witness}")
+        validate_implementation(self).require("implementation")
 
     def component(self, g: int, obj: str) -> str:
         return self.eta[g][obj]

@@ -22,7 +22,7 @@ from typing import Optional, Tuple
 from .cohomology2 import Cochain2, cohomologous, trivial_cochain
 from .config import capped_product
 from .exactlin import Mat
-from .fingroup import (GroupHom, GroupTable, centre, check_hom, cyclic,
+from .fingroup import (GroupHom, GroupTable, Report, centre, check_hom, cyclic,
                        direct_product, is_surjective, kernel, quaternion8,
                        subgroup)
 from .multiplet import MatrixRep, validate_rep
@@ -49,9 +49,7 @@ class CentralCover:
     def __post_init__(self) -> None:
         if self.pi.source != self.S or self.pi.target != self.L:
             raise ValueError("pi must map S onto L")
-        rep = check_hom(self.pi)
-        if not rep.valid:
-            raise ValueError(f"pi is not a homomorphism (witness {rep.witness})")
+        check_hom(self.pi).require("pi")
         if not is_surjective(self.pi):
             raise ValueError("pi is not surjective")
         ker = kernel(self.pi)
@@ -155,10 +153,9 @@ def induced_gauge_cocycle(s: Section, zeta_on_k: GroupHom) -> Cochain2:
     if zeta_on_k.source != z.k_group:
         raise ValueError("zeta is not defined on the kernel group")
     rep = check_centre_hom(zeta_on_k)
-    if rep.hom_witness is not None:
-        raise ValueError(f"zeta is not a homomorphism (witness {rep.hom_witness})")
-    if not rep:
-        raise NotCentral(rep.centrality_witness)
+    if rep.violation == "NotCentral":
+        raise NotCentral(rep.witness)
+    rep.require("zeta")
     A = zeta_on_k.target
     L = z.cochain.G
     xi = tuple(tuple(zeta_on_k.map[z.cochain.xi[l1][l0]] for l0 in L.elements())
@@ -166,31 +163,23 @@ def induced_gauge_cocycle(s: Section, zeta_on_k: GroupHom) -> Cochain2:
     return Cochain2(L, A, xi, (0,) * L.order)
 
 
-@dataclass(frozen=True)
-class CentreHomReport:
-    valid: bool
-    hom_witness: Optional[Tuple[int, int]] = None
-    centrality_witness: Optional[Tuple[int, int]] = None
-
-    def __bool__(self) -> bool:
-        return self.valid
-
-
-def check_centre_hom(mapping: GroupHom) -> CentreHomReport:
-    """Check that a kernel restriction is a homomorphism into the centre.
+def check_centre_hom(mapping: GroupHom) -> Report:
+    """Check that a kernel restriction is a homomorphism into the centre:
+    `check_hom`'s report for a map that is not a homomorphism, else
+    NotCentral (k, a) for the first a not commuting with mapping(k).
 
     These are exactly the two consequences a trivial-cocycle implementation
     forces on its kernel gauge elements.
     """
     rep = check_hom(mapping)
     if not rep.valid:
-        return CentreHomReport(False, hom_witness=rep.witness)
+        return rep
     A = mapping.target
     for k, z in enumerate(mapping.map):
         bad = next((a for a in A.elements() if A.mul(z, a) != A.mul(a, z)), None)
         if bad is not None:
-            return CentreHomReport(False, centrality_witness=(k, bad))
-    return CentreHomReport(True)
+            return Report(False, "NotCentral", (k, bad))
+    return Report(True)
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +208,7 @@ def spin_obstruction(s: Section, zeta_on_k: GroupHom,
     cov = s.cover
     if rep.group != cov.S:
         raise ValueError("representation is not defined on the covering group")
-    vr = validate_rep(rep)
-    if not vr:
-        raise ValueError(f"invalid representation: {vr.violation} {vr.witness}")
+    validate_rep(rep).require("representation")
     witness = None
     for amb in cov.kernel_elements:
         if rep(amb) != Mat.identity(rep.dim):

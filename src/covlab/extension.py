@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .cohomology2 import (Cochain2, TwistMap, _twist_candidates, coboundary_twist,
-                          is_neutral, trivial_cochain, validate_cocycle)
+                          cohomologous, is_neutral, trivial_cochain,
+                          validate_cocycle)
 from .fingroup import GroupHom, GroupTable, centre
 
 
@@ -53,7 +54,7 @@ def build_extension(c: Cochain2) -> ExtensionGroup:
         raise ValueError("extension construction requires a normalized cochain")
     res = validate_cocycle(c)
     if not res.valid:
-        raise InvalidCocycle(res.law, res.witness)
+        raise InvalidCocycle(res.violation, res.witness)
     G, A = c.G, c.A
     ng, na = G.order, A.order
     size = na * ng
@@ -133,18 +134,19 @@ def extensions_equivalent(e1: ExtensionGroup, e2: ExtensionGroup
 
     Commutation forces the shape (a, g) |-> (a * zeta(g), g) with zeta(1) = 1,
     a homomorphism exactly when g |-> zeta(g)^-1 is a witness that the first
-    cocycle is cohomologous to the second.  The lexicographically first such
-    zeta is reported.
+    cocycle is cohomologous to the second.  Twisting twice composes
+    pointwise, so those zeta are exactly the witnesses that the second is
+    cohomologous to the first, and `cohomologous` returns the
+    lexicographically first of them, the one reported.
     """
     c1, c2 = e1.cochain, e2.cochain
     if c1.G != c2.G or c1.A != c2.A:
         raise ValueError("extensions are not over the same (G, A)")
     G, A = c1.G, c1.A
-    zeta = min((tuple(A.inv(w) for w in witness)
-                for witness in _twist_candidates(c1, c2.xi)
-                if coboundary_twist(c1, TwistMap(witness)) == c2), default=None)
-    if zeta is None:
+    witness = cohomologous(c2, c1)
+    if witness is None:
         return None
+    zeta = witness.zeta
     return ExtensionEquivalence(
         tuple(e2.pair_index(A.mul(a, zeta[g]), g)
               for a in A.elements() for g in G.elements()),

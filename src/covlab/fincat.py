@@ -9,21 +9,10 @@ cod(g), i.e. g is applied first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional, Sequence, Tuple
 
-from .fingroup import hom_law_witness
-
-
-@dataclass(frozen=True)
-class Report:
-    valid: bool
-    violation: Optional[str] = None
-    witness: Optional[tuple] = None
-
-    def __bool__(self) -> bool:
-        return self.valid
+from .fingroup import Report, hom_law_witness
 
 
 class FinCat:
@@ -153,9 +142,7 @@ class TheoryFunctor:
         self.obj_map = dict(obj_map)
         self.mor_map = dict(mor_map)
         self.name = name
-        rep = validate_functor(self)
-        if not rep:
-            raise ValueError(f"functor invalid: {rep.violation} {rep.witness}")
+        validate_functor(self).require("functor")
 
     def on_obj(self, x: str) -> str:
         return self.obj_map[x]
@@ -213,9 +200,7 @@ class GAction:
     def __init__(self, group, functors: Sequence[TheoryFunctor]) -> None:
         self.group = group
         self.functors = tuple(functors)
-        rep = validate_gaction(self)
-        if not rep:
-            raise ValueError(f"action invalid: {rep.violation} {rep.witness}")
+        validate_gaction(self).require("action")
 
     @property
     def category(self) -> FinCat:

@@ -48,14 +48,31 @@ class IndexOutOfRange(GroupError):
         super().__init__(f"bad table entry at ({row},{col}): {value!r}")
 
 
+@dataclass(frozen=True)
+class Report:
+    """The verdict of every check: valid, or the first violation by name
+    with its witness."""
+
+    valid: bool
+    violation: Optional[str] = None
+    witness: Optional[tuple] = None
+
+    def __bool__(self) -> bool:
+        return self.valid
+
+    def require(self, subject: str) -> None:
+        """Raise ValueError("<subject> invalid: <violation> <witness>")
+        unless valid."""
+        if not self.valid:
+            raise ValueError(f"{subject} invalid: {self.violation} {self.witness}")
+
+
 @dataclass(frozen=True, eq=False)
 class GroupTable:
     """A finite group: square index table with identity at index 0."""
 
     table: Tuple[Tuple[int, ...], ...]
     name: Optional[str] = None
-
-    IDENTITY = 0
 
     @property
     def order(self) -> int:
@@ -256,12 +273,6 @@ class GroupHom:
         return self.map[x]
 
 
-@dataclass(frozen=True)
-class HomReport:
-    valid: bool
-    witness: Optional[Tuple[int, int]] = None
-
-
 def hom_law_witness(g: GroupTable, image: Callable,
                     compose: Callable) -> Optional[Tuple[int, int]]:
     """The first (x, s), s in `generating_sequence(g)`, with image(x s) !=
@@ -272,16 +283,19 @@ def hom_law_witness(g: GroupTable, image: Callable,
                  if image(g.mul(x, s)) != compose(image(x), image(s))), None)
 
 
-def check_hom(h: GroupHom) -> HomReport:
-    """True iff h is a homomorphism; else (0, 0) or the `hom_law_witness` pair."""
+def check_hom(h: GroupHom) -> Report:
+    """Valid iff h is a homomorphism; else IdentityNotIdentity (0, 0) or
+    NotAHomomorphism with the `hom_law_witness` pair."""
     if len(h.map) != h.source.order or any(
         not (0 <= v < h.target.order) for v in h.map
     ):
         raise ValueError("map is not total on the source group")
     if h.map[0] != 0:
-        return HomReport(False, (0, 0))
+        return Report(False, "IdentityNotIdentity", (0, 0))
     witness = hom_law_witness(h.source, h.map.__getitem__, h.target.mul)
-    return HomReport(witness is None, witness)
+    if witness is not None:
+        return Report(False, "NotAHomomorphism", witness)
+    return Report(True)
 
 
 def kernel(h: GroupHom) -> Tuple[int, ...]:

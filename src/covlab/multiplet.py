@@ -14,8 +14,7 @@ from typing import Optional, Tuple
 from .cohomology2 import Cochain2
 from .exactlin import Mat, null_space, ZERO
 from .extension import ExtensionGroup, classify_type
-from .fingroup import GroupTable, hom_law_witness
-from .fincat import Report
+from .fingroup import GroupTable, Report, generating_sequence, hom_law_witness
 from .wickscale import Monomial, WickPoly
 
 
@@ -41,7 +40,9 @@ class MatrixRep:
 
 def validate_rep(r: MatrixRep) -> Report:
     """The first violated representation law with its witness, or valid;
-    the homomorphism law is checked by `hom_law_witness`."""
+    the homomorphism law is checked by `hom_law_witness`.  With r(1) = I
+    a map obeying the law has r(g) r(g^-1) = I, so the determinants are
+    computed only when it fails, to name the first singular matrix."""
     if len(r.matrices) != r.group.order:
         return Report(False, "MatrixPerElementMissing", (len(r.matrices),))
     for g, m in enumerate(r.matrices):
@@ -49,13 +50,13 @@ def validate_rep(r: MatrixRep) -> Report:
             return Report(False, "BadShape", (g,))
     if r.matrices[0] != Mat.identity(r.dim):
         return Report(False, "IdentityNotIdentityMatrix", (0,))
-    for g in r.group.elements():
-        if r.matrices[g].det().is_zero():
-            return Report(False, "NotInvertible", (g,))
     witness = hom_law_witness(r.group, r, Mat.__mul__)
-    if witness is not None:
-        return Report(False, "NotAHomomorphism", witness)
-    return Report(True)
+    if witness is None:
+        return Report(True)
+    singular = next((g for g, m in enumerate(r.matrices) if m.det().is_zero()), None)
+    if singular is not None:
+        return Report(False, "NotInvertible", (singular,))
+    return Report(False, "NotAHomomorphism", witness)
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +72,7 @@ class FieldSpaceAction:
     cocycle: Cochain2
 
     def __post_init__(self) -> None:
-        rep = verify_field_action(self)
-        if not rep:
-            raise ValueError(f"field action invalid: {rep.violation} {rep.witness}")
+        verify_field_action(self).require("field action")
 
     @property
     def dim(self) -> int:
@@ -86,6 +85,13 @@ def verify_field_action(a: FieldSpaceAction) -> Report:
     (dot functorial)   dot(a1) dot(a0) == dot(a1 a0)     (on generators)
     (compatibility)    star(g) dot(a) == dot(phi(g)(a)) star(g)
     (twisted action)   star(g1) star(g0) == dot(xi(g1,g0)) star(g1 g0)
+
+    For fixed g both sides of the compatibility law are homomorphisms in a
+    (dot a representation, star(g) invertible, phi(g) an automorphism), so
+    it holds on the subgroup generated by the elements before the first
+    failing a.  `generating_sequence` scans A in order and takes each
+    element not yet generated, so it takes that a: checking the generators
+    alone reports the witness a scan of all of A would.
     """
     c = a.cocycle
     G, A = c.G, c.A
@@ -103,7 +109,7 @@ def verify_field_action(a: FieldSpaceAction) -> Report:
             return Report(False, "StarNotInvertible", (g,))
     for g in G.elements():
         perm = c.phi_perm(g)
-        for alpha in A.elements():
+        for alpha in generating_sequence(A):
             if a.star[g] * a.dot(alpha) != a.dot(perm[alpha]) * a.star[g]:
                 return Report(False, "CompatibilityLaw", (g, alpha))
     for g1 in G.elements():

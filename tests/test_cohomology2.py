@@ -58,7 +58,7 @@ def test_invalid_cochain_reports_witness():
     c = Cochain2(Z2, Z2, ((0, 1), (0, 0)), (0, 0))
     report = validate_cocycle(c)
     assert not report.valid
-    assert report.law in ("automorphism_condition", "factor_set_condition")
+    assert report.violation in ("automorphism_condition", "factor_set_condition")
     assert report.witness is not None
 
 

@@ -225,12 +225,14 @@ def test_check_centre_hom():
     assert check_centre_hom(GroupHom(k, fg.cyclic(4), (0, 2))).valid
     assert check_centre_hom(GroupHom(k, fg.cyclic(4), (0, 0))).valid
     bad_hom = check_centre_hom(GroupHom(k, fg.cyclic(4), (0, 1)))
-    assert not bad_hom.valid and bad_hom.hom_witness is not None
+    assert not bad_hom.valid and bad_hom.violation == "NotAHomomorphism"
+    assert bad_hom.witness is not None
     s3 = fg.symmetric3()
     transposition = next(x for x in s3.elements() if s3.element_order(x) == 2)
     noncentral = check_centre_hom(GroupHom(k, s3, (0, transposition)))
     assert not noncentral.valid
-    assert noncentral.centrality_witness is not None
+    assert noncentral.violation == "NotCentral"
+    assert noncentral.witness is not None
 
 
 def test_spin_frame_model_kernel_restriction_is_central_hom():

@@ -125,8 +125,8 @@ def test_invalid_cocycle_names_the_failing_law():
     with pytest.raises(InvalidCocycle) as exc:
         build_extension(bad)
     res = validate_cocycle(bad)
-    assert res.law == "factor_set_condition"
-    assert (exc.value.law, exc.value.witness) == (res.law, res.witness)
+    assert res.violation == "factor_set_condition"
+    assert (exc.value.law, exc.value.witness) == (res.violation, res.witness)
     assert "cocycle conditions" in str(exc.value)
 
 

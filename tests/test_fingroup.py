@@ -160,7 +160,10 @@ def test_check_hom_examples():
     bad = fg.GroupHom(z4, z2, (0, 1, 1, 1))
     report = fg.check_hom(bad)
     assert not report.valid
-    assert report.witness == (1, 1)
+    assert (report.violation, report.witness) == ("NotAHomomorphism", (1, 1))
+
+    moved = fg.check_hom(fg.GroupHom(z2, z2, (1, 0)))
+    assert (moved.violation, moved.witness) == ("IdentityNotIdentity", (0, 0))
 
 
 def test_quotient_q8_by_centre():

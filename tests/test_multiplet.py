@@ -7,7 +7,7 @@ import pytest
 from covlab import fingroup as fg
 from covlab import models
 from covlab.cohomology2 import trivial_cochain
-from covlab.exactlin import I as IU, GaussRat, Mat, ONE
+from covlab.exactlin import I as IU, GaussRat, Mat, ONE, ZERO
 from covlab.extension import build_extension, classify_type
 from covlab.multiplet import (FieldSpaceAction, MatrixRep, PreconditionFailed,
                               SubMultiplet, build_rho, conjugate_rep,
@@ -91,6 +91,87 @@ def test_field_action_violations_are_refused_when_built():
             FieldSpaceAction(*args)
         assert str(err.value) == f"field action invalid: {message}"
     assert FieldSpaceAction(a.dot, a.star, a.cocycle) == a
+
+
+def reference_rep_violation(r: MatrixRep):
+    """The representation laws on all pairs, determinants first, as
+    (violation, witness) or None; a law witness is `hom_law_witness`'s."""
+    G = r.group
+    if r.matrices[0] != Mat.identity(r.dim):
+        return "IdentityNotIdentityMatrix", (0,)
+    for g in G.elements():
+        if r(g).det().is_zero():
+            return "NotInvertible", (g,)
+    if any(r(G.mul(x, y)) != r(x) * r(y) for x in G.elements() for y in G.elements()):
+        return "NotAHomomorphism", fg.hom_law_witness(G, r, Mat.__mul__)
+    return None
+
+
+def reference_field_violation(dot: MatrixRep, star, c):
+    """The field-action laws on all pairs, as (violation, witness) or None."""
+    G, A = c.G, c.A
+    rep = reference_rep_violation(dot)
+    if rep is not None:
+        return f"DotRep:{rep[0]}", rep[1]
+    if star[0] != Mat.identity(dot.dim):
+        return "StarIdentity", (0,)
+    for g in G.elements():
+        if star[g].det().is_zero():
+            return "StarNotInvertible", (g,)
+    for g in G.elements():
+        for alpha in A.elements():
+            if star[g] * dot(alpha) != dot(c.phi_perm(g)[alpha]) * star[g]:
+                return "CompatibilityLaw", (g, alpha)
+    for g1 in G.elements():
+        for g0 in G.elements():
+            if star[g1] * star[g0] != dot(c.xi[g1][g0]) * star[G.mul(g1, g0)]:
+                return "TwistedActionLaw", (g1, g0)
+    return None
+
+
+def perturbed(mats, rng):
+    """mats with one entry of one non-identity matrix replaced."""
+    mats = list(mats)
+    g = rng.randrange(1, len(mats))
+    rows = [list(r) for r in mats[g].rows]
+    i, j = rng.randrange(mats[g].nrows), rng.randrange(mats[g].ncols)
+    rows[i][j] = rng.choice([v for v in (ZERO, ONE, -ONE, ONE + ONE, IU)
+                             if v != rows[i][j]])
+    mats[g] = Mat(rows)
+    return tuple(mats)
+
+
+def test_rep_and_field_checks_match_all_pairs_reference():
+    rng = random.Random(1609)
+    seen = set()
+    for build in models.Q8_REPS.values():
+        r = build()
+        for mats in [r.matrices] + [perturbed(r.matrices, rng) for _ in range(12)]:
+            bad = MatrixRep(r.group, r.dim, mats)
+            expected = reference_rep_violation(bad)
+            report = validate_rep(bad)
+            assert (report.valid, report.violation, report.witness) == (
+                (True, None, None) if expected is None else (False, *expected))
+            seen.add(report.violation)
+    for build in models.FIELD_FIXTURES.values():
+        a = build()
+        cases = [(a.dot, a.star)]
+        if a.dot.group.order > 1:
+            cases += [(MatrixRep(a.dot.group, a.dim, perturbed(a.dot.matrices, rng)),
+                       a.star) for _ in range(6)]
+        cases += [(a.dot, perturbed(a.star, rng)) for _ in range(12)]
+        for dot, star in cases:
+            expected = reference_field_violation(dot, star, a.cocycle)
+            if expected is None:
+                FieldSpaceAction(dot, star, a.cocycle)
+            else:
+                with pytest.raises(ValueError) as err:
+                    FieldSpaceAction(dot, star, a.cocycle)
+                violation, witness = expected
+                assert str(err.value) == f"field action invalid: {violation} {witness}"
+            seen.add(expected[0] if expected else None)
+    assert {None, "NotInvertible", "NotAHomomorphism", "DotRep:NotAHomomorphism",
+            "CompatibilityLaw", "TwistedActionLaw"} <= seen, seen
 
 
 def test_build_rho_direct_product_block_fixture():

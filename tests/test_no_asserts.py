@@ -6,6 +6,8 @@ function takes a per-call bound or a flag that narrows or cuts short a
 search (`normalized`, `expect`).  A functor, a group action, an
 implementation and a field-space action are each validated in their own
 constructor (`__init__`, or a dataclass's `__post_init__`) and nowhere else.
+Every check returns the one verdict type, `fingroup.Report`: the only other
+class named `...Report` is the CLI's `RunReport`.
 
 Run as a script, this module prints the exit code and stdout of each
 command given as a JSON list of argv lists; the -O test runs it that way.
@@ -79,6 +81,14 @@ def test_structures_are_checked_once_when_built():
                   if _called(node) in owners and id(node) not in allowed]
     assert found == []
     assert checked == set(owners.values())
+
+
+def test_checks_share_one_report_type():
+    found = sorted(f"{path.stem}.{node.name}"
+                   for path in (ROOT / "src" / "covlab").glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.ClassDef) and node.name.endswith("Report"))
+    assert found == ["cli.RunReport", "fingroup.Report"]
 
 
 def readme_commands():
