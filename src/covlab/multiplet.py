@@ -313,22 +313,15 @@ def scaling_multiplet(k: int, coupling: str = "generic",
     lam = Fraction(lam)
     if lam <= 0 or lam == 1:
         raise ValueError("sample scale factor must be positive and != 1")
-    m = k // 2
-    dim = m + 1
-    lam_k = WickPoly.scalar(lam ** k)
+    dim = k // 2 + 1
     entries = [[WickPoly.zero()] * dim for _ in range(dim)]
     for j in range(dim):
-        kk = k - 2 * j
-        for i in range(j, dim):
+        # at conformal coupling (c = 0) only the diagonal survives
+        for i in range(j, j + 1 if coupling == "conformal" else dim):
             step = i - j
-            if k - 2 * i < 0:
-                continue
-            coeff = Fraction(math.factorial(kk),
-                             math.factorial(step) * math.factorial(k - 2 * i))
-            cell = WickPoly({Monomial(ricci=0, log=step, c=step): coeff}) * lam_k
-            if coupling == "conformal" and step > 0:
-                cell = WickPoly.zero()
-            entries[i][j] = cell
+            entries[i][j] = WickPoly({Monomial(log=step, c=step): Fraction(
+                math.factorial(k - 2 * j),
+                math.factorial(step) * math.factorial(k - 2 * i)) * lam ** k})
     matrix = tuple(tuple(row) for row in entries)
     verdict = ("diagonal" if coupling == "conformal" or k == 1
                else "reducible-indecomposable")

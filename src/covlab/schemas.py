@@ -42,16 +42,24 @@ def group_from_obj(obj: Any, field: str = "group") -> GroupTable:
             raise SchemaError(field, str(err)) from None
     if not isinstance(obj, dict):
         raise SchemaError(field, "expected a name or a group record")
+    name = obj.get("name")
+    if name is not None and not isinstance(name, str):
+        raise SchemaError(f"{field}.name", f"expected a string, got {json.dumps(name)}")
     if "table" not in obj:
-        name = obj.get("name")
         if name is None:
             raise SchemaError(field, "record has neither table nor name")
         return group_from_obj(name, field)
     table = obj["table"]
-    if "order" in obj and obj["order"] != len(table):
+    if not isinstance(table, list):
+        raise SchemaError(f"{field}.table",
+                          f"expected a list of rows, got {json.dumps(table)}")
+    order = obj.get("order", len(table))
+    if type(order) is not int:
+        raise SchemaError(f"{field}.order", f"expected an integer, got {json.dumps(order)}")
+    if order != len(table):
         raise SchemaError(f"{field}.order", "does not match the table size")
     try:
-        return make_group(table, obj.get("name"))
+        return make_group(table, name)
     except Exception as err:
         raise SchemaError(f"{field}.table", str(err)) from None
 

@@ -64,10 +64,16 @@ class Monomial(NamedTuple):
 
 _FACTORS = (("lam", "lam"), ("c", "c"), ("L", "log"), ("R", "ricci"),
             ("W", "w"), ("D", "delta"), ("Phi", "phi"))
+_NAME_TO_FIELD = dict(_FACTORS)
 
 
 class WickPoly:
-    """Immutable polynomial in the commuting symbol monoid above."""
+    """Immutable polynomial in the commuting symbol monoid above.
+
+    The constructor is where like terms are summed: it takes (monomial,
+    coefficient) pairs, adds the coefficients of repeated monomials, drops
+    zero sums and sorts.  Every operation hands it its pairs unsummed.
+    """
 
     __slots__ = ("terms",)
 
@@ -108,10 +114,7 @@ class WickPoly:
 
     # -- ring operations ----------------------------------------------------
     def __add__(self, other: "WickPoly") -> "WickPoly":
-        acc = dict(self.terms)
-        for m, q in other.terms:
-            acc[m] = acc.get(m, Fraction(0)) + q
-        return WickPoly(acc)
+        return WickPoly(self.terms + other.terms)
 
     def __sub__(self, other: "WickPoly") -> "WickPoly":
         return self + other.scale(-1)
@@ -124,20 +127,8 @@ class WickPoly:
         return WickPoly({m: c * q for m, c in self.terms})
 
     def __mul__(self, other: "WickPoly") -> "WickPoly":
-        acc: Dict[Monomial, Fraction] = {}
-        for m1, q1 in self.terms:
-            for m2, q2 in other.terms:
-                m = m1.times(m2)
-                acc[m] = acc.get(m, Fraction(0)) + q1 * q2
-        return WickPoly(acc)
-
-    def __pow__(self, n: int) -> "WickPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined for WickPoly")
-        out = WickPoly.scalar(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return WickPoly((m1.times(m2), q1 * q2)
+                        for m1, q1 in self.terms for m2, q2 in other.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -150,13 +141,9 @@ class WickPoly:
 
     def set_symbol(self, name: str, value: Fraction) -> "WickPoly":
         """Substitute a numeric value for one of the commuting symbols."""
-        field = dict(_FACTORS)[name]
-        acc: Dict[Monomial, Fraction] = {}
-        for m, q in self.terms:
-            e = getattr(m, field)
-            m2 = m._replace(**{field: 0})
-            acc[m2] = acc.get(m2, Fraction(0)) + q * Fraction(value) ** e
-        return WickPoly(acc)
+        field, value = _NAME_TO_FIELD[name], Fraction(value)
+        return WickPoly((m._replace(**{field: 0}), q * value ** getattr(m, field))
+                        for m, q in self.terms)
 
     # -- text form -----------------------------------------------------------
     def __str__(self) -> str:
@@ -177,30 +164,28 @@ class WickPoly:
 
 _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)((?:\*[A-Za-z]+\^-?\d+)*)$")
 _FACTOR_RE = re.compile(r"\*([A-Za-z]+)\^(-?\d+)")
-_NAME_TO_FIELD = dict(_FACTORS)
 
 
 def parse_wickpoly(text: str) -> WickPoly:
     """Parse the canonical text form; str(parse(s)) round-trips canonically."""
-    text = text.strip()
-    if text == "0":
-        return WickPoly.zero()
-    acc: Dict[Monomial, Fraction] = {}
+    terms = []
     for chunk in text.split("+"):
         chunk = chunk.strip().replace(" ", "")
         m = _TERM_RE.match(chunk)
         if not m:
             raise ValueError(f"cannot parse term {chunk!r}")
-        q = Fraction(m.group(1))
+        try:
+            q = Fraction(m.group(1))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in term {chunk!r}") from None
         exps = {}
         for name, e in _FACTOR_RE.findall(m.group(2)):
             if name not in _NAME_TO_FIELD:
                 raise ValueError(f"unknown symbol {name!r}")
             field = _NAME_TO_FIELD[name]
             exps[field] = exps.get(field, 0) + int(e)
-        mono = Monomial(**exps)
-        acc[mono] = acc.get(mono, Fraction(0)) + q
-    return WickPoly(acc)
+        terms.append((Monomial(**exps), q))
+    return WickPoly(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -215,16 +200,11 @@ def contraction_coeff(k: int, l: int, j: int) -> int:
 
 def wick_product(p: WickPoly, q: WickPoly) -> WickPoly:
     """Star product: bilinear extension of the contraction expansion."""
-    acc: Dict[Monomial, Fraction] = {}
-    for m1, q1 in p.terms:
-        for m2, q2 in q.terms:
-            k, l = m1.phi, m2.phi
-            base = m1._replace(phi=0).times(m2._replace(phi=0))
-            for j in range(min(k, l) + 1):
-                mono = base._replace(phi=k + l - 2 * j, w=base.w + j)
-                coeff = q1 * q2 * contraction_coeff(k, l, j)
-                acc[mono] = acc.get(mono, Fraction(0)) + coeff
-    return WickPoly(acc)
+    return WickPoly(
+        (m1.times(m2)._replace(phi=m1.phi + m2.phi - 2 * j, w=m1.w + m2.w + j),
+         q1 * q2 * contraction_coeff(m1.phi, m2.phi, j))
+        for m1, q1 in p.terms for m2, q2 in q.terms
+        for j in range(min(m1.phi, m2.phi) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +219,17 @@ def change_of_ordering(p: WickPoly, delta: WickPoly) -> WickPoly:
     for m, _ in delta.terms:
         if m.phi or m.w:
             raise ValueError("kernel shift must not carry Phi or W gradings")
+    powers = [WickPoly.scalar(1)]  # delta^j, each built once per call
     out = WickPoly.zero()
     for m, q in p.terms:
         k = m.phi
-        rest = WickPoly({m._replace(phi=0): q})
-        for j in range(k // 2 + 1):
-            coeff = Fraction(math.factorial(k),
-                             math.factorial(j) * math.factorial(k - 2 * j) * 2 ** j)
-            out = out + (rest * delta ** j * WickPoly.phi_power(k - 2 * j)).scale(coeff)
+        while len(powers) <= k // 2:
+            powers.append(powers[-1] * delta)
+        out = out + WickPoly(
+            (m.times(dm)._replace(phi=k - 2 * j),
+             q * dq * Fraction(math.factorial(k),
+                               math.factorial(j) * math.factorial(k - 2 * j) * 2 ** j))
+            for j in range(k // 2 + 1) for dm, dq in powers[j].terms)
     return out
 
 

@@ -164,6 +164,29 @@ def test_non_integer_cochain_cells_are_refused(capsys, tmp_path, xi, phi, bad):
     assert "input error" in err and bad in err
 
 
+@pytest.mark.parametrize("group, bad", [
+    ({"order": 2, "table": 5}, "G.table"),
+    ({"order": True, "table": [[0]]}, "G.order"),
+    ({"order": 2.0, "table": [[0, 1], [1, 0]]}, "G.order"),
+    ({"name": 5, "table": [[0, 1], [1, 0]]}, "G.name"),
+], ids=["table-int", "order-bool", "order-float", "name-int"])
+def test_group_record_fields_are_type_checked(capsys, tmp_path, group, bad):
+    f = tmp_path / "cochain.json"
+    f.write_text(json.dumps({"G": group, "A": "Z2", "xi": [[0, 0], [0, 0]],
+                             "phi": [0, 0]}))
+    code, out, err = run(capsys, "validate-cocycle", "--input", str(f))
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and repr(bad) in err
+
+
+def test_zero_denominator_in_a_wick_term_is_an_input_error(capsys):
+    code, out, err = run(capsys, "wick-product", "--p", "1/0*Phi^1", "--q", "1")
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "1/0*Phi^1" in err
+
+
 @pytest.mark.parametrize("model, other", [("Z4Rot", "SwapIso"),
                                           ("FrameRot", "SpinFrame")])
 def test_compare_impls_across_theories_is_an_input_error(capsys, model, other):

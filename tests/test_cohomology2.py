@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from covlab import fingroup as fg
+from covlab import models
 from covlab.config import capped_product
 from covlab.cohomology2 import (Cochain2, TwistMap, classify_h2,
                                 coboundary_twist, cohomologous,
@@ -25,16 +26,10 @@ workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
 
 
-def z4_producing_cochain() -> Cochain2:
-    # G = A = Z2, phi trivial, xi(g,g) = a: the extension will be Z4
-    return Cochain2(Z2, Z2, ((0, 0), (0, 1)), (0, 0))
-
-
-def inversion_cochain() -> Cochain2:
-    # G = Z2, A = Z3, xi trivial, phi(g) = inversion
-    aut = fg.compute_aut(Z3)
-    inv_idx = aut.index_of((0, 2, 1))
-    return Cochain2(Z2, Z3, ((0, 0), (0, 0)), (0, inv_idx))
+# G = A = Z2, phi trivial, xi(g,g) = a: the extension will be Z4
+z4_producing_cochain = models.COCHAIN_FIXTURES["z4-producing"]
+# G = Z2, A = Z3, xi trivial, phi(g) = inversion
+inversion_cochain = models.COCHAIN_FIXTURES["s3-producing"]
 
 
 def test_trivial_cochain_is_valid_over_assorted_pairs():

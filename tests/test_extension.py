@@ -18,13 +18,8 @@ Z4 = fg.cyclic(4)
 S3 = fg.symmetric3()
 
 
-def z4_producing():
-    return Cochain2(Z2, Z2, ((0, 0), (0, 1)), (0, 0))
-
-
-def s3_producing():
-    aut3 = fg.compute_aut(Z3)
-    return Cochain2(Z2, Z3, ((0, 0), (0, 0)), (0, aut3.index_of((0, 2, 1))))
+z4_producing = models.COCHAIN_FIXTURES["z4-producing"]
+s3_producing = models.COCHAIN_FIXTURES["s3-producing"]
 
 
 def test_trivial_cocycle_gives_direct_product():

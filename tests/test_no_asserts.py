@@ -7,7 +7,9 @@ search (`normalized`, `expect`).  A functor, a group action, an
 implementation and a field-space action are each validated in their own
 constructor (`__init__`, or a dataclass's `__post_init__`) and nowhere else.
 Every check returns the one verdict type, `fingroup.Report`: the only other
-class named `...Report` is the CLI's `RunReport`.
+class named `...Report` is the CLI's `RunReport`.  `WickPoly.__init__` is the
+one place that sums coefficients: no other code in `src/covlab` calls
+`<dict>.get(<key>, Fraction(0))`.
 
 Run as a script, this module prints the exit code and stdout of each
 command given as a JSON list of argv lists; the -O test runs it that way.
@@ -89,6 +91,25 @@ def test_checks_share_one_report_type():
                    for node in ast.walk(ast.parse(path.read_text()))
                    if isinstance(node, ast.ClassDef) and node.name.endswith("Report"))
     assert found == ["cli.RunReport", "fingroup.Report"]
+
+
+def test_wickpoly_constructor_is_the_one_coefficient_accumulator():
+    found = []
+    for path in sorted((ROOT / "src" / "covlab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(node)
+                  for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "WickPoly"
+                  for init in cls.body
+                  if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+                  for node in ast.walk(init)}
+        found += [(f"{path.stem}.WickPoly.__init__" if id(node) in inside
+                   else f"{path.name}:{node.lineno}")
+                  for node in ast.walk(tree)
+                  if _called(node) == "get" and len(node.args) == 2
+                  and _called(node.args[1]) == "Fraction"
+                  and [ast.unparse(a) for a in node.args[1].args] == ["0"]]
+    assert found == ["wickscale.WickPoly.__init__"]
 
 
 def readme_commands():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -215,6 +216,146 @@ def test_text_form_round_trip():
 def test_text_form_example_shape():
     txt = str(WickPoly({Monomial(phi=2, ricci=1, log=1, c=1): Fraction(12)}))
     assert txt == "12*c^1*L^1*R^1*Phi^2"
+
+
+# ---------------------------------------------------------------------------
+# WickPoly arithmetic against dict-accumulator references
+#
+# Each reference sums its coefficients in a dict of its own and hands the
+# constructor distinct monomials only; the library hands the constructor its
+# pairs unsummed.  The two must agree term for term.
+
+def ref_add(a: WickPoly, b: WickPoly) -> WickPoly:
+    acc = dict(a.terms)
+    for m, q in b.terms:
+        acc[m] = acc.get(m, Fraction(0)) + q
+    return WickPoly(acc)
+
+
+def ref_mul(a: WickPoly, b: WickPoly) -> WickPoly:
+    acc = {}
+    for m1, q1 in a.terms:
+        for m2, q2 in b.terms:
+            m = m1.times(m2)
+            acc[m] = acc.get(m, Fraction(0)) + q1 * q2
+    return WickPoly(acc)
+
+
+def ref_set_symbol(a: WickPoly, field: str, value: Fraction) -> WickPoly:
+    acc = {}
+    for m, q in a.terms:
+        m2 = m._replace(**{field: 0})
+        acc[m2] = acc.get(m2, Fraction(0)) + q * value ** getattr(m, field)
+    return WickPoly(acc)
+
+
+def ref_wick_product(p: WickPoly, q: WickPoly) -> WickPoly:
+    acc = {}
+    for m1, q1 in p.terms:
+        for m2, q2 in q.terms:
+            k, l = m1.phi, m2.phi
+            base = m1._replace(phi=0).times(m2._replace(phi=0))
+            for j in range(min(k, l) + 1):
+                mono = base._replace(phi=k + l - 2 * j, w=base.w + j)
+                acc[mono] = acc.get(mono, Fraction(0)) \
+                    + q1 * q2 * contraction_coeff(k, l, j)
+    return WickPoly(acc)
+
+
+def ref_change_of_ordering(p: WickPoly, delta: WickPoly) -> WickPoly:
+    out = WickPoly.zero()
+    for m, q in p.terms:
+        k = m.phi
+        rest = WickPoly({m._replace(phi=0): q})
+        for j in range(k // 2 + 1):
+            coeff = Fraction(math.factorial(k),
+                             math.factorial(j) * math.factorial(k - 2 * j) * 2 ** j)
+            delta_j = WickPoly.scalar(1)
+            for _ in range(j):
+                delta_j = ref_mul(delta_j, delta)
+            term = ref_mul(ref_mul(rest, delta_j), PHI(k - 2 * j)).scale(coeff)
+            out = ref_add(out, term)
+    return out
+
+
+_FACTOR_NAMES = (("lam", "lam"), ("c", "c"), ("L", "log"), ("R", "ricci"),
+                 ("W", "w"), ("D", "delta"), ("Phi", "phi"))
+
+
+def ref_parse_wickpoly(text: str) -> WickPoly:
+    acc = {}
+    for chunk in text.split("+"):
+        coeff, *factors = chunk.strip().split("*")
+        exps = {}
+        for factor in factors:
+            name, e = factor.split("^")
+            field = dict(_FACTOR_NAMES)[name]
+            exps[field] = exps.get(field, 0) + int(e)
+        mono = Monomial(**exps)
+        acc[mono] = acc.get(mono, Fraction(0)) + Fraction(coeff)
+    return WickPoly(acc)
+
+
+def random_pairs(rng, n, field_free=False):
+    """n (monomial, coefficient) pairs over few exponents, so that monomials
+    repeat; each third pair is followed by its negative, which cancels."""
+    pairs = []
+    for _ in range(n):
+        mono = Monomial(phi=0 if field_free else rng.randrange(7),
+                        ricci=rng.randrange(2), log=rng.randrange(2),
+                        w=0 if field_free else rng.randrange(2),
+                        delta=rng.randrange(2), lam=rng.randrange(-1, 2),
+                        c=rng.randrange(2))
+        q = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+        pairs.append((mono, q))
+        if len(pairs) % 3 == 0:
+            pairs.append((mono, -q))
+    return pairs
+
+
+def random_poly(rng, n, field_free=False):
+    return WickPoly(random_pairs(rng, n, field_free))
+
+
+def test_arithmetic_matches_dict_accumulator_reference():
+    rng = random.Random(0)
+    for _ in range(40):
+        p, q = random_poly(rng, rng.randrange(8)), random_poly(rng, rng.randrange(8))
+        for a, b in ((p, q), (p, p.scale(-1)), (p + q, p - q)):
+            assert (a + b).terms == ref_add(a, b).terms
+            assert (a * b).terms == ref_mul(a, b).terms
+            assert wick_product(a, b).terms == ref_wick_product(a, b).terms
+        for name, field in _FACTOR_NAMES:
+            value = Fraction(rng.randrange(-3, 4) or 1, rng.randrange(1, 4))
+            assert p.set_symbol(name, value).terms \
+                == ref_set_symbol(p, field, value).terms
+            if field != "lam":
+                assert p.set_symbol(name, Fraction(0)).terms \
+                    == ref_set_symbol(p, field, Fraction(0)).terms
+
+
+def test_change_of_ordering_matches_dict_accumulator_reference():
+    rng = random.Random(1)
+    reused = 0
+    for _ in range(25):
+        p = random_poly(rng, rng.randrange(1, 9))
+        delta = random_poly(rng, rng.randrange(4), field_free=True)
+        assert change_of_ordering(p, delta).terms \
+            == ref_change_of_ordering(p, delta).terms
+        # several Phi powers >= 2 in one p: one call reuses delta^j
+        reused += len({m.phi for m, _ in p.terms if m.phi >= 2}) > 1
+    assert reused >= 10
+
+
+def test_parse_sums_repeated_and_cancelling_terms():
+    assert str(parse_wickpoly("1*Phi^2 + 2*Phi^2")) == "3*Phi^2"
+    assert parse_wickpoly("1*Phi^2 + -1*Phi^2") == WickPoly.zero()
+    assert str(parse_wickpoly("1/2*c^1*Phi^1*c^1 + 1/2*c^2*Phi^1")) == "1*c^2*Phi^1"
+    rng = random.Random(2)
+    for _ in range(40):
+        text = " + ".join(str(WickPoly([pair]))
+                          for pair in random_pairs(rng, rng.randrange(1, 9)))
+        assert parse_wickpoly(text).terms == ref_parse_wickpoly(text).terms
 
 
 # ---------------------------------------------------------------------------
