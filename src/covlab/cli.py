@@ -29,11 +29,10 @@ from .covering import (all_sections, check_centre_hom, induced_gauge_cocycle,
                        spin_obstruction, z_class_trivial, z_cocycle)
 from .extension import InvalidCocycle, build_extension, classify_type
 from .fingroup import (GroupHom, check_hom, direct_product, image,
-                       is_injective, is_surjective, kernel, quotient,
-                       standard_group)
+                       is_injective, is_surjective, kernel, quotient)
 from .multiplet import PreconditionFailed, build_rho, detect_mixing
 from .schemas import (ParseError, SchemaError, cochain_from_obj, cochain_to_obj,
-                      group_to_obj, loads)
+                      group_from_obj, group_to_obj, loads)
 from .wickscale import (gauge_scaling_action, GaugeElement, ordering_route,
                         parse_wickpoly, scale_wick_power,
                         scaling_cocycle_nontrivial, wick_product)
@@ -118,8 +117,8 @@ def cmd_validate_cocycle(args, report: RunReport) -> None:
 
 
 def cmd_classify_h2(args, report: RunReport) -> None:
-    G = standard_group(args.G)
-    A = standard_group(args.A)
+    G = group_from_obj(args.G, "G")
+    A = group_from_obj(args.A, "A")
     report.digest("G", group_to_obj(G))
     report.digest("A", group_to_obj(A))
     res = classify_h2(G, A)
@@ -220,10 +219,7 @@ def cmd_cover_z(args, report: RunReport) -> None:
     cover = models.COVERS[args.cover]()
     report.digest("cover", args.cover)
     sections = all_sections(cover)
-    idx = args.section
-    if not (0 <= idx < len(sections)):
-        raise SchemaError("section", f"index out of range 0..{len(sections)-1}")
-    z = z_cocycle(sections[idx])
+    z = z_cocycle(sections[0])
     report.verdict("factor-set-valid", validate_cocycle(z.cochain).valid)
     trivializer = z_class_trivial(z)
     report.data["z_values"] = [list(r) for r in z.values]
@@ -241,7 +237,7 @@ def cmd_cover_z(args, report: RunReport) -> None:
     zeta = GroupHom(k_group, a2, zeta_map)
     report.verdict("kernel-restriction-central-hom",
                    check_centre_hom(zeta).valid)
-    induced = induced_gauge_cocycle(sections[idx], zeta)
+    induced = induced_gauge_cocycle(sections[0], zeta)
     induced_trivial = cohomologous(
         induced, trivial_cochain(induced.G, induced.A)) is not None
     report.data["induced_cocycle_trivial"] = induced_trivial
@@ -357,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixture", default="blocks", choices=sorted(models.FIELD_FIXTURES))
     p = sub.add_parser("cover-z", help="factor set of a central cover section")
     p.add_argument("--cover", default="q8", choices=sorted(models.COVERS))
-    p.add_argument("--section", type=int, default=0)
     p.add_argument("--zeta", default="flip", choices=["flip", "trivial"])
     p = sub.add_parser("spin-obstruction", help="descent of a cover representation")
     p.add_argument("--cover", default="q8", choices=sorted(models.COVERS))
@@ -400,9 +395,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     start = time.monotonic()
     try:
         HANDLERS[args.verb](args, report)
-    except (ParseError, SchemaError, KeyError,
-            SearchSpaceTooLarge, PreconditionFailed, ValueError,
-            InvalidCocycle) as err:
+    except (ParseError, SchemaError, SearchSpaceTooLarge, PreconditionFailed,
+            ValueError, InvalidCocycle) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
     if args.timing:

@@ -21,7 +21,7 @@ from .cohomology2 import Cochain2, TwistMap
 from .config import capped_product
 from .extension import ExtensionGroup
 from .fincat import GAction, TheoryFunctor
-from .fingroup import GroupTable, Report, compute_aut, make_group
+from .fingroup import GroupTable, Report, compute_aut, make_group, table_on
 
 
 class NotInGaugeGroup(Exception):
@@ -91,16 +91,8 @@ def compute_gauge_group(F: TheoryFunctor) -> GaugeGroup:
             families.append(tuple(combo))
     ident = tuple(tgt.identity(F.on_obj(x)) for x in objects)
     families.sort(key=lambda fam: (fam != ident, fam))
-    index = {fam: i for i, fam in enumerate(families)}
-
-    def mul(i: int, j: int) -> int:
-        a, b = families[i], families[j]
-        prod = tuple(tgt.compose(a[k], b[k]) for k in range(len(objects)))
-        return index[prod]
-
-    table = tuple(tuple(mul(i, j) for j in range(len(families)))
-                  for i in range(len(families)))
-    gt = make_group(table, name=f"Aut({F.name or 'A'})")
+    gt = make_group(table_on(families, lambda a, b: tuple(map(tgt.compose, a, b))),
+                    name=f"Aut({F.name or 'A'})")
     return GaugeGroup(gt, tuple(families), objects)
 
 

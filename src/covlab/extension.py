@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 from .cohomology2 import (Cochain2, TwistMap, _twist_candidates, coboundary_twist,
                           cohomologous, is_neutral, trivial_cochain,
                           validate_cocycle)
-from .fingroup import GroupHom, GroupTable, centre
+from .fingroup import GroupHom, GroupTable, centre, table_on
 
 
 class InvalidCocycle(Exception):
@@ -56,24 +56,16 @@ def build_extension(c: Cochain2) -> ExtensionGroup:
     if not res.valid:
         raise InvalidCocycle(res.violation, res.witness)
     G, A = c.G, c.A
-    ng, na = G.order, A.order
-    size = na * ng
 
-    def pair(a: int, g: int) -> int:
-        return a * ng + g
+    def mul(p, q):
+        (a1, g1), (a0, g0) = p, q
+        return A.mul(A.mul(a1, c.phi_perm(g1)[a0]), c.xi[g1][g0]), G.mul(g1, g0)
 
-    table = [[0] * size for _ in range(size)]
-    for a1 in A.elements():
-        for g1 in G.elements():
-            perm1 = c.phi_perm(g1)
-            for a0 in A.elements():
-                for g0 in G.elements():
-                    a = A.mul(A.mul(a1, perm1[a0]), c.xi[g1][g0])
-                    table[pair(a1, g1)][pair(a0, g0)] = pair(a, G.mul(g1, g0))
-    E = GroupTable(tuple(tuple(r) for r in table),
-                   name=f"Ext({A.name or na},{G.name or ng})")
-    inc = GroupHom(A, E, tuple(pair(a, 0) for a in A.elements()))
-    proj = GroupHom(E, G, tuple(e % ng for e in range(size)))
+    pairs = [(a, g) for a in A.elements() for g in G.elements()]
+    E = GroupTable(table_on(pairs, mul),
+                   name=f"Ext({A.name or A.order},{G.name or G.order})")
+    inc = GroupHom(A, E, tuple(a * G.order for a in A.elements()))
+    proj = GroupHom(E, G, tuple(g for _, g in pairs))
     return ExtensionGroup(E, c, inc, proj)
 
 

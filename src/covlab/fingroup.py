@@ -180,64 +180,46 @@ def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> Gr
 # ---------------------------------------------------------------------------
 # standard groups
 
+def table_on(elements: Sequence, mul: Callable) -> Tuple[Tuple[int, ...], ...]:
+    """Entry [i][j] is the position of mul(elements[i], elements[j]); the list
+    starts with the identity and is closed under mul (KeyError otherwise)."""
+    index = {x: i for i, x in enumerate(elements)}
+    return tuple(tuple(index[mul(x, y)] for y in elements) for x in elements)
+
+
 def cyclic(n: int, name: Optional[str] = None) -> GroupTable:
-    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return GroupTable(table, name or f"Z{n}")
+    return GroupTable(table_on(range(n), lambda i, j: (i + j) % n), name or f"Z{n}")
 
 
 def direct_product(a: GroupTable, b: GroupTable, name: Optional[str] = None) -> GroupTable:
     """Product group on pairs, encoded as index i*|b| + j."""
-    nb = b.order
-    size = a.order * nb
-    table = tuple(
-        tuple(a.mul(x // nb, y // nb) * nb + b.mul(x % nb, y % nb) for y in range(size))
-        for x in range(size)
-    )
-    return GroupTable(table, name or f"{a.name}x{b.name}")
+    pairs = [(x, y) for x in a.elements() for y in b.elements()]
+    return GroupTable(
+        table_on(pairs, lambda p, q: (a.mul(p[0], q[0]), b.mul(p[1], q[1]))),
+        name or f"{a.name}x{b.name}")
 
 
 def symmetric3() -> GroupTable:
     perms = sorted(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = tuple(
-        tuple(index[tuple(p[q[k]] for k in range(3))] for q in perms) for p in perms
-    )
-    return GroupTable(table, "S3")
+    return GroupTable(table_on(perms, compose_perm), "S3")
 
 
-_Q8_AXES = "1ijk"
-_Q8_MUL = {  # (axis, axis) -> (sign, axis) for the unit quaternions
-    ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-    ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
-    ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-    ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-    ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-    ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
-}
+def hamilton(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The quaternion product of (w, x, y, z) = w + xi + yj + zk."""
+    (a, b, c, d), (e, f, g, h) = p, q
+    return (a * e - b * f - c * g - d * h, a * f + b * e + c * h - d * g,
+            a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
 
 
 def quaternion8() -> GroupTable:
     """Q8 with element order 1, -1, i, -i, j, -j, k, -k."""
-    def idx(sign: int, axis: str) -> int:
-        return 2 * _Q8_AXES.index(axis) + (0 if sign == 1 else 1)
-
-    def unpack(e: int) -> Tuple[int, str]:
-        return (1 if e % 2 == 0 else -1), _Q8_AXES[e // 2]
-
-    table = []
-    for x in range(8):
-        sx, ax = unpack(x)
-        row = []
-        for y in range(8):
-            sy, ay = unpack(y)
-            s, az = _Q8_MUL[(ax, ay)]
-            row.append(idx(sx * sy * s, az))
-        table.append(tuple(row))
-    return GroupTable(tuple(table), "Q8")
+    units = [tuple(s if k == axis else 0 for k in range(4))
+             for axis in range(4) for s in (1, -1)]
+    return GroupTable(table_on(units, hamilton), "Q8")
 
 
 def trivial_group() -> GroupTable:
-    return GroupTable(((0,),), "1")
+    return cyclic(1, "1")
 
 
 _STANDARD = {
@@ -342,15 +324,14 @@ def subgroup(g: GroupTable, elems: Sequence[int],
     elems = tuple(sorted(set(elems)))
     if 0 not in elems:
         raise ValueError("subgroup must contain the identity")
-    pos = {e: i for i, e in enumerate(elems)}
+    members = set(elems)
     for x in elems:
-        if g.inv(x) not in pos:
+        if g.inv(x) not in members:
             raise ValueError(f"subset not inverse-closed at {x}")
         for y in elems:
-            if g.mul(x, y) not in pos:
+            if g.mul(x, y) not in members:
                 raise ValueError(f"subset not closed at ({x},{y})")
-    table = tuple(tuple(pos[g.mul(x, y)] for y in elems) for x in elems)
-    return GroupTable(table, name), elems
+    return GroupTable(table_on(elems, g.mul), name), elems
 
 
 def is_normal(g: GroupTable, elems: Sequence[int]) -> bool:
@@ -368,25 +349,10 @@ def quotient(g: GroupTable, normal: Sequence[int],
     subgroup(g, normal)  # validates the subset
     if not is_normal(g, normal):
         raise ValueError("subgroup is not normal")
-    nset = tuple(sorted(set(normal)))
-    coset_of = {}
-    cosets = []
-    for x in g.elements():
-        if x in coset_of:
-            continue
-        cos = tuple(sorted(g.mul(x, n) for n in nset))
-        for m in cos:
-            coset_of[m] = len(cosets)
-        cosets.append(cos)
-    order = sorted(range(len(cosets)), key=lambda i: cosets[i][0])
-    relabel = {old: new for new, old in enumerate(order)}
-    proj = tuple(relabel[coset_of[x]] for x in g.elements())
-    table = tuple(
-        tuple(proj[g.mul(cosets[order[i]][0], cosets[order[j]][0])]
-              for j in range(len(cosets)))
-        for i in range(len(cosets))
-    )
-    q = make_group(table, name)
+    rep = [min(g.mul(x, n) for n in normal) for x in g.elements()]
+    reps = sorted(set(rep))
+    q = make_group(table_on(reps, lambda x, y: rep[g.mul(x, y)]), name)
+    proj = tuple(reps.index(r) for r in rep)
     return q, GroupHom(g, q, proj)
 
 

@@ -1,5 +1,7 @@
+import collections
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 from covlab import cli, covariance, models
 from covlab.cli import main
 from covlab.schemas import (ParseError, SchemaError, cochain_from_obj,
-                            group_from_obj, loads)
+                            cochain_to_obj, group_from_obj, loads)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -195,6 +197,77 @@ def test_compare_impls_across_theories_is_an_input_error(capsys, model, other):
     assert code == 2
     assert out == ""
     assert "input error: implementations live on different categories" in err
+
+
+def test_unknown_group_name_is_a_schema_error(capsys):
+    code, out, err = run(capsys, "classify-h2", "--G", "Z5", "--A", "Z2")
+    assert code == 2
+    assert out == ""
+    assert "input error: schema error in field 'G'" in err and "'Z5'" in err
+
+
+def test_a_bare_key_error_is_not_an_input_error(monkeypatch):
+    def broken(args, report):
+        raise KeyError("library bug")
+
+    monkeypatch.setitem(cli.HANDLERS, "scale-power", broken)
+    with pytest.raises(KeyError, match="library bug"):
+        main(["scale-power", "--k", "2"])
+
+
+_FUZZ_VALUES = [-1, 0, 1, 2, 3, 7, 0.5, True, None, "Z3", "Q8", "nope", [], {},
+                [[0]], [0, 1], {"name": "S3"}, {"table": [[0, 1], [1, 1]]}]
+
+
+def _mutated(obj, rng):
+    """A copy of obj with one random node replaced, dropped or duplicated."""
+    obj = json.loads(json.dumps(obj))
+    slots, stack = [], [obj]
+    while stack:
+        node = stack.pop()
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            slots.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    node, key = rng.choice(slots)
+    op = rng.randrange(3)
+    if op == 0:
+        node[key] = rng.choice(_FUZZ_VALUES)
+    elif op == 1:
+        del node[key]
+    elif isinstance(node, list):
+        node.insert(key, node[key])
+    else:
+        node[key] = [node[key]]
+    return obj
+
+
+def test_mutated_cochain_inputs_exit_with_a_documented_code(capsys, tmp_path):
+    # seeded: every mutation of a shipped cochain, with its groups as inline
+    # records or as names, is a verdict (0/1) or an input error (2); nothing
+    # escapes main
+    rng = random.Random(2016)
+    cochains = [build() for build in models.COCHAIN_FIXTURES.values()]
+    bases = [dict(cochain_to_obj(c), G=c.G.name, A=c.A.name) for c in cochains]
+    bases += [cochain_to_obj(c) for c in cochains]
+    bases += [cochain_to_obj(build().cocycle) for build in models.FIELD_FIXTURES.values()]
+    f = tmp_path / "cochain.json"
+    codes = []
+    for _ in range(300):
+        obj = rng.choice(bases)
+        for _ in range(rng.randint(1, 3)):
+            obj = _mutated(obj, rng)
+        text = json.dumps(obj)
+        f.write_text(text)
+        verb = rng.choice(["validate-cocycle", "build-extension"])
+        try:
+            code = main([verb, "--input", str(f)])
+        except Exception as err:  # anything escaping main is a defect
+            pytest.fail(f"{verb} on {text}: {err!r}")
+        capsys.readouterr()
+        codes.append(code)
+    assert sorted(set(codes)) == [0, 1, 2], collections.Counter(codes)
 
 
 def test_schema_helpers():

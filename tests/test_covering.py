@@ -102,8 +102,9 @@ def test_z_class_trivial_matches_reference_twist_loop():
 
 def test_factor_sets_and_induced_cochains_are_cocycles():
     # z_cocycle and induced_gauge_cocycle do not re-validate their output;
-    # this is the check, on every shipped cover and both kernel homs cover-z
-    # builds (trivial, and the flip k -> k mod 2)
+    # this is the check (z is a kernel-valued cocycle), on every shipped
+    # cover and both kernel homs cover-z builds (trivial, and the flip
+    # k -> k mod 2)
     a2 = fg.cyclic(2)
     for name, build in models.COVERS.items():
         cov = build()
@@ -111,7 +112,10 @@ def test_factor_sets_and_induced_cochains_are_cocycles():
         homs = [GroupHom(k, a2, (0,) * k.order),
                 GroupHom(k, a2, tuple(e % 2 for e in range(k.order)))]
         for sec in all_sections(cov):
-            assert validate_cocycle(z_cocycle(sec).cochain).valid, (name, sec.lift)
+            z = z_cocycle(sec)
+            assert validate_cocycle(z.cochain).valid, (name, sec.lift)
+            assert {v for row in z.values for v in row} <= set(cov.kernel_elements), \
+                (name, sec.lift)
             for zeta in homs:
                 out = induced_gauge_cocycle(sec, zeta)
                 assert validate_cocycle(out).valid, (name, sec.lift, zeta.map)

@@ -6,7 +6,8 @@ import pytest
 from covlab import fingroup as fg
 from covlab import models
 from covlab.config import SearchSpaceTooLarge
-from covlab.covariance import extract_cocycle, lift_to_extension
+from covlab.cohomology2 import enumerate_normalized_cocycles
+from covlab.covariance import compute_gauge_group, extract_cocycle, lift_to_extension
 from covlab.exactlin import Mat
 from covlab.extension import build_extension
 from covlab.multiplet import MatrixRep
@@ -314,3 +315,186 @@ def test_hom_law_witness_matches_all_pairs_on_model_actions():
             verdicts.append(checked_witness(act.group, shuffled.__getitem__,
                                             _compose_maps) is None)
     assert False in verdicts
+
+
+# ---------------------------------------------------------------------------
+# every group table, against the hand-indexed builders `table_on` replaced
+
+_REF_Q8_AXES = "1ijk"
+_REF_Q8_MUL = {  # (axis, axis) -> (sign, axis) for the unit quaternions
+    ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"),
+    ("1", "k"): (1, "k"), ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
+    ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
+    ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
+    ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
+    ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
+}
+
+
+def reference_quaternion8():
+    def idx(sign, axis):
+        return 2 * _REF_Q8_AXES.index(axis) + (0 if sign == 1 else 1)
+
+    def unpack(e):
+        return (1 if e % 2 == 0 else -1), _REF_Q8_AXES[e // 2]
+
+    table = []
+    for x in range(8):
+        sx, ax = unpack(x)
+        row = []
+        for y in range(8):
+            sy, ay = unpack(y)
+            s, az = _REF_Q8_MUL[(ax, ay)]
+            row.append(idx(sx * sy * s, az))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+def reference_cyclic(n):
+    return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+
+
+def reference_direct_product(a, b):
+    """Tables in, table out: pair (x, y) is index x*|b| + y."""
+    nb = len(b)
+    size = len(a) * nb
+    return tuple(tuple(a[x // nb][y // nb] * nb + b[x % nb][y % nb] for y in range(size))
+                 for x in range(size))
+
+
+def reference_symmetric3():
+    perms = sorted(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    return tuple(tuple(index[tuple(p[q[k]] for k in range(3))] for q in perms)
+                 for p in perms)
+
+
+REFERENCE_STANDARD = {
+    "1": lambda: ((0,),),
+    "Z2": lambda: reference_cyclic(2),
+    "Z3": lambda: reference_cyclic(3),
+    "Z4": lambda: reference_cyclic(4),
+    "Z6": lambda: reference_cyclic(6),
+    "Z8": lambda: reference_cyclic(8),
+    "Z2xZ2": lambda: reference_direct_product(reference_cyclic(2), reference_cyclic(2)),
+    "S3": reference_symmetric3,
+    "Q8": reference_quaternion8,
+}
+
+
+def reference_subgroup(g, elems):
+    elems = tuple(sorted(set(elems)))
+    pos = {e: i for i, e in enumerate(elems)}
+    return tuple(tuple(pos[g.mul(x, y)] for y in elems) for x in elems)
+
+
+def reference_quotient(g, normal):
+    """(table, projection) with cosets found in element order, then sorted
+    by least member and relabelled."""
+    nset = tuple(sorted(set(normal)))
+    coset_of, cosets = {}, []
+    for x in g.elements():
+        if x in coset_of:
+            continue
+        cos = tuple(sorted(g.mul(x, n) for n in nset))
+        for m in cos:
+            coset_of[m] = len(cosets)
+        cosets.append(cos)
+    order = sorted(range(len(cosets)), key=lambda i: cosets[i][0])
+    relabel = {old: new for new, old in enumerate(order)}
+    proj = tuple(relabel[coset_of[x]] for x in g.elements())
+    table = tuple(tuple(proj[g.mul(cosets[order[i]][0], cosets[order[j]][0])]
+                        for j in range(len(cosets)))
+                  for i in range(len(cosets)))
+    return table, proj
+
+
+def reference_extension(c):
+    """(table, inclusion, projection) of E on pairs a*|G| + g."""
+    G, A = c.G, c.A
+    ng, size = G.order, A.order * G.order
+    table = [[0] * size for _ in range(size)]
+    for a1 in A.elements():
+        for g1 in G.elements():
+            perm1 = c.phi_perm(g1)
+            for a0 in A.elements():
+                for g0 in G.elements():
+                    a = A.mul(A.mul(a1, perm1[a0]), c.xi[g1][g0])
+                    table[a1 * ng + g1][a0 * ng + g0] = a * ng + G.mul(g1, g0)
+    return (tuple(tuple(r) for r in table),
+            tuple(a * ng for a in A.elements()), tuple(e % ng for e in range(size)))
+
+
+def reference_gauge_table(functor, gauge):
+    tgt = functor.target
+    families = gauge.families
+    index = {fam: i for i, fam in enumerate(families)}
+
+    def mul(i, j):
+        a, b = families[i], families[j]
+        return index[tuple(tgt.compose(a[k], b[k]) for k in range(len(gauge.objects)))]
+
+    return tuple(tuple(mul(i, j) for j in range(len(families)))
+                 for i in range(len(families)))
+
+
+def normal_closures(g):
+    """The distinct normal closures of single elements, in element order."""
+    found = []
+    for x in g.elements():
+        sub = fg.closure(g, {g.mul(g.mul(y, x), g.inv(y)) for y in g.elements()})
+        if sub not in found:
+            found.append(sub)
+    return found
+
+
+def test_table_on_builds_standard_groups_as_the_hand_indexed_builders():
+    assert sorted(REFERENCE_STANDARD) == sorted(fg._STANDARD)
+    for name, build in REFERENCE_STANDARD.items():
+        assert fg.standard_group(name).table == build(), name
+    assert fg.trivial_group().name == "1"
+
+
+def test_table_on_builds_products_subgroups_and_quotients_as_before():
+    groups = [fg.standard_group(name) for name in sorted(fg._STANDARD)]
+    products = [fg.direct_product(a, b) for a in groups for b in groups]
+    for p, (a, b) in zip(products, itertools.product(groups, groups)):
+        assert p.table == reference_direct_product(a.table, b.table), p
+    z2q8 = fg.direct_product(fg.cyclic(2), fg.quaternion8())
+    assert z2q8.name == "Z2xQ8" and z2q8 in products
+    quotients = 0
+    for g in groups + products:
+        for normal in normal_closures(g):
+            sub, elems = fg.subgroup(g, normal)
+            assert (sub.table, elems) == (reference_subgroup(g, normal), normal)
+            q, proj = fg.quotient(g, normal)
+            assert (q.table, proj.map) == reference_quotient(g, normal), (g, normal)
+            quotients += 1
+    assert quotients == 832
+
+
+def test_table_on_builds_extensions_as_the_pair_loop():
+    cochains = [c for G, A in (("Z2", "Z4"), ("Z2", "S3"), ("Z3", "Z3"))
+                for c in enumerate_normalized_cocycles(fg.standard_group(G),
+                                                       fg.standard_group(A))]
+    cochains += [build().cocycle for build in models.FIELD_FIXTURES.values()]
+    cochains += [extract_cocycle(models.named_model(name))
+                 for name in sorted(models.NAMED_MODELS)]
+    assert len(cochains) == 6 + 6 + 9 + 6 + 5
+    for c in cochains:
+        ext = build_extension(c)
+        assert (ext.E.table, ext.inclusion.map, ext.projection.map) \
+            == reference_extension(c), c
+
+
+def test_table_on_builds_gauge_groups_as_the_family_product():
+    for name in sorted(models.NAMED_MODELS):
+        functor = models.named_model(name).functor
+        gauge = compute_gauge_group(functor)
+        assert gauge.table.table == reference_gauge_table(functor, gauge), name
+
+
+def test_table_on_raises_key_error_off_the_list():
+    assert fg.table_on((0, 1), lambda x, y: x ^ y) == ((0, 1), (1, 0))
+    with pytest.raises(KeyError):
+        fg.table_on((0, 1), lambda x, y: x + y)

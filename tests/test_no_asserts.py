@@ -9,7 +9,11 @@ constructor (`__init__`, or a dataclass's `__post_init__`) and nowhere else.
 Every check returns the one verdict type, `fingroup.Report`: the only other
 class named `...Report` is the CLI's `RunReport`.  `WickPoly.__init__` is the
 one place that sums coefficients: no other code in `src/covlab` calls
-`<dict>.get(<key>, Fraction(0))`.
+`<dict>.get(<key>, Fraction(0))`.  Every group table is built from an element
+list and a law by `fingroup.table_on`: each `GroupTable(...)` and
+`make_group(...)` call takes a `table_on(...)` call as its first argument,
+except the one inside `make_group` and the one on ingested JSON in
+`schemas.group_from_obj`.
 
 Run as a script, this module prints the exit code and stdout of each
 command given as a JSON list of argv lists; the -O test runs it that way.
@@ -110,6 +114,22 @@ def test_wickpoly_constructor_is_the_one_coefficient_accumulator():
                   and _called(node.args[1]) == "Fraction"
                   and [ast.unparse(a) for a in node.args[1].args] == ["0"]]
     assert found == ["wickscale.WickPoly.__init__"]
+
+
+def test_group_tables_are_built_from_element_lists():
+    exempt = {("fingroup", "make_group"), ("schemas", "group_from_obj")}
+    found = []
+    for path in sorted((ROOT / "src" / "covlab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(node): f"{path.stem}.{fn.name}"
+                  for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and (path.stem, fn.name) in exempt
+                  for node in ast.walk(fn)}
+        found += [inside.get(id(node), f"{path.name}:{node.lineno}")
+                  for node in ast.walk(tree)
+                  if _called(node) in ("GroupTable", "make_group")
+                  and not (node.args and _called(node.args[0]) == "table_on")]
+    assert sorted(found) == ["fingroup.make_group", "schemas.group_from_obj"]
 
 
 def readme_commands():
