@@ -212,7 +212,16 @@ def cmd_detect_mixing(args, report: RunReport) -> None:
     report.verdict("no-mixing", res.witness is None,
                    **({} if res.witness is None else
                       {"witness": list(res.witness_pair)}))
+    if res.corollary_violated:
+        report.verdict("no-mixing-corollary", False, witness=list(res.witness_pair))
     report.data["no_mixing_asserted"] = res.no_mixing_asserted
+
+
+def _kernel_map(zeta: str, k_group: fg.GroupTable) -> GroupHom:
+    """--zeta as a map from a cover's kernel to Z2: `trivial`, or `flip`,
+    which sends the kernel element e to e mod 2."""
+    return GroupHom(k_group, fg.cyclic(2), tuple(
+        0 if zeta == "trivial" else e % 2 for e in k_group.elements()))
 
 
 def cmd_cover_z(args, report: RunReport) -> None:
@@ -231,10 +240,7 @@ def cmd_cover_z(args, report: RunReport) -> None:
                    sections=len(sections))
 
     k_group, k_elems = cover.kernel_group()
-    a2 = fg.cyclic(2)
-    zeta_map = (0,) * k_group.order if args.zeta == "trivial" else tuple(
-        e % 2 for e in range(k_group.order))
-    zeta = GroupHom(k_group, a2, zeta_map)
+    zeta = _kernel_map(args.zeta, k_group)
     report.verdict("kernel-restriction-central-hom",
                    check_centre_hom(zeta).valid)
     induced = induced_gauge_cocycle(sections[0], zeta)
@@ -246,8 +252,8 @@ def cmd_cover_z(args, report: RunReport) -> None:
     # has a distinguished involution
     if k_group.order == 2:
         amb = k_elems[1]
-        prod = direct_product(a2, cover.S)
-        gen = zeta_map[1] * cover.S.order + amb
+        prod = direct_product(zeta.target, cover.S)
+        gen = zeta(1) * cover.S.order + amb
         sub = (0, gen) if gen != 0 else (0,)
         q, _ = quotient(prod, fg.closure(prod, sub))
         report.data["quotient_extended_group"] = {
@@ -255,15 +261,13 @@ def cmd_cover_z(args, report: RunReport) -> None:
 
 
 def cmd_spin_obstruction(args, report: RunReport) -> None:
-    cover = models.COVERS[args.cover]()
-    report.digest("cover", args.cover)
     if args.cover != "q8":
         raise SchemaError("rep", "built-in representations exist for the q8 cover")
+    cover = models.COVERS[args.cover]()
+    report.digest("cover", args.cover)
     rep = models.Q8_REPS[args.rep]()
     report.digest("rep", args.rep)
-    k_group, _ = cover.kernel_group()
-    zeta_map = (0, 0) if args.zeta == "trivial" else (0, 1)
-    zeta = GroupHom(k_group, fg.cyclic(2), zeta_map)
+    zeta = _kernel_map(args.zeta, cover.kernel_group()[0])
     verdict = spin_obstruction(all_sections(cover)[0], zeta, rep)
     report.verdict("descends", verdict.descends,
                    **({} if verdict.descends else

@@ -13,9 +13,9 @@ where Aut(Af) is the gauge group of natural automorphisms of Af.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from .cohomology2 import Cochain2, TwistMap
 from .config import capped_product
@@ -25,10 +25,6 @@ from .fingroup import GroupTable, Report, compute_aut, make_group, table_on
 
 
 class NotInGaugeGroup(Exception):
-    pass
-
-
-class NotNatural(Exception):
     pass
 
 
@@ -43,11 +39,19 @@ Family = Tuple[str, ...]  # one target-morphism id per object, in object order
 
 @dataclass(frozen=True)
 class GaugeGroup:
-    """Aut(Af): natural automorphisms of a theory functor, with realizers."""
+    """Aut(Af): natural automorphisms of a theory functor, with realizers;
+    `index` maps each family back to its element, `position` each object to
+    its place in a family."""
 
     table: GroupTable
     families: Tuple[Family, ...]
     objects: Tuple[str, ...]
+    index: Dict[Family, int] = field(init=False, repr=False, compare=False)
+    position: Dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "index", {f: i for i, f in enumerate(self.families)})
+        object.__setattr__(self, "position", {x: i for i, x in enumerate(self.objects)})
 
     @property
     def order(self) -> int:
@@ -55,13 +59,24 @@ class GaugeGroup:
 
     def index_of(self, fam: Family) -> int:
         try:
-            return self.families.index(fam)
-        except ValueError:
+            return self.index[fam]
+        except KeyError:
             raise NotInGaugeGroup(f"family {fam} is not a natural automorphism") \
                 from None
 
     def component(self, idx: int, obj: str) -> str:
-        return self.families[idx][self.objects.index(obj)]
+        return self.families[idx][self.position[obj]]
+
+
+def _unnatural(F: TheoryFunctor, fam: Mapping[str, str],
+               H: Callable[[str], str]) -> Optional[str]:
+    """The first source morphism m: C -> C' whose square
+    fam_{C'} o F(m) == H(m) o fam_C fails, or None when fam is natural F -> H."""
+    tgt = F.target
+    for m, d, c in F.source.morphisms:
+        if tgt.compose(fam[c], F.on_mor(m)) != tgt.compose(H(m), fam[d]):
+            return m
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -69,26 +84,15 @@ def compute_gauge_group(F: TheoryFunctor) -> GaugeGroup:
     """Enumerate all natural automorphisms of F and the group they form.
 
     A family {alpha_C} of invertible morphisms F(C) -> F(C) is natural when
-    alpha_{C'} o F(gamma) == F(gamma) o alpha_C for every gamma: C -> C'.
-    Families are ordered with the identity family first, then lexicographically.
-    F is valid since it was built.  Computed once per process for each
-    functor value and shared by every caller; COVLAB_ENUM_CAP bounds that
-    one computation.
+    every square with H = F closes (`_unnatural`).  Families are ordered
+    with the identity family first, then lexicographically.  F is valid
+    since it was built.  Computed once per process for each functor value
+    and shared by every caller; COVLAB_ENUM_CAP bounds that one computation.
     """
-    src, tgt = F.source, F.target
-    objects = src.objects
+    tgt, objects = F.target, F.source.objects
     per_object = [tgt.invertible_endos(F.on_obj(x)) for x in objects]
-    families = []
-    for combo in capped_product(per_object):
-        comp = dict(zip(objects, combo))
-        natural = True
-        for m, d, c in src.morphisms:
-            fm = F.on_mor(m)
-            if tgt.compose(comp[c], fm) != tgt.compose(fm, comp[d]):
-                natural = False
-                break
-        if natural:
-            families.append(tuple(combo))
+    families = [combo for combo in capped_product(per_object)
+                if _unnatural(F, dict(zip(objects, combo)), F.on_mor) is None]
     ident = tuple(tgt.identity(F.on_obj(x)) for x in objects)
     families.sort(key=lambda fam: (fam != ident, fam))
     gt = make_group(table_on(families, lambda a, b: tuple(map(tgt.compose, a, b))),
@@ -136,80 +140,60 @@ def validate_implementation(impl: Implementation) -> Report:
                 return Report(False, "ComponentShape", (g, x))
             if tgt.inverse(m) is None:
                 return Report(False, "ComponentNotInvertible", (g, x))
-        for mor, d, c in src.morphisms:
-            lhs = tgt.compose(fam[c], F.on_mor(mor))
-            rhs = tgt.compose(F.on_mor(act.act_mor(g, mor)), fam[d])
-            if lhs != rhs:
-                return Report(False, "NotNatural", (g, mor))
+        mor = _unnatural(F, fam, lambda m: F.on_mor(act.act_mor(g, m)))
+        if mor is not None:
+            return Report(False, "NotNatural", (g, mor))
     return Report(True)
+
+
+def _sources(act: GAction, objects: Sequence[str]) -> Tuple[Tuple[str, ...], ...]:
+    """For each g, the object g^-1.d for each object d: a family built from
+    eta(g) at C lands at g.C, so its component at d is built at g^-1.d."""
+    G = act.group
+    return tuple(tuple(act.act_obj(G.inv(g), d) for d in objects) for g in G.elements())
+
+
+def _gauged(impl: Implementation, gauge: GaugeGroup, a: int, g: int) -> Dict[str, str]:
+    """The gauge element a acting on eta(g): C -> a_{g.C} o eta(g)_C."""
+    act, compose = impl.action, impl.functor.target.compose
+    return {x: compose(gauge.component(a, act.act_obj(g, x)), impl.eta[g][x])
+            for x in impl.functor.source.objects}
 
 
 def twist_implementation(impl: Implementation, zeta: Sequence[int],
                          name: Optional[str] = None) -> Implementation:
     """New implementation with eta~(g)_C = zeta(g)_{g.C} o eta(g)_C."""
-    F, act = impl.functor, impl.action
-    gauge = compute_gauge_group(F)
-    new_eta = [{x: F.target.compose(gauge.component(zeta[g], act.act_obj(g, x)), fam[x])
-                for x in F.source.objects}
-               for g, fam in enumerate(impl.eta)]
-    return Implementation(F, act, new_eta, name)
+    gauge = compute_gauge_group(impl.functor)
+    return Implementation(impl.functor, impl.action,
+                          [_gauged(impl, gauge, zeta[g], g)
+                           for g in impl.action.group.elements()], name)
 
 
 def extract_cocycle(impl: Implementation) -> Cochain2:
     """Canonical normalized 2-cocycle of an implementation over (G, Aut(Af)).
 
     The implementation was validated when it was built, and Aut(Af) is the
-    functor's cached gauge group.  That the result satisfies the cocycle
-    laws and is normalized is a theorem; the tests check it on every shipped
-    model rather than re-proving it on each call.
+    functor's cached gauge group.  Every family read off here is natural
+    and every phi(g), conjugation by a natural isomorphism, maps Aut(Af)
+    onto itself, so the lookups cannot miss.  That the result satisfies
+    the cocycle laws and is normalized is a theorem; the tests check it on
+    every shipped model rather than re-proving it on each call.
     """
     F, act = impl.functor, impl.action
     gauge = compute_gauge_group(F)
-    G = act.group
-    tgt = F.target
-    objects = F.source.objects
+    G, compose, inverse = act.group, F.target.compose, F.target.inverse
+    eta, at = impl.eta, _sources(act, F.source.objects)
     aut = compute_aut(gauge.table)
-
-    def xi_family(g1: int, g0: int) -> Family:
-        prod = G.mul(g1, g0)
-        inv_prod = G.inv(prod)
-        comps = []
-        for d in objects:
-            c = act.act_obj(inv_prod, d)
-            m = tgt.compose(
-                impl.component(g1, act.act_obj(g0, c)),
-                tgt.compose(impl.component(g0, c),
-                            tgt.inverse(impl.component(prod, c))),
-            )
-            comps.append(m)
-        return tuple(comps)
-
     xi = tuple(
-        tuple(gauge.index_of(xi_family(g1, g0)) for g0 in G.elements())
-        for g1 in G.elements()
-    )
-
-    def phi_perm(g: int) -> Tuple[int, ...]:
-        ginv = G.inv(g)
-        out = []
-        for alpha in range(gauge.order):
-            comps = []
-            for d in objects:
-                c = act.act_obj(ginv, d)
-                m = tgt.compose(
-                    impl.component(g, c),
-                    tgt.compose(gauge.component(alpha, c),
-                                tgt.inverse(impl.component(g, c))),
-                )
-                comps.append(m)
-            out.append(gauge.index_of(tuple(comps)))
-        return tuple(out)
-
-    try:
-        phi = tuple(aut.index_of(phi_perm(g)) for g in G.elements())
-    except KeyError as err:
-        raise NotInGaugeGroup(str(err)) from None
-
+        tuple(gauge.index_of(tuple(
+            compose(eta[g1][act.act_obj(g0, c)], compose(eta[g0][c], inverse(eta[g][c])))
+            for c in at[g])) for g0, g in enumerate(G.table[g1]))  # g = g1 g0
+        for g1 in G.elements())
+    phi = tuple(
+        aut.index_of(tuple(gauge.index_of(tuple(
+            compose(eta[g][c], compose(gauge.component(alpha, c), inverse(eta[g][c])))
+            for c in at[g])) for alpha in range(gauge.order)))
+        for g in G.elements())
     return Cochain2(G, gauge.table, xi, phi)
 
 
@@ -231,30 +215,20 @@ def compare_implementations(i1: Implementation, i2: Implementation) -> TwistMap:
     """Witness zeta with zeta(g)_{g.C} = eta2(g)_C o eta1(g)_C^-1.
 
     Both implementations, valid since they were built, must share the theory
-    functor and the group action (ValueError otherwise).  Each zeta(g) is
-    checked to be a natural automorphism (NotNatural otherwise).  That zeta
-    twists the cocycle of i1 into that of i2 is a theorem, not re-checked
-    here; the compare-impls verdict and the tests check it with coboundary_twist.
+    functor and the group action (ValueError otherwise).  Two natural
+    isomorphisms Af -> gAf differ by a natural automorphism, so each zeta(g)
+    is in the gauge group.  That zeta twists the cocycle of i1 into that of
+    i2 is a theorem, not re-checked here; the compare-impls verdict and the
+    tests check it with coboundary_twist.
     """
     _require_same_theory(i1, i2)
-    gauge = compute_gauge_group(i1.functor)
     F, act = i1.functor, i1.action
-    G, tgt = act.group, F.target
-    objects = F.source.objects
-    zeta = []
-    for g in G.elements():
-        ginv = G.inv(g)
-        comps = []
-        for d in objects:
-            c = act.act_obj(ginv, d)
-            comps.append(tgt.compose(i2.component(g, c),
-                                     tgt.inverse(i1.component(g, c))))
-        try:
-            zeta.append(gauge.index_of(tuple(comps)))
-        except NotInGaugeGroup as err:
-            raise NotNatural(f"difference family at g={g} is not natural: {err}") \
-                from None
-    return TwistMap(tuple(zeta))
+    gauge = compute_gauge_group(F)
+    compose, inverse = F.target.compose, F.target.inverse
+    at = _sources(act, F.source.objects)
+    return TwistMap(tuple(
+        gauge.index_of(tuple(compose(i2.eta[g][c], inverse(i1.eta[g][c])) for c in at[g]))
+        for g in act.group.elements()))
 
 
 def lift_to_extension(impl: Implementation, ext: ExtensionGroup) -> Implementation:
@@ -269,23 +243,11 @@ def lift_to_extension(impl: Implementation, ext: ExtensionGroup) -> Implementati
     if ext.cochain != extract_cocycle(impl):
         raise ValueError("extension was not built from this implementation's cocycle")
     gauge = compute_gauge_group(impl.functor)
-    F, act = impl.functor, impl.action
-    G, tgt = act.group, F.target
-    E = ext.E
-    objects = F.source.objects
-
-    functors = [act.functors[ext.unpair(e)[1]] for e in E.elements()]
-    e_action = GAction(E, functors)
-
-    eta = []
-    for e in E.elements():
-        a, g = ext.unpair(e)
-        fam = {}
-        for x in objects:
-            gx = act.act_obj(g, x)
-            fam[x] = tgt.compose(gauge.component(a, gx), impl.component(g, x))
-        eta.append(fam)
-    return Implementation(F, e_action, eta, name=f"lift({impl.name or 'eta'})")
+    pairs = [ext.unpair(e) for e in ext.E.elements()]
+    e_action = GAction(ext.E, [impl.action.functors[g] for _, g in pairs])
+    return Implementation(impl.functor, e_action,
+                          [_gauged(impl, gauge, a, g) for a, g in pairs],
+                          name=f"lift({impl.name or 'eta'})")
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,6 @@ class PreconditionFailed(Exception):
         super().__init__(f"precondition {check} failed ({witness})")
 
 
-class CorollaryViolation(AssertionError):
-    """A no-mixing assertion failed where the theory forbids mixing."""
-
-
 @dataclass(frozen=True)
 class MatrixRep:
     group: GroupTable
@@ -212,6 +208,7 @@ class MixingResult:
     witness: Optional[int]          # element of E, or None
     witness_pair: Optional[Tuple[int, int]]
     no_mixing_asserted: bool        # the corollary branch was armed and held
+    corollary_violated: bool        # armed, yet a witness was found
 
 
 def detect_mixing(rho: MatrixRep, ext: ExtensionGroup,
@@ -222,8 +219,8 @@ def detect_mixing(rho: MatrixRep, ext: ExtensionGroup,
     submultiplet, and each subspace is invariant under the restricted
     action rho(1, g).  When the extension is a direct product and the two
     restrictions are verified inequivalent irreducible true representations,
-    absence of a witness is asserted; a witness would be a violation of the
-    no-mixing corollary and raises CorollaryViolation.
+    the no-mixing corollary is armed: a witness then violates it, and the
+    result says so in `corollary_violated`.
     """
     G = ext.cochain.G
     E = ext.E
@@ -263,15 +260,11 @@ def detect_mixing(rho: MatrixRep, ext: ExtensionGroup,
         if not q.is_zero() or not r.is_zero():
             witness = e
             break
-    if witness is not None and armed:
-        raise CorollaryViolation(
-            f"mixing witness {ext.unpair(witness)} found although the extension "
-            "is a direct product and the submultiplets are inequivalent "
-            "irreducibles")
     return MixingResult(
         witness=witness,
         witness_pair=None if witness is None else ext.unpair(witness),
         no_mixing_asserted=armed and witness is None,
+        corollary_violated=armed and witness is not None,
     )
 
 

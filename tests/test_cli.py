@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from covlab import cli, covariance, models
+from covlab import cli, covariance, models, multiplet
 from covlab.cli import main
+from covlab.extension import ExtensionType
 from covlab.schemas import (ParseError, SchemaError, cochain_from_obj,
                             cochain_to_obj, group_from_obj, loads)
 
@@ -93,6 +94,22 @@ def test_detect_mixing_negative_verdict_carries_witness(capsys):
     body = json.loads(out)
     verdict = body["verdicts"][0]
     assert not verdict["ok"] and verdict["witness"] == [1, 0]
+
+
+def test_violated_no_mixing_corollary_is_a_failing_verdict(capsys, monkeypatch):
+    # label the extension a direct product and the blocks inequivalent: the
+    # corollary is armed, so the mixing witness violates it
+    monkeypatch.setattr(multiplet, "classify_type",
+                        lambda ext: ExtensionType(("direct_product",), "direct_product"))
+    monkeypatch.setattr(multiplet, "equivalent", lambda r1, r2: False)
+    code, out, _ = run(capsys, "--json", "detect-mixing",
+                       "--fixture", "equivalent-blocks")
+    assert code == 1
+    body = json.loads(out)
+    assert body["verdicts"] == [
+        {"check": "no-mixing", "ok": False, "witness": [1, 0]},
+        {"check": "no-mixing-corollary", "ok": False, "witness": [1, 0]}]
+    assert body["data"]["no_mixing_asserted"] is False
 
 
 def test_mismatched_submultiplets_are_an_input_error(capsys):
@@ -268,6 +285,42 @@ def test_mutated_cochain_inputs_exit_with_a_documented_code(capsys, tmp_path):
         capsys.readouterr()
         codes.append(code)
     assert sorted(set(codes)) == [0, 1, 2], collections.Counter(codes)
+
+
+def test_mutated_group_records_exit_with_a_documented_code(capsys, tmp_path):
+    # seeded: mutations of the inline G or A record alone (fields dropped,
+    # retyped or nested; rows and entries replaced, dropped or duplicated)
+    # are a verdict (0/1) or an input error (2); nothing escapes main
+    rng = random.Random(1509)
+    bases = [cochain_to_obj(build()) for build in models.COCHAIN_FIXTURES.values()]
+    bases += [cochain_to_obj(build().cocycle) for build in models.FIELD_FIXTURES.values()]
+    f = tmp_path / "cochain.json"
+    codes = []
+    for _ in range(300):
+        obj = json.loads(json.dumps(rng.choice(bases)))
+        key = rng.choice(["G", "A"])
+        for _ in range(rng.randint(1, 3)):
+            if obj[key]:
+                obj[key] = _mutated(obj[key], rng)
+        text = json.dumps(obj)
+        f.write_text(text)
+        verb = rng.choice(["validate-cocycle", "build-extension"])
+        try:
+            code = main([verb, "--input", str(f)])
+        except Exception as err:  # anything escaping main is a defect
+            pytest.fail(f"{verb} on {text}: {err!r}")
+        capsys.readouterr()
+        codes.append(code)
+    # a mutated table is seldom still a group, so exit 1 may not occur
+    assert {0, 2} <= set(codes) <= {0, 1, 2}, collections.Counter(codes)
+
+
+def test_spin_obstruction_refuses_a_cover_before_building_it(capsys, monkeypatch):
+    monkeypatch.setitem(models.COVERS, "z4-z2",
+                        lambda: pytest.fail("the z4-z2 cover was built"))
+    code, out, err = run(capsys, "spin-obstruction", "--cover", "z4-z2")
+    assert (code, out) == (2, "")
+    assert "built-in representations exist for the q8 cover" in err
 
 
 def test_schema_helpers():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from covlab import fincat
 from covlab import models
 from covlab.cohomology2 import (SearchSpaceTooLarge, coboundary_twist, cohomologous,
                                 validate_cocycle)
-from covlab.covariance import (Eq18Violated, Implementation,
+from covlab.covariance import (Eq18Violated, Implementation, NotInGaugeGroup,
                                active_passive_compose, compare_implementations,
                                compute_gauge_group, extract_cocycle,
                                lift_to_extension, twist_implementation,
@@ -194,6 +195,53 @@ def test_implementation_with_eta_not_identity_at_1_rejected():
     with pytest.raises(ValueError, match="IdentityFamilyNotIdentity"):
         models.Implementation(impl.functor, impl.action,
                               [{"*": "r1"}, {"*": "r1"}])
+
+
+def test_naturality_violation_names_the_element_and_morphism():
+    # eta(1) = s1 on B(S3) under a trivial Z2 action: s1 commutes with no
+    # other transposition, so the square at s2 is the first that fails
+    ident = identity_functor(group_as_category(fg.symmetric3(), prefix="s"))
+    with pytest.raises(ValueError) as err:
+        Implementation(ident, GAction(fg.cyclic(2), (ident, ident)),
+                       [{"*": "s0"}, {"*": "s1"}])
+    assert str(err.value) == "implementation invalid: NotNatural (1, 's2')"
+
+
+def test_index_of_refuses_a_family_that_is_not_natural():
+    gauge = compute_gauge_group(
+        identity_functor(group_as_category(fg.symmetric3(), prefix="s")))
+    assert gauge.index_of(("s0",)) == 0
+    with pytest.raises(NotInGaugeGroup, match="not a natural automorphism"):
+        gauge.index_of(("s1",))
+
+
+def _identity_family_impl(functor, group):
+    """eta(g) = id for every g of `group`, acting trivially on the source."""
+    ident = identity_functor(functor.source)
+    fam = {x: functor.target.identity(functor.on_obj(x)) for x in functor.source.objects}
+    return Implementation(functor, GAction(group, (ident,) * group.order),
+                          [fam] * group.order)
+
+
+def test_implementations_of_different_theories_are_refused():
+    swap = models.swap_model()
+    cat = swap.functor.source
+    ident = identity_functor(cat)
+    flip = TheoryFunctor(cat, cat, {"X": "Y", "Y": "X"},
+                         {"idX": "idY", "idY": "idX", "u": "v", "v": "u"})
+    z2 = fg.cyclic(2)
+    cases = [
+        (models.one_object_cyclic_model(), swap, "live on different categories"),
+        (_identity_family_impl(ident, z2), _identity_family_impl(flip, z2),
+         "are of different theory functors"),
+        (_identity_family_impl(ident, fg.trivial_group()),
+         _identity_family_impl(ident, z2), "are for different acting groups"),
+        (_identity_family_impl(ident, z2), swap, "are for different group actions"),
+    ]
+    for i1, i2, message in cases:
+        with pytest.raises(ValueError) as err:
+            compare_implementations(i1, i2)
+        assert str(err.value) == f"implementations {message}"
 
 
 def test_implementation_of_an_action_on_another_category_rejected():
@@ -469,3 +517,145 @@ def test_lift_builds_no_functor(monkeypatch):
         assert lifted.action.group.order == ext.E.order, name
     models.named_model("SwapIso")
     assert calls, "a model build checks its functors"
+
+
+# ---------------------------------------------------------------------------
+# reference loops: each family written out object by object, with linear
+# lookups, to compare the library's shared placement and naturality helpers
+# against
+
+
+def _reference_gauge_group(F):
+    """Families by the product of invertible endos and an inline square,
+    identity first; the table by a linear family lookup per product."""
+    src, tgt = F.source, F.target
+    families = []
+    for combo in itertools.product(*[tgt.invertible_endos(F.on_obj(x))
+                                     for x in src.objects]):
+        comp = dict(zip(src.objects, combo))
+        if all(tgt.compose(comp[c], F.on_mor(m)) == tgt.compose(F.on_mor(m), comp[d])
+               for m, d, c in src.morphisms):
+            families.append(combo)
+    ident = tuple(tgt.identity(F.on_obj(x)) for x in src.objects)
+    families.sort(key=lambda fam: (fam != ident, fam))
+    table = tuple(tuple(families.index(tuple(tgt.compose(p, q) for p, q in zip(a, b)))
+                        for b in families) for a in families)
+    return families, table
+
+
+def _reference_cocycle(impl):
+    """xi(g1, g0) and the phi(g) permutations, object by object."""
+    F, act = impl.functor, impl.action
+    G, tgt, objects = act.group, F.target, F.source.objects
+    families, _ = _reference_gauge_group(F)
+
+    def xi_family(g1, g0):
+        prod = G.mul(g1, g0)
+        comps = []
+        for d in objects:
+            c = act.act_obj(G.inv(prod), d)
+            comps.append(tgt.compose(impl.component(g1, act.act_obj(g0, c)),
+                                     tgt.compose(impl.component(g0, c),
+                                                 tgt.inverse(impl.component(prod, c)))))
+        return tuple(comps)
+
+    def phi_perm(g):
+        out = []
+        for alpha in families:
+            comps = []
+            for d in objects:
+                c = act.act_obj(G.inv(g), d)
+                comps.append(tgt.compose(
+                    impl.component(g, c),
+                    tgt.compose(alpha[objects.index(c)],
+                                tgt.inverse(impl.component(g, c)))))
+            out.append(families.index(tuple(comps)))
+        return tuple(out)
+
+    xi = tuple(tuple(families.index(xi_family(g1, g0)) for g0 in G.elements())
+               for g1 in G.elements())
+    return xi, tuple(phi_perm(g) for g in G.elements())
+
+
+def _reference_zeta(i1, i2):
+    F, act = i1.functor, i1.action
+    G, tgt = act.group, F.target
+    families, _ = _reference_gauge_group(F)
+    zeta = []
+    for g in G.elements():
+        comps = []
+        for d in F.source.objects:
+            c = act.act_obj(G.inv(g), d)
+            comps.append(tgt.compose(i2.component(g, c), tgt.inverse(i1.component(g, c))))
+        zeta.append(families.index(tuple(comps)))
+    return tuple(zeta)
+
+
+def _reference_gauged(impl, a, g):
+    """{x: a_{g.x} o eta(g)_x} for the gauge element of index a."""
+    F, act = impl.functor, impl.action
+    families, _ = _reference_gauge_group(F)
+    objects = F.source.objects
+    fam = {}
+    for x in objects:
+        gx = act.act_obj(g, x)
+        fam[x] = F.target.compose(families[a][objects.index(gx)], impl.component(g, x))
+    return fam
+
+
+def _reference_bases():
+    """Every named model, Z4Rot at each power, and the two B(S3) point models."""
+    base = [models.named_model(name) for name in sorted(models.NAMED_MODELS)]
+    base += [models.one_object_cyclic_model(p) for p in range(4)]
+    return base + [_point_into_s3_model(3), _point_into_s3_model(1)]
+
+
+def _reference_models():
+    """The bases, each followed by its lift to its extension group."""
+    base = _reference_bases()
+    return base + [lift_to_extension(impl, build_extension(extract_cocycle(impl)))
+                   for impl in base]
+
+
+def test_gauge_groups_match_the_reference_loop():
+    for impl in _reference_models():
+        gauge = compute_gauge_group(impl.functor)
+        families, table = _reference_gauge_group(impl.functor)
+        assert gauge.families == tuple(families), impl.name
+        assert gauge.table.table == table, impl.name
+        for i, fam in enumerate(families):
+            assert gauge.index_of(fam) == i
+            for k, x in enumerate(impl.functor.source.objects):
+                assert gauge.component(i, x) == fam[k]
+
+
+def test_extracted_cocycles_match_the_reference_loop():
+    for impl in _reference_models():
+        c = extract_cocycle(impl)
+        xi, perms = _reference_cocycle(impl)
+        assert c.xi == xi, impl.name
+        aut = fg.compute_aut(c.A)
+        assert c.phi == tuple(aut.index_of(p) for p in perms), impl.name
+
+
+def test_twists_lifts_and_comparisons_match_the_reference_loops():
+    rng = random.Random(15)
+    for impl in _reference_models():
+        G = impl.action.group
+        gauge = compute_gauge_group(impl.functor)
+        for _ in range(3):
+            zeta = (0,) + tuple(rng.randrange(gauge.order) for _ in range(G.order - 1))
+            twisted = twist_implementation(impl, zeta)
+            assert list(twisted.eta) == [_reference_gauged(impl, zeta[g], g)
+                                         for g in G.elements()], impl.name
+            for i1, i2 in ((impl, twisted), (twisted, impl), (impl, impl)):
+                assert compare_implementations(i1, i2).zeta == _reference_zeta(i1, i2)
+    for impl in _reference_bases():
+        ext = build_extension(extract_cocycle(impl))
+        lifted = lift_to_extension(impl, ext)
+        assert list(lifted.eta) == [_reference_gauged(impl, *ext.unpair(e))
+                                    for e in ext.E.elements()], impl.name
+    cyclic = [models.one_object_cyclic_model(p) for p in range(4)]
+    for i1 in cyclic:
+        for i2 in cyclic:
+            assert compare_implementations(i1, i2).zeta == _reference_zeta(i1, i2)

@@ -13,7 +13,10 @@ one place that sums coefficients: no other code in `src/covlab` calls
 list and a law by `fingroup.table_on`: each `GroupTable(...)` and
 `make_group(...)` call takes a `table_on(...)` call as its first argument,
 except the one inside `make_group` and the one on ingested JSON in
-`schemas.group_from_obj`.
+`schemas.group_from_obj`.  In `covariance`, only `_unnatural` reads a
+category's `.morphisms`, so the naturality square is written once; and no
+module looks a gauge family or an object up by `families.index` or
+`objects.index`, since `GaugeGroup` keeps both as dicts.
 
 Run as a script, this module prints the exit code and stdout of each
 command given as a JSON list of argv lists; the -O test runs it that way.
@@ -130,6 +133,25 @@ def test_group_tables_are_built_from_element_lists():
                   if _called(node) in ("GroupTable", "make_group")
                   and not (node.args and _called(node.args[0]) == "table_on")]
     assert sorted(found) == ["fingroup.make_group", "schemas.group_from_obj"]
+
+
+def test_naturality_square_is_written_once_and_families_are_indexed():
+    found = []
+    for path in sorted((ROOT / "src" / "covlab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_unnatural"
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (path.name == "covariance.py" and isinstance(node, ast.Attribute)
+                    and node.attr == "morphisms" and id(node) not in inside):
+                found.append(f"{path.name}:{node.lineno}: .morphisms")
+            if (_called(node) == "index" and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Attribute)
+                    and node.func.value.attr in ("families", "objects")):
+                found.append(f"{path.name}:{node.lineno}: "
+                             f"{node.func.value.attr}.index")
+    assert found == []
 
 
 def readme_commands():
