@@ -118,7 +118,8 @@ class Implementation:
 
 def validate_implementation(impl: Implementation) -> Report:
     """The eta family: one natural isomorphism Af -> gAf per element, with
-    eta(1) = id.  The functor and the action were checked when built."""
+    eta(1) = id and no component at an object the source lacks.  The
+    functor and the action were checked when built."""
     F, act = impl.functor, impl.action
     src, tgt = F.source, F.target
     G = act.group
@@ -140,6 +141,9 @@ def validate_implementation(impl: Implementation) -> Report:
                 return Report(False, "ComponentShape", (g, x))
             if tgt.inverse(m) is None:
                 return Report(False, "ComponentNotInvertible", (g, x))
+        if len(fam) != len(src.objects):
+            stray = next(x for x in fam if x not in src.objects)
+            return Report(False, "FamilyAtUnknownObject", (g, stray))
         mor = _unnatural(F, fam, lambda m: F.on_mor(act.act_mor(g, m)))
         if mor is not None:
             return Report(False, "NotNatural", (g, mor))

@@ -1,51 +1,95 @@
-"""Exact linear algebra over Gaussian rationals (a + b*i with a, b rational).
+"""Exact linear algebra over the Gaussian rationals Q(i).
+
+A Gaussian rational is held as three Python integers, (a + b*i)/d, kept
+reduced: d > 0 and gcd(a, b, d) = 1.  Each number then has exactly one
+triple, so equality and hashing compare the triples, and the arithmetic
+runs on integers alone (the gcd is skipped when d = 1, as it is for most
+entries).  `re` and `im` give the two parts as `Fraction`s.
 
 Everything here is exact; there is no floating point and no tolerance.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import List, Sequence, Tuple, Union
 
 Rat = Union[int, Fraction]
 
+_new = object.__new__
 
-@dataclass(frozen=True)
+
+def _gauss(a: int, b: int, d: int) -> "GaussRat":
+    """The reduced GaussRat (a + b*i)/d, for integers a, b and d > 0 (every
+    caller's d is a product of denominators and norms, all positive)."""
+    if d != 1:
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+    z = _new(GaussRat)
+    z.a, z.b, z.d = a, b, d
+    return z
+
+
 class GaussRat:
-    re: Fraction
-    im: Fraction = Fraction(0)
+    """re + im*i, stored reduced as (a + b*i)/d; treated as immutable."""
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, re: Rat = 0, im: Rat = 0) -> None:
+        if type(re) is int and type(im) is int:
+            self.a, self.b, self.d = re, im, 1
+            return
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.denominator, im.denominator
+        # d = lcm(p, q) leaves the triple reduced: a prime r of d divides p
+        # (say) as often as d, so r divides neither d // p nor re's numerator
+        d = p * q // gcd(p, q)
+        self.a, self.b, self.d = re.numerator * (d // p), im.numerator * (d // q), d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     @staticmethod
     def of(x) -> "GaussRat":
-        if isinstance(x, GaussRat):
+        if type(x) is GaussRat:
             return x
-        return GaussRat(Fraction(x))
+        if type(x) is int:
+            return _gauss(x, 0, 1)
+        return GaussRat(x)
 
     def __add__(self, o) -> "GaussRat":
         o = GaussRat.of(o)
-        return GaussRat(self.re + o.re, self.im + o.im)
+        return _gauss(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d,
+                      self.d * o.d)
 
     def __sub__(self, o) -> "GaussRat":
         o = GaussRat.of(o)
-        return GaussRat(self.re - o.re, self.im - o.im)
+        return _gauss(self.a * o.d - o.a * self.d, self.b * o.d - o.b * self.d,
+                      self.d * o.d)
 
     def __neg__(self) -> "GaussRat":
-        return GaussRat(-self.re, -self.im)
+        return _gauss(-self.a, -self.b, self.d)
 
     def __mul__(self, o) -> "GaussRat":
         o = GaussRat.of(o)
-        return GaussRat(self.re * o.re - self.im * o.im,
-                        self.re * o.im + self.im * o.re)
+        a1, b1, a2, b2 = self.a, self.b, o.a, o.b
+        return _gauss(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * o.d)
 
     def __truediv__(self, o) -> "GaussRat":
         o = GaussRat.of(o)
-        n = o.re * o.re + o.im * o.im
+        a1, b1, a2, b2 = self.a, self.b, o.a, o.b
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussRat((self.re * o.re + self.im * o.im) / n,
-                        (self.im * o.re - self.re * o.im) / n)
+        return _gauss(o.d * (a1 * a2 + b1 * b2), o.d * (b1 * a2 - a1 * b2),
+                      self.d * n)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -62,27 +106,58 @@ class GaussRat:
             n >>= 1
         return out
 
-    def conjugate(self) -> "GaussRat":
-        return GaussRat(self.re, -self.im)
+    def __eq__(self, o) -> bool:
+        if type(o) is not GaussRat:
+            return NotImplemented
+        return self.a == o.a and self.b == o.b and self.d == o.d
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.d))
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self.a == 0 and self.b == 0
 
     def __bool__(self) -> bool:
         return not self.is_zero()
 
+    def __repr__(self) -> str:
+        return f"GaussRat(re={self.re!r}, im={self.im!r})"
+
     def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"{re}{sign}{abs(im)}i"
 
 
-ZERO = GaussRat(Fraction(0))
-ONE = GaussRat(Fraction(1))
-I = GaussRat(Fraction(0), Fraction(1))
+ZERO = GaussRat(0)
+ONE = GaussRat(1)
+I = GaussRat(0, 1)
+
+
+def _dot(xs: Sequence[GaussRat], ys: Sequence[GaussRat]) -> GaussRat:
+    """sum(x * y), accumulated as one integer triple and reduced once."""
+    re = im = 0
+    den = 1
+    for x, y in zip(xs, ys):
+        a1, b1, a2, b2 = x.a, x.b, y.a, y.b
+        if (a1 or b1) and (a2 or b2):
+            p, q, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, x.d * y.d
+            if d == den:
+                re, im = re + p, im + q
+            else:
+                re, im, den = re * d + p * den, im * d + q * den, den * d
+    return _gauss(re, im, den)
+
+
+def _mat(rows: Tuple[Tuple[GaussRat, ...], ...]) -> "Mat":
+    """A Mat on rows that are already tuples of GaussRat."""
+    m = _new(Mat)
+    m.rows = rows
+    return m
 
 
 class Mat:
@@ -91,8 +166,7 @@ class Mat:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence]) -> None:
-        object.__setattr__(self, "rows",
-                           tuple(tuple(GaussRat.of(v) for v in r) for r in rows))
+        self.rows = tuple(tuple(GaussRat.of(v) for v in r) for r in rows)
         if len({len(r) for r in self.rows}) > 1:
             raise ValueError("ragged matrix")
 
@@ -119,36 +193,30 @@ class Mat:
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zeros(r: int, c: int) -> "Mat":
-        return Mat([[ZERO] * c for _ in range(r)])
+        return _mat(tuple(tuple(ONE if i == j else ZERO for j in range(n))
+                          for i in range(n)))
 
     def __mul__(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        ot = list(zip(*other.rows))
-        return Mat([[sum((a * b for a, b in zip(row, col)), ZERO)
-                     for col in ot] for row in self.rows])
+        cols = tuple(zip(*other.rows))
+        return _mat(tuple(tuple(_dot(row, col) for col in cols)
+                          for row in self.rows))
 
     def __add__(self, other: "Mat") -> "Mat":
-        return Mat([[a + b for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.rows, other.rows)])
+        return _mat(tuple(tuple(a + b for a, b in zip(r1, r2))
+                          for r1, r2 in zip(self.rows, other.rows)))
 
     def __sub__(self, other: "Mat") -> "Mat":
-        return Mat([[a - b for a, b in zip(r1, r2)]
-                    for r1, r2 in zip(self.rows, other.rows)])
+        return _mat(tuple(tuple(a - b for a, b in zip(r1, r2))
+                          for r1, r2 in zip(self.rows, other.rows)))
 
     def __neg__(self) -> "Mat":
-        return Mat([[-v for v in r] for r in self.rows])
+        return _mat(tuple(tuple(-v for v in r) for r in self.rows))
 
     def scale(self, s) -> "Mat":
         s = GaussRat.of(s)
-        return Mat([[s * v for v in r] for r in self.rows])
-
-    def conjugate(self) -> "Mat":
-        return Mat([[v.conjugate() for v in r] for r in self.rows])
+        return _mat(tuple(tuple(s * v for v in r) for r in self.rows))
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for r in self.rows for v in r)
@@ -182,7 +250,7 @@ class Mat:
                           for i, r in enumerate(self.rows)])
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return Mat([row[n:] for row in a])
+        return _mat(tuple(tuple(row[n:]) for row in a))
 
 
 def rref(rows: List[List[GaussRat]]) -> Tuple[List[List[GaussRat]], List[int]]:

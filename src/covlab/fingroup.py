@@ -108,11 +108,6 @@ class GroupTable:
         """Sorted multiset of element orders (an isomorphism invariant)."""
         return tuple(sorted(self.element_order(a) for a in self.elements()))
 
-    def is_abelian(self) -> bool:
-        n = self.order
-        return all(self.table[a][b] == self.table[b][a]
-                   for a in range(n) for b in range(a + 1, n))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, GroupTable) and self.table == other.table
 
@@ -368,11 +363,6 @@ def invert_perm(p: Perm) -> Perm:
     for i, v in enumerate(p):
         out[v] = i
     return tuple(out)
-
-
-def is_automorphism(g: GroupTable, perm: Perm) -> bool:
-    return (sorted(perm) == list(g.elements())
-            and check_hom(GroupHom(g, g, tuple(perm))).valid)
 
 
 @dataclass(frozen=True)

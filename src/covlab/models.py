@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from . import fingroup as fg
 from .cohomology2 import Cochain2, trivial_cochain
-from .covariance import Implementation, compute_gauge_group
+from .covariance import Implementation
 from .covering import cyclic_cover, q8_cover, split_cover
 from .exactlin import I as IU, Mat, ONE
 from .fincat import (FinCat, GAction, TheoryFunctor, decorated_frames_category,
@@ -127,21 +127,6 @@ def spin_frame_model():
     eta = [{f"F{i}": frame_mid((i + s) % n, i, s) for i in range(n)}
            for s in range(4)]
     return Implementation(functor, action, eta, name="SpinFrame")
-
-
-def spin_frame_kernel_restriction():
-    """The gauge elements implementing the kernel of Z4 -> Z2 in the
-    spin-frame model, as a homomorphism from the kernel subgroup."""
-    impl = spin_frame_model()
-    gauge = compute_gauge_group(impl.functor)
-    s_group = impl.action.group
-    kernel_elems = (0, 2)
-    k_table, _ = fg.subgroup(s_group, kernel_elems, name="ker")
-    mapping = []
-    for k in kernel_elems:
-        fam = tuple(impl.component(k, x) for x in gauge.objects)
-        mapping.append(gauge.index_of(fam))
-    return k_table, gauge, fg.GroupHom(k_table, gauge.table, tuple(mapping))
 
 
 # ---------------------------------------------------------------------------

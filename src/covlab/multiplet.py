@@ -179,15 +179,6 @@ def irreducible(r: MatrixRep) -> bool:
     return len(intertwiners(r, r)) == 1
 
 
-def conjugate_rep(r: MatrixRep) -> MatrixRep:
-    """Entrywise conjugation; the identity map on rational matrices."""
-    return MatrixRep(r.group, r.dim, tuple(m.conjugate() for m in r.matrices))
-
-
-def is_self_conjugate(r: MatrixRep) -> bool:
-    return equivalent(r, conjugate_rep(r))
-
-
 # ---------------------------------------------------------------------------
 # mixing detection
 

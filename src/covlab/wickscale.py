@@ -88,7 +88,8 @@ class WickPoly:
             if any(e < 0 for e in (mono.phi, mono.ricci, mono.log, mono.w,
                                    mono.delta, mono.c)):
                 raise ValueError(f"negative exponent in {mono}")
-            q = Fraction(q)
+            if type(q) is not Fraction:
+                q = Fraction(q)
             if q:
                 acc[mono] = acc.get(mono, Fraction(0)) + q
         object.__setattr__(self, "terms",

@@ -253,6 +253,17 @@ def test_implementation_of_an_action_on_another_category_rejected():
     assert str(err.value) == "implementation invalid: ActionCategoryMismatch ()"
 
 
+def test_component_at_an_object_the_source_lacks_is_refused():
+    swap = models.swap_model()
+    for g in (0, 1):
+        eta = list(swap.eta)
+        eta[g] = dict(eta[g], Z="junk")
+        with pytest.raises(ValueError) as err:
+            Implementation(swap.functor, swap.action, eta)
+        assert str(err.value) == (
+            f"implementation invalid: FamilyAtUnknownObject ({g}, 'Z')")
+
+
 def test_compare_implementations_identity():
     impl = models.one_object_cyclic_model()
     w = compare_implementations(impl, impl)
@@ -319,7 +330,7 @@ def _criterion_4_fixtures():
 def test_point_into_s3_model_has_a_nonabelian_gauge_group():
     for impl in (_point_into_s3_model(3), _point_into_s3_model(1)):
         gauge = compute_gauge_group(impl.functor)
-        assert gauge.order == 6 and not gauge.table.is_abelian()
+        assert gauge.order == 6 and len(fg.centre(gauge.table)) < 6  # nonabelian
         assert build_extension(extract_cocycle(impl)).E.order == 12
 
 

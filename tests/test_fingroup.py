@@ -13,6 +13,11 @@ from covlab.extension import build_extension
 from covlab.multiplet import MatrixRep
 
 
+def is_automorphism(g, perm):
+    return (sorted(perm) == list(g.elements())
+            and fg.check_hom(fg.GroupHom(g, g, tuple(perm))).valid)
+
+
 def test_make_group_z2():
     g = fg.make_group([[0, 1], [1, 0]])
     assert g.order == 2
@@ -79,7 +84,7 @@ def test_group_axioms_by_exhaustive_scan():
 def test_q8_structure():
     q8 = fg.quaternion8()
     assert q8.order_profile() == (1, 2, 4, 4, 4, 4, 4, 4)
-    assert not q8.is_abelian()
+    assert len(fg.centre(q8)) < q8.order  # nonabelian
     # i*j = k with the element order 1,-1,i,-i,j,-j,k,-k
     assert q8.mul(2, 4) == 6
     assert q8.mul(4, 2) == 7
@@ -114,7 +119,7 @@ def test_aut_orders():
                      (fg.direct_product(fg.quaternion8(), z2), 192)]:
         aut = fg.compute_aut(g)
         assert aut.order == order, g.name
-        assert all(fg.is_automorphism(g, p) for p in aut.perms), g.name
+        assert all(is_automorphism(g, p) for p in aut.perms), g.name
 
 
 def test_aut_is_a_group_and_composition_matches_table():
@@ -122,7 +127,7 @@ def test_aut_is_a_group_and_composition_matches_table():
         g = fg.standard_group(name)
         aut = fg.compute_aut(g)
         for p in aut.perms:
-            assert fg.is_automorphism(g, p)
+            assert is_automorphism(g, p)
         assert aut.index == {p: i for i, p in enumerate(aut.perms)}
         for p in aut.perms:
             for q in aut.perms:
@@ -179,7 +184,7 @@ def test_direct_product_encoding():
     z2, z3 = fg.cyclic(2), fg.cyclic(3)
     g = fg.direct_product(z2, z3)
     assert g.order == 6
-    assert g.is_abelian()
+    assert len(fg.centre(g)) == g.order  # abelian
     # pair (a, b) encoded as a*3 + b
     assert g.mul(1 * 3 + 2, 1 * 3 + 2) == ((0) * 3 + 1)
 
@@ -263,7 +268,7 @@ def test_hom_law_witness_matches_all_pairs_on_random_maps():
             hom = checked_witness(g, m.__getitem__, h.mul) is None
             verdicts.append(hom)
             if gn == hn:
-                assert fg.is_automorphism(g, m) == (
+                assert is_automorphism(g, m) == (
                     hom and sorted(m) == list(g.elements())), (gn, m)
     assert True in verdicts and False in verdicts
 

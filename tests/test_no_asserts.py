@@ -16,7 +16,9 @@ except the one inside `make_group` and the one on ingested JSON in
 `schemas.group_from_obj`.  In `covariance`, only `_unnatural` reads a
 category's `.morphisms`, so the naturality square is written once; and no
 module looks a gauge family or an object up by `families.index` or
-`objects.index`, since `GaugeGroup` keeps both as dicts.
+`objects.index`, since `GaugeGroup` keeps both as dicts.  In `exactlin`,
+`Fraction(...)` is called only in `GaussRat.__init__` and the `re`/`im`
+properties, so the matrix kernels run on the integer triples alone.
 
 Run as a script, this module prints the exit code and stdout of each
 command given as a JSON list of argv lists; the -O test runs it that way.
@@ -152,6 +154,19 @@ def test_naturality_square_is_written_once_and_families_are_indexed():
                 found.append(f"{path.name}:{node.lineno}: "
                              f"{node.func.value.attr}.index")
     assert found == []
+
+
+def test_exactlin_builds_fractions_only_at_its_boundary():
+    tree = ast.parse((ROOT / "src" / "covlab" / "exactlin.py").read_text())
+    inside = {id(node): f"GaussRat.{fn.name}"
+              for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == "GaussRat"
+              for fn in cls.body
+              if isinstance(fn, ast.FunctionDef) and fn.name in ("__init__", "re", "im")
+              for node in ast.walk(fn)}
+    found = {inside.get(id(node), f"exactlin.py:{node.lineno}")
+             for node in ast.walk(tree) if _called(node) == "Fraction"}
+    assert sorted(found) == ["GaussRat.__init__", "GaussRat.im", "GaussRat.re"]
 
 
 def readme_commands():
