@@ -30,6 +30,7 @@ D = 2 c L R, which collapses the 2^j and yields
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,7 +56,12 @@ class Monomial(NamedTuple):
     c: int = 0
 
     def times(self, other: "Monomial") -> "Monomial":
-        return Monomial(*(a + b for a, b in zip(self, other)))
+        return Monomial._make(map(operator.add, self, other))
+
+    def contracted(self, j: int) -> "Monomial":
+        """This monomial with j field pairs contracted: Phi^-2j W^j."""
+        phi, ricci, log, w, delta, lam, c = self
+        return Monomial(phi - 2 * j, ricci, log, w + j, delta, lam, c)
 
     def sort_key(self):
         return (-self.phi, self.ricci, self.log, self.w, self.delta,
@@ -84,9 +90,9 @@ class WickPoly:
             items = terms
         acc: Dict[Monomial, Fraction] = {}
         for mono, q in items:
-            mono = Monomial(*mono)
-            if any(e < 0 for e in (mono.phi, mono.ricci, mono.log, mono.w,
-                                   mono.delta, mono.c)):
+            if type(mono) is not Monomial:
+                mono = Monomial(*mono)
+            if min(mono.phi, mono.ricci, mono.log, mono.w, mono.delta, mono.c) < 0:
                 raise ValueError(f"negative exponent in {mono}")
             if type(q) is not Fraction:
                 q = Fraction(q)
@@ -201,11 +207,14 @@ def contraction_coeff(k: int, l: int, j: int) -> int:
 
 def wick_product(p: WickPoly, q: WickPoly) -> WickPoly:
     """Star product: bilinear extension of the contraction expansion."""
-    return WickPoly(
-        (m1.times(m2)._replace(phi=m1.phi + m2.phi - 2 * j, w=m1.w + m2.w + j),
-         q1 * q2 * contraction_coeff(m1.phi, m2.phi, j))
-        for m1, q1 in p.terms for m2, q2 in q.terms
-        for j in range(min(m1.phi, m2.phi) + 1))
+    def terms():
+        for m1, q1 in p.terms:
+            for m2, q2 in q.terms:
+                m12, q12 = m1.times(m2), q1 * q2
+                for j in range(min(m1.phi, m2.phi) + 1):
+                    yield (m12.contracted(j),
+                           q12 * contraction_coeff(m1.phi, m2.phi, j))
+    return WickPoly(terms())
 
 
 # ---------------------------------------------------------------------------

@@ -358,6 +358,16 @@ def test_parse_sums_repeated_and_cancelling_terms():
         assert parse_wickpoly(text).terms == ref_parse_wickpoly(text).terms
 
 
+def test_constructor_takes_plain_tuples_and_refuses_negative_exponents():
+    assert WickPoly([((2, 0, 0, 1, 0, -1, 0), 3)]).terms \
+        == ((Monomial(phi=2, w=1, lam=-1), Fraction(3)),)
+    for field in ("phi", "ricci", "log", "w", "delta", "c"):
+        with pytest.raises(ValueError, match="negative exponent"):
+            WickPoly({Monomial(**{field: -1}): Fraction(1)})
+        with pytest.raises(ValueError, match="negative exponent"):
+            WickPoly([(tuple(Monomial(**{field: -1})), 1)])
+
+
 # ---------------------------------------------------------------------------
 # the rigid-scaling gauge group
 
