@@ -4,7 +4,7 @@ Run:  python3 demos/01_groups_and_cohomology.py
 """
 
 from covlab import fingroup as fg
-from covlab.cohomology2 import (Cochain2, TwistMap, classify_h2,
+from covlab.cohomology2 import (Cochain2, classify_h2,
                                 coboundary_twist, cohomologous,
                                 trivial_cochain, validate_cocycle)
 
@@ -32,7 +32,7 @@ z4_producing = Cochain2(z2, z2, ((0, 0), (0, 1)), (0, 0))
 print("\nxi(g,g) = a over (Z2, Z2):", validate_cocycle(z4_producing))
 
 # twisting by zeta: G -> A moves around inside one cohomology class
-twisted = coboundary_twist(trivial_cochain(z2, fg.cyclic(4)), TwistMap((0, 1)))
+twisted = coboundary_twist(trivial_cochain(z2, fg.cyclic(4)), (0, 1))
 print("twist of the trivial cochain by zeta(g)=r has xi(g,g) = r^2:",
       twisted.xi[1][1] == 2)
 

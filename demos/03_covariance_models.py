@@ -25,12 +25,12 @@ print("one-object model: gauge group order", gauge.order,
 c = extract_cocycle(impl)
 print("extracted cocycle: xi(g,g) = r^%d, phi = identity" % c.xi[1][1])
 w = cohomologous(trivial_cochain(c.G, c.A), c)
-print("its class is trivial, witness zeta =", w.zeta)
+print("its class is trivial, witness zeta =", w)
 
 # two implementations of the same covariance are related by a gauge twist
 other = models.one_object_cyclic_model(power=3)
 print("eta(g)=r vs eta(g)=r^3: connecting twist zeta =",
-      compare_implementations(impl, other).zeta)
+      compare_implementations(impl, other))
 
 # lifting to the extension group always neutralizes the cocycle
 ext = build_extension(c)
@@ -44,7 +44,7 @@ print("lifted to |E| =", ext.E.order, "- extension cocycle neutral:",
 spin = models.spin_frame_model()
 twisted = twist_implementation(spin, (0, 3, 1, 2))
 print("\nspin-frame model: recovered twist",
-      compare_implementations(spin, twisted).zeta)
+      compare_implementations(spin, twisted))
 
 # -- active vs passive: composing frame moves with the implementation -------
 

@@ -10,10 +10,10 @@ Run:  python3 demos/05_covering_and_spin.py
 
 from covlab import fingroup as fg
 from covlab import models
-from covlab.cohomology2 import cohomologous
+from covlab.cohomology2 import coboundary_twist, cohomologous, trivial_cochain
 from covlab.covering import (all_sections, check_centre_hom, cyclic_cover,
-                             induced_gauge_cocycle, q8_cover, spin_obstruction,
-                             z_class_trivial, z_cocycle)
+                             induced_gauge_cocycle, q8_cover, section_twist,
+                             spin_obstruction, z_class_trivial, z_cocycle)
 from covlab.fingroup import GroupHom
 
 cov = q8_cover()
@@ -23,39 +23,44 @@ sections = all_sections(cov)
 print("sections with lift(1) = 1:", len(sections))
 for sec in sections[:2]:
     z = z_cocycle(sec)
-    print("  lift", sec.lift, "gives z values", z.values[1][1:],
+    print("  lift", sec.lift, "gives z values",
+          tuple(cov.kernel_elements[v] for v in z.xi[1][1:]),
           "... class trivial?", z_class_trivial(z) is not None)
 
-same = all(cohomologous(z_cocycle(a).cochain, z_cocycle(b).cochain) is not None
+# two sections differ by the central map l -> s(l) s0(l)^-1, which twists one
+# factor set into the other; the search finds a witness too
+z0 = z_cocycle(sections[0])
+named = all(coboundary_twist(z0, section_twist(sections[0], s)) == z_cocycle(s)
+            for s in sections)
+print("the section twist carries z(s0) to z(s) for every section:", named)
+same = all(cohomologous(z_cocycle(a), z_cocycle(b)) is not None
            for a in sections for b in sections)
 print("every pair of sections gives cohomologous factor sets:", same)
 
 # -- pushing the factor set into a gauge group -------------------------------
 
-k_group, _ = cov.kernel_group()
 a2 = fg.cyclic(2)
-flip = GroupHom(k_group, a2, (0, 1))       # univalence: -1 acts as the flip
+flip = GroupHom(cov.K, a2, (0, 1))         # univalence: -1 acts as the flip
 print("\nkernel restriction is a central homomorphism:",
       check_centre_hom(flip).valid)
-induced = induced_gauge_cocycle(sections[0], flip)
-from covlab.cohomology2 import trivial_cochain
+induced = induced_gauge_cocycle(z0, flip)
 print("induced gauge cocycle trivial?",
       cohomologous(induced, trivial_cochain(induced.G, induced.A)) is not None)
 
-trivial_univalence = GroupHom(k_group, a2, (0, 0))
-induced0 = induced_gauge_cocycle(sections[0], trivial_univalence)
+trivial_univalence = GroupHom(cov.K, a2, (0, 0))
+induced0 = induced_gauge_cocycle(z0, trivial_univalence)
 print("with trivial univalence it is trivial:",
       cohomologous(induced0, trivial_cochain(induced0.G, induced0.A)) is not None)
 
 # -- descent of representations ----------------------------------------------
 
 print("\ndescent along the cover:")
-verdict = spin_obstruction(sections[0], flip, models.q8_two_dim_rep())
+verdict = spin_obstruction(cov, flip, models.q8_two_dim_rep())
 print("  2-dim irreducible: descends =", verdict.descends,
       "| obstruction witness =", verdict.obstruction_witness,
       "(the central -1: the finite analogue of a spinor)")
 for axis in "1ijk":
-    v = spin_obstruction(sections[0], flip, models.q8_sign_rep(axis))
+    v = spin_obstruction(cov, flip, models.q8_sign_rep(axis))
     print(f"  sign character ({axis}): descends = {v.descends}")
 
 # -- the extended group of the base: a central-product quotient --------------

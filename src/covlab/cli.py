@@ -26,7 +26,8 @@ from .cohomology2 import (SearchSpaceTooLarge, classify_h2, coboundary_twist,
 from .covariance import (compare_implementations, compute_gauge_group,
                          extract_cocycle, lift_to_extension)
 from .covering import (all_sections, check_centre_hom, induced_gauge_cocycle,
-                       spin_obstruction, z_class_trivial, z_cocycle)
+                       section_twist, spin_obstruction, z_class_trivial,
+                       z_cocycle)
 from .extension import InvalidCocycle, build_extension, classify_type
 from .fingroup import (GroupHom, check_hom, direct_product, image,
                        is_injective, is_surjective, kernel, quotient)
@@ -166,7 +167,7 @@ def cmd_extract_cocycle(args, report: RunReport) -> None:
     w = cohomologous(trivial_cochain(c.G, c.A), c)
     report.data["class_trivial"] = w is not None
     if w is not None:
-        report.data["trivializing_twist"] = list(w.zeta)
+        report.data["trivializing_twist"] = list(w)
 
 
 def cmd_compare_impls(args, report: RunReport) -> None:
@@ -175,7 +176,7 @@ def cmd_compare_impls(args, report: RunReport) -> None:
     report.digest("model", args.model)
     report.digest("other", args.other)
     w = compare_implementations(i1, i2)
-    report.verdict("witness-found", True, zeta=list(w.zeta))
+    report.verdict("witness-found", True, zeta=list(w))
     report.verdict("cocycles-cohomologous",
                    coboundary_twist(extract_cocycle(i1), w) == extract_cocycle(i2))
 
@@ -229,29 +230,30 @@ def cmd_cover_z(args, report: RunReport) -> None:
     report.digest("cover", args.cover)
     sections = all_sections(cover)
     z = z_cocycle(sections[0])
-    report.verdict("factor-set-valid", validate_cocycle(z.cochain).valid)
-    trivializer = z_class_trivial(z)
-    report.data["z_values"] = [list(r) for r in z.values]
-    report.data["class_trivial"] = trivializer is not None
+    report.verdict("factor-set-valid", validate_cocycle(z).valid)
+    report.data["z_values"] = [[cover.kernel_elements[v] for v in row]
+                               for row in z.xi]
+    report.data["class_trivial"] = z_class_trivial(z) is not None
+    # z(s) is z(s0) twisted by the central map l -> s(l) s0(l)^-1; the verdict
+    # checks that named witness, as compare-impls checks its own
     same_class = all(
-        cohomologous(z.cochain, z_cocycle(s).cochain) is not None
+        coboundary_twist(z, section_twist(sections[0], s)) == z_cocycle(s)
         for s in sections)
     report.verdict("section-independent-class", same_class,
                    sections=len(sections))
 
-    k_group, k_elems = cover.kernel_group()
-    zeta = _kernel_map(args.zeta, k_group)
+    zeta = _kernel_map(args.zeta, cover.K)
     report.verdict("kernel-restriction-central-hom",
                    check_centre_hom(zeta).valid)
-    induced = induced_gauge_cocycle(sections[0], zeta)
+    induced = induced_gauge_cocycle(z, zeta)
     induced_trivial = cohomologous(
         induced, trivial_cochain(induced.G, induced.A)) is not None
     report.data["induced_cocycle_trivial"] = induced_trivial
 
     # worked example: the quotient (A x S) / <(zeta(-1), -1)> when the kernel
     # has a distinguished involution
-    if k_group.order == 2:
-        amb = k_elems[1]
+    if cover.K.order == 2:
+        amb = cover.kernel_elements[1]
         prod = direct_product(zeta.target, cover.S)
         gen = zeta(1) * cover.S.order + amb
         sub = (0, gen) if gen != 0 else (0,)
@@ -267,8 +269,8 @@ def cmd_spin_obstruction(args, report: RunReport) -> None:
     report.digest("cover", args.cover)
     rep = models.Q8_REPS[args.rep]()
     report.digest("rep", args.rep)
-    zeta = _kernel_map(args.zeta, cover.kernel_group()[0])
-    verdict = spin_obstruction(all_sections(cover)[0], zeta, rep)
+    zeta = _kernel_map(args.zeta, cover.K)
+    verdict = spin_obstruction(cover, zeta, rep)
     report.verdict("descends", verdict.descends,
                    **({} if verdict.descends else
                       {"witness": verdict.obstruction_witness}))

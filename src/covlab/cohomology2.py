@@ -29,16 +29,6 @@ from .fingroup import (AutGroup, GroupTable, Perm, Report, _bfs_recipes,
                        invert_perm)
 
 
-@dataclass(frozen=True)
-class TwistMap:
-    """A map zeta: G -> A, stored as one A-index per group element."""
-
-    zeta: Tuple[int, ...]
-
-    def __call__(self, g: int) -> int:
-        return self.zeta[g]
-
-
 @dataclass(frozen=True, eq=False)
 class Cochain2:
     """A 2-cochain: xi as a |G| x |G| table of A-indices, phi as one
@@ -116,14 +106,14 @@ def _inner_auts(A: GroupTable) -> Tuple[Perm, ...]:
     return tuple(inner_perm(A, a) for a in A.elements())
 
 
-def coboundary_twist(c: Cochain2, t: TwistMap) -> Cochain2:
-    """Twist the cochain c by zeta; the one place the twist formula is
-    written.  Only the twist map is checked here.  Twisting maps cocycles to
-    cocycles (the tests validate every normalized twist of every enumerated
-    cocycle), so c is not validated: callers holding a cochain from outside
-    check it once, as the CLI verbs and `cohomologous` (for c1) do."""
+def coboundary_twist(c: Cochain2, zeta: Tuple[int, ...]) -> Cochain2:
+    """Twist the cochain c by zeta, given as one A-index per G element; the
+    one place the twist formula is written.  Only the twist map is checked
+    here.  Twisting maps cocycles to cocycles (the tests validate every
+    normalized twist of every enumerated cocycle), so c is not validated:
+    callers holding a cochain from outside check it once, as the CLI verbs
+    and `cohomologous` (for c1) do."""
     G, A = c.G, c.A
-    zeta = t.zeta
     if len(zeta) != G.order or any(not (0 <= z < A.order) for z in zeta):
         raise ValueError("twist map is not total on G")
     ads, aut = _inner_auts(A), c.aut
@@ -167,16 +157,23 @@ def _twist_candidates(c: Cochain2, xi) -> list:
     return sorted(found)
 
 
-def cohomologous(c1: Cochain2, c2: Cochain2) -> Optional[TwistMap]:
+def _first_twist(c1: Cochain2, c2: Cochain2) -> Optional[Tuple[int, ...]]:
+    """The lexicographically first zeta twisting c1 into c2, or None.  The
+    |A|^d `_twist_candidates`, each checked by twisting c1, are complete
+    when c1 is a cocycle, which the caller has checked."""
+    return next((zeta for zeta in _twist_candidates(c1, c2.xi)
+                 if coboundary_twist(c1, zeta) == c2), None)
+
+
+def cohomologous(c1: Cochain2, c2: Cochain2) -> Optional[Tuple[int, ...]]:
     """The lexicographically first witness that c1 ~ c2, or None.  Only c1
-    is validated: the |A|^d `_twist_candidates`, each checked by twisting c1,
-    are complete for a cocycle c1, and no twist of one is a non-cocycle c2."""
+    is validated: `_first_twist` is complete for a cocycle c1, and no twist
+    of one is a non-cocycle c2."""
     if c1.G != c2.G or c1.A != c2.A:
         raise ValueError("cochains live over different (G, A)")
     if not validate_cocycle(c1):
         raise ValueError("input cochain is not a cocycle")
-    return next((TwistMap(zeta) for zeta in _twist_candidates(c1, c2.xi)
-                 if coboundary_twist(c1, TwistMap(zeta)) == c2), None)
+    return _first_twist(c1, c2)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +309,7 @@ def classify_h2(G: GroupTable, A: GroupTable) -> H2Classification:
             continue
         orbit = set()
         for zeta in twists:
-            tw = coboundary_twist(c, TwistMap(zeta))
+            tw = coboundary_twist(c, zeta)
             orbit.add(index[_cocycle_key(tw.xi, tw.phi)])
         for j in orbit:
             seen[j] = True

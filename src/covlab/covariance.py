@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
-from .cohomology2 import Cochain2, TwistMap
+from .cohomology2 import Cochain2
 from .config import capped_product
 from .extension import ExtensionGroup
 from .fincat import GAction, TheoryFunctor
@@ -215,7 +215,8 @@ def _require_same_theory(i1: Implementation, i2: Implementation) -> None:
         raise ValueError("implementations are for different group actions")
 
 
-def compare_implementations(i1: Implementation, i2: Implementation) -> TwistMap:
+def compare_implementations(i1: Implementation, i2: Implementation
+                            ) -> Tuple[int, ...]:
     """Witness zeta with zeta(g)_{g.C} = eta2(g)_C o eta1(g)_C^-1.
 
     Both implementations, valid since they were built, must share the theory
@@ -230,9 +231,9 @@ def compare_implementations(i1: Implementation, i2: Implementation) -> TwistMap:
     gauge = compute_gauge_group(F)
     compose, inverse = F.target.compose, F.target.inverse
     at = _sources(act, F.source.objects)
-    return TwistMap(tuple(
+    return tuple(
         gauge.index_of(tuple(compose(i2.eta[g][c], inverse(i1.eta[g][c])) for c in at[g]))
-        for g in act.group.elements()))
+        for g in act.group.elements())
 
 
 def lift_to_extension(impl: Implementation, ext: ExtensionGroup) -> Implementation:

@@ -6,7 +6,9 @@ the K-valued factor set
 
     z(l1, l0) = s(l1) s(l0) s(l1 l0)^-1,
 
-a classical central 2-cocycle whose class does not depend on the section.
+a classical central 2-cocycle whose class does not depend on the section:
+two sections differ by the central map l -> s(l) s0(l)^-1, which twists one
+factor set into the other.
 Pushing z through a homomorphism from K into the centre of a gauge group A
 gives the induced cochain (zeta o z, 1) over (L, A).  A representation of S
 descends to L exactly when the kernel acts trivially; a kernel element
@@ -16,7 +18,7 @@ noninteger spin).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from .cohomology2 import Cochain2, cohomologous, trivial_cochain
@@ -45,6 +47,9 @@ class CentralCover:
     S: GroupTable
     L: GroupTable
     pi: GroupHom
+    K: GroupTable = field(init=False, repr=False, compare=False)  # the kernel
+    kernel_elements: Tuple[int, ...] = field(init=False, repr=False,
+                                             compare=False)  # K-index -> S
 
     def __post_init__(self) -> None:
         if self.pi.source != self.S or self.pi.target != self.L:
@@ -57,13 +62,9 @@ class CentralCover:
         for k in ker:
             if k not in z:
                 raise ValueError(f"kernel element {k} is not central")
-
-    @property
-    def kernel_elements(self) -> Tuple[int, ...]:
-        return kernel(self.pi)
-
-    def kernel_group(self) -> Tuple[GroupTable, Tuple[int, ...]]:
-        return subgroup(self.S, self.kernel_elements, name="ker")
+        k_group, k_elems = subgroup(self.S, ker, name="ker")
+        object.__setattr__(self, "K", k_group)
+        object.__setattr__(self, "kernel_elements", k_elems)
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,8 @@ class Section:
         cov = self.cover
         if len(self.lift) != cov.L.order:
             raise SectionInvalid("lift is not total on L")
+        if any(not (0 <= x < cov.S.order) for x in self.lift):
+            raise SectionInvalid("lift has values outside S")
         if self.lift[0] != 0:
             raise SectionInvalid("lift must send the identity to the identity")
         for l in cov.L.elements():
@@ -89,20 +92,8 @@ def all_sections(cover: CentralCover) -> Tuple[Section, ...]:
     return tuple(Section(cover, lift) for lift in capped_product(fibers))
 
 
-@dataclass(frozen=True)
-class ZData:
-    """The factor set of a section: values in S, plus the same data as a
-    cochain over (L, K) with K reindexed as its own group."""
-
-    section: Section
-    values: Tuple[Tuple[int, ...], ...]      # S-element per (l1, l0)
-    k_group: GroupTable
-    k_elements: Tuple[int, ...]              # ambient S-elements of K
-    cochain: Cochain2                        # over (L, K), trivial phi
-
-
-def z_cocycle(s: Section) -> ZData:
-    """Compute z on all pairs.
+def z_cocycle(s: Section) -> Cochain2:
+    """The factor set of a section, as a cochain over (L, K) with trivial phi.
 
     Its values lie in the kernel, since pi(s(l1) s(l0) s(l1 l0)^-1) = 1 for
     a section of a valid cover, and z is a cocycle with trivial coefficient
@@ -111,23 +102,28 @@ def z_cocycle(s: Section) -> ZData:
     """
     cov = s.cover
     S, L = cov.S, cov.L
-    k_group, k_elems = cov.kernel_group()
-    k_index = {amb: i for i, amb in enumerate(k_elems)}
-    values = []
-    k_table = []
-    for l1 in L.elements():
-        row_v, row_k = [], []
-        for l0 in L.elements():
-            v = S.mul(S.mul(s.lift[l1], s.lift[l0]), S.inv(s.lift[L.mul(l1, l0)]))
-            row_v.append(v)
-            row_k.append(k_index[v])
-        values.append(tuple(row_v))
-        k_table.append(tuple(row_k))
-    cochain = Cochain2(L, k_group, tuple(k_table), (0,) * L.order)
-    return ZData(s, tuple(values), k_group, k_elems, cochain)
+    k_index = cov.kernel_elements.index
+    xi = tuple(tuple(k_index(S.mul(S.mul(s.lift[l1], s.lift[l0]),
+                                   S.inv(s.lift[L.mul(l1, l0)])))
+                     for l0 in L.elements())
+               for l1 in L.elements())
+    return Cochain2(L, cov.K, xi, (0,) * L.order)
 
 
-def z_class_trivial(z: ZData) -> Optional[Tuple[int, ...]]:
+def section_twist(s0: Section, s: Section) -> Tuple[int, ...]:
+    """The map k: l -> s(l) s0(l)^-1 into K, as K-indices.  K is central, so
+    z_s(l1, l0) = k(l1) k(l0) z_s0(l1, l0) k(l1 l0)^-1: k twists the factor
+    set of s0 into that of s.  That is a theorem, not re-checked here; the
+    cover-z section-independent-class verdict and the tests check it."""
+    cov = s.cover
+    if s0.cover != cov:
+        raise ValueError("sections of different covers")
+    S = cov.S
+    return tuple(cov.kernel_elements.index(S.mul(s.lift[l], S.inv(s0.lift[l])))
+                 for l in cov.L.elements())
+
+
+def z_class_trivial(z: Cochain2) -> Optional[Tuple[int, ...]]:
     """Solve for a twist zeta: L -> K killing z, through `cohomologous`.
 
     Returns the lexicographically first trivializing twist (as K-indices) or
@@ -135,30 +131,26 @@ def z_class_trivial(z: ZData) -> Optional[Tuple[int, ...]]:
     z(l1,l0) zeta(l1 l0)^-1; such a twist is fixed by its values on a
     generating sequence of L, so |K|^d candidates are checked.
     """
-    w = cohomologous(z.cochain, trivial_cochain(z.cochain.G, z.k_group))
-    return None if w is None else w.zeta
+    return cohomologous(z, trivial_cochain(z.G, z.A))
 
 
-def induced_gauge_cocycle(s: Section, zeta_on_k: GroupHom) -> Cochain2:
-    """Push the factor set into a gauge group: the cochain (zeta o z, 1).
+def induced_gauge_cocycle(z: Cochain2, zeta_on_k: GroupHom) -> Cochain2:
+    """Push a factor set z over (L, K) into a gauge group: the cochain
+    (zeta o z, 1).
 
     zeta_on_k must be a homomorphism from the kernel group into the gauge
     group A, landing in the centre of A (`check_centre_hom`; NotCentral or
     ValueError otherwise).  The result is a cocycle by construction and is
     not re-checked; the tests validate it for the kernel homs cover-z builds.
     """
-    z = z_cocycle(s)
-    if zeta_on_k.source != z.k_group:
+    if zeta_on_k.source != z.A:
         raise ValueError("zeta is not defined on the kernel group")
     rep = check_centre_hom(zeta_on_k)
     if rep.violation == "NotCentral":
         raise NotCentral(rep.witness)
     rep.require("zeta")
-    A = zeta_on_k.target
-    L = z.cochain.G
-    xi = tuple(tuple(zeta_on_k.map[z.cochain.xi[l1][l0]] for l0 in L.elements())
-               for l1 in L.elements())
-    return Cochain2(L, A, xi, (0,) * L.order)
+    xi = tuple(tuple(zeta_on_k.map[v] for v in row) for row in z.xi)
+    return Cochain2(z.G, zeta_on_k.target, xi, (0,) * z.G.order)
 
 
 def check_centre_hom(mapping: GroupHom) -> Report:
@@ -192,7 +184,7 @@ class SpinVerdict:
     model_consistent: bool
 
 
-def spin_obstruction(s: Section, zeta_on_k: GroupHom,
+def spin_obstruction(cover: CentralCover, zeta_on_k: GroupHom,
                      rep: MatrixRep) -> SpinVerdict:
     """Decide whether an S-representation descends along the cover.
 
@@ -200,15 +192,16 @@ def spin_obstruction(s: Section, zeta_on_k: GroupHom,
     identity; the first kernel element acting nontrivially is the witness.
     When the kernel gauge assignment zeta is trivial, every multiplet in the
     model must descend; a non-descending representation then flags the model
-    as inconsistent.  That the descended map is a representation of L is a
-    theorem; the tests validate it for every shipped case.
+    as inconsistent.  The descended map sends l to the matrix of its least
+    preimage; once the kernel acts trivially, every preimage gives the same
+    matrix.  That the descended map is a representation of L is a theorem;
+    the tests validate it for every shipped case.
     """
-    cov = s.cover
-    if rep.group != cov.S:
+    if rep.group != cover.S:
         raise ValueError("representation is not defined on the covering group")
     validate_rep(rep).require("representation")
     witness = None
-    for amb in cov.kernel_elements:
+    for amb in cover.kernel_elements:
         if rep(amb) != Mat.identity(rep.dim):
             witness = amb
             break
@@ -216,9 +209,11 @@ def spin_obstruction(s: Section, zeta_on_k: GroupHom,
     if witness is not None:
         return SpinVerdict(False, witness, None, zeta_trivial,
                            model_consistent=not zeta_trivial)
-    L = cov.L
-    mats = tuple(rep(s.lift[l]) for l in L.elements())
-    descended = MatrixRep(L, rep.dim, mats)
+    least = {}
+    for x in cover.S.elements():
+        least.setdefault(cover.pi.map[x], x)
+    descended = MatrixRep(cover.L, rep.dim,
+                          tuple(rep(least[l]) for l in cover.L.elements()))
     return SpinVerdict(True, None, descended, zeta_trivial, model_consistent=True)
 
 

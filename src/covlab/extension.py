@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .cohomology2 import (Cochain2, TwistMap, _twist_candidates, coboundary_twist,
-                          cohomologous, is_neutral, trivial_cochain,
+from .cohomology2 import (Cochain2, _first_twist, _twist_candidates,
+                          coboundary_twist, is_neutral, trivial_cochain,
                           validate_cocycle)
 from .fingroup import GroupHom, GroupTable, centre, table_on
 
@@ -93,7 +93,7 @@ def classify_type(e: ExtensionGroup) -> ExtensionType:
     c = e.cochain
     direct = semidirect = False
     for zeta in _twist_candidates(c, trivial_cochain(c.G, c.A).xi):
-        tw = coboundary_twist(c, TwistMap(zeta))
+        tw = coboundary_twist(c, zeta)
         if is_neutral(tw):
             semidirect = True
             if not any(tw.phi):
@@ -128,17 +128,17 @@ def extensions_equivalent(e1: ExtensionGroup, e2: ExtensionGroup
     a homomorphism exactly when g |-> zeta(g)^-1 is a witness that the first
     cocycle is cohomologous to the second.  Twisting twice composes
     pointwise, so those zeta are exactly the witnesses that the second is
-    cohomologous to the first, and `cohomologous` returns the
-    lexicographically first of them, the one reported.
+    cohomologous to the first, and `_first_twist` returns the
+    lexicographically first of them, the one reported.  Both cochains were
+    validated when their extensions were built, so neither is checked again.
     """
     c1, c2 = e1.cochain, e2.cochain
     if c1.G != c2.G or c1.A != c2.A:
         raise ValueError("extensions are not over the same (G, A)")
     G, A = c1.G, c1.A
-    witness = cohomologous(c2, c1)
-    if witness is None:
+    zeta = _first_twist(c2, c1)
+    if zeta is None:
         return None
-    zeta = witness.zeta
     return ExtensionEquivalence(
         tuple(e2.pair_index(A.mul(a, zeta[g]), g)
               for a in A.elements() for g in G.elements()),

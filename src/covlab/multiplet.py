@@ -284,15 +284,15 @@ def scaling_multiplet(k: int, coupling: str = "generic",
                       lam: Fraction = Fraction(2)) -> ScalingMultiplet:
     """Generator matrix of the scale action on the Wick-power multiplet.
 
-    coupling is one of "generic", "minimal" (both keep c symbolic and
-    nonzero) or "conformal" (c = 0).  The verdict reads off the structure:
-    for k >= 2 at nonzero c the matrix has the single eigenvalue lam^k with
-    a full nilpotent chain (no invariant complement); at conformal coupling
-    or k = 1 it is diagonal.  The tests check the nilpotent structure.
+    coupling is "generic" (c symbolic and nonzero) or "conformal" (c = 0).
+    The verdict reads off the structure: for k >= 2 at nonzero c the matrix
+    has the single eigenvalue lam^k with a full nilpotent chain (no invariant
+    complement); at conformal coupling or k = 1 it is diagonal.  The tests
+    check the nilpotent structure.
     """
     if k < 1:
         raise ValueError("field power must be >= 1")
-    if coupling not in ("generic", "minimal", "conformal"):
+    if coupling not in ("generic", "conformal"):
         raise ValueError(f"unknown coupling {coupling!r}")
     lam = Fraction(lam)
     if lam <= 0 or lam == 1:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from covlab import fingroup as fg
 from covlab import models
-from covlab.cohomology2 import (TwistMap, classify_h2, coboundary_twist,
+from covlab.cohomology2 import (classify_h2, coboundary_twist,
                                 cohomologous, enumerate_normalized_cocycles,
                                 trivial_cochain, validate_cocycle)
 from covlab.covariance import (compare_implementations, compute_gauge_group,
@@ -57,7 +57,7 @@ def _generated_cochains():
         for _ in range(4):
             zeta = tuple([0] + [rng.randrange(A.order)
                                 for _ in range(G.order - 1)])
-            out.append(coboundary_twist(base, TwistMap(zeta)))
+            out.append(coboundary_twist(base, zeta))
     for G, A in [(fg.cyclic(2), fg.cyclic(2)), (fg.cyclic(2), fg.cyclic(4))]:
         for cls in classify_h2(G, A).classes:
             c = cls.representative
@@ -65,7 +65,7 @@ def _generated_cochains():
             for _ in range(2):
                 zeta = tuple([0] + [rng.randrange(A.order)
                                     for _ in range(G.order - 1)])
-                out.append(coboundary_twist(c, TwistMap(zeta)))
+                out.append(coboundary_twist(c, zeta))
     for impl in (models.one_object_cyclic_model(1),
                  models.one_object_cyclic_model(2),
                  models.one_object_cyclic_model(3), models.swap_model(),
@@ -326,15 +326,13 @@ def test_criterion_7_covering_obstruction():
 
         for s1 in sections:
             for s2 in sections:
-                assert cohomologous(z_cocycle(s1).cochain,
-                                    z_cocycle(s2).cochain) is not None
+                assert cohomologous(z_cocycle(s1), z_cocycle(s2)) is not None
 
-        k_group, _ = cov.kernel_group()
-        zeta = GroupHom(k_group, fg.cyclic(2), (0, 1))
-        verdict = spin_obstruction(sections[0], zeta, models.q8_two_dim_rep())
+        zeta = GroupHom(cov.K, fg.cyclic(2), (0, 1))
+        verdict = spin_obstruction(cov, zeta, models.q8_two_dim_rep())
         assert not verdict.descends and verdict.obstruction_witness == 1
         for axis in "1ijk":
-            v = spin_obstruction(sections[0], zeta, models.q8_sign_rep(axis))
+            v = spin_obstruction(cov, zeta, models.q8_sign_rep(axis))
             assert v.descends and v.descended is not None
 
 

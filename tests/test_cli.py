@@ -453,3 +453,24 @@ def test_model_verbs_compute_one_gauge_group(capsys, verb):
         code, _, err = run(capsys, verb, "--model", model, *other)
         misses = covariance.compute_gauge_group.cache_info().misses
         assert (code, misses) == (0, 1), (model, err)
+
+
+def test_cover_z_searches_only_for_the_two_class_verdicts(capsys, monkeypatch):
+    # class_trivial and induced_cocycle_trivial each need one complete
+    # search; section independence is checked on the named section twist
+    from covlab import covering
+    calls, search = [], cli.cohomologous
+
+    def counting(c1, c2):
+        calls.append((c1, c2))
+        return search(c1, c2)
+
+    monkeypatch.setattr(cli, "cohomologous", counting)
+    monkeypatch.setattr(covering, "cohomologous", counting)
+    for cover in sorted(models.COVERS):
+        for zeta in ("flip", "trivial"):
+            calls.clear()
+            code, out, _ = run(capsys, "--json", "cover-z", "--cover", cover,
+                               "--zeta", zeta)
+            assert code == 0, (cover, zeta)
+            assert len(calls) == 2, (cover, zeta)

@@ -9,7 +9,7 @@ import pytest
 from covlab import fingroup as fg
 from covlab import models
 from covlab.config import capped_product
-from covlab.cohomology2 import (Cochain2, TwistMap, classify_h2,
+from covlab.cohomology2 import (Cochain2, classify_h2,
                                 coboundary_twist, cohomologous,
                                 enumerate_normalized_cocycles, is_neutral,
                                 trivial_cochain, validate_cocycle,
@@ -65,12 +65,12 @@ def test_is_neutral_examples():
 
 def test_twist_by_identity_is_identity():
     c = z4_producing_cochain()
-    assert coboundary_twist(c, TwistMap((0, 0))) == c
+    assert coboundary_twist(c, (0, 0)) == c
 
 
 def test_twist_trivial_over_z2_z4_by_order_four_element():
     c = trivial_cochain(Z2, Z4)
-    tw = coboundary_twist(c, TwistMap((0, 1)))  # zeta(g) = r
+    tw = coboundary_twist(c, (0, 1))  # zeta(g) = r
     assert tw.xi[1][1] == 2  # r^2
     assert tw.phi == (0, 0)  # ad on abelian A is trivial
 
@@ -82,9 +82,9 @@ def test_double_twist_returns_original_exactly():
         for _ in range(5):
             zeta = tuple([0] + [rng.randrange(A.order)
                                 for _ in range(G.order - 1)])
-            c = coboundary_twist(base, TwistMap(zeta))
+            c = coboundary_twist(base, zeta)
             zinv = tuple(A.inv(z) for z in zeta)
-            back = coboundary_twist(c, TwistMap(zinv))
+            back = coboundary_twist(c, zinv)
             assert back == base
 
 
@@ -93,18 +93,18 @@ def test_twist_is_defined_on_every_cochain():
     # non-cocycle, and twisting back recovers it exactly.
     c = Cochain2(Z2, Z4, ((1, 0), (0, 0)), (0, 0))
     assert not validate_cocycle(c)
-    tw = coboundary_twist(c, TwistMap((0, 1)))
+    tw = coboundary_twist(c, (0, 1))
     assert not validate_cocycle(tw)
-    assert coboundary_twist(tw, TwistMap((0, 3))) == c
+    assert coboundary_twist(tw, (0, 3)) == c
     for bad in ((0,), (0, 4)):
         with pytest.raises(ValueError, match="twist map"):
-            coboundary_twist(c, TwistMap(bad))
+            coboundary_twist(c, bad)
 
 
 def test_cohomologous_reflexive_with_identity_witness():
     c = z4_producing_cochain()
     w = cohomologous(c, c)
-    assert w is not None and w.zeta == (0, 0)
+    assert w == (0, 0)
 
 
 def test_z4_producing_not_cohomologous_to_trivial():
@@ -129,7 +129,7 @@ def test_twist_roundtrip_recovers_witness():
         for _ in range(6):
             zeta = tuple([0] + [rng.randrange(A.order)
                                 for _ in range(G.order - 1)])
-            c = coboundary_twist(base, TwistMap(zeta))
+            c = coboundary_twist(base, zeta)
             w = cohomologous(base, c)
             assert w is not None
             assert coboundary_twist(base, w) == c
@@ -152,8 +152,7 @@ def test_cohomologous_symmetric_and_transitive_on_enumerated_set():
                 w23 = cohomologous(c2, c3)
                 if w23 is None:
                     continue
-                composed = TwistMap(tuple(A.mul(w23.zeta[g], w12.zeta[g])
-                                          for g in Z2.elements()))
+                composed = tuple(A.mul(w23[g], w12[g]) for g in Z2.elements())
                 assert coboundary_twist(c1, composed) == c3
 
 
@@ -197,7 +196,7 @@ def test_each_class_is_listed_once_under_its_least_member():
                  (Z2, fg.standard_group("S3")), (Z4, Z2)]:
         def least(c):
             return min((tw.xi, tw.phi) for tw in (
-                coboundary_twist(c, TwistMap((0,) + zeta))
+                coboundary_twist(c, (0,) + zeta)
                 for zeta in itertools.product(A.elements(), repeat=G.order - 1)))
 
         sizes = {}
@@ -221,7 +220,7 @@ def test_abelian_sector_count_equals_cocycles_over_coboundaries():
         base = trivial_cochain(G, A)
         coboundaries = set()
         for zeta in itertools.product(A.elements(), repeat=G.order - 1):
-            tw = coboundary_twist(base, TwistMap((0,) + zeta))
+            tw = coboundary_twist(base, (0,) + zeta)
             coboundaries.add(tw.xi)
         classes = {cls for cls in classify_h2(G, A).classes
                    if all(p == 0 for p in cls.representative.phi)}
@@ -239,7 +238,7 @@ def test_twist_preserves_cocycle_property_randomized():
         for _ in range(3):
             zeta = tuple([0] + [rng.randrange(A.order)
                                 for _ in range(G.order - 1)])
-            c = coboundary_twist(c, TwistMap(zeta))
+            c = coboundary_twist(c, zeta)
             assert validate_cocycle(c).valid
 
 
@@ -248,7 +247,7 @@ def test_every_normalized_twist_of_every_cocycle_is_a_cocycle():
     for G, A in [(Z2, Z2), (Z2, Z3), (Z2, Z4), (Z3, Z3)]:
         for c in enumerate_normalized_cocycles(G, A):
             for zeta in itertools.product(A.elements(), repeat=G.order - 1):
-                tw = coboundary_twist(c, TwistMap((0,) + zeta))
+                tw = coboundary_twist(c, (0,) + zeta)
                 assert validate_cocycle(tw).valid, (G.name, A.name, c, zeta)
                 assert tw.is_normalized()
 
@@ -292,7 +291,7 @@ def reference_cohomologous(c1, c2, normalized):
             if not ok:
                 break
         if ok:
-            return TwistMap(zeta)
+            return zeta
     return None
 
 
@@ -317,7 +316,7 @@ def test_cohomologous_matches_reference_twist_loop():
             assert w == reference_cohomologous(c1, c2, True) \
                 == reference_cohomologous(c1, c2, False), (gn, an, c1, c2)
             # an unnormalized cocycle is searched over every twist
-            c2u = coboundary_twist(c2, TwistMap((1,) + (0,) * (G.order - 1)))
+            c2u = coboundary_twist(c2, (1,) + (0,) * (G.order - 1))
             wu = cohomologous(c1, c2u)
             assert not c2u.is_normalized()
             assert wu == reference_cohomologous(c1, c2u, False), (gn, an, c1, c2u)
@@ -336,14 +335,14 @@ def test_witnesses_at_order_8_with_nonabelian_coefficients():
         def random_zeta():
             return tuple(rng.randrange(A.order) for _ in G.elements())
 
-        base = coboundary_twist(trivial_cochain(G, A), TwistMap(random_zeta()))
+        base = coboundary_twist(trivial_cochain(G, A), random_zeta())
         for _ in range(3):
             zeta = random_zeta()
-            twisted = coboundary_twist(base, TwistMap(zeta))
+            twisted = coboundary_twist(base, zeta)
             w = cohomologous(base, twisted)
             assert w is not None, (gn, an, zeta)
             assert coboundary_twist(base, w) == twisted, (gn, an, zeta)
-            assert w.zeta <= zeta, (gn, an, zeta)
+            assert w <= zeta, (gn, an, zeta)
 
 
 def test_capped_product_refuses_above_cap(monkeypatch):
@@ -361,7 +360,7 @@ def test_search_space_cap(monkeypatch):
     # Z8 has one generator, so the witness search has 8^1 candidates
     trivial = trivial_cochain(fg.cyclic(8), fg.cyclic(8))
     monkeypatch.setenv("COVLAB_ENUM_CAP", "8")
-    assert cohomologous(trivial, trivial) == TwistMap((0,) * 8)
+    assert cohomologous(trivial, trivial) == (0,) * 8
     monkeypatch.setenv("COVLAB_ENUM_CAP", "7")
     with pytest.raises(SearchSpaceTooLarge) as err:
         cohomologous(trivial, trivial)

@@ -4,13 +4,13 @@ import pytest
 
 from covlab import fingroup as fg
 from covlab import models
-from covlab.cohomology2 import (SearchSpaceTooLarge, cohomologous, trivial_cochain,
-                                validate_cocycle)
+from covlab.cohomology2 import (SearchSpaceTooLarge, coboundary_twist,
+                                cohomologous, trivial_cochain, validate_cocycle)
 from covlab.covering import (CentralCover, NotCentral, Section,
                              SectionInvalid, all_sections, check_centre_hom,
                              cyclic_cover, induced_gauge_cocycle, q8_cover,
-                             spin_obstruction, split_cover, z_class_trivial,
-                             z_cocycle)
+                             section_twist, spin_obstruction, split_cover,
+                             z_class_trivial, z_cocycle)
 from covlab.covariance import compute_gauge_group
 from covlab.exactlin import Mat
 from covlab.fingroup import GroupHom
@@ -20,8 +20,7 @@ from covlab.multiplet import MatrixRep, validate_rep
 def test_q8_cover_well_formed():
     cov = q8_cover()
     assert cov.kernel_elements == (0, 1)
-    k, elems = cov.kernel_group()
-    assert k.order == 2
+    assert cov.K.order == 2
 
 
 def test_non_central_kernel_rejected():
@@ -41,6 +40,15 @@ def test_section_invariants():
         Section(cov, (0, 2, 4, 6))  # lift(1) lies in the wrong fiber
 
 
+def test_section_refuses_lifts_outside_the_cover():
+    # -4 would otherwise read pi.map[-4] as element 4's image, and 99 would
+    # leak an IndexError from the fiber check
+    cov = q8_cover()
+    for lift in [(0, -4, 2, 6), (0, 99, 2, 6)]:
+        with pytest.raises(SectionInvalid, match="outside S"):
+            Section(cov, lift)
+
+
 def test_all_sections_count():
     cov = q8_cover()
     assert len(all_sections(cov)) == 8
@@ -52,7 +60,7 @@ def test_split_cover_homomorphic_section_gives_trivial_z():
     cov = split_cover(2, fg.cyclic(3))
     lift = tuple(range(cov.L.order))  # l -> (0, l) has index l
     z = z_cocycle(Section(cov, lift))
-    assert all(v == 0 for row in z.cochain.xi for v in row)
+    assert all(v == 0 for row in z.xi for v in row)
     assert z_class_trivial(z) is not None
 
 
@@ -63,7 +71,7 @@ def test_cyclic_cover_z4_over_z2():
         # z(g,g) = lift(g)^2 in the kernel
         g = 1
         expected = cov.S.mul(sec.lift[g], sec.lift[g])
-        assert z.values[g][g] == expected
+        assert cov.kernel_elements[z.xi[g][g]] == expected
         assert z_class_trivial(z) is None  # nontrivial class
 
 
@@ -78,9 +86,9 @@ def reference_z_class_trivial(z):
     """The direct twist loop z_class_trivial ran before it went through
     cohomologous: the first zeta: L -> K, in product order, with
     zeta(l1) zeta(l0) z(l1,l0) zeta(l1 l0)^-1 == 1 everywhere."""
-    L, K = z.cochain.G, z.k_group
+    L, K = z.G, z.A
     for zeta in itertools.product(K.elements(), repeat=L.order):
-        if all(K.mul(K.mul(K.mul(zeta[l1], zeta[l0]), z.cochain.xi[l1][l0]),
+        if all(K.mul(K.mul(K.mul(zeta[l1], zeta[l0]), z.xi[l1][l0]),
                      K.inv(zeta[L.mul(l1, l0)])) == 0
                for l1 in L.elements() for l0 in L.elements()):
             return zeta
@@ -88,17 +96,36 @@ def reference_z_class_trivial(z):
 
 
 def test_z_class_trivial_matches_reference_twist_loop():
+    # also: the section twist carries the first section's factor set to
+    # every other one, and the twist search agrees they are cohomologous
     covers = [q8_cover(), cyclic_cover(4, 2), cyclic_cover(8, 2),
               cyclic_cover(6, 3), cyclic_cover(9, 3),
               split_cover(2, fg.cyclic(3)), split_cover(3, fg.cyclic(2))]
     trivial = 0
     for cov in covers:
-        for sec in all_sections(cov):
+        sections = all_sections(cov)
+        z0 = z_cocycle(sections[0])
+        for sec in sections:
             z = z_cocycle(sec)
             got = z_class_trivial(z)
             assert got == reference_z_class_trivial(z), (cov.S.name, sec.lift)
             trivial += got is not None
+            assert coboundary_twist(z0, section_twist(sections[0], sec)) == z, \
+                (cov.S.name, sec.lift)
+            assert cohomologous(z0, z) is not None, (cov.S.name, sec.lift)
     assert trivial > 0
+
+
+def test_section_twist_names_the_kernel_element_between_lifts():
+    cov = q8_cover()
+    s0, s = all_sections(cov)[0], all_sections(cov)[-1]
+    k = section_twist(s0, s)
+    assert k[0] == 0
+    assert all(cov.S.mul(cov.kernel_elements[k[l]], s0.lift[l]) == s.lift[l]
+               for l in cov.L.elements())
+    assert section_twist(s, s) == (0,) * cov.L.order
+    with pytest.raises(ValueError):
+        section_twist(all_sections(cyclic_cover(8, 2))[0], s)
 
 
 def test_factor_sets_and_induced_cochains_are_cocycles():
@@ -109,16 +136,21 @@ def test_factor_sets_and_induced_cochains_are_cocycles():
     a2 = fg.cyclic(2)
     for name, build in models.COVERS.items():
         cov = build()
-        k, _ = cov.kernel_group()
+        k = cov.K
         homs = [GroupHom(k, a2, (0,) * k.order),
                 GroupHom(k, a2, tuple(e % 2 for e in range(k.order)))]
+        S, L = cov.S, cov.L
         for sec in all_sections(cov):
             z = z_cocycle(sec)
-            assert validate_cocycle(z.cochain).valid, (name, sec.lift)
-            assert {v for row in z.values for v in row} <= set(cov.kernel_elements), \
+            assert validate_cocycle(z).valid, (name, sec.lift)
+            # each K-index names the kernel element s(l1) s(l0) s(l1 l0)^-1
+            assert all(cov.kernel_elements[z.xi[l1][l0]]
+                       == S.mul(S.mul(sec.lift[l1], sec.lift[l0]),
+                                S.inv(sec.lift[L.mul(l1, l0)]))
+                       for l1 in L.elements() for l0 in L.elements()), \
                 (name, sec.lift)
             for zeta in homs:
-                out = induced_gauge_cocycle(sec, zeta)
+                out = induced_gauge_cocycle(z, zeta)
                 assert validate_cocycle(out).valid, (name, sec.lift, zeta.map)
 
 
@@ -169,7 +201,7 @@ def test_q8_z_class_is_section_independent():
     cov = q8_cover()
     sections = all_sections(cov)
     for s1, s2 in itertools.combinations(sections, 2):
-        c1, c2 = z_cocycle(s1).cochain, z_cocycle(s2).cochain
+        c1, c2 = z_cocycle(s1), z_cocycle(s2)
         assert cohomologous(c1, c2) is not None
 
 
@@ -180,49 +212,49 @@ def test_z_class_section_independent_across_cover_types():
         assert cov.L.order <= 8
         sections = all_sections(cov)
         for s1, s2 in itertools.combinations(sections, 2):
-            assert cohomologous(z_cocycle(s1).cochain,
-                                z_cocycle(s2).cochain) is not None
+            assert cohomologous(z_cocycle(s1), z_cocycle(s2)) is not None
 
 
 def test_induced_cocycle_trivial_zeta():
     cov = q8_cover()
-    k, _ = cov.kernel_group()
+    k = cov.K
     a = fg.cyclic(2)
     zeta = GroupHom(k, a, (0, 0))
     for sec in all_sections(cov):
-        out = induced_gauge_cocycle(sec, zeta)
+        out = induced_gauge_cocycle(z_cocycle(sec), zeta)
         assert validate_cocycle(out).valid
         assert cohomologous(out, trivial_cochain(out.G, out.A)) is not None
 
 
 def test_induced_cocycle_q8_univalence_nontrivial():
     cov = q8_cover()
-    k, _ = cov.kernel_group()
+    k = cov.K
     a = fg.cyclic(2)
     zeta = GroupHom(k, a, (0, 1))  # -1 -> the gauge flip
     for sec in all_sections(cov):
-        out = induced_gauge_cocycle(sec, zeta)
+        out = induced_gauge_cocycle(z_cocycle(sec), zeta)
         assert cohomologous(out, trivial_cochain(out.G, out.A)) is None
 
 
 def test_induced_cocycle_split_cover_trivial_regardless_of_zeta():
     cov = split_cover(2, fg.standard_group("Z2xZ2"))
-    k, _ = cov.kernel_group()
+    k = cov.K
     a = fg.cyclic(2)
     lift = tuple(range(cov.L.order))
     for zeta_map in [(0, 0), (0, 1)]:
-        out = induced_gauge_cocycle(Section(cov, lift), GroupHom(k, a, zeta_map))
+        out = induced_gauge_cocycle(z_cocycle(Section(cov, lift)),
+                                    GroupHom(k, a, zeta_map))
         assert cohomologous(out, trivial_cochain(out.G, out.A)) is not None
 
 
 def test_induced_cocycle_rejects_noncentral_zeta():
     cov = q8_cover()
-    k, _ = cov.kernel_group()
+    k = cov.K
     s3 = fg.symmetric3()
     transposition = next(x for x in s3.elements() if s3.element_order(x) == 2)
     zeta = GroupHom(k, s3, (0, transposition))
     with pytest.raises(NotCentral):
-        induced_gauge_cocycle(all_sections(cov)[0], zeta)
+        induced_gauge_cocycle(z_cocycle(all_sections(cov)[0]), zeta)
 
 
 def test_check_centre_hom():
@@ -266,17 +298,15 @@ def test_spin_frame_model_kernel_restriction_is_central_hom():
 
 def test_spin_obstruction_q8():
     cov = q8_cover()
-    sec = all_sections(cov)[0]
-    k, _ = cov.kernel_group()
-    zeta = GroupHom(k, fg.cyclic(2), (0, 1))
+    zeta = GroupHom(cov.K, fg.cyclic(2), (0, 1))
     two_dim = models.q8_two_dim_rep()
-    verdict = spin_obstruction(sec, zeta, two_dim)
+    verdict = spin_obstruction(cov, zeta, two_dim)
     assert not verdict.descends
     assert verdict.obstruction_witness == 1  # the central -1
     assert verdict.model_consistent
 
     for axis in "1ijk":
-        v = spin_obstruction(sec, zeta, models.q8_sign_rep(axis))
+        v = spin_obstruction(cov, zeta, models.q8_sign_rep(axis))
         assert v.descends
         assert v.descended is not None and v.descended.group == cov.L
 
@@ -284,37 +314,55 @@ def test_spin_obstruction_q8():
 def test_descended_maps_are_representations():
     # spin_obstruction does not re-validate what it descends; this is the check
     cov = q8_cover()
-    k, _ = cov.kernel_group()
     descended = 0
     for name, build in models.Q8_REPS.items():
         for zeta_map in ((0, 0), (0, 1)):
-            zeta = GroupHom(k, fg.cyclic(2), zeta_map)
-            for i, sec in enumerate(all_sections(cov)):
-                verdict = spin_obstruction(sec, zeta, build())
-                if verdict.descends:
-                    descended += 1
-                    assert validate_rep(verdict.descended).valid, (name, zeta_map, i)
-    assert descended == 4 * 2 * len(all_sections(cov))  # the four sign reps
+            zeta = GroupHom(cov.K, fg.cyclic(2), zeta_map)
+            verdict = spin_obstruction(cov, zeta, build())
+            if verdict.descends:
+                descended += 1
+                assert validate_rep(verdict.descended).valid, (name, zeta_map)
+    assert descended == 4 * 2  # the four sign reps
+
+
+def test_descent_matches_the_lift_of_every_section():
+    # spin_obstruction descends along the least preimages; once the kernel
+    # acts trivially, the lift of every section gives the same matrices
+    split = split_cover(2, fg.standard_group("Z2xZ2"))
+    n = split.L.order
+    characters = [lambda e: 1, lambda e: (-1) ** (e % n // 2),
+                  lambda e: (-1) ** (e % 2), lambda e: (-1) ** (e // n)]
+    cases = [(q8_cover(), build()) for build in models.Q8_REPS.values()]
+    cases += [(split, MatrixRep(split.S, 1, tuple(Mat([[chi(e)]])
+                                                  for e in split.S.elements())))
+              for chi in characters]
+    checked = 0
+    for cov, rep in cases:
+        zeta = GroupHom(cov.K, fg.cyclic(2), (0,) * cov.K.order)
+        verdict = spin_obstruction(cov, zeta, rep)
+        if not verdict.descends:
+            continue
+        for sec in all_sections(cov):
+            assert verdict.descended.matrices == tuple(
+                rep(sec.lift[l]) for l in cov.L.elements()), (cov.S.name, sec.lift)
+            checked += 1
+    assert checked == 4 * 8 + 3 * 8  # the sign reps of Q8; the K-trivial characters
 
 
 def test_spin_obstruction_trivial_zeta_inconsistency_flag():
     cov = q8_cover()
-    sec = all_sections(cov)[0]
-    k, _ = cov.kernel_group()
-    trivial_zeta = GroupHom(k, fg.cyclic(2), (0, 0))
-    verdict = spin_obstruction(sec, trivial_zeta, models.q8_two_dim_rep())
+    trivial_zeta = GroupHom(cov.K, fg.cyclic(2), (0, 0))
+    verdict = spin_obstruction(cov, trivial_zeta, models.q8_two_dim_rep())
     assert not verdict.descends
     assert not verdict.model_consistent  # trivial univalence but no descent
 
 
 def test_descends_iff_kernel_in_rep_kernel():
     cov = q8_cover()
-    sec = all_sections(cov)[0]
-    k, _ = cov.kernel_group()
-    zeta = GroupHom(k, fg.cyclic(2), (0, 1))
+    zeta = GroupHom(cov.K, fg.cyclic(2), (0, 1))
     reps = [models.q8_two_dim_rep()] + [models.q8_sign_rep(a) for a in "1ijk"]
     for rep in reps:
-        verdict = spin_obstruction(sec, zeta, rep)
+        verdict = spin_obstruction(cov, zeta, rep)
         kernel_trivial = all(rep(amb) == Mat.identity(rep.dim)
                              for amb in cov.kernel_elements)
         assert verdict.descends == kernel_trivial
@@ -322,12 +370,9 @@ def test_descends_iff_kernel_in_rep_kernel():
 
 def test_split_cover_descent():
     cov = split_cover(2, fg.cyclic(2))
-    lift = tuple(range(cov.L.order))
-    sec = Section(cov, lift)
-    k, _ = cov.kernel_group()
-    zeta = GroupHom(k, fg.cyclic(2), (0, 0))
+    zeta = GroupHom(cov.K, fg.cyclic(2), (0, 0))
     # rep of K x L trivial on K descends
     mats = tuple(Mat([[1 if (e % 2 == 0) else -1]]) for e in range(cov.S.order))
     rep = MatrixRep(cov.S, 1, mats)
-    verdict = spin_obstruction(sec, zeta, rep)
+    verdict = spin_obstruction(cov, zeta, rep)
     assert verdict.descends

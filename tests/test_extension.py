@@ -5,7 +5,7 @@ import pytest
 
 from covlab import fingroup as fg
 from covlab import models
-from covlab.cohomology2 import (Cochain2, TwistMap, coboundary_twist,
+from covlab.cohomology2 import (Cochain2, coboundary_twist,
                                 cohomologous, enumerate_normalized_cocycles,
                                 is_neutral, trivial_cochain, validate_cocycle)
 from covlab.extension import (ExtensionEquivalence, InvalidCocycle,
@@ -134,14 +134,33 @@ def test_equivalence_reflexive_identity_witness():
 
 def test_cohomologous_cocycles_give_equivalent_extensions():
     base = trivial_cochain(Z2, Z4)
-    twisted = coboundary_twist(base, TwistMap((0, 1)))
+    twisted = coboundary_twist(base, (0, 1))
     e1, e2 = build_extension(base), build_extension(twisted)
     eq = extensions_equivalent(e1, e2)
     assert eq is not None
     # the witness is (a,g) -> (a*zeta(g), g) for the twisting zeta
     w = cohomologous(base, twisted)
     assert w is not None
-    assert extensions_equivalent(e1, e2).zeta in (w.zeta, eq.zeta)
+    assert extensions_equivalent(e1, e2).zeta in (w, eq.zeta)
+
+
+def test_extensions_equivalent_does_not_revalidate(monkeypatch):
+    # build_extension validated both cochains; the equivalence search only
+    # scans twists
+    from covlab import cohomology2, extension
+    calls = []
+
+    def counting(c):
+        calls.append(c)
+        return validate_cocycle(c)
+
+    exts = [build_extension(c) for c in enumerate_normalized_cocycles(Z2, Z4)]
+    monkeypatch.setattr(cohomology2, "validate_cocycle", counting)
+    monkeypatch.setattr(extension, "validate_cocycle", counting)
+    found = [extensions_equivalent(e1, e2) is not None
+             for e1 in exts for e2 in exts]
+    assert any(found) and not all(found)
+    assert calls == []
 
 
 def reference_extensions_equivalent(e1, e2):
@@ -185,7 +204,7 @@ def reference_type_flags(e):
     c = e.cochain
     direct = semidirect = False
     for tail in itertools.product(c.A.elements(), repeat=c.G.order - 1):
-        tw = coboundary_twist(c, TwistMap((0,) + tail))
+        tw = coboundary_twist(c, (0,) + tail)
         if is_neutral(tw):
             semidirect = True
             if not any(tw.phi):

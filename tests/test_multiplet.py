@@ -560,13 +560,19 @@ def test_scaling_multiplet_group_law_on_cyclic_powers():
             assert power == stretched, (k, n)
 
 
+def test_scaling_multiplet_refuses_unknown_couplings():
+    for coupling in ("minimal", "bogus"):
+        with pytest.raises(ValueError, match="unknown coupling"):
+            scaling_multiplet(2, coupling=coupling)
+
+
 def test_scaling_multiplet_nilpotent_structure():
     # N = M - lam^k is nilpotent; N = 0 exactly for the "diagonal" verdict,
     # and otherwise the chain is full length: N^(dim-1) != 0
     def all_zero(mat):
         return all(c.is_zero() for row in mat for c in row)
 
-    for coupling in ("generic", "minimal", "conformal"):
+    for coupling in ("generic", "conformal"):
         for k in range(1, 7):
             m = scaling_multiplet(k, coupling=coupling)
             dim = m.dim

@@ -18,7 +18,9 @@ category's `.morphisms`, so the naturality square is written once; and no
 module looks a gauge family or an object up by `families.index` or
 `objects.index`, since `GaugeGroup` keeps both as dicts.  In `exactlin`,
 `Fraction(...)` is called only in `GaussRat.__init__` and the `re`/`im`
-properties, so the matrix kernels run on the integer triples alone.
+properties, so the matrix kernels run on the integer triples alone.  In
+`covering`, `subgroup(...)` is called only inside `CentralCover.__post_init__`,
+so the kernel group is built once per cover.
 
 Run as a script, this module prints the exit code and stdout of each
 command given as a JSON list of argv lists; the -O test runs it that way.
@@ -167,6 +169,19 @@ def test_exactlin_builds_fractions_only_at_its_boundary():
     found = {inside.get(id(node), f"exactlin.py:{node.lineno}")
              for node in ast.walk(tree) if _called(node) == "Fraction"}
     assert sorted(found) == ["GaussRat.__init__", "GaussRat.im", "GaussRat.re"]
+
+
+def test_cover_kernel_group_is_built_once_per_cover():
+    tree = ast.parse((ROOT / "src" / "covlab" / "covering.py").read_text())
+    inside = {id(node): f"{cls.name}.{fn.name}"
+              for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == "CentralCover"
+              for fn in cls.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+              for node in ast.walk(fn)}
+    found = [inside.get(id(node), f"covering.py:{node.lineno}")
+             for node in ast.walk(tree) if _called(node) == "subgroup"]
+    assert found == ["CentralCover.__post_init__"]
 
 
 def readme_commands():
