@@ -29,7 +29,7 @@ from .fingroup import (AutGroup, GroupTable, Perm, Report, _bfs_recipes,
                        invert_perm)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Cochain2:
     """A 2-cochain: xi as a |G| x |G| table of A-indices, phi as one
     automorphism index (into compute_aut(A).perms) per G element."""
@@ -38,7 +38,9 @@ class Cochain2:
     A: GroupTable
     xi: Tuple[Tuple[int, ...], ...]
     phi: Tuple[int, ...]
-    aut: AutGroup = field(init=False, repr=False)  # compute_aut(A), read once
+    aut: AutGroup = field(init=False, repr=False, compare=False)  # compute_aut(A), read once
+    perms: Tuple[Perm, ...] = field(init=False, repr=False,
+                                    compare=False)  # phi(g) as a permutation of A
 
     def __post_init__(self) -> None:
         n, m = self.G.order, self.A.order
@@ -49,9 +51,7 @@ class Cochain2:
         object.__setattr__(self, "aut", compute_aut(self.A))
         if len(self.phi) != n or any(not (0 <= v < self.aut.order) for v in self.phi):
             raise ValueError("phi is not total on G or indexes outside Aut(A)")
-
-    def phi_perm(self, g: int):
-        return self.aut.perms[self.phi[g]]
+        object.__setattr__(self, "perms", tuple(self.aut.perms[p] for p in self.phi))
 
     def is_normalized(self) -> bool:
         if self.phi[0] != 0:
@@ -59,24 +59,27 @@ class Cochain2:
         return all(self.xi[g][0] == 0 and self.xi[0][g] == 0
                    for g in self.G.elements())
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Cochain2) and self.G == other.G
-                and self.A == other.A and self.xi == other.xi
-                and self.phi == other.phi)
-
-    def __hash__(self) -> int:
-        return hash((self.G.table, self.A.table, self.xi, self.phi))
-
 
 def trivial_cochain(G: GroupTable, A: GroupTable) -> Cochain2:
     n = G.order
     return Cochain2(G, A, tuple((0,) * n for _ in range(n)), (0,) * n)
 
 
+@lru_cache(maxsize=None)
+def _laws(G: GroupTable) -> Tuple[Tuple[int, int, int, int, int], ...]:
+    """Every factor-set law, once, over every (g2, g1, g0) in lexicographic
+    order, as flat xi cells (g2, l1, l2, r1, r2) for the law
+    xi[l1] * xi[l2] == phi(g2)(xi[r1]) * xi[r2], where l1 = g2*n + g1,
+    l2 = (g2 g1)*n + g0, r1 = g1*n + g0 and r2 = g2*n + (g1 g0)."""
+    n, mul = G.order, G.mul
+    return tuple((g2, g2 * n + g1, mul(g2, g1) * n + g0, g1 * n + g0,
+                  g2 * n + mul(g1, g0))
+                 for g2 in G.elements() for g1 in G.elements() for g0 in G.elements())
+
+
 def validate_cocycle(c: Cochain2) -> Report:
     """Check both cocycle conditions; report the first failing pair/triple."""
-    G, A = c.G, c.A
-    perms = [c.phi_perm(g) for g in G.elements()]
+    G, A, perms = c.G, c.A, c.perms
     for g1 in G.elements():
         for g0 in G.elements():
             lhs = compose_perm(perms[g1],
@@ -84,13 +87,11 @@ def validate_cocycle(c: Cochain2) -> Report:
                                             invert_perm(perms[G.mul(g1, g0)])))
             if lhs != inner_perm(A, c.xi[g1][g0]):
                 return Report(False, "automorphism_condition", (g1, g0))
-    for g2 in G.elements():
-        for g1 in G.elements():
-            for g0 in G.elements():
-                lhs = A.mul(c.xi[g2][g1], c.xi[G.mul(g2, g1)][g0])
-                rhs = A.mul(perms[g2][c.xi[g1][g0]], c.xi[g2][G.mul(g1, g0)])
-                if lhs != rhs:
-                    return Report(False, "factor_set_condition", (g2, g1, g0))
+    n, mul = G.order, A.table
+    xi = [v for row in c.xi for v in row]
+    for g2, l1, l2, r1, r2 in _laws(G):
+        if mul[xi[l1]][xi[l2]] != mul[perms[g2][xi[r1]]][xi[r2]]:
+            return Report(False, "factor_set_condition", (g2, l1 % n, r1 % n))
     return Report(True)
 
 
@@ -116,8 +117,7 @@ def coboundary_twist(c: Cochain2, zeta: Tuple[int, ...]) -> Cochain2:
     G, A = c.G, c.A
     if len(zeta) != G.order or any(not (0 <= z < A.order) for z in zeta):
         raise ValueError("twist map is not total on G")
-    ads, aut = _inner_auts(A), c.aut
-    perms = [aut.perms[p] for p in c.phi]
+    ads, aut, perms = _inner_auts(A), c.aut, c.perms
     elems = G.elements()
     phi = tuple([aut.index[compose_perm(ads[zeta[g]], perms[g])] for g in elems])
     xi = []
@@ -142,7 +142,7 @@ def _twist_candidates(c: Cochain2, xi) -> list:
     gens = generating_sequence(G)
     recipe, order = _bfs_recipes(G, gens)
     fill = [(y,) + recipe[y] for y in order[1 + len(gens):]]  # gens come first
-    perms = [c.phi_perm(g) for g in G.elements()]
+    perms = c.perms
     first = A.mul(xi[0][0], A.inv(c.xi[0][0]))
     found = []
     for values in capped_product([A.elements()] * len(gens)):
@@ -198,29 +198,20 @@ class H2Classification:
         return len(self.classes)
 
 
-def _cocycle_key(xi, phi):
-    return (tuple(v for row in xi for v in row), tuple(phi))
-
-
 def _factor_set_schedule(G: GroupTable) -> Tuple[Tuple[int, ...], list]:
     """The free xi cells of a normalized cochain, as flat indices g1*n + g0
     with neither g1 nor g0 the identity, in row-major order; and for each
-    cell the factor-set triples whose four cells are all set once that cell
-    is, as (g2, a, b, c, d) for the law xi[a] * xi[b] == phi(g2)(xi[c]) *
-    xi[d].  A triple with no free cell holds for every phi, since all its
-    cells are the identity."""
+    cell the `_laws` whose four cells are all set once that cell is.  A law
+    with no free cell holds for every phi, since all its cells are the
+    identity."""
     n = G.order
     cells = tuple(g1 * n + g0 for g1 in range(1, n) for g0 in range(1, n))
     rank = {pos: k for k, pos in enumerate(cells)}
     checks = [[] for _ in cells]
-    for g2 in G.elements():
-        for g1 in G.elements():
-            for g0 in G.elements():
-                law = (g2 * n + g1, G.mul(g2, g1) * n + g0,
-                       g1 * n + g0, g2 * n + G.mul(g1, g0))
-                last = max((rank[pos] for pos in law if pos in rank), default=None)
-                if last is not None:
-                    checks[last].append((g2,) + law)
+    for law in _laws(G):
+        last = max((rank[pos] for pos in law[1:] if pos in rank), default=None)
+        if last is not None:
+            checks[last].append(law)
     return cells, checks
 
 
@@ -266,8 +257,8 @@ def enumerate_normalized_cocycles(G: GroupTable, A: GroupTable
             if visited > limit:
                 raise SearchSpaceTooLarge(visited, limit)
             xi[pos] = v
-            for g2, a, b, c, d in checks[k]:
-                if mul[xi[a]][xi[b]] != mul[perms[g2][xi[c]]][xi[d]]:
+            for g2, l1, l2, r1, r2 in checks[k]:
+                if mul[xi[l1]][xi[l2]] != mul[perms[g2][xi[r1]]][xi[r2]]:
                     break
             else:
                 solve(k + 1)
@@ -285,7 +276,7 @@ def enumerate_normalized_cocycles(G: GroupTable, A: GroupTable
             options.append(preimages[defect])
         else:
             solve(0)
-    found.sort(key=lambda c: _cocycle_key(c.xi, c.phi))
+    found.sort(key=lambda c: (c.xi, c.phi))
     return tuple(found)
 
 
@@ -298,19 +289,19 @@ def classify_h2(G: GroupTable, A: GroupTable) -> H2Classification:
     cocycles come sorted, so the first one a class meets is its least.
     """
     cocycles = enumerate_normalized_cocycles(G, A)
-    index = {_cocycle_key(c.xi, c.phi): i for i, c in enumerate(cocycles)}
+    index = {(c.xi, c.phi): i for i, c in enumerate(cocycles)}
     twists = list(capped_product([(0,)] + [A.elements()] * (G.order - 1)))
     seen = [False] * len(cocycles)
     classes = []
     trivial = trivial_cochain(G, A)
-    trivial_index = index[_cocycle_key(trivial.xi, trivial.phi)]
+    trivial_index = index[(trivial.xi, trivial.phi)]
     for i, c in enumerate(cocycles):
         if seen[i]:
             continue
         orbit = set()
         for zeta in twists:
             tw = coboundary_twist(c, zeta)
-            orbit.add(index[_cocycle_key(tw.xi, tw.phi)])
+            orbit.add(index[(tw.xi, tw.phi)])
         for j in orbit:
             seen[j] = True
         classes.append(H2Class(

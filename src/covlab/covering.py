@@ -199,6 +199,8 @@ def spin_obstruction(cover: CentralCover, zeta_on_k: GroupHom,
     """
     if rep.group != cover.S:
         raise ValueError("representation is not defined on the covering group")
+    if zeta_on_k.source != cover.K:
+        raise ValueError("zeta is not defined on the kernel group")
     validate_rep(rep).require("representation")
     witness = None
     for amb in cover.kernel_elements:

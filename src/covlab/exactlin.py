@@ -224,47 +224,41 @@ class Mat:
     def det(self) -> GaussRat:
         if self.nrows != self.ncols:
             raise ValueError("determinant of non-square matrix")
-        a = [list(r) for r in self.rows]
-        n = self.nrows
-        out = ONE
-        for col in range(n):
-            piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-            if piv is None:
-                return ZERO
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                out = -out
-            out = out * a[col][col]
-            inv = ONE / a[col][col]
-            for r in range(col + 1, n):
-                f = a[r][col] * inv
-                if not f.is_zero():
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return out
+        _, pivots, product = rref(self.rows)
+        return product if len(pivots) == self.nrows else ZERO
 
     def inverse(self) -> "Mat":
         if self.nrows != self.ncols:
             raise ValueError("inverse of non-square matrix")
         n = self.nrows
-        a, pivots = rref([list(r) + [ONE if i == j else ZERO for j in range(n)]
-                          for i, r in enumerate(self.rows)])
+        a, pivots, _ = rref([list(r) + [ONE if i == j else ZERO for j in range(n)]
+                             for i, r in enumerate(self.rows)])
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
         return _mat(tuple(tuple(row[n:]) for row in a))
 
 
-def rref(rows: List[List[GaussRat]]) -> Tuple[List[List[GaussRat]], List[int]]:
-    """Reduced row echelon form (in place on a copy) with pivot columns."""
+def rref(rows: Sequence[Sequence[GaussRat]]
+         ) -> Tuple[List[List[GaussRat]], List[int], GaussRat]:
+    """Reduced row echelon form (in place on a copy) with pivot columns, and
+    the product of the pivots, negated once per row swap.  Scaling a pivot
+    row to 1 divides the determinant by its pivot, and a swap negates it,
+    so on a square matrix whose every column is a pivot the product is the
+    determinant."""
     a = [list(r) for r in rows]
     nr = len(a)
     nc = len(a[0]) if a else 0
     pivots = []
+    product = ONE
     r = 0
     for c in range(nc):
         piv = next((i for i in range(r, nr) if not a[i][c].is_zero()), None)
         if piv is None:
             continue
-        a[r], a[piv] = a[piv], a[r]
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            product = -product
+        product = product * a[r][c]
         inv = ONE / a[r][c]
         a[r] = [x * inv for x in a[r]]
         for i in range(nr):
@@ -275,7 +269,7 @@ def rref(rows: List[List[GaussRat]]) -> Tuple[List[List[GaussRat]], List[int]]:
         r += 1
         if r == nr:
             break
-    return a, pivots
+    return a, pivots, product
 
 
 def null_space(rows: List[List[GaussRat]], ncols: int) -> List[Tuple[GaussRat, ...]]:
@@ -283,7 +277,7 @@ def null_space(rows: List[List[GaussRat]], ncols: int) -> List[Tuple[GaussRat, .
     if not rows:
         return [tuple(ONE if j == k else ZERO for j in range(ncols))
                 for k in range(ncols)]
-    a, pivots = rref(rows)
+    a, pivots, _ = rref(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     basis = []

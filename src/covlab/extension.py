@@ -59,7 +59,7 @@ def build_extension(c: Cochain2) -> ExtensionGroup:
 
     def mul(p, q):
         (a1, g1), (a0, g0) = p, q
-        return A.mul(A.mul(a1, c.phi_perm(g1)[a0]), c.xi[g1][g0]), G.mul(g1, g0)
+        return A.mul(A.mul(a1, c.perms[g1][a0]), c.xi[g1][g0]), G.mul(g1, g0)
 
     pairs = [(a, g) for a in A.elements() for g in G.elements()]
     E = GroupTable(table_on(pairs, mul),

@@ -301,16 +301,9 @@ def centre(g: GroupTable) -> Tuple[int, ...]:
 
 
 def closure(g: GroupTable, elems: Sequence[int]) -> Tuple[int, ...]:
-    seen = {0, *elems}
-    frontier = list(seen)
-    while frontier:
-        x = frontier.pop()
-        for y in list(seen):
-            for z in (g.mul(x, y), g.mul(y, x), g.inv(x)):
-                if z not in seen:
-                    seen.add(z)
-                    frontier.append(z)
-    return tuple(sorted(seen))
+    """The subgroup generated by elems, sorted.  In a finite group the
+    products of the generators already reach every inverse."""
+    return tuple(sorted(_bfs_recipes(g, tuple(elems))[1]))
 
 
 def subgroup(g: GroupTable, elems: Sequence[int],
@@ -395,13 +388,15 @@ def inner_perm(g: GroupTable, a: int) -> Perm:
 
 @lru_cache(maxsize=None)
 def generating_sequence(g: GroupTable) -> Tuple[int, ...]:
+    """Each element not yet reached by the walk of `_bfs_recipes`, in index
+    order, until the walk reaches all of g."""
     gens: list[int] = []
-    gen = closure(g, gens)
+    reached = {0}
     for x in g.elements():
-        if x not in gen:
+        if x not in reached:
             gens.append(x)
-            gen = closure(g, gens)
-            if len(gen) == g.order:
+            reached = _bfs_recipes(g, tuple(gens))[0]
+            if len(reached) == g.order:
                 break
     return tuple(gens)
 

@@ -104,9 +104,8 @@ def verify_field_action(a: FieldSpaceAction) -> Report:
         if m.nrows != a.dim or m.ncols != a.dim or m.det().is_zero():
             return Report(False, "StarNotInvertible", (g,))
     for g in G.elements():
-        perm = c.phi_perm(g)
         for alpha in generating_sequence(A):
-            if a.star[g] * a.dot(alpha) != a.dot(perm[alpha]) * a.star[g]:
+            if a.star[g] * a.dot(alpha) != a.dot(c.perms[g][alpha]) * a.star[g]:
                 return Report(False, "CompatibilityLaw", (g, alpha))
     for g1 in G.elements():
         for g0 in G.elements():

@@ -80,6 +80,12 @@ def cochain_from_obj(obj: Any) -> Cochain2:
             raise SchemaError(key, "missing")
     g = group_from_obj(obj["G"], "G")
     a = group_from_obj(obj["A"], "A")
+    for key, group in (("G", g), ("A", a)):
+        # xi and phi are read in the record's labels, which make_group keeps
+        # only when the identity comes first
+        table = obj[key].get("table") if isinstance(obj[key], dict) else None
+        if table is not None and list(table[0]) != list(group.elements()):
+            raise SchemaError(f"{key}.table", "a cochain's group must list the identity first")
     if not isinstance(obj["xi"], list):
         raise SchemaError("xi", f"expected a list of rows, got {json.dumps(obj['xi'])}")
     xi = tuple(_ints(row, "xi") for row in obj["xi"])

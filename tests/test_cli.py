@@ -156,6 +156,25 @@ def test_invalid_cochain_file_fails_validation(capsys, tmp_path):
     assert code == 1
 
 
+def test_cochain_groups_must_list_the_identity_first(capsys, tmp_path):
+    # the Z4-producing cocycle, first over a table with the identity at
+    # label 1: its xi and phi would be read in labels make_group changes
+    f = tmp_path / "cochain.json"
+    f.write_text(json.dumps({"G": {"table": [[1, 0], [0, 1]]}, "A": "Z2",
+                             "xi": [[1, 0], [0, 0]], "phi": [0, 0]}))
+    for verb in ("validate-cocycle", "build-extension"):
+        code, _, err = run(capsys, verb, "--input", str(f))
+        assert code == 2 and "'G.table'" in err, verb
+    f.write_text(json.dumps({"G": "Z2", "A": {"table": [[1, 0], [0, 1]]},
+                             "xi": [[0, 0], [0, 0]], "phi": [0, 0]}))
+    code, _, err = run(capsys, "validate-cocycle", "--input", str(f))
+    assert code == 2 and "'A.table'" in err
+    f.write_text(json.dumps({"G": {"table": [[0, 1], [1, 0]]}, "A": "Z2",
+                             "xi": [[0, 0], [0, 1]], "phi": [0, 0]}))
+    for verb in ("validate-cocycle", "build-extension"):
+        assert run(capsys, verb, "--input", str(f))[0] == 0, verb
+
+
 def test_build_extension_on_non_cocycle_is_an_input_error(capsys, tmp_path):
     # normalized, but xi fails the factor-set law, so the pair product on
     # A x G is not associative

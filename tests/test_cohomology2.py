@@ -262,8 +262,8 @@ def test_neutral_cocycles_have_homomorphic_phi():
                 continue
             for g1 in G.elements():
                 for g0 in G.elements():
-                    assert aut.index[fg.compose_perm(c.phi_perm(g1),
-                                                     c.phi_perm(g0))] \
+                    assert aut.index[fg.compose_perm(c.perms[g1],
+                                                     c.perms[g0])] \
                         == c.phi[G.mul(g1, g0)], (G.name, A.name, c.phi)
 
 
@@ -271,8 +271,8 @@ def reference_cohomologous(c1, c2, normalized):
     """The twist search as written before the one twist kernel: check phi
     through precomputed inner automorphisms, then xi cell by cell."""
     G, A = c1.G, c1.A
-    perms1 = [c1.phi_perm(g) for g in G.elements()]
-    perms2 = [c2.phi_perm(g) for g in G.elements()]
+    perms1 = [c1.perms[g] for g in G.elements()]
+    perms2 = [c2.perms[g] for g in G.elements()]
     ads = [fg.inner_perm(A, a) for a in A.elements()]
     first = [(0,)] if normalized else [A.elements()]
     for zeta in itertools.product(*first, *[A.elements()] * (G.order - 1)):
@@ -440,3 +440,44 @@ def test_cap_counts_solver_work(monkeypatch):
     with pytest.raises(SearchSpaceTooLarge) as err:
         enumerate_normalized_cocycles(fg.standard_group("S3"), Z2)
     assert (err.value.size, err.value.cap) == (1001, 1000)
+
+
+def reference_validate_cocycle(c):
+    """validate_cocycle as written before the law table: phi rebuilt from
+    the automorphism list, and both laws in nested loops over G."""
+    G, A = c.G, c.A
+    perms = [c.aut.perms[c.phi[g]] for g in G.elements()]
+    for g1 in G.elements():
+        for g0 in G.elements():
+            lhs = fg.compose_perm(perms[g1], fg.compose_perm(
+                perms[g0], fg.invert_perm(perms[G.mul(g1, g0)])))
+            if lhs != fg.inner_perm(A, c.xi[g1][g0]):
+                return fg.Report(False, "automorphism_condition", (g1, g0))
+    for g2 in G.elements():
+        for g1 in G.elements():
+            for g0 in G.elements():
+                lhs = A.mul(c.xi[g2][g1], c.xi[G.mul(g2, g1)][g0])
+                rhs = A.mul(perms[g2][c.xi[g1][g0]], c.xi[g2][G.mul(g1, g0)])
+                if lhs != rhs:
+                    return fg.Report(False, "factor_set_condition", (g2, g1, g0))
+    return fg.Report(True)
+
+
+def test_law_table_matches_the_nested_loop_validation_on_the_h2_grid():
+    # each cocycle, an unnormalized twist of it, and a one-cell corruption
+    rng = random.Random(18)
+    verdicts = set()
+    for gn, an in workloads.H2_PAIRS:
+        G, A = fg.standard_group(gn), fg.standard_group(an)
+        for c in enumerate_normalized_cocycles(G, A):
+            twisted = coboundary_twist(c, tuple(rng.randrange(A.order)
+                                                for _ in G.elements()))
+            g1, g0 = rng.randrange(G.order), rng.randrange(G.order)
+            xi = [list(row) for row in twisted.xi]
+            xi[g1][g0] = (xi[g1][g0] + rng.randrange(1, A.order)) % A.order
+            corrupted = Cochain2(G, A, tuple(map(tuple, xi)), twisted.phi)
+            for v in (c, twisted, corrupted):
+                got = validate_cocycle(v)
+                assert got == reference_validate_cocycle(v), (gn, an, v)
+                verdicts.add(got.violation)
+    assert verdicts == {None, "automorphism_condition", "factor_set_condition"}

@@ -356,7 +356,7 @@ def test_lift_is_valid_with_phi_ad_a_after_phi_g():
         assert validate_cocycle(ec).valid and ec.is_normalized(), impl.name
         for e in ext.E.elements():
             a, g = ext.unpair(e)
-            expected = tuple(A.mul(A.mul(a, x), A.inv(a)) for x in c.phi_perm(g))
+            expected = tuple(A.mul(A.mul(a, x), A.inv(a)) for x in c.perms[g])
             assert aut.perms[ec.phi[e]] == expected, (impl.name, e)
 
 

@@ -357,6 +357,12 @@ def test_spin_obstruction_trivial_zeta_inconsistency_flag():
     assert not verdict.model_consistent  # trivial univalence but no descent
 
 
+def test_spin_obstruction_refuses_zeta_off_the_kernel_group():
+    zeta = GroupHom(fg.cyclic(3), fg.cyclic(2), (0, 0, 0))
+    with pytest.raises(ValueError, match="zeta is not defined on the kernel group"):
+        spin_obstruction(q8_cover(), zeta, models.q8_two_dim_rep())
+
+
 def test_descends_iff_kernel_in_rep_kernel():
     cov = q8_cover()
     zeta = GroupHom(cov.K, fg.cyclic(2), (0, 1))

@@ -84,7 +84,7 @@ def _pair_table(c):
     """The pair product on A x G, for any cochain."""
     G, A = c.G, c.A
     ng = G.order
-    return [[A.mul(A.mul(a1, c.phi_perm(g1)[a0]), c.xi[g1][g0]) * ng + G.mul(g1, g0)
+    return [[A.mul(A.mul(a1, c.perms[g1][a0]), c.xi[g1][g0]) * ng + G.mul(g1, g0)
              for a0 in A.elements() for g0 in G.elements()]
             for a1 in A.elements() for g1 in G.elements()]
 

@@ -421,7 +421,7 @@ def reference_extension(c):
     table = [[0] * size for _ in range(size)]
     for a1 in A.elements():
         for g1 in G.elements():
-            perm1 = c.phi_perm(g1)
+            perm1 = c.perms[g1]
             for a0 in A.elements():
                 for g0 in G.elements():
                     a = A.mul(A.mul(a1, perm1[a0]), c.xi[g1][g0])
@@ -503,3 +503,39 @@ def test_table_on_raises_key_error_off_the_list():
     assert fg.table_on((0, 1), lambda x, y: x ^ y) == ((0, 1), (1, 0))
     with pytest.raises(KeyError):
         fg.table_on((0, 1), lambda x, y: x + y)
+
+
+def reference_closure(g, elems):
+    """closure as written before it shared the breadth-first walk: products
+    on both sides and inverses, until nothing new appears."""
+    seen = {0, *elems}
+    frontier = list(seen)
+    while frontier:
+        x = frontier.pop()
+        for y in list(seen):
+            for z in (g.mul(x, y), g.mul(y, x), g.inv(x)):
+                if z not in seen:
+                    seen.add(z)
+                    frontier.append(z)
+    return tuple(sorted(seen))
+
+
+def reference_generating_sequence(g):
+    gens = []
+    gen = reference_closure(g, gens)
+    for x in g.elements():
+        if x not in gen:
+            gens.append(x)
+            gen = reference_closure(g, gens)
+            if len(gen) == g.order:
+                break
+    return tuple(gens)
+
+
+def test_closure_and_generating_sequence_match_the_closing_loop():
+    for name in sorted(fg._STANDARD):
+        g = fg.standard_group(name)
+        for k in range(3):
+            for elems in itertools.combinations(g.elements(), k):
+                assert fg.closure(g, elems) == reference_closure(g, elems), (name, elems)
+        assert fg.generating_sequence(g) == reference_generating_sequence(g), name

@@ -135,7 +135,7 @@ def reference_field_violation(dot: MatrixRep, star, c):
             return "StarNotInvertible", (g,)
     for g in G.elements():
         for alpha in A.elements():
-            if star[g] * dot(alpha) != dot(c.phi_perm(g)[alpha]) * star[g]:
+            if star[g] * dot(alpha) != dot(c.perms[g][alpha]) * star[g]:
                 return "CompatibilityLaw", (g, alpha)
     for g1 in G.elements():
         for g0 in G.elements():

@@ -20,7 +20,10 @@ module looks a gauge family or an object up by `families.index` or
 `Fraction(...)` is called only in `GaussRat.__init__` and the `re`/`im`
 properties, so the matrix kernels run on the integer triples alone.  In
 `covering`, `subgroup(...)` is called only inside `CentralCover.__post_init__`,
-so the kernel group is built once per cover.
+so the kernel group is built once per cover.  Each algorithm is written
+once: no `phi_perm` in `src/covlab`, a cochain's phi is read as
+`aut.perms[...]` only in `Cochain2.__post_init__`, `Mat.det` calls `rref`,
+and `fingroup.closure` calls `_bfs_recipes`.
 
 Run as a script, this module prints the exit code and stdout of each
 command given as a JSON list of argv lists; the -O test runs it that way.
@@ -182,6 +185,58 @@ def test_cover_kernel_group_is_built_once_per_cover():
     found = [inside.get(id(node), f"covering.py:{node.lineno}")
              for node in ast.walk(tree) if _called(node) == "subgroup"]
     assert found == ["CentralCover.__post_init__"]
+
+
+def _function(tree, name, cls=None):
+    """The function `name` (a method of class `cls` if given) in tree."""
+    scope = tree if cls is None else next(
+        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == cls)
+    return next(node for node in scope.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _reads_phi(node):
+    return any(isinstance(n, ast.Attribute) and n.attr == "phi" for n in ast.walk(node))
+
+
+def _aut_perms_over_phi(fn):
+    """Lines of fn reading `aut.perms[i]` with i taken from a `.phi`: read
+    there, or bound by a loop or comprehension over one."""
+    bound = {n.id for loop in ast.walk(fn)
+             if isinstance(loop, (ast.For, ast.comprehension)) and _reads_phi(loop.iter)
+             for n in ast.walk(loop.target) if isinstance(n, ast.Name)}
+    return {node.lineno for node in ast.walk(fn)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "perms"
+            and "aut" in (getattr(node.value.value, "id", None),
+                          getattr(node.value.value, "attr", None))
+            and (_reads_phi(node.slice) or any(isinstance(n, ast.Name) and n.id in bound
+                                               for n in ast.walk(node.slice)))}
+
+
+def test_each_algorithm_is_written_once():
+    found = set()
+    for path in sorted((ROOT / "src" / "covlab").glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        if "phi_perm" in text:
+            found.add(f"{path.name}: phi_perm")
+        owner = (_function(tree, "__post_init__", "Cochain2")
+                 if path.name == "cohomology2.py" else None)
+        found |= {f"{path.name}:{line}: aut.perms over phi"
+                  for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn is not owner
+                  for line in _aut_perms_over_phi(fn)}
+    cohomology2 = ast.parse((ROOT / "src" / "covlab" / "cohomology2.py").read_text())
+    if not _aut_perms_over_phi(_function(cohomology2, "__post_init__", "Cochain2")):
+        found.add("Cochain2.__post_init__ does not build perms")
+    for module, name, cls, callee in (("exactlin", "det", "Mat", "rref"),
+                                      ("fingroup", "closure", None, "_bfs_recipes")):
+        fn = _function(ast.parse((ROOT / "src" / "covlab" / f"{module}.py").read_text()),
+                       name, cls)
+        if not any(_called(node) == callee for node in ast.walk(fn)):
+            found.add(f"{module}.{name} does not call {callee}")
+    assert sorted(found) == []
 
 
 def readme_commands():
