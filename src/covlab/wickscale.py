@@ -78,29 +78,42 @@ class WickPoly:
 
     The constructor is where like terms are summed: it takes (monomial,
     coefficient) pairs, adds the coefficients of repeated monomials, drops
-    zero sums and sorts.  Every operation hands it its pairs unsummed.
+    zero sums and sorts.  Every operation hands it its pairs unsummed: the
+    kernels hand over integer numerators over one common denominator `den`,
+    so the sums run on integers and each surviving term gets one Fraction.
+    A coefficient is an int or a Fraction; anything else is a TypeError.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Dict[Monomial, Fraction] | Iterable = ()) -> None:
+    def __init__(self, terms: Dict[Monomial, Fraction] | Iterable = (),
+                 den: int = 1) -> None:
         if isinstance(terms, dict):
             items = terms.items()
         else:
             items = terms
-        acc: Dict[Monomial, Fraction] = {}
-        for mono, q in items:
+        acc: Dict[Monomial, int | Fraction] = {}
+        for mono, n in items:
             if type(mono) is not Monomial:
                 mono = Monomial(*mono)
             if min(mono.phi, mono.ricci, mono.log, mono.w, mono.delta, mono.c) < 0:
                 raise ValueError(f"negative exponent in {mono}")
-            if type(q) is not Fraction:
-                q = Fraction(q)
-            if q:
-                acc[mono] = acc.get(mono, Fraction(0)) + q
-        object.__setattr__(self, "terms",
-                           tuple(sorted(((m, q) for m, q in acc.items() if q),
-                                        key=lambda t: t[0].sort_key())))
+            if type(n) is not int:
+                _rational(n)
+            if n:
+                # a first Fraction is kept as given (0 + q would build two more)
+                acc[mono] = acc[mono] + n if mono in acc else n
+        # a Fraction sum over den = 1 is already the coefficient
+        object.__setattr__(self, "terms", tuple(sorted(
+            ((m, n if den == 1 and type(n) is Fraction else Fraction(n, den))
+             for m, n in acc.items() if n),
+            key=lambda t: t[0].sort_key())))
+
+    def _numerators(self) -> Tuple[int, list]:
+        """(d, [(monomial, n), ...]): each coefficient as an integer
+        numerator n over d, the lcm of the denominators."""
+        d = math.lcm(*(q.denominator for _, q in self.terms))
+        return d, [(m, q.numerator * (d // q.denominator)) for m, q in self.terms]
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -109,11 +122,11 @@ class WickPoly:
 
     @staticmethod
     def scalar(q) -> "WickPoly":
-        return WickPoly({Monomial(): Fraction(q)})
+        return WickPoly({Monomial(): q})
 
     @staticmethod
     def symbol(**exps) -> "WickPoly":
-        return WickPoly({Monomial(**exps): Fraction(1)})
+        return WickPoly({Monomial(**exps): 1})
 
     @staticmethod
     def phi_power(k: int) -> "WickPoly":
@@ -130,12 +143,15 @@ class WickPoly:
         return self.scale(-1)
 
     def scale(self, q) -> "WickPoly":
-        q = Fraction(q)
-        return WickPoly({m: c * q for m, c in self.terms})
+        q = _rational(q)
+        d, terms = self._numerators()
+        return WickPoly(((m, n * q.numerator) for m, n in terms), d * q.denominator)
 
     def __mul__(self, other: "WickPoly") -> "WickPoly":
-        return WickPoly((m1.times(m2), q1 * q2)
-                        for m1, q1 in self.terms for m2, q2 in other.terms)
+        d1, terms1 = self._numerators()
+        d2, terms2 = other._numerators()
+        return WickPoly(((m1.times(m2), n1 * n2)
+                         for m1, n1 in terms1 for m2, n2 in terms2), d1 * d2)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -147,10 +163,20 @@ class WickPoly:
         return hash(self.terms)
 
     def set_symbol(self, name: str, value: Fraction) -> "WickPoly":
-        """Substitute a numeric value for one of the commuting symbols."""
-        field, value = _NAME_TO_FIELD[name], Fraction(value)
-        return WickPoly((m._replace(**{field: 0}), q * value ** getattr(m, field))
-                        for m, q in self.terms)
+        """Substitute a numeric value for one of the commuting symbols.
+
+        With value a/b and the symbol's exponents e in [lo, hi] (lo <= 0 <=
+        hi), the term's factor (a/b)^e is a^(e-lo) b^(hi-e) over a^-lo b^hi.
+        """
+        field, value = _NAME_TO_FIELD[name], _rational(value)
+        d, terms = self._numerators()
+        exps = [getattr(m, field) for m, _ in terms]
+        lo, hi = min(exps + [0]), max(exps + [0])
+        a, b = value.numerator, value.denominator
+        if lo < 0 and a == 0:
+            raise ValueError(f"cannot set {name} to 0 in a term with {name}^{lo}")
+        return WickPoly(((m._replace(**{field: 0}), n * a ** (e - lo) * b ** (hi - e))
+                         for (m, n), e in zip(terms, exps)), d * a ** -lo * b ** hi)
 
     # -- text form -----------------------------------------------------------
     def __str__(self) -> str:
@@ -167,6 +193,14 @@ class WickPoly:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def _rational(q):
+    """q itself if it is an int or a Fraction; a float, a bool or anything
+    else would be coerced silently, so it is refused."""
+    if type(q) is not int and type(q) is not Fraction:
+        raise TypeError(f"expected an int or a Fraction, got {type(q).__name__} {q!r}")
+    return q
 
 
 _TERM_RE = re.compile(r"^(-?\d+(?:/\d+)?)((?:\*[A-Za-z]+\^-?\d+)*)$")
@@ -198,27 +232,49 @@ def parse_wickpoly(text: str) -> WickPoly:
 # ---------------------------------------------------------------------------
 # the star product
 
+def _contraction_row(k: int, l: int) -> list:
+    """j! C(k,j) C(l,j) for j = 0..min(k,l), each entry from the one before:
+    the next is (k-j)(l-j)/(j+1) times it, an exact integer division."""
+    row = [1]
+    for j in range(min(k, l)):
+        row.append(row[-1] * (k - j) * (l - j) // (j + 1))
+    return row
+
+
 def contraction_coeff(k: int, l: int, j: int) -> int:
     """Number of j-fold contractions between a k-fold and an l-fold power."""
     if j > min(k, l):
         raise JTooLarge(k, l, j)
-    return math.factorial(j) * math.comb(k, j) * math.comb(l, j)
+    if j < 0:
+        raise ValueError(f"j={j} is negative")
+    return _contraction_row(k, l)[j]
 
 
 def wick_product(p: WickPoly, q: WickPoly) -> WickPoly:
     """Star product: bilinear extension of the contraction expansion."""
+    dp, p_terms = p._numerators()
+    dq, q_terms = q._numerators()
+
     def terms():
-        for m1, q1 in p.terms:
-            for m2, q2 in q.terms:
-                m12, q12 = m1.times(m2), q1 * q2
-                for j in range(min(m1.phi, m2.phi) + 1):
-                    yield (m12.contracted(j),
-                           q12 * contraction_coeff(m1.phi, m2.phi, j))
-    return WickPoly(terms())
+        for m1, n1 in p_terms:
+            for m2, n2 in q_terms:
+                m12, n12 = m1.times(m2), n1 * n2
+                for j, count in enumerate(_contraction_row(m1.phi, m2.phi)):
+                    yield m12.contracted(j), n12 * count
+    return WickPoly(terms(), dp * dq)
 
 
 # ---------------------------------------------------------------------------
 # change of Wick ordering
+
+def _matching_row(k: int) -> list:
+    """k!/(j!(k-2j)! 2^j), the number of j-edge matchings of k points, for
+    j = 0..k//2; the next entry is (k-2j)(k-2j-1)/(2(j+1)) times the last."""
+    row = [1]
+    for j in range(k // 2):
+        row.append(row[-1] * (k - 2 * j) * (k - 2 * j - 1) // (2 * (j + 1)))
+    return row
+
 
 def change_of_ordering(p: WickPoly, delta: WickPoly) -> WickPoly:
     """Rewrite powers ordered against K in the basis ordered against K+delta.
@@ -229,17 +285,22 @@ def change_of_ordering(p: WickPoly, delta: WickPoly) -> WickPoly:
     for m, _ in delta.terms:
         if m.phi or m.w:
             raise ValueError("kernel shift must not carry Phi or W gradings")
-    powers = [WickPoly.scalar(1)]  # delta^j, each built once per call
+    # delta = shift/dd with integer coefficients in shift, so a term's
+    # delta^j is shift^j * dd^(h-j) over dd^h, h = k//2 its largest j
+    dd, shift_terms = delta._numerators()
+    shift, power = WickPoly(shift_terms), WickPoly.scalar(1)
+    powers = [power._numerators()[1]]  # shift^j as integer terms, each built once
+    dp, p_terms = p._numerators()
     out = WickPoly.zero()
-    for m, q in p.terms:
-        k = m.phi
-        while len(powers) <= k // 2:
-            powers.append(powers[-1] * delta)
+    for m, n in p_terms:
+        k, h = m.phi, m.phi // 2
+        while len(powers) <= h:
+            power = power * shift
+            powers.append(power._numerators()[1])
         out = out + WickPoly(
-            (m.times(dm)._replace(phi=k - 2 * j),
-             q * dq * Fraction(math.factorial(k),
-                               math.factorial(j) * math.factorial(k - 2 * j) * 2 ** j))
-            for j in range(k // 2 + 1) for dm, dq in powers[j].terms)
+            ((m.times(dm)._replace(phi=k - 2 * j), n * dn * count * dd ** (h - j))
+             for j, count in enumerate(_matching_row(k)) for dm, dn in powers[j]),
+            dp * dd ** h)
     return out
 
 
@@ -249,17 +310,16 @@ def change_of_ordering(p: WickPoly, delta: WickPoly) -> WickPoly:
 def scale_wick_power(k: int) -> WickPoly:
     """The scaled Wick power lam*Phi^k in closed form,
 
-        lam^k sum_j k!/(j!(k-2j)!) c^j L^j R^j Phi^(k-2j).
+        lam^k sum_j k!/(j!(k-2j)!) c^j L^j R^j Phi^(k-2j),
 
+    each coefficient the matching number k!/(j!(k-2j)! 2^j) times 2^j.
     `ordering_route` derives it from the ordering shift instead; the
     scale-power verdict compares the two.
     """
     if k < 1:
         raise ValueError("field power must be >= 1")
-    return WickPoly({
-        Monomial(phi=k - 2 * j, ricci=j, log=j, lam=k, c=j):
-        Fraction(math.factorial(k), math.factorial(j) * math.factorial(k - 2 * j))
-        for j in range(k // 2 + 1)})
+    return WickPoly({Monomial(phi=k - 2 * j, ricci=j, log=j, lam=k, c=j): count << j
+                     for j, count in enumerate(_matching_row(k))})
 
 
 def ordering_route(k: int) -> WickPoly:
@@ -286,7 +346,7 @@ class GaugeElement:
     def __post_init__(self) -> None:
         if self.sigma not in (1, -1):
             raise ValueError("sigma must be +1 or -1")
-        object.__setattr__(self, "mu", Fraction(self.mu))
+        object.__setattr__(self, "mu", Fraction(_rational(self.mu)))
 
 
 def gauge_mul(a: GaugeElement, b: GaugeElement) -> GaugeElement:
@@ -308,7 +368,7 @@ def gauge_scaling_action(lam: Fraction, el: GaugeElement,
     With xi_nonzero the gauge group is just Z2 (mu must vanish).  That the
     map is an automorphism is checked in the tests.
     """
-    lam = Fraction(lam)
+    lam = Fraction(_rational(lam))
     if lam <= 0:
         raise NonPositiveLambda(f"lambda must be positive, got {lam}")
     if xi_nonzero and el.mu != 0:

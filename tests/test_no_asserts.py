@@ -8,8 +8,12 @@ implementation and a field-space action are each validated in their own
 constructor (`__init__`, or a dataclass's `__post_init__`) and nowhere else.
 Every check returns the one verdict type, `fingroup.Report`: the only other
 class named `...Report` is the CLI's `RunReport`.  `WickPoly.__init__` is the
-one place that sums coefficients: no other code in `src/covlab` calls
-`<dict>.get(<key>, Fraction(0))`.  Every group table is built from an element
+one place that sums coefficients: besides it, only `parse_wickpoly` sums
+values into a dict (the exponents of one written term), and the Wick kernels
+(`WickPoly.__mul__`, `scale` and `set_symbol`, `wick_product`,
+`change_of_ordering`, `scale_wick_power`) call no `Fraction(...)`, so they
+run on integer numerators and the constructor builds each coefficient.
+Every group table is built from an element
 list and a law by `fingroup.table_on`: each `GroupTable(...)` and
 `make_group(...)` call takes a `table_on(...)` call as its first argument,
 except the one inside `make_group` and the one on ingested JSON in
@@ -23,7 +27,9 @@ properties, so the matrix kernels run on the integer triples alone.  In
 so the kernel group is built once per cover.  Each algorithm is written
 once: no `phi_perm` in `src/covlab`, a cochain's phi is read as
 `aut.perms[...]` only in `Cochain2.__post_init__`, `Mat.det` calls `rref`,
-and `fingroup.closure` calls `_bfs_recipes`.
+`fingroup.closure` calls `_bfs_recipes`, the star product's coefficients
+come from `_contraction_row` and the ordering and scaling ones from
+`_matching_row`, and no Wick kernel calls `factorial`.
 
 Run as a script, this module prints the exit code and stdout of each
 command given as a JSON list of argv lists; the -O test runs it that way.
@@ -107,23 +113,44 @@ def test_checks_share_one_report_type():
     assert found == ["cli.RunReport", "fingroup.Report"]
 
 
+def _dict_sums(tree):
+    """Nodes that sum values into a dict: `d[k] = ...` with a sum that reads
+    `d.get(...)` or is guarded by `k in d`, and every `defaultdict(...)` or
+    `Counter(...)`, whose missing keys start a sum."""
+    for node in ast.walk(tree):
+        if _called(node) in ("defaultdict", "Counter"):
+            yield node
+        elif (isinstance(node, ast.Assign) and len(node.targets) == 1
+              and isinstance(node.targets[0], ast.Subscript)
+              and any(isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Add, ast.Sub))
+                      for n in ast.walk(node.value))):
+            d = ast.unparse(node.targets[0].value)
+            if any(_called(n) == "get" and ast.unparse(n.func.value) == d
+                   or isinstance(n, ast.Compare) and isinstance(n.ops[0], ast.In)
+                   and ast.unparse(n.comparators[0]) == d
+                   for n in ast.walk(node.value)):
+                yield node
+
+
+_WICK_KERNELS = (("WickPoly", "__mul__"), ("WickPoly", "scale"),
+                 ("WickPoly", "set_symbol"), (None, "wick_product"),
+                 (None, "change_of_ordering"), (None, "scale_wick_power"))
+
+
 def test_wickpoly_constructor_is_the_one_coefficient_accumulator():
-    found = []
-    for path in sorted((ROOT / "src" / "covlab").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        inside = {id(node)
-                  for cls in ast.walk(tree)
-                  if isinstance(cls, ast.ClassDef) and cls.name == "WickPoly"
-                  for init in cls.body
-                  if isinstance(init, ast.FunctionDef) and init.name == "__init__"
-                  for node in ast.walk(init)}
-        found += [(f"{path.stem}.WickPoly.__init__" if id(node) in inside
-                   else f"{path.name}:{node.lineno}")
-                  for node in ast.walk(tree)
-                  if _called(node) == "get" and len(node.args) == 2
-                  and _called(node.args[1]) == "Fraction"
-                  and [ast.unparse(a) for a in node.args[1].args] == ["0"]]
-    assert found == ["wickscale.WickPoly.__init__"]
+    wickscale = ast.parse((ROOT / "src" / "covlab" / "wickscale.py").read_text())
+    owners = {"WickPoly.__init__": _function(wickscale, "__init__", "WickPoly"),
+              "parse_wickpoly": _function(wickscale, "parse_wickpoly")}
+    inside = {id(node): label for label, fn in owners.items() for node in ast.walk(fn)}
+    found = sorted(inside.get(id(node), f"{path.name}:{node.lineno}")
+                   for path in sorted((ROOT / "src" / "covlab").glob("*.py"))
+                   for node in _dict_sums(wickscale if path.name == "wickscale.py"
+                                          else ast.parse(path.read_text())))
+    # parse_wickpoly's sum is over the exponents of one term, not coefficients
+    assert found == ["WickPoly.__init__", "parse_wickpoly"]
+    assert [f"{name}:{node.lineno}" for cls, name in _WICK_KERNELS
+            for node in ast.walk(_function(wickscale, name, cls))
+            if _called(node) == "Fraction"] == []
 
 
 def test_group_tables_are_built_from_element_lists():
@@ -236,6 +263,16 @@ def test_each_algorithm_is_written_once():
                        name, cls)
         if not any(_called(node) == callee for node in ast.walk(fn)):
             found.add(f"{module}.{name} does not call {callee}")
+    wickscale = ast.parse((ROOT / "src" / "covlab" / "wickscale.py").read_text())
+    for name, row in (("contraction_coeff", "_contraction_row"),
+                      ("wick_product", "_contraction_row"),
+                      ("change_of_ordering", "_matching_row"),
+                      ("scale_wick_power", "_matching_row")):
+        called = {_called(node) for node in ast.walk(_function(wickscale, name))}
+        if row not in called:
+            found.add(f"wickscale.{name} does not call {row}")
+        if "factorial" in called:
+            found.add(f"wickscale.{name} calls factorial")
     assert sorted(found) == []
 
 

@@ -182,9 +182,17 @@ def test_scale_power_matches_oracle_up_to_8():
 
 
 def test_closed_form_matches_ordering_route():
-    # the scale-power verdict; k = 64 and 128 are the benchmark's largest
-    for k in list(range(1, 33)) + [64, 128]:
-        assert scale_wick_power(k) == ordering_route(k), k
+    # the scale-power verdict, up to the benchmark's k (16, 32, 64, 96, 128),
+    # with each closed-form coefficient checked against k!/(j!(k-2j)!) and
+    # the text form round-tripped at those sizes
+    for k in list(range(1, 33)) + [64, 96, 128]:
+        out = scale_wick_power(k)
+        assert out == ordering_route(k), k
+        assert out.terms == tuple(
+            (Monomial(phi=k - 2 * j, ricci=j, log=j, lam=k, c=j),
+             Fraction(math.factorial(k), math.factorial(j) * math.factorial(k - 2 * j)))
+            for j in range(k // 2 + 1)), k
+        assert parse_wickpoly(str(out)) == out, k
 
 
 def test_conformal_coupling_collapses_to_homogeneous():
@@ -296,55 +304,127 @@ def ref_parse_wickpoly(text: str) -> WickPoly:
     return WickPoly(acc)
 
 
-def random_pairs(rng, n, field_free=False):
+# The sizes the references run at: small Phi powers and denominators, then
+# the Phi powers (up to 12) and denominators (up to 6) of the benchmark's
+# wick-product calls.
+SIZES = ({"phi_max": 7, "den_max": 4}, {"phi_max": 13, "den_max": 7})
+
+
+def random_pairs(rng, n, field_free=False, phi_max=7, den_max=4):
     """n (monomial, coefficient) pairs over few exponents, so that monomials
-    repeat; each third pair is followed by its negative, which cancels."""
+    repeat; each third pair is followed by its negative, which cancels.  A
+    coefficient with denominator 1 is an int, any other a Fraction."""
     pairs = []
     for _ in range(n):
-        mono = Monomial(phi=0 if field_free else rng.randrange(7),
+        mono = Monomial(phi=0 if field_free else rng.randrange(phi_max),
                         ricci=rng.randrange(2), log=rng.randrange(2),
                         w=0 if field_free else rng.randrange(2),
                         delta=rng.randrange(2), lam=rng.randrange(-1, 2),
                         c=rng.randrange(2))
-        q = Fraction(rng.randrange(-4, 5), rng.randrange(1, 4))
+        num, den = rng.randrange(-4, 5), rng.randrange(1, den_max)
+        q = num if den == 1 else Fraction(num, den)
         pairs.append((mono, q))
         if len(pairs) % 3 == 0:
             pairs.append((mono, -q))
     return pairs
 
 
-def random_poly(rng, n, field_free=False):
-    return WickPoly(random_pairs(rng, n, field_free))
+def random_poly(rng, n, field_free=False, **size):
+    return WickPoly(random_pairs(rng, n, field_free, **size))
 
 
 def test_arithmetic_matches_dict_accumulator_reference():
     rng = random.Random(0)
-    for _ in range(40):
-        p, q = random_poly(rng, rng.randrange(8)), random_poly(rng, rng.randrange(8))
-        for a, b in ((p, q), (p, p.scale(-1)), (p + q, p - q)):
-            assert (a + b).terms == ref_add(a, b).terms
-            assert (a * b).terms == ref_mul(a, b).terms
-            assert wick_product(a, b).terms == ref_wick_product(a, b).terms
-        for name, field in _FACTOR_NAMES:
-            value = Fraction(rng.randrange(-3, 4) or 1, rng.randrange(1, 4))
-            assert p.set_symbol(name, value).terms \
-                == ref_set_symbol(p, field, value).terms
-            if field != "lam":
-                assert p.set_symbol(name, Fraction(0)).terms \
-                    == ref_set_symbol(p, field, Fraction(0)).terms
+    refused = 0
+    for size in SIZES:
+        for _ in range(40):
+            p = random_poly(rng, rng.randrange(8), **size)
+            q = random_poly(rng, rng.randrange(8), **size)
+            for a, b in ((p, q), (p, p.scale(-1)), (p + q, p - q)):
+                assert (a + b).terms == ref_add(a, b).terms
+                assert (a * b).terms == ref_mul(a, b).terms
+                assert wick_product(a, b).terms == ref_wick_product(a, b).terms
+            for name, field in _FACTOR_NAMES:
+                value = Fraction(rng.randrange(-3, 4) or 1, rng.randrange(1, 4))
+                assert p.set_symbol(name, value).terms \
+                    == ref_set_symbol(p, field, value).terms
+                if any(getattr(m, field) < 0 for m, _ in p.terms):
+                    # only lam takes negative powers; 0^-1 has no value
+                    with pytest.raises(ValueError, match=rf"{name}\^-1"):
+                        p.set_symbol(name, Fraction(0))
+                    refused += 1
+                else:
+                    assert p.set_symbol(name, Fraction(0)).terms \
+                        == ref_set_symbol(p, field, Fraction(0)).terms
+    assert refused >= 10
 
 
 def test_change_of_ordering_matches_dict_accumulator_reference():
     rng = random.Random(1)
     reused = 0
-    for _ in range(25):
-        p = random_poly(rng, rng.randrange(1, 9))
-        delta = random_poly(rng, rng.randrange(4), field_free=True)
-        assert change_of_ordering(p, delta).terms \
-            == ref_change_of_ordering(p, delta).terms
-        # several Phi powers >= 2 in one p: one call reuses delta^j
-        reused += len({m.phi for m, _ in p.terms if m.phi >= 2}) > 1
-    assert reused >= 10
+    for size in SIZES:
+        for _ in range(25):
+            p = random_poly(rng, rng.randrange(1, 9), **size)
+            delta = random_poly(rng, rng.randrange(4), field_free=True, **size)
+            assert change_of_ordering(p, delta).terms \
+                == ref_change_of_ordering(p, delta).terms
+            # several Phi powers >= 2 in one p: one call reuses delta^j
+            reused += len({m.phi for m, _ in p.terms if m.phi >= 2}) > 1
+    assert reused >= 20
+
+
+def test_set_symbol_refuses_zero_at_a_negative_power():
+    p = WickPoly.symbol(lam=-2) * WickPoly.phi_power(1)
+    with pytest.raises(ValueError, match=r"lam to 0 in a term with lam\^-2"):
+        p.set_symbol("lam", 0)
+    assert p.set_symbol("lam", Fraction(-1, 2)) == PHI(1).scale(4)
+    assert (p + PHI(2)).set_symbol("lam", 2) == PHI(1).scale(Fraction(1, 4)) + PHI(2)
+
+
+def test_coefficients_are_ints_or_fractions_only():
+    poly = WickPoly.symbol(lam=1) * PHI(2)
+    refused = [WickPoly.scalar, lambda x: WickPoly({Monomial(): x}),
+               lambda x: WickPoly([((0,) * 7, 1), ((0,) * 7, x)]),
+               poly.scale, lambda x: poly.set_symbol("lam", x),
+               lambda x: GaugeElement(1, x),
+               lambda x: gauge_scaling_action(x, GaugeElement(1))]
+    for make in refused:
+        for x in (0.1, 2.0, True, "1/2", None):
+            with pytest.raises(TypeError, match="expected an int or a Fraction"):
+                make(x)
+    assert str(WickPoly.scalar(Fraction(1, 10))) == "1/10"
+    mu = GaugeElement(1, 3).mu
+    assert mu == 3 and type(mu) is Fraction
+
+
+def test_equal_rationals_in_any_form_give_equal_polys():
+    m = Monomial(phi=3, c=1)
+    forms = [WickPoly({m: Fraction(1, 2)}), WickPoly({m: Fraction(2, 4)}),
+             WickPoly([(m, 1), (m, Fraction(-1, 2))]),
+             WickPoly([(tuple(m), Fraction(1, 6)), (m, Fraction(2, 6))]),
+             WickPoly({m: 1}).scale(Fraction(3, 6)),
+             (WickPoly.symbol(c=1) * PHI(3).scale(Fraction(-4, 8))).scale(-1),
+             WickPoly({m._replace(lam=1): 3}).set_symbol("lam", Fraction(2, 12))]
+    for p in forms:
+        assert p == forms[0] and hash(p) == hash(forms[0])
+        assert [type(q) for _, q in p.terms] == [Fraction]
+    assert WickPoly({m: 2}) == WickPoly({m: Fraction(4, 2)})
+    assert hash(WickPoly({m: 2})) == hash(WickPoly({m: Fraction(4, 2)}))
+
+
+def test_sums_cancel_to_zero():
+    rng = random.Random(3)
+    for _ in range(20):
+        p = random_poly(rng, rng.randrange(1, 9), **SIZES[1])
+        q = random_poly(rng, rng.randrange(1, 9), **SIZES[1])
+        assert (p - p).is_zero() and (p - p) == WickPoly.zero()
+        assert p.scale(0).is_zero()
+        assert (wick_product(p, q) + wick_product(p, q.scale(-1))).is_zero()
+        assert (p * q - q * p).is_zero()
+    c_phi = WickPoly.symbol(c=1) * PHI(1)
+    assert (c_phi - PHI(1)).set_symbol("c", 1).is_zero()
+    m = Monomial(phi=12)
+    assert str(WickPoly([(m, Fraction(5, 6)), (m, Fraction(-10, 12))])) == "0"
 
 
 def test_parse_sums_repeated_and_cancelling_terms():
@@ -352,10 +432,11 @@ def test_parse_sums_repeated_and_cancelling_terms():
     assert parse_wickpoly("1*Phi^2 + -1*Phi^2") == WickPoly.zero()
     assert str(parse_wickpoly("1/2*c^1*Phi^1*c^1 + 1/2*c^2*Phi^1")) == "1*c^2*Phi^1"
     rng = random.Random(2)
-    for _ in range(40):
-        text = " + ".join(str(WickPoly([pair]))
-                          for pair in random_pairs(rng, rng.randrange(1, 9)))
-        assert parse_wickpoly(text).terms == ref_parse_wickpoly(text).terms
+    for size in SIZES:
+        for _ in range(40):
+            text = " + ".join(str(WickPoly([pair]))
+                              for pair in random_pairs(rng, rng.randrange(1, 9), **size))
+            assert parse_wickpoly(text).terms == ref_parse_wickpoly(text).terms
 
 
 def test_constructor_takes_plain_tuples_and_refuses_negative_exponents():
@@ -366,6 +447,9 @@ def test_constructor_takes_plain_tuples_and_refuses_negative_exponents():
             WickPoly({Monomial(**{field: -1}): Fraction(1)})
         with pytest.raises(ValueError, match="negative exponent"):
             WickPoly([(tuple(Monomial(**{field: -1})), 1)])
+        # refused even where the coefficient is zero and the term would drop
+        with pytest.raises(ValueError, match="negative exponent"):
+            WickPoly({Monomial(**{field: -1}): 0})
 
 
 # ---------------------------------------------------------------------------
