@@ -46,10 +46,11 @@ class Cochain2:
         n, m = self.G.order, self.A.order
         if len(self.xi) != n or any(len(row) != n for row in self.xi):
             raise ValueError("xi is not total on G x G")
-        if any(not (0 <= v < m) for row in self.xi for v in row):
+        if n and (min(map(min, self.xi)) < 0 or max(map(max, self.xi)) >= m):
             raise ValueError("xi has entries outside A")
         object.__setattr__(self, "aut", compute_aut(self.A))
-        if len(self.phi) != n or any(not (0 <= v < self.aut.order) for v in self.phi):
+        if len(self.phi) != n or n and (min(self.phi) < 0
+                                        or max(self.phi) >= self.aut.order):
             raise ValueError("phi is not total on G or indexes outside Aut(A)")
         object.__setattr__(self, "perms", tuple(self.aut.perms[p] for p in self.phi))
 
@@ -77,22 +78,67 @@ def _laws(G: GroupTable) -> Tuple[Tuple[int, int, int, int, int], ...]:
                  for g2 in G.elements() for g1 in G.elements() for g0 in G.elements())
 
 
-def validate_cocycle(c: Cochain2) -> Report:
-    """Check both cocycle conditions; report the first failing pair/triple."""
-    G, A, perms = c.G, c.A, c.perms
-    for g1 in G.elements():
-        for g0 in G.elements():
-            lhs = compose_perm(perms[g1],
-                               compose_perm(perms[g0],
-                                            invert_perm(perms[G.mul(g1, g0)])))
-            if lhs != inner_perm(A, c.xi[g1][g0]):
-                return Report(False, "automorphism_condition", (g1, g0))
-    n, mul = G.order, A.table
+@lru_cache(maxsize=None)
+def _law_sets(G: GroupTable):
+    """Every cocycle law and the laws on generator middles, each as
+    (pairs, triples): the pairs (g1, g0, g1*g0) in row-major order, and the
+    triples as `_laws` lists them.  The generator-middle sets are these
+    lists cut to g0 = s (pairs) and g1 = s (triples), s in
+    `generating_sequence(G)`."""
+    n, gens = G.order, frozenset(generating_sequence(G))
+    pairs = tuple((g1, g0, G.mul(g1, g0)) for g1 in G.elements() for g0 in G.elements())
+    laws = _laws(G)
+    return ((pairs, laws),
+            (tuple(pair for pair in pairs if pair[1] in gens),
+             tuple(law for law in laws if law[3] // n in gens)))
+
+
+def _first_failure(c: Cochain2, pairs, laws) -> Optional[Report]:
+    """The first of the given laws that c breaks, as a Report, else None.
+    The pair law is read as phi(g1) . phi(g0) == ad(xi(g1, g0)) . phi(g1*g0),
+    which holds exactly when the form in the module docstring does."""
+    A, perms, n, mul = c.A, c.perms, c.G.order, c.A.table
     xi = [v for row in c.xi for v in row]
-    for g2, l1, l2, r1, r2 in _laws(G):
+    for g1, g0, g in pairs:
+        if (compose_perm(perms[g1], perms[g0])
+                != compose_perm(inner_perm(A, xi[g1 * n + g0]), perms[g])):
+            return Report(False, "automorphism_condition", (g1, g0))
+    for g2, l1, l2, r1, r2 in laws:
         if mul[xi[l1]][xi[l2]] != mul[perms[g2][xi[r1]]][xi[r2]]:
             return Report(False, "factor_set_condition", (g2, l1 % n, r1 % n))
-    return Report(True)
+    return None
+
+
+def validate_cocycle(c: Cochain2) -> Report:
+    """Check both cocycle laws; report the first failing pair/triple.
+
+    A normalized cochain (phi(1) = id, xi(1, g) = xi(g, 1) = 1) is first
+    checked on generator middles only: the pair laws at (g, s) and the
+    factor-set laws at (g2, s, g0), s in `generating_sequence(G)`, g, g2
+    and g0 in G; that is n|S| pairs and n^2|S| triples, not n^2 and n^3.
+    If they all hold, c is a cocycle.  Proof (Light's associativity test):
+    put (a, g)(b, h) = (a phi(g)(b) xi(g, h), gh) on A x G.  Since each
+    phi(g) is an automorphism, the triple ((a, g), (b, h), (e, k))
+    associates for every a, b, e exactly when the pair law at (g, h) and
+    the factor-set law at (g, h, k) hold, so c is a cocycle exactly when
+    the product is associative.  The middles m with (xm)y = x(my) for all
+    x, y are closed under the product, since (x m1 m2)y = (x m1)(m2 y) =
+    x(m1 m2 y).  Normalization makes (1, 1) a two-sided identity, so a
+    middle (a, 1) always associates (both its laws read xi(g, k) =
+    xi(g, k) and phi(g) = phi(g)); a middle (1, s) unfolds to exactly the
+    two laws above.  And (a, 1)(1, s1)...(1, sr) runs over all of A x G,
+    as the s run over the words in the generators, so every middle
+    associates.
+
+    When that check fails, or c is not normalized, every pair and then
+    every triple is scanned in order, so the witness is the first failing
+    one.
+    """
+    every, on_generators = _law_sets(c.G)
+    if c.is_normalized() and _first_failure(c, *on_generators) is None:
+        return Report(True)
+    failure = _first_failure(c, *every)
+    return Report(True) if failure is None else failure
 
 
 def is_neutral(c: Cochain2) -> bool:
@@ -107,27 +153,35 @@ def _inner_auts(A: GroupTable) -> Tuple[Perm, ...]:
     return tuple(inner_perm(A, a) for a in A.elements())
 
 
+@lru_cache(maxsize=None)
+def _ad_times(A: GroupTable) -> Tuple[Tuple[int, ...], ...]:
+    """Row a, column p: the Aut(A) index of ad(a) . p, for every a in A and
+    every automorphism index p."""
+    aut = compute_aut(A)
+    return tuple(tuple(aut.index[compose_perm(ad, p)] for p in aut.perms)
+                 for ad in _inner_auts(A))
+
+
 def coboundary_twist(c: Cochain2, zeta: Tuple[int, ...]) -> Cochain2:
     """Twist the cochain c by zeta, given as one A-index per G element; the
     one place the twist formula is written.  Only the twist map is checked
     here.  Twisting maps cocycles to cocycles (the tests validate every
     normalized twist of every enumerated cocycle), so c is not validated:
     callers holding a cochain from outside check it once, as the CLI verbs
-    and `cohomologous` (for c1) do."""
+    and `cohomologous` (for c1) do.  phi~(g) is read from the `_ad_times`
+    table, and xi~ from the rows of the A and G tables, with each
+    zeta(g)^-1 computed once."""
     G, A = c.G, c.A
     if len(zeta) != G.order or any(not (0 <= z < A.order) for z in zeta):
         raise ValueError("twist map is not total on G")
-    ads, aut, perms = _inner_auts(A), c.aut, c.perms
-    elems = G.elements()
-    phi = tuple([aut.index[compose_perm(ads[zeta[g]], perms[g])] for g in elems])
+    mul, ad_times, perms = A.table, _ad_times(A), c.perms
+    phi = tuple([ad_times[z][p] for z, p in zip(zeta, c.phi)])
+    inverses = [A.inv(z) for z in zeta]
     xi = []
-    for g1 in elems:
-        row = []
-        for g0 in elems:
-            row.append(A.mul(A.mul(A.mul(zeta[g1], perms[g1][zeta[g0]]),
-                                   c.xi[g1][g0]),
-                             A.inv(zeta[G.mul(g1, g0)])))
-        xi.append(tuple(row))
+    for g1, row in enumerate(c.xi):
+        left, p, products = mul[zeta[g1]], perms[g1], G.table[g1]
+        xi.append(tuple([mul[mul[left[p[z0]]][x]][inverses[g]]
+                         for z0, x, g in zip(zeta, row, products)]))
     return Cochain2(G, A, tuple(xi), phi)
 
 
@@ -224,7 +278,9 @@ def enumerate_normalized_cocycles(G: GroupTable, A: GroupTable
     phi(g1) . phi(g0) . phi(g1*g0)^-1, and a phi with a non-inner defect is
     dropped before any xi cell is set.  The free xi cells are set in
     row-major order, and each factor-set triple is checked as soon as its
-    last cell is set.  validate_cocycle decides every leaf.  The phi tails
+    last cell is set.  validate_cocycle decides every leaf; a leaf is
+    normalized, so it is decided on generator middles (n|S| pairs and
+    n^2|S| triples) unless one of those fails.  The phi tails
     run over capped_product; the xi search counts the cell values it tries
     and raises SearchSpaceTooLarge once that count passes the cap.
     """

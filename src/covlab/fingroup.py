@@ -133,10 +133,20 @@ def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> Gr
     The first violated axiom is reported: IndexOutOfRange, NoIdentity,
     NotInvertible (with the offending element) or NotAssociative (with the
     witness triple).  Tables whose identity is not element 0 are reindexed.
-    The associativity check visits all n^3 triples through the capped
-    product, so an order past the enumeration cap is refused up front.
     Rows and columns being permutations, each x has some xy = 1 and y'x = 1,
     and associativity gives y' = y'(xy) = (y'x)y = y: a two-sided inverse.
+
+    Associativity is checked by Light's test: only the triples (x, s, z)
+    whose middle s lies in a generating sequence S of the table, n^2|S|
+    products.  The middles m with (xm)z = x(mz) for all x, z are closed
+    under the product, since (x m1 m2)z = (x m1)(m2 z) = x(m1 m2 z).  The
+    identity is such a middle, and the walk of `_walk_generators` reaches
+    every element as a product 1 s1 ... sr, so every middle passes.  When a
+    triple fails, all n^3 triples are scanned in order, so the witness is
+    the first failing triple.  That scan's capped product is built first,
+    so an order whose n^3 triples pass the enumeration cap is refused up
+    front either way.  The sequence comes from the uncached walk: an
+    unvalidated table enters no cache.
     """
     rows = []
     n = len(table)
@@ -166,10 +176,14 @@ def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> Gr
     for x in range(n):
         if frozenset(rows[x]) != full or frozenset(rows[y][x] for y in range(n)) != full:
             raise NotInvertible(x)
-    for x, y, z in capped_product([range(n)] * 3):
-        if rows[rows[x][y]][z] != rows[x][rows[y][z]]:
-            raise NotAssociative((x, y, z))
-    return GroupTable(rows, name)
+    triples = capped_product([range(n)] * 3)
+    group = GroupTable(rows, name)
+    if any(rows[rows[x][s]][z] != rows[x][rows[s][z]]
+           for s in _walk_generators(group) for x in range(n) for z in range(n)):
+        for x, y, z in triples:
+            if rows[rows[x][y]][z] != rows[x][rows[y][z]]:
+                raise NotAssociative((x, y, z))
+    return group
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +403,15 @@ def inner_perm(g: GroupTable, a: int) -> Perm:
 @lru_cache(maxsize=None)
 def generating_sequence(g: GroupTable) -> Tuple[int, ...]:
     """Each element not yet reached by the walk of `_bfs_recipes`, in index
-    order, until the walk reaches all of g."""
+    order, until the walk reaches all of g; cached per group."""
+    return _walk_generators(g)
+
+
+def _walk_generators(g: GroupTable) -> Tuple[int, ...]:
+    """`generating_sequence` uncached, for tables not yet known to be
+    groups.  It reads only products, so it runs on any table with an
+    identity at 0, and every element is a product 1 s1 ... sr of the
+    sequence."""
     gens: list[int] = []
     reached = {0}
     for x in g.elements():

@@ -15,7 +15,7 @@ from .cohomology2 import Cochain2
 from .exactlin import Mat, null_space, ZERO
 from .extension import ExtensionGroup, classify_type
 from .fingroup import GroupTable, Report, generating_sequence, hom_law_witness
-from .wickscale import Monomial, WickPoly
+from .wickscale import Monomial, WickPoly, _rational
 
 
 class PreconditionFailed(Exception):
@@ -287,13 +287,14 @@ def scaling_multiplet(k: int, coupling: str = "generic",
     The verdict reads off the structure: for k >= 2 at nonzero c the matrix
     has the single eigenvalue lam^k with a full nilpotent chain (no invariant
     complement); at conformal coupling or k = 1 it is diagonal.  The tests
-    check the nilpotent structure.
+    check the nilpotent structure.  lam must be an int or a Fraction
+    (`wickscale._rational`).
     """
     if k < 1:
         raise ValueError("field power must be >= 1")
     if coupling not in ("generic", "conformal"):
         raise ValueError(f"unknown coupling {coupling!r}")
-    lam = Fraction(lam)
+    lam = Fraction(_rational(lam))
     if lam <= 0 or lam == 1:
         raise ValueError("sample scale factor must be positive and != 1")
     dim = k // 2 + 1

@@ -331,8 +331,9 @@ def ordering_route(k: int) -> WickPoly:
 
 
 def coupling_constant_value(xi: Fraction) -> Fraction:
-    """The coupling symbol c as an exact rational multiple of 1/pi^2."""
-    return (6 * Fraction(xi) - 1) / 96
+    """The coupling symbol c as an exact rational multiple of 1/pi^2; xi
+    must be an int or a Fraction (`_rational`)."""
+    return (6 * Fraction(_rational(xi)) - 1) / 96
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +345,9 @@ class GaugeElement:
     mu: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
+        if type(self.sigma) is not int:
+            raise TypeError(f"sigma must be the int +1 or -1, got "
+                            f"{type(self.sigma).__name__} {self.sigma!r}")
         if self.sigma not in (1, -1):
             raise ValueError("sigma must be +1 or -1")
         object.__setattr__(self, "mu", Fraction(_rational(self.mu)))

@@ -463,11 +463,35 @@ def reference_validate_cocycle(c):
     return fg.Report(True)
 
 
+def _normalized_failures(rng, c):
+    """Normalized cochains near the cocycle c that the generator-middle check
+    must reject before the full scan: xi changed at one cell off the
+    normalization border, phi changed at one g != 1 (when Aut(A) has more
+    than the identity), and a random normalized cochain."""
+    G, A, aut = c.G, c.A, c.aut
+    n, m = G.order, A.order
+    xi = [list(row) for row in c.xi]
+    g1, g0 = rng.randrange(1, n), rng.randrange(1, n)
+    xi[g1][g0] = (xi[g1][g0] + rng.randrange(1, m)) % m
+    out = [Cochain2(G, A, tuple(map(tuple, xi)), c.phi)]
+    if aut.order > 1:
+        phi = list(c.phi)
+        g = rng.randrange(1, n)
+        phi[g] = (phi[g] + rng.randrange(1, aut.order)) % aut.order
+        out.append(Cochain2(G, A, c.xi, tuple(phi)))
+    rows = tuple((0,) + tuple(rng.randrange(m) for _ in range(n - 1)) for _ in range(n - 1))
+    out.append(Cochain2(G, A, ((0,) * n,) + rows,
+                        (0,) + tuple(rng.randrange(aut.order) for _ in range(n - 1))))
+    return out
+
+
 def test_law_table_matches_the_nested_loop_validation_on_the_h2_grid():
-    # each cocycle, an unnormalized twist of it, and a one-cell corruption
-    rng = random.Random(18)
-    verdicts = set()
-    for gn, an in workloads.H2_PAIRS:
+    # each cocycle, an unnormalized twist of it, a one-cell corruption of the
+    # twist, and the `_normalized_failures` near it, over the benchmark's
+    # grid and two pairs beyond it
+    rng, near = random.Random(18), random.Random(20)
+    verdicts, normalized = set(), set()
+    for gn, an in workloads.H2_PAIRS + [("S3", "Z2"), ("Q8", "Z2")]:
         G, A = fg.standard_group(gn), fg.standard_group(an)
         for c in enumerate_normalized_cocycles(G, A):
             twisted = coboundary_twist(c, tuple(rng.randrange(A.order)
@@ -476,8 +500,11 @@ def test_law_table_matches_the_nested_loop_validation_on_the_h2_grid():
             xi = [list(row) for row in twisted.xi]
             xi[g1][g0] = (xi[g1][g0] + rng.randrange(1, A.order)) % A.order
             corrupted = Cochain2(G, A, tuple(map(tuple, xi)), twisted.phi)
-            for v in (c, twisted, corrupted):
+            for v in [c, twisted, corrupted] + _normalized_failures(near, c):
                 got = validate_cocycle(v)
                 assert got == reference_validate_cocycle(v), (gn, an, v)
                 verdicts.add(got.violation)
+                if v.is_normalized():
+                    normalized.add(got.violation)
     assert verdicts == {None, "automorphism_condition", "factor_set_condition"}
+    assert normalized == verdicts

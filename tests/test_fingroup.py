@@ -58,6 +58,57 @@ def test_make_group_rejects_non_associative():
     assert g[g[x][y]][z] != g[x][g[y][z]]
 
 
+def _central_loop(rng, G, m, kind):
+    """(a, g)(c, h) = (a + c + theta(g, h) mod m, gh) on Z_m x G, relabelled
+    at random.  It is a loop for every theta with theta(1, h) = theta(g, 1)
+    = 0, and a group exactly when theta is a 2-cocycle: so for theta zero
+    or a coboundary, and seldom for a random theta."""
+    n = G.order
+    f = [0] + [rng.randrange(m) for _ in range(n - 1)]
+    theta = [[{"zero": 0, "coboundary": (f[g] + f[h] - f[G.mul(g, h)]) % m,
+               "random": rng.randrange(m) if g and h else 0}[kind]
+              for h in G.elements()] for g in G.elements()]
+    table = fg.table_on([(a, g) for a in range(m) for g in G.elements()],
+                        lambda x, y: ((x[0] + y[0] + theta[x[1]][y[1]]) % m,
+                                      G.mul(x[1], y[1])))
+    lab = list(range(m * n))
+    rng.shuffle(lab)
+    out = [[0] * (m * n) for _ in lab]
+    for i, row in enumerate(table):
+        for j, v in enumerate(row):
+            out[lab[i]][lab[j]] = lab[v]
+    return out, lab[0]
+
+
+def reference_first_non_associative(rows):
+    n = len(rows)
+    return next(((x, y, z) for x in range(n) for y in range(n) for z in range(n)
+                 if rows[rows[x][y]][z] != rows[x][rows[y][z]]), None)
+
+
+def test_light_associativity_test_matches_the_full_scan_on_loops():
+    rng = random.Random(20)
+    groups = [fg.standard_group(name) for name in sorted(fg._STANDARD) if name != "1"]
+    shapes = [(G, m) for G in groups for m in (2, 3, 4) if 4 <= m * G.order <= 24]
+    outcomes = set()
+    for _ in range(240):
+        G, m = rng.choice(shapes)
+        table, e = _central_loop(rng, G, m, rng.choice(["zero", "coboundary", "random"]))
+        lab = list(range(len(table)))  # make_group swaps the labels 0 and e
+        lab[0], lab[e] = e, 0
+        rows = [[lab[table[lab[i]][lab[j]]] for j in range(len(lab))]
+                for i in range(len(lab))]
+        witness = reference_first_non_associative(rows)
+        if witness is None:
+            assert [list(row) for row in fg.make_group(table).table] == rows
+        else:
+            with pytest.raises(fg.NotAssociative) as exc:
+                fg.make_group(table)
+            assert exc.value.witness == witness
+        outcomes.add(witness is None)
+    assert outcomes == {True, False}
+
+
 def test_make_group_reindexes_identity_to_zero():
     # Z2 written with identity at index 1
     g = fg.make_group([[1, 0], [0, 1]])

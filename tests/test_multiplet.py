@@ -560,6 +560,14 @@ def test_scaling_multiplet_group_law_on_cyclic_powers():
             assert power == stretched, (k, n)
 
 
+def test_scaling_multiplet_takes_an_int_or_a_fraction_scale():
+    for lam in (2.5, 2.0, True, "5/2", None):
+        with pytest.raises(TypeError, match="expected an int or a Fraction"):
+            scaling_multiplet(2, lam=lam)
+    assert scaling_multiplet(2, lam=3).lam == Fraction(3)
+    assert scaling_multiplet(2, lam=Fraction(5, 2)).lam == Fraction(5, 2)
+
+
 def test_scaling_multiplet_refuses_unknown_couplings():
     for coupling in ("minimal", "bogus"):
         with pytest.raises(ValueError, match="unknown coupling"):

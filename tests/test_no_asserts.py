@@ -26,7 +26,11 @@ properties, so the matrix kernels run on the integer triples alone.  In
 `covering`, `subgroup(...)` is called only inside `CentralCover.__post_init__`,
 so the kernel group is built once per cover.  Each algorithm is written
 once: no `phi_perm` in `src/covlab`, a cochain's phi is read as
-`aut.perms[...]` only in `Cochain2.__post_init__`, `Mat.det` calls `rref`,
+`aut.perms[...]` only in `Cochain2.__post_init__`, the factor-set laws are
+listed only in `cohomology2._laws` and `validate_cocycle` cuts its
+generator-middle laws from that list (through `_law_sets`), only
+`coboundary_twist` builds a `Cochain2` from another cochain's phi,
+`Mat.det` calls `rref`,
 `fingroup.closure` calls `_bfs_recipes`, the star product's coefficients
 come from `_contraction_row` and the ordering and scaling ones from
 `_matching_row`, and no Wick kernel calls `factorial`.
@@ -241,6 +245,33 @@ def _aut_perms_over_phi(fn):
                                                for n in ast.walk(node.slice)))}
 
 
+def _twisted_builds(fn):
+    """Lines of fn calling `Cochain2(...)` on values computed from another
+    cochain's phi (a `.phi` or `.perms` read, not the `aut.perms` list),
+    followed through assignments, loops and `append` calls."""
+    def from_phi(node, names):
+        return any(isinstance(n, ast.Attribute) and n.attr in ("phi", "perms")
+                   and getattr(n.value, "id", None) != "aut"
+                   or isinstance(n, ast.Name) and n.id in names for n in ast.walk(node))
+    flows = []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Assign):
+            flows += [(target, node.value) for target in node.targets]
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            flows.append((node.target, node.iter))
+        elif _called(node) == "append" and isinstance(node.func, ast.Attribute):
+            flows.append((node.func.value, node))
+    names = set()
+    while True:
+        new = {n.id for target, value in flows if from_phi(value, names)
+               for n in ast.walk(target) if isinstance(n, ast.Name)} - names
+        if not new:
+            break
+        names |= new
+    return {node.lineno for node in ast.walk(fn) if _called(node) == "Cochain2"
+            and any(from_phi(arg, names) for arg in node.args + node.keywords)}
+
+
 def test_each_algorithm_is_written_once():
     found = set()
     for path in sorted((ROOT / "src" / "covlab").glob("*.py")):
@@ -257,6 +288,22 @@ def test_each_algorithm_is_written_once():
     cohomology2 = ast.parse((ROOT / "src" / "covlab" / "cohomology2.py").read_text())
     if not _aut_perms_over_phi(_function(cohomology2, "__post_init__", "Cochain2")):
         found.add("Cochain2.__post_init__ does not build perms")
+    # the factor-set laws are listed once, and the generator-middle laws
+    # that validate_cocycle reads are cut from that list
+    if {fn.name for fn in ast.walk(cohomology2) if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn) if len(getattr(node, "generators", ())) >= 3} != {"_laws"}:
+        found.add("a factor-set law list besides cohomology2._laws")
+    for name, callees in (("validate_cocycle", {"_law_sets"}),
+                          ("_law_sets", {"_laws", "generating_sequence"})):
+        missing = callees - {_called(node) for node in ast.walk(_function(cohomology2, name))}
+        if missing:
+            found.add(f"cohomology2.{name} does not call {sorted(missing)}")
+    twists = {f"{path.stem}.{fn.name}"
+              for path in sorted((ROOT / "src" / "covlab").glob("*.py"))
+              for fn in ast.walk(ast.parse(path.read_text()))
+              if isinstance(fn, ast.FunctionDef) and _twisted_builds(fn)}
+    if twists != {"cohomology2.coboundary_twist"}:
+        found.add(f"twisted Cochain2 built in {sorted(twists)}")
     for module, name, cls, callee in (("exactlin", "det", "Mat", "rref"),
                                       ("fingroup", "closure", None, "_bfs_recipes")):
         fn = _function(ast.parse((ROOT / "src" / "covlab" / f"{module}.py").read_text()),

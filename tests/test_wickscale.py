@@ -204,6 +204,16 @@ def test_conformal_coupling_collapses_to_homogeneous():
 def test_coupling_constant_value():
     assert coupling_constant_value(Fraction(0)) == Fraction(-1, 96)
     assert coupling_constant_value(Fraction(1, 6)) == 0
+    assert coupling_constant_value(1) == Fraction(5, 96)
+
+
+def test_gauge_element_sigma_is_the_int_plus_or_minus_one():
+    for sigma in (True, False, 1.0, Fraction(-1), "1", None):
+        with pytest.raises(TypeError, match="sigma must be the int"):
+            GaugeElement(sigma, 1)
+    with pytest.raises(ValueError, match="sigma must be"):
+        GaugeElement(0, 1)
+    assert GaugeElement(-1, 1).sigma == -1
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +397,8 @@ def test_coefficients_are_ints_or_fractions_only():
                lambda x: WickPoly([((0,) * 7, 1), ((0,) * 7, x)]),
                poly.scale, lambda x: poly.set_symbol("lam", x),
                lambda x: GaugeElement(1, x),
-               lambda x: gauge_scaling_action(x, GaugeElement(1))]
+               lambda x: gauge_scaling_action(x, GaugeElement(1)),
+               coupling_constant_value]
     for make in refused:
         for x in (0.1, 2.0, True, "1/2", None):
             with pytest.raises(TypeError, match="expected an int or a Fraction"):
