@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .cohomology2 import Cochain2
 from .config import capped_product
@@ -69,12 +69,13 @@ class GaugeGroup:
 
 
 def _unnatural(F: TheoryFunctor, fam: Mapping[str, str],
-               H: Callable[[str], str]) -> Optional[str]:
+               H: Mapping[str, str]) -> Optional[str]:
     """The first source morphism m: C -> C' whose square
-    fam_{C'} o F(m) == H(m) o fam_C fails, or None when fam is natural F -> H."""
-    tgt = F.target
+    fam_{C'} o F(m) == H(m) o fam_C fails, or None when fam is natural F -> H;
+    H maps each source morphism to its image."""
+    tc, mm = F.target.compose_table, F.mor_map
     for m, d, c in F.source.morphisms:
-        if tgt.compose(fam[c], F.on_mor(m)) != tgt.compose(H(m), fam[d]):
+        if tc[fam[c], mm[m]] != tc[H[m], fam[d]]:
             return m
     return None
 
@@ -92,7 +93,7 @@ def compute_gauge_group(F: TheoryFunctor) -> GaugeGroup:
     tgt, objects = F.target, F.source.objects
     per_object = [tgt.invertible_endos(F.on_obj(x)) for x in objects]
     families = [combo for combo in capped_product(per_object)
-                if _unnatural(F, dict(zip(objects, combo)), F.on_mor) is None]
+                if _unnatural(F, dict(zip(objects, combo)), F.mor_map) is None]
     ident = tuple(tgt.identity(F.on_obj(x)) for x in objects)
     families.sort(key=lambda fam: (fam != ident, fam))
     gt = make_group(table_on(families, lambda a, b: tuple(map(tgt.compose, a, b))),
@@ -127,24 +128,25 @@ def validate_implementation(impl: Implementation) -> Report:
         return Report(False, "ActionCategoryMismatch", ())
     if len(impl.eta) != G.order:
         return Report(False, "FamilyPerElementMissing", (len(impl.eta),))
+    om, mm = F.obj_map, F.mor_map
+    tdom, tcod = tgt._dom, tgt._cod
     for x in src.objects:
-        if impl.eta[0].get(x) != tgt.identity(F.on_obj(x)):
+        if impl.eta[0].get(x) != tgt.identities[om[x]]:
             return Report(False, "IdentityFamilyNotIdentity", (x,))
-    for g in G.elements():
-        fam = impl.eta[g]
+    for g, T in enumerate(act.functors):
+        fam, t_obj = impl.eta[g], T.obj_map
         for x in src.objects:
             m = fam.get(x)
             if m is None:
                 return Report(False, "FamilyNotTotal", (g, x))
-            if (tgt.dom(m) != F.on_obj(x)
-                    or tgt.cod(m) != F.on_obj(act.act_obj(g, x))):
+            if tdom.get(m) != om[x] or tcod.get(m) != om[t_obj[x]]:
                 return Report(False, "ComponentShape", (g, x))
             if tgt.inverse(m) is None:
                 return Report(False, "ComponentNotInvertible", (g, x))
         if len(fam) != len(src.objects):
             stray = next(x for x in fam if x not in src.objects)
             return Report(False, "FamilyAtUnknownObject", (g, stray))
-        mor = _unnatural(F, fam, lambda m: F.on_mor(act.act_mor(g, m)))
+        mor = _unnatural(F, fam, {m: mm[t] for m, t in T.mor_map.items()})
         if mor is not None:
             return Report(False, "NotNatural", (g, mor))
     return Report(True)
@@ -154,14 +156,15 @@ def _sources(act: GAction, objects: Sequence[str]) -> Tuple[Tuple[str, ...], ...
     """For each g, the object g^-1.d for each object d: a family built from
     eta(g) at C lands at g.C, so its component at d is built at g^-1.d."""
     G = act.group
-    return tuple(tuple(act.act_obj(G.inv(g), d) for d in objects) for g in G.elements())
+    return tuple(tuple(act.functors[G.inv(g)].obj_map[d] for d in objects)
+                 for g in G.elements())
 
 
 def _gauged(impl: Implementation, gauge: GaugeGroup, a: int, g: int) -> Dict[str, str]:
     """The gauge element a acting on eta(g): C -> a_{g.C} o eta(g)_C."""
-    act, compose = impl.action, impl.functor.target.compose
-    return {x: compose(gauge.component(a, act.act_obj(g, x)), impl.eta[g][x])
-            for x in impl.functor.source.objects}
+    tc, t_obj = impl.functor.target.compose_table, impl.action.functors[g].obj_map
+    alpha, position, eta = gauge.families[a], gauge.position, impl.eta[g]
+    return {x: tc[alpha[position[t_obj[x]]], eta[x]] for x in impl.functor.source.objects}
 
 
 def twist_implementation(impl: Implementation, zeta: Sequence[int],
@@ -185,20 +188,23 @@ def extract_cocycle(impl: Implementation) -> Cochain2:
     """
     F, act = impl.functor, impl.action
     gauge = compute_gauge_group(F)
-    G, compose, inverse = act.group, F.target.compose, F.target.inverse
-    eta, at = impl.eta, _sources(act, F.source.objects)
+    G, tc, inverse = act.group, F.target.compose_table, F.target.inverse
+    eta, at, position = impl.eta, _sources(act, F.source.objects), gauge.position
+    t_obj = [T.obj_map for T in act.functors]
+    inv = [{c: inverse(m) for c, m in fam.items()} for fam in eta]  # eta(g)_c^-1
     aut = compute_aut(gauge.table)
     xi = tuple(
         tuple(gauge.index_of(tuple(
-            compose(eta[g1][act.act_obj(g0, c)], compose(eta[g0][c], inverse(eta[g][c])))
+            tc[eta[g1][t_obj[g0][c]], tc[eta[g0][c], inv[g][c]]]
             for c in at[g])) for g0, g in enumerate(G.table[g1]))  # g = g1 g0
         for g1 in G.elements())
-    phi = tuple(
-        aut.index_of(tuple(gauge.index_of(tuple(
-            compose(eta[g][c], compose(gauge.component(alpha, c), inverse(eta[g][c])))
-            for c in at[g])) for alpha in range(gauge.order)))
-        for g in G.elements())
-    return Cochain2(G, gauge.table, xi, phi)
+    phi = []
+    for g in G.elements():
+        conj = [(eta[g][c], position[c], inv[g][c]) for c in at[g]]
+        phi.append(aut.index_of(tuple(
+            gauge.index_of(tuple(tc[e, tc[alpha[p], i]] for e, p, i in conj))
+            for alpha in gauge.families)))
+    return Cochain2(G, gauge.table, xi, tuple(phi))
 
 
 def _require_same_theory(i1: Implementation, i2: Implementation) -> None:
@@ -229,11 +235,11 @@ def compare_implementations(i1: Implementation, i2: Implementation
     _require_same_theory(i1, i2)
     F, act = i1.functor, i1.action
     gauge = compute_gauge_group(F)
-    compose, inverse = F.target.compose, F.target.inverse
+    tc, inverse = F.target.compose_table, F.target.inverse
     at = _sources(act, F.source.objects)
     return tuple(
-        gauge.index_of(tuple(compose(i2.eta[g][c], inverse(i1.eta[g][c])) for c in at[g]))
-        for g in act.group.elements())
+        gauge.index_of(tuple(tc[e2[c], inverse(e1[c])] for c in at[g]))
+        for g, e1, e2 in zip(act.group.elements(), i1.eta, i2.eta))
 
 
 def lift_to_extension(impl: Implementation, ext: ExtensionGroup) -> Implementation:

@@ -81,7 +81,7 @@ class FinCat:
                 tuple(sorted(self.identities.items())))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FinCat) and self._key == other._key
+        return self is other or isinstance(other, FinCat) and self._key == other._key
 
     def __hash__(self) -> int:
         return hash(self._key)
@@ -156,7 +156,7 @@ class TheoryFunctor:
                 tuple(sorted(self.mor_map.items())), self.name)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, TheoryFunctor) and self._key == other._key
+        return self is other or isinstance(other, TheoryFunctor) and self._key == other._key
 
     def __hash__(self) -> int:
         return hash(self._key)
@@ -168,22 +168,32 @@ def identity_functor(cat: FinCat) -> TheoryFunctor:
 
 
 def validate_functor(F: TheoryFunctor) -> Report:
+    """The functor laws, reading the maps and the target's tables directly;
+    a map entry at an id the source lacks is refused, the first in sorted
+    order named."""
     src, tgt = F.source, F.target
+    om, mm = F.obj_map, F.mor_map
+    tdom, tcod, tc = tgt._dom, tgt._cod, tgt.compose_table
     for x in src.objects:
-        if F.obj_map.get(x) not in tgt.objects:
+        if om.get(x) not in tgt.objects:
             return Report(False, "ObjectMapNotTotal", (x,))
-    tgt_mors = {m for m, _, _ in tgt.morphisms}
+    if len(om) != len(src.objects):
+        stray = min(x for x in om if x not in src.objects)
+        return Report(False, "ObjectMapAtUnknownObject", (stray,))
     for m, d, c in src.morphisms:
-        fm = F.mor_map.get(m)
-        if fm not in tgt_mors:
+        fm = mm.get(m)
+        if fm not in tdom:
             return Report(False, "MorphismMapNotTotal", (m,))
-        if tgt.dom(fm) != F.on_obj(d) or tgt.cod(fm) != F.on_obj(c):
+        if tdom[fm] != om[d] or tcod[fm] != om[c]:
             return Report(False, "DomCodNotPreserved", (m,))
+    if len(mm) != len(src.morphisms):
+        stray = min(m for m in mm if m not in src._dom)
+        return Report(False, "MorphismMapAtUnknownMorphism", (stray,))
     for x in src.objects:
-        if F.on_mor(src.identity(x)) != tgt.identity(F.on_obj(x)):
+        if mm[src.identities[x]] != tgt.identities[om[x]]:
             return Report(False, "IdentityNotPreserved", (x,))
     for (f, g), h in src.compose_table.items():
-        if tgt.compose(F.on_mor(f), F.on_mor(g)) != F.on_mor(h):
+        if tc[mm[f], mm[g]] != mm[h]:
             return Report(False, "CompositionNotPreserved", (f, g))
     return Report(True)
 
@@ -221,9 +231,13 @@ def validate_gaction(act: GAction) -> Report:
     if len(act.functors) != grp.order:
         return Report(False, "FunctorPerElementMissing", (len(act.functors),))
     cat = act.category
+    checked = set()  # ids of the functor objects already checked
     for g, F in enumerate(act.functors):
+        if id(F) in checked:
+            continue
         if F.source != cat or F.target != cat or not functor_is_invertible(F):
             return Report(False, "FunctorNotInvertible", (g,))
+        checked.add(id(F))
     t1 = act.functors[0]
     if (t1.obj_map != {x: x for x in cat.objects}
             or t1.mor_map != {m: m for m, _, _ in cat.morphisms}):
@@ -260,20 +274,13 @@ def decorated_frames_category(n_frames: int, deco, name: Optional[str] = None) -
     hom(F_i, F_j) = {m[j][i][u] : u in deco}; composition multiplies the
     decorations in `deco` (a GroupTable) and composes the frame jumps.
     """
-    objects = [f"F{i}" for i in range(n_frames)]
-    mors = []
-    compose = {}
-
-    for j in range(n_frames):
-        for i in range(n_frames):
-            for u in deco.elements():
-                mors.append((frame_mid(j, i, u), f"F{i}", f"F{j}"))
-    for k in range(n_frames):
-        for j in range(n_frames):
-            for i in range(n_frames):
-                for u in deco.elements():
-                    for v in deco.elements():
-                        compose[(frame_mid(k, j, u), frame_mid(j, i, v))] = \
-                            frame_mid(k, i, deco.mul(u, v))
-    identities = {f"F{i}": frame_mid(i, i, 0) for i in range(n_frames)}
+    frames, decos = range(n_frames), deco.elements()
+    objects = [f"F{i}" for i in frames]
+    ids = [[[frame_mid(j, i, u) for u in decos] for i in frames] for j in frames]
+    mors = [(ids[j][i][u], objects[i], objects[j]) for j in frames for i in frames
+            for u in decos]
+    compose = {(ids[k][j][u], ids[j][i][v]): ids[k][i][w]
+               for k in frames for j in frames for i in frames
+               for u, row in enumerate(deco.table) for v, w in enumerate(row)}
+    identities = {objects[i]: ids[i][i][0] for i in frames}
     return FinCat(objects, mors, compose, identities, name=name)

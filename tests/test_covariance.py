@@ -6,16 +6,19 @@ import pytest
 from covlab import fingroup as fg
 from covlab import fincat
 from covlab import models
-from covlab.cohomology2 import (SearchSpaceTooLarge, coboundary_twist, cohomologous,
-                                validate_cocycle)
+from covlab.cohomology2 import (Cochain2, SearchSpaceTooLarge, coboundary_twist,
+                                cohomologous, validate_cocycle)
 from covlab.covariance import (Eq18Violated, Implementation, NotInGaugeGroup,
+                               _require_same_theory, _unnatural,
                                active_passive_compose, compare_implementations,
                                compute_gauge_group, extract_cocycle,
                                lift_to_extension, twist_implementation,
                                validate_implementation)
 from covlab.extension import build_extension
 from covlab.fincat import (FinCat, GAction, TheoryFunctor, group_as_category,
-                           identity_functor, validate_fincat, validate_gaction)
+                           identity_functor, validate_fincat, validate_functor,
+                           validate_gaction)
+from covlab.fingroup import Report
 
 
 def test_one_object_category_valid():
@@ -264,6 +267,13 @@ def test_component_at_an_object_the_source_lacks_is_refused():
             f"implementation invalid: FamilyAtUnknownObject ({g}, 'Z')")
 
 
+def test_component_that_names_no_morphism_is_refused():
+    m = models.named_model("Z4Rot")
+    with pytest.raises(ValueError) as err:
+        Implementation(m.functor, m.action, [{"*": "r0"}, {"*": "bogus"}])
+    assert str(err.value) == "implementation invalid: ComponentShape (1, '*')"
+
+
 def test_compare_implementations_identity():
     impl = models.one_object_cyclic_model()
     w = compare_implementations(impl, impl)
@@ -478,6 +488,11 @@ def test_functor_violations_are_refused_when_built():
         # r1 o r1 is r0 in Z2 but r2 in Z4
         ((bz2, bz4, {"*": "*"}, {"r0": "r0", "r1": "r1"}),
          "CompositionNotPreserved", ("r1", "r1")),
+        # entries at ids the source lacks; the first in sorted order is named
+        ((bz2, bz2, {"*": "*", "Z": "*"}, {"r0": "r0", "r1": "r1"}),
+         "ObjectMapAtUnknownObject", ("Z",)),
+        ((bz2, bz2, {"*": "*"}, {"r0": "r0", "r1": "r1", "zz": "r1", "yy": "r0"}),
+         "MorphismMapAtUnknownMorphism", ("yy",)),
     ]
     for args, violation, witness in cases:
         with pytest.raises(ValueError) as err:
@@ -670,3 +685,216 @@ def test_twists_lifts_and_comparisons_match_the_reference_loops():
     for i1 in cyclic:
         for i2 in cyclic:
             assert compare_implementations(i1, i2) == _reference_zeta(i1, i2)
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: the functor and implementation checks and the cocycle
+# kernels written with the category, functor and action methods, one call
+# per composition, image and inverse, for the table-reading kernels to match
+
+
+def _reference_validate_functor(F):
+    src, tgt = F.source, F.target
+    for x in src.objects:
+        if F.obj_map.get(x) not in tgt.objects:
+            return Report(False, "ObjectMapNotTotal", (x,))
+    tgt_mors = {m for m, _, _ in tgt.morphisms}
+    for m, d, c in src.morphisms:
+        fm = F.mor_map.get(m)
+        if fm not in tgt_mors:
+            return Report(False, "MorphismMapNotTotal", (m,))
+        if tgt.dom(fm) != F.on_obj(d) or tgt.cod(fm) != F.on_obj(c):
+            return Report(False, "DomCodNotPreserved", (m,))
+    for x in src.objects:
+        if F.on_mor(src.identity(x)) != tgt.identity(F.on_obj(x)):
+            return Report(False, "IdentityNotPreserved", (x,))
+    for (f, g), h in src.compose_table.items():
+        if tgt.compose(F.on_mor(f), F.on_mor(g)) != F.on_mor(h):
+            return Report(False, "CompositionNotPreserved", (f, g))
+    return Report(True)
+
+
+def _reference_unnatural(F, fam, H):
+    tgt = F.target
+    for m, d, c in F.source.morphisms:
+        if tgt.compose(fam[c], F.on_mor(m)) != tgt.compose(H(m), fam[d]):
+            return m
+    return None
+
+
+def _reference_validate_implementation(impl):
+    F, act = impl.functor, impl.action
+    src, tgt = F.source, F.target
+    G = act.group
+    if act.category != src:
+        return Report(False, "ActionCategoryMismatch", ())
+    if len(impl.eta) != G.order:
+        return Report(False, "FamilyPerElementMissing", (len(impl.eta),))
+    for x in src.objects:
+        if impl.eta[0].get(x) != tgt.identity(F.on_obj(x)):
+            return Report(False, "IdentityFamilyNotIdentity", (x,))
+    for g in G.elements():
+        fam = impl.eta[g]
+        for x in src.objects:
+            m = fam.get(x)
+            if m is None:
+                return Report(False, "FamilyNotTotal", (g, x))
+            if (tgt.dom(m) != F.on_obj(x)
+                    or tgt.cod(m) != F.on_obj(act.act_obj(g, x))):
+                return Report(False, "ComponentShape", (g, x))
+            if tgt.inverse(m) is None:
+                return Report(False, "ComponentNotInvertible", (g, x))
+        if len(fam) != len(src.objects):
+            stray = next(x for x in fam if x not in src.objects)
+            return Report(False, "FamilyAtUnknownObject", (g, stray))
+        mor = _reference_unnatural(F, fam, lambda m: F.on_mor(act.act_mor(g, m)))
+        if mor is not None:
+            return Report(False, "NotNatural", (g, mor))
+    return Report(True)
+
+
+def _reference_sources(act, objects):
+    G = act.group
+    return tuple(tuple(act.act_obj(G.inv(g), d) for d in objects) for g in G.elements())
+
+
+def _reference_extract_cocycle(impl):
+    F, act = impl.functor, impl.action
+    gauge = compute_gauge_group(F)
+    G, compose, inverse = act.group, F.target.compose, F.target.inverse
+    eta, at = impl.eta, _reference_sources(act, F.source.objects)
+    aut = fg.compute_aut(gauge.table)
+    xi = tuple(
+        tuple(gauge.index_of(tuple(
+            compose(eta[g1][act.act_obj(g0, c)], compose(eta[g0][c], inverse(eta[g][c])))
+            for c in at[g])) for g0, g in enumerate(G.table[g1]))  # g = g1 g0
+        for g1 in G.elements())
+    phi = tuple(
+        aut.index_of(tuple(gauge.index_of(tuple(
+            compose(eta[g][c], compose(gauge.component(alpha, c), inverse(eta[g][c])))
+            for c in at[g])) for alpha in range(gauge.order)))
+        for g in G.elements())
+    return Cochain2(G, gauge.table, xi, phi)
+
+
+def _reference_compare_implementations(i1, i2):
+    _require_same_theory(i1, i2)
+    F, act = i1.functor, i1.action
+    gauge = compute_gauge_group(F)
+    compose, inverse = F.target.compose, F.target.inverse
+    at = _reference_sources(act, F.source.objects)
+    return tuple(
+        gauge.index_of(tuple(compose(i2.eta[g][c], inverse(i1.eta[g][c])) for c in at[g]))
+        for g in act.group.elements())
+
+
+def _unchecked_functor(source, target, obj_map, mor_map):
+    """A TheoryFunctor built without its constructor's check."""
+    F = TheoryFunctor.__new__(TheoryFunctor)
+    F.source, F.target, F.obj_map, F.mor_map, F.name = \
+        source, target, dict(obj_map), dict(mor_map), None
+    return F
+
+
+def _unchecked_implementation(functor, action, eta):
+    """An Implementation built without its constructor's check."""
+    impl = Implementation.__new__(Implementation)
+    impl.functor, impl.action, impl.eta, impl.name = \
+        functor, action, tuple(dict(e) for e in eta), None
+    return impl
+
+
+def _kernel_cases():
+    """Every reference base and its lift, each followed by a seeded twist."""
+    rng = random.Random(21)
+    out = []
+    for impl in _reference_bases():
+        for base in (impl, lift_to_extension(impl, build_extension(extract_cocycle(impl)))):
+            order = compute_gauge_group(base.functor).order
+            zeta = (0,) + tuple(rng.randrange(order)
+                                for _ in range(base.action.group.order - 1))
+            out += [base, twist_implementation(base, zeta)]
+    return out
+
+
+def _corrupt_targets(rng, F):
+    """F over copies of its target with k = 1, 2, 3 composites each changed
+    to another arrow of the same hom (or to any other arrow, when the hom
+    has only one), so the first of several failures is named; none when the
+    target has a single arrow."""
+    tgt = F.target
+    out = []
+    for k in range(1, 4) if len(tgt.morphisms) > 1 else ():
+        table = dict(tgt.compose_table)
+        for key in rng.sample(sorted(table), k):
+            old = table[key]
+            table[key] = rng.choice(
+                [m for m in tgt.hom(tgt.dom(old), tgt.cod(old)) if m != old]
+                or [m for m, _, _ in tgt.morphisms if m != old])
+        broken = FinCat(tgt.objects, tgt.morphisms, table, tgt.identities, name=tgt.name)
+        out.append(_unchecked_functor(F.source, broken, F.obj_map, F.mor_map))
+    return out
+
+
+def _corrupt_eta(rng, impl):
+    """Implementations with one eta component replaced: by another arrow of
+    its hom, by an arrow with the same domain or the same codomain only, and
+    (with two objects or more) by the component at another object."""
+    F, objects = impl.functor, impl.functor.source.objects
+    tgt = F.target
+    out = []
+
+    def replaced(g, x, m):
+        eta = [dict(e) for e in impl.eta]
+        eta[g][x] = m
+        out.append(_unchecked_implementation(F, impl.action, eta))
+
+    for _ in range(3):
+        g, x = rng.randrange(len(impl.eta)), rng.choice(objects)
+        m = impl.eta[g][x]
+        dm, cm = tgt.dom(m), tgt.cod(m)
+        for choices in ([k for k in tgt.hom(dm, cm) if k != m],
+                        [k for k, d, c in tgt.morphisms if d == dm and c != cm],
+                        [k for k, d, c in tgt.morphisms if d != dm and c == cm]):
+            if choices:
+                replaced(g, x, rng.choice(choices))
+        if len(objects) > 1:
+            replaced(g, x, impl.eta[g][rng.choice([y for y in objects if y != x])])
+    return out
+
+
+def test_functor_and_implementation_checks_match_the_reference_kernels():
+    rng = random.Random(22)
+    verdicts = set()
+    for impl in _kernel_cases():
+        F = impl.functor
+        functors = [F] + list(dict.fromkeys(impl.action.functors, None))
+        for T in functors + [B for T in functors for B in _corrupt_targets(rng, T)]:
+            rep = validate_functor(T)
+            assert rep == _reference_validate_functor(T), impl.name
+            verdicts.add(rep.violation)
+        implementations = [impl] + _corrupt_eta(rng, impl) + [
+            _unchecked_implementation(B, impl.action, impl.eta)
+            for B in _corrupt_targets(rng, F)]
+        for cand in implementations:
+            rep = validate_implementation(cand)
+            assert rep == _reference_validate_implementation(cand), impl.name
+            verdicts.add(rep.violation)
+        per_object = [F.target.invertible_endos(F.obj_map[x]) for x in F.source.objects]
+        for combo in itertools.product(*per_object):
+            fam = dict(zip(F.source.objects, combo))
+            assert _unnatural(F, fam, F.mor_map) \
+                == _reference_unnatural(F, fam, F.on_mor), impl.name
+    # the corruptions reach the composition, shape, inverse and naturality verdicts
+    assert {None, "CompositionNotPreserved", "IdentityFamilyNotIdentity",
+            "ComponentShape", "ComponentNotInvertible", "NotNatural"} <= verdicts
+
+
+def test_cocycle_kernels_match_the_reference_kernels():
+    cases = _kernel_cases()
+    for impl in cases:
+        assert extract_cocycle(impl) == _reference_extract_cocycle(impl), impl.name
+    for base, twisted in zip(cases[::2], cases[1::2]):
+        for i1, i2 in ((base, twisted), (twisted, base), (base, base)):
+            assert compare_implementations(i1, i2) \
+                == _reference_compare_implementations(i1, i2), base.name

@@ -33,7 +33,12 @@ generator-middle laws from that list (through `_law_sets`), only
 `Mat.det` calls `rref`,
 `fingroup.closure` calls `_bfs_recipes`, the star product's coefficients
 come from `_contraction_row` and the ordering and scaling ones from
-`_matching_row`, and no Wick kernel calls `factorial`.
+`_matching_row`, and no Wick kernel calls `factorial`.  The functor,
+implementation and cocycle kernels read the tables: `validate_functor`,
+`_unnatural`, `validate_implementation`, `_sources`, `extract_cocycle`,
+`compare_implementations` and `_gauged` call no category, functor or action
+method that a dict lookup replaces, and `decorated_frames_category` calls
+`frame_mid` only to build its grid of arrow ids.
 
 Run as a script, this module prints the exit code and stdout of each
 command given as a JSON list of argv lists; the -O test runs it that way.
@@ -321,6 +326,33 @@ def test_each_algorithm_is_written_once():
         if "factorial" in called:
             found.add(f"wickscale.{name} calls factorial")
     assert sorted(found) == []
+
+
+_TABLE_METHODS = ("compose", "on_mor", "on_obj", "act_obj", "act_mor", "dom", "cod")
+
+
+def test_model_kernels_read_the_tables():
+    fincat = ast.parse((ROOT / "src" / "covlab" / "fincat.py").read_text())
+    covariance = ast.parse((ROOT / "src" / "covlab" / "covariance.py").read_text())
+    kernels = [("fincat", fincat, "validate_functor")] + [
+        ("covariance", covariance, name)
+        for name in ("_unnatural", "validate_implementation", "_sources",
+                     "extract_cocycle", "compare_implementations", "_gauged")]
+    found = [f"{module}.{name}:{node.lineno}: .{node.func.attr}("
+             for module, tree, name in kernels
+             for node in ast.walk(_function(tree, name))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr in _TABLE_METHODS]
+    build = _function(fincat, "decorated_frames_category")
+    grid = [node for node in build.body if isinstance(node, ast.Assign)
+            and [ast.unparse(t) for t in node.targets] == ["ids"]]
+    in_grid = {id(node) for assign in grid for node in ast.walk(assign)}
+    calls = [node for node in ast.walk(build) if _called(node) == "frame_mid"]
+    if not calls:
+        found.append("decorated_frames_category builds no id grid")
+    found += [f"fincat.decorated_frames_category:{node.lineno}: frame_mid outside the grid"
+              for node in calls if id(node) not in in_grid]
+    assert found == []
 
 
 def readme_commands():
