@@ -24,7 +24,7 @@ from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 from .config import SearchSpaceTooLarge, capped_product, enum_cap
-from .fingroup import (AutGroup, GroupTable, Perm, Report, _bfs_recipes,
+from .fingroup import (AutGroup, GroupTable, Perm, Report, _bfs_recipes, centre,
                        compose_perm, compute_aut, generating_sequence, inner_perm,
                        invert_perm)
 
@@ -252,7 +252,8 @@ class H2Classification:
         return len(self.classes)
 
 
-def _factor_set_schedule(G: GroupTable) -> Tuple[Tuple[int, ...], list]:
+@lru_cache(maxsize=None)
+def _factor_set_schedule(G: GroupTable) -> Tuple[Tuple[int, ...], Tuple[tuple, ...]]:
     """The free xi cells of a normalized cochain, as flat indices g1*n + g0
     with neither g1 nor g0 the identity, in row-major order; and for each
     cell the `_laws` whose four cells are all set once that cell is.  A law
@@ -266,7 +267,7 @@ def _factor_set_schedule(G: GroupTable) -> Tuple[Tuple[int, ...], list]:
         last = max((rank[pos] for pos in law[1:] if pos in rank), default=None)
         if last is not None:
             checks[last].append(law)
-    return cells, checks
+    return cells, tuple(map(tuple, checks))
 
 
 def enumerate_normalized_cocycles(G: GroupTable, A: GroupTable
@@ -336,6 +337,17 @@ def enumerate_normalized_cocycles(G: GroupTable, A: GroupTable
     return tuple(found)
 
 
+def _stabiliser(c: Cochain2, centre_of_a: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+    """Stab(c): the normalized zeta with coboundary_twist(c, zeta) == c, as
+    the zeta with every value in Z(A) and zeta(g1 g0) = zeta(g1) *
+    phi(g1)(zeta(g0)) on every pair, over the capped product of Z(A)."""
+    mul, perms = c.A.table, c.perms
+    pairs = _law_sets(c.G)[0][0]
+    return tuple(zeta for zeta in capped_product([(0,)] + [centre_of_a] * (c.G.order - 1))
+                 if all(zeta[g] == mul[zeta[g1]][perms[g1][zeta[g0]]]
+                        for g1, g0, g in pairs))
+
+
 def classify_h2(G: GroupTable, A: GroupTable) -> H2Classification:
     """Partition all normalized valid cocycles into cohomology classes.
 
@@ -343,10 +355,31 @@ def classify_h2(G: GroupTable, A: GroupTable) -> H2Classification:
     Canonical representatives are the lexicographically least (xi, phi)
     tables of each class; classes are listed in representative order.  The
     cocycles come sorted, so the first one a class meets is its least.
+
+    Each class is the orbit of its representative c under the normalized
+    twists, walked once per member.  Twisting composes pointwise:
+    twist(twist(c, z1), z2) = twist(c, z2 z1), as ad(z2) ad(z1) = ad(z2 z1)
+    and the xi factors nest.  So twist(c, z s) = twist(c, z) for s in the
+    stabiliser Stab(c) = {s : twist(c, s) = c}, and the walk twists only the
+    first zeta of each coset z Stab(c) and marks the whole coset covered;
+    a class has |A|^(n-1) / |Stab(c)| members, one twist each.
+
+    Stab(c) is computed without twisting (`_stabiliser`).  Proof that it is
+    the normalized zeta with central values and zeta(g1 g0) =
+    zeta(g1) phi(g1)(zeta(g0)): phi~(g) = ad(zeta(g)) . phi(g) equals
+    phi(g) exactly when ad(zeta(g)) is the identity, that is when zeta(g)
+    lies in Z(A).  Given that, phi(g1)(zeta(g0)) is central too, as
+    automorphisms preserve Z(A), so every zeta factor of xi~ commutes with
+    xi(g1, g0), and
+    xi~(g1, g0) = zeta(g1) phi(g1)(zeta(g0)) zeta(g1 g0)^-1 xi(g1, g0),
+    which equals xi(g1, g0) exactly when the identity above holds.
     """
     cocycles = enumerate_normalized_cocycles(G, A)
     index = {(c.xi, c.phi): i for i, c in enumerate(cocycles)}
     twists = list(capped_product([(0,)] + [A.elements()] * (G.order - 1)))
+    # the place of zeta in `twists`, read in base |A| from zeta(1) on
+    weights = [A.order ** (G.order - 1 - g) for g in G.elements()]
+    centre_of_a, mul = centre(A), A.table
     seen = [False] * len(cocycles)
     classes = []
     trivial = trivial_cochain(G, A)
@@ -354,10 +387,16 @@ def classify_h2(G: GroupTable, A: GroupTable) -> H2Classification:
     for i, c in enumerate(cocycles):
         if seen[i]:
             continue
+        stab = _stabiliser(c, centre_of_a)
+        covered = [False] * len(twists)
         orbit = set()
-        for zeta in twists:
+        for k, zeta in enumerate(twists):
+            if covered[k]:
+                continue
             tw = coboundary_twist(c, zeta)
             orbit.add(index[(tw.xi, tw.phi)])
+            for s in stab:
+                covered[sum([mul[z][t] * w for z, t, w in zip(zeta, s, weights)])] = True
         for j in orbit:
             seen[j] = True
         classes.append(H2Class(

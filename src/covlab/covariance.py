@@ -64,9 +64,6 @@ class GaugeGroup:
             raise NotInGaugeGroup(f"family {fam} is not a natural automorphism") \
                 from None
 
-    def component(self, idx: int, obj: str) -> str:
-        return self.families[idx][self.position[obj]]
-
 
 def _unnatural(F: TheoryFunctor, fam: Mapping[str, str],
                H: Mapping[str, str]) -> Optional[str]:

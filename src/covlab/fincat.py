@@ -16,8 +16,9 @@ from .fingroup import Report, hom_law_witness
 
 
 class FinCat:
-    """Immutable finite category, equal by value (the name is only a label);
-    validate with validate_fincat."""
+    """Immutable finite category, equal by value (the name is only a label).
+    Built only with distinct ids and arrows between its objects; validate
+    the laws with validate_fincat."""
 
     def __init__(self, objects: Sequence[str],
                  morphisms: Sequence[Tuple[str, str, str]],
@@ -35,6 +36,10 @@ class FinCat:
             raise ValueError("duplicate morphism ids")
         if len(set(self.objects)) != len(self.objects):
             raise ValueError("duplicate object ids")
+        known = set(self.objects)
+        for m, d, c in self.morphisms:
+            if d not in known or c not in known:
+                raise ValueError(f"morphism {m!r} ends off the objects: {d!r} -> {c!r}")
         homs = {}
         for m, d, c in sorted(self.morphisms):
             homs.setdefault((d, c), []).append(m)
@@ -90,9 +95,6 @@ class FinCat:
 def validate_fincat(cat: FinCat) -> Report:
     """Exhaustively check the category laws; first witness on failure."""
     mor_ids = {m for m, _, _ in cat.morphisms}
-    for m, d, c in cat.morphisms:
-        if d not in cat.objects or c not in cat.objects:
-            return Report(False, "UnknownObject", (m, d, c))
     for obj in cat.objects:
         i = cat.identities.get(obj)
         if i is None or i not in mor_ids:

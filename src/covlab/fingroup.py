@@ -108,11 +108,16 @@ class GroupTable:
         """Sorted multiset of element orders (an isomorphism invariant)."""
         return tuple(sorted(self.element_order(a) for a in self.elements()))
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.table)
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, GroupTable) and self.table == other.table
+        return self is other or (isinstance(other, GroupTable)
+                                 and self.table == other.table)
 
     def __hash__(self) -> int:
-        return hash(self.table)
+        return self._hash
 
     def __repr__(self) -> str:
         label = self.name or f"order-{self.order}"
@@ -362,7 +367,7 @@ def quotient(g: GroupTable, normal: Sequence[int],
 # automorphisms
 
 def compose_perm(p: Perm, q: Perm) -> Perm:
-    return tuple(p[q[x]] for x in range(len(p)))
+    return tuple(map(p.__getitem__, q))
 
 
 def invert_perm(p: Perm) -> Perm:
@@ -395,9 +400,10 @@ class AutGroup:
 
 
 def inner_perm(g: GroupTable, a: int) -> Perm:
-    """The inner automorphism x -> a x a^-1 as a permutation."""
-    ai = g.inv(a)
-    return tuple(g.mul(g.mul(a, x), ai) for x in g.elements())
+    """The inner automorphism x -> a x a^-1 as a permutation, read from
+    the table: row a holds every a x."""
+    ai, t = g.inv(a), g.table
+    return tuple([t[ax][ai] for ax in t[a]])
 
 
 @lru_cache(maxsize=None)

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from covlab import cohomology2
 from covlab import fingroup as fg
 from covlab import models
 from covlab.config import capped_product
-from covlab.cohomology2 import (Cochain2, classify_h2,
-                                coboundary_twist, cohomologous,
+from covlab.cohomology2 import (Cochain2, H2Class, H2Classification, _stabiliser,
+                                classify_h2, coboundary_twist, cohomologous,
                                 enumerate_normalized_cocycles, is_neutral,
                                 trivial_cochain, validate_cocycle,
                                 SearchSpaceTooLarge)
@@ -508,3 +509,83 @@ def test_law_table_matches_the_nested_loop_validation_on_the_h2_grid():
                     normalized.add(got.violation)
     assert verdicts == {None, "automorphism_condition", "factor_set_condition"}
     assert normalized == verdicts
+
+
+# pairs beyond the benchmark's grid that classify in well under a second
+EXTRA_PAIRS = [("S3", "Z2"), ("Z4", "Z4"), ("Z3", "Q8"), ("Q8", "Z2"),
+               ("Z2xZ2", "Z2xZ2"), ("Z4", "Q8"), ("Z8", "Z2"), ("S3", "Z4"),
+               ("Z2xZ2", "Z4"), ("Z6", "Z2"), ("Z2xZ2", "S3"), ("Z4", "S3")]
+
+
+def reference_classify_h2(G, A):
+    """classify_h2 as written before the stabiliser: each class
+    representative twisted by every normalized map."""
+    cocycles = enumerate_normalized_cocycles(G, A)
+    index = {(c.xi, c.phi): i for i, c in enumerate(cocycles)}
+    twists = list(capped_product([(0,)] + [A.elements()] * (G.order - 1)))
+    seen = [False] * len(cocycles)
+    classes = []
+    trivial = trivial_cochain(G, A)
+    trivial_index = index[(trivial.xi, trivial.phi)]
+    for i, c in enumerate(cocycles):
+        if seen[i]:
+            continue
+        orbit = set()
+        for zeta in twists:
+            tw = coboundary_twist(c, zeta)
+            orbit.add(index[(tw.xi, tw.phi)])
+        for j in orbit:
+            seen[j] = True
+        classes.append(H2Class(
+            representative=c,
+            size=len(orbit),
+            distinguished=trivial_index in orbit,
+            neutral=any(is_neutral(cocycles[j]) for j in orbit),
+        ))
+    return H2Classification(G, A, tuple(classes))
+
+
+def _grid_and_extra_pairs():
+    for gn, an in workloads.H2_PAIRS + EXTRA_PAIRS:
+        yield gn, an, fg.standard_group(gn), fg.standard_group(an)
+
+
+def test_stabiliser_orbit_loop_matches_the_reference_classification():
+    for gn, an, G, A in _grid_and_extra_pairs():
+        assert classify_h2(G, A) == reference_classify_h2(G, A), (gn, an)
+
+
+def test_stabiliser_formula_matches_the_brute_force_stabiliser():
+    # Stab(c) = Z^1(G, Z(A)) for the action phi, and size * |Stab| = |A|^(n-1)
+    nontrivial = 0
+    for gn, an, G, A in _grid_and_extra_pairs():
+        twists = list(capped_product([(0,)] + [A.elements()] * (G.order - 1)))
+        for cls in classify_h2(G, A).classes:
+            c = cls.representative
+            stab = _stabiliser(c, fg.centre(A))
+            assert stab == tuple(z for z in twists if coboundary_twist(c, z) == c), \
+                (gn, an, c)
+            assert cls.size * len(stab) == len(twists), (gn, an, c)
+            nontrivial += len(stab) > 1
+    assert nontrivial > 0
+
+
+def test_classify_h2_twists_each_cocycle_once(monkeypatch):
+    # a counted guard: one coboundary_twist per cocycle, where twisting each
+    # representative by every map made #classes * |A|^(n-1)
+    calls = []
+
+    def counted(c, zeta):
+        calls.append(zeta)
+        return coboundary_twist(c, zeta)
+
+    monkeypatch.setattr(cohomology2, "coboundary_twist", counted)
+    fewer = 0
+    for gn, an in workloads.H2_PAIRS:
+        G, A = fg.standard_group(gn), fg.standard_group(an)
+        calls.clear()
+        classes = classify_h2(G, A).classes
+        assert len(calls) == sum(cls.size for cls in classes) \
+            == len(enumerate_normalized_cocycles(G, A)), (gn, an)
+        fewer += len(calls) < len(classes) * A.order ** (G.order - 1)
+    assert fewer > 0

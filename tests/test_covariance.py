@@ -21,6 +21,11 @@ from covlab.fincat import (FinCat, GAction, TheoryFunctor, group_as_category,
 from covlab.fingroup import Report
 
 
+def _gauge_component(gauge, idx, obj):
+    """The component at obj of the gauge element idx."""
+    return gauge.families[idx][gauge.position[obj]]
+
+
 def test_one_object_category_valid():
     cat = group_as_category(fg.cyclic(4))
     assert validate_fincat(cat).valid
@@ -37,6 +42,16 @@ def test_missing_composite_detected():
     assert not rep.valid
     assert rep.violation == "MissingComposite"
     assert rep.witness == ("r1", "r1")
+
+
+def test_arrow_ending_off_the_objects_is_refused():
+    # built, such a category made validate_functor raise a bare KeyError
+    with pytest.raises(ValueError, match="'f' ends off the objects: 'a' -> 'b'"):
+        FinCat(["a"], [("ida", "a", "a"), ("f", "a", "b")],
+               {("ida", "ida"): "ida"}, {"a": "ida"})
+    with pytest.raises(ValueError, match="'f' ends off the objects: 'b' -> 'a'"):
+        FinCat(["a"], [("ida", "a", "a"), ("f", "b", "a")],
+               {("ida", "ida"): "ida"}, {"a": "ida"})
 
 
 def _reference_hom(cat, x, y):
@@ -463,8 +478,8 @@ def test_trivial_implementations_satisfy_trivial_relations():
                 for x in impl.functor.source.objects:
                     gx = act.act_obj(g, x)
                     lhs = tgt.compose(impl.component(g, x),
-                                      gauge.component(a, x))
-                    rhs = tgt.compose(gauge.component(a, gx),
+                                      _gauge_component(gauge, a, x))
+                    rhs = tgt.compose(_gauge_component(gauge, a, gx),
                                       impl.component(g, x))
                     assert lhs == rhs
 
@@ -652,7 +667,7 @@ def test_gauge_groups_match_the_reference_loop():
         for i, fam in enumerate(families):
             assert gauge.index_of(fam) == i
             for k, x in enumerate(impl.functor.source.objects):
-                assert gauge.component(i, x) == fam[k]
+                assert _gauge_component(gauge, i, x) == fam[k]
 
 
 def test_extracted_cocycles_match_the_reference_loop():
@@ -771,7 +786,7 @@ def _reference_extract_cocycle(impl):
         for g1 in G.elements())
     phi = tuple(
         aut.index_of(tuple(gauge.index_of(tuple(
-            compose(eta[g][c], compose(gauge.component(alpha, c), inverse(eta[g][c])))
+            compose(eta[g][c], compose(_gauge_component(gauge, alpha, c), inverse(eta[g][c])))
             for c in at[g])) for alpha in range(gauge.order)))
         for g in G.elements())
     return Cochain2(G, gauge.table, xi, phi)

@@ -281,6 +281,30 @@ def test_inverse_table_matches_row_scan():
             assert err.value.element == a
 
 
+def test_permutation_primitives_match_the_element_loops():
+    # compose_perm and inner_perm read table rows; the reference loops index
+    # every x and multiply through mul
+    for name in sorted(fg._STANDARD):
+        g = fg.standard_group(name)
+        perms = fg.compute_aut(g).perms
+        for p in perms:
+            for q in perms:
+                assert fg.compose_perm(p, q) == tuple(p[q[x]] for x in range(len(p)))
+        for a in g.elements():
+            assert fg.inner_perm(g, a) == tuple(g.mul(g.mul(a, x), g.inv(a))
+                                                for x in g.elements()), (name, a)
+
+
+def test_group_tables_hash_and_compare_by_table():
+    for name in sorted(fg._STANDARD):
+        g, again = fg.standard_group(name), fg.standard_group(name)
+        assert g is not again and g == again and hash(g) == hash(again) == hash(g.table)
+        renamed = fg.GroupTable(g.table, "other")
+        assert renamed == g and hash(renamed) == hash(g)
+        assert g != g.table
+        assert (g == fg.trivial_group()) == (g.order == 1)
+
+
 # ---------------------------------------------------------------------------
 # the homomorphism law, checked on generators
 
