@@ -15,8 +15,9 @@ print("Z2 accepted:", z2)
 
 try:
     fg.make_group([[0, 1], [1, 1]])
-except fg.NotInvertible as err:
-    print("bad table rejected:", err)
+except fg.CheckFailed as err:
+    # every failed check carries its Report: the violation and its witness
+    print("bad table rejected:", err.report.violation, err.report.witness)
 
 q8 = fg.quaternion8()
 print("Q8 element orders:", q8.order_profile())

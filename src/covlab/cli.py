@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import __version__
 from . import fingroup as fg
@@ -28,10 +28,10 @@ from .covariance import (compare_implementations, compute_gauge_group,
 from .covering import (all_sections, check_centre_hom, induced_gauge_cocycle,
                        section_twist, spin_obstruction, z_class_trivial,
                        z_cocycle)
-from .extension import InvalidCocycle, build_extension, classify_type
+from .extension import build_extension, classify_type
 from .fingroup import (GroupHom, check_hom, direct_product, image,
                        is_injective, is_surjective, kernel, quotient)
-from .multiplet import PreconditionFailed, build_rho, detect_mixing
+from .multiplet import build_rho, detect_mixing
 from .schemas import (ParseError, SchemaError, cochain_from_obj, cochain_to_obj,
                       group_from_obj, group_to_obj, loads)
 from .wickscale import (gauge_scaling_action, GaugeElement, ordering_route,
@@ -106,8 +106,37 @@ def _read_cochain(args, report: RunReport):
 
 
 # ---------------------------------------------------------------------------
-# verb handlers; each fills a RunReport and returns nothing
+# verb handlers; each fills a RunReport and returns nothing, and `verb`
+# registers it in HANDLERS with its help line and flags for build_parser
 
+Flag = Tuple[Tuple[str, ...], Dict[str, Any]]
+HANDLERS: Dict[str, Callable[[argparse.Namespace, RunReport], None]] = {}
+_VERB_FLAGS: Dict[str, Tuple[str, Tuple[Flag, ...]]] = {}
+
+
+def _flag(*names: str, **options: Any) -> Flag:
+    return names, options
+
+
+def verb(name: str, help: str, *flags: Flag):
+    """Register the decorated handler as verb `name`, with its help line and
+    its flags in declaration order."""
+    def register(handler):
+        HANDLERS[name] = handler
+        _VERB_FLAGS[name] = (help, flags)
+        return handler
+    return register
+
+
+COCHAIN = (_flag("--input", help="cochain JSON file ('-' for stdin)"),
+           _flag("--fixture", choices=sorted(models.COCHAIN_FIXTURES),
+                 help="built-in cochain"))
+MODEL = _flag("--model", default="Z4Rot", choices=sorted(models.NAMED_MODELS))
+COVER = _flag("--cover", default="q8", choices=sorted(models.COVERS))
+ZETA = _flag("--zeta", default="flip", choices=["flip", "trivial"])
+
+
+@verb("validate-cocycle", "check the two cocycle laws", *COCHAIN)
 def cmd_validate_cocycle(args, report: RunReport) -> None:
     c = _read_cochain(args, report)
     res = validate_cocycle(c)
@@ -117,6 +146,8 @@ def cmd_validate_cocycle(args, report: RunReport) -> None:
     report.data["normalized"] = c.is_normalized()
 
 
+@verb("classify-h2", "classify H^2(G, A)",
+      _flag("--G", required=True), _flag("--A", required=True))
 def cmd_classify_h2(args, report: RunReport) -> None:
     G = group_from_obj(args.G, "G")
     A = group_from_obj(args.A, "A")
@@ -132,6 +163,7 @@ def cmd_classify_h2(args, report: RunReport) -> None:
     ]
 
 
+@verb("build-extension", "build the extension group", *COCHAIN)
 def cmd_build_extension(args, report: RunReport) -> None:
     c = _read_cochain(args, report)
     ext = build_extension(c)
@@ -148,6 +180,7 @@ def cmd_build_extension(args, report: RunReport) -> None:
     report.data["table"] = [list(r) for r in ext.E.table]
 
 
+@verb("gauge-group", "natural automorphisms of a model", MODEL)
 def cmd_gauge_group(args, report: RunReport) -> None:
     impl = models.named_model(args.model)
     report.digest("model", args.model)
@@ -157,6 +190,7 @@ def cmd_gauge_group(args, report: RunReport) -> None:
     report.data["families"] = [list(f) for f in gauge.families]
 
 
+@verb("extract-cocycle", "canonical cocycle of a model", MODEL)
 def cmd_extract_cocycle(args, report: RunReport) -> None:
     impl = models.named_model(args.model)
     report.digest("model", args.model)
@@ -170,6 +204,8 @@ def cmd_extract_cocycle(args, report: RunReport) -> None:
         report.data["trivializing_twist"] = list(w)
 
 
+@verb("compare-impls", "twist relating two implementations", MODEL,
+      _flag("--other", default="Z4Rot3", choices=sorted(models.NAMED_MODELS)))
 def cmd_compare_impls(args, report: RunReport) -> None:
     i1 = models.named_model(args.model)
     i2 = models.named_model(args.other)
@@ -181,6 +217,7 @@ def cmd_compare_impls(args, report: RunReport) -> None:
                    coboundary_twist(extract_cocycle(i1), w) == extract_cocycle(i2))
 
 
+@verb("lift-extension", "lift a model to its extension group", MODEL)
 def cmd_lift_extension(args, report: RunReport) -> None:
     impl = models.named_model(args.model)
     report.digest("model", args.model)
@@ -190,6 +227,8 @@ def cmd_lift_extension(args, report: RunReport) -> None:
                    extension_order=ext.E.order)
 
 
+@verb("verify-multiplet", "check the field-action laws",
+      _flag("--fixture", default="vector", choices=sorted(models.FIELD_FIXTURES)))
 def cmd_verify_multiplet(args, report: RunReport) -> None:
     # an action that breaks a field law is refused when it is built (exit 2)
     a = models.FIELD_FIXTURES[args.fixture]()
@@ -200,6 +239,8 @@ def cmd_verify_multiplet(args, report: RunReport) -> None:
     report.verdict("extended-rep-true", True, extension_order=ext.E.order)
 
 
+@verb("detect-mixing", "scan for submultiplet mixing",
+      _flag("--fixture", default="blocks", choices=sorted(models.FIELD_FIXTURES)))
 def cmd_detect_mixing(args, report: RunReport) -> None:
     a = models.FIELD_FIXTURES[args.fixture]()
     report.digest("fixture", args.fixture)
@@ -225,6 +266,7 @@ def _kernel_map(zeta: str, k_group: fg.GroupTable) -> GroupHom:
         0 if zeta == "trivial" else e % 2 for e in k_group.elements()))
 
 
+@verb("cover-z", "factor set of a central cover section", COVER, ZETA)
 def cmd_cover_z(args, report: RunReport) -> None:
     cover = models.COVERS[args.cover]()
     report.digest("cover", args.cover)
@@ -246,9 +288,7 @@ def cmd_cover_z(args, report: RunReport) -> None:
     report.verdict("kernel-restriction-central-hom",
                    check_centre_hom(zeta).valid)
     induced = induced_gauge_cocycle(z, zeta)
-    induced_trivial = cohomologous(
-        induced, trivial_cochain(induced.G, induced.A)) is not None
-    report.data["induced_cocycle_trivial"] = induced_trivial
+    report.data["induced_cocycle_trivial"] = z_class_trivial(induced) is not None
 
     # worked example: the quotient (A x S) / <(zeta(-1), -1)> when the kernel
     # has a distinguished involution
@@ -262,6 +302,8 @@ def cmd_cover_z(args, report: RunReport) -> None:
             "order": q.order, "order_profile": list(q.order_profile())}
 
 
+@verb("spin-obstruction", "descent of a cover representation", COVER,
+      _flag("--rep", default="2d", choices=sorted(models.Q8_REPS)), ZETA)
 def cmd_spin_obstruction(args, report: RunReport) -> None:
     if args.cover != "q8":
         raise SchemaError("rep", "built-in representations exist for the q8 cover")
@@ -278,6 +320,8 @@ def cmd_spin_obstruction(args, report: RunReport) -> None:
     report.data["zeta_trivial"] = verdict.zeta_trivial
 
 
+@verb("wick-product", "star product of two polynomials",
+      _flag("--p", required=True), _flag("--q", required=True))
 def cmd_wick_product(args, report: RunReport) -> None:
     p = parse_wickpoly(args.p)
     q = parse_wickpoly(args.q)
@@ -289,6 +333,10 @@ def cmd_wick_product(args, report: RunReport) -> None:
     report.data["product"] = str(out)
 
 
+@verb("scale-power", "almost-homogeneous scaling of Phi^k",
+      _flag("--k", type=int, required=True),
+      _flag("--conformal", action="store_true",
+            help="evaluate at conformal coupling (c = 0)"))
 def cmd_scale_power(args, report: RunReport) -> None:
     report.digest("k", args.k)
     out = scale_wick_power(args.k)
@@ -299,6 +347,8 @@ def cmd_scale_power(args, report: RunReport) -> None:
     report.data["scaled_power"] = str(out)
 
 
+@verb("scaling-cocycle", "rigid-scaling cocycle certificate",
+      _flag("--xi-nonzero", action="store_true"))
 def cmd_scaling_cocycle(args, report: RunReport) -> None:
     report.digest("xi_nonzero", bool(args.xi_nonzero))
     cert = scaling_cocycle_nontrivial(xi_nonzero=args.xi_nonzero)
@@ -331,67 +381,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timing", action="store_true",
                         help="include wall-clock timing in the report")
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    def cochain_flags(p):
-        p.add_argument("--input", help="cochain JSON file ('-' for stdin)")
-        p.add_argument("--fixture", choices=sorted(models.COCHAIN_FIXTURES),
-                       help="built-in cochain")
-
-    p = sub.add_parser("validate-cocycle", help="check the two cocycle laws")
-    cochain_flags(p)
-    p = sub.add_parser("classify-h2", help="classify H^2(G, A)")
-    p.add_argument("--G", required=True)
-    p.add_argument("--A", required=True)
-    p = sub.add_parser("build-extension", help="build the extension group")
-    cochain_flags(p)
-    p = sub.add_parser("gauge-group", help="natural automorphisms of a model")
-    p.add_argument("--model", default="Z4Rot", choices=sorted(models.NAMED_MODELS))
-    p = sub.add_parser("extract-cocycle", help="canonical cocycle of a model")
-    p.add_argument("--model", default="Z4Rot", choices=sorted(models.NAMED_MODELS))
-    p = sub.add_parser("compare-impls", help="twist relating two implementations")
-    p.add_argument("--model", default="Z4Rot", choices=sorted(models.NAMED_MODELS))
-    p.add_argument("--other", default="Z4Rot3", choices=sorted(models.NAMED_MODELS))
-    p = sub.add_parser("lift-extension", help="lift a model to its extension group")
-    p.add_argument("--model", default="Z4Rot", choices=sorted(models.NAMED_MODELS))
-    p = sub.add_parser("verify-multiplet", help="check the field-action laws")
-    p.add_argument("--fixture", default="vector", choices=sorted(models.FIELD_FIXTURES))
-    p = sub.add_parser("detect-mixing", help="scan for submultiplet mixing")
-    p.add_argument("--fixture", default="blocks", choices=sorted(models.FIELD_FIXTURES))
-    p = sub.add_parser("cover-z", help="factor set of a central cover section")
-    p.add_argument("--cover", default="q8", choices=sorted(models.COVERS))
-    p.add_argument("--zeta", default="flip", choices=["flip", "trivial"])
-    p = sub.add_parser("spin-obstruction", help="descent of a cover representation")
-    p.add_argument("--cover", default="q8", choices=sorted(models.COVERS))
-    p.add_argument("--rep", default="2d", choices=sorted(models.Q8_REPS))
-    p.add_argument("--zeta", default="flip", choices=["flip", "trivial"])
-    p = sub.add_parser("wick-product", help="star product of two polynomials")
-    p.add_argument("--p", required=True)
-    p.add_argument("--q", required=True)
-    p = sub.add_parser("scale-power", help="almost-homogeneous scaling of Phi^k")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--conformal", action="store_true",
-                   help="evaluate at conformal coupling (c = 0)")
-    p = sub.add_parser("scaling-cocycle", help="rigid-scaling cocycle certificate")
-    p.add_argument("--xi-nonzero", action="store_true")
+    for name, (summary, flags) in _VERB_FLAGS.items():
+        p = sub.add_parser(name, help=summary)
+        for names, options in flags:
+            p.add_argument(*names, **options)
     return parser
-
-
-HANDLERS = {
-    "validate-cocycle": cmd_validate_cocycle,
-    "classify-h2": cmd_classify_h2,
-    "build-extension": cmd_build_extension,
-    "gauge-group": cmd_gauge_group,
-    "extract-cocycle": cmd_extract_cocycle,
-    "compare-impls": cmd_compare_impls,
-    "lift-extension": cmd_lift_extension,
-    "verify-multiplet": cmd_verify_multiplet,
-    "detect-mixing": cmd_detect_mixing,
-    "cover-z": cmd_cover_z,
-    "spin-obstruction": cmd_spin_obstruction,
-    "wick-product": cmd_wick_product,
-    "scale-power": cmd_scale_power,
-    "scaling-cocycle": cmd_scaling_cocycle,
-}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -401,8 +395,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     start = time.monotonic()
     try:
         HANDLERS[args.verb](args, report)
-    except (ParseError, SchemaError, SearchSpaceTooLarge, PreconditionFailed,
-            ValueError, InvalidCocycle) as err:
+    except (ParseError, SchemaError, SearchSpaceTooLarge, ValueError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
     if args.timing:

@@ -24,16 +24,6 @@ from .fincat import GAction, TheoryFunctor
 from .fingroup import GroupTable, Report, compute_aut, make_group, table_on
 
 
-class NotInGaugeGroup(Exception):
-    pass
-
-
-class Eq18Violated(Exception):
-    def __init__(self, witness: Tuple[int, int]) -> None:
-        self.witness = witness
-        super().__init__(f"frame-isomorphism composition law fails at {witness}")
-
-
 Family = Tuple[str, ...]  # one target-morphism id per object, in object order
 
 
@@ -61,8 +51,7 @@ class GaugeGroup:
         try:
             return self.index[fam]
         except KeyError:
-            raise NotInGaugeGroup(f"family {fam} is not a natural automorphism") \
-                from None
+            raise KeyError(f"family {fam} is not a natural automorphism") from None
 
 
 def _unnatural(F: TheoryFunctor, fam: Mapping[str, str],
@@ -275,7 +264,8 @@ def active_passive_compose(psi: Mapping[int, str], impl: Implementation,
     """Compose active frame isomorphisms with a trivial-cocycle implementation.
 
     psi maps each g to an isomorphism C0 -> g^-1.C0 in the source category,
-    required to satisfy psi_{g1 g0} = (g0^-1 . psi_{g1}) o psi_{g0}.  Then
+    required to satisfy psi_{g1 g0} = (g0^-1 . psi_{g1}) o psi_{g0} (else
+    `CheckFailed`: Eq18Violated (g1, g0), the first failing pair).  Then
 
         Xi(g) = Af(g.psi_g) o eta(g)_{C0}
 
@@ -306,7 +296,7 @@ def active_passive_compose(psi: Mapping[int, str], impl: Implementation,
             lhs = psi[G.mul(g1, g0)]
             rhs = src.compose(act.act_mor(G.inv(g0), psi[g1]), psi[g0])
             if lhs != rhs:
-                raise Eq18Violated((g1, g0))
+                Report(False, "Eq18Violated", (g1, g0)).require("psi")
 
     comps = []
     for g in G.elements():

@@ -30,18 +30,6 @@ from .fingroup import (GroupHom, GroupTable, Report, centre, check_hom, cyclic,
 from .multiplet import MatrixRep, validate_rep
 
 
-class SectionInvalid(Exception):
-    pass
-
-
-class NotCentral(Exception):
-    """zeta leaves the centre: witness (k, a), a not commuting with zeta(k)."""
-
-    def __init__(self, witness) -> None:
-        self.witness = witness
-        super().__init__(f"image element is not central (witness {witness})")
-
-
 @dataclass(frozen=True)
 class CentralCover:
     S: GroupTable
@@ -73,16 +61,24 @@ class Section:
     lift: Tuple[int, ...]
 
     def __post_init__(self) -> None:
-        cov = self.cover
-        if len(self.lift) != cov.L.order:
-            raise SectionInvalid("lift is not total on L")
-        if any(not (0 <= x < cov.S.order) for x in self.lift):
-            raise SectionInvalid("lift has values outside S")
-        if self.lift[0] != 0:
-            raise SectionInvalid("lift must send the identity to the identity")
-        for l in cov.L.elements():
-            if cov.pi.map[self.lift[l]] != l:
-                raise SectionInvalid(f"pi(lift({l})) != {l}")
+        _section_report(self.cover, self.lift).require("section")
+
+
+def _section_report(cov: CentralCover, lift: Tuple[int, ...]) -> Report:
+    """The first violated section law: LiftNotTotal (len(lift),),
+    LiftOutsideS (l,), IdentityNotIdentity (0,), or NotASection (l,) for the
+    first l with pi(lift(l)) != l."""
+    if len(lift) != cov.L.order:
+        return Report(False, "LiftNotTotal", (len(lift),))
+    outside = next((l for l, x in enumerate(lift) if not 0 <= x < cov.S.order), None)
+    if outside is not None:
+        return Report(False, "LiftOutsideS", (outside,))
+    if lift[0] != 0:
+        return Report(False, "IdentityNotIdentity", (0,))
+    stray = next((l for l in cov.L.elements() if cov.pi.map[lift[l]] != l), None)
+    if stray is not None:
+        return Report(False, "NotASection", (stray,))
+    return Report(True)
 
 
 def all_sections(cover: CentralCover) -> Tuple[Section, ...]:
@@ -139,16 +135,13 @@ def induced_gauge_cocycle(z: Cochain2, zeta_on_k: GroupHom) -> Cochain2:
     (zeta o z, 1).
 
     zeta_on_k must be a homomorphism from the kernel group into the gauge
-    group A, landing in the centre of A (`check_centre_hom`; NotCentral or
-    ValueError otherwise).  The result is a cocycle by construction and is
+    group A, landing in the centre of A (`check_centre_hom`; `CheckFailed`
+    otherwise).  The result is a cocycle by construction and is
     not re-checked; the tests validate it for the kernel homs cover-z builds.
     """
     if zeta_on_k.source != z.A:
         raise ValueError("zeta is not defined on the kernel group")
-    rep = check_centre_hom(zeta_on_k)
-    if rep.violation == "NotCentral":
-        raise NotCentral(rep.witness)
-    rep.require("zeta")
+    check_centre_hom(zeta_on_k).require("zeta")
     xi = tuple(tuple(zeta_on_k.map[v] for v in row) for row in z.xi)
     return Cochain2(z.G, zeta_on_k.target, xi, (0,) * z.G.order)
 

@@ -20,13 +20,6 @@ from .cohomology2 import (Cochain2, _first_twist, _twist_candidates,
 from .fingroup import GroupHom, GroupTable, centre, table_on
 
 
-class InvalidCocycle(Exception):
-    def __init__(self, law: str, witness) -> None:
-        self.law, self.witness = law, witness
-        super().__init__(f"{law} fails at {witness}; "
-                         "the input fails the cocycle conditions")
-
-
 @dataclass(frozen=True)
 class ExtensionGroup:
     E: GroupTable
@@ -44,7 +37,7 @@ class ExtensionGroup:
 def build_extension(c: Cochain2) -> ExtensionGroup:
     """Build E from a normalized cocycle.
 
-    The cocycle laws are checked once, here (InvalidCocycle otherwise).  On
+    The cocycle laws are checked once, here (`CheckFailed` otherwise).  On
     a normalized cochain they hold exactly when the pair product is
     associative, so E is a group and 1 -> A -> E -> G -> 1 is exact; the
     build-extension verdict checks exactness and the tests check both on
@@ -52,9 +45,7 @@ def build_extension(c: Cochain2) -> ExtensionGroup:
     """
     if not c.is_normalized():
         raise ValueError("extension construction requires a normalized cochain")
-    res = validate_cocycle(c)
-    if not res.valid:
-        raise InvalidCocycle(res.violation, res.witness)
+    validate_cocycle(c).require("cocycle")
     G, A = c.G, c.A
 
     def mul(p, q):

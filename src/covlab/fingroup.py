@@ -20,32 +20,13 @@ from .config import capped_product
 Perm = Tuple[int, ...]
 
 
-class GroupError(Exception):
-    """Base class for multiplication-table validation failures."""
+class CheckFailed(ValueError):
+    """A failed check: the `report` naming its first violation and witness,
+    raised by `Report.require` for the `subject` it names."""
 
-
-class NoIdentity(GroupError):
-    def __init__(self) -> None:
-        super().__init__("no two-sided identity element")
-
-
-class NotInvertible(GroupError):
-    def __init__(self, element: int) -> None:
-        self.element = element
-        super().__init__(f"element {element}: row/column is not a permutation "
-                         "or no two-sided inverse exists")
-
-
-class NotAssociative(GroupError):
-    def __init__(self, witness: Tuple[int, int, int]) -> None:
-        self.witness = witness
-        super().__init__(f"associativity fails at triple {witness}")
-
-
-class IndexOutOfRange(GroupError):
-    def __init__(self, row: int, col: Optional[int], value) -> None:
-        self.row, self.col, self.value = row, col, value
-        super().__init__(f"bad table entry at ({row},{col}): {value!r}")
+    def __init__(self, report: "Report", subject: str) -> None:
+        self.report, self.subject = report, subject
+        super().__init__(f"{subject} invalid: {report.violation} {report.witness}")
 
 
 @dataclass(frozen=True)
@@ -61,10 +42,10 @@ class Report:
         return self.valid
 
     def require(self, subject: str) -> None:
-        """Raise ValueError("<subject> invalid: <violation> <witness>")
+        """Raise CheckFailed("<subject> invalid: <violation> <witness>")
         unless valid."""
         if not self.valid:
-            raise ValueError(f"{subject} invalid: {self.violation} {self.witness}")
+            raise CheckFailed(self, subject)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +72,7 @@ class GroupTable:
     def inv(self, a: int) -> int:
         b = self._inverses[a]
         if b is None:
-            raise NotInvertible(a)
+            raise KeyError(f"element {a} has no two-sided inverse")
         return b
 
     def elements(self) -> range:
@@ -135,9 +116,10 @@ def _reindexed(rows: Tuple[Tuple[int, ...], ...], e: int) -> Tuple[Tuple[int, ..
 def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> GroupTable:
     """Validate a multiplication table and return a GroupTable.
 
-    The first violated axiom is reported: IndexOutOfRange, NoIdentity,
-    NotInvertible (with the offending element) or NotAssociative (with the
-    witness triple).  Tables whose identity is not element 0 are reindexed.
+    The first violated axiom fails the check (`CheckFailed`, subject "group
+    table"): IndexOutOfRange (row, column, value), NoIdentity (),
+    NotInvertible (element,) or NotAssociative (the witness triple).  Tables
+    whose identity is not element 0 are reindexed.
     Rows and columns being permutations, each x has some xy = 1 and y'x = 1,
     and associativity gives y' = y'(xy) = (y'x)y = y: a two-sided inverse.
 
@@ -153,19 +135,22 @@ def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> Gr
     front either way.  The sequence comes from the uncached walk: an
     unvalidated table enters no cache.
     """
+    def refuse(violation: str, witness: tuple) -> None:
+        Report(False, violation, witness).require("group table")
+
     rows = []
     n = len(table)
     for i, row in enumerate(table):
         row = tuple(row)
         if len(row) != n:
-            raise IndexOutOfRange(i, len(row), None)
+            refuse("IndexOutOfRange", (i, len(row), None))
         for j, v in enumerate(row):
             if not isinstance(v, int) or isinstance(v, bool) or not (0 <= v < n):
-                raise IndexOutOfRange(i, j, v)
+                refuse("IndexOutOfRange", (i, j, v))
         rows.append(row)
     rows = tuple(rows)
     if n == 0:
-        raise NoIdentity()
+        refuse("NoIdentity", ())
 
     identity = None
     for e in range(n):
@@ -173,21 +158,21 @@ def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> Gr
             identity = e
             break
     if identity is None:
-        raise NoIdentity()
+        refuse("NoIdentity", ())
     if identity != 0:
         rows = _reindexed(rows, identity)
 
     full = frozenset(range(n))
     for x in range(n):
         if frozenset(rows[x]) != full or frozenset(rows[y][x] for y in range(n)) != full:
-            raise NotInvertible(x)
+            refuse("NotInvertible", (x,))
     triples = capped_product([range(n)] * 3)
     group = GroupTable(rows, name)
     if any(rows[rows[x][s]][z] != rows[x][rows[s][z]]
            for s in _walk_generators(group) for x in range(n) for z in range(n)):
         for x, y, z in triples:
             if rows[rows[x][y]][z] != rows[x][rows[y][z]]:
-                raise NotAssociative((x, y, z))
+                refuse("NotAssociative", (x, y, z))
     return group
 
 
@@ -325,9 +310,9 @@ def closure(g: GroupTable, elems: Sequence[int]) -> Tuple[int, ...]:
     return tuple(sorted(_bfs_recipes(g, tuple(elems))[1]))
 
 
-def subgroup(g: GroupTable, elems: Sequence[int],
-             name: Optional[str] = None) -> Tuple[GroupTable, Tuple[int, ...]]:
-    """Subgroup as its own GroupTable plus the sorted ambient elements."""
+def _subgroup_elements(g: GroupTable, elems: Sequence[int]) -> Tuple[int, ...]:
+    """elems sorted without repeats, refused with ValueError unless they
+    hold the identity and are closed under inverses and products."""
     elems = tuple(sorted(set(elems)))
     if 0 not in elems:
         raise ValueError("subgroup must contain the identity")
@@ -338,6 +323,13 @@ def subgroup(g: GroupTable, elems: Sequence[int],
         for y in elems:
             if g.mul(x, y) not in members:
                 raise ValueError(f"subset not closed at ({x},{y})")
+    return elems
+
+
+def subgroup(g: GroupTable, elems: Sequence[int],
+             name: Optional[str] = None) -> Tuple[GroupTable, Tuple[int, ...]]:
+    """Subgroup as its own GroupTable plus the sorted ambient elements."""
+    elems = _subgroup_elements(g, elems)
     return GroupTable(table_on(elems, g.mul), name), elems
 
 
@@ -353,7 +345,7 @@ def quotient(g: GroupTable, normal: Sequence[int],
 
     Cosets are ordered by their least member, so the identity coset is 0.
     """
-    subgroup(g, normal)  # validates the subset
+    _subgroup_elements(g, normal)
     if not is_normal(g, normal):
         raise ValueError("subgroup is not normal")
     rep = [min(g.mul(x, n) for n in normal) for x in g.elements()]

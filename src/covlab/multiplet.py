@@ -6,7 +6,6 @@ identity below is asserted with zero tolerance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -15,13 +14,7 @@ from .cohomology2 import Cochain2
 from .exactlin import Mat, null_space, ZERO
 from .extension import ExtensionGroup, classify_type
 from .fingroup import GroupTable, Report, generating_sequence, hom_law_witness
-from .wickscale import Monomial, WickPoly, _rational
-
-
-class PreconditionFailed(Exception):
-    def __init__(self, check: str, witness=None) -> None:
-        self.check, self.witness = check, witness
-        super().__init__(f"precondition {check} failed ({witness})")
+from .wickscale import Monomial, WickPoly, _matching_row, _rational
 
 
 @dataclass(frozen=True)
@@ -207,10 +200,12 @@ def detect_mixing(rho: MatrixRep, ext: ExtensionGroup,
 
     Preconditions: projection o injection is the identity on each
     submultiplet, and each subspace is invariant under the restricted
-    action rho(1, g).  When the extension is a direct product and the two
-    restrictions are verified inequivalent irreducible true representations,
-    the no-mixing corollary is armed: a witness then violates it, and the
-    result says so in `corollary_violated`.
+    action rho(1, g).  A failed one raises `CheckFailed`: projection_section
+    (i,), or not_invariant or not_corestriction (i, g), for submultiplet i.
+    When the extension is a direct product and the two restrictions are
+    verified inequivalent irreducible true representations, the no-mixing
+    corollary is armed: a witness then violates it, and the result says so
+    in `corollary_violated`.
     """
     G = ext.cochain.G
     E = ext.E
@@ -218,15 +213,15 @@ def detect_mixing(rho: MatrixRep, ext: ExtensionGroup,
     sigmas = []
     for i, sub in enumerate(subs):
         if sub.projection * sub.injection != Mat.identity(sub.dim):
-            raise PreconditionFailed("projection_section", i)
+            Report(False, "projection_section", (i,)).require("submultiplet")
         mats = []
         for g in G.elements():
             m = rho(ext.pair_index(0, g))
             sigma_g = sub.projection * m * sub.injection
             if m * sub.injection != sub.injection * sigma_g:
-                raise PreconditionFailed("not_invariant", (i, g))
+                Report(False, "not_invariant", (i, g)).require("submultiplet")
             if sub.projection * m != sigma_g * sub.projection:
-                raise PreconditionFailed("not_corestriction", (i, g))
+                Report(False, "not_corestriction", (i, g)).require("submultiplet")
             mats.append(sigma_g)
         sigmas.append(mats)
 
@@ -287,8 +282,10 @@ def scaling_multiplet(k: int, coupling: str = "generic",
     The verdict reads off the structure: for k >= 2 at nonzero c the matrix
     has the single eigenvalue lam^k with a full nilpotent chain (no invariant
     complement); at conformal coupling or k = 1 it is diagonal.  The tests
-    check the nilpotent structure.  lam must be an int or a Fraction
-    (`wickscale._rational`).
+    check the nilpotent structure.  Entry (i, j) is lam^k times
+    (k-2j)!/((i-j)! (k-2i)!), the matching number
+    `_matching_row(k - 2j)[i - j]` times 2^(i-j), as in `scale_wick_power`.
+    lam must be an int or a Fraction (`wickscale._rational`).
     """
     if k < 1:
         raise ValueError("field power must be >= 1")
@@ -300,12 +297,12 @@ def scaling_multiplet(k: int, coupling: str = "generic",
     dim = k // 2 + 1
     entries = [[WickPoly.zero()] * dim for _ in range(dim)]
     for j in range(dim):
+        counts = _matching_row(k - 2 * j)
         # at conformal coupling (c = 0) only the diagonal survives
         for i in range(j, j + 1 if coupling == "conformal" else dim):
             step = i - j
-            entries[i][j] = WickPoly({Monomial(log=step, c=step): Fraction(
-                math.factorial(k - 2 * j),
-                math.factorial(step) * math.factorial(k - 2 * i)) * lam ** k})
+            entries[i][j] = WickPoly({Monomial(log=step, c=step):
+                                      (counts[step] << step) * lam ** k})
     matrix = tuple(tuple(row) for row in entries)
     verdict = ("diagonal" if coupling == "conformal" or k == 1
                else "reducible-indecomposable")

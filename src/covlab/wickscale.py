@@ -37,15 +37,6 @@ from fractions import Fraction
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 
-class JTooLarge(Exception):
-    def __init__(self, k: int, l: int, j: int) -> None:
-        super().__init__(f"j={j} exceeds min({k},{l})")
-
-
-class NonPositiveLambda(Exception):
-    pass
-
-
 class Monomial(NamedTuple):
     phi: int = 0
     ricci: int = 0
@@ -244,7 +235,7 @@ def _contraction_row(k: int, l: int) -> list:
 def contraction_coeff(k: int, l: int, j: int) -> int:
     """Number of j-fold contractions between a k-fold and an l-fold power."""
     if j > min(k, l):
-        raise JTooLarge(k, l, j)
+        raise ValueError(f"j={j} exceeds min({k},{l})")
     if j < 0:
         raise ValueError(f"j={j} is negative")
     return _contraction_row(k, l)[j]
@@ -374,7 +365,7 @@ def gauge_scaling_action(lam: Fraction, el: GaugeElement,
     """
     lam = Fraction(_rational(lam))
     if lam <= 0:
-        raise NonPositiveLambda(f"lambda must be positive, got {lam}")
+        raise ValueError(f"lambda must be positive, got {lam}")
     if xi_nonzero and el.mu != 0:
         raise ValueError("mu must vanish when the coupling is nonzero")
     return GaugeElement(el.sigma, el.mu / lam)

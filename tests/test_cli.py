@@ -116,7 +116,7 @@ def test_mismatched_submultiplets_are_an_input_error(capsys):
     # the coordinate lines are not invariant under the rotation action
     code, out, err = run(capsys, "detect-mixing", "--fixture", "vector")
     assert code == 2
-    assert "precondition" in err
+    assert "input error: submultiplet invalid: not_invariant (0, 1)" in err
 
 
 def test_input_error_exit_2(capsys, tmp_path):
@@ -185,7 +185,7 @@ def test_build_extension_on_non_cocycle_is_an_input_error(capsys, tmp_path):
     code, out, err = run(capsys, "build-extension", "--input", str(f))
     assert code == 2
     assert out == ""
-    assert "input error" in err and "cocycle conditions" in err
+    assert "input error: cocycle invalid: factor_set_condition" in err
 
 
 @pytest.mark.parametrize("xi, phi, bad", [

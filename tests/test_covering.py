@@ -6,11 +6,11 @@ from covlab import fingroup as fg
 from covlab import models
 from covlab.cohomology2 import (SearchSpaceTooLarge, coboundary_twist,
                                 cohomologous, trivial_cochain, validate_cocycle)
-from covlab.covering import (CentralCover, NotCentral, Section,
-                             SectionInvalid, all_sections, check_centre_hom,
-                             cyclic_cover, induced_gauge_cocycle, q8_cover,
-                             section_twist, spin_obstruction, split_cover,
-                             z_class_trivial, z_cocycle)
+from covlab.covering import (CentralCover, Section, all_sections,
+                             check_centre_hom, cyclic_cover,
+                             induced_gauge_cocycle, q8_cover, section_twist,
+                             spin_obstruction, split_cover, z_class_trivial,
+                             z_cocycle)
 from covlab.covariance import compute_gauge_group
 from covlab.exactlin import Mat
 from covlab.fingroup import GroupHom
@@ -34,10 +34,15 @@ def test_non_central_kernel_rejected():
 
 def test_section_invariants():
     cov = q8_cover()
-    with pytest.raises(SectionInvalid):
+    with pytest.raises(fg.CheckFailed) as exc:
         Section(cov, (1, 2, 4, 6))  # lift(1) != 1
-    with pytest.raises(SectionInvalid):
+    assert exc.value.report == fg.Report(False, "IdentityNotIdentity", (0,))
+    with pytest.raises(fg.CheckFailed) as exc:
         Section(cov, (0, 2, 4, 6))  # lift(1) lies in the wrong fiber
+    assert exc.value.report == fg.Report(False, "NotASection", (1,))
+    with pytest.raises(fg.CheckFailed) as exc:
+        Section(cov, (0, 2))
+    assert exc.value.report == fg.Report(False, "LiftNotTotal", (2,))
 
 
 def test_section_refuses_lifts_outside_the_cover():
@@ -45,8 +50,9 @@ def test_section_refuses_lifts_outside_the_cover():
     # leak an IndexError from the fiber check
     cov = q8_cover()
     for lift in [(0, -4, 2, 6), (0, 99, 2, 6)]:
-        with pytest.raises(SectionInvalid, match="outside S"):
+        with pytest.raises(fg.CheckFailed) as exc:
             Section(cov, lift)
+        assert exc.value.report == fg.Report(False, "LiftOutsideS", (1,))
 
 
 def test_all_sections_count():
@@ -253,8 +259,10 @@ def test_induced_cocycle_rejects_noncentral_zeta():
     s3 = fg.symmetric3()
     transposition = next(x for x in s3.elements() if s3.element_order(x) == 2)
     zeta = GroupHom(k, s3, (0, transposition))
-    with pytest.raises(NotCentral):
+    with pytest.raises(fg.CheckFailed) as exc:
         induced_gauge_cocycle(z_cocycle(all_sections(cov)[0]), zeta)
+    assert exc.value.report == check_centre_hom(zeta)
+    assert exc.value.report.violation == "NotCentral"
 
 
 def test_check_centre_hom():

@@ -9,11 +9,10 @@ from covlab import models
 from covlab.cohomology2 import trivial_cochain
 from covlab.exactlin import I as IU, GaussRat, Mat, ONE, ZERO
 from covlab.extension import build_extension, classify_type
-from covlab.multiplet import (FieldSpaceAction, MatrixRep, PreconditionFailed,
-                              SubMultiplet, build_rho, detect_mixing,
-                              equivalent, intertwiners, irreducible,
-                              scaling_multiplet, validate_rep,
-                              verify_field_action)
+from covlab.multiplet import (FieldSpaceAction, MatrixRep, SubMultiplet,
+                              build_rho, detect_mixing, equivalent,
+                              intertwiners, irreducible, scaling_multiplet,
+                              validate_rep, verify_field_action)
 from covlab.wickscale import Monomial, WickPoly
 
 Z2 = fg.cyclic(2)
@@ -496,15 +495,17 @@ def test_detect_mixing_precondition_failures():
     ext = build_extension(a.cocycle)
     rho = build_rho(a, ext)
     bad = SubMultiplet(Mat([[1], [0]]), Mat([[0, 1]]))  # proj o inj == 0
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(fg.CheckFailed) as exc:
         detect_mixing(rho, ext, bad, bad)
+    assert exc.value.report == fg.Report(False, "projection_section", (0,))
 
     vec = models.vector_multiplet_action()
     ext_v = build_extension(vec.cocycle)
     rho_v = build_rho(vec, ext_v)
     sub1, sub2 = models.standard_submultiplets()
-    with pytest.raises(PreconditionFailed):
+    with pytest.raises(fg.CheckFailed) as exc:
         detect_mixing(rho_v, ext_v, sub1, sub2)  # lines not rotation-invariant
+    assert exc.value.report == fg.Report(False, "not_invariant", (0, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ search (`normalized`, `expect`).  A functor, a group action, an
 implementation and a field-space action are each validated in their own
 constructor (`__init__`, or a dataclass's `__post_init__`) and nowhere else.
 Every check returns the one verdict type, `fingroup.Report`: the only other
-class named `...Report` is the CLI's `RunReport`.  `WickPoly.__init__` is the
+class named `...Report` is the CLI's `RunReport`.  A failed check raises the
+one failure type, `fingroup.CheckFailed`, only from `Report.require`; the
+library's other exception classes are `SearchSpaceTooLarge`, a refused
+search, and the JSON boundary's `ParseError` and `SchemaError`.  `WickPoly.__init__` is the
 one place that sums coefficients: besides it, only `parse_wickpoly` sums
 values into a dict (the exponents of one written term), and the Wick kernels
 (`WickPoly.__mul__`, `scale` and `set_symbol`, `wick_product`,
@@ -32,8 +35,8 @@ generator-middle laws from that list (through `_law_sets`), only
 `coboundary_twist` builds a `Cochain2` from another cochain's phi,
 `Mat.det` calls `rref`,
 `fingroup.closure` calls `_bfs_recipes`, the star product's coefficients
-come from `_contraction_row` and the ordering and scaling ones from
-`_matching_row`, and no Wick kernel calls `factorial`.  The functor,
+come from `_contraction_row` and the ordering, scaling and scaling-multiplet
+ones from `_matching_row`, and no Wick kernel calls `factorial`.  The functor,
 implementation and cocycle kernels read the tables: `validate_functor`,
 `_unnatural`, `validate_implementation`, `_sources`, `extract_cocycle`,
 `compare_implementations` and `_gauged` call no category, functor or action
@@ -45,6 +48,7 @@ command given as a JSON list of argv lists; the -O test runs it that way.
 """
 
 import ast
+import builtins
 import contextlib
 import io
 import json
@@ -120,6 +124,31 @@ def test_checks_share_one_report_type():
                    for node in ast.walk(ast.parse(path.read_text()))
                    if isinstance(node, ast.ClassDef) and node.name.endswith("Report"))
     assert found == ["cli.RunReport", "fingroup.Report"]
+
+
+def test_library_defines_four_exception_classes():
+    bases, owner, outside_require = {}, {}, []
+    for path in sorted((ROOT / "src" / "covlab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [ast.unparse(b).split(".")[-1] for b in node.bases]
+                owner[node.name] = path.stem
+        inside = ({id(node) for node in ast.walk(_function(tree, "require", "Report"))}
+                  if path.name == "fingroup.py" else set())
+        outside_require += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                            if _called(node) == "CheckFailed" and id(node) not in inside]
+
+    def is_exception(name):
+        if name in bases:
+            return any(is_exception(base) for base in bases[name])
+        builtin = getattr(builtins, name, None)
+        return isinstance(builtin, type) and issubclass(builtin, BaseException)
+
+    assert sorted(f"{owner[name]}.{name}" for name in bases if is_exception(name)) == [
+        "config.SearchSpaceTooLarge", "fingroup.CheckFailed",
+        "schemas.ParseError", "schemas.SchemaError"]
+    assert outside_require == []
 
 
 def _dict_sums(tree):
@@ -315,16 +344,17 @@ def test_each_algorithm_is_written_once():
                        name, cls)
         if not any(_called(node) == callee for node in ast.walk(fn)):
             found.add(f"{module}.{name} does not call {callee}")
-    wickscale = ast.parse((ROOT / "src" / "covlab" / "wickscale.py").read_text())
-    for name, row in (("contraction_coeff", "_contraction_row"),
-                      ("wick_product", "_contraction_row"),
-                      ("change_of_ordering", "_matching_row"),
-                      ("scale_wick_power", "_matching_row")):
-        called = {_called(node) for node in ast.walk(_function(wickscale, name))}
+    for module, name, row in (("wickscale", "contraction_coeff", "_contraction_row"),
+                              ("wickscale", "wick_product", "_contraction_row"),
+                              ("wickscale", "change_of_ordering", "_matching_row"),
+                              ("wickscale", "scale_wick_power", "_matching_row"),
+                              ("multiplet", "scaling_multiplet", "_matching_row")):
+        tree = ast.parse((ROOT / "src" / "covlab" / f"{module}.py").read_text())
+        called = {_called(node) for node in ast.walk(_function(tree, name))}
         if row not in called:
-            found.add(f"wickscale.{name} does not call {row}")
+            found.add(f"{module}.{name} does not call {row}")
         if "factorial" in called:
-            found.add(f"wickscale.{name} calls factorial")
+            found.add(f"{module}.{name} calls factorial")
     assert sorted(found) == []
 
 
