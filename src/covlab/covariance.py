@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from .cohomology2 import Cochain2
+from .cohomology2 import Cochain2, trivial_cochain
 from .config import capped_product
 from .extension import ExtensionGroup
 from .fincat import GAction, TheoryFunctor
@@ -77,12 +77,14 @@ def compute_gauge_group(F: TheoryFunctor) -> GaugeGroup:
     and shared by every caller; COVLAB_ENUM_CAP bounds that one computation.
     """
     tgt, objects = F.target, F.source.objects
-    per_object = [tgt.invertible_endos(F.on_obj(x)) for x in objects]
+    tc, images = tgt.compose_table, [F.obj_map[x] for x in objects]
+    per_object = [tuple(m for m in tgt.hom(y, y) if tgt.inverse(m) is not None)
+                  for y in images]
     families = [combo for combo in capped_product(per_object)
                 if _unnatural(F, dict(zip(objects, combo)), F.mor_map) is None]
-    ident = tuple(tgt.identity(F.on_obj(x)) for x in objects)
+    ident = tuple(tgt.identities[y] for y in images)
     families.sort(key=lambda fam: (fam != ident, fam))
-    gt = make_group(table_on(families, lambda a, b: tuple(map(tgt.compose, a, b))),
+    gt = make_group(table_on(families, lambda a, b: tuple(tc[p] for p in zip(a, b))),
                     name=f"Aut({F.name or 'A'})")
     return GaugeGroup(gt, tuple(families), objects)
 
@@ -99,9 +101,6 @@ class Implementation:
         self.name = name
         validate_implementation(self).require("implementation")
 
-    def component(self, g: int, obj: str) -> str:
-        return self.eta[g][obj]
-
 
 def validate_implementation(impl: Implementation) -> Report:
     """The eta family: one natural isomorphism Af -> gAf per element, with
@@ -115,7 +114,7 @@ def validate_implementation(impl: Implementation) -> Report:
     if len(impl.eta) != G.order:
         return Report(False, "FamilyPerElementMissing", (len(impl.eta),))
     om, mm = F.obj_map, F.mor_map
-    tdom, tcod = tgt._dom, tgt._cod
+    tdom, tcod = tgt.dom, tgt.cod
     for x in src.objects:
         if impl.eta[0].get(x) != tgt.identities[om[x]]:
             return Report(False, "IdentityFamilyNotIdentity", (x,))
@@ -274,35 +273,33 @@ def active_passive_compose(psi: Mapping[int, str], impl: Implementation,
     check them on the shipped fixtures.  impl is valid since it was built.
     """
     F, act = impl.functor, impl.action
-    G = act.group
-    src, tgt = F.source, F.target
+    G, T = act.group, act.functors
+    src, tc = F.source, F.target.compose_table
 
     c = extract_cocycle(impl)
-    if any(v != 0 for row in c.xi for v in row) or any(p != 0 for p in c.phi):
+    if c != trivial_cochain(c.G, c.A):
         raise ValueError("implementation cocycle must be trivial")
 
     for g in G.elements():
         m = psi.get(g)
         if m is None:
             raise ValueError(f"psi not total: missing element {g}")
-        if src.dom(m) != base_object or src.cod(m) != act.act_obj(G.inv(g), base_object):
+        if (src.dom[m] != base_object
+                or src.cod[m] != T[G.inv(g)].obj_map[base_object]):
             raise ValueError(f"psi_{g} has the wrong shape")
         if src.inverse(m) is None:
             raise ValueError(f"psi_{g} is not invertible")
-    if psi[0] != src.identity(base_object):
+    base_id = src.identities[base_object]
+    if psi[0] != base_id:
         raise ValueError("psi at the identity must be the identity morphism")
     for g1 in G.elements():
         for g0 in G.elements():
             lhs = psi[G.mul(g1, g0)]
-            rhs = src.compose(act.act_mor(G.inv(g0), psi[g1]), psi[g0])
+            rhs = src.compose_table[T[G.inv(g0)].mor_map[psi[g1]], psi[g0]]
             if lhs != rhs:
                 Report(False, "Eq18Violated", (g1, g0)).require("psi")
 
-    comps = []
-    for g in G.elements():
-        active = F.on_mor(act.act_mor(g, psi[g]))
-        comps.append(tgt.compose(active, impl.component(g, base_object)))
-
-    kernel_checks = tuple((k, impl.component(k, base_object))
-                          for k in G.elements() if psi[k] == src.identity(base_object))
-    return ActivePassive(base_object, tuple(comps), kernel_checks)
+    eta = [fam[base_object] for fam in impl.eta]
+    comps = tuple(tc[F.mor_map[T[g].mor_map[psi[g]]], eta[g]] for g in G.elements())
+    kernel_checks = tuple((k, eta[k]) for k in G.elements() if psi[k] == base_id)
+    return ActivePassive(base_object, comps, kernel_checks)

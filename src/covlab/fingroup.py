@@ -3,7 +3,7 @@
 Conventions shared by the whole package:
 
   * group elements are the indices 0..order-1 and index 0 is the identity
-    (tables with the identity elsewhere are reindexed on ingestion);
+    (an ingested table with the identity elsewhere is refused);
   * permutations compose like functions: compose(p, q)[x] = p[q[x]];
   * every enumeration is sorted, so outputs are reproducible byte for byte.
 """
@@ -105,21 +105,14 @@ class GroupTable:
         return f"GroupTable({label})"
 
 
-def _reindexed(rows: Tuple[Tuple[int, ...], ...], e: int) -> Tuple[Tuple[int, ...], ...]:
-    # swap labels 0 <-> e
-    n = len(rows)
-    lab = list(range(n))
-    lab[0], lab[e] = e, 0
-    return tuple(tuple(lab[rows[lab[i]][lab[j]]] for j in range(n)) for i in range(n))
-
-
 def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> GroupTable:
     """Validate a multiplication table and return a GroupTable.
 
     The first violated axiom fails the check (`CheckFailed`, subject "group
     table"): IndexOutOfRange (row, column, value), NoIdentity (),
-    NotInvertible (element,) or NotAssociative (the witness triple).  Tables
-    whose identity is not element 0 are reindexed.
+    IdentityNotFirst (the identity,) when it is not element 0, so that the
+    table's labels are the group's, NotInvertible (element,) or
+    NotAssociative (the witness triple).
     Rows and columns being permutations, each x has some xy = 1 and y'x = 1,
     and associativity gives y' = y'(xy) = (y'x)y = y: a two-sided inverse.
 
@@ -160,7 +153,7 @@ def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> Gr
     if identity is None:
         refuse("NoIdentity", ())
     if identity != 0:
-        rows = _reindexed(rows, identity)
+        refuse("IdentityNotFirst", (identity,))
 
     full = frozenset(range(n))
     for x in range(n):

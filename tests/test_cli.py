@@ -158,7 +158,7 @@ def test_invalid_cochain_file_fails_validation(capsys, tmp_path):
 
 def test_cochain_groups_must_list_the_identity_first(capsys, tmp_path):
     # the Z4-producing cocycle, first over a table with the identity at
-    # label 1: its xi and phi would be read in labels make_group changes
+    # label 1, which make_group refuses (IdentityNotFirst)
     f = tmp_path / "cochain.json"
     f.write_text(json.dumps({"G": {"table": [[1, 0], [0, 1]]}, "A": "Z2",
                              "xi": [[1, 0], [0, 0]], "phi": [0, 0]}))

@@ -289,7 +289,7 @@ def spin_frame_kernel_restriction():
     k_table, _ = fg.subgroup(impl.action.group, kernel_elems, name="ker")
     mapping = []
     for k in kernel_elems:
-        fam = tuple(impl.component(k, x) for x in gauge.objects)
+        fam = tuple(impl.eta[k][x] for x in gauge.objects)
         mapping.append(gauge.index_of(fam))
     return k_table, gauge, GroupHom(k_table, gauge.table, tuple(mapping))
 

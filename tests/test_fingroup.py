@@ -97,25 +97,36 @@ def test_light_associativity_test_matches_the_full_scan_on_loops():
     for _ in range(240):
         G, m = rng.choice(shapes)
         table, e = _central_loop(rng, G, m, rng.choice(["zero", "coboundary", "random"]))
-        lab = list(range(len(table)))  # make_group swaps the labels 0 and e
+        if e != 0:  # the loop's identity is e; a table must list it first
+            with pytest.raises(fg.CheckFailed) as exc:
+                fg.make_group(table)
+            assert exc.value.report == fg.Report(False, "IdentityNotFirst", (e,))
+        lab = list(range(len(table)))  # the same loop with the labels 0 and e swapped
         lab[0], lab[e] = e, 0
         rows = [[lab[table[lab[i]][lab[j]]] for j in range(len(lab))]
                 for i in range(len(lab))]
         witness = reference_first_non_associative(rows)
         if witness is None:
-            assert [list(row) for row in fg.make_group(table).table] == rows
+            assert [list(row) for row in fg.make_group(rows).table] == rows
         else:
             with pytest.raises(fg.CheckFailed) as exc:
-                fg.make_group(table)
+                fg.make_group(rows)
             assert exc.value.report == fg.Report(False, "NotAssociative", witness)
         outcomes.add(witness is None)
     assert outcomes == {True, False}
 
 
-def test_make_group_reindexes_identity_to_zero():
-    # Z2 written with identity at index 1
-    g = fg.make_group([[1, 0], [0, 1]])
-    assert g.mul(0, 0) == 0 and g.mul(1, 1) == 0 and g.mul(0, 1) == 1
+def test_make_group_refuses_an_identity_off_index_zero():
+    # Z2 and Z3 written with the identity at index 1 and 2: their labels are
+    # not the group's, so they are refused rather than relabelled
+    for table, e in (([[1, 0], [0, 1]], 1), ([[1, 2, 0], [2, 0, 1], [0, 1, 2]], 2)):
+        with pytest.raises(fg.CheckFailed) as exc:
+            fg.make_group(table)
+        assert exc.value.report == fg.Report(False, "IdentityNotFirst", (e,))
+    # a table without an identity is still NoIdentity
+    with pytest.raises(fg.CheckFailed) as exc:
+        fg.make_group([[1, 0], [1, 0]])
+    assert exc.value.report == fg.Report(False, "NoIdentity", ())
 
 
 def test_z4_element_orders():
@@ -515,7 +526,7 @@ def reference_gauge_table(functor, gauge):
 
     def mul(i, j):
         a, b = families[i], families[j]
-        return index[tuple(tgt.compose(a[k], b[k]) for k in range(len(gauge.objects)))]
+        return index[tuple(tgt.compose_table[a[k], b[k]] for k in range(len(gauge.objects)))]
 
     return tuple(tuple(mul(i, j) for j in range(len(families)))
                  for i in range(len(families)))

@@ -36,12 +36,14 @@ generator-middle laws from that list (through `_law_sets`), only
 `Mat.det` calls `rref`,
 `fingroup.closure` calls `_bfs_recipes`, the star product's coefficients
 come from `_contraction_row` and the ordering, scaling and scaling-multiplet
-ones from `_matching_row`, and no Wick kernel calls `factorial`.  The functor,
-implementation and cocycle kernels read the tables: `validate_functor`,
-`_unnatural`, `validate_implementation`, `_sources`, `extract_cocycle`,
-`compare_implementations` and `_gauged` call no category, functor or action
-method that a dict lookup replaces, and `decorated_frames_category` calls
-`frame_mid` only to build its grid of arrow ids.
+ones from `_matching_row`, and no Wick kernel calls `factorial`.  The
+categorical layer is its tables: `FinCat`, `TheoryFunctor`, `GAction` and
+`Implementation` define no accessor beside them (`compose`, `on_mor`,
+`act_obj`, `component` and the rest), `FinCat.dom` and `cod` are built as
+dicts, no module but `fincat` reads a private `FinCat` attribute, and
+`decorated_frames_category` calls `frame_mid` only to build its grid of
+arrow ids.  No library handler catches `Exception`, which would turn a
+defect into an input error.
 
 Run as a script, this module prints the exit code and stdout of each
 command given as a JSON list of argv lists; the -O test runs it that way.
@@ -66,6 +68,18 @@ def test_library_has_no_assert_statements():
              for path in sorted((ROOT / "src" / "covlab").glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_library_catches_no_bare_exception():
+    # a catch-all handler would turn a library defect into an input error
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "covlab").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ExceptHandler)
+             and (node.type is None or any(isinstance(n, ast.Name)
+                                           and n.id in ("Exception", "BaseException")
+                                           for n in ast.walk(node.type)))]
     assert found == []
 
 
@@ -358,21 +372,40 @@ def test_each_algorithm_is_written_once():
     assert sorted(found) == []
 
 
-_TABLE_METHODS = ("compose", "on_mor", "on_obj", "act_obj", "act_mor", "dom", "cod")
+_ACCESSORS = {"dom", "cod", "identity", "compose", "endos", "invertible_endos",
+              "on_obj", "on_mor", "act_obj", "act_mor", "component"}
 
 
 def test_model_kernels_read_the_tables():
-    fincat = ast.parse((ROOT / "src" / "covlab" / "fincat.py").read_text())
-    covariance = ast.parse((ROOT / "src" / "covlab" / "covariance.py").read_text())
-    kernels = [("fincat", fincat, "validate_functor")] + [
-        ("covariance", covariance, name)
-        for name in ("_unnatural", "validate_implementation", "_sources",
-                     "extract_cocycle", "compare_implementations", "_gauged")]
-    found = [f"{module}.{name}:{node.lineno}: .{node.func.attr}("
-             for module, tree, name in kernels
-             for node in ast.walk(_function(tree, name))
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-             and node.func.attr in _TABLE_METHODS]
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "covlab").glob("*.py"))}
+    fincat = trees["fincat"]
+    classes = {(module, node.name): node for module in ("fincat", "covariance")
+               for node in trees[module].body if isinstance(node, ast.ClassDef)}
+    found = []
+    for key in (("fincat", "FinCat"), ("fincat", "TheoryFunctor"), ("fincat", "GAction"),
+                ("covariance", "Implementation")):
+        body = classes[key].body
+        defined = {node.name for node in body if isinstance(node, ast.FunctionDef)}
+        defined |= {t.id for node in body if isinstance(node, ast.Assign)
+                    for t in node.targets if isinstance(t, ast.Name)}
+        found += [f"{key[1]}.{name}" for name in sorted(defined & _ACCESSORS)]
+    built = {ast.unparse(t): type(node.value).__name__
+             for node in ast.walk(_function(fincat, "__init__", "FinCat"))
+             if isinstance(node, ast.Assign) for t in node.targets}
+    found += [f"FinCat.{name} is not a dict" for name in ("dom", "cod")
+              if built.get(f"self.{name}") != "DictComp"]
+    # FinCat's private attributes are read only inside fincat
+    cat = classes["fincat", "FinCat"]
+    private = {node.name for node in cat.body if isinstance(node, ast.FunctionDef)}
+    private |= {t.attr for node in ast.walk(cat) if isinstance(node, ast.Assign)
+                for t in node.targets if isinstance(t, ast.Attribute)}
+    private = {name for name in private if name.startswith("_") and not name.endswith("__")}
+    found += [f"{module}.py:{node.lineno}: .{node.attr}"
+              for module, tree in trees.items() if module != "fincat"
+              for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and node.attr in private
+              and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
     build = _function(fincat, "decorated_frames_category")
     grid = [node for node in build.body if isinstance(node, ast.Assign)
             and [ast.unparse(t) for t in node.targets] == ["ids"]]
