@@ -14,7 +14,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import __version__
@@ -23,20 +22,16 @@ from . import models
 from .cohomology2 import (SearchSpaceTooLarge, classify_h2, coboundary_twist,
                           cohomologous, is_neutral, trivial_cochain,
                           validate_cocycle)
-from .covariance import (compare_implementations, compute_gauge_group,
-                         extract_cocycle, lift_to_extension)
-from .covering import (all_sections, check_centre_hom, induced_gauge_cocycle,
-                       section_twist, spin_obstruction, z_class_trivial,
-                       z_cocycle)
-from .extension import build_extension, classify_type
 from .fingroup import (GroupHom, check_hom, direct_product, image,
                        is_injective, is_surjective, kernel, quotient)
-from .multiplet import build_rho, detect_mixing
 from .schemas import (ParseError, SchemaError, cochain_from_obj, cochain_to_obj,
                       group_from_obj, group_to_obj, loads)
-from .wickscale import (gauge_scaling_action, GaugeElement, ordering_route,
-                        parse_wickpoly, scale_wick_power,
-                        scaling_cocycle_nontrivial, wick_product)
+
+# Only the layers every verb shares are imported here.  Each handler imports
+# what it calls from `covariance`, `covering`, `extension`, `multiplet` and
+# `wickscale` in its own body, so a fresh process loads only the layers its
+# verb runs.
+
 
 @dataclass
 class RunReport:
@@ -88,7 +83,9 @@ class RunReport:
 
 
 def _read_cochain(args, report: RunReport):
-    if args.input:
+    if args.input is not None:
+        if args.fixture is not None:
+            raise SchemaError("input", "give --input or --fixture, not both")
         try:
             if args.input == "-":
                 text = sys.stdin.read()
@@ -165,6 +162,7 @@ def cmd_classify_h2(args, report: RunReport) -> None:
 
 @verb("build-extension", "build the extension group", *COCHAIN)
 def cmd_build_extension(args, report: RunReport) -> None:
+    from .extension import build_extension, classify_type
     c = _read_cochain(args, report)
     ext = build_extension(c)
     t = classify_type(ext)
@@ -182,6 +180,7 @@ def cmd_build_extension(args, report: RunReport) -> None:
 
 @verb("gauge-group", "natural automorphisms of a model", MODEL)
 def cmd_gauge_group(args, report: RunReport) -> None:
+    from .covariance import compute_gauge_group
     impl = models.named_model(args.model)
     report.digest("model", args.model)
     gauge = compute_gauge_group(impl.functor)
@@ -192,6 +191,7 @@ def cmd_gauge_group(args, report: RunReport) -> None:
 
 @verb("extract-cocycle", "canonical cocycle of a model", MODEL)
 def cmd_extract_cocycle(args, report: RunReport) -> None:
+    from .covariance import extract_cocycle
     impl = models.named_model(args.model)
     report.digest("model", args.model)
     c = extract_cocycle(impl)
@@ -207,6 +207,7 @@ def cmd_extract_cocycle(args, report: RunReport) -> None:
 @verb("compare-impls", "twist relating two implementations", MODEL,
       _flag("--other", default="Z4Rot3", choices=sorted(models.NAMED_MODELS)))
 def cmd_compare_impls(args, report: RunReport) -> None:
+    from .covariance import compare_implementations, extract_cocycle
     i1 = models.named_model(args.model)
     i2 = models.named_model(args.other)
     report.digest("model", args.model)
@@ -219,6 +220,8 @@ def cmd_compare_impls(args, report: RunReport) -> None:
 
 @verb("lift-extension", "lift a model to its extension group", MODEL)
 def cmd_lift_extension(args, report: RunReport) -> None:
+    from .covariance import extract_cocycle, lift_to_extension
+    from .extension import build_extension
     impl = models.named_model(args.model)
     report.digest("model", args.model)
     ext = build_extension(extract_cocycle(impl))
@@ -230,6 +233,8 @@ def cmd_lift_extension(args, report: RunReport) -> None:
 @verb("verify-multiplet", "check the field-action laws",
       _flag("--fixture", default="vector", choices=sorted(models.FIELD_FIXTURES)))
 def cmd_verify_multiplet(args, report: RunReport) -> None:
+    from .extension import build_extension
+    from .multiplet import build_rho
     # an action that breaks a field law is refused when it is built (exit 2)
     a = models.FIELD_FIXTURES[args.fixture]()
     report.digest("fixture", args.fixture)
@@ -242,6 +247,8 @@ def cmd_verify_multiplet(args, report: RunReport) -> None:
 @verb("detect-mixing", "scan for submultiplet mixing",
       _flag("--fixture", default="blocks", choices=sorted(models.FIELD_FIXTURES)))
 def cmd_detect_mixing(args, report: RunReport) -> None:
+    from .extension import build_extension
+    from .multiplet import build_rho, detect_mixing
     a = models.FIELD_FIXTURES[args.fixture]()
     report.digest("fixture", args.fixture)
     ext = build_extension(a.cocycle)
@@ -268,6 +275,8 @@ def _kernel_map(zeta: str, k_group: fg.GroupTable) -> GroupHom:
 
 @verb("cover-z", "factor set of a central cover section", COVER, ZETA)
 def cmd_cover_z(args, report: RunReport) -> None:
+    from .covering import (all_sections, check_centre_hom, induced_gauge_cocycle,
+                           section_twist, z_class_trivial, z_cocycle)
     cover = models.COVERS[args.cover]()
     report.digest("cover", args.cover)
     sections = all_sections(cover)
@@ -305,6 +314,7 @@ def cmd_cover_z(args, report: RunReport) -> None:
 @verb("spin-obstruction", "descent of a cover representation", COVER,
       _flag("--rep", default="2d", choices=sorted(models.Q8_REPS)), ZETA)
 def cmd_spin_obstruction(args, report: RunReport) -> None:
+    from .covering import spin_obstruction
     if args.cover != "q8":
         raise SchemaError("rep", "built-in representations exist for the q8 cover")
     cover = models.COVERS[args.cover]()
@@ -323,6 +333,7 @@ def cmd_spin_obstruction(args, report: RunReport) -> None:
 @verb("wick-product", "star product of two polynomials",
       _flag("--p", required=True), _flag("--q", required=True))
 def cmd_wick_product(args, report: RunReport) -> None:
+    from .wickscale import parse_wickpoly, wick_product
     p = parse_wickpoly(args.p)
     q = parse_wickpoly(args.q)
     report.digest("p", str(p))
@@ -338,6 +349,8 @@ def cmd_wick_product(args, report: RunReport) -> None:
       _flag("--conformal", action="store_true",
             help="evaluate at conformal coupling (c = 0)"))
 def cmd_scale_power(args, report: RunReport) -> None:
+    from fractions import Fraction
+    from .wickscale import ordering_route, scale_wick_power
     report.digest("k", args.k)
     out = scale_wick_power(args.k)
     report.verdict("closed-form-matches-ordering-route",
@@ -350,6 +363,9 @@ def cmd_scale_power(args, report: RunReport) -> None:
 @verb("scaling-cocycle", "rigid-scaling cocycle certificate",
       _flag("--xi-nonzero", action="store_true"))
 def cmd_scaling_cocycle(args, report: RunReport) -> None:
+    from fractions import Fraction
+    from .wickscale import (GaugeElement, gauge_scaling_action,
+                            scaling_cocycle_nontrivial)
     report.digest("xi_nonzero", bool(args.xi_nonzero))
     cert = scaling_cocycle_nontrivial(xi_nonzero=args.xi_nonzero)
     report.verdict("certificate-emitted", True, nontrivial=cert.nontrivial)

@@ -2,23 +2,28 @@
 
 These are the small worked models every report and test runs on; none of
 them needs external data.
+
+The registries at the end name every shipped model and fixture, and the
+CLI's choices read their keys.  Importing this module loads only `fingroup`
+and `cohomology2`: each builder imports the layers it builds with in its own
+body, so a verb loads only the layers of what it builds.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from . import fingroup as fg
 from .cohomology2 import Cochain2, trivial_cochain
-from .covariance import Implementation
-from .covering import cyclic_cover, q8_cover, split_cover
-from .exactlin import I as IU, Mat, ONE
-from .fincat import (FinCat, GAction, TheoryFunctor, decorated_frames_category,
-                     frame_mid, group_as_category, identity_functor)
-from .multiplet import FieldSpaceAction, MatrixRep, SubMultiplet
+
+if TYPE_CHECKING:
+    from .covariance import Implementation
+    from .fincat import FinCat, GAction
+    from .multiplet import FieldSpaceAction
 
 
 def _identity_action(group: fg.GroupTable, cat: FinCat) -> GAction:
+    from .fincat import GAction, identity_functor
     ident = identity_functor(cat)
     return GAction(group, tuple(ident for _ in group.elements()))
 
@@ -29,6 +34,8 @@ def _identity_action(group: fg.GroupTable, cat: FinCat) -> GAction:
 def one_object_cyclic_model(power: int = 1):
     """One object with endomorphism group Z4; G = Z2 acts trivially;
     eta(g) is the `power`-th rotation.  Gauge group: Z4."""
+    from .covariance import Implementation
+    from .fincat import group_as_category, identity_functor
     z4 = fg.cyclic(4)
     cat = group_as_category(z4, prefix="r", name="BZ4")
     functor = identity_functor(cat)
@@ -42,6 +49,8 @@ def one_object_cyclic_model(power: int = 1):
 # two isomorphic objects swapped by Z2; trivial gauge group
 
 def swap_model():
+    from .covariance import Implementation
+    from .fincat import FinCat, GAction, TheoryFunctor, identity_functor
     objects = ["X", "Y"]
     mors = [("idX", "X", "X"), ("idY", "Y", "Y"), ("u", "X", "Y"), ("v", "Y", "X")]
     compose = {
@@ -71,6 +80,9 @@ def frame_rotation_model(twist_parity: bool = True):
     With twist_parity the implementation picks the decorated lift of parity
     g mod 2 (still a trivial cocycle, since parity is a homomorphism).
     """
+    from .covariance import Implementation
+    from .fincat import (GAction, TheoryFunctor, decorated_frames_category,
+                         frame_mid)
     z2 = fg.cyclic(2)
     z4 = fg.cyclic(4)
     n = 4
@@ -113,6 +125,9 @@ def spin_frame_model():
     The cocycle is trivial, the gauge group is Z4, and the kernel element
     s = 2 is implemented by the central gauge involution (decoration 2).
     """
+    from .covariance import Implementation
+    from .fincat import (GAction, TheoryFunctor, decorated_frames_category,
+                         frame_mid, identity_functor)
     z4 = fg.cyclic(4)
     n = 2
     cat = decorated_frames_category(n, z4, name="SpinFrames")
@@ -139,6 +154,8 @@ def vector_multiplet_action():
     """A two-component field transforming in the vector pattern
     star(g) = (rotation by g)^-1 under the finite rotation subgroup Z4;
     trivial gauge group and trivial cocycle."""
+    from .exactlin import Mat
+    from .multiplet import FieldSpaceAction, MatrixRep
     z4 = fg.cyclic(4)
     triv = fg.trivial_group()
     j = Mat(_J)
@@ -150,20 +167,23 @@ def vector_multiplet_action():
     return FieldSpaceAction(dot, tuple(star), trivial_cochain(z4, triv))
 
 
-_BLOCK_SPECS = (  # (n, dot sign, c1, c2): G = Z_n, star(g) = diag(c1^g, c2^g)
-    (2, ONE, ONE, -ONE),   # trivial vs sign block
-    (2, -ONE, ONE, -ONE),
-    (4, -ONE, ONE, -ONE),
-    (4, -ONE, IU, -IU),    # the Gaussian character pair (i, -i)
+# (n, dot sign, k1, k2): G = Z_n, star(g) = diag(i^(k1 g), i^(k2 g))
+_BLOCK_SPECS = (
+    (2, 1, 0, 2),    # trivial vs sign block
+    (2, -1, 0, 2),
+    (4, -1, 0, 2),
+    (4, -1, 1, 3),   # the Gaussian character pair (i, -i)
 )
 
 
 def block_diagonal_action(row: int) -> FieldSpaceAction:
     """The direct-product fixture of `_BLOCK_SPECS[row]`, with A = Z2."""
-    n, sign, c1, c2 = _BLOCK_SPECS[row]
+    from .exactlin import I as IU, Mat
+    from .multiplet import FieldSpaceAction, MatrixRep
+    n, sign, k1, k2 = _BLOCK_SPECS[row]
     z2 = fg.cyclic(2)
     dot = MatrixRep(z2, 2, (Mat.identity(2), Mat([[sign, 0], [0, sign]])))
-    star = tuple(Mat([[c1 ** g, 0], [0, c2 ** g]]) for g in range(n))
+    star = tuple(Mat([[IU ** (k1 * g), 0], [0, IU ** (k2 * g)]]) for g in range(n))
     return FieldSpaceAction(dot, star, trivial_cochain(fg.cyclic(n), z2))
 
 
@@ -175,6 +195,8 @@ def block_diagonal_fixtures():
 
 def standard_submultiplets():
     """Coordinate-line injections/projections for two-dimensional fixtures."""
+    from .exactlin import Mat
+    from .multiplet import SubMultiplet
     sub1 = SubMultiplet(Mat([[1], [0]]), Mat([[1, 0]]))
     sub2 = SubMultiplet(Mat([[0], [1]]), Mat([[0, 1]]))
     return sub1, sub2
@@ -183,6 +205,8 @@ def standard_submultiplets():
 def equivalent_blocks_action():
     """Two copies of the trivial G-representation swapped by the gauge
     element: the mixing witness is (alpha, 1)."""
+    from .exactlin import Mat
+    from .multiplet import FieldSpaceAction, MatrixRep
     z2 = fg.cyclic(2)
     swap = Mat([[0, 1], [1, 0]])
     dot = MatrixRep(z2, 2, (Mat.identity(2), swap))
@@ -194,6 +218,8 @@ def central_z4_mixing_action():
     """The central Z4-model cocycle (A = Z4, xi(g,g) = r^2, phi = id) with a
     genuinely twisted star action: star(g) = i*identity squares to dot(r^2),
     and dot(r) is a rotation mixing the two copies of the multiplier block."""
+    from .exactlin import I as IU, Mat
+    from .multiplet import FieldSpaceAction, MatrixRep
     z2, z4 = fg.cyclic(2), fg.cyclic(4)
     j = Mat(_J)
     dot = MatrixRep(z4, 2, (Mat.identity(2), j, j * j, j * j * j))
@@ -206,6 +232,8 @@ def q8_mixing_action():
     """The nontrivial-class cocycle (A = Z4, phi = inversion, xi(g,g) = r^2)
     whose extension is the quaternion group; the standard two-dimensional
     representation mixes the two inequivalent multiplier lines."""
+    from .exactlin import I as IU, Mat
+    from .multiplet import FieldSpaceAction, MatrixRep
     z2, z4 = fg.cyclic(2), fg.cyclic(4)
     d = Mat([[IU, 0], [0, -IU]])
     dot = MatrixRep(z4, 2, (Mat.identity(2), d, d * d, d * d * d))
@@ -218,6 +246,9 @@ def q8_mixing_action():
 
 def eigenline_submultiplets():
     """The two rotation eigenlines (1, -i) and (1, i) with dual projections."""
+    from fractions import Fraction
+    from .exactlin import I as IU, Mat
+    from .multiplet import SubMultiplet
     half = Fraction(1, 2)
     sub1 = SubMultiplet(Mat([[1], [-IU]]), Mat([[half, IU * half]]))
     sub2 = SubMultiplet(Mat([[1], [IU]]), Mat([[half, -IU * half]]))
@@ -226,6 +257,8 @@ def eigenline_submultiplets():
 
 def q8_two_dim_rep():
     """The faithful two-dimensional representation of the quaternion group."""
+    from .exactlin import I as IU, Mat, ONE
+    from .multiplet import MatrixRep
     q8 = fg.quaternion8()
     d = Mat([[IU, 0], [0, -IU]])
     j = Mat([[0, 1], [-1, 0]])
@@ -237,6 +270,8 @@ def q8_two_dim_rep():
 def q8_sign_rep(axis: str):
     """A one-dimensional character of Q8: trivial for axis "1", otherwise the
     character whose kernel is the cyclic subgroup spanned by the axis."""
+    from .exactlin import Mat
+    from .multiplet import MatrixRep
     q8 = fg.quaternion8()
     if axis == "1":
         return MatrixRep(q8, 1, tuple(Mat([[1]]) for _ in range(8)))
@@ -286,10 +321,15 @@ FIELD_FIXTURES = {
     "q8": q8_mixing_action,
 }
 
+def _covering():
+    from . import covering
+    return covering
+
+
 COVERS = {
-    "q8": q8_cover,
-    "z4-z2": lambda: cyclic_cover(4, 2),
-    "split-z2-z3": lambda: split_cover(2, fg.cyclic(3)),
+    "q8": lambda: _covering().q8_cover(),
+    "z4-z2": lambda: _covering().cyclic_cover(4, 2),
+    "split-z2-z3": lambda: _covering().split_cover(2, fg.cyclic(3)),
 }
 
 Q8_REPS = {

@@ -425,6 +425,22 @@ def test_unreadable_input_is_an_input_error(capsys, tmp_path):
     assert "input error" in err and "Is a directory" in err
 
 
+def test_cochain_input_is_never_replaced_by_a_fixture(capsys, tmp_path):
+    # an empty --input names no file, and --input with --fixture names two
+    # cochains: both are refused, never run on the default or on one of them
+    f = tmp_path / "cochain.json"
+    f.write_text(json.dumps(cochain_to_obj(models.COCHAIN_FIXTURES["trivial-z2z2"]())))
+    cases = [(["--input", ""], "No such file or directory"),
+             (["--input", str(f), "--fixture", "z4-producing"], "not both"),
+             (["--input", str(f), "--fixture", "trivial-z2z2"], "not both")]
+    for verb in ("validate-cocycle", "build-extension"):
+        for flags, reason in cases:
+            code, out, err = run(capsys, "--json", verb, *flags)
+            assert (code, out) == (2, ""), (verb, flags)
+            assert err.startswith("input error: schema error in field 'input'")
+            assert reason in err, (verb, flags, err)
+
+
 def test_deeply_nested_input_is_a_parse_error(capsys, tmp_path):
     f = tmp_path / "deep.json"
     f.write_text("[" * 5000 + "]" * 5000)
@@ -434,10 +450,85 @@ def test_deeply_nested_input_is_a_parse_error(capsys, tmp_path):
     assert "input error: parse error" in err
 
 
-def _fresh_run(argv):
+def _fresh_python(*args):
+    """Run the interpreter with `args` in a new process importing covlab from src/."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    return subprocess.run([sys.executable, "-m", "covlab.cli", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, env=env, text=True, timeout=120)
+
+
+def _fresh_run(argv):
+    return _fresh_python("-m", "covlab.cli", *argv)
+
+
+# What a fresh process has loaded: after `import covlab` alone, after one
+# classify-h2 call, and then every name of `__all__` read as an attribute.
+_COLD_START = """
+import contextlib, io, json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "covlab")
+import covlab
+after_import = loaded()
+from covlab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["--json", "classify-h2", "--G", "Z2", "--A", "Z4"])
+after_verb = loaded()
+names = {n: getattr(getattr(covlab, n), "__name__", None) for n in covlab.__all__}
+print(json.dumps([after_import, code, after_verb, names,
+                  hasattr(covlab, "no_such_layer")]))
+"""
+
+
+def test_a_verb_loads_only_the_layers_it_runs():
+    proc = _fresh_python("-c", _COLD_START)
+    assert proc.returncode == 0, proc.stderr
+    after_import, code, after_verb, names, unknown = json.loads(proc.stdout)
+    assert after_import == ["covlab"]
+    assert code == 0
+    assert after_verb == ["covlab", "covlab.cli", "covlab.cohomology2",
+                          "covlab.config", "covlab.fingroup", "covlab.models",
+                          "covlab.schemas"]
+    import covlab
+    assert names == {n: None if n == "__version__" else f"covlab.{n}"
+                     for n in covlab.__all__}
+    assert unknown is False
+
+
+def test_star_import_binds_every_public_name():
+    proc = _fresh_python("-c", "import json\nfrom covlab import *\nimport covlab\n"
+                         "print(json.dumps([n for n in covlab.__all__ "
+                         "if globals().get(n) is not getattr(covlab, n)]))")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == []
+
+
+# One call of every verb, each run again in a fresh process: a handler that
+# works only because an earlier verb loaded its layer reports differently.
+FRESH_VERB_ARGV = {
+    "validate-cocycle": ["--fixture", "z4-producing"],
+    "classify-h2": ["--G", "Z2", "--A", "Z4"],
+    "build-extension": ["--fixture", "s3-producing"],
+    "gauge-group": ["--model", "SpinFrame"],
+    "extract-cocycle": ["--model", "FrameRot"],
+    "compare-impls": ["--model", "Z4Rot", "--other", "Z4Rot3"],
+    "lift-extension": ["--model", "Z4Rot"],
+    "verify-multiplet": ["--fixture", "central-z4"],
+    "detect-mixing": ["--fixture", "q8"],
+    "cover-z": ["--cover", "q8"],
+    "spin-obstruction": ["--cover", "q8", "--rep", "2d"],
+    "wick-product": ["--p", "2*Phi^3", "--q", "1*W^1*Phi^2"],
+    "scale-power": ["--k", "4", "--conformal"],
+    "scaling-cocycle": [],
+}
+
+
+def test_each_verb_reports_the_same_in_a_fresh_interpreter(capsys):
+    assert sorted(FRESH_VERB_ARGV) == sorted(cli.HANDLERS)
+    for verb, flags in FRESH_VERB_ARGV.items():
+        argv = ["--json", verb, *flags]
+        code, out, _ = run(capsys, *argv)
+        fresh = _fresh_run(argv)
+        assert (fresh.returncode, fresh.stdout) == (code, out), (verb, fresh.stderr)
 
 
 def test_parser_is_built_once_and_reused(capsys):

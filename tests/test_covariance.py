@@ -258,14 +258,14 @@ def test_z4_model_extraction():
 def test_naturality_violation_detected():
     impl = models.swap_model()
     with pytest.raises(ValueError, match="implementation invalid"):
-        models.Implementation(impl.functor, impl.action,
+        Implementation(impl.functor, impl.action,
                               [impl.eta[0], {"X": "u", "Y": "u"}])
 
 
 def test_implementation_with_eta_not_identity_at_1_rejected():
     impl = models.one_object_cyclic_model()
     with pytest.raises(ValueError, match="IdentityFamilyNotIdentity"):
-        models.Implementation(impl.functor, impl.action,
+        Implementation(impl.functor, impl.action,
                               [{"*": "r1"}, {"*": "r1"}])
 
 
