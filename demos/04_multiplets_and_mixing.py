@@ -6,8 +6,8 @@ Run:  python3 demos/04_multiplets_and_mixing.py
 from covlab import models
 from covlab.extension import build_extension, classify_type
 from covlab.multiplet import (build_rho, detect_mixing, equivalent,
-                              intertwiners, irreducible, scaling_multiplet,
-                              verify_field_action)
+                              intertwiners, irreducible, verify_field_action)
+from covlab.wickscale import scaling_multiplet
 
 # -- the vector pattern: a 2-component field under finite rotations ----------
 

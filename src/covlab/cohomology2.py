@@ -21,12 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .config import SearchSpaceTooLarge, capped_product, enum_cap
-from .fingroup import (AutGroup, GroupTable, Perm, Report, _bfs_recipes, centre,
-                       compose_perm, compute_aut, generating_sequence, inner_perm,
-                       invert_perm)
+from .fingroup import (AutGroup, GroupTable, Perm, Report, _bfs_recipes,
+                       compose_perm, compute_aut, generating_sequence, inner_perm)
 
 
 @dataclass(frozen=True)
@@ -147,35 +146,20 @@ def is_neutral(c: Cochain2) -> bool:
     return all(v == 0 for row in c.xi for v in row)
 
 
-@lru_cache(maxsize=None)
-def _inner_auts(A: GroupTable) -> Tuple[Perm, ...]:
-    """ad(a) for every a in A."""
-    return tuple(inner_perm(A, a) for a in A.elements())
-
-
-@lru_cache(maxsize=None)
-def _ad_times(A: GroupTable) -> Tuple[Tuple[int, ...], ...]:
-    """Row a, column p: the Aut(A) index of ad(a) . p, for every a in A and
-    every automorphism index p."""
-    aut = compute_aut(A)
-    return tuple(tuple(aut.index[compose_perm(ad, p)] for p in aut.perms)
-                 for ad in _inner_auts(A))
-
-
 def coboundary_twist(c: Cochain2, zeta: Tuple[int, ...]) -> Cochain2:
     """Twist the cochain c by zeta, given as one A-index per G element; the
     one place the twist formula is written.  Only the twist map is checked
     here.  Twisting maps cocycles to cocycles (the tests validate every
     normalized twist of every enumerated cocycle), so c is not validated:
     callers holding a cochain from outside check it once, as the CLI verbs
-    and `cohomologous` (for c1) do.  phi~(g) is read from the `_ad_times`
-    table, and xi~ from the rows of the A and G tables, with each
-    zeta(g)^-1 computed once."""
+    and `cohomologous` (for c1) do.  phi~(g) is read from the Aut(A) table
+    as the product of the index of ad(zeta(g)) and phi(g), and xi~ from the
+    rows of the A and G tables, with each zeta(g)^-1 computed once."""
     G, A = c.G, c.A
     if len(zeta) != G.order or any(not (0 <= z < A.order) for z in zeta):
         raise ValueError("twist map is not total on G")
-    mul, ad_times, perms = A.table, _ad_times(A), c.perms
-    phi = tuple([ad_times[z][p] for z, p in zip(zeta, c.phi)])
+    mul, perms, times, inner = A.table, c.perms, c.aut.table.table, c.aut.inner
+    phi = tuple([times[inner[z]][p] for z, p in zip(zeta, c.phi)])
     inverses = [A.inv(z) for z in zeta]
     xi = []
     for g1, row in enumerate(c.xi):
@@ -276,24 +260,23 @@ def enumerate_normalized_cocycles(G: GroupTable, A: GroupTable
 
     A depth-first search.  For each phi tail, the pair law confines
     xi(g1, g0) to the a in A with ad(a) equal to the defect
-    phi(g1) . phi(g0) . phi(g1*g0)^-1, and a phi with a non-inner defect is
-    dropped before any xi cell is set.  The free xi cells are set in
-    row-major order, and each factor-set triple is checked as soon as its
-    last cell is set.  validate_cocycle decides every leaf; a leaf is
-    normalized, so it is decided on generator middles (n|S| pairs and
-    n^2|S| triples) unless one of those fails.  The phi tails
-    run over capped_product; the xi search counts the cell values it tries
-    and raises SearchSpaceTooLarge once that count passes the cap.
+    phi(g1) . phi(g0) . phi(g1*g0)^-1, computed on Aut(A) indexes, and a
+    phi with a non-inner defect is dropped before any xi cell is set.  The
+    free xi cells are set in row-major order, and each factor-set triple is
+    checked as soon as its last cell is set.  validate_cocycle decides every
+    leaf; a leaf is normalized, so it is decided on generator middles (n|S|
+    pairs and n^2|S| triples) unless one of those fails.  The phi tails run
+    over capped_product; the xi search counts the cell values it tries and
+    raises SearchSpaceTooLarge once that count passes the cap.
     """
     limit = enum_cap()
     aut = compute_aut(A)
     n = G.order
-    ads = _inner_auts(A)
-    preimages: Dict[Perm, list] = {}
-    for a, ad in enumerate(ads):
-        preimages.setdefault(ad, []).append(a)
+    tails = capped_product([range(aut.order)] * (n - 1))  # checked before the table
+    times, preimages = aut.table.table, aut.preimages
+    inverse = [aut.table.inv(p) for p in range(aut.order)]
     cells, checks = _factor_set_schedule(G)
-    pairs = [divmod(pos, n) for pos in cells]
+    pairs = [(g1, g0, G.mul(g1, g0)) for g1, g0 in (divmod(pos, n) for pos in cells)]
     mul = A.table
     found = []
     visited = 0
@@ -320,28 +303,26 @@ def enumerate_normalized_cocycles(G: GroupTable, A: GroupTable
             else:
                 solve(k + 1)
 
-    for tail in capped_product([range(aut.order)] * (n - 1)):
+    for tail in tails:
         phi = (0,) + tail
-        perms = [aut.perms[p] for p in phi]
-        inverses = [invert_perm(p) for p in perms]
         options = []
-        for g1, g0 in pairs:
-            defect = compose_perm(perms[g1], compose_perm(perms[g0],
-                                                          inverses[G.mul(g1, g0)]))
-            if defect not in preimages:
+        for g1, g0, g in pairs:
+            xis = preimages[times[times[phi[g1]][phi[g0]]][inverse[phi[g]]]]
+            if not xis:
                 break
-            options.append(preimages[defect])
+            options.append(xis)
         else:
+            perms = [aut.perms[p] for p in phi]
             solve(0)
     found.sort(key=lambda c: (c.xi, c.phi))
     return tuple(found)
 
 
-def _stabiliser(c: Cochain2, centre_of_a: Tuple[int, ...]) -> Tuple[Tuple[int, ...], ...]:
+def _stabiliser(c: Cochain2) -> Tuple[Tuple[int, ...], ...]:
     """Stab(c): the normalized zeta with coboundary_twist(c, zeta) == c, as
     the zeta with every value in Z(A) and zeta(g1 g0) = zeta(g1) *
     phi(g1)(zeta(g0)) on every pair, over the capped product of Z(A)."""
-    mul, perms = c.A.table, c.perms
+    mul, perms, centre_of_a = c.A.table, c.perms, c.aut.preimages[0]
     pairs = _law_sets(c.G)[0][0]
     return tuple(zeta for zeta in capped_product([(0,)] + [centre_of_a] * (c.G.order - 1))
                  if all(zeta[g] == mul[zeta[g1]][perms[g1][zeta[g0]]]
@@ -379,7 +360,7 @@ def classify_h2(G: GroupTable, A: GroupTable) -> H2Classification:
     twists = list(capped_product([(0,)] + [A.elements()] * (G.order - 1)))
     # the place of zeta in `twists`, read in base |A| from zeta(1) on
     weights = [A.order ** (G.order - 1 - g) for g in G.elements()]
-    centre_of_a, mul = centre(A), A.table
+    mul = A.table
     seen = [False] * len(cocycles)
     classes = []
     trivial = trivial_cochain(G, A)
@@ -387,7 +368,7 @@ def classify_h2(G: GroupTable, A: GroupTable) -> H2Classification:
     for i, c in enumerate(cocycles):
         if seen[i]:
             continue
-        stab = _stabiliser(c, centre_of_a)
+        stab = _stabiliser(c)
         covered = [False] * len(twists)
         orbit = set()
         for k, zeta in enumerate(twists):

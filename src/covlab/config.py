@@ -19,9 +19,12 @@ def enum_cap() -> int:
     raw = os.environ.get("COVLAB_ENUM_CAP")
     if raw is None:
         return DEFAULT_ENUM_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
     if cap <= 0:
-        raise ValueError("COVLAB_ENUM_CAP must be positive")
+        raise ValueError(f"COVLAB_ENUM_CAP must be a positive integer, got {raw!r}")
     return cap
 
 

@@ -11,7 +11,7 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -364,14 +364,34 @@ def invert_perm(p: Perm) -> Perm:
 
 @dataclass(frozen=True)
 class AutGroup:
-    """Automorphism group with one realizing permutation per element; an
-    element is its index into `perms`, and `index` maps each perm back."""
+    """Automorphism group of A with one realizing permutation per element; an
+    element is its index into `perms`, and `index` maps each perm back.
+    `inner[a]` is the index of ad(a), given as `ads[a]`, and `preimages[p]`
+    the sorted a with ad(a) = p (none unless p is inner); `preimages[0]` is Z(A)."""
 
     perms: Tuple[Perm, ...]
+    ads: InitVar[Sequence[Perm]]
     index: Dict[Perm, int] = field(init=False, repr=False, compare=False)
+    inner: Tuple[int, ...] = field(init=False, repr=False, compare=False)
+    preimages: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "index", {p: i for i, p in enumerate(self.perms)})
+    def __post_init__(self, ads: Sequence[Perm]) -> None:
+        index = {p: i for i, p in enumerate(self.perms)}
+        inner = tuple(index[ad] for ad in ads)
+        preimages = [[] for _ in self.perms]
+        for a, p in enumerate(inner):
+            preimages[p].append(a)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "inner", inner)
+        object.__setattr__(self, "preimages", tuple(map(tuple, preimages)))
+
+    @cached_property
+    def table(self) -> GroupTable:
+        """Aut(A) as a group on its indexes: entry [p][q] is the index of
+        p . q, composed as functions; the identity is index 0.  Its
+        |Aut(A)|^2 products are refused up front past the enumeration cap."""
+        capped_product([self.perms] * 2)
+        return GroupTable(table_on(self.perms, compose_perm))
 
     @property
     def order(self) -> int:
@@ -462,4 +482,4 @@ def compute_aut(g: GroupTable) -> AutGroup:
         if sorted(img) == full and hom_law_witness(g, img.__getitem__, g.mul) is None:
             found.append(tuple(img))
     found.sort()
-    return AutGroup(tuple(found))
+    return AutGroup(tuple(found), [inner_perm(g, a) for a in g.elements()])

@@ -1,4 +1,4 @@
-"""Field-space actions, intertwiners, mixing detection and scaling multiplets.
+"""Field-space actions, intertwiners and mixing detection.
 
 All matrix representations are exact (Gaussian-rational entries); every
 identity below is asserted with zero tolerance.
@@ -7,14 +7,12 @@ identity below is asserted with zero tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Tuple
 
 from .cohomology2 import Cochain2
 from .exactlin import Mat, null_space, ZERO
 from .extension import ExtensionGroup, classify_type
 from .fingroup import GroupTable, Report, generating_sequence, hom_law_witness
-from .wickscale import Monomial, WickPoly, _matching_row, _rational
 
 
 @dataclass(frozen=True)
@@ -251,59 +249,3 @@ def detect_mixing(rho: MatrixRep, ext: ExtensionGroup,
         no_mixing_asserted=armed and witness is None,
         corollary_violated=armed and witness is not None,
     )
-
-
-# ---------------------------------------------------------------------------
-# the scaling multiplet of a Wick power
-
-@dataclass(frozen=True)
-class ScalingMultiplet:
-    """Action of a sample scale factor on span{R^j Phi^(k-2j)}.
-
-    Entries are exact polynomials in the coupling symbol c and the log
-    symbol L; the sample lam enters numerically.
-    """
-
-    k: int
-    lam: Fraction
-    matrix: Tuple[Tuple[WickPoly, ...], ...]
-    verdict: str  # "diagonal" or "reducible-indecomposable"
-
-    @property
-    def dim(self) -> int:
-        return self.k // 2 + 1
-
-
-def scaling_multiplet(k: int, coupling: str = "generic",
-                      lam: Fraction = Fraction(2)) -> ScalingMultiplet:
-    """Generator matrix of the scale action on the Wick-power multiplet.
-
-    coupling is "generic" (c symbolic and nonzero) or "conformal" (c = 0).
-    The verdict reads off the structure: for k >= 2 at nonzero c the matrix
-    has the single eigenvalue lam^k with a full nilpotent chain (no invariant
-    complement); at conformal coupling or k = 1 it is diagonal.  The tests
-    check the nilpotent structure.  Entry (i, j) is lam^k times
-    (k-2j)!/((i-j)! (k-2i)!), the matching number
-    `_matching_row(k - 2j)[i - j]` times 2^(i-j), as in `scale_wick_power`.
-    lam must be an int or a Fraction (`wickscale._rational`).
-    """
-    if k < 1:
-        raise ValueError("field power must be >= 1")
-    if coupling not in ("generic", "conformal"):
-        raise ValueError(f"unknown coupling {coupling!r}")
-    lam = Fraction(_rational(lam))
-    if lam <= 0 or lam == 1:
-        raise ValueError("sample scale factor must be positive and != 1")
-    dim = k // 2 + 1
-    entries = [[WickPoly.zero()] * dim for _ in range(dim)]
-    for j in range(dim):
-        counts = _matching_row(k - 2 * j)
-        # at conformal coupling (c = 0) only the diagonal survives
-        for i in range(j, j + 1 if coupling == "conformal" else dim):
-            step = i - j
-            entries[i][j] = WickPoly({Monomial(log=step, c=step):
-                                      (counts[step] << step) * lam ** k})
-    matrix = tuple(tuple(row) for row in entries)
-    verdict = ("diagonal" if coupling == "conformal" or k == 1
-               else "reducible-indecomposable")
-    return ScalingMultiplet(k, lam, matrix, verdict)

@@ -321,6 +321,59 @@ def ordering_route(k: int) -> WickPoly:
     return change_of_ordering(WickPoly.phi_power(k), shift) * WickPoly.symbol(lam=k)
 
 
+@dataclass(frozen=True)
+class ScalingMultiplet:
+    """Action of a sample scale factor on span{R^j Phi^(k-2j)}.
+
+    Entries are exact polynomials in the coupling symbol c and the log
+    symbol L; the sample lam enters numerically.
+    """
+
+    k: int
+    lam: Fraction
+    matrix: Tuple[Tuple[WickPoly, ...], ...]
+    verdict: str  # "diagonal" or "reducible-indecomposable"
+
+    @property
+    def dim(self) -> int:
+        return self.k // 2 + 1
+
+
+def scaling_multiplet(k: int, coupling: str = "generic",
+                      lam: Fraction = Fraction(2)) -> ScalingMultiplet:
+    """Generator matrix of the scale action on the Wick-power multiplet.
+
+    coupling is "generic" (c symbolic and nonzero) or "conformal" (c = 0).
+    The verdict reads off the structure: for k >= 2 at nonzero c the matrix
+    has the single eigenvalue lam^k with a full nilpotent chain (no invariant
+    complement); at conformal coupling or k = 1 it is diagonal.  The tests
+    check the nilpotent structure.  Entry (i, j) is lam^k times
+    (k-2j)!/((i-j)! (k-2i)!), the matching number
+    `_matching_row(k - 2j)[i - j]` times 2^(i-j), as in `scale_wick_power`.
+    lam must be an int or a Fraction (`_rational`).
+    """
+    if k < 1:
+        raise ValueError("field power must be >= 1")
+    if coupling not in ("generic", "conformal"):
+        raise ValueError(f"unknown coupling {coupling!r}")
+    lam = Fraction(_rational(lam))
+    if lam <= 0 or lam == 1:
+        raise ValueError("sample scale factor must be positive and != 1")
+    dim = k // 2 + 1
+    entries = [[WickPoly.zero()] * dim for _ in range(dim)]
+    for j in range(dim):
+        counts = _matching_row(k - 2 * j)
+        # at conformal coupling (c = 0) only the diagonal survives
+        for i in range(j, j + 1 if coupling == "conformal" else dim):
+            step = i - j
+            entries[i][j] = WickPoly({Monomial(log=step, c=step):
+                                      (counts[step] << step) * lam ** k})
+    matrix = tuple(tuple(row) for row in entries)
+    verdict = ("diagonal" if coupling == "conformal" or k == 1
+               else "reducible-indecomposable")
+    return ScalingMultiplet(k, lam, matrix, verdict)
+
+
 def coupling_constant_value(xi: Fraction) -> Fraction:
     """The coupling symbol c as an exact rational multiple of 1/pi^2; xi
     must be an int or a Fraction (`_rational`)."""

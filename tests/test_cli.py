@@ -362,6 +362,19 @@ def test_env_cap_override(capsys, monkeypatch):
     assert "input error" in err
 
 
+def test_env_cap_must_be_a_positive_integer(capsys, monkeypatch):
+    from covlab.config import enum_cap
+    for raw in ("abc", "2.5", "", "0", "-3"):
+        monkeypatch.setenv("COVLAB_ENUM_CAP", raw)
+        message = f"COVLAB_ENUM_CAP must be a positive integer, got {raw!r}"
+        with pytest.raises(ValueError) as exc:
+            enum_cap()
+        assert str(exc.value) == message
+        code, out, err = run(capsys, "classify-h2", "--G", "Z2", "--A", "Z2")
+        assert (code, out) == (2, "")
+        assert err == f"input error: {message}\n"
+
+
 def test_cap_counts_cocycle_search_work(capsys, monkeypatch):
     # S3/Z2 has a single phi tail; its xi search tries more than 1000 cells
     monkeypatch.setenv("COVLAB_ENUM_CAP", "1000")
@@ -384,21 +397,26 @@ def test_ingested_group_order_is_capped(capsys, tmp_path, monkeypatch):
     assert "input error" in err and "cap 1000" in err
 
 
-@pytest.mark.parametrize("table, code, message", [
+@pytest.mark.parametrize("verb, table, code, message", [
     # Aut(Z129) is searched over the 84 images of the generator
-    ([[(i + j) % 129 for j in range(129)] for i in range(129)], 0, ""),
+    ("validate-cocycle", [[(i + j) % 129 for j in range(129)] for i in range(129)], 0, ""),
     # (Z2)^4: 15^4 generator images, 20,160 automorphisms
-    ([[i ^ j for j in range(16)] for i in range(16)], 0, ""),
+    ("validate-cocycle", [[i ^ j for j in range(16)] for i in range(16)], 0, ""),
     # (Z2)^5 has 31^5 generator images, past the default bound
-    ([[i ^ j for j in range(32)] for i in range(32)], 2,
+    ("validate-cocycle", [[i ^ j for j in range(32)] for i in range(32)], 2,
      "enumeration of size 28629151 exceeds cap 10000000"),
-], ids=["Z129", "Z2^4", "Z2^5"])
-def test_ingested_coefficient_group_aut_search_is_capped(capsys, tmp_path,
+    # a twist reads the Aut(A) table: 168^2 products for (Z2)^3, and
+    # 20,160^2 for (Z2)^4, past the default bound
+    ("build-extension", [[i ^ j for j in range(8)] for i in range(8)], 0, ""),
+    ("build-extension", [[i ^ j for j in range(16)] for i in range(16)], 2,
+     "enumeration of size 406425600 exceeds cap 10000000"),
+], ids=["Z129", "Z2^4", "Z2^5", "Z2^3-twisted", "Z2^4-twisted"])
+def test_ingested_coefficient_group_aut_search_is_capped(capsys, tmp_path, verb,
                                                          table, code, message):
     f = tmp_path / "cochain.json"
     f.write_text(json.dumps({"G": "Z2", "A": {"table": table},
                              "xi": [[0, 0], [0, 0]], "phi": [0, 0]}))
-    got, out, err = run(capsys, "validate-cocycle", "--input", str(f))
+    got, out, err = run(capsys, verb, "--input", str(f))
     assert got == code, err
     assert message in err
 
@@ -531,6 +549,30 @@ def test_each_verb_reports_the_same_in_a_fresh_interpreter(capsys):
         assert (fresh.returncode, fresh.stdout) == (code, out), (verb, fresh.stderr)
 
 
+# The multiplet and cover verbs, run in one fresh process: the layers they
+# leave loaded.
+_NO_WICK_LAYER = """
+import contextlib, io, json, sys
+from covlab import cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(["--json", *argv]))
+print(json.dumps([codes, sorted(m for m in sys.modules if m.startswith("covlab."))]))
+"""
+
+
+def test_multiplet_and_cover_verbs_do_not_load_the_wick_layer():
+    verbs = ("verify-multiplet", "detect-mixing", "cover-z", "spin-obstruction")
+    argvs = [[verb, *FRESH_VERB_ARGV[verb]] for verb in verbs]
+    proc = _fresh_python("-c", _NO_WICK_LAYER, json.dumps(argvs))
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout)
+    assert all(code in (0, 1) for code in codes), codes
+    assert {"covlab.multiplet", "covlab.covering"} <= set(loaded)
+    assert "covlab.wickscale" not in loaded
+
+
 def test_parser_is_built_once_and_reused(capsys):
     assert cli.build_parser() is cli.build_parser()
     run(capsys, "--json", "--timing", "scale-power", "--k", "4", "--conformal")
@@ -563,6 +605,26 @@ def test_model_verbs_compute_one_gauge_group(capsys, verb):
         code, _, err = run(capsys, verb, "--model", model, *other)
         misses = covariance.compute_gauge_group.cache_info().misses
         assert (code, misses) == (0, 1), (model, err)
+
+
+def test_cover_z_checks_the_kernel_map_once(capsys, monkeypatch):
+    from covlab import covering
+    calls, check = [], covering.check_centre_hom
+
+    def counting(mapping):
+        calls.append(mapping)
+        return check(mapping)
+
+    monkeypatch.setattr(covering, "check_centre_hom", counting)
+    for cover in sorted(models.COVERS):
+        for zeta in ("flip", "trivial"):
+            calls.clear()
+            code, out, _ = run(capsys, "--json", "cover-z", "--cover", cover,
+                               "--zeta", zeta)
+            assert (code, len(calls)) == (0, 1), (cover, zeta)
+            verdict = [v for v in json.loads(out)["verdicts"]
+                       if v["check"] == "kernel-restriction-central-hom"]
+            assert verdict == [{"check": "kernel-restriction-central-hom", "ok": True}]
 
 
 def test_cover_z_searches_only_for_the_two_class_verdicts(capsys, monkeypatch):

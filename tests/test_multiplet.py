@@ -11,9 +11,9 @@ from covlab.exactlin import I as IU, GaussRat, Mat, ONE, ZERO
 from covlab.extension import build_extension, classify_type
 from covlab.multiplet import (FieldSpaceAction, MatrixRep, SubMultiplet,
                               build_rho, detect_mixing, equivalent,
-                              intertwiners, irreducible, scaling_multiplet,
-                              validate_rep, verify_field_action)
-from covlab.wickscale import Monomial, WickPoly
+                              intertwiners, irreducible, validate_rep,
+                              verify_field_action)
+from covlab.wickscale import Monomial, WickPoly, scaling_multiplet
 
 Z2 = fg.cyclic(2)
 Z4 = fg.cyclic(4)

@@ -33,7 +33,9 @@ once: no `phi_perm` in `src/covlab`, a cochain's phi is read as
 listed only in `cohomology2._laws` and `validate_cocycle` cuts its
 generator-middle laws from that list (through `_law_sets`), only
 `coboundary_twist` builds a `Cochain2` from another cochain's phi,
-`Mat.det` calls `rref`,
+`inner_perm` is called only in `compute_aut` and the pair-law check
+`_first_failure`, no module but `fingroup` (whose `AutGroup` holds the
+`preimages`) maps ad(a) back to a, `Mat.det` calls `rref`,
 `fingroup.closure` calls `_bfs_recipes`, the star product's coefficients
 come from `_contraction_row` and the ordering, scaling and scaling-multiplet
 ones from `_matching_row`, and no Wick kernel calls `factorial`.  The
@@ -293,14 +295,9 @@ def _aut_perms_over_phi(fn):
                                                for n in ast.walk(node.slice)))}
 
 
-def _twisted_builds(fn):
-    """Lines of fn calling `Cochain2(...)` on values computed from another
-    cochain's phi (a `.phi` or `.perms` read, not the `aut.perms` list),
+def _names_from(fn, source):
+    """The names fn binds from a value `source(value, names)` accepts,
     followed through assignments, loops and `append` calls."""
-    def from_phi(node, names):
-        return any(isinstance(n, ast.Attribute) and n.attr in ("phi", "perms")
-                   and getattr(n.value, "id", None) != "aut"
-                   or isinstance(n, ast.Name) and n.id in names for n in ast.walk(node))
     flows = []
     for node in ast.walk(fn):
         if isinstance(node, ast.Assign):
@@ -311,13 +308,59 @@ def _twisted_builds(fn):
             flows.append((node.func.value, node))
     names = set()
     while True:
-        new = {n.id for target, value in flows if from_phi(value, names)
+        new = {n.id for target, value in flows if source(value, names)
                for n in ast.walk(target) if isinstance(n, ast.Name)} - names
         if not new:
-            break
+            return names
         names |= new
+
+
+def _twisted_builds(fn):
+    """Lines of fn calling `Cochain2(...)` on values computed from another
+    cochain's phi (a `.phi` or `.perms` read, not the `aut.perms` list)."""
+    def from_phi(node, names):
+        return any(isinstance(n, ast.Attribute) and n.attr in ("phi", "perms")
+                   and getattr(n.value, "id", None) != "aut"
+                   or isinstance(n, ast.Name) and n.id in names for n in ast.walk(node))
+    names = _names_from(fn, from_phi)
     return {node.lineno for node in ast.walk(fn) if _called(node) == "Cochain2"
             and any(from_phi(arg, names) for arg in node.args + node.keywords)}
+
+
+_AD_NAMES = {"inner", "ads", "ad"}
+
+
+def _maps_back_from_ad(fn):
+    """Lines of fn that key a lookup by ad(a): a dict display,
+    comprehension, `dict(...)` or `setdefault` call, a subscript stored to
+    or appended to, or an `.index` call on a sequence, each keyed by a
+    value computed from an `inner_perm` call or a name or attribute in
+    `_AD_NAMES`."""
+    def from_ad(node, names):
+        return any(_called(n) == "inner_perm"
+                   or isinstance(n, ast.Attribute) and n.attr in _AD_NAMES
+                   or isinstance(n, ast.Name) and n.id in names | _AD_NAMES
+                   for n in ast.walk(node))
+    names = _names_from(fn, from_ad)
+    found = set()
+    for node in ast.walk(fn):
+        keys = []
+        if isinstance(node, ast.Dict):
+            keys = [key for key in node.keys if key is not None]
+        elif isinstance(node, ast.DictComp):
+            keys = [node.key]
+        elif _called(node) in ("dict", "setdefault"):
+            keys = node.args[:1]
+        elif _called(node) == "index" and isinstance(node.func, ast.Attribute):
+            keys = [node.func.value]
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+            keys = [node.slice]
+        elif (_called(node) in ("append", "add", "extend")
+              and isinstance(node.func.value, ast.Subscript)):
+            keys = [node.func.value.slice]
+        if any(from_ad(key, names) for key in keys):
+            found.add(node.lineno)
+    return found
 
 
 def test_each_algorithm_is_written_once():
@@ -346,12 +389,25 @@ def test_each_algorithm_is_written_once():
         missing = callees - {_called(node) for node in ast.walk(_function(cohomology2, name))}
         if missing:
             found.add(f"cohomology2.{name} does not call {sorted(missing)}")
-    twists = {f"{path.stem}.{fn.name}"
-              for path in sorted((ROOT / "src" / "covlab").glob("*.py"))
-              for fn in ast.walk(ast.parse(path.read_text()))
-              if isinstance(fn, ast.FunctionDef) and _twisted_builds(fn)}
+    functions = [(f"{path.stem}.{fn.name}", fn)
+                 for path in sorted((ROOT / "src" / "covlab").glob("*.py"))
+                 for fn in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(fn, ast.FunctionDef)]
+    twists = {name for name, fn in functions if _twisted_builds(fn)}
     if twists != {"cohomology2.coboundary_twist"}:
         found.add(f"twisted Cochain2 built in {sorted(twists)}")
+    # Inn(A) lives in the compute_aut record: ad(a) is computed there and in
+    # the pair-law check, and only the record maps ad(a) back to a
+    inner = {name for name, fn in functions
+             if any(_called(node) == "inner_perm" for node in ast.walk(fn))}
+    if inner != {"fingroup.compute_aut", "cohomology2._first_failure"}:
+        found.add(f"inner_perm called in {sorted(inner)}")
+    found |= {f"{name}:{line}: a map from ad(a) back to a"
+              for name, fn in functions if not name.startswith("fingroup.")
+              for line in _maps_back_from_ad(fn)}
+    fingroup = ast.parse((ROOT / "src" / "covlab" / "fingroup.py").read_text())
+    if not _maps_back_from_ad(_function(fingroup, "__post_init__", "AutGroup")):
+        found.add("AutGroup.__post_init__ does not build preimages")
     for module, name, cls, callee in (("exactlin", "det", "Mat", "rref"),
                                       ("fingroup", "closure", None, "_bfs_recipes")):
         fn = _function(ast.parse((ROOT / "src" / "covlab" / f"{module}.py").read_text()),
@@ -362,7 +418,7 @@ def test_each_algorithm_is_written_once():
                               ("wickscale", "wick_product", "_contraction_row"),
                               ("wickscale", "change_of_ordering", "_matching_row"),
                               ("wickscale", "scale_wick_power", "_matching_row"),
-                              ("multiplet", "scaling_multiplet", "_matching_row")):
+                              ("wickscale", "scaling_multiplet", "_matching_row")):
         tree = ast.parse((ROOT / "src" / "covlab" / f"{module}.py").read_text())
         called = {_called(node) for node in ast.walk(_function(tree, name))}
         if row not in called:
