@@ -152,14 +152,14 @@ def coboundary_twist(c: Cochain2, zeta: Tuple[int, ...]) -> Cochain2:
     here.  Twisting maps cocycles to cocycles (the tests validate every
     normalized twist of every enumerated cocycle), so c is not validated:
     callers holding a cochain from outside check it once, as the CLI verbs
-    and `cohomologous` (for c1) do.  phi~(g) is read from the Aut(A) table
-    as the product of the index of ad(zeta(g)) and phi(g), and xi~ from the
+    and `cohomologous` (for c1) do.  phi~(g) is the Aut(A) product of
+    ad(zeta(g)) and phi(g), read on Aut indexes, and xi~ is read from the
     rows of the A and G tables, with each zeta(g)^-1 computed once."""
     G, A = c.G, c.A
     if len(zeta) != G.order or any(not (0 <= z < A.order) for z in zeta):
         raise ValueError("twist map is not total on G")
-    mul, perms, times, inner = A.table, c.perms, c.aut.table.table, c.aut.inner
-    phi = tuple([times[inner[z]][p] for z, p in zip(zeta, c.phi)])
+    mul, perms, times, inner = A.table, c.perms, c.aut.mul, c.aut.inner
+    phi = tuple([times(inner[z], p) for z, p in zip(zeta, c.phi)])
     inverses = [A.inv(z) for z in zeta]
     xi = []
     for g1, row in enumerate(c.xi):
@@ -272,9 +272,8 @@ def enumerate_normalized_cocycles(G: GroupTable, A: GroupTable
     limit = enum_cap()
     aut = compute_aut(A)
     n = G.order
-    tails = capped_product([range(aut.order)] * (n - 1))  # checked before the table
-    times, preimages = aut.table.table, aut.preimages
-    inverse = [aut.table.inv(p) for p in range(aut.order)]
+    times, preimages = aut.mul, aut.preimages
+    inverse = [aut.inv(p) for p in range(aut.order)]
     cells, checks = _factor_set_schedule(G)
     pairs = [(g1, g0, G.mul(g1, g0)) for g1, g0 in (divmod(pos, n) for pos in cells)]
     mul = A.table
@@ -303,11 +302,11 @@ def enumerate_normalized_cocycles(G: GroupTable, A: GroupTable
             else:
                 solve(k + 1)
 
-    for tail in tails:
+    for tail in capped_product([range(aut.order)] * (n - 1)):
         phi = (0,) + tail
         options = []
         for g1, g0, g in pairs:
-            xis = preimages[times[times[phi[g1]][phi[g0]]][inverse[phi[g]]]]
+            xis = preimages[times(phi[g1], times(phi[g0], inverse[phi[g]]))]
             if not xis:
                 break
             options.append(xis)

@@ -11,7 +11,7 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -366,32 +366,28 @@ def invert_perm(p: Perm) -> Perm:
 class AutGroup:
     """Automorphism group of A with one realizing permutation per element; an
     element is its index into `perms`, and `index` maps each perm back.
-    `inner[a]` is the index of ad(a), given as `ads[a]`, and `preimages[p]`
-    the sorted a with ad(a) = p (none unless p is inner); `preimages[0]` is Z(A)."""
+    `inner[a]` is the index of ad(a), and `preimages[p]` the sorted a with
+    ad(a) = p (none unless p is inner); `preimages[0]` is Z(A).  `mul`
+    composes a product on its first read and keeps it, so a caller pays only
+    for the products it reads."""
 
     perms: Tuple[Perm, ...]
-    ads: InitVar[Sequence[Perm]]
-    index: Dict[Perm, int] = field(init=False, repr=False, compare=False)
-    inner: Tuple[int, ...] = field(init=False, repr=False, compare=False)
-    preimages: Tuple[Tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    index: Dict[Perm, int] = field(repr=False, compare=False)
+    inner: Tuple[int, ...] = field(repr=False, compare=False)
+    preimages: Tuple[Tuple[int, ...], ...] = field(repr=False, compare=False)
+    _products: Dict[int, int] = field(default_factory=dict, init=False, repr=False,
+                                      compare=False)
 
-    def __post_init__(self, ads: Sequence[Perm]) -> None:
-        index = {p: i for i, p in enumerate(self.perms)}
-        inner = tuple(index[ad] for ad in ads)
-        preimages = [[] for _ in self.perms]
-        for a, p in enumerate(inner):
-            preimages[p].append(a)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "inner", inner)
-        object.__setattr__(self, "preimages", tuple(map(tuple, preimages)))
+    def mul(self, p: int, q: int) -> int:
+        """The index of p . q, composed as functions."""
+        key = p * len(self.perms) + q
+        products = self._products
+        if key not in products:
+            products[key] = self.index[compose_perm(self.perms[p], self.perms[q])]
+        return products[key]
 
-    @cached_property
-    def table(self) -> GroupTable:
-        """Aut(A) as a group on its indexes: entry [p][q] is the index of
-        p . q, composed as functions; the identity is index 0.  Its
-        |Aut(A)|^2 products are refused up front past the enumeration cap."""
-        capped_product([self.perms] * 2)
-        return GroupTable(table_on(self.perms, compose_perm))
+    def inv(self, p: int) -> int:
+        return self.index[invert_perm(self.perms[p])]
 
     @property
     def order(self) -> int:
@@ -482,4 +478,9 @@ def compute_aut(g: GroupTable) -> AutGroup:
         if sorted(img) == full and hom_law_witness(g, img.__getitem__, g.mul) is None:
             found.append(tuple(img))
     found.sort()
-    return AutGroup(tuple(found), [inner_perm(g, a) for a in g.elements()])
+    index = {perm: i for i, perm in enumerate(found)}
+    inner = tuple(index[inner_perm(g, a)] for a in g.elements())
+    preimages = [[] for _ in found]
+    for a, p in enumerate(inner):
+        preimages[p].append(a)
+    return AutGroup(tuple(found), index, inner, tuple(map(tuple, preimages)))

@@ -200,19 +200,20 @@ def test_aut_is_a_group_and_composition_matches_table():
             assert fg.invert_perm(p) in aut.index
 
 
-def test_aut_record_carries_its_table_and_inner_automorphisms():
-    # table is Aut(A) on its indexes, inner is the hom a -> ad(a) into it,
+def test_aut_record_carries_its_products_and_inner_automorphisms():
+    # mul is Aut(A) on its indexes, inner is the hom a -> ad(a) into it,
     # and preimages are its fibres: Z(A) over the identity, cosets of Z(A)
     for name in sorted(fg._STANDARD):
         g = fg.standard_group(name)
         aut = fg.compute_aut(g)
-        assert fg.make_group(aut.table.table) == aut.table, name
-        assert aut.table is aut.table
+        table = fg.GroupTable(fg.table_on(range(aut.order), aut.mul))
+        assert fg.make_group(table.table) == table, name
         for p in range(aut.order):
+            assert aut.mul(p, aut.inv(p)) == 0, (name, p)
             for q in range(aut.order):
-                assert (aut.perms[aut.table.mul(p, q)]
+                assert (aut.perms[aut.mul(p, q)]
                         == fg.compose_perm(aut.perms[p], aut.perms[q])), (name, p, q)
-        assert fg.check_hom(fg.GroupHom(g, aut.table, aut.inner)).valid, name
+        assert fg.check_hom(fg.GroupHom(g, table, aut.inner)).valid, name
         assert [aut.perms[p] for p in aut.inner] == [fg.inner_perm(g, a)
                                                      for a in g.elements()], name
         centre = fg.centre(g)
@@ -222,18 +223,6 @@ def test_aut_record_carries_its_table_and_inner_automorphisms():
             assert fibre == tuple(a for a in g.elements() if aut.inner[a] == p), (name, p)
             if fibre:
                 assert fibre == tuple(sorted(g.mul(fibre[0], z) for z in centre)), (name, p)
-
-
-def test_aut_table_is_refused_past_the_cap(monkeypatch):
-    # the table's |Aut|^2 products count against the cap: 576 for Q8
-    q8 = fg.quaternion8()
-    perms, ads = fg.compute_aut(q8).perms, [fg.inner_perm(q8, a) for a in q8.elements()]
-    monkeypatch.setenv("COVLAB_ENUM_CAP", "575")
-    with pytest.raises(SearchSpaceTooLarge) as err:
-        fg.AutGroup(perms, ads).table
-    assert (err.value.size, err.value.cap) == (576, 575)
-    monkeypatch.setenv("COVLAB_ENUM_CAP", "576")
-    assert fg.AutGroup(perms, ads).table.order == 24
 
 
 def test_aut_deterministic_ordering():

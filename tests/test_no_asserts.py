@@ -295,6 +295,16 @@ def _aut_perms_over_phi(fn):
                                                for n in ast.walk(node.slice)))}
 
 
+def _bound(target):
+    """The names a target binds: its plain names, and the container of a
+    subscript it stores to, not the subscript's index."""
+    if isinstance(target, ast.Subscript):
+        return _bound(target.value)
+    if isinstance(target, ast.Name):
+        return {target.id}
+    return set().union(*map(_bound, ast.iter_child_nodes(target)))
+
+
 def _names_from(fn, source):
     """The names fn binds from a value `source(value, names)` accepts,
     followed through assignments, loops and `append` calls."""
@@ -308,8 +318,8 @@ def _names_from(fn, source):
             flows.append((node.func.value, node))
     names = set()
     while True:
-        new = {n.id for target, value in flows if source(value, names)
-               for n in ast.walk(target) if isinstance(n, ast.Name)} - names
+        new = {name for target, value in flows if source(value, names)
+               for name in _bound(target)} - names
         if not new:
             return names
         names |= new
@@ -327,19 +337,17 @@ def _twisted_builds(fn):
             and any(from_phi(arg, names) for arg in node.args + node.keywords)}
 
 
-_AD_NAMES = {"inner", "ads", "ad"}
-
-
 def _maps_back_from_ad(fn):
     """Lines of fn that key a lookup by ad(a): a dict display,
     comprehension, `dict(...)` or `setdefault` call, a subscript stored to
     or appended to, or an `.index` call on a sequence, each keyed by a
-    value computed from an `inner_perm` call or a name or attribute in
-    `_AD_NAMES`."""
+    value computed from an `inner_perm` call or from an Aut(A) record's
+    `inner` or `perms`."""
     def from_ad(node, names):
         return any(_called(n) == "inner_perm"
-                   or isinstance(n, ast.Attribute) and n.attr in _AD_NAMES
-                   or isinstance(n, ast.Name) and n.id in names | _AD_NAMES
+                   or isinstance(n, ast.Attribute) and n.attr in ("inner", "perms")
+                   and "aut" in (getattr(n.value, "id", None), getattr(n.value, "attr", None))
+                   or isinstance(n, ast.Name) and n.id in names
                    for n in ast.walk(node))
     names = _names_from(fn, from_ad)
     found = set()
@@ -406,8 +414,8 @@ def test_each_algorithm_is_written_once():
               for name, fn in functions if not name.startswith("fingroup.")
               for line in _maps_back_from_ad(fn)}
     fingroup = ast.parse((ROOT / "src" / "covlab" / "fingroup.py").read_text())
-    if not _maps_back_from_ad(_function(fingroup, "__post_init__", "AutGroup")):
-        found.add("AutGroup.__post_init__ does not build preimages")
+    if not _maps_back_from_ad(_function(fingroup, "compute_aut")):
+        found.add("fingroup.compute_aut does not build preimages")
     for module, name, cls, callee in (("exactlin", "det", "Mat", "rref"),
                                       ("fingroup", "closure", None, "_bfs_recipes")):
         fn = _function(ast.parse((ROOT / "src" / "covlab" / f"{module}.py").read_text()),
