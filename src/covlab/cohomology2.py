@@ -19,6 +19,7 @@ imposed (none exists for nonabelian A).
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional, Tuple
@@ -65,31 +66,48 @@ def trivial_cochain(G: GroupTable, A: GroupTable) -> Cochain2:
     return Cochain2(G, A, tuple((0,) * n for _ in range(n)), (0,) * n)
 
 
+_Schedule = namedtuple("_Schedule", "pairs laws gens gen_pairs gen_laws cells "
+                       "cell_pairs checks recurrence")
+
+
 @lru_cache(maxsize=None)
-def _laws(G: GroupTable) -> Tuple[Tuple[int, int, int, int, int], ...]:
-    """Every factor-set law, once, over every (g2, g1, g0) in lexicographic
-    order, as flat xi cells (g2, l1, l2, r1, r2) for the law
+def _schedule(G: GroupTable) -> _Schedule:
+    """G's cocycle laws, each listed once, and the orders the H^2 kernels
+    walk them in.  `pairs`: the (g1, g0, g1*g0) in row-major order.  `laws`:
+    the factor-set laws over every (g2, g1, g0) in lexicographic order, as
+    flat xi cells (g2, l1, l2, r1, r2) for the law
     xi[l1] * xi[l2] == phi(g2)(xi[r1]) * xi[r2], where l1 = g2*n + g1,
-    l2 = (g2 g1)*n + g0, r1 = g1*n + g0 and r2 = g2*n + (g1 g0)."""
+    l2 = (g2 g1)*n + g0, r1 = g1*n + g0 and r2 = g2*n + (g1 g0).
+    `gen_pairs` and `gen_laws`: both lists cut to generator middles, g0 = s
+    and g1 = s for s in `gens` = `generating_sequence(G)`.  `cells`: the
+    free xi cells g1*n + g0 (g1, g0 != 1) of a normalized cochain in
+    row-major order, with their `cell_pairs`; `checks[k]` holds the laws
+    whose cells are all set once cell k is (a law with no free cell holds
+    for every phi).  `recurrence`: the (y, x, s) with y = x s, s in `gens`
+    and x met before y, along `_bfs_recipes`; it reaches each element
+    beyond 1 and `gens` once.
+    """
     n, mul = G.order, G.mul
-    return tuple((g2, g2 * n + g1, mul(g2, g1) * n + g0, g1 * n + g0,
+    gens = generating_sequence(G)
+    pairs = tuple((g1, g0, mul(g1, g0)) for g1 in G.elements() for g0 in G.elements())
+    laws = tuple((g2, g2 * n + g1, mul(g2, g1) * n + g0, g1 * n + g0,
                   g2 * n + mul(g1, g0))
                  for g2 in G.elements() for g1 in G.elements() for g0 in G.elements())
-
-
-@lru_cache(maxsize=None)
-def _law_sets(G: GroupTable):
-    """Every cocycle law and the laws on generator middles, each as
-    (pairs, triples): the pairs (g1, g0, g1*g0) in row-major order, and the
-    triples as `_laws` lists them.  The generator-middle sets are these
-    lists cut to g0 = s (pairs) and g1 = s (triples), s in
-    `generating_sequence(G)`."""
-    n, gens = G.order, frozenset(generating_sequence(G))
-    pairs = tuple((g1, g0, G.mul(g1, g0)) for g1 in G.elements() for g0 in G.elements())
-    laws = _laws(G)
-    return ((pairs, laws),
-            (tuple(pair for pair in pairs if pair[1] in gens),
-             tuple(law for law in laws if law[3] // n in gens)))
+    cells = tuple(g1 * n + g0 for g1 in range(1, n) for g0 in range(1, n))
+    rank = {pos: k for k, pos in enumerate(cells)}
+    checks = [[] for _ in cells]
+    for law in laws:
+        last = max((rank[pos] for pos in law[1:] if pos in rank), default=None)
+        if last is not None:
+            checks[last].append(law)
+    recipe, order = _bfs_recipes(G, gens)
+    return _Schedule(
+        pairs, laws, gens,
+        tuple(pair for pair in pairs if pair[1] in gens),
+        tuple(law for law in laws if law[3] // n in gens),
+        cells, tuple(pairs[pos] for pos in cells), tuple(map(tuple, checks)),
+        tuple((y, recipe[y][0], gens[recipe[y][1]])
+              for y in order[1 + len(gens):]))  # the generators come first
 
 
 def _first_failure(c: Cochain2, pairs, laws) -> Optional[Report]:
@@ -133,10 +151,10 @@ def validate_cocycle(c: Cochain2) -> Report:
     every triple is scanned in order, so the witness is the first failing
     one.
     """
-    every, on_generators = _law_sets(c.G)
-    if c.is_normalized() and _first_failure(c, *on_generators) is None:
+    sched = _schedule(c.G)
+    if c.is_normalized() and _first_failure(c, sched.gen_pairs, sched.gen_laws) is None:
         return Report(True)
-    failure = _first_failure(c, *every)
+    failure = _first_failure(c, sched.pairs, sched.laws)
     return Report(True) if failure is None else failure
 
 
@@ -174,21 +192,18 @@ def _twist_candidates(c: Cochain2, xi) -> list:
     set xi; every witness is among them.  The twisted xi(1, 1) is
     zeta(1) xi_c(1, 1), which fixes zeta(1); the values on a generating
     sequence run over the capped product (|A|^d candidates), and the rest
-    follow along the breadth-first recipes from
+    follow along the schedule's recurrence from
     zeta(g*s) = xi(g, s)^-1 zeta(g) phi_c(g)(zeta(s)) xi_c(g, s)."""
     G, A = c.G, c.A
-    gens = generating_sequence(G)
-    recipe, order = _bfs_recipes(G, gens)
-    fill = [(y,) + recipe[y] for y in order[1 + len(gens):]]  # gens come first
+    sched = _schedule(G)
     perms = c.perms
     first = A.mul(xi[0][0], A.inv(c.xi[0][0]))
     found = []
-    for values in capped_product([A.elements()] * len(gens)):
+    for values in capped_product([A.elements()] * len(sched.gens)):
         zeta = [first] * G.order
-        for gen, v in zip(gens, values):
+        for gen, v in zip(sched.gens, values):
             zeta[gen] = v
-        for y, g, gi in fill:
-            s = gens[gi]
+        for y, g, s in sched.recurrence:
             zeta[y] = A.mul(A.inv(xi[g][s]),
                             A.mul(A.mul(zeta[g], perms[g][zeta[s]]), c.xi[g][s]))
         found.append(tuple(zeta))
@@ -209,8 +224,7 @@ def cohomologous(c1: Cochain2, c2: Cochain2) -> Optional[Tuple[int, ...]]:
     of one is a non-cocycle c2."""
     if c1.G != c2.G or c1.A != c2.A:
         raise ValueError("cochains live over different (G, A)")
-    if not validate_cocycle(c1):
-        raise ValueError("input cochain is not a cocycle")
+    validate_cocycle(c1).require("cocycle")
     return _first_twist(c1, c2)
 
 
@@ -236,24 +250,6 @@ class H2Classification:
         return len(self.classes)
 
 
-@lru_cache(maxsize=None)
-def _factor_set_schedule(G: GroupTable) -> Tuple[Tuple[int, ...], Tuple[tuple, ...]]:
-    """The free xi cells of a normalized cochain, as flat indices g1*n + g0
-    with neither g1 nor g0 the identity, in row-major order; and for each
-    cell the `_laws` whose four cells are all set once that cell is.  A law
-    with no free cell holds for every phi, since all its cells are the
-    identity."""
-    n = G.order
-    cells = tuple(g1 * n + g0 for g1 in range(1, n) for g0 in range(1, n))
-    rank = {pos: k for k, pos in enumerate(cells)}
-    checks = [[] for _ in cells]
-    for law in _laws(G):
-        last = max((rank[pos] for pos in law[1:] if pos in rank), default=None)
-        if last is not None:
-            checks[last].append(law)
-    return cells, tuple(map(tuple, checks))
-
-
 def enumerate_normalized_cocycles(G: GroupTable, A: GroupTable
                                   ) -> Tuple[Cochain2, ...]:
     """All normalized valid 2-cocycles over (G, A), in lexicographic order.
@@ -274,8 +270,8 @@ def enumerate_normalized_cocycles(G: GroupTable, A: GroupTable
     n = G.order
     times, preimages = aut.mul, aut.preimages
     inverse = [aut.inv(p) for p in range(aut.order)]
-    cells, checks = _factor_set_schedule(G)
-    pairs = [(g1, g0, G.mul(g1, g0)) for g1, g0 in (divmod(pos, n) for pos in cells)]
+    sched = _schedule(G)
+    cells, checks = sched.cells, sched.checks
     mul = A.table
     found = []
     visited = 0
@@ -305,7 +301,7 @@ def enumerate_normalized_cocycles(G: GroupTable, A: GroupTable
     for tail in capped_product([range(aut.order)] * (n - 1)):
         phi = (0,) + tail
         options = []
-        for g1, g0, g in pairs:
+        for g1, g0, g in sched.cell_pairs:
             xis = preimages[times(phi[g1], times(phi[g0], inverse[phi[g]]))]
             if not xis:
                 break
@@ -322,7 +318,7 @@ def _stabiliser(c: Cochain2) -> Tuple[Tuple[int, ...], ...]:
     the zeta with every value in Z(A) and zeta(g1 g0) = zeta(g1) *
     phi(g1)(zeta(g0)) on every pair, over the capped product of Z(A)."""
     mul, perms, centre_of_a = c.A.table, c.perms, c.aut.preimages[0]
-    pairs = _law_sets(c.G)[0][0]
+    pairs = _schedule(c.G).pairs
     return tuple(zeta for zeta in capped_product([(0,)] + [centre_of_a] * (c.G.order - 1))
                  if all(zeta[g] == mul[zeta[g1]][perms[g1][zeta[g0]]]
                         for g1, g0, g in pairs))
@@ -340,9 +336,11 @@ def classify_h2(G: GroupTable, A: GroupTable) -> H2Classification:
     twists, walked once per member.  Twisting composes pointwise:
     twist(twist(c, z1), z2) = twist(c, z2 z1), as ad(z2) ad(z1) = ad(z2 z1)
     and the xi factors nest.  So twist(c, z s) = twist(c, z) for s in the
-    stabiliser Stab(c) = {s : twist(c, s) = c}, and the walk twists only the
-    first zeta of each coset z Stab(c) and marks the whole coset covered;
-    a class has |A|^(n-1) / |Stab(c)| members, one twist each.
+    stabiliser Stab(c) = {s : twist(c, s) = c}.  The walk runs over the
+    capped product of normalized maps, twists only the first zeta of each
+    coset z Stab(c) and adds the whole coset to the class's set of covered
+    maps, which it skips; a class has |A|^(n-1) / |Stab(c)| members, one
+    twist each.
 
     Stab(c) is computed without twisting (`_stabiliser`).  Proof that it is
     the normalized zeta with central values and zeta(g1 g0) =
@@ -356,9 +354,6 @@ def classify_h2(G: GroupTable, A: GroupTable) -> H2Classification:
     """
     cocycles = enumerate_normalized_cocycles(G, A)
     index = {(c.xi, c.phi): i for i, c in enumerate(cocycles)}
-    twists = list(capped_product([(0,)] + [A.elements()] * (G.order - 1)))
-    # the place of zeta in `twists`, read in base |A| from zeta(1) on
-    weights = [A.order ** (G.order - 1 - g) for g in G.elements()]
     mul = A.table
     seen = [False] * len(cocycles)
     classes = []
@@ -368,15 +363,14 @@ def classify_h2(G: GroupTable, A: GroupTable) -> H2Classification:
         if seen[i]:
             continue
         stab = _stabiliser(c)
-        covered = [False] * len(twists)
+        covered = set()
         orbit = set()
-        for k, zeta in enumerate(twists):
-            if covered[k]:
+        for zeta in capped_product([(0,)] + [A.elements()] * (G.order - 1)):
+            if zeta in covered:
                 continue
             tw = coboundary_twist(c, zeta)
             orbit.add(index[(tw.xi, tw.phi)])
-            for s in stab:
-                covered[sum([mul[z][t] * w for z, t, w in zip(zeta, s, weights)])] = True
+            covered.update(tuple([mul[z][t] for z, t in zip(zeta, s)]) for s in stab)
         for j in orbit:
             seen[j] = True
         classes.append(H2Class(

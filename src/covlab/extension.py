@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 from .cohomology2 import (Cochain2, _first_twist, _twist_candidates,
                           coboundary_twist, is_neutral, trivial_cochain,
                           validate_cocycle)
-from .fingroup import GroupHom, GroupTable, centre, table_on
+from .fingroup import GroupHom, GroupTable, table_on
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,12 @@ def classify_type(e: ExtensionGroup) -> ExtensionType:
                     gives the trivial cocycle;
     semidirect:     cohomologous to some neutral cocycle (1, phi0), i.e. some
                     normalized twist kills xi (a splitting section exists);
-    central:        the included copy of A lies in the centre of E.
+    central:        the included copy of A lies in the centre of E, that
+                    is, A is abelian and phi is trivial: the cocycle is
+                    normalized, so (a, 1)(b, g) = (a b, g) and
+                    (b, g)(a, 1) = (b phi(g)(a), g), which agree for all b
+                    and g exactly when a is central in A (take g = 1) and
+                    fixed by every phi(g).
     Every twist that kills xi is a solution for the all-identity factor set,
     so one pass over those candidates decides both cohomological labels; it
     stops at the first twist that gives the trivial cocycle.
@@ -90,8 +95,7 @@ def classify_type(e: ExtensionGroup) -> ExtensionType:
             if not any(tw.phi):
                 direct = True
                 break
-    cent = set(centre(e.E))
-    central = all(m in cent for m in e.inclusion.map)
+    central = not any(c.phi) and len(c.aut.preimages[0]) == c.A.order
     labels = tuple(sorted(
         lbl for lbl, flag in (("central", central), ("direct_product", direct),
                               ("semidirect", semidirect)) if flag

@@ -114,13 +114,17 @@ def test_z4_producing_not_cohomologous_to_trivial():
 
 def test_cohomologous_validates_its_first_input_only():
     # every twist of the cocycle c1 is a cocycle, so a corrupted c2 lies in
-    # no class of c1; c1 itself is checked, since the candidates assume it
+    # no class of c1; c1 itself is checked, since the candidates assume it,
+    # and the refusal names its first broken law and witness
     trivial = trivial_cochain(Z2, Z2)
     corrupted = Cochain2(Z2, Z2, ((0, 1), (0, 0)), (0, 0))
     assert not validate_cocycle(corrupted)
     assert cohomologous(trivial, corrupted) is None
-    with pytest.raises(ValueError, match="not a cocycle"):
+    with pytest.raises(fg.CheckFailed) as refused:
         cohomologous(corrupted, trivial)
+    assert refused.value.subject == "cocycle"
+    assert refused.value.report == validate_cocycle(corrupted) \
+        == fg.Report(False, "factor_set_condition", (0, 0, 1))
 
 
 def test_twist_roundtrip_recovers_witness():
@@ -484,6 +488,44 @@ def _normalized_failures(rng, c):
     out.append(Cochain2(G, A, ((0,) * n,) + rows,
                         (0,) + tuple(rng.randrange(aut.order) for _ in range(n - 1))))
     return out
+
+
+def test_schedule_lists_each_law_once_in_the_order_the_kernels_read():
+    for name in fg._STANDARD:
+        G = fg.standard_group(name)
+        n, elems, gens = G.order, list(G.elements()), fg.generating_sequence(G)
+        schedule = cohomology2._schedule(G)
+        pairs, laws = [], []
+        for g1 in elems:
+            for g0 in elems:
+                pairs.append((g1, g0, G.mul(g1, g0)))
+        for g2 in elems:
+            for g1 in elems:
+                for g0 in elems:
+                    laws.append((g2, g2 * n + g1, G.mul(g2, g1) * n + g0, g1 * n + g0,
+                                 g2 * n + G.mul(g1, g0)))
+        assert (list(schedule.pairs), list(schedule.laws)) == (pairs, laws), name
+        assert schedule.gens == gens, name
+        assert list(schedule.gen_pairs) == [p for p in pairs if p[1] in gens], name
+        assert list(schedule.gen_laws) == [law for law in laws
+                                           if law[3] // n in gens], name
+        # each law with a free cell is checked once, at its last free cell
+        cells = [g1 * n + g0 for g1 in elems[1:] for g0 in elems[1:]]
+        assert list(schedule.cells) == cells, name
+        assert list(schedule.cell_pairs) == [pairs[pos] for pos in cells], name
+        assert len(schedule.checks) == len(cells), name
+        for law in laws:
+            free = [cells.index(pos) for pos in law[1:] if pos in cells]
+            homes = [k for k, checks in enumerate(schedule.checks) if law in checks]
+            assert homes == ([max(free)] if free else []), (name, law)
+        # the recurrence reaches each element beyond 1 and the generators
+        # once, as y = x s from an element x reached before it
+        reached = [0] + list(gens)
+        for y, x, s in schedule.recurrence:
+            assert s in gens and x in reached and y not in reached, (name, y)
+            assert y == G.mul(x, s), (name, y)
+            reached.append(y)
+        assert sorted(reached) == elems, name
 
 
 def test_law_table_matches_the_nested_loop_validation_on_the_h2_grid():

@@ -181,11 +181,14 @@ def reference_extensions_equivalent(e1, e2):
     return None
 
 
+SMALL_PAIRS = [("Z2", "Z2"), ("Z2", "Z3"), ("Z2", "Z4"), ("Z3", "Z3"),
+               ("Z2", "S3"), ("Z2", "Z2xZ2"), ("Z3", "Z2"), ("Z4", "Z2"),
+               ("Z2", "Q8"), ("S3", "Z2"), ("Z2xZ2", "Z2")]
+
+
 def test_equivalence_matches_reference_homomorphism_scan():
     pairs = 0
-    for gn, an in [("Z2", "Z2"), ("Z2", "Z3"), ("Z2", "Z4"), ("Z3", "Z3"),
-                   ("Z2", "S3"), ("Z2", "Z2xZ2"), ("Z3", "Z2"), ("Z4", "Z2"),
-                   ("Z2", "Q8"), ("S3", "Z2"), ("Z2xZ2", "Z2")]:
+    for gn, an in SMALL_PAIRS:
         G, A = fg.standard_group(gn), fg.standard_group(an)
         exts = [build_extension(c) for c in enumerate_normalized_cocycles(G, A)]
         for e1 in exts:
@@ -232,6 +235,25 @@ def test_classify_type_matches_reference_twist_loop():
             assert flags == reference_type_flags(ext), (gn, an, c)
             seen.add(flags)
     assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_central_label_matches_a_centre_scan():
+    # classify_type reads the label from the cochain (A abelian, phi
+    # trivial); here Z(E) is scanned on the extension's own table
+    seen = set()
+    for gn, an in SMALL_PAIRS:
+        G, A = fg.standard_group(gn), fg.standard_group(an)
+        abelian = all(A.mul(a, b) == A.mul(b, a) for a in A.elements() for b in A.elements())
+        for c in enumerate_normalized_cocycles(G, A):
+            ext = build_extension(c)
+            E = ext.E
+            centre = {z for z in E.elements()
+                      if all(E.mul(z, x) == E.mul(x, z) for x in E.elements())}
+            central = set(ext.inclusion.map) <= centre
+            assert ("central" in classify_type(ext).labels) == central, (gn, an, c)
+            seen.add((central, abelian, any(c.phi)))
+    assert seen == {(True, True, False), (False, True, True), (False, False, False),
+                    (False, False, True)}
 
 
 def test_z4_vs_z2xz2_not_equivalent():

@@ -30,8 +30,9 @@ properties, so the matrix kernels run on the integer triples alone.  In
 so the kernel group is built once per cover.  Each algorithm is written
 once: no `phi_perm` in `src/covlab`, a cochain's phi is read as
 `aut.perms[...]` only in `Cochain2.__post_init__`, the factor-set laws are
-listed only in `cohomology2._laws` and `validate_cocycle` cuts its
-generator-middle laws from that list (through `_law_sets`), only
+listed only in `cohomology2._schedule`, which also cuts from that list
+the generator-middle laws that `validate_cocycle` reads and is the only
+caller of `_bfs_recipes` in `cohomology2`, only
 `coboundary_twist` builds a `Cochain2` from another cochain's phi,
 `inner_perm` is called only in `compute_aut` and the pair-law check
 `_first_failure`, no module but `fingroup` (whose `AutGroup` holds the
@@ -387,16 +388,20 @@ def test_each_algorithm_is_written_once():
     cohomology2 = ast.parse((ROOT / "src" / "covlab" / "cohomology2.py").read_text())
     if not _aut_perms_over_phi(_function(cohomology2, "__post_init__", "Cochain2")):
         found.add("Cochain2.__post_init__ does not build perms")
-    # the factor-set laws are listed once, and the generator-middle laws
-    # that validate_cocycle reads are cut from that list
+    # the factor-set laws are listed once, the generator-middle laws that
+    # validate_cocycle reads are cut from that list, and G is walked there
     if {fn.name for fn in ast.walk(cohomology2) if isinstance(fn, ast.FunctionDef)
-            for node in ast.walk(fn) if len(getattr(node, "generators", ())) >= 3} != {"_laws"}:
-        found.add("a factor-set law list besides cohomology2._laws")
-    for name, callees in (("validate_cocycle", {"_law_sets"}),
-                          ("_law_sets", {"_laws", "generating_sequence"})):
+            for node in ast.walk(fn) if len(getattr(node, "generators", ())) >= 3} != {"_schedule"}:
+        found.add("a factor-set law list besides cohomology2._schedule")
+    for name, callees in (("validate_cocycle", {"_schedule"}),
+                          ("_schedule", {"generating_sequence"})):
         missing = callees - {_called(node) for node in ast.walk(_function(cohomology2, name))}
         if missing:
             found.add(f"cohomology2.{name} does not call {sorted(missing)}")
+    walks = {fn.name for fn in ast.walk(cohomology2) if isinstance(fn, ast.FunctionDef)
+             if any(_called(node) == "_bfs_recipes" for node in ast.walk(fn))}
+    if walks != {"_schedule"}:
+        found.add(f"cohomology2 walks G in {sorted(walks)}")
     functions = [(f"{path.stem}.{fn.name}", fn)
                  for path in sorted((ROOT / "src" / "covlab").glob("*.py"))
                  for fn in ast.walk(ast.parse(path.read_text()))
