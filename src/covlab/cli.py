@@ -305,8 +305,7 @@ def cmd_cover_z(args, report: RunReport) -> None:
         amb = cover.kernel_elements[1]
         prod = direct_product(zeta.target, cover.S)
         gen = zeta(1) * cover.S.order + amb
-        sub = (0, gen) if gen != 0 else (0,)
-        q, _ = quotient(prod, fg.closure(prod, sub))
+        q, _ = quotient(prod, fg.closure(prod, (gen,)))
         report.data["quotient_extended_group"] = {
             "order": q.order, "order_profile": list(q.order_profile())}
 

@@ -187,19 +187,22 @@ def coboundary_twist(c: Cochain2, zeta: Tuple[int, ...]) -> Cochain2:
     return Cochain2(G, A, tuple(xi), phi)
 
 
-def _twist_candidates(c: Cochain2, xi) -> list:
+def _twist_candidates(c: Cochain2, xi, phi=None) -> list:
     """The sorted maps zeta that may twist the cocycle c to one with factor
-    set xi; every witness is among them.  The twisted xi(1, 1) is
-    zeta(1) xi_c(1, 1), which fixes zeta(1); the values on a generating
-    sequence run over the capped product (|A|^d candidates), and the rest
-    follow along the schedule's recurrence from
+    set xi and, when given, phi-part phi; every witness is among them.
+    zeta(1) = xi(1, 1) xi_c(1, 1)^-1.  On a generating sequence zeta(s) runs
+    over the Z(A) coset `aut.preimages` of phi(s) . phi_c(s)^-1 (|Z(A)|^d
+    candidates), or over A when phi is free (|A|^d); the rest follow along
+    the schedule's recurrence from
     zeta(g*s) = xi(g, s)^-1 zeta(g) phi_c(g)(zeta(s)) xi_c(g, s)."""
-    G, A = c.G, c.A
+    G, A, aut = c.G, c.A, c.aut
     sched = _schedule(G)
     perms = c.perms
     first = A.mul(xi[0][0], A.inv(c.xi[0][0]))
+    options = ([A.elements()] * len(sched.gens) if phi is None else
+               [aut.preimages[aut.mul(phi[s], aut.inv(c.phi[s]))] for s in sched.gens])
     found = []
-    for values in capped_product([A.elements()] * len(sched.gens)):
+    for values in capped_product(options):
         zeta = [first] * G.order
         for gen, v in zip(sched.gens, values):
             zeta[gen] = v
@@ -212,16 +215,16 @@ def _twist_candidates(c: Cochain2, xi) -> list:
 
 def _first_twist(c1: Cochain2, c2: Cochain2) -> Optional[Tuple[int, ...]]:
     """The lexicographically first zeta twisting c1 into c2, or None.  The
-    |A|^d `_twist_candidates`, each checked by twisting c1, are complete
-    when c1 is a cocycle, which the caller has checked."""
-    return next((zeta for zeta in _twist_candidates(c1, c2.xi)
+    |Z(A)|^d `_twist_candidates` for c2's phi, each checked by twisting c1,
+    are complete when c1 is a cocycle, which the caller has checked."""
+    return next((zeta for zeta in _twist_candidates(c1, c2.xi, c2.phi)
                  if coboundary_twist(c1, zeta) == c2), None)
 
 
 def cohomologous(c1: Cochain2, c2: Cochain2) -> Optional[Tuple[int, ...]]:
-    """The lexicographically first witness that c1 ~ c2, or None.  Only c1
-    is validated: `_first_twist` is complete for a cocycle c1, and no twist
-    of one is a non-cocycle c2."""
+    """The lexicographically first witness that c1 ~ c2, or None, among
+    |Z(A)|^d maps.  Only c1 is validated: `_first_twist` is complete for a
+    cocycle c1, and no twist of one is a non-cocycle c2."""
     if c1.G != c2.G or c1.A != c2.A:
         raise ValueError("cochains live over different (G, A)")
     validate_cocycle(c1).require("cocycle")
@@ -315,11 +318,11 @@ def enumerate_normalized_cocycles(G: GroupTable, A: GroupTable
 
 def _stabiliser(c: Cochain2) -> Tuple[Tuple[int, ...], ...]:
     """Stab(c): the normalized zeta with coboundary_twist(c, zeta) == c, as
-    the zeta with every value in Z(A) and zeta(g1 g0) = zeta(g1) *
-    phi(g1)(zeta(g0)) on every pair, over the capped product of Z(A)."""
-    mul, perms, centre_of_a = c.A.table, c.perms, c.aut.preimages[0]
+    the `_twist_candidates` from c to itself (central on the generators)
+    with zeta(g1 g0) = zeta(g1) * phi(g1)(zeta(g0)) on every pair."""
+    mul, perms = c.A.table, c.perms
     pairs = _schedule(c.G).pairs
-    return tuple(zeta for zeta in capped_product([(0,)] + [centre_of_a] * (c.G.order - 1))
+    return tuple(zeta for zeta in _twist_candidates(c, c.xi, c.phi)
                  if all(zeta[g] == mul[zeta[g1]][perms[g1][zeta[g0]]]
                         for g1, g0, g in pairs))
 
@@ -342,8 +345,10 @@ def classify_h2(G: GroupTable, A: GroupTable) -> H2Classification:
     maps, which it skips; a class has |A|^(n-1) / |Stab(c)| members, one
     twist each.
 
-    Stab(c) is computed without twisting (`_stabiliser`).  Proof that it is
-    the normalized zeta with central values and zeta(g1 g0) =
+    Stab(c) is computed without twisting (`_stabiliser`).  Its members are
+    witnesses from c to c, hence `_twist_candidates`, central on the
+    generators; the law below makes them central on all of G.  Proof that
+    Stab(c) is the normalized zeta with central values and zeta(g1 g0) =
     zeta(g1) phi(g1)(zeta(g0)): phi~(g) = ad(zeta(g)) . phi(g) equals
     phi(g) exactly when ad(zeta(g)) is the identity, that is when zeta(g)
     lies in Z(A).  Given that, phi(g1)(zeta(g0)) is central too, as

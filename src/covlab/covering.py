@@ -125,7 +125,8 @@ def z_class_trivial(z: Cochain2) -> Optional[Tuple[int, ...]]:
     Returns the lexicographically first trivializing twist (as K-indices) or
     None.  K is central, so the twisted factor set is zeta(l1) zeta(l0)
     z(l1,l0) zeta(l1 l0)^-1; such a twist is fixed by its values on a
-    generating sequence of L, so |K|^d candidates are checked.
+    generating sequence of L.  K is abelian, so the Z(K) coset that
+    `cohomologous` scans is all of K: |K|^d candidates are checked.
     """
     return cohomologous(z, trivial_cochain(z.G, z.A))
 

@@ -22,10 +22,18 @@ if TYPE_CHECKING:
     from .multiplet import FieldSpaceAction
 
 
-def _identity_action(group: fg.GroupTable, cat: FinCat) -> GAction:
-    from .fincat import GAction, identity_functor
-    ident = identity_functor(cat)
-    return GAction(group, tuple(ident for _ in group.elements()))
+def _frame_shift_action(group: fg.GroupTable, cat: FinCat, decos) -> GAction:
+    """The cyclic `group` acting on the `decorated_frames_category` cat: on n
+    frames g sends F_i to F_(i+g mod n), and each arrow keeps its decoration."""
+    from .fincat import GAction, TheoryFunctor, frame_mid
+    n = len(cat.objects)
+    functors = []
+    for g in group.elements():
+        obj_map = {f"F{i}": f"F{(i + g) % n}" for i in range(n)}
+        mor_map = {frame_mid(j, i, u): frame_mid((j + g) % n, (i + g) % n, u)
+                   for j in range(n) for i in range(n) for u in decos}
+        functors.append(TheoryFunctor(cat, cat, obj_map, mor_map, name=f"T{g}"))
+    return GAction(group, tuple(functors))
 
 
 # ---------------------------------------------------------------------------
@@ -35,12 +43,10 @@ def one_object_cyclic_model(power: int = 1):
     """One object with endomorphism group Z4; G = Z2 acts trivially;
     eta(g) is the `power`-th rotation.  Gauge group: Z4."""
     from .covariance import Implementation
-    from .fincat import group_as_category, identity_functor
-    z4 = fg.cyclic(4)
-    cat = group_as_category(z4, prefix="r", name="BZ4")
+    from .fincat import GAction, group_as_category, identity_functor
+    cat = group_as_category(fg.cyclic(4), prefix="r", name="BZ4")
     functor = identity_functor(cat)
-    g2 = fg.cyclic(2)
-    action = _identity_action(g2, cat)
+    action = GAction(fg.cyclic(2), (functor, functor))
     eta = [{"*": "r0"}, {"*": f"r{power % 4}"}]
     return Implementation(functor, action, eta, name=f"Z4Rot[p={power}]")
 
@@ -81,13 +87,10 @@ def frame_rotation_model(twist_parity: bool = True):
     g mod 2 (still a trivial cocycle, since parity is a homomorphism).
     """
     from .covariance import Implementation
-    from .fincat import (GAction, TheoryFunctor, decorated_frames_category,
-                         frame_mid)
-    z2 = fg.cyclic(2)
-    z4 = fg.cyclic(4)
+    from .fincat import TheoryFunctor, decorated_frames_category, frame_mid
     n = 4
     plain = decorated_frames_category(n, fg.trivial_group(), name="Frames")
-    deco = decorated_frames_category(n, z2, name="FramesZ2")
+    deco = decorated_frames_category(n, fg.cyclic(2), name="FramesZ2")
 
     functor = TheoryFunctor(
         plain, deco,
@@ -97,13 +100,7 @@ def frame_rotation_model(twist_parity: bool = True):
         name="A",
     )
 
-    functors = []
-    for g in range(4):
-        obj_map = {f"F{i}": f"F{(i + g) % n}" for i in range(n)}
-        mor_map = {frame_mid(j, i, 0): frame_mid((j + g) % n, (i + g) % n, 0)
-                   for j in range(n) for i in range(n)}
-        functors.append(TheoryFunctor(plain, plain, obj_map, mor_map, name=f"T{g}"))
-    action = GAction(z4, tuple(functors))
+    action = _frame_shift_action(fg.cyclic(4), plain, (0,))
 
     eta = []
     for g in range(4):
@@ -126,19 +123,12 @@ def spin_frame_model():
     s = 2 is implemented by the central gauge involution (decoration 2).
     """
     from .covariance import Implementation
-    from .fincat import (GAction, TheoryFunctor, decorated_frames_category,
-                         frame_mid, identity_functor)
+    from .fincat import decorated_frames_category, frame_mid, identity_functor
     z4 = fg.cyclic(4)
     n = 2
     cat = decorated_frames_category(n, z4, name="SpinFrames")
     functor = identity_functor(cat)
-    functors = []
-    for s in range(4):
-        obj_map = {f"F{i}": f"F{(i + s) % n}" for i in range(n)}
-        mor_map = {frame_mid(j, i, u): frame_mid((j + s) % n, (i + s) % n, u)
-                   for j in range(n) for i in range(n) for u in range(4)}
-        functors.append(TheoryFunctor(cat, cat, obj_map, mor_map, name=f"T{s}"))
-    action = GAction(z4, tuple(functors))
+    action = _frame_shift_action(z4, cat, z4.elements())
     eta = [{f"F{i}": frame_mid((i + s) % n, i, s) for i in range(n)}
            for s in range(4)]
     return Implementation(functor, action, eta, name="SpinFrame")

@@ -304,12 +304,14 @@ def test_cohomologous_matches_reference_twist_loop():
     # cyclic G has one generator; on S3 and Z2xZ2 (two generators) the
     # solve fills the rest of each witness along the generator recipes.
     # Z2xZ2/S3 is a single class of 216 cocycles, so every sampled pair is
-    # cohomologous
+    # cohomologous.  Q8 has a centre that is a proper nontrivial subgroup, so
+    # a witness there has two choices at each generator
     rng = random.Random(8)
     for gn, an, sample in [("Z2", "Z4", None), ("Z2", "Z2xZ2", None),
                            ("Z3", "Z3", None), ("Z2", "S3", None),
                            ("S3", "Z2", None), ("Z2xZ2", "Z2", None),
-                           ("Z2xZ2", "S3", 20)]:
+                           ("Z2xZ2", "S3", 20), ("Z2", "Q8", None),
+                           ("Z3", "Q8", 20)]:
         G, A = fg.standard_group(gn), fg.standard_group(an)
         cocycles = enumerate_normalized_cocycles(G, A)
         pairs = list(itertools.product(cocycles, repeat=2))
@@ -326,6 +328,29 @@ def test_cohomologous_matches_reference_twist_loop():
             assert not c2u.is_normalized()
             assert wu == reference_cohomologous(c1, c2u, False), (gn, an, c1, c2u)
             assert (wu is None) == (w is None)
+
+
+def test_cohomologous_twists_only_the_centre_coset(monkeypatch):
+    # a counted guard: phi fixes each generator value of a witness up to
+    # Z(A), so a search twists at most |Z(A)|^d maps, where walking every
+    # generator value made up to |A|^d (36 on Z2xZ2/S3)
+    calls = []
+
+    def counted(c, zeta):
+        calls.append(zeta)
+        return coboundary_twist(c, zeta)
+
+    monkeypatch.setattr(cohomology2, "coboundary_twist", counted)
+    rng = random.Random(29)
+    for gn, an in [("Z2", "S3"), ("Z2xZ2", "S3"), ("Z2", "Q8"), ("Z3", "Q8")]:
+        G, A = fg.standard_group(gn), fg.standard_group(an)
+        bound = len(fg.compute_aut(A).preimages[0]) ** len(fg.generating_sequence(G))
+        cocycles = enumerate_normalized_cocycles(G, A)
+        for _ in range(40):
+            c1, c2 = rng.choice(cocycles), rng.choice(cocycles)
+            calls.clear()
+            cohomologous(c1, c2)
+            assert len(calls) <= bound, (gn, an, c1, c2, len(calls))
 
 
 def test_witnesses_at_order_8_with_nonabelian_coefficients():
