@@ -13,7 +13,6 @@ from covlab.cohomology2 import cohomologous, trivial_cochain
 from covlab.covariance import (active_passive_compose, compare_implementations,
                                compute_gauge_group, extract_cocycle,
                                lift_to_extension, twist_implementation)
-from covlab.extension import build_extension
 
 # -- the one-object model: gauge group Z4, trivial Z2 action ----------------
 
@@ -33,10 +32,9 @@ print("eta(g)=r vs eta(g)=r^3: connecting twist zeta =",
       compare_implementations(impl, other))
 
 # lifting to the extension group always neutralizes the cocycle
-ext = build_extension(c)
-lifted = lift_to_extension(impl, ext)
+lifted = lift_to_extension(impl)
 ec = extract_cocycle(lifted)
-print("lifted to |E| =", ext.E.order, "- extension cocycle neutral:",
+print("lifted to |E| =", lifted.action.group.order, "- extension cocycle neutral:",
       all(v == 0 for row in ec.xi for v in row))
 
 # -- a random gauge twist is always recovered exactly ------------------------

@@ -13,7 +13,7 @@ from covlab.wickscale import scaling_multiplet
 
 vec = models.vector_multiplet_action()
 print("vector multiplet: laws hold:", verify_field_action(vec).valid)
-rho = build_rho(vec, build_extension(vec.cocycle))
+rho = build_rho(vec)
 print("star(g) is the inverse rotation:", vec.star[1])
 
 # -- Schur reasoning with exact intertwiners ---------------------------------
@@ -33,10 +33,8 @@ sub1, sub2 = models.standard_submultiplets()
 for name, action in [("inequivalent blocks", models.block_diagonal_fixtures()[0]),
                      ("equivalent blocks", models.equivalent_blocks_action()),
                      ("central Z4 cocycle", models.central_z4_mixing_action())]:
-    ext = build_extension(action.cocycle)
-    rho = build_rho(action, ext)
-    res = detect_mixing(rho, ext, sub1, sub2)
-    labels = classify_type(ext).labels
+    res = detect_mixing(action, sub1, sub2)
+    labels = classify_type(build_extension(action.cocycle)).labels
     print(f"\n{name}: extension {labels}")
     if res.witness is None:
         print("  no element of E connects the two multiplets"
@@ -46,12 +44,10 @@ for name, action in [("inequivalent blocks", models.block_diagonal_fixtures()[0]
 
 # the quaternion extension mixes two inequivalent multiplier lines
 q8a = models.q8_mixing_action()
-ext = build_extension(q8a.cocycle)
-rho = build_rho(q8a, ext)
 e1, e2 = models.eigenline_submultiplets()
-res = detect_mixing(rho, ext, e1, e2)
+res = detect_mixing(q8a, e1, e2)
 print("\nquaternion extension (nontrivial class):",
-      classify_type(ext).labels)
+      classify_type(build_extension(q8a.cocycle)).labels)
 print("  rotation eigenlines mixed by e =", res.witness_pair)
 
 # -- the scaling multiplet of a Wick power -----------------------------------

@@ -221,43 +221,36 @@ def cmd_compare_impls(args, report: RunReport) -> None:
 @verb("lift-extension", "lift a model to its extension group", MODEL)
 def cmd_lift_extension(args, report: RunReport) -> None:
     from .covariance import extract_cocycle, lift_to_extension
-    from .extension import build_extension
     impl = models.named_model(args.model)
     report.digest("model", args.model)
-    ext = build_extension(extract_cocycle(impl))
-    lifted = lift_to_extension(impl, ext)
+    lifted = lift_to_extension(impl)
     report.verdict("lifted-cocycle-neutral", is_neutral(extract_cocycle(lifted)),
-                   extension_order=ext.E.order)
+                   extension_order=lifted.action.group.order)
 
 
 @verb("verify-multiplet", "check the field-action laws",
       _flag("--fixture", default="vector", choices=sorted(models.FIELD_FIXTURES)))
 def cmd_verify_multiplet(args, report: RunReport) -> None:
-    from .extension import build_extension
     from .multiplet import build_rho
     # an action that breaks a field law is refused when it is built (exit 2)
     a = models.FIELD_FIXTURES[args.fixture]()
     report.digest("fixture", args.fixture)
     report.verdict("field-action-laws", True)
-    ext = build_extension(a.cocycle)
-    build_rho(a, ext)
-    report.verdict("extended-rep-true", True, extension_order=ext.E.order)
+    rho = build_rho(a)
+    report.verdict("extended-rep-true", True, extension_order=rho.group.order)
 
 
 @verb("detect-mixing", "scan for submultiplet mixing",
       _flag("--fixture", default="blocks", choices=sorted(models.FIELD_FIXTURES)))
 def cmd_detect_mixing(args, report: RunReport) -> None:
-    from .extension import build_extension
-    from .multiplet import build_rho, detect_mixing
+    from .multiplet import detect_mixing
     a = models.FIELD_FIXTURES[args.fixture]()
     report.digest("fixture", args.fixture)
-    ext = build_extension(a.cocycle)
-    rho = build_rho(a, ext)
     if args.fixture == "q8":
         sub1, sub2 = models.eigenline_submultiplets()
     else:
         sub1, sub2 = models.standard_submultiplets()
-    res = detect_mixing(rho, ext, sub1, sub2)
+    res = detect_mixing(a, sub1, sub2)
     report.verdict("no-mixing", res.witness is None,
                    **({} if res.witness is None else
                       {"witness": list(res.witness_pair)}))

@@ -19,7 +19,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .cohomology2 import Cochain2, trivial_cochain
 from .config import capped_product
-from .extension import ExtensionGroup
+from .extension import build_extension
 from .fincat import GAction, TheoryFunctor
 from .fingroup import GroupTable, Report, compute_aut, make_group, table_on
 
@@ -227,17 +227,16 @@ def compare_implementations(i1: Implementation, i2: Implementation
         for g, e1, e2 in zip(act.group.elements(), i1.eta, i2.eta))
 
 
-def lift_to_extension(impl: Implementation, ext: ExtensionGroup) -> Implementation:
-    """Implementation of the extension group E via rho(a,g)_C = a_{g.C} o eta(g)_C.
+def lift_to_extension(impl: Implementation) -> Implementation:
+    """Implementation of the extension group E of impl's cocycle via
+    rho(a,g)_C = a_{g.C} o eta(g)_C.
 
-    Checked here: ext was built from impl's cocycle (ValueError otherwise).
     The lift is checked as every Implementation is, when it is built.  That
     its E-cocycle is neutral with phi-part phi^(a,g) = ad(a) o phi(g) is a
     theorem; the lift-extension verdict computes the neutrality and the
     tests check both on the shipped models.
     """
-    if ext.cochain != extract_cocycle(impl):
-        raise ValueError("extension was not built from this implementation's cocycle")
+    ext = build_extension(extract_cocycle(impl))
     gauge = compute_gauge_group(impl.functor)
     pairs = [ext.unpair(e) for e in ext.E.elements()]
     e_action = GAction(ext.E, [impl.action.functors[g] for _, g in pairs])

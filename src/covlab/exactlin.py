@@ -41,6 +41,11 @@ class GaussRat:
         if type(re) is int and type(im) is int:
             self.a, self.b, self.d = re, im, 1
             return
+        for x in (re, im):
+            # Fraction would take a float or a bool silently (0.1 as
+            # 3602879701896397/36028797018963968, True as 1)
+            if type(x) is not int and type(x) is not Fraction:
+                raise TypeError(f"expected an int or a Fraction, got {type(x).__name__} {x!r}")
         re, im = Fraction(re), Fraction(im)
         p, q = re.denominator, im.denominator
         # d = lcm(p, q) leaves the triple reduced: a prime r of d divides p

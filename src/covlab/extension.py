@@ -12,6 +12,7 @@ image, giving the short exact sequence  1 -> A -> E -> G -> 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Tuple
 
 from .cohomology2 import (Cochain2, _first_twist, _twist_candidates,
@@ -34,8 +35,10 @@ class ExtensionGroup:
         return divmod(e, self.cochain.G.order)
 
 
+@lru_cache(maxsize=None)
 def build_extension(c: Cochain2) -> ExtensionGroup:
-    """Build E from a normalized cocycle.
+    """Build E from a normalized cocycle; cached for the life of the process,
+    so equal cochains share one extension.
 
     The cocycle laws are checked once, here (`CheckFailed` otherwise).  On
     a normalized cochain they hold exactly when the pair product is

@@ -11,7 +11,7 @@ from typing import Optional, Tuple
 
 from .cohomology2 import Cochain2
 from .exactlin import Mat, null_space, ZERO
-from .extension import ExtensionGroup, classify_type
+from .extension import build_extension, classify_type
 from .fingroup import GroupTable, Report, generating_sequence, hom_law_witness
 
 
@@ -107,20 +107,19 @@ def verify_field_action(a: FieldSpaceAction) -> Report:
     return Report(True)
 
 
-def build_rho(a: FieldSpaceAction, ext: ExtensionGroup) -> MatrixRep:
-    """The true extended-group representation rho(a, g) = dot(a) star(g).
+def build_rho(a: FieldSpaceAction) -> MatrixRep:
+    """The true representation rho(a, g) = dot(a) star(g) of the extension E
+    of the action's cocycle.
 
     The field laws, checked when the action was built, make rho a
     homomorphism on E; acceptance criterion 5 checks that on all |E|^2
     pairs of every shipped fixture."""
-    if ext.cochain != a.cocycle:
-        raise ValueError("extension was not built from this action's cocycle")
-    E = ext.E
+    ext = build_extension(a.cocycle)
     mats = []
-    for e in E.elements():
+    for e in ext.E.elements():
         alpha, g = ext.unpair(e)
         mats.append(a.dot(alpha) * a.star[g])
-    return MatrixRep(E, a.dim, tuple(mats))
+    return MatrixRep(ext.E, a.dim, tuple(mats))
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +191,10 @@ class MixingResult:
     corollary_violated: bool        # armed, yet a witness was found
 
 
-def detect_mixing(rho: MatrixRep, ext: ExtensionGroup,
+def detect_mixing(a: FieldSpaceAction,
                   sub1: SubMultiplet, sub2: SubMultiplet) -> MixingResult:
-    """Scan all e in E for a cross-block component between two submultiplets.
+    """Scan all e in E for a cross-block component between two submultiplets
+    under rho = build_rho(a), E the extension of the action's cocycle.
 
     Preconditions: projection o injection is the identity on each
     submultiplet, and each subspace is invariant under the restricted
@@ -205,8 +205,9 @@ def detect_mixing(rho: MatrixRep, ext: ExtensionGroup,
     corollary is armed: a witness then violates it, and the result says so
     in `corollary_violated`.
     """
-    G = ext.cochain.G
-    E = ext.E
+    ext = build_extension(a.cocycle)
+    rho = build_rho(a)
+    G, E = a.cocycle.G, ext.E
     subs = (sub1, sub2)
     sigmas = []
     for i, sub in enumerate(subs):

@@ -86,7 +86,7 @@ class WickPoly:
         acc: Dict[Monomial, int | Fraction] = {}
         for mono, n in items:
             if type(mono) is not Monomial:
-                mono = Monomial(*mono)
+                mono = _monomial(Monomial(*mono))
             if min(mono.phi, mono.ricci, mono.log, mono.w, mono.delta, mono.c) < 0:
                 raise ValueError(f"negative exponent in {mono}")
             if type(n) is not int:
@@ -117,7 +117,7 @@ class WickPoly:
 
     @staticmethod
     def symbol(**exps) -> "WickPoly":
-        return WickPoly({Monomial(**exps): 1})
+        return WickPoly({_monomial(Monomial(**exps)): 1})
 
     @staticmethod
     def phi_power(k: int) -> "WickPoly":
@@ -184,6 +184,15 @@ class WickPoly:
         return " + ".join(parts)
 
     __repr__ = __str__
+
+
+def _monomial(mono: Monomial) -> Monomial:
+    """mono itself if every exponent is an int; a float or a bool would
+    print as one (Phi^1.5, lam^True), so it is refused.  The kernels build
+    their monomials from ints and do not come through here."""
+    if any(type(e) is not int for e in mono):
+        raise TypeError(f"exponents must be ints, got {mono}")
+    return mono
 
 
 def _rational(q):

@@ -231,11 +231,9 @@ def test_criterion_4_lift_neutrality():
         fixtures += [models.swap_model(), models.spin_frame_model(),
                      models.frame_rotation_model()[0]]
         for impl in fixtures:
-            c = extract_cocycle(impl)
-            ext = build_extension(c)
-            lifted = lift_to_extension(impl, ext)
+            lifted = lift_to_extension(impl)
             ec = extract_cocycle(lifted)
-            n = ext.E.order
+            n = lifted.action.group.order
             for e1 in range(n):
                 for e0 in range(n):
                     assert ec.xi[e1][e0] == 0, (impl.name, e1, e0)
@@ -253,11 +251,10 @@ def test_criterion_5_extended_group_representation():
                       "representation on all |E|^2 pairs, exactly"):
         for a in _field_fixtures():
             assert verify_field_action(a).valid
-            ext = build_extension(a.cocycle)
-            rho = build_rho(a, ext)
-            for e1 in ext.E.elements():
-                for e0 in ext.E.elements():
-                    assert rho(e1) * rho(e0) == rho(ext.E.mul(e1, e0))
+            rho = build_rho(a)
+            for e1 in rho.group.elements():
+                for e0 in rho.group.elements():
+                    assert rho(e1) * rho(e0) == rho(rho.group.mul(e1, e0))
 
 
 def test_criterion_6_no_mixing_corollary():
@@ -265,26 +262,21 @@ def test_criterion_6_no_mixing_corollary():
                       "witnesses on the engineered fixtures"):
         sub1, sub2 = models.standard_submultiplets()
         for a in models.block_diagonal_fixtures():
-            ext = build_extension(a.cocycle)
-            rho = build_rho(a, ext)
-            res = detect_mixing(rho, ext, sub1, sub2)
+            res = detect_mixing(a, sub1, sub2)
             assert res.witness is None
             assert res.no_mixing_asserted
 
         a = models.equivalent_blocks_action()
-        ext = build_extension(a.cocycle)
-        res = detect_mixing(build_rho(a, ext), ext, sub1, sub2)
+        res = detect_mixing(a, sub1, sub2)
         assert res.witness_pair == (1, 0)
 
         a = models.central_z4_mixing_action()
-        ext = build_extension(a.cocycle)
-        res = detect_mixing(build_rho(a, ext), ext, sub1, sub2)
+        res = detect_mixing(a, sub1, sub2)
         assert res.witness_pair == (1, 0)
 
         a = models.q8_mixing_action()
-        ext = build_extension(a.cocycle)
         e1, e2 = models.eigenline_submultiplets()
-        res = detect_mixing(build_rho(a, ext), ext, e1, e2)
+        res = detect_mixing(a, e1, e2)
         assert res.witness_pair == (1, 0)
 
 

@@ -604,6 +604,41 @@ def test_model_verbs_compute_one_gauge_group(capsys, verb):
         assert (code, misses) == (0, 1), (model, err)
 
 
+def test_lift_extension_extracts_two_cocycles(capsys, monkeypatch):
+    # the model's, which lift_to_extension builds E from, and the lift's
+    calls, extract = [], covariance.extract_cocycle
+    monkeypatch.setattr(covariance, "extract_cocycle",
+                        lambda impl: calls.append(impl) or extract(impl))
+    for model in sorted(models.NAMED_MODELS):
+        calls.clear()
+        code, _, err = run(capsys, "lift-extension", "--model", model)
+        assert (code, len(calls)) == (0, 2), (model, err)
+
+
+def test_benchmark_calls_replay_their_recorded_reports(tmp_path, monkeypatch):
+    # every call of every workload on each recorded seed: the exit code and
+    # stdout digest bench/expected.json holds, so a change that alters a
+    # report shows here; the corrupted build-extension calls have no digest
+    # and must be refused as input errors
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+    from worker import EXPECTED, argv_for, run_call
+    expected = json.loads(EXPECTED.read_text())
+    replayed, unrecorded = {}, set()
+    for workload in workloads.WORKLOADS:
+        for seed in expected["seeds"]:
+            for call in workloads.build(workload, seed):
+                code, digest, exc, _ = run_call(main, argv_for(call, str(tmp_path)))
+                if call.key in expected["calls"]:
+                    replayed[call.key] = [code, digest]
+                else:
+                    assert call.corrupted and "build-extension" in call.argv, call.label
+                    assert (exc, code) == (None, 2), call.label
+                    unrecorded.add(call.key)
+    assert replayed == expected["calls"]
+    assert (len(replayed), len(unrecorded)) == (106, 4)
+
+
 def test_cover_z_checks_the_kernel_map_once(capsys, monkeypatch):
     from covlab import covering
     calls, check = [], covering.check_centre_hom

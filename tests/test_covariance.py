@@ -379,9 +379,7 @@ def test_lift_to_extension_neutral():
     for impl in (models.one_object_cyclic_model(),
                  models.one_object_cyclic_model(power=2),
                  models.spin_frame_model()):
-        c = extract_cocycle(impl)
-        ext = build_extension(c)
-        lifted = lift_to_extension(impl, ext)
+        lifted = lift_to_extension(impl)
         ec = extract_cocycle(lifted)
         assert all(v == 0 for row in ec.xi for v in row)
 
@@ -429,7 +427,7 @@ def test_lift_is_valid_with_phi_ad_a_after_phi_g():
         aut = fg.compute_aut(A)
         c = extract_cocycle(impl)
         ext = build_extension(c)
-        lifted = lift_to_extension(impl, ext)
+        lifted = lift_to_extension(impl)
         assert validate_implementation(lifted).valid, impl.name
         ec = extract_cocycle(lifted)
         assert validate_cocycle(ec).valid and ec.is_normalized(), impl.name
@@ -605,7 +603,7 @@ def test_lift_builds_no_functor(monkeypatch):
         impl = models.named_model(name)
         ext = build_extension(extract_cocycle(impl))
         calls.clear()
-        lifted = lift_to_extension(impl, ext)
+        lifted = lift_to_extension(impl)
         assert calls == [], name
         assert lifted.action.group.order == ext.E.order, name
     models.named_model("SwapIso")
@@ -705,8 +703,7 @@ def _reference_bases():
 def _reference_models():
     """The bases, each followed by its lift to its extension group."""
     base = _reference_bases()
-    return base + [lift_to_extension(impl, build_extension(extract_cocycle(impl)))
-                   for impl in base]
+    return base + [lift_to_extension(impl) for impl in base]
 
 
 def test_gauge_groups_match_the_reference_loop():
@@ -744,7 +741,7 @@ def test_twists_lifts_and_comparisons_match_the_reference_loops():
                 assert compare_implementations(i1, i2) == _reference_zeta(i1, i2)
     for impl in _reference_bases():
         ext = build_extension(extract_cocycle(impl))
-        lifted = lift_to_extension(impl, ext)
+        lifted = lift_to_extension(impl)
         assert list(lifted.eta) == [_reference_gauged(impl, *ext.unpair(e))
                                     for e in ext.E.elements()], impl.name
     cyclic = [models.one_object_cyclic_model(p) for p in range(4)]
@@ -876,7 +873,7 @@ def _kernel_cases():
     rng = random.Random(21)
     out = []
     for impl in _reference_bases():
-        for base in (impl, lift_to_extension(impl, build_extension(extract_cocycle(impl)))):
+        for base in (impl, lift_to_extension(impl)):
             order = compute_gauge_group(base.functor).order
             zeta = (0,) + tuple(rng.randrange(order)
                                 for _ in range(base.action.group.order - 1))

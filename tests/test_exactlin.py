@@ -215,6 +215,19 @@ def test_division_by_zero_raises():
         ONE / 0
 
 
+def test_parts_are_ints_or_fractions_only():
+    refused = [GaussRat, lambda x: GaussRat(Fraction(1, 2), x),
+               lambda x: GaussRat(x, 1), lambda x: Mat([[Fraction(1, 2), x]])]
+    for make in refused:
+        for x in (0.1, 0.5, 2.0, True, "1/2", None):
+            with pytest.raises(TypeError, match="expected an int or a Fraction"):
+                make(x)
+    z = GaussRat(Fraction(1, 2), Fraction(-2, 3))
+    assert (z.a, z.b, z.d) == (3, -4, 6)
+    assert GaussRat(Fraction(3, 1), 2) == GaussRat(3, 2)
+    assert str(Mat([[Fraction(1, 2), 1]])) == "Mat[1/2 1]"
+
+
 def random_rows(rng, nr, nc):
     pairs = [[pair(rng) for _ in range(nc)] for _ in range(nr)]
     return ([[z for z, _ in row] for row in pairs],

@@ -49,6 +49,12 @@ def test_s3_extension_is_semidirect_only():
     assert t.labels == ("semidirect",)
 
 
+def test_equal_cochains_share_one_extension():
+    c1, c2 = z4_producing(), z4_producing()
+    assert c1 == c2 and c1 is not c2
+    assert build_extension(c1) is build_extension(c2)
+
+
 def test_invalid_cocycle_rejected_with_witness():
     # xi violating the factor-set condition over (Z2, Z4): xi(g,1)=0 ok but
     # break the three-fold consistency by hand

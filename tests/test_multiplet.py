@@ -191,8 +191,7 @@ def test_rep_and_field_checks_match_all_pairs_reference():
 def test_build_rho_direct_product_block_fixture():
     for a in models.block_diagonal_fixtures():
         assert verify_field_action(a).valid
-        ext = build_extension(a.cocycle)
-        rho = build_rho(a, ext)
+        rho = build_rho(a)
         assert validate_rep(rho).valid
 
 
@@ -200,7 +199,7 @@ def test_build_rho_central_z4_model():
     a = models.central_z4_mixing_action()
     assert verify_field_action(a).valid
     ext = build_extension(a.cocycle)
-    rho = build_rho(a, ext)
+    rho = build_rho(a)
     # (1,g)^4 closes on the identity exactly
     e = ext.pair_index(0, 1)
     acc = 0
@@ -212,9 +211,8 @@ def test_build_rho_central_z4_model():
 def test_build_rho_q8_model_is_quaternion():
     a = models.q8_mixing_action()
     assert verify_field_action(a).valid
-    ext = build_extension(a.cocycle)
-    assert ext.E.order_profile() == fg.quaternion8().order_profile()
-    rho = build_rho(a, ext)
+    rho = build_rho(a)
+    assert rho.group.order_profile() == fg.quaternion8().order_profile()
     assert validate_rep(rho).valid
 
 
@@ -235,11 +233,9 @@ def test_inequivalent_one_and_two_dim_blocks_preserved():
     dot = MatrixRep(Z2, 3, (Mat.identity(3), Mat.identity(3)))
     a = FieldSpaceAction(dot, tuple(star), trivial_cochain(Z4, Z2))
     assert verify_field_action(a).valid
-    ext = build_extension(a.cocycle)
-    rho = build_rho(a, ext)
     sub1 = SubMultiplet(Mat([[1, 0], [0, 1], [0, 0]]), Mat([[1, 0, 0], [0, 1, 0]]))
     sub2 = SubMultiplet(Mat([[0], [0], [1]]), Mat([[0, 0, 1]]))
-    res = detect_mixing(rho, ext, sub1, sub2)
+    res = detect_mixing(a, sub1, sub2)
     assert res.witness is None
 
 
@@ -419,9 +415,7 @@ def test_equivalent_rejects_different_groups():
 def test_no_mixing_on_direct_product_inequivalent_fixtures():
     sub1, sub2 = models.standard_submultiplets()
     for a in models.block_diagonal_fixtures():
-        ext = build_extension(a.cocycle)
-        rho = build_rho(a, ext)
-        res = detect_mixing(rho, ext, sub1, sub2)
+        res = detect_mixing(a, sub1, sub2)
         assert res.witness is None
         assert res.no_mixing_asserted
 
@@ -452,9 +446,7 @@ def test_no_mixing_sweep_over_generated_direct_product_models():
                         for a in z2.elements()))
                     action = FieldSpaceAction(dot, star, trivial_cochain(G, z2))
                     assert verify_field_action(action).valid
-                    ext = build_extension(action.cocycle)
-                    rho = build_rho(action, ext)
-                    res = detect_mixing(rho, ext, sub1, sub2)
+                    res = detect_mixing(action, sub1, sub2)
                     assert res.witness is None
                     assert res.no_mixing_asserted
                     checked += 1
@@ -463,48 +455,38 @@ def test_no_mixing_sweep_over_generated_direct_product_models():
 
 def test_equivalent_blocks_witness():
     a = models.equivalent_blocks_action()
-    ext = build_extension(a.cocycle)
-    rho = build_rho(a, ext)
     sub1, sub2 = models.standard_submultiplets()
-    res = detect_mixing(rho, ext, sub1, sub2)
+    res = detect_mixing(a, sub1, sub2)
     assert res.witness_pair == (1, 0)  # (alpha, identity of G)
     assert not res.no_mixing_asserted
 
 
 def test_central_z4_mixing_witness():
     a = models.central_z4_mixing_action()
-    ext = build_extension(a.cocycle)
-    rho = build_rho(a, ext)
     sub1, sub2 = models.standard_submultiplets()
-    res = detect_mixing(rho, ext, sub1, sub2)
+    res = detect_mixing(a, sub1, sub2)
     assert res.witness_pair == (1, 0)  # (r, identity of G)
 
 
 def test_q8_mixing_witness_between_inequivalent_multiplier_lines():
     a = models.q8_mixing_action()
-    ext = build_extension(a.cocycle)
-    rho = build_rho(a, ext)
     sub1, sub2 = models.eigenline_submultiplets()
-    res = detect_mixing(rho, ext, sub1, sub2)
+    res = detect_mixing(a, sub1, sub2)
     assert res.witness_pair == (1, 0)
-    assert "direct_product" not in classify_type(ext).labels
+    assert "direct_product" not in classify_type(build_extension(a.cocycle)).labels
 
 
 def test_detect_mixing_precondition_failures():
     a = models.equivalent_blocks_action()
-    ext = build_extension(a.cocycle)
-    rho = build_rho(a, ext)
     bad = SubMultiplet(Mat([[1], [0]]), Mat([[0, 1]]))  # proj o inj == 0
     with pytest.raises(fg.CheckFailed) as exc:
-        detect_mixing(rho, ext, bad, bad)
+        detect_mixing(a, bad, bad)
     assert exc.value.report == fg.Report(False, "projection_section", (0,))
 
     vec = models.vector_multiplet_action()
-    ext_v = build_extension(vec.cocycle)
-    rho_v = build_rho(vec, ext_v)
     sub1, sub2 = models.standard_submultiplets()
     with pytest.raises(fg.CheckFailed) as exc:
-        detect_mixing(rho_v, ext_v, sub1, sub2)  # lines not rotation-invariant
+        detect_mixing(vec, sub1, sub2)  # lines not rotation-invariant
     assert exc.value.report == fg.Report(False, "not_invariant", (0, 1))
 
 

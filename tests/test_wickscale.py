@@ -463,6 +463,18 @@ def test_constructor_takes_plain_tuples_and_refuses_negative_exponents():
             WickPoly({Monomial(**{field: -1}): 0})
 
 
+def test_exponents_from_outside_are_ints_only():
+    refused = [lambda x: WickPoly.symbol(phi=x), lambda x: WickPoly.symbol(lam=x),
+               WickPoly.phi_power, lambda x: WickPoly([((x,), 1)]),
+               lambda x: WickPoly([((0, 0, 0, 0, 0, x), Fraction(1, 2))])]
+    for make in refused:
+        for x in (1.5, 2.0, True, Fraction(2), "2", None):
+            with pytest.raises(TypeError, match="exponents must be ints"):
+                make(x)
+    assert str(WickPoly.symbol(lam=-1, phi=2)) == "1*lam^-1*Phi^2"
+    assert WickPoly([((2,), 1)]) == PHI(2)
+
+
 # ---------------------------------------------------------------------------
 # the rigid-scaling gauge group
 
