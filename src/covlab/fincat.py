@@ -10,7 +10,7 @@ defined when dom[f] == cod[g], i.e. g is applied first.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .fingroup import Report, hom_law_witness
@@ -67,11 +67,15 @@ class FinCat:
         return (self.objects, self.morphisms, tuple(sorted(self.compose_table.items())),
                 tuple(sorted(self.identities.items())))
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._key)
+
     def __eq__(self, other) -> bool:
         return self is other or isinstance(other, FinCat) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
 
 
 def validate_fincat(cat: FinCat) -> Report:
@@ -133,11 +137,15 @@ class TheoryFunctor:
         return (self.source, self.target, tuple(sorted(self.obj_map.items())),
                 tuple(sorted(self.mor_map.items())), self.name)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._key)
+
     def __eq__(self, other) -> bool:
         return self is other or isinstance(other, TheoryFunctor) and self._key == other._key
 
     def __hash__(self) -> int:
-        return hash(self._key)
+        return self._hash
 
 
 def identity_functor(cat: FinCat) -> TheoryFunctor:
@@ -226,8 +234,10 @@ def validate_gaction(act: GAction) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# convenient constructors used by the shipped models
+# convenient constructors used by the shipped models; each category value is
+# built once per process and shared, so no caller may write to its tables
 
+@lru_cache(maxsize=None)
 def group_as_category(group, prefix: str = "r", name: Optional[str] = None) -> FinCat:
     """One-object category whose endomorphisms are the group elements."""
     obj = "*"
@@ -243,6 +253,7 @@ def frame_mid(j: int, i: int, u: int) -> str:
     return f"m{j}<{i}:{u}"
 
 
+@lru_cache(maxsize=None)
 def decorated_frames_category(n_frames: int, deco, name: Optional[str] = None) -> FinCat:
     """Codiscrete category on n frame objects with `deco`-decorated arrows.
 

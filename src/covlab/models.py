@@ -11,6 +11,7 @@ body, so a verb loads only the layers of what it builds.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from . import fingroup as fg
@@ -22,9 +23,11 @@ if TYPE_CHECKING:
     from .multiplet import FieldSpaceAction
 
 
+@lru_cache(maxsize=None)
 def _frame_shift_action(group: fg.GroupTable, cat: FinCat, decos) -> GAction:
     """The cyclic `group` acting on the `decorated_frames_category` cat: on n
-    frames g sends F_i to F_(i+g mod n), and each arrow keeps its decoration."""
+    frames g sends F_i to F_(i+g mod n), and each arrow keeps its decoration.
+    Built and checked once per process for each (group, cat, decos) value."""
     from .fincat import GAction, TheoryFunctor, frame_mid
     n = len(cat.objects)
     functors = []

@@ -1,10 +1,11 @@
+import collections
 import itertools
 import random
 
 import pytest
 
 from covlab import fingroup as fg
-from covlab import fincat
+from covlab import covariance, fincat
 from covlab import models
 from covlab.cohomology2 import (Cochain2, SearchSpaceTooLarge, coboundary_twist,
                                 cohomologous, validate_cocycle)
@@ -177,14 +178,51 @@ def test_gauge_group_search_is_capped(monkeypatch):
     assert compute_gauge_group(functor).order == 4
 
 
+def test_shared_categories_equal_their_uncached_builds():
+    # each category value is built once per process; an uncached build of the
+    # same value equals it and hashes the same, so value caches keyed on it hit
+    builds = [(group_as_category, (fg.cyclic(4),), {"prefix": "r", "name": "BZ4"}),
+              (group_as_category, (fg.symmetric3(),), {"prefix": "s"}),
+              (decorated_frames_category, (4, fg.trivial_group()), {"name": "Frames"}),
+              (decorated_frames_category, (4, fg.cyclic(2)), {"name": "FramesZ2"}),
+              (decorated_frames_category, (2, fg.cyclic(4)), {"name": "SpinFrames"})]
+    for build, args, kwargs in builds:
+        shared = build(*args, **kwargs)
+        assert build(*args, **kwargs) is shared
+        fresh = build.__wrapped__(*args, **kwargs)
+        assert fresh is not shared and fresh == shared and hash(fresh) == hash(shared)
+
+
 def test_separate_builds_share_one_functor_value_and_gauge_group():
     for name in sorted(models.NAMED_MODELS):
         f1 = models.named_model(name).functor
         f2 = models.named_model(name).functor
-        assert f1 is not f2 and f1.source is not f2.source
+        assert f1 is not f2, name
         assert f1 == f2 and hash(f1) == hash(f2), name
+        # SwapIso writes its category out in its builder; the others share one
+        assert (f1.source is f2.source) == (name != "SwapIso"), name
         assert f1.source == f2.source and hash(f1.source) == hash(f2.source), name
         assert compute_gauge_group(f1) is compute_gauge_group(f2), name
+
+
+@pytest.mark.parametrize("name", sorted(models.NAMED_MODELS))
+def test_each_build_checks_its_functor_and_implementation(name, monkeypatch):
+    # the shared categories and frame-shift actions are checked once per
+    # process; a model's own functor and implementation on every build
+    models.named_model(name)
+    calls = collections.Counter()
+
+    def count(module, fn):
+        real = getattr(module, fn)
+        monkeypatch.setattr(module, fn, lambda *args: calls.update((fn,)) or real(*args))
+    count(fincat, "validate_functor")
+    count(fincat, "validate_gaction")
+    count(covariance, "validate_implementation")
+    models.named_model(name)
+    assert calls["validate_functor"] >= 1
+    assert calls["validate_implementation"] == 1
+    if name in ("FrameRot", "SpinFrame"):
+        assert calls["validate_gaction"] == 0
 
 
 def test_category_differing_in_one_composite_is_unequal():

@@ -45,8 +45,11 @@ categorical layer is its tables: `FinCat`, `TheoryFunctor`, `GAction` and
 `act_obj`, `component` and the rest), `FinCat.dom` and `cod` are built as
 dicts, no module but `fincat` reads a private `FinCat` attribute, and
 `decorated_frames_category` calls `frame_mid` only to build its grid of
-arrow ids.  No library handler catches `Exception`, which would turn a
-defect into an input error.
+arrow ids.  The category constructors hand one shared object to every
+caller, so outside `FinCat.__init__` no module assigns, augments or deletes
+a `compose_table`, `identities`, `dom` or `cod` attribute or an entry of
+one, or calls `update`, `pop`, `setdefault` or `clear` on it.  No library
+handler catches `Exception`, which would turn a defect into an input error.
 
 Run as a script, this module prints the exit code and stdout of each
 command given as a JSON list of argv lists; the -O test runs it that way.
@@ -484,6 +487,35 @@ def test_model_kernels_read_the_tables():
         found.append("decorated_frames_category builds no id grid")
     found += [f"fincat.decorated_frames_category:{node.lineno}: frame_mid outside the grid"
               for node in calls if id(node) not in in_grid]
+    assert found == []
+
+
+_CATEGORY_TABLES = {"compose_table", "identities", "dom", "cod"}
+_DICT_WRITES = {"update", "pop", "setdefault", "clear"}
+
+
+def _writes_a_table(node):
+    """True when node assigns, augments or deletes a category table or one
+    of its entries, or calls a writing dict method on one."""
+    def table(n):
+        return isinstance(n, ast.Attribute) and n.attr in _CATEGORY_TABLES
+    if (isinstance(node, (ast.Attribute, ast.Subscript))
+            and isinstance(node.ctx, (ast.Store, ast.Del))):
+        return table(node) or isinstance(node, ast.Subscript) and table(node.value)
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _DICT_WRITES and table(node.func.value))
+
+
+def test_shared_categories_are_never_written():
+    # the category constructors hand one object to every caller in a process
+    found = []
+    for path in sorted((ROOT / "src" / "covlab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        init = (set(map(id, ast.walk(_function(tree, "__init__", "FinCat"))))
+                if path.name == "fincat.py" else set())
+        found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                  for node in ast.walk(tree)
+                  if id(node) not in init and _writes_a_table(node)]
     assert found == []
 
 
