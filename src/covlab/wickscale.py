@@ -34,6 +34,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
 
 
@@ -49,62 +50,58 @@ class Monomial(NamedTuple):
     def times(self, other: "Monomial") -> "Monomial":
         return Monomial._make(map(operator.add, self, other))
 
-    def contracted(self, j: int) -> "Monomial":
-        """This monomial with j field pairs contracted: Phi^-2j W^j."""
-        phi, ricci, log, w, delta, lam, c = self
-        return Monomial(phi - 2 * j, ricci, log, w + j, delta, lam, c)
-
-    def sort_key(self):
-        return (-self.phi, self.ricci, self.log, self.w, self.delta,
-                self.lam, self.c)
-
 
 _FACTORS = (("lam", "lam"), ("c", "c"), ("L", "log"), ("R", "ricci"),
             ("W", "w"), ("D", "delta"), ("Phi", "phi"))
 _NAME_TO_FIELD = dict(_FACTORS)
+_PRINTED = tuple((f"*{sym}^", Monomial._fields.index(field)) for sym, field in _FACTORS)
 
 
 class WickPoly:
-    """Immutable polynomial in the commuting symbol monoid above.
-
-    The constructor is where like terms are summed: it takes (monomial,
-    coefficient) pairs, adds the coefficients of repeated monomials, drops
-    zero sums and sorts.  Every operation hands it its pairs unsummed: the
-    kernels hand over integer numerators over one common denominator `den`,
-    so the sums run on integers and each surviving term gets one Fraction.
-    A coefficient is an int or a Fraction; anything else is a TypeError.
+    """Immutable polynomial in the commuting symbol monoid above: one
+    denominator `den` > 0 and `nums`, the sorted (monomial, integer numerator)
+    pairs, none zero, with gcd(den, *nums) = 1, so equal polys have equal
+    forms.  The constructor is where like terms are summed: it takes unsummed
+    (monomial, coefficient) pairs over `den` and sums them on integers, over
+    the lcm of the denominators of any Fractions among them.  A coefficient
+    is an int or a Fraction, anything else a TypeError.  `terms` is the
+    (monomial, Fraction) view, built on first read.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "nums", "_terms")
 
     def __init__(self, terms: Dict[Monomial, Fraction] | Iterable = (),
                  den: int = 1) -> None:
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
-        acc: Dict[Monomial, int | Fraction] = {}
-        for mono, n in items:
+        acc, lift = {}, 1  # every sum in acc is over den * lift
+        for mono, n in terms.items() if isinstance(terms, dict) else terms:
             if type(mono) is not Monomial:
                 mono = _monomial(Monomial(*mono))
-            if min(mono.phi, mono.ricci, mono.log, mono.w, mono.delta, mono.c) < 0:
-                raise ValueError(f"negative exponent in {mono}")
             if type(n) is not int:
-                _rational(n)
-            if n:
-                # a first Fraction is kept as given (0 + q would build two more)
-                acc[mono] = acc[mono] + n if mono in acc else n
-        # a Fraction sum over den = 1 is already the coefficient
-        object.__setattr__(self, "terms", tuple(sorted(
-            ((m, n if den == 1 and type(n) is Fraction else Fraction(n, den))
-             for m, n in acc.items() if n),
-            key=lambda t: t[0].sort_key())))
+                b = _rational(n).denominator
+                if lift % b:
+                    step = b // math.gcd(lift, b)
+                    lift *= step
+                    acc = {m: v * step for m, v in acc.items()}
+                n = n.numerator * (lift // b)
+            elif lift != 1:
+                n *= lift
+            acc[mono] = acc[mono] + n if mono in acc else n
+        for m in acc:  # zero sums too; only lam may be negative
+            if min(m) < 0 and min(m.phi, m.ricci, m.log, m.w, m.delta, m.c) < 0:
+                raise ValueError(f"negative exponent in {m}")
+        # Phi powers falling, then the order of the monomial tuples
+        nums = sorted([t for t in acc.items() if t[1]], key=lambda t: (-t[0].phi, t[0]))
+        den *= lift
+        g = math.gcd(den, *[n for _, n in nums]) * (1 if den > 0 else -1)
+        self.den = den // g
+        self.nums = tuple([(m, n // g) for m, n in nums] if g != 1 else nums)
+        self._terms = None
 
-    def _numerators(self) -> Tuple[int, list]:
-        """(d, [(monomial, n), ...]): each coefficient as an integer
-        numerator n over d, the lcm of the denominators."""
-        d = math.lcm(*(q.denominator for _, q in self.terms))
-        return d, [(m, q.numerator * (d // q.denominator)) for m, q in self.terms]
+    @property
+    def terms(self) -> Tuple[Tuple[Monomial, Fraction], ...]:
+        if self._terms is None:
+            self._terms = tuple((m, Fraction(n, self.den)) for m, n in self.nums)
+        return self._terms
 
     # -- constructors -------------------------------------------------------
     @staticmethod
@@ -125,7 +122,10 @@ class WickPoly:
 
     # -- ring operations ----------------------------------------------------
     def __add__(self, other: "WickPoly") -> "WickPoly":
-        return WickPoly(self.terms + other.terms)
+        g = math.gcd(self.den, other.den)
+        a, b = other.den // g, self.den // g
+        return WickPoly([(m, n * a) for m, n in self.nums]
+                        + [(m, n * b) for m, n in other.nums], self.den * a)
 
     def __sub__(self, other: "WickPoly") -> "WickPoly":
         return self + other.scale(-1)
@@ -135,23 +135,22 @@ class WickPoly:
 
     def scale(self, q) -> "WickPoly":
         q = _rational(q)
-        d, terms = self._numerators()
-        return WickPoly(((m, n * q.numerator) for m, n in terms), d * q.denominator)
+        return WickPoly(((m, n * q.numerator) for m, n in self.nums),
+                        self.den * q.denominator)
 
     def __mul__(self, other: "WickPoly") -> "WickPoly":
-        d1, terms1 = self._numerators()
-        d2, terms2 = other._numerators()
-        return WickPoly(((m1.times(m2), n1 * n2)
-                         for m1, n1 in terms1 for m2, n2 in terms2), d1 * d2)
+        return WickPoly(((m1.times(m2), n1 * n2) for m1, n1 in self.nums
+                         for m2, n2 in other.nums), self.den * other.den)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, WickPoly) and self.terms == other.terms
+        return (isinstance(other, WickPoly) and self.den == other.den
+                and self.nums == other.nums)
 
     def __hash__(self) -> int:
-        return hash(self.terms)
+        return hash((self.den, self.nums))
 
     def set_symbol(self, name: str, value: Fraction) -> "WickPoly":
         """Substitute a numeric value for one of the commuting symbols.
@@ -160,28 +159,25 @@ class WickPoly:
         hi), the term's factor (a/b)^e is a^(e-lo) b^(hi-e) over a^-lo b^hi.
         """
         field, value = _NAME_TO_FIELD[name], _rational(value)
-        d, terms = self._numerators()
-        exps = [getattr(m, field) for m, _ in terms]
+        exps = [getattr(m, field) for m, _ in self.nums]
         lo, hi = min(exps + [0]), max(exps + [0])
         a, b = value.numerator, value.denominator
         if lo < 0 and a == 0:
             raise ValueError(f"cannot set {name} to 0 in a term with {name}^{lo}")
         return WickPoly(((m._replace(**{field: 0}), n * a ** (e - lo) * b ** (hi - e))
-                         for (m, n), e in zip(terms, exps)), d * a ** -lo * b ** hi)
+                         for (m, n), e in zip(self.nums, exps)),
+                        self.den * a ** -lo * b ** hi)
 
     # -- text form -----------------------------------------------------------
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for m, q in self.terms:
-            fs = [str(q)]
-            for sym, field in _FACTORS:
-                e = getattr(m, field)
-                if e != 0:
-                    fs.append(f"{sym}^{e}")
-            parts.append("*".join(fs))
-        return " + ".join(parts)
+        d, parts = self.den, []
+        for m, n in self.nums:
+            g = math.gcd(n, d)  # each coefficient as Fraction prints it
+            parts.append(f" + {n // g}" if g == d else f" + {n // g}/{d // g}")
+            for factor, i in _PRINTED:
+                if m[i]:
+                    parts += factor, str(m[i])
+        return "".join(parts)[3:] or "0"
 
     __repr__ = __str__
 
@@ -215,8 +211,9 @@ def parse_wickpoly(text: str) -> WickPoly:
         m = _TERM_RE.match(chunk)
         if not m:
             raise ValueError(f"cannot parse term {chunk!r}")
+        num, _, den = m.group(1).partition("/")
         try:
-            q = Fraction(m.group(1))
+            q = Fraction(int(num), int(den or 1))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in term {chunk!r}") from None
         exps = {}
@@ -232,13 +229,14 @@ def parse_wickpoly(text: str) -> WickPoly:
 # ---------------------------------------------------------------------------
 # the star product
 
-def _contraction_row(k: int, l: int) -> list:
+@lru_cache(maxsize=256)
+def _contraction_row(k: int, l: int) -> tuple:
     """j! C(k,j) C(l,j) for j = 0..min(k,l), each entry from the one before:
     the next is (k-j)(l-j)/(j+1) times it, an exact integer division."""
     row = [1]
     for j in range(min(k, l)):
         row.append(row[-1] * (k - j) * (l - j) // (j + 1))
-    return row
+    return tuple(row)
 
 
 def contraction_coeff(k: int, l: int, j: int) -> int:
@@ -252,16 +250,16 @@ def contraction_coeff(k: int, l: int, j: int) -> int:
 
 def wick_product(p: WickPoly, q: WickPoly) -> WickPoly:
     """Star product: bilinear extension of the contraction expansion."""
-    dp, p_terms = p._numerators()
-    dq, q_terms = q._numerators()
-
     def terms():
-        for m1, n1 in p_terms:
-            for m2, n2 in q_terms:
-                m12, n12 = m1.times(m2), n1 * n2
+        for m1, n1 in p.nums:
+            for m2, n2 in q.nums:
+                # m1 m2 with j field pairs contracted: Phi^-2j W^j
+                phi, ricci, log, w, delta, lam, c = map(operator.add, m1, m2)
+                n12 = n1 * n2
                 for j, count in enumerate(_contraction_row(m1.phi, m2.phi)):
-                    yield m12.contracted(j), n12 * count
-    return WickPoly(terms(), dp * dq)
+                    yield (tuple.__new__(Monomial, (phi - 2 * j, ricci, log, w + j,
+                                                    delta, lam, c)), n12 * count)
+    return WickPoly(terms(), p.den * q.den)
 
 
 # ---------------------------------------------------------------------------
@@ -282,25 +280,27 @@ def change_of_ordering(p: WickPoly, delta: WickPoly) -> WickPoly:
     delta must be a field-free kernel shift (no Phi, no W gradings).
     Round-trips with -delta to the identity.
     """
-    for m, _ in delta.terms:
+    for m, _ in delta.nums:
         if m.phi or m.w:
             raise ValueError("kernel shift must not carry Phi or W gradings")
-    # delta = shift/dd with integer coefficients in shift, so a term's
-    # delta^j is shift^j * dd^(h-j) over dd^h, h = k//2 its largest j
-    dd, shift_terms = delta._numerators()
-    shift, power = WickPoly(shift_terms), WickPoly.scalar(1)
-    powers = [power._numerators()[1]]  # shift^j as integer terms, each built once
-    dp, p_terms = p._numerators()
+    # delta = shift/dd, shift integral, so a term's delta^j is shift^j *
+    # dd^(h-j) over dd^h, h = k//2 its largest j, with j field pairs spent
+    dd = delta.den
+    shift, power = WickPoly(delta.nums), WickPoly.scalar(1)
+    powers = [power.nums]  # shift^j as integer terms (den 1), each built once
     out = WickPoly.zero()
-    for m, n in p_terms:
+    for m, n in p.nums:
         k, h = m.phi, m.phi // 2
         while len(powers) <= h:
             power = power * shift
-            powers.append(power._numerators()[1])
+            powers.append(power.nums)
+        _, r, lg, w, d, lam, c = m
         out = out + WickPoly(
-            ((m.times(dm)._replace(phi=k - 2 * j), n * dn * count * dd ** (h - j))
-             for j, count in enumerate(_matching_row(k)) for dm, dn in powers[j]),
-            dp * dd ** h)
+            ((tuple.__new__(Monomial, (k - 2 * j, r + r2, lg + lg2, w, d + d2, lam + lam2,
+                                       c + c2)), n * n2 * count * dd ** (h - j))
+             for j, count in enumerate(_matching_row(k))
+             for (_, r2, lg2, _, d2, lam2, c2), n2 in powers[j]),
+            p.den * dd ** h)
     return out
 
 

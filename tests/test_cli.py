@@ -458,7 +458,9 @@ def test_cochain_input_is_never_replaced_by_a_fixture(capsys, tmp_path):
 
 def test_deeply_nested_input_is_a_parse_error(capsys, tmp_path):
     f = tmp_path / "deep.json"
-    f.write_text("[" * 5000 + "]" * 5000)
+    # deeper than the recursion limit of both the pure-Python and the C JSON
+    # decoder (Python 3.13's accepts 5,000 levels)
+    f.write_text("[" * 100_000 + "]" * 100_000)
     code, out, err = run(capsys, "validate-cocycle", "--input", str(f))
     assert code == 2
     assert out == ""
@@ -613,6 +615,28 @@ def test_lift_extension_extracts_two_cocycles(capsys, monkeypatch):
         calls.clear()
         code, _, err = run(capsys, "lift-extension", "--model", model)
         assert (code, len(calls)) == (0, 2), (model, err)
+
+
+def test_wick_verbs_stay_on_the_integer_form(capsys, monkeypatch):
+    # the wick-product and scale-power handlers never build the Fraction
+    # view, and ordering_route(k) builds each shift power once: k//2
+    # products for shift^1 .. shift^(k//2), then one by lam^k
+    from covlab.wickscale import WickPoly, ordering_route
+    reads, products = [], []
+    view, mul = WickPoly.terms, WickPoly.__mul__
+    monkeypatch.setattr(WickPoly, "terms", property(lambda p: reads.append(p) or view.fget(p)))
+    monkeypatch.setattr(WickPoly, "__mul__", lambda p, q: products.append(q) or mul(p, q))
+    for argv in (["wick-product", "--p", "1/2*c^1*Phi^5 + -3*D^2*Phi^2",
+                  "--q", "2/3*W^1*Phi^4 + 1*lam^-1"],
+                 ["scale-power", "--k", "16"], ["scale-power", "--k", "7", "--conformal"]):
+        code, _, err = run(capsys, "--json", *argv)
+        assert code == 0, (argv, err)
+    assert reads == []
+    for k in (1, 2, 7, 16, 128):
+        products.clear()
+        ordering_route(k)
+        assert len(products) == k // 2 + 1, k
+    assert WickPoly.symbol(phi=1).terms and len(reads) == 1  # the counter counts
 
 
 def test_benchmark_calls_replay_their_recorded_reports(tmp_path, monkeypatch):

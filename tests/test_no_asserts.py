@@ -13,9 +13,10 @@ library's other exception classes are `SearchSpaceTooLarge`, a refused
 search, and the JSON boundary's `ParseError` and `SchemaError`.  `WickPoly.__init__` is the
 one place that sums coefficients: besides it, only `parse_wickpoly` sums
 values into a dict (the exponents of one written term), and the Wick kernels
-(`WickPoly.__mul__`, `scale` and `set_symbol`, `wick_product`,
-`change_of_ordering`, `scale_wick_power`) call no `Fraction(...)`, so they
-run on integer numerators and the constructor builds each coefficient.
+(`WickPoly.__add__`, `__mul__`, `scale`, `set_symbol`, `__eq__`, `__hash__`
+and `__str__`, `wick_product`, `change_of_ordering`, `scale_wick_power`)
+call no `Fraction(...)`, so they run on a poly's integer numerators over its
+one denominator, and `Fraction`s are built only in the `terms` view.
 Every group table is built from an element
 list and a law by `fingroup.table_on`: each `GroupTable(...)` and
 `make_group(...)` call takes a `table_on(...)` call as its first argument,
@@ -190,8 +191,9 @@ def _dict_sums(tree):
                 yield node
 
 
-_WICK_KERNELS = (("WickPoly", "__mul__"), ("WickPoly", "scale"),
-                 ("WickPoly", "set_symbol"), (None, "wick_product"),
+_WICK_KERNELS = (("WickPoly", "__add__"), ("WickPoly", "__mul__"), ("WickPoly", "scale"),
+                 ("WickPoly", "set_symbol"), ("WickPoly", "__eq__"),
+                 ("WickPoly", "__hash__"), ("WickPoly", "__str__"), (None, "wick_product"),
                  (None, "change_of_ordering"), (None, "scale_wick_power"))
 
 

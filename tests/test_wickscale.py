@@ -450,6 +450,61 @@ def test_parse_sums_repeated_and_cancelling_terms():
             assert parse_wickpoly(text).terms == ref_parse_wickpoly(text).terms
 
 
+def ref_str(p: WickPoly) -> str:
+    """The text form written from the Fraction view: str(q), then each
+    nonzero exponent in the printed symbol order."""
+    return " + ".join("*".join([str(q)] + [f"{name}^{getattr(m, field)}"
+                                           for name, field in _FACTOR_NAMES
+                                           if getattr(m, field)])
+                      for m, q in p.terms) or "0"
+
+
+def assert_canonical(p: WickPoly) -> None:
+    assert type(p.den) is int and p.den > 0, p.den
+    assert math.gcd(p.den, *[n for _, n in p.nums]) == 1, p
+    assert all(type(n) is int and n != 0 for _, n in p.nums), p
+    keys = [(-m.phi, m.ricci, m.log, m.w, m.delta, m.lam, m.c) for m, _ in p.nums]
+    assert keys == sorted(set(keys)), p
+    assert p.terms == tuple((m, Fraction(n, p.den)) for m, n in p.nums)
+    assert str(p) == ref_str(p)
+
+
+def test_a_negative_value_puts_its_sign_on_the_numerator():
+    p = WickPoly.symbol(lam=-1) * PHI(1)
+    for value, text in ((Fraction(-2), "-1/2*Phi^1"), (-2, "-1/2*Phi^1"),
+                        (Fraction(-1, 3), "-3*Phi^1"), (Fraction(-2, 3), "-3/2*Phi^1")):
+        out = p.set_symbol("lam", value)
+        assert_canonical(out)
+        assert str(out) == text
+        direct = WickPoly({Monomial(phi=1): 1 / Fraction(value)})
+        assert out == direct and hash(out) == hash(direct)
+
+
+def test_every_result_is_in_canonical_form():
+    rng = random.Random(4)
+    polys = [WickPoly.zero(), PHI(3), PHI(2).scale(-4), scale_wick_power(128),
+             ordering_route(128), change_of_ordering(PHI(128), D.scale(Fraction(-3, 7)))]
+    for size in SIZES:
+        for _ in range(30):
+            p = random_poly(rng, rng.randrange(9), **size)
+            q = random_poly(rng, rng.randrange(9), **size)
+            delta = random_poly(rng, rng.randrange(4), field_free=True, **size)
+            value = Fraction(rng.randrange(-3, 4) or -1, rng.randrange(1, 4))
+            polys += [p, p + q, p - p, p * q, wick_product(p, q), -p,
+                      p.scale(value), p.set_symbol("lam", value),
+                      change_of_ordering(p, delta)]
+    assert sum(p.is_zero() for p in polys) >= 30
+    assert sum(p.den == 1 and not p.is_zero() for p in polys) >= 30
+    assert sum(any(n < 0 for _, n in p.nums) for p in polys) >= 100
+    for p in polys:
+        assert_canonical(p)
+        # the same poly built again, from its Fraction view and by arithmetic
+        for again in (WickPoly(p.terms), WickPoly(list(p.terms)[::-1]),
+                      p.scale(3).scale(Fraction(1, 3)), p + WickPoly.zero(),
+                      parse_wickpoly(str(p))):
+            assert again == p and hash(again) == hash(p), p
+
+
 def test_constructor_takes_plain_tuples_and_refuses_negative_exponents():
     assert WickPoly([((2, 0, 0, 1, 0, -1, 0), 3)]).terms \
         == ((Monomial(phi=2, w=1, lam=-1), Fraction(3)),)
