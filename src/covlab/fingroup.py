@@ -179,18 +179,32 @@ def table_on(elements: Sequence, mul: Callable) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(index[mul(x, y)] for y in elements) for x in elements)
 
 
+# The builders below return one object per argument value for the life of
+# the process, so the value-keyed caches (`compute_aut`, `_schedule`,
+# `build_extension`, the category constructors) meet the same object again
+# and never compare two tables.  `cyclic` keys on argument types too, so
+# cyclic(2.0) is refused as an uncached build refuses it, not served Z2.
+
+@lru_cache(maxsize=None, typed=True)
 def cyclic(n: int, name: Optional[str] = None) -> GroupTable:
     return GroupTable(table_on(range(n), lambda i, j: (i + j) % n), name or f"Z{n}")
 
 
 def direct_product(a: GroupTable, b: GroupTable, name: Optional[str] = None) -> GroupTable:
-    """Product group on pairs, encoded as index i*|b| + j."""
+    """Product group on pairs, encoded as index i*|b| + j.  Tables compare
+    without their names, so the derived name is fixed before the cache is
+    read: the product of factors named A and B is AxB."""
+    return _direct_product(a, b, name or f"{a.name}x{b.name}")
+
+
+@lru_cache(maxsize=None)
+def _direct_product(a: GroupTable, b: GroupTable, name: str) -> GroupTable:
     pairs = [(x, y) for x in a.elements() for y in b.elements()]
     return GroupTable(
-        table_on(pairs, lambda p, q: (a.mul(p[0], q[0]), b.mul(p[1], q[1]))),
-        name or f"{a.name}x{b.name}")
+        table_on(pairs, lambda p, q: (a.mul(p[0], q[0]), b.mul(p[1], q[1]))), name)
 
 
+@lru_cache(maxsize=None)
 def symmetric3() -> GroupTable:
     perms = sorted(itertools.permutations(range(3)))
     return GroupTable(table_on(perms, compose_perm), "S3")
@@ -203,6 +217,7 @@ def hamilton(p: Tuple[int, ...], q: Tuple[int, ...]) -> Tuple[int, ...]:
             a * g - b * h + c * e + d * f, a * h + b * g - c * f + d * e)
 
 
+@lru_cache(maxsize=None)
 def quaternion8() -> GroupTable:
     """Q8 with element order 1, -1, i, -i, j, -j, k, -k."""
     units = [tuple(s if k == axis else 0 for k in range(4))

@@ -11,7 +11,7 @@ body, so a verb loads only the layers of what it builds.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import TYPE_CHECKING
 
 from . import fingroup as fg
@@ -319,16 +319,20 @@ def _covering():
     return covering
 
 
+# Each cover and representation is built once per process and shared by
+# every caller: a cover's own checks, in its constructor, run at that first
+# build, while `spin_obstruction` still validates the representation it is
+# given on every call.
 COVERS = {
-    "q8": lambda: _covering().q8_cover(),
-    "z4-z2": lambda: _covering().cyclic_cover(4, 2),
-    "split-z2-z3": lambda: _covering().split_cover(2, fg.cyclic(3)),
+    "q8": cache(lambda: _covering().q8_cover()),
+    "z4-z2": cache(lambda: _covering().cyclic_cover(4, 2)),
+    "split-z2-z3": cache(lambda: _covering().split_cover(2, fg.cyclic(3))),
 }
 
 Q8_REPS = {
-    "2d": q8_two_dim_rep,
-    "sign-1": lambda: q8_sign_rep("1"),
-    "sign-i": lambda: q8_sign_rep("i"),
-    "sign-j": lambda: q8_sign_rep("j"),
-    "sign-k": lambda: q8_sign_rep("k"),
+    "2d": cache(q8_two_dim_rep),
+    "sign-1": cache(lambda: q8_sign_rep("1")),
+    "sign-i": cache(lambda: q8_sign_rep("i")),
+    "sign-j": cache(lambda: q8_sign_rep("j")),
+    "sign-k": cache(lambda: q8_sign_rep("k")),
 }

@@ -702,3 +702,29 @@ def test_cover_z_searches_only_for_the_two_class_verdicts(capsys, monkeypatch):
                                "--zeta", zeta)
             assert code == 0, (cover, zeta)
             assert len(calls) == 2, (cover, zeta)
+
+
+def test_warm_cover_verbs_keep_their_per_call_checks(capsys, monkeypatch):
+    # each cover and Q8 rep is built and checked once per process; the
+    # cover-z quotient and the spin-obstruction rep check run on every call
+    from covlab import covering, fingroup
+    cover_z = ("cover-z", "--cover", "q8")
+    spin = ("spin-obstruction", "--cover", "q8", "--rep", "2d")
+    for argv in (cover_z, spin):
+        run(capsys, *argv)
+    calls = collections.Counter()
+
+    def count(owner, name):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args: calls.update((name,)) or real(*args))
+    count(fingroup, "make_group")
+    count(covering.CentralCover, "__post_init__")
+    count(covering, "validate_rep")
+    code, _, err = run(capsys, *cover_z)
+    assert (code, calls) == (0, {"make_group": 1}), err
+    calls.clear()
+    code, _, err = run(capsys, *spin)
+    assert (code, calls) == (1, {"validate_rep": 1}), err
+    calls.clear()
+    models.COVERS["q8"].__wrapped__()  # the counter counts a fresh build
+    assert calls == {"__post_init__": 1}

@@ -334,14 +334,61 @@ def test_permutation_primitives_match_the_element_loops():
                                                 for x in g.elements()), (name, a)
 
 
+_SHARED_BUILDERS = ("cyclic", "_direct_product", "symmetric3", "quaternion8")
+
+
+def uncached_standard_group(name):
+    """standard_group(name) built afresh: every shared group builder, bound
+    in fingroup or held in its registry, is the function it caches for the
+    length of the call."""
+    uncached = {getattr(fg, b): getattr(fg, b).__wrapped__ for b in _SHARED_BUILDERS}
+    with pytest.MonkeyPatch.context() as m:
+        for cached, build in uncached.items():
+            m.setattr(fg, cached.__name__, build)
+        for key, build in fg._STANDARD.items():
+            m.setitem(fg._STANDARD, key, uncached.get(build, build))
+        return fg.standard_group(name)
+
+
 def test_group_tables_hash_and_compare_by_table():
     for name in sorted(fg._STANDARD):
-        g, again = fg.standard_group(name), fg.standard_group(name)
-        assert g is not again and g == again and hash(g) == hash(again) == hash(g.table)
+        g, fresh = fg.standard_group(name), uncached_standard_group(name)
+        assert g is not fresh and g == fresh and hash(g) == hash(fresh) == hash(g.table)
         renamed = fg.GroupTable(g.table, "other")
         assert renamed == g and hash(renamed) == hash(g)
         assert g != g.table
         assert (g == fg.trivial_group()) == (g.order == 1)
+
+
+def test_shared_groups_equal_their_uncached_builds():
+    # each standard group, cover and Q8 rep is built once per process; an
+    # uncached build of the same value equals it and hashes the same, so
+    # value caches keyed on it hit
+    pairs = [(fg.standard_group(name), uncached_standard_group(name))
+             for name in sorted(fg._STANDARD)]
+    pairs += [(fg.cyclic(n), fg.cyclic.__wrapped__(n)) for n in range(1, 9)]
+    with pytest.raises(TypeError):
+        fg.cyclic(2.0)  # as uncached, not the shared Z2
+    pairs += [(build(), build.__wrapped__())
+              for registry in (models.COVERS, models.Q8_REPS)
+              for build in registry.values()]
+    for shared, fresh in pairs:
+        assert fresh is not shared and fresh == shared and hash(fresh) == hash(shared)
+    for name in fg._STANDARD:
+        assert fg.standard_group(name) is fg.standard_group(name)
+    for registry in (models.COVERS, models.Q8_REPS):
+        assert all(build() is build() for build in registry.values())
+    # tables compare without names, so a product's derived name is fixed
+    # before the cache is read, whichever product is built first
+    z2, a, b = fg.cyclic(2), fg.cyclic(2, "A"), fg.cyclic(2, "B")
+    for first, second in (((z2, z2), (a, b)), ((a, b), (z2, z2))):
+        fg._direct_product.cache_clear()
+        p1, p2 = fg.direct_product(*first), fg.direct_product(*second)
+        assert p1 == p2 and p1 is not p2
+        assert (p1.name, p2.name) == tuple(f"{x.name}x{y.name}" for x, y in (first, second))
+    assert fg.direct_product(b, a).name == "BxA"
+    assert fg.direct_product(a, b) is fg.direct_product(a, b)
+    assert fg.direct_product(a, b, "P").name == "P"
 
 
 # ---------------------------------------------------------------------------

@@ -492,33 +492,59 @@ def test_model_kernels_read_the_tables():
     assert found == []
 
 
-_CATEGORY_TABLES = {"compose_table", "identities", "dom", "cod"}
+# every attribute of a value shared for the life of the process -> the one
+# class whose constructor may write it: the category tables, a group's table,
+# a representation's matrices and a cover's projection and kernel
+_SHARED_ATTRIBUTES = {"compose_table": "FinCat", "identities": "FinCat",
+                      "dom": "FinCat", "cod": "FinCat", "table": "GroupTable",
+                      "matrices": "MatrixRep", "pi": "CentralCover",
+                      "K": "CentralCover", "kernel_elements": "CentralCover"}
 _DICT_WRITES = {"update", "pop", "setdefault", "clear"}
 
 
-def _writes_a_table(node):
-    """True when node assigns, augments or deletes a category table or one
-    of its entries, or calls a writing dict method on one."""
-    def table(n):
-        return isinstance(n, ast.Attribute) and n.attr in _CATEGORY_TABLES
+def _written(node):
+    """The shared attribute node writes, else None: by assigning, augmenting
+    or deleting it or one of its entries, by a writing dict method on it, or
+    by name through setattr or object.__setattr__."""
+    def shared(n):
+        return n.attr if isinstance(n, ast.Attribute) and n.attr in _SHARED_ATTRIBUTES else None
     if (isinstance(node, (ast.Attribute, ast.Subscript))
             and isinstance(node.ctx, (ast.Store, ast.Del))):
-        return table(node) or isinstance(node, ast.Subscript) and table(node.value)
-    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _DICT_WRITES and table(node.func.value))
+        return shared(node) or (shared(node.value) if isinstance(node, ast.Subscript) else None)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in _DICT_WRITES:
+        return shared(node.func.value)
+    if _called(node) in ("setattr", "__setattr__") and len(node.args) > 1 \
+            and isinstance(node.args[1], ast.Constant) \
+            and node.args[1].value in _SHARED_ATTRIBUTES:
+        return node.args[1].value
+    return None
 
 
 def test_shared_categories_are_never_written():
-    # the category constructors hand one object to every caller in a process
-    found = []
+    # the category constructors, the group builders and the cover and Q8 rep
+    # registries hand one object to every caller in a process: a shared
+    # attribute is written only in its own class's constructor, and
+    # object.__setattr__ only in a constructor
+    found, written = [], set()
     for path in sorted((ROOT / "src" / "covlab").glob("*.py")):
         tree = ast.parse(path.read_text())
-        init = (set(map(id, ast.walk(_function(tree, "__init__", "FinCat"))))
-                if path.name == "fincat.py" else set())
-        found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
-                  for node in ast.walk(tree)
-                  if id(node) not in init and _writes_a_table(node)]
+        inits = {cls.name: {id(node) for init in cls.body
+                            if isinstance(init, ast.FunctionDef)
+                            and init.name in ("__init__", "__post_init__")
+                            for node in ast.walk(init)}
+                 for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)}
+        in_any_init = set().union(*inits.values())
+        for node in ast.walk(tree):
+            attr = _written(node)
+            if attr is not None and id(node) in inits.get(_SHARED_ATTRIBUTES[attr], ()):
+                written.add(attr)
+            elif attr is not None or (_called(node) == "__setattr__"
+                                      and id(node) not in in_any_init):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []
+    # the constructors that fill these attributes are seen doing it
+    assert written == {"compose_table", "identities", "dom", "cod", "K", "kernel_elements"}
 
 
 def readme_commands():
