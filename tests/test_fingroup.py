@@ -296,6 +296,23 @@ def test_compute_aut_lists_the_identity_first():
         assert fg.compute_aut(g).perms[0] == tuple(range(g.order)), name
 
 
+def reference_aut_perms(g):
+    """Every permutation that fixes 0 and keeps the table law, sorted: Aut(g)
+    by brute force over all (n-1)! candidates."""
+    n = g.order
+    return sorted(perm for perm in ((0,) + rest
+                                    for rest in itertools.permutations(range(1, n)))
+                  if all(perm[g.mul(x, y)] == g.mul(perm[x], perm[y])
+                         for x in range(n) for y in range(n)))
+
+
+def test_compute_aut_finds_every_automorphism():
+    groups = [fg.standard_group(name) for name in sorted(fg._STANDARD)]
+    groups.append(fg.direct_product(fg.cyclic(4), fg.cyclic(2)))
+    for g in groups:
+        assert list(fg.compute_aut(g).perms) == reference_aut_perms(g), g.name
+
+
 
 def _reference_inv(g, a):
     """The inverse of a by a scan of its row, as GroupTable.inv once did."""
