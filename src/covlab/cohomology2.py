@@ -25,8 +25,8 @@ from functools import lru_cache
 from typing import Optional, Tuple
 
 from .config import SearchSpaceTooLarge, capped_product, enum_cap
-from .fingroup import (AutGroup, GroupTable, Perm, Report, _bfs_recipes,
-                       compose_perm, compute_aut, generating_sequence, inner_perm)
+from .fingroup import (AutGroup, GroupTable, Perm, Report, compose_perm, compute_aut,
+                       generating_sequence, generator_maps, inner_perm)
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,7 @@ def trivial_cochain(G: GroupTable, A: GroupTable) -> Cochain2:
     return Cochain2(G, A, tuple((0,) * n for _ in range(n)), (0,) * n)
 
 
-_Schedule = namedtuple("_Schedule", "pairs laws gens gen_pairs gen_laws cells "
-                       "cell_pairs checks recurrence")
+_Schedule = namedtuple("_Schedule", "pairs laws gen_pairs gen_laws cells cell_pairs checks")
 
 
 @lru_cache(maxsize=None)
@@ -79,13 +78,11 @@ def _schedule(G: GroupTable) -> _Schedule:
     xi[l1] * xi[l2] == phi(g2)(xi[r1]) * xi[r2], where l1 = g2*n + g1,
     l2 = (g2 g1)*n + g0, r1 = g1*n + g0 and r2 = g2*n + (g1 g0).
     `gen_pairs` and `gen_laws`: both lists cut to generator middles, g0 = s
-    and g1 = s for s in `gens` = `generating_sequence(G)`.  `cells`: the
-    free xi cells g1*n + g0 (g1, g0 != 1) of a normalized cochain in
-    row-major order, with their `cell_pairs`; `checks[k]` holds the laws
-    whose cells are all set once cell k is (a law with no free cell holds
-    for every phi).  `recurrence`: the (y, x, s) with y = x s, s in `gens`
-    and x met before y, along `_bfs_recipes`; it reaches each element
-    beyond 1 and `gens` once.
+    and g1 = s for s in `generating_sequence(G)`.  `cells`: the free xi
+    cells g1*n + g0 (g1, g0 != 1) of a normalized cochain in row-major
+    order, with their `cell_pairs`; `checks[k]` holds the laws whose cells
+    are all set once cell k is (a law with no free cell holds for every
+    phi).
     """
     n, mul = G.order, G.mul
     gens = generating_sequence(G)
@@ -100,14 +97,10 @@ def _schedule(G: GroupTable) -> _Schedule:
         last = max((rank[pos] for pos in law[1:] if pos in rank), default=None)
         if last is not None:
             checks[last].append(law)
-    recipe, order = _bfs_recipes(G, gens)
     return _Schedule(
-        pairs, laws, gens,
-        tuple(pair for pair in pairs if pair[1] in gens),
+        pairs, laws, tuple(pair for pair in pairs if pair[1] in gens),
         tuple(law for law in laws if law[3] // n in gens),
-        cells, tuple(pairs[pos] for pos in cells), tuple(map(tuple, checks)),
-        tuple((y, recipe[y][0], gens[recipe[y][1]])
-              for y in order[1 + len(gens):]))  # the generators come first
+        cells, tuple(pairs[pos] for pos in cells), tuple(map(tuple, checks)))
 
 
 def _first_failure(c: Cochain2, pairs, laws) -> Optional[Report]:
@@ -192,25 +185,15 @@ def _twist_candidates(c: Cochain2, xi, phi=None) -> list:
     set xi and, when given, phi-part phi; every witness is among them.
     zeta(1) = xi(1, 1) xi_c(1, 1)^-1.  On a generating sequence zeta(s) runs
     over the Z(A) coset `aut.preimages` of phi(s) . phi_c(s)^-1 (|Z(A)|^d
-    candidates), or over A when phi is free (|A|^d); the rest follow along
-    the schedule's recurrence from
-    zeta(g*s) = xi(g, s)^-1 zeta(g) phi_c(g)(zeta(s)) xi_c(g, s)."""
-    G, A, aut = c.G, c.A, c.aut
-    sched = _schedule(G)
-    perms = c.perms
-    first = A.mul(xi[0][0], A.inv(c.xi[0][0]))
-    options = ([A.elements()] * len(sched.gens) if phi is None else
-               [aut.preimages[aut.mul(phi[s], aut.inv(c.phi[s]))] for s in sched.gens])
-    found = []
-    for values in capped_product(options):
-        zeta = [first] * G.order
-        for gen, v in zip(sched.gens, values):
-            zeta[gen] = v
-        for y, g, s in sched.recurrence:
-            zeta[y] = A.mul(A.inv(xi[g][s]),
-                            A.mul(A.mul(zeta[g], perms[g][zeta[s]]), c.xi[g][s]))
-        found.append(tuple(zeta))
-    return sorted(found)
+    candidates), or over A when phi is free (|A|^d), and `generator_maps`
+    fills in zeta(g*s) = xi(g, s)^-1 zeta(g) phi_c(g)(zeta(s)) xi_c(g, s)."""
+    A, aut, perms, gens = c.A, c.aut, c.perms, generating_sequence(c.G)
+    options = ([A.elements()] * len(gens) if phi is None else
+               [aut.preimages[aut.mul(phi[s], aut.inv(c.phi[s]))] for s in gens])
+
+    def step(zeta, g, s):
+        return A.mul(A.inv(xi[g][s]), A.mul(A.mul(zeta[g], perms[g][zeta[s]]), c.xi[g][s]))
+    return sorted(generator_maps(c.G, options, step, A.mul(xi[0][0], A.inv(c.xi[0][0]))))
 
 
 def _first_twist(c1: Cochain2, c2: Cochain2) -> Optional[Tuple[int, ...]]:

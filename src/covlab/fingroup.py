@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .config import capped_product
 
@@ -315,7 +315,7 @@ def centre(g: GroupTable) -> Tuple[int, ...]:
 def closure(g: GroupTable, elems: Sequence[int]) -> Tuple[int, ...]:
     """The subgroup generated by elems, sorted.  In a finite group the
     products of the generators already reach every inverse."""
-    return tuple(sorted(_bfs_recipes(g, tuple(elems))[1]))
+    return tuple(sorted([0] + [y for y, _, _ in _bfs_recipes(g, tuple(elems))]))
 
 
 def _subgroup_elements(g: GroupTable, elems: Sequence[int]) -> Tuple[int, ...]:
@@ -439,60 +439,64 @@ def _walk_generators(g: GroupTable) -> Tuple[int, ...]:
     for x in g.elements():
         if x not in reached:
             gens.append(x)
-            reached = _bfs_recipes(g, tuple(gens))[0]
+            reached = {0, *(y for y, _, _ in _bfs_recipes(g, tuple(gens)))}
             if len(reached) == g.order:
                 break
     return tuple(gens)
 
 
-def _bfs_recipes(g: GroupTable, gens: Tuple[int, ...]):
-    """Breadth-first expressions of every element as (parent, generator-index).
+def _bfs_recipes(g: GroupTable, gens: Tuple[int, ...]) -> List[Tuple[int, int, int]]:
+    """The breadth-first walk from 1 by right products with gens: each y it
+    reaches beyond 1, once and in order, as (y, x, s) with y = x s, s in
+    gens and x = 1 or reached before y."""
+    steps, seen = [(0, None, None)], {0}
+    for x, _, _ in steps:  # from 1, then from each y as it is reached
+        for s in gens:
+            y = g.mul(x, s)
+            if y not in seen:
+                seen.add(y)
+                steps.append((y, x, s))
+    return steps[1:]
 
-    Returns the recipes plus the discovery order (parents precede children).
-    """
-    recipe = {0: None}
-    order = [0]
-    i = 0
-    while i < len(order):
-        x = order[i]
-        i += 1
-        for gi, gen in enumerate(gens):
-            y = g.mul(x, gen)
-            if y not in recipe:
-                recipe[y] = (x, gi)
-                order.append(y)
-    return recipe, order
+
+@lru_cache(maxsize=None)
+def generator_recurrence(g: GroupTable) -> Tuple[Tuple[int, int, int], ...]:
+    """The `_bfs_recipes` steps of `generating_sequence(g)` past the first
+    ones, which reach the generators: each y beyond 1 and the generators once."""
+    gens = generating_sequence(g)
+    return tuple(_bfs_recipes(g, gens)[len(gens):])
+
+
+def generator_maps(g: GroupTable, options: Sequence[Sequence[int]], step: Callable,
+                   first: int = 0) -> Iterator[Tuple[int, ...]]:
+    """One map img on g per choice in `capped_product(options)`, refused
+    before the first: img[1] = first, the choice on `generating_sequence(g)`
+    and img[y] = step(img, x, s) along `generator_recurrence(g)`."""
+    gens, recurrence = generating_sequence(g), generator_recurrence(g)
+    for values in capped_product(options):
+        img = [first] * g.order
+        for s, v in zip(gens, values):
+            img[s] = v
+        for y, x, s in recurrence:
+            img[y] = step(img, x, s)
+        yield tuple(img)
 
 
 @lru_cache(maxsize=None)
 def compute_aut(g: GroupTable) -> AutGroup:
     """Full automorphism group, elements ordered lexicographically.
 
-    An automorphism is fixed by the images of a generating sequence, each of
-    the same element order as its generator; those choices run over the
-    capped product, and each is extended along the breadth-first recipes
-    and kept if bijective and passing `hom_law_witness`.  The identity
-    permutation is lexicographically least among identity-fixing
-    permutations, so it lands at index 0.
+    The candidates are the `generator_maps` with img(x s) = img(x) img(s)
+    that send each generator to an element of its order; those bijective
+    and passing `hom_law_witness` are kept.  The identity is the least
+    identity-fixing permutation, so it lands at index 0.
     """
-    gens = generating_sequence(g)
-    recipe, fill_order = _bfs_recipes(g, gens)
-    fill_order = fill_order[1:]  # the identity has no recipe and maps to 0
     elem_orders = [g.element_order(x) for x in g.elements()]
-    candidates = [
-        [y for y in g.elements() if elem_orders[y] == elem_orders[gen]]
-        for gen in gens
-    ]
-    full = list(g.elements())
-    found = []
-    for images in capped_product(candidates):
-        img = [0] * g.order
-        for x in fill_order:  # parents precede children in BFS order
-            parent, gi = recipe[x]
-            img[x] = g.mul(img[parent], images[gi])
-        if sorted(img) == full and hom_law_witness(g, img.__getitem__, g.mul) is None:
-            found.append(tuple(img))
-    found.sort()
+    options = [[y for y in g.elements() if elem_orders[y] == elem_orders[s]]
+               for s in generating_sequence(g)]
+    maps = generator_maps(g, options, lambda img, x, s: g.table[img[x]][img[s]])
+    found = sorted(img for img in maps if len(set(img)) == g.order
+                   and hom_law_witness(g, img.__getitem__, g.mul) is None)
     index = {perm: i for i, perm in enumerate(found)}
     inner = tuple(index[inner_perm(g, a)] for a in g.elements())
     preimages = [[] for _ in found]

@@ -7,7 +7,7 @@ stub, or a bare name string resolved against the built-in constructors.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Tuple
 
 from .cohomology2 import Cochain2
 from .fingroup import CheckFailed, GroupTable, make_group, standard_group
@@ -34,6 +34,19 @@ def loads(text: str) -> Any:
         raise ParseError(1, 1, "nesting exceeds the recursion limit") from None
 
 
+def _known_fields(obj: dict, fields: Tuple[str, ...], prefix: str = "") -> None:
+    """Refuse the first key outside fields, so no misspelling is ignored."""
+    for key in obj:
+        if key not in fields:
+            raise SchemaError(prefix + key, f"unknown field; expected one of {list(fields)}")
+
+
+def _check_order(obj: dict, size: int, field: str) -> None:
+    order = obj.get("order", size)
+    if type(order) is not int or order != size:
+        raise SchemaError(f"{field}.order", f"expected {size}, got {json.dumps(order)}")
+
+
 def group_from_obj(obj: Any, field: str = "group") -> GroupTable:
     if isinstance(obj, str):
         try:
@@ -42,22 +55,21 @@ def group_from_obj(obj: Any, field: str = "group") -> GroupTable:
             raise SchemaError(field, str(err)) from None
     if not isinstance(obj, dict):
         raise SchemaError(field, "expected a name or a group record")
+    _known_fields(obj, ("name", "order", "table"), f"{field}.")
     name = obj.get("name")
     if name is not None and not isinstance(name, str):
         raise SchemaError(f"{field}.name", f"expected a string, got {json.dumps(name)}")
     if "table" not in obj:
         if name is None:
             raise SchemaError(field, "record has neither table nor name")
-        return group_from_obj(name, field)
+        group = group_from_obj(name, field)
+        _check_order(obj, group.order, field)
+        return group
     table = obj["table"]
     if not isinstance(table, list):
         raise SchemaError(f"{field}.table",
                           f"expected a list of rows, got {json.dumps(table)}")
-    order = obj.get("order", len(table))
-    if type(order) is not int:
-        raise SchemaError(f"{field}.order", f"expected an integer, got {json.dumps(order)}")
-    if order != len(table):
-        raise SchemaError(f"{field}.order", "does not match the table size")
+    _check_order(obj, len(table), field)
     rows = [_ints(row, f"{field}.table") for row in table]
     try:
         return make_group(rows, name)
@@ -76,6 +88,7 @@ def _ints(seq: Any, field: str) -> tuple:
 def cochain_from_obj(obj: Any) -> Cochain2:
     if not isinstance(obj, dict):
         raise SchemaError("cochain", "expected an object")
+    _known_fields(obj, ("G", "A", "xi", "phi"))
     for key in ("G", "A", "xi", "phi"):
         if key not in obj:
             raise SchemaError(key, "missing")

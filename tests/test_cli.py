@@ -1,4 +1,5 @@
 import collections
+import io
 import json
 import os
 import random
@@ -353,6 +354,26 @@ def test_schema_helpers():
     assert g.order == 2
     with pytest.raises(SchemaError):
         cochain_from_obj({"G": "Z2", "A": "Z2", "xi": [[0]], "phi": [0, 0]})
+    # a name stub may give the order too; it must be the group's
+    assert group_from_obj({"name": "Z2", "order": 2}) is group_from_obj("Z2")
+    for order in (3, True, 2.0):
+        with pytest.raises(SchemaError) as err:
+            group_from_obj({"name": "Z2", "order": order}, "G")
+        assert err.value.field == "G.order"
+
+
+@pytest.mark.parametrize("payload, bad", [
+    ({"G": {"name": "Z2", "order": 3}}, "G.order"),
+    ({"G": {"name": "Z2", "tabel": [[0]]}}, "G.tabel"),
+    ({"A": {"table": [[0, 1], [1, 0]], "Table": [[0]]}}, "A.Table"),
+    ({"Xi": [[0, 0], [0, 1]]}, "Xi"),
+], ids=["stub-order", "group-misspelled", "record-extra", "cochain-extra"])
+def test_unknown_and_contradictory_fields_are_refused(capsys, monkeypatch, payload, bad):
+    obj = dict({"G": "Z2", "A": "Z2", "xi": [[0, 0], [0, 0]], "phi": [0, 0]}, **payload)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
+    code, out, err = run(capsys, "validate-cocycle", "--input", "-")
+    assert (code, out) == (2, "")
+    assert f"input error: schema error in field {bad!r}" in err
 
 
 def test_env_cap_override(capsys, monkeypatch):

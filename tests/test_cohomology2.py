@@ -530,7 +530,6 @@ def test_schedule_lists_each_law_once_in_the_order_the_kernels_read():
                     laws.append((g2, g2 * n + g1, G.mul(g2, g1) * n + g0, g1 * n + g0,
                                  g2 * n + G.mul(g1, g0)))
         assert (list(schedule.pairs), list(schedule.laws)) == (pairs, laws), name
-        assert schedule.gens == gens, name
         assert list(schedule.gen_pairs) == [p for p in pairs if p[1] in gens], name
         assert list(schedule.gen_laws) == [law for law in laws
                                            if law[3] // n in gens], name
@@ -543,10 +542,10 @@ def test_schedule_lists_each_law_once_in_the_order_the_kernels_read():
             free = [cells.index(pos) for pos in law[1:] if pos in cells]
             homes = [k for k, checks in enumerate(schedule.checks) if law in checks]
             assert homes == ([max(free)] if free else []), (name, law)
-        # the recurrence reaches each element beyond 1 and the generators
-        # once, as y = x s from an element x reached before it
+        # the generator recurrence reaches each element beyond 1 and the
+        # generators once, as y = x s from an element x reached before it
         reached = [0] + list(gens)
-        for y, x, s in schedule.recurrence:
+        for y, x, s in fg.generator_recurrence(G):
             assert s in gens and x in reached and y not in reached, (name, y)
             assert y == G.mul(x, s), (name, y)
             reached.append(y)

@@ -32,8 +32,10 @@ so the kernel group is built once per cover.  Each algorithm is written
 once: no `phi_perm` in `src/covlab`, a cochain's phi is read as
 `aut.perms[...]` only in `Cochain2.__post_init__`, the factor-set laws are
 listed only in `cohomology2._schedule`, which also cuts from that list
-the generator-middle laws that `validate_cocycle` reads and is the only
-caller of `_bfs_recipes` in `cohomology2`, only
+the generator-middle laws that `validate_cocycle` reads and keeps no
+generator walk of its own, `fingroup.generator_maps` is the one loop that
+fills a map along `generator_recurrence`, and `compute_aut` and
+`_twist_candidates` take their maps from it, only
 `coboundary_twist` builds a `Cochain2` from another cochain's phi,
 `inner_perm` is called only in `compute_aut` and the pair-law check
 `_first_failure`, no module but `fingroup` (whose `AutGroup` holds the
@@ -403,14 +405,28 @@ def test_each_algorithm_is_written_once():
         missing = callees - {_called(node) for node in ast.walk(_function(cohomology2, name))}
         if missing:
             found.add(f"cohomology2.{name} does not call {sorted(missing)}")
-    walks = {fn.name for fn in ast.walk(cohomology2) if isinstance(fn, ast.FunctionDef)
-             if any(_called(node) == "_bfs_recipes" for node in ast.walk(fn))}
-    if walks != {"_schedule"}:
-        found.add(f"cohomology2 walks G in {sorted(walks)}")
     functions = [(f"{path.stem}.{fn.name}", fn)
                  for path in sorted((ROOT / "src" / "covlab").glob("*.py"))
                  for fn in ast.walk(ast.parse(path.read_text()))
                  if isinstance(fn, ast.FunctionDef)]
+    # a map fixed by its generator values is filled along the generator
+    # recurrence in one loop, `generator_maps`, which Aut(A) and the twist
+    # witnesses share; the breadth-first walk is read only by the closure,
+    # the generating sequence and the recurrence, and the schedule keeps
+    # no walk of its own
+    for callee, callers in (("_bfs_recipes", {"fingroup.closure", "fingroup._walk_generators",
+                                              "fingroup.generator_recurrence"}),
+                            ("generator_recurrence", {"fingroup.generator_maps"}),
+                            ("generator_maps", {"fingroup.compute_aut",
+                                                "cohomology2._twist_candidates"})):
+        calling = {name for name, fn in functions
+                   if any(_called(node) == callee for node in ast.walk(fn))}
+        if calling != callers:
+            found.add(f"{callee} called in {sorted(calling)}")
+    fields = {ast.literal_eval(node.args[1]) for node in ast.walk(cohomology2)
+              if _called(node) == "namedtuple" and ast.literal_eval(node.args[0]) == "_Schedule"}
+    if len(fields) != 1 or {"gens", "recurrence"} & set(fields.pop().split()):
+        found.add("_Schedule keeps the generators or their recurrence")
     twists = {name for name, fn in functions if _twisted_builds(fn)}
     if twists != {"cohomology2.coboundary_twist"}:
         found.add(f"twisted Cochain2 built in {sorted(twists)}")
