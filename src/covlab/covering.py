@@ -228,6 +228,8 @@ def q8_cover() -> CentralCover:
 def cyclic_cover(m: int, d: int) -> CentralCover:
     """Z_m -> Z_(m/d) with kernel Z_d; the finite stand-in for covers with
     cyclic fundamental group."""
+    if d < 1:
+        raise ValueError("d must be at least 1")
     if m % d != 0:
         raise ValueError("d must divide m")
     s = cyclic(m)

@@ -187,6 +187,12 @@ def table_on(elements: Sequence, mul: Callable) -> Tuple[Tuple[int, ...], ...]:
 
 @lru_cache(maxsize=None, typed=True)
 def cyclic(n: int, name: Optional[str] = None) -> GroupTable:
+    """Z_n; an n that is not an int (a bool included) is a TypeError, and
+    n < 1 a ValueError."""
+    if type(n) is not int:
+        raise TypeError(f"cyclic group order must be an int, got {type(n).__name__} {n!r}")
+    if n < 1:
+        raise ValueError(f"cyclic group order must be at least 1, got {n}")
     return GroupTable(table_on(range(n), lambda i, j: (i + j) % n), name or f"Z{n}")
 
 

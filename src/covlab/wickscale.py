@@ -64,14 +64,19 @@ class WickPoly:
     forms.  The constructor is where like terms are summed: it takes unsummed
     (monomial, coefficient) pairs over `den` and sums them on integers, over
     the lcm of the denominators of any Fractions among them.  A coefficient
-    is an int or a Fraction, anything else a TypeError.  `terms` is the
-    (monomial, Fraction) view, built on first read.
+    is an int or a Fraction, anything else a TypeError.  `den` is a nonzero
+    int: 0 is a ValueError, anything else (a bool included) a TypeError.
+    `terms` is the (monomial, Fraction) view, built on first read.
     """
 
     __slots__ = ("den", "nums", "_terms")
 
     def __init__(self, terms: Dict[Monomial, Fraction] | Iterable = (),
                  den: int = 1) -> None:
+        if type(den) is not int:
+            raise TypeError(f"den must be an int, got {type(den).__name__} {den!r}")
+        if not den:
+            raise ValueError("den must be nonzero")
         acc, lift = {}, 1  # every sum in acc is over den * lift
         for mono, n in terms.items() if isinstance(terms, dict) else terms:
             if type(mono) is not Monomial:

@@ -6,12 +6,12 @@ the per-criterion lines, or `python3 tests/test_acceptance.py` standalone.
 """
 
 import itertools
-import math
 import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
+import oracles
 from covlab import fingroup as fg
 from covlab import models
 from covlab.cohomology2 import (classify_h2, coboundary_twist,
@@ -21,7 +21,6 @@ from covlab.covariance import (compare_implementations, compute_gauge_group,
                                extract_cocycle, lift_to_extension,
                                twist_implementation)
 from covlab.covering import all_sections, q8_cover, spin_obstruction, z_cocycle
-from covlab.exactlin import Mat
 from covlab.extension import build_extension, extensions_equivalent
 from covlab.fingroup import GroupHom
 from covlab.multiplet import build_rho, detect_mixing, verify_field_action
@@ -109,91 +108,17 @@ def test_criterion_2_implementation_cocycles_cohomologous():
 
 
 # ---------------------------------------------------------------------------
-# criterion 3: an independent brute-force oracle, written from scratch on
-# plain dicts, fixes the class counts before comparing the two library routes
+# criterion 3: the brute-force oracle, on plain tables, fixes the class
+# counts before comparing the two library routes
 
-def _oracle_h2_count(gmul, n, amul, m):
-    def apow(a, k):
-        out = 0
-        for _ in range(k):
-            out = amul(out, a)
-        return out
-
-    def ainv(a):
-        return next(b for b in range(m) if amul(a, b) == 0)
-
-    # all automorphisms of A by raw bijection filtering
-    auts = []
-    for perm in itertools.permutations(range(m)):
-        if perm[0] == 0 and all(perm[amul(x, y)] == amul(perm[x], perm[y])
-                                for x in range(m) for y in range(m)):
-            auts.append(perm)
-
-    def ad(a):
-        ai = ainv(a)
-        return tuple(amul(amul(a, x), ai) for x in range(m))
-
-    free = [(i, j) for i in range(1, n) for j in range(1, n)]
-    cocycles = set()
-    for phis in itertools.product(range(len(auts)), repeat=n - 1):
-        phi = (0,) + phis
-        for vals in itertools.product(range(m), repeat=len(free)):
-            xi = {(i, j): 0 for i in range(n) for j in range(n)}
-            for (i, j), v in zip(free, vals):
-                xi[(i, j)] = v
-            ok = True
-            for g1 in range(n):
-                for g0 in range(n):
-                    comp = tuple(auts[phi[g1]][auts[phi[g0]][x]]
-                                 for x in range(m))
-                    target = auts[phi[gmul(g1, g0)]]
-                    lhs = tuple(comp[target.index(x)] for x in range(m))
-                    if lhs != ad(xi[(g1, g0)]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                for g2 in range(n):
-                    for g1 in range(n):
-                        for g0 in range(n):
-                            lhs = amul(xi[(g2, g1)], xi[(gmul(g2, g1), g0)])
-                            rhs = amul(auts[phi[g2]][xi[(g1, g0)]],
-                                       xi[(g2, gmul(g1, g0))])
-                            if lhs != rhs:
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-            if ok:
-                cocycles.add((tuple(sorted(xi.items())), phi))
-
-    def twist(c, zeta):
-        xi_items, phi = c
-        xi = dict(xi_items)
-        nphi = []
-        for g in range(n):
-            adz = ad(zeta[g])
-            perm = tuple(adz[auts[phi[g]][x]] for x in range(m))
-            nphi.append(auts.index(perm))
-        nxi = {}
-        for g1 in range(n):
-            for g0 in range(n):
-                v = amul(amul(amul(zeta[g1], auts[phi[g1]][zeta[g0]]),
-                              xi[(g1, g0)]), ainv(zeta[gmul(g1, g0)]))
-                nxi[(g1, g0)] = v
-        return (tuple(sorted(nxi.items())), tuple(nphi))
-
-    classes = 0
-    seen = set()
-    for c in sorted(cocycles):
-        if c in seen:
-            continue
-        classes += 1
-        for zeta in itertools.product(range(m), repeat=n - 1):
-            seen.add(twist(c, (0,) + zeta))
+def _oracle_h2_count(G, A):
+    """The normalized cocycles, grouped by their normalized twists."""
+    classes, seen = 0, set()
+    for c in oracles.normalized_cocycles(G, A):
+        if c not in seen:
+            classes += 1
+            seen.update(oracles.twist(G, A, *c, (0,) + zeta)
+                        for zeta in itertools.product(range(len(A)), repeat=len(G) - 1))
     return classes
 
 
@@ -204,7 +129,7 @@ def test_criterion_3_extension_correspondence():
                   ("Z2", "Z4"): 4}
         for (gn, an), expected in frozen.items():
             G, A = fg.standard_group(gn), fg.standard_group(an)
-            oracle = _oracle_h2_count(G.mul, G.order, A.mul, A.order)
+            oracle = _oracle_h2_count(G.table, A.table)
             assert oracle == expected, (gn, an, oracle)
             res = classify_h2(G, A)
             assert res.count == expected, (gn, an, res.count)
@@ -291,30 +216,15 @@ def test_criterion_7_covering_obstruction():
         kernel = cov.kernel_elements
 
         # independent raw check over every section and all 2^4 twist maps
+        ktable = tuple(tuple(kernel.index(S.mul(a, b)) for b in kernel) for a in kernel)
+        trivial = oracles.trivial(L.table, ktable)
         for sec in sections:
-            z = {}
-            for l1 in L.elements():
-                for l0 in L.elements():
-                    v = S.mul(S.mul(sec.lift[l1], sec.lift[l0]),
-                              S.inv(sec.lift[L.mul(l1, l0)]))
-                    assert v in kernel
-                    z[(l1, l0)] = v
-            killed = False
-            for zeta in itertools.product(kernel, repeat=L.order):
-                ok = True
-                for l1 in L.elements():
-                    for l0 in L.elements():
-                        tw = S.mul(S.mul(S.mul(zeta[l1], zeta[l0]),
-                                         z[(l1, l0)]),
-                                   S.inv(zeta[L.mul(l1, l0)]))
-                        if tw != 0:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if ok:
-                    killed = True
-            assert not killed
+            z = [[S.mul(S.mul(sec.lift[l1], sec.lift[l0]), S.inv(sec.lift[L.mul(l1, l0)]))
+                  for l0 in L.elements()] for l1 in L.elements()]
+            assert all(v in kernel for row in z for v in row)
+            xi = [[kernel.index(v) for v in row] for row in z]
+            assert oracles.first_twist(L.table, ktable, xi, trivial[1], trivial,
+                                       normalized=False) is None
 
         for s1 in sections:
             for s2 in sections:
@@ -328,25 +238,12 @@ def test_criterion_7_covering_obstruction():
             assert v.descends and v.descended is not None
 
 
-def _oracle_scale_power(k: int) -> WickPoly:
-    # expand H[lam*h] * exp(-c L R lam^2 h^2) and read off the h^k coefficient
-    out = WickPoly.zero()
-    for j in range(k // 2 + 1):
-        m = k - 2 * j
-        sign = 1 if ((m - k) % 4 == 0) else -1  # residual power of i
-        coeff = (Fraction(1, math.factorial(m))
-                 * Fraction((-1) ** j, math.factorial(j))
-                 * sign * math.factorial(k))
-        out = out + WickPoly({Monomial(phi=m, ricci=j, log=j, lam=k, c=j): coeff})
-    return out
-
-
 def test_criterion_8_almost_homogeneous_scaling():
     with criterion(8, "scaled Wick powers match the generating-function "
                       "oracle for k <= 8; k=1 and conformal coupling "
                       "collapse; k=4 coefficients are (1, 12, 12)"):
         for k in range(1, 9):
-            assert scale_wick_power(k) == _oracle_scale_power(k)
+            assert dict(scale_wick_power(k).terms) == oracles.scale_power(k)
         assert scale_wick_power(1) == WickPoly.symbol(phi=1, lam=1)
         for k in range(1, 9):
             assert scale_wick_power(k).set_symbol("c", Fraction(0)) \

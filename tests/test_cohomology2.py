@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from covlab import cohomology2
 from covlab import fingroup as fg
 from covlab import models
@@ -248,11 +249,15 @@ def test_twist_preserves_cocycle_property_randomized():
 
 
 def test_every_normalized_twist_of_every_cocycle_is_a_cocycle():
-    # coboundary_twist does not re-validate its output; this is the check
+    # coboundary_twist does not re-validate its output; this is the check,
+    # with each twist also read against the brute-force twist formula
     for G, A in [(Z2, Z2), (Z2, Z3), (Z2, Z4), (Z3, Z3)]:
         for c in enumerate_normalized_cocycles(G, A):
             for zeta in itertools.product(A.elements(), repeat=G.order - 1):
                 tw = coboundary_twist(c, (0,) + zeta)
+                assert (tw.xi, tw.perms) \
+                    == oracles.twist(G.table, A.table, c.xi, c.perms, (0,) + zeta), \
+                    (G.name, A.name, c, zeta)
                 assert validate_cocycle(tw).valid, (G.name, A.name, c, zeta)
                 assert tw.is_normalized()
 
@@ -273,31 +278,9 @@ def test_neutral_cocycles_have_homomorphic_phi():
 
 
 def reference_cohomologous(c1, c2, normalized):
-    """The twist search as written before the one twist kernel: check phi
-    through precomputed inner automorphisms, then xi cell by cell."""
-    G, A = c1.G, c1.A
-    perms1 = [c1.perms[g] for g in G.elements()]
-    perms2 = [c2.perms[g] for g in G.elements()]
-    ads = [fg.inner_perm(A, a) for a in A.elements()]
-    first = [(0,)] if normalized else [A.elements()]
-    for zeta in itertools.product(*first, *[A.elements()] * (G.order - 1)):
-        ok = all(fg.compose_perm(ads[zeta[g]], perms1[g]) == perms2[g]
-                 for g in G.elements())
-        if not ok:
-            continue
-        for g1 in G.elements():
-            for g0 in G.elements():
-                lhs = A.mul(A.mul(A.mul(zeta[g1], perms1[g1][zeta[g0]]),
-                                  c1.xi[g1][g0]),
-                            A.inv(zeta[G.mul(g1, g0)]))
-                if lhs != c2.xi[g1][g0]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return zeta
-    return None
+    """The first twist of c1 into c2 by brute force (`oracles.first_twist`)."""
+    return oracles.first_twist(c1.G.table, c1.A.table, c1.xi, c1.perms, (c2.xi, c2.perms),
+                               normalized)
 
 
 def test_cohomologous_matches_reference_twist_loop():
@@ -397,25 +380,6 @@ def test_search_space_cap(monkeypatch):
     assert err.value.size == 8
 
 
-def reference_enumerate(G, A):
-    """The cocycle enumeration as written before the backtracking solver:
-    every (phi tail, xi cells) candidate is built and validated in full."""
-    aut = fg.compute_aut(A)
-    n = G.order
-    free = n - 1
-    found = []
-    for combo in capped_product([range(aut.order)] * free
-                                + [A.elements()] * (free * free)):
-        phi, xi_flat = (0,) + combo[:free], combo[free:]
-        xi = ((0,) * n,) + tuple((0,) + xi_flat[r * free:(r + 1) * free]
-                                 for r in range(free))
-        c = Cochain2(G, A, xi, phi)
-        if validate_cocycle(c):
-            found.append(c)
-    found.sort(key=lambda c: (tuple(v for row in c.xi for v in row), c.phi))
-    return tuple(found)
-
-
 def _naive_size(G, A):
     return fg.compute_aut(A).order ** (G.order - 1) * A.order ** ((G.order - 1) ** 2)
 
@@ -426,8 +390,8 @@ def test_solver_matches_reference_enumeration_on_the_h2_grid():
         G, A = fg.standard_group(gn), fg.standard_group(an)
         if _naive_size(G, A) > 10 ** 4:
             continue
-        assert enumerate_normalized_cocycles(G, A) == reference_enumerate(G, A), \
-            (gn, an)
+        assert [(c.xi, c.perms) for c in enumerate_normalized_cocycles(G, A)] \
+            == oracles.normalized_cocycles(G.table, A.table), (gn, an)
         checked += 1
     assert checked == 15
 
@@ -473,24 +437,9 @@ def test_cap_counts_solver_work(monkeypatch):
 
 
 def reference_validate_cocycle(c):
-    """validate_cocycle as written before the law table: phi rebuilt from
-    the automorphism list, and both laws in nested loops over G."""
-    G, A = c.G, c.A
-    perms = [c.aut.perms[c.phi[g]] for g in G.elements()]
-    for g1 in G.elements():
-        for g0 in G.elements():
-            lhs = fg.compose_perm(perms[g1], fg.compose_perm(
-                perms[g0], fg.invert_perm(perms[G.mul(g1, g0)])))
-            if lhs != fg.inner_perm(A, c.xi[g1][g0]):
-                return fg.Report(False, "automorphism_condition", (g1, g0))
-    for g2 in G.elements():
-        for g1 in G.elements():
-            for g0 in G.elements():
-                lhs = A.mul(c.xi[g2][g1], c.xi[G.mul(g2, g1)][g0])
-                rhs = A.mul(perms[g2][c.xi[g1][g0]], c.xi[g2][G.mul(g1, g0)])
-                if lhs != rhs:
-                    return fg.Report(False, "factor_set_condition", (g2, g1, g0))
-    return fg.Report(True)
+    """The first broken cocycle law by brute force (`oracles.cocycle_failure`)."""
+    failure = oracles.cocycle_failure(c.G.table, c.A.table, c.xi, c.perms)
+    return fg.Report(True) if failure is None else fg.Report(False, *failure)
 
 
 def _normalized_failures(rng, c):

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import oracles
 from covlab import fingroup as fg
 from covlab import models
 from covlab.cohomology2 import (SearchSpaceTooLarge, coboundary_twist,
@@ -62,6 +63,18 @@ def test_all_sections_count():
     assert len(all_sections(cov2)) == 2
 
 
+def test_cyclic_cover_refuses_orders_below_one():
+    # d = 0 would divide by zero, and m = 0 would build Z0
+    for m, d in [(4, 0), (0, 0), (4, -2)]:
+        with pytest.raises(ValueError, match="d must be at least 1"):
+            cyclic_cover(m, d)
+    for m in (0, -4):
+        with pytest.raises(ValueError, match="at least 1"):
+            cyclic_cover(m, 2)
+    with pytest.raises(ValueError, match="d must divide m"):
+        cyclic_cover(4, 3)
+
+
 def test_split_cover_homomorphic_section_gives_trivial_z():
     cov = split_cover(2, fg.cyclic(3))
     lift = tuple(range(cov.L.order))  # l -> (0, l) has index l
@@ -89,16 +102,10 @@ def test_q8_every_section_gives_nontrivial_class():
 
 
 def reference_z_class_trivial(z):
-    """The direct twist loop z_class_trivial ran before it went through
-    cohomologous: the first zeta: L -> K, in product order, with
-    zeta(l1) zeta(l0) z(l1,l0) zeta(l1 l0)^-1 == 1 everywhere."""
-    L, K = z.G, z.A
-    for zeta in itertools.product(K.elements(), repeat=L.order):
-        if all(K.mul(K.mul(K.mul(zeta[l1], zeta[l0]), z.xi[l1][l0]),
-                     K.inv(zeta[L.mul(l1, l0)])) == 0
-               for l1 in L.elements() for l0 in L.elements()):
-            return zeta
-    return None
+    """The first zeta: L -> K in product order that kills z, by brute force
+    (`oracles.first_twist`)."""
+    return oracles.first_twist(z.G.table, z.A.table, z.xi, z.perms,
+                               oracles.trivial(z.G.table, z.A.table), normalized=False)
 
 
 def test_z_class_trivial_matches_reference_twist_loop():
@@ -185,21 +192,17 @@ def test_q8_all_raw_lift_choices_nontrivial():
     kernel = cov.kernel_elements
     fibers = [tuple(s for s in S.elements() if cov.pi.map[s] == l)
               for l in L.elements()]
+    ktable = tuple(tuple(kernel.index(S.mul(a, b)) for b in kernel) for a in kernel)
+    trivial = oracles.trivial(L.table, ktable)
     count = 0
     for lift in itertools.product(*fibers):
         count += 1
-        z = {}
-        for l1 in L.elements():
-            for l0 in L.elements():
-                v = S.mul(S.mul(lift[l1], lift[l0]),
-                          S.inv(lift[L.mul(l1, l0)]))
-                assert v in kernel
-                z[(l1, l0)] = v
-        for zeta in itertools.product(kernel, repeat=L.order):
-            assert any(
-                S.mul(S.mul(S.mul(zeta[l1], zeta[l0]), z[(l1, l0)]),
-                      S.inv(zeta[L.mul(l1, l0)])) != 0
-                for l1 in L.elements() for l0 in L.elements())
+        z = [[S.mul(S.mul(lift[l1], lift[l0]), S.inv(lift[L.mul(l1, l0)]))
+              for l0 in L.elements()] for l1 in L.elements()]
+        assert all(v in kernel for row in z for v in row)
+        xi = [[kernel.index(v) for v in row] for row in z]
+        assert oracles.first_twist(L.table, ktable, xi, trivial[1], trivial,
+                                   normalized=False) is None
     assert count == 16
 
 

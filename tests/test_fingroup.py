@@ -3,11 +3,12 @@ import random
 
 import pytest
 
+import oracles
 from covlab import fingroup as fg
 from covlab import models
 from covlab.config import SearchSpaceTooLarge
 from covlab.cohomology2 import enumerate_normalized_cocycles
-from covlab.covariance import compute_gauge_group, extract_cocycle, lift_to_extension
+from covlab.covariance import extract_cocycle, lift_to_extension
 from covlab.exactlin import Mat
 from covlab.extension import build_extension
 from covlab.multiplet import MatrixRep
@@ -296,21 +297,11 @@ def test_compute_aut_lists_the_identity_first():
         assert fg.compute_aut(g).perms[0] == tuple(range(g.order)), name
 
 
-def reference_aut_perms(g):
-    """Every permutation that fixes 0 and keeps the table law, sorted: Aut(g)
-    by brute force over all (n-1)! candidates."""
-    n = g.order
-    return sorted(perm for perm in ((0,) + rest
-                                    for rest in itertools.permutations(range(1, n)))
-                  if all(perm[g.mul(x, y)] == g.mul(perm[x], perm[y])
-                         for x in range(n) for y in range(n)))
-
-
 def test_compute_aut_finds_every_automorphism():
     groups = [fg.standard_group(name) for name in sorted(fg._STANDARD)]
     groups.append(fg.direct_product(fg.cyclic(4), fg.cyclic(2)))
     for g in groups:
-        assert list(fg.compute_aut(g).perms) == reference_aut_perms(g), g.name
+        assert list(fg.compute_aut(g).perms) == oracles.automorphisms(g.table), g.name
 
 
 
@@ -406,6 +397,17 @@ def test_shared_groups_equal_their_uncached_builds():
     assert fg.direct_product(b, a).name == "BxA"
     assert fg.direct_product(a, b) is fg.direct_product(a, b)
     assert fg.direct_product(a, b, "P").name == "P"
+
+
+def test_cyclic_refuses_orders_below_one_and_non_ints():
+    # Z0 would be a table with no identity, and a bool is not an order
+    for build in (fg.cyclic, fg.cyclic.__wrapped__):
+        for n in (0, -1, -4):
+            with pytest.raises(ValueError, match="at least 1"):
+                build(n)
+        for n in (True, False, 2.0, "2", None):
+            with pytest.raises(TypeError, match="must be an int"):
+                build(n)
 
 
 # ---------------------------------------------------------------------------
@@ -594,31 +596,9 @@ def reference_quotient(g, normal):
 
 def reference_extension(c):
     """(table, inclusion, projection) of E on pairs a*|G| + g."""
-    G, A = c.G, c.A
-    ng, size = G.order, A.order * G.order
-    table = [[0] * size for _ in range(size)]
-    for a1 in A.elements():
-        for g1 in G.elements():
-            perm1 = c.perms[g1]
-            for a0 in A.elements():
-                for g0 in G.elements():
-                    a = A.mul(A.mul(a1, perm1[a0]), c.xi[g1][g0])
-                    table[a1 * ng + g1][a0 * ng + g0] = a * ng + G.mul(g1, g0)
-    return (tuple(tuple(r) for r in table),
-            tuple(a * ng for a in A.elements()), tuple(e % ng for e in range(size)))
-
-
-def reference_gauge_table(functor, gauge):
-    tgt = functor.target
-    families = gauge.families
-    index = {fam: i for i, fam in enumerate(families)}
-
-    def mul(i, j):
-        a, b = families[i], families[j]
-        return index[tuple(tgt.compose_table[a[k], b[k]] for k in range(len(gauge.objects)))]
-
-    return tuple(tuple(mul(i, j) for j in range(len(families)))
-                 for i in range(len(families)))
+    ng, size = c.G.order, c.A.order * c.G.order
+    return (oracles.extension_table(c.G.table, c.A.table, c.xi, c.perms),
+            tuple(a * ng for a in c.A.elements()), tuple(e % ng for e in range(size)))
 
 
 def normal_closures(g):
@@ -668,13 +648,6 @@ def test_table_on_builds_extensions_as_the_pair_loop():
         ext = build_extension(c)
         assert (ext.E.table, ext.inclusion.map, ext.projection.map) \
             == reference_extension(c), c
-
-
-def test_table_on_builds_gauge_groups_as_the_family_product():
-    for name in sorted(models.NAMED_MODELS):
-        functor = models.named_model(name).functor
-        gauge = compute_gauge_group(functor)
-        assert gauge.table.table == reference_gauge_table(functor, gauge), name
 
 
 def test_table_on_raises_key_error_off_the_list():

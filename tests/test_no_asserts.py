@@ -53,6 +53,8 @@ caller, so outside `FinCat.__init__` no module assigns, augments or deletes
 a `compose_table`, `identities`, `dom` or `cod` attribute or an entry of
 one, or calls `update`, `pop`, `setdefault` or `clear` on it.  No library
 handler catches `Exception`, which would turn a defect into an input error.
+The tests' brute-force references, `tests/oracles.py`, import the standard
+library alone, so no library defect can reach the reference that checks it.
 
 Run as a script, this module prints the exit code and stdout of each
 command given as a JSON list of argv lists; the -O test runs it that way.
@@ -61,6 +63,7 @@ command given as a JSON list of argv lists; the -O test runs it that way.
 import ast
 import builtins
 import contextlib
+import functools
 import io
 import json
 import os
@@ -72,19 +75,37 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+@functools.lru_cache(maxsize=None)
+def _library():
+    """Each `covlab` module's name -> its syntax tree, in name order; each
+    source file is parsed once per process, and no test changes a tree."""
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted((ROOT / "src" / "covlab").glob("*.py"))}
+
+
 def test_library_has_no_assert_statements():
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted((ROOT / "src" / "covlab").glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
+    found = [f"{module}.py:{node.lineno}"
+             for module, tree in _library().items() for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
     assert found == []
 
 
+def test_oracles_import_only_the_standard_library():
+    tree = ast.parse((ROOT / "tests" / "oracles.py").read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    imported += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom)]
+    found = [name for name in imported if name.split(".")[0] not in sys.stdlib_module_names]
+    found += [f"{_called(node)}()" for node in ast.walk(tree)
+              if _called(node) in ("__import__", "import_module")]
+    assert imported and found == []
+
+
 def test_library_catches_no_bare_exception():
     # a catch-all handler would turn a library defect into an input error
-    found = [f"{path.name}:{node.lineno}"
-             for path in sorted((ROOT / "src" / "covlab").glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text()))
+    found = [f"{module}.py:{node.lineno}"
+             for module, tree in _library().items() for node in ast.walk(tree)
              if isinstance(node, ast.ExceptHandler)
              and (node.type is None or any(isinstance(n, ast.Name)
                                            and n.id in ("Exception", "BaseException")
@@ -94,21 +115,21 @@ def test_library_catches_no_bare_exception():
 
 def test_searches_have_one_bound():
     found = []
-    for path in sorted((ROOT / "src" / "covlab").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if path.name != "config.py" and (
+    for module, tree in _library().items():
+        for node in ast.walk(tree):
+            if module != "config" and (
                     isinstance(node, ast.Attribute) and node.attr == "product"
                     and isinstance(node.value, ast.Name)
                     and node.value.id == "itertools"
                     or isinstance(node, ast.ImportFrom)
                     and node.module == "itertools"
                     and any(a.name == "product" for a in node.names)):
-                found.append(f"{path.name}:{node.lineno}: itertools.product")
+                found.append(f"{module}.py:{node.lineno}: itertools.product")
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 a = node.args
                 for arg in a.posonlyargs + a.args + a.kwonlyargs:
                     if arg.arg in ("cap", "normalized_only", "normalized", "expect"):
-                        found.append(f"{path.name}:{node.lineno}: {arg.arg}")
+                        found.append(f"{module}.py:{node.lineno}: {arg.arg}")
     assert found == []
 
 
@@ -125,8 +146,7 @@ def test_structures_are_checked_once_when_built():
               "validate_implementation": "Implementation",
               "verify_field_action": "FieldSpaceAction"}
     found, checked = [], set()
-    for path in sorted((ROOT / "src" / "covlab").glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for module, tree in _library().items():
         allowed = {id(node): cls.name
                    for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                    for init in cls.body
@@ -134,7 +154,7 @@ def test_structures_are_checked_once_when_built():
                    and init.name in ("__init__", "__post_init__")
                    for node in ast.walk(init) if owners.get(_called(node)) == cls.name}
         checked.update(allowed.values())
-        found += [f"{path.name}:{node.lineno}: {_called(node)}"
+        found += [f"{module}.py:{node.lineno}: {_called(node)}"
                   for node in ast.walk(tree)
                   if _called(node) in owners and id(node) not in allowed]
     assert found == []
@@ -142,24 +162,22 @@ def test_structures_are_checked_once_when_built():
 
 
 def test_checks_share_one_report_type():
-    found = sorted(f"{path.stem}.{node.name}"
-                   for path in (ROOT / "src" / "covlab").glob("*.py")
-                   for node in ast.walk(ast.parse(path.read_text()))
+    found = sorted(f"{module}.{node.name}"
+                   for module, tree in _library().items() for node in ast.walk(tree)
                    if isinstance(node, ast.ClassDef) and node.name.endswith("Report"))
     assert found == ["cli.RunReport", "fingroup.Report"]
 
 
 def test_library_defines_four_exception_classes():
     bases, owner, outside_require = {}, {}, []
-    for path in sorted((ROOT / "src" / "covlab").glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for module, tree in _library().items():
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 bases[node.name] = [ast.unparse(b).split(".")[-1] for b in node.bases]
-                owner[node.name] = path.stem
+                owner[node.name] = module
         inside = ({id(node) for node in ast.walk(_function(tree, "require", "Report"))}
-                  if path.name == "fingroup.py" else set())
-        outside_require += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if module == "fingroup" else set())
+        outside_require += [f"{module}.py:{node.lineno}" for node in ast.walk(tree)
                             if _called(node) == "CheckFailed" and id(node) not in inside]
 
     def is_exception(name):
@@ -200,14 +218,12 @@ _WICK_KERNELS = (("WickPoly", "__add__"), ("WickPoly", "__mul__"), ("WickPoly", 
 
 
 def test_wickpoly_constructor_is_the_one_coefficient_accumulator():
-    wickscale = ast.parse((ROOT / "src" / "covlab" / "wickscale.py").read_text())
+    wickscale = _library()["wickscale"]
     owners = {"WickPoly.__init__": _function(wickscale, "__init__", "WickPoly"),
               "parse_wickpoly": _function(wickscale, "parse_wickpoly")}
     inside = {id(node): label for label, fn in owners.items() for node in ast.walk(fn)}
-    found = sorted(inside.get(id(node), f"{path.name}:{node.lineno}")
-                   for path in sorted((ROOT / "src" / "covlab").glob("*.py"))
-                   for node in _dict_sums(wickscale if path.name == "wickscale.py"
-                                          else ast.parse(path.read_text())))
+    found = sorted(inside.get(id(node), f"{module}.py:{node.lineno}")
+                   for module, tree in _library().items() for node in _dict_sums(tree))
     # parse_wickpoly's sum is over the exponents of one term, not coefficients
     assert found == ["WickPoly.__init__", "parse_wickpoly"]
     assert [f"{name}:{node.lineno}" for cls, name in _WICK_KERNELS
@@ -218,13 +234,12 @@ def test_wickpoly_constructor_is_the_one_coefficient_accumulator():
 def test_group_tables_are_built_from_element_lists():
     exempt = {("fingroup", "make_group"), ("schemas", "group_from_obj")}
     found = []
-    for path in sorted((ROOT / "src" / "covlab").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        inside = {id(node): f"{path.stem}.{fn.name}"
+    for module, tree in _library().items():
+        inside = {id(node): f"{module}.{fn.name}"
                   for fn in ast.walk(tree)
-                  if isinstance(fn, ast.FunctionDef) and (path.stem, fn.name) in exempt
+                  if isinstance(fn, ast.FunctionDef) and (module, fn.name) in exempt
                   for node in ast.walk(fn)}
-        found += [inside.get(id(node), f"{path.name}:{node.lineno}")
+        found += [inside.get(id(node), f"{module}.py:{node.lineno}")
                   for node in ast.walk(tree)
                   if _called(node) in ("GroupTable", "make_group")
                   and not (node.args and _called(node.args[0]) == "table_on")]
@@ -233,25 +248,24 @@ def test_group_tables_are_built_from_element_lists():
 
 def test_naturality_square_is_written_once_and_families_are_indexed():
     found = []
-    for path in sorted((ROOT / "src" / "covlab").glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for module, tree in _library().items():
         inside = {id(node) for fn in ast.walk(tree)
                   if isinstance(fn, ast.FunctionDef) and fn.name == "_unnatural"
                   for node in ast.walk(fn)}
         for node in ast.walk(tree):
-            if (path.name == "covariance.py" and isinstance(node, ast.Attribute)
+            if (module == "covariance" and isinstance(node, ast.Attribute)
                     and node.attr == "morphisms" and id(node) not in inside):
-                found.append(f"{path.name}:{node.lineno}: .morphisms")
+                found.append(f"{module}.py:{node.lineno}: .morphisms")
             if (_called(node) == "index" and isinstance(node.func, ast.Attribute)
                     and isinstance(node.func.value, ast.Attribute)
                     and node.func.value.attr in ("families", "objects")):
-                found.append(f"{path.name}:{node.lineno}: "
+                found.append(f"{module}.py:{node.lineno}: "
                              f"{node.func.value.attr}.index")
     assert found == []
 
 
 def test_exactlin_builds_fractions_only_at_its_boundary():
-    tree = ast.parse((ROOT / "src" / "covlab" / "exactlin.py").read_text())
+    tree = _library()["exactlin"]
     inside = {id(node): f"GaussRat.{fn.name}"
               for cls in ast.walk(tree)
               if isinstance(cls, ast.ClassDef) and cls.name == "GaussRat"
@@ -264,7 +278,7 @@ def test_exactlin_builds_fractions_only_at_its_boundary():
 
 
 def test_cover_kernel_group_is_built_once_per_cover():
-    tree = ast.parse((ROOT / "src" / "covlab" / "covering.py").read_text())
+    tree = _library()["covering"]
     inside = {id(node): f"{cls.name}.{fn.name}"
               for cls in ast.walk(tree)
               if isinstance(cls, ast.ClassDef) and cls.name == "CentralCover"
@@ -381,18 +395,16 @@ def _maps_back_from_ad(fn):
 
 def test_each_algorithm_is_written_once():
     found = set()
-    for path in sorted((ROOT / "src" / "covlab").glob("*.py")):
-        text = path.read_text()
-        tree = ast.parse(text)
-        if "phi_perm" in text:
-            found.add(f"{path.name}: phi_perm")
+    for module, tree in _library().items():
+        if "phi_perm" in (ROOT / "src" / "covlab" / f"{module}.py").read_text():
+            found.add(f"{module}.py: phi_perm")
         owner = (_function(tree, "__post_init__", "Cochain2")
-                 if path.name == "cohomology2.py" else None)
-        found |= {f"{path.name}:{line}: aut.perms over phi"
+                 if module == "cohomology2" else None)
+        found |= {f"{module}.py:{line}: aut.perms over phi"
                   for fn in ast.walk(tree)
                   if isinstance(fn, ast.FunctionDef) and fn is not owner
                   for line in _aut_perms_over_phi(fn)}
-    cohomology2 = ast.parse((ROOT / "src" / "covlab" / "cohomology2.py").read_text())
+    cohomology2 = _library()["cohomology2"]
     if not _aut_perms_over_phi(_function(cohomology2, "__post_init__", "Cochain2")):
         found.add("Cochain2.__post_init__ does not build perms")
     # the factor-set laws are listed once, the generator-middle laws that
@@ -405,9 +417,8 @@ def test_each_algorithm_is_written_once():
         missing = callees - {_called(node) for node in ast.walk(_function(cohomology2, name))}
         if missing:
             found.add(f"cohomology2.{name} does not call {sorted(missing)}")
-    functions = [(f"{path.stem}.{fn.name}", fn)
-                 for path in sorted((ROOT / "src" / "covlab").glob("*.py"))
-                 for fn in ast.walk(ast.parse(path.read_text()))
+    functions = [(f"{module}.{fn.name}", fn)
+                 for module, tree in _library().items() for fn in ast.walk(tree)
                  if isinstance(fn, ast.FunctionDef)]
     # a map fixed by its generator values is filled along the generator
     # recurrence in one loop, `generator_maps`, which Aut(A) and the twist
@@ -439,13 +450,12 @@ def test_each_algorithm_is_written_once():
     found |= {f"{name}:{line}: a map from ad(a) back to a"
               for name, fn in functions if not name.startswith("fingroup.")
               for line in _maps_back_from_ad(fn)}
-    fingroup = ast.parse((ROOT / "src" / "covlab" / "fingroup.py").read_text())
+    fingroup = _library()["fingroup"]
     if not _maps_back_from_ad(_function(fingroup, "compute_aut")):
         found.add("fingroup.compute_aut does not build preimages")
     for module, name, cls, callee in (("exactlin", "det", "Mat", "rref"),
                                       ("fingroup", "closure", None, "_bfs_recipes")):
-        fn = _function(ast.parse((ROOT / "src" / "covlab" / f"{module}.py").read_text()),
-                       name, cls)
+        fn = _function(_library()[module], name, cls)
         if not any(_called(node) == callee for node in ast.walk(fn)):
             found.add(f"{module}.{name} does not call {callee}")
     for module, name, row in (("wickscale", "contraction_coeff", "_contraction_row"),
@@ -453,8 +463,7 @@ def test_each_algorithm_is_written_once():
                               ("wickscale", "change_of_ordering", "_matching_row"),
                               ("wickscale", "scale_wick_power", "_matching_row"),
                               ("wickscale", "scaling_multiplet", "_matching_row")):
-        tree = ast.parse((ROOT / "src" / "covlab" / f"{module}.py").read_text())
-        called = {_called(node) for node in ast.walk(_function(tree, name))}
+        called = {_called(node) for node in ast.walk(_function(_library()[module], name))}
         if row not in called:
             found.add(f"{module}.{name} does not call {row}")
         if "factorial" in called:
@@ -467,8 +476,7 @@ _ACCESSORS = {"dom", "cod", "identity", "compose", "endos", "invertible_endos",
 
 
 def test_model_kernels_read_the_tables():
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in sorted((ROOT / "src" / "covlab").glob("*.py"))}
+    trees = _library()
     fincat = trees["fincat"]
     classes = {(module, node.name): node for module in ("fincat", "covariance")
                for node in trees[module].body if isinstance(node, ast.ClassDef)}
@@ -543,8 +551,7 @@ def test_shared_categories_are_never_written():
     # attribute is written only in its own class's constructor, and
     # object.__setattr__ only in a constructor
     found, written = [], set()
-    for path in sorted((ROOT / "src" / "covlab").glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for module, tree in _library().items():
         inits = {cls.name: {id(node) for init in cls.body
                             if isinstance(init, ast.FunctionDef)
                             and init.name in ("__init__", "__post_init__")
@@ -557,7 +564,7 @@ def test_shared_categories_are_never_written():
                 written.add(attr)
             elif attr is not None or (_called(node) == "__setattr__"
                                       and id(node) not in in_any_init):
-                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+                found.append(f"{module}.py:{node.lineno}: {ast.unparse(node)}")
     assert found == []
     # the constructors that fill these attributes are seen doing it
     assert written == {"compose_table", "identities", "dom", "cod", "K", "kernel_elements"}

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from covlab.wickscale import (GaugeElement, Monomial, WickPoly, change_of_ordering,
                               contraction_coeff, coupling_constant_value,
                               gauge_ad, gauge_inv, gauge_mul,
@@ -16,70 +17,6 @@ PHI = WickPoly.phi_power
 W = WickPoly.symbol(w=1)
 D = WickPoly.symbol(delta=1)
 CLR = WickPoly.symbol(c=1, log=1, ricci=1)
-
-
-# ---------------------------------------------------------------------------
-# independent generating-function oracle
-#
-# Series are expanded with literal powers of the imaginary unit: a term is
-# (i^p, rational, monomial) and i-powers are reduced mod 4 at extraction.
-# The field series is  sum_k (i^k h^k / k!) Phi^k; the product relation
-# multiplies two such series by exp(-W f g), the ordering relation multiplies
-# by exp(-D h^2 / 2), and the scaling relation substitutes h -> lam*h and
-# multiplies by exp(-c L R lam^2 h^2).
-
-def _ipow_to_fraction(p: int) -> Fraction:
-    p %= 4
-    if p == 0:
-        return Fraction(1)
-    if p == 2:
-        return Fraction(-1)
-    raise AssertionError("odd residual power of i in a real coefficient")
-
-
-def oracle_star_power(k: int, l: int) -> WickPoly:
-    """Coefficient of f^k g^l in G[f] * G[g] = G[f+g] exp(-W f g)."""
-    out = WickPoly.zero()
-    for j in range(min(k, l) + 1):
-        m = k + l - 2 * j
-        # (f+g)^m contributes C(m, k-j) f^(k-j) g^(l-j); exp factor gives
-        # (-W)^j f^j g^j / j!; the series carries i^m / m!
-        ipow = m - (k + l)  # multiply by i^-(k+l) when extracting
-        coeff = (Fraction(math.comb(m, k - j), math.factorial(m))
-                 * Fraction((-1) ** j, math.factorial(j))
-                 * _ipow_to_fraction(ipow)
-                 * math.factorial(k) * math.factorial(l))
-        out = out + WickPoly({Monomial(phi=m, w=j): coeff})
-    return out
-
-
-def oracle_change_of_ordering_power(k: int) -> WickPoly:
-    """Coefficient of h^k in  H_K[h] = H_{K+D}[h] exp(-D h^2 / 2)."""
-    out = WickPoly.zero()
-    for j in range(k // 2 + 1):
-        m = k - 2 * j
-        ipow = m - k
-        coeff = (Fraction(1, math.factorial(m))
-                 * Fraction((-1) ** j, math.factorial(j) * 2 ** j)
-                 * _ipow_to_fraction(ipow)
-                 * math.factorial(k))
-        out = out + WickPoly({Monomial(phi=m, delta=j): coeff})
-    return out
-
-
-def oracle_scale_power(k: int) -> WickPoly:
-    """Coefficient of h^k in  H[lam*h] exp(-c L R lam^2 h^2)."""
-    out = WickPoly.zero()
-    for j in range(k // 2 + 1):
-        m = k - 2 * j
-        ipow = m - k
-        coeff = (Fraction(1, math.factorial(m))
-                 * Fraction((-1) ** j, math.factorial(j))
-                 * _ipow_to_fraction(ipow)
-                 * math.factorial(k))
-        out = out + WickPoly(
-            {Monomial(phi=m, ricci=j, log=j, lam=k, c=j): coeff})
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +48,8 @@ def test_phi2_star_phi2():
 def test_star_matches_generating_oracle():
     for k in range(0, 6):
         for l in range(0, 6):
-            assert wick_product(PHI(k), PHI(l)) == oracle_star_power(k, l), (k, l)
+            assert dict(wick_product(PHI(k), PHI(l)).terms) == oracles.star_power(k, l), \
+                (k, l)
 
 
 def test_star_commutative_and_associative_up_to_5():
@@ -139,7 +77,8 @@ def test_change_of_ordering_k2():
 
 def test_change_of_ordering_matches_oracle():
     for k in range(0, 11):
-        assert change_of_ordering(PHI(k), D) == oracle_change_of_ordering_power(k), k
+        assert dict(change_of_ordering(PHI(k), D).terms) \
+            == oracles.change_of_ordering_power(k), k
 
 
 def test_change_of_ordering_round_trip():
@@ -178,7 +117,7 @@ def test_scale_power_k4_coefficients():
 
 def test_scale_power_matches_oracle_up_to_8():
     for k in range(1, 9):
-        assert scale_wick_power(k) == oracle_scale_power(k), k
+        assert dict(scale_wick_power(k).terms) == oracles.scale_power(k), k
 
 
 def test_closed_form_matches_ordering_route():
@@ -214,6 +153,17 @@ def test_gauge_element_sigma_is_the_int_plus_or_minus_one():
     with pytest.raises(ValueError, match="sigma must be"):
         GaugeElement(0, 1)
     assert GaugeElement(-1, 1).sigma == -1
+
+
+def test_wickpoly_den_is_a_nonzero_int():
+    # den 0 would make a poly that prints as -1/0 and fails on `terms`
+    terms = {Monomial(phi=1): 1}
+    with pytest.raises(ValueError, match="den must be nonzero"):
+        WickPoly(terms, 0)
+    for den in (True, 1.0, Fraction(2), None):
+        with pytest.raises(TypeError, match="den must be an int"):
+            WickPoly(terms, den)
+    assert WickPoly(terms, -2) == WickPoly({Monomial(phi=1): Fraction(-1, 2)})
 
 
 # ---------------------------------------------------------------------------
