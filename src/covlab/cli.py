@@ -64,7 +64,7 @@ class RunReport:
             "timing_ms": self.timing_ms,
             "version": self.version,
         }
-        return json.dumps(body, sort_keys=True, indent=2, default=str)
+        return json.dumps(body, sort_keys=True, indent=2)
 
     def to_human(self) -> str:
         lines = [f"covlab {self.command} (v{self.version})"]

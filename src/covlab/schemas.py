@@ -52,7 +52,7 @@ def group_from_obj(obj: Any, field: str = "group") -> GroupTable:
         try:
             return standard_group(obj)
         except KeyError as err:
-            raise SchemaError(field, str(err)) from None
+            raise SchemaError(field, err.args[0]) from None
     if not isinstance(obj, dict):
         raise SchemaError(field, "expected a name or a group record")
     _known_fields(obj, ("name", "order", "table"), f"{field}.")

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -79,6 +80,14 @@ def test_reports_byte_stable(capsys):
             _, out, _ = run(capsys, "--json", *argv)
             outs.append(out)
         assert outs[0] == outs[1], argv
+
+
+def test_a_report_value_json_cannot_write_is_refused():
+    # no silent str() fallback: a stray Fraction fails instead of printing
+    report = cli.RunReport(command="scale-power")
+    report.data["coefficient"] = Fraction(1, 2)
+    with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+        report.to_json()
 
 
 def test_wick_product_verb_output(capsys):
@@ -240,7 +249,8 @@ def test_unknown_group_name_is_a_schema_error(capsys):
     code, out, err = run(capsys, "classify-h2", "--G", "Z5", "--A", "Z2")
     assert code == 2
     assert out == ""
-    assert "input error: schema error in field 'G'" in err and "'Z5'" in err
+    assert err == ("input error: schema error in field 'G': unknown group name 'Z5'; "
+                   "known: ['1', 'Q8', 'S3', 'Z2', 'Z2xZ2', 'Z3', 'Z4', 'Z6', 'Z8']\n")
 
 
 def test_a_bare_key_error_is_not_an_input_error(monkeypatch):

@@ -11,7 +11,7 @@ from covlab import cohomology2
 from covlab import fingroup as fg
 from covlab import models
 from covlab.config import capped_product
-from covlab.cohomology2 import (Cochain2, H2Class, H2Classification, _stabiliser,
+from covlab.cohomology2 import (Cochain2, _stabiliser,
                                 classify_h2, coboundary_twist, cohomologous,
                                 enumerate_normalized_cocycles, is_neutral,
                                 trivial_cochain, validate_cocycle,
@@ -32,6 +32,11 @@ _spec.loader.exec_module(workloads)
 z4_producing_cochain = models.COCHAIN_FIXTURES["z4-producing"]
 # G = Z2, A = Z3, xi trivial, phi(g) = inversion
 inversion_cochain = models.COCHAIN_FIXTURES["s3-producing"]
+
+
+def _cochain(c):
+    """The cochain c as the oracles read it: (G table, A table, xi, perms)."""
+    return c.G.table, c.A.table, c.xi, c.perms
 
 
 def test_trivial_cochain_is_valid_over_assorted_pairs():
@@ -256,7 +261,7 @@ def test_every_normalized_twist_of_every_cocycle_is_a_cocycle():
             for zeta in itertools.product(A.elements(), repeat=G.order - 1):
                 tw = coboundary_twist(c, (0,) + zeta)
                 assert (tw.xi, tw.perms) \
-                    == oracles.twist(G.table, A.table, c.xi, c.perms, (0,) + zeta), \
+                    == oracles.twist(*_cochain(c), (0,) + zeta), \
                     (G.name, A.name, c, zeta)
                 assert validate_cocycle(tw).valid, (G.name, A.name, c, zeta)
                 assert tw.is_normalized()
@@ -275,12 +280,6 @@ def test_neutral_cocycles_have_homomorphic_phi():
                     assert aut.index[fg.compose_perm(c.perms[g1],
                                                      c.perms[g0])] \
                         == c.phi[G.mul(g1, g0)], (G.name, A.name, c.phi)
-
-
-def reference_cohomologous(c1, c2, normalized):
-    """The first twist of c1 into c2 by brute force (`oracles.first_twist`)."""
-    return oracles.first_twist(c1.G.table, c1.A.table, c1.xi, c1.perms, (c2.xi, c2.perms),
-                               normalized)
 
 
 def test_cohomologous_matches_reference_twist_loop():
@@ -303,13 +302,15 @@ def test_cohomologous_matches_reference_twist_loop():
         for c1, c2 in pairs:
             # every witness between normalized cocycles has zeta(1) = 1
             w = cohomologous(c1, c2)
-            assert w == reference_cohomologous(c1, c2, True) \
-                == reference_cohomologous(c1, c2, False), (gn, an, c1, c2)
+            assert w == oracles.first_twist(*_cochain(c1), (c2.xi, c2.perms), True) \
+                == oracles.first_twist(*_cochain(c1), (c2.xi, c2.perms), False), \
+                (gn, an, c1, c2)
             # an unnormalized cocycle is searched over every twist
             c2u = coboundary_twist(c2, (1,) + (0,) * (G.order - 1))
             wu = cohomologous(c1, c2u)
             assert not c2u.is_normalized()
-            assert wu == reference_cohomologous(c1, c2u, False), (gn, an, c1, c2u)
+            assert wu == oracles.first_twist(*_cochain(c1), (c2u.xi, c2u.perms), False), \
+                (gn, an, c1, c2u)
             assert (wu is None) == (w is None)
 
 
@@ -436,12 +437,6 @@ def test_cap_counts_solver_work(monkeypatch):
     assert (err.value.size, err.value.cap) == (1001, 1000)
 
 
-def reference_validate_cocycle(c):
-    """The first broken cocycle law by brute force (`oracles.cocycle_failure`)."""
-    failure = oracles.cocycle_failure(c.G.table, c.A.table, c.xi, c.perms)
-    return fg.Report(True) if failure is None else fg.Report(False, *failure)
-
-
 def _normalized_failures(rng, c):
     """Normalized cochains near the cocycle c that the generator-middle check
     must reject before the full scan: xi changed at one cell off the
@@ -518,7 +513,9 @@ def test_law_table_matches_the_nested_loop_validation_on_the_h2_grid():
             corrupted = Cochain2(G, A, tuple(map(tuple, xi)), twisted.phi)
             for v in [c, twisted, corrupted] + _normalized_failures(near, c):
                 got = validate_cocycle(v)
-                assert got == reference_validate_cocycle(v), (gn, an, v)
+                failure = oracles.cocycle_failure(*_cochain(v))
+                assert got == (fg.Report(True) if failure is None
+                               else fg.Report(False, *failure)), (gn, an, v)
                 verdicts.add(got.violation)
                 if v.is_normalized():
                     normalized.add(got.violation)
@@ -532,34 +529,6 @@ EXTRA_PAIRS = [("S3", "Z2"), ("Z4", "Z4"), ("Z3", "Q8"), ("Q8", "Z2"),
                ("Z2xZ2", "Z4"), ("Z6", "Z2"), ("Z2xZ2", "S3"), ("Z4", "S3")]
 
 
-def reference_classify_h2(G, A):
-    """classify_h2 as written before the stabiliser: each class
-    representative twisted by every normalized map."""
-    cocycles = enumerate_normalized_cocycles(G, A)
-    index = {(c.xi, c.phi): i for i, c in enumerate(cocycles)}
-    twists = list(capped_product([(0,)] + [A.elements()] * (G.order - 1)))
-    seen = [False] * len(cocycles)
-    classes = []
-    trivial = trivial_cochain(G, A)
-    trivial_index = index[(trivial.xi, trivial.phi)]
-    for i, c in enumerate(cocycles):
-        if seen[i]:
-            continue
-        orbit = set()
-        for zeta in twists:
-            tw = coboundary_twist(c, zeta)
-            orbit.add(index[(tw.xi, tw.phi)])
-        for j in orbit:
-            seen[j] = True
-        classes.append(H2Class(
-            representative=c,
-            size=len(orbit),
-            distinguished=trivial_index in orbit,
-            neutral=any(is_neutral(cocycles[j]) for j in orbit),
-        ))
-    return H2Classification(G, A, tuple(classes))
-
-
 def _grid_and_extra_pairs():
     for gn, an in workloads.H2_PAIRS + EXTRA_PAIRS:
         yield gn, an, fg.standard_group(gn), fg.standard_group(an)
@@ -567,7 +536,11 @@ def _grid_and_extra_pairs():
 
 def test_stabiliser_orbit_loop_matches_the_reference_classification():
     for gn, an, G, A in _grid_and_extra_pairs():
-        assert classify_h2(G, A) == reference_classify_h2(G, A), (gn, an)
+        got = classify_h2(G, A)
+        assert (got.G, got.A) == (G, A)
+        assert [((cls.representative.xi, cls.representative.perms), cls.size,
+                 cls.distinguished, cls.neutral) for cls in got.classes] \
+            == oracles.h2_classes(G.table, A.table), (gn, an)
 
 
 def test_stabiliser_formula_matches_the_brute_force_stabiliser():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import oracles
 from covlab import fingroup as fg
 from covlab import covariance, fincat
 from covlab import models
@@ -26,14 +27,28 @@ def _gauge_component(gauge, idx, obj):
     return gauge.families[idx][gauge.position[obj]]
 
 
-def _invertible_endos(cat, x):
-    return tuple(m for m in cat.hom(x, x) if cat.inverse(m) is not None)
+def _cat(cat):
+    """A category as the oracles read it."""
+    return (tuple(cat.objects), {m: (d, c) for m, d, c in cat.morphisms},
+            dict(cat.compose_table), dict(cat.identities))
+
+
+def _functor(F):
+    """A theory functor as the oracles read it."""
+    return _cat(F.source), _cat(F.target), dict(F.obj_map), dict(F.mor_map)
+
+
+def _implementation(impl):
+    """An implementation as the oracles read it: (functor, G, action, eta)."""
+    return (_functor(impl.functor), impl.action.group.table,
+            [(T.obj_map, T.mor_map) for T in impl.action.functors],
+            [dict(fam) for fam in impl.eta])
 
 
 def test_one_object_category_valid():
     cat = group_as_category(fg.cyclic(4))
     assert validate_fincat(cat).valid
-    assert _invertible_endos(cat, "*") == ("r0", "r1", "r2", "r3")
+    assert oracles.invertible_endos(_cat(cat), "*") == ("r0", "r1", "r2", "r3")
 
 
 def test_missing_composite_detected():
@@ -109,21 +124,6 @@ def test_arrow_ending_off_the_objects_is_refused():
                {("ida", "ida"): "ida"}, {"a": "ida"})
 
 
-def _reference_hom(cat, x, y):
-    """hom(x, y) by a sorted scan of every morphism."""
-    return tuple(sorted(m for m, d, c in cat.morphisms if d == x and c == y))
-
-
-def _reference_inverse(cat, m):
-    """The first two-sided inverse of m in the sorted hom(cod, dom), or None."""
-    d, c = cat.dom[m], cat.cod[m]
-    for cand in _reference_hom(cat, c, d):
-        if (cat.compose_table.get((cand, m)) == cat.identities[d]
-                and cat.compose_table.get((m, cand)) == cat.identities[c]):
-            return cand
-    return None
-
-
 def test_hom_index_matches_morphism_scan():
     # two parallel arrows a -> b, listed out of id order, and nothing b -> a
     arrows = FinCat(["a", "b"],
@@ -139,11 +139,12 @@ def test_hom_index_matches_morphism_scan():
         functor = models.named_model(name).functor
         cats += [functor.source, functor.target]
     for cat in cats:
+        plain = _cat(cat)
         for x in cat.objects:
             for y in cat.objects:
-                assert cat.hom(x, y) == _reference_hom(cat, x, y), (cat.name, x, y)
+                assert cat.hom(x, y) == oracles.hom(plain, x, y), (cat.name, x, y)
         for m, _, _ in cat.morphisms:
-            assert cat.inverse(m) == _reference_inverse(cat, m), (cat.name, m)
+            assert cat.inverse(m) == oracles.arrow_inverse(plain, m), (cat.name, m)
     assert arrows.hom("a", "b") == ("f", "z")
     assert arrows.hom("b", "a") == ()
     assert arrows.inverse("f") is None
@@ -253,6 +254,21 @@ def test_gauge_group_discrete_source_naturality_vacuous():
     gauge = compute_gauge_group(functor)
     assert gauge.order == 4
     assert gauge.table.order_profile() == (1, 2, 4, 4)
+
+
+def test_gauge_families_list_the_identity_first_then_lexicographically():
+    # two points, both sent to the one object of B(Z4): all 16 families are
+    # natural, and ordering them by the reversed tuple would differ
+    target = group_as_category(fg.cyclic(4))
+    source = FinCat(["p", "q"], [("idp", "p", "p"), ("idq", "q", "q")],
+                    {("idp", "idp"): "idp", ("idq", "idq"): "idq"},
+                    {"p": "idp", "q": "idq"})
+    functor = TheoryFunctor(source, target, {"p": "*", "q": "*"},
+                            {"idp": "r0", "idq": "r0"})
+    gauge = compute_gauge_group(functor)
+    families, table = oracles.gauge_group(_functor(functor))
+    assert len(families) == 16 and families[:3] == [("r0", "r0"), ("r0", "r1"), ("r0", "r2")]
+    assert (gauge.families, gauge.table.table) == (tuple(families), table)
 
 
 def test_gauge_group_trivial_for_nonabelian_endos():
@@ -649,106 +665,27 @@ def test_lift_builds_no_functor(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# reference loops: each family written out object by object, with linear
-# lookups, to compare the library's shared placement and naturality helpers
-# against
+# the gauge groups, cocycles, twists, lifts and comparisons against the
+# object-by-object loops of `oracles`
 
-
-def _reference_gauge_group(F):
-    """Families by the product of invertible endos and an inline square,
-    identity first; the table by a linear family lookup per product."""
-    src, tgt = F.source, F.target
-    families = []
-    tc = tgt.compose_table
-    for combo in itertools.product(*[_invertible_endos(tgt, F.obj_map[x])
-                                     for x in src.objects]):
-        comp = dict(zip(src.objects, combo))
-        if all(tc[comp[c], F.mor_map[m]] == tc[F.mor_map[m], comp[d]]
-               for m, d, c in src.morphisms):
-            families.append(combo)
-    ident = tuple(tgt.identities[F.obj_map[x]] for x in src.objects)
-    families.sort(key=lambda fam: (fam != ident, fam))
-    table = tuple(tuple(families.index(tuple(tc[p, q] for p, q in zip(a, b)))
-                        for b in families) for a in families)
-    return families, table
-
-
-def _reference_cocycle(impl):
-    """xi(g1, g0) and the phi(g) permutations, object by object."""
-    F, act = impl.functor, impl.action
-    G, tgt, objects = act.group, F.target, F.source.objects
-    tc, T = tgt.compose_table, act.functors
-    families, _ = _reference_gauge_group(F)
-
-    def xi_family(g1, g0):
-        prod = G.mul(g1, g0)
-        comps = []
-        for d in objects:
-            c = T[G.inv(prod)].obj_map[d]
-            comps.append(tc[impl.eta[g1][T[g0].obj_map[c]],
-                            tc[impl.eta[g0][c], tgt.inverse(impl.eta[prod][c])]])
-        return tuple(comps)
-
-    def phi_perm(g):
-        out = []
-        for alpha in families:
-            comps = []
-            for d in objects:
-                c = T[G.inv(g)].obj_map[d]
-                comps.append(tc[impl.eta[g][c],
-                                tc[alpha[objects.index(c)], tgt.inverse(impl.eta[g][c])]])
-            out.append(families.index(tuple(comps)))
-        return tuple(out)
-
-    xi = tuple(tuple(families.index(xi_family(g1, g0)) for g0 in G.elements())
-               for g1 in G.elements())
-    return xi, tuple(phi_perm(g) for g in G.elements())
-
-
-def _reference_zeta(i1, i2):
-    F, act = i1.functor, i1.action
-    G, tgt = act.group, F.target
-    families, _ = _reference_gauge_group(F)
-    zeta = []
-    for g in G.elements():
-        comps = []
-        for d in F.source.objects:
-            c = act.functors[G.inv(g)].obj_map[d]
-            comps.append(tgt.compose_table[i2.eta[g][c], tgt.inverse(i1.eta[g][c])])
-        zeta.append(families.index(tuple(comps)))
-    return tuple(zeta)
-
-
-def _reference_gauged(impl, a, g):
-    """{x: a_{g.x} o eta(g)_x} for the gauge element of index a."""
-    F, act = impl.functor, impl.action
-    families, _ = _reference_gauge_group(F)
-    objects = F.source.objects
-    fam = {}
-    for x in objects:
-        gx = act.functors[g].obj_map[x]
-        fam[x] = F.target.compose_table[families[a][objects.index(gx)], impl.eta[g][x]]
-    return fam
-
-
-def _reference_bases():
+def _bases():
     """Every named model, Z4Rot at each power, and the two B(S3) point models."""
     base = [models.named_model(name) for name in sorted(models.NAMED_MODELS)]
     base += [models.one_object_cyclic_model(p) for p in range(4)]
     return base + [_point_into_s3_model(3), _point_into_s3_model(1)]
 
 
-def _reference_models():
+def _models():
     """The bases, each followed by its lift to its extension group."""
-    base = _reference_bases()
+    base = _bases()
     return base + [lift_to_extension(impl) for impl in base]
 
 
 def _kernel_cases():
-    """Every reference base and its lift, each followed by a seeded twist."""
+    """Every base and its lift, each followed by a seeded twist."""
     rng = random.Random(21)
     out = []
-    for impl in _reference_bases():
+    for impl in _bases():
         for base in (impl, lift_to_extension(impl)):
             order = compute_gauge_group(base.functor).order
             zeta = (0,) + tuple(rng.randrange(order)
@@ -758,9 +695,9 @@ def _kernel_cases():
 
 
 def test_gauge_groups_match_the_reference_loop():
-    for impl in _reference_models():
+    for impl in _models():
         gauge = compute_gauge_group(impl.functor)
-        families, table = _reference_gauge_group(impl.functor)
+        families, table = oracles.gauge_group(_functor(impl.functor))
         assert gauge.families == tuple(families), impl.name
         assert gauge.table.table == table, impl.name
         for i, fam in enumerate(families):
@@ -772,99 +709,43 @@ def test_gauge_groups_match_the_reference_loop():
 def test_extracted_cocycles_match_the_reference_loop():
     for impl in _kernel_cases():
         c = extract_cocycle(impl)
-        xi, perms = _reference_cocycle(impl)
-        assert c.xi == xi, impl.name
-        aut = fg.compute_aut(c.A)
-        assert c.phi == tuple(aut.index_of(p) for p in perms), impl.name
+        assert (c.xi, c.perms) == oracles.cocycle(*_implementation(impl)), impl.name
 
 
 def test_twists_lifts_and_comparisons_match_the_reference_loops():
+    def comparison(i1, i2):
+        return oracles.comparison(*_implementation(i1), _implementation(i2)[3])
+
     rng = random.Random(15)
-    for impl in _reference_models():
+    for impl in _models():
         G = impl.action.group
+        functor, _, action, eta = _implementation(impl)
         gauge = compute_gauge_group(impl.functor)
         for _ in range(3):
             zeta = (0,) + tuple(rng.randrange(gauge.order) for _ in range(G.order - 1))
             twisted = twist_implementation(impl, zeta)
-            assert list(twisted.eta) == [_reference_gauged(impl, zeta[g], g)
-                                         for g in G.elements()], impl.name
+            assert list(twisted.eta) == oracles.gauged(
+                functor, action, eta, [(zeta[g], g) for g in G.elements()]), impl.name
             for i1, i2 in ((impl, twisted), (twisted, impl), (impl, impl)):
-                assert compare_implementations(i1, i2) == _reference_zeta(i1, i2)
-    for impl in _reference_bases():
+                assert compare_implementations(i1, i2) == comparison(i1, i2)
+    for impl in _bases():
+        functor, _, action, eta = _implementation(impl)
         ext = build_extension(extract_cocycle(impl))
         lifted = lift_to_extension(impl)
-        assert list(lifted.eta) == [_reference_gauged(impl, *ext.unpair(e))
-                                    for e in ext.E.elements()], impl.name
+        assert list(lifted.eta) == oracles.gauged(
+            functor, action, eta, [ext.unpair(e) for e in ext.E.elements()]), impl.name
     cyclic = [models.one_object_cyclic_model(p) for p in range(4)]
     for i1 in cyclic:
         for i2 in cyclic:
-            assert compare_implementations(i1, i2) == _reference_zeta(i1, i2)
+            assert compare_implementations(i1, i2) == comparison(i1, i2)
 
 
 # ---------------------------------------------------------------------------
-# reference kernels: the functor and implementation checks written out as
-# plain loops, one table lookup per composition and image and one inverse
-# call per inverse, for the library kernels to match
+# the functor and implementation checks against the plain loops of `oracles`
 
-
-def _reference_validate_functor(F):
-    src, tgt = F.source, F.target
-    for x in src.objects:
-        if F.obj_map.get(x) not in tgt.objects:
-            return Report(False, "ObjectMapNotTotal", (x,))
-    tgt_mors = {m for m, _, _ in tgt.morphisms}
-    for m, d, c in src.morphisms:
-        fm = F.mor_map.get(m)
-        if fm not in tgt_mors:
-            return Report(False, "MorphismMapNotTotal", (m,))
-        if tgt.dom[fm] != F.obj_map[d] or tgt.cod[fm] != F.obj_map[c]:
-            return Report(False, "DomCodNotPreserved", (m,))
-    for x in src.objects:
-        if F.mor_map[src.identities[x]] != tgt.identities.get(F.obj_map[x]):
-            return Report(False, "IdentityNotPreserved", (x,))
-    for (f, g), h in src.compose_table.items():
-        if tgt.compose_table.get((F.mor_map[f], F.mor_map[g])) != F.mor_map[h]:
-            return Report(False, "CompositionNotPreserved", (f, g))
-    return Report(True)
-
-
-def _reference_unnatural(F, fam, H):
-    tgt = F.target
-    for m, d, c in F.source.morphisms:
-        if tgt.compose_table[fam[c], F.mor_map[m]] != tgt.compose_table[H(m), fam[d]]:
-            return m
-    return None
-
-
-def _reference_validate_implementation(impl):
-    F, act = impl.functor, impl.action
-    src, tgt = F.source, F.target
-    G = act.group
-    if act.category != src:
-        return Report(False, "ActionCategoryMismatch", ())
-    if len(impl.eta) != G.order:
-        return Report(False, "FamilyPerElementMissing", (len(impl.eta),))
-    for x in src.objects:
-        if impl.eta[0].get(x) != tgt.identities[F.obj_map[x]]:
-            return Report(False, "IdentityFamilyNotIdentity", (x,))
-    for g in G.elements():
-        fam = impl.eta[g]
-        for x in src.objects:
-            m = fam.get(x)
-            if m is None:
-                return Report(False, "FamilyNotTotal", (g, x))
-            if (tgt.dom[m] != F.obj_map[x]
-                    or tgt.cod[m] != F.obj_map[act.functors[g].obj_map[x]]):
-                return Report(False, "ComponentShape", (g, x))
-            if tgt.inverse(m) is None:
-                return Report(False, "ComponentNotInvertible", (g, x))
-        if len(fam) != len(src.objects):
-            stray = next(x for x in fam if x not in src.objects)
-            return Report(False, "FamilyAtUnknownObject", (g, stray))
-        mor = _reference_unnatural(F, fam, lambda m: F.mor_map[act.functors[g].mor_map[m]])
-        if mor is not None:
-            return Report(False, "NotNatural", (g, mor))
-    return Report(True)
+def _report(failure):
+    """The `fingroup.Report` an oracle's (violation, witness) or None stands for."""
+    return Report(True) if failure is None else Report(False, *failure)
 
 
 def _unchecked_functor(source, target, obj_map, mor_map):
@@ -937,20 +818,23 @@ def test_functor_and_implementation_checks_match_the_reference_kernels():
         functors = [F] + list(dict.fromkeys(impl.action.functors, None))
         for T in functors + [B for T in functors for B in _corrupt_targets(rng, T)]:
             rep = validate_functor(T)
-            assert rep == _reference_validate_functor(T), impl.name
+            assert rep == _report(oracles.functor_failure(_functor(T))), impl.name
             verdicts.add(rep.violation)
         implementations = [impl] + _corrupt_eta(rng, impl) + [
             _unchecked_implementation(B, impl.action, impl.eta)
             for B in _corrupt_targets(rng, F)]
         for cand in implementations:
             rep = validate_implementation(cand)
-            assert rep == _reference_validate_implementation(cand), impl.name
+            assert rep == _report(oracles.implementation_failure(
+                *_implementation(cand), _cat(cand.action.category))), impl.name
             verdicts.add(rep.violation)
-        per_object = [_invertible_endos(F.target, F.obj_map[x]) for x in F.source.objects]
+        functor = _functor(F)
+        per_object = [oracles.invertible_endos(functor[1], F.obj_map[x])
+                      for x in F.source.objects]
         for combo in itertools.product(*per_object):
             fam = dict(zip(F.source.objects, combo))
             assert _unnatural(F, fam, F.mor_map) \
-                == _reference_unnatural(F, fam, F.mor_map.__getitem__), impl.name
+                == oracles.unnatural(functor, fam, F.mor_map), impl.name
     # the corruptions reach the composition, shape, inverse and naturality verdicts
     assert {None, "CompositionNotPreserved", "IdentityFamilyNotIdentity",
             "ComponentShape", "ComponentNotInvertible", "NotNatural"} <= verdicts

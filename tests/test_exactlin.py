@@ -1,6 +1,6 @@
 """`GaussRat` and `Mat` against a reference built on two `Fraction`s.
 
-`RefGaussRat` is the Fraction-pair Gaussian rational, and the `ref_*`
+`oracles.Qi` is the Fraction-pair Gaussian rational, and the `oracles.mat_*`
 functions are the echelon algorithms written on it.  Seeded draws of small
 Gaussian rationals (zero, reals, pure imaginaries and non-unit
 denominators among them) must give the same values, strings and
@@ -10,126 +10,12 @@ reduced.
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
+import oracles
 from covlab.exactlin import GaussRat, Mat, ONE, ZERO, null_space
-
-
-@dataclass(frozen=True)
-class RefGaussRat:
-    re: Fraction
-    im: Fraction = Fraction(0)
-
-    def __add__(self, o):
-        return RefGaussRat(self.re + o.re, self.im + o.im)
-
-    def __sub__(self, o):
-        return RefGaussRat(self.re - o.re, self.im - o.im)
-
-    def __neg__(self):
-        return RefGaussRat(-self.re, -self.im)
-
-    def __mul__(self, o):
-        return RefGaussRat(self.re * o.re - self.im * o.im,
-                           self.re * o.im + self.im * o.re)
-
-    def __truediv__(self, o):
-        n = o.re * o.re + o.im * o.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return RefGaussRat((self.re * o.re + self.im * o.im) / n,
-                           (self.im * o.re - self.re * o.im) / n)
-
-    def __pow__(self, n):
-        if n < 0:
-            return (REF_ONE / self) ** (-n)
-        out = REF_ONE
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def conjugate(self):
-        return RefGaussRat(self.re, -self.im)
-
-    def is_zero(self):
-        return self.re == 0 and self.im == 0
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
-
-
-REF_ZERO = RefGaussRat(Fraction(0))
-REF_ONE = RefGaussRat(Fraction(1))
-
-
-def ref_det(rows):
-    a = [list(r) for r in rows]
-    n = len(a)
-    out = REF_ONE
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not a[r][col].is_zero()), None)
-        if piv is None:
-            return REF_ZERO
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            out = -out
-        out = out * a[col][col]
-        for r in range(col + 1, n):
-            f = a[r][col] / a[col][col]
-            a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return out
-
-
-def ref_rref(rows):
-    a = [list(r) for r in rows]
-    pivots, r = [], 0
-    for c in range(len(a[0])):
-        piv = next((i for i in range(r, len(a)) if not a[i][c].is_zero()), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(len(a)):
-            if i != r:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(a):
-            break
-    return a, pivots
-
-
-def ref_null_space(rows, ncols):
-    a, pivots = ref_rref(rows)
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        vec = [REF_ZERO] * ncols
-        vec[f] = REF_ONE
-        for r, c in enumerate(pivots):
-            vec[c] = -a[r][f]
-        basis.append(vec)
-    return basis
-
-
-def ref_inverse(rows):
-    n = len(rows)
-    a, pivots = ref_rref([list(r) + [REF_ONE if i == j else REF_ZERO for j in range(n)]
-                          for i, r in enumerate(rows)])
-    return None if pivots != list(range(n)) else [row[n:] for row in a]
-
-
-def ref_product(x, y):
-    return [[sum((a * b for a, b in zip(row, col)), REF_ZERO) for col in zip(*y)]
-            for row in x]
 
 
 def draw(rng):
@@ -147,12 +33,12 @@ def draw(rng):
 
 
 def pair(rng):
-    """The same drawn number as a GaussRat and as a RefGaussRat; integer
+    """The same drawn number as a GaussRat and as an `oracles.Qi`; integer
     parts are sometimes passed as ints, the constructor's fast path."""
     re, im = draw(rng)
     if re.denominator == im.denominator == 1 and rng.randrange(2):
-        return GaussRat(int(re), int(im)), RefGaussRat(re, im)
-    return GaussRat(re, im), RefGaussRat(re, im)
+        return GaussRat(int(re), int(im)), oracles.Qi(re, im)
+    return GaussRat(re, im), oracles.Qi(re, im)
 
 
 def conjugate(z):
@@ -191,8 +77,8 @@ def test_gaussrat_arithmetic_matches_the_fraction_pair_reference():
         else:
             check(x ** n, rx ** n)
         k = rng.randint(-3, 3)
-        check(x + k, rx + RefGaussRat(Fraction(k)))
-        check(k * x, RefGaussRat(Fraction(k)) * rx)
+        check(x + k, rx + oracles.Qi(Fraction(k)))
+        check(k * x, oracles.Qi(Fraction(k)) * rx)
         assert (x == y) == (rx == ry)
         if not y.is_zero():
             z = x * y / y  # the same value reached another way
@@ -251,8 +137,8 @@ def test_matrix_kernels_match_the_reference():
         if rng.randrange(4) == 0:  # a repeated row: singular
             rows[-1], ref_rows[-1] = list(rows[0]), list(ref_rows[0])
         m = Mat(rows)
-        check(m.det(), ref_det(ref_rows))
-        want = ref_inverse(ref_rows)
+        check(m.det(), oracles.mat_det(ref_rows))
+        want = oracles.mat_inverse(ref_rows)
         if want is None:
             singular += 1
             with pytest.raises(ValueError, match="matrix is singular"):
@@ -261,8 +147,8 @@ def test_matrix_kernels_match_the_reference():
             inverted += 1
             check_rows(m.inverse().rows, want)
         other, ref_other = random_rows(rng, n, rng.randint(1, 4))
-        check_rows((m * Mat(other)).rows, ref_product(ref_rows, ref_other))
+        check_rows((m * Mat(other)).rows, oracles.mat_product(ref_rows, ref_other))
         nr, nc = rng.randint(1, 4), rng.randint(2, 4)
         rows, ref_rows = random_rows(rng, nr, nc)
-        check_rows(null_space(rows, nc), ref_null_space(ref_rows, nc))
+        check_rows(null_space(rows, nc), oracles.mat_null_space(ref_rows, nc))
     assert singular >= 10 and inverted >= 10

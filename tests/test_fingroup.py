@@ -84,12 +84,6 @@ def _central_loop(rng, G, m, kind):
     return out, lab[0]
 
 
-def reference_first_non_associative(rows):
-    n = len(rows)
-    return next(((x, y, z) for x in range(n) for y in range(n) for z in range(n)
-                 if rows[rows[x][y]][z] != rows[x][rows[y][z]]), None)
-
-
 def test_light_associativity_test_matches_the_full_scan_on_loops():
     rng = random.Random(20)
     groups = [fg.standard_group(name) for name in sorted(fg._STANDARD) if name != "1"]
@@ -106,7 +100,7 @@ def test_light_associativity_test_matches_the_full_scan_on_loops():
         lab[0], lab[e] = e, 0
         rows = [[lab[table[lab[i]][lab[j]]] for j in range(len(lab))]
                 for i in range(len(lab))]
-        witness = reference_first_non_associative(rows)
+        witness = oracles.first_non_associative(rows)
         if witness is None:
             assert [list(row) for row in fg.make_group(rows).table] == rows
         else:
@@ -263,6 +257,17 @@ def test_check_hom_examples():
     assert (moved.violation, moved.witness) == ("IdentityNotIdentity", (0, 0))
 
 
+def test_hom_law_witness_reads_x_major():
+    # on Z2xZ2 (generators 1, 2), 3 -> 0 breaks the law at (1, 2), (2, 1),
+    # (3, 1) and (3, 2): x-major the first is (1, 2), s-major (2, 1)
+    v4 = fg.standard_group("Z2xZ2")
+    assert fg.generating_sequence(v4) == oracles.generating_sequence(v4.table) == (1, 2)
+    image = (0, 1, 2, 0)
+    assert oracles.hom_failure(v4.table, image, v4.mul) == (1, 2)
+    report = fg.check_hom(fg.GroupHom(v4, v4, image))
+    assert (report.violation, report.witness) == ("NotAHomomorphism", (1, 2))
+
+
 def test_quotient_q8_by_centre():
     q8 = fg.quaternion8()
     q, proj = fg.quotient(q8, fg.centre(q8))
@@ -305,24 +310,16 @@ def test_compute_aut_finds_every_automorphism():
 
 
 
-def _reference_inv(g, a):
-    """The inverse of a by a scan of its row, as GroupTable.inv once did."""
-    for b in range(g.order):
-        if g.table[a][b] == 0 and g.table[b][a] == 0:
-            return b
-    raise KeyError(f"element {a} has no two-sided inverse")
-
-
 def test_inverse_table_matches_row_scan():
     for name in sorted(fg._STANDARD):
         g = fg.standard_group(name)
         assert [g.inv(a) for a in g.elements()] \
-            == [_reference_inv(g, a) for a in g.elements()], name
+            == [oracles.inverse(g.table, a) for a in g.elements()], name
     # 1 * 2 = 0 but 2 * 1 = 1: 2 is a right inverse of 1, not a two-sided one
     monoid = fg.GroupTable(((0, 1, 2), (1, 1, 0), (2, 1, 2)))
-    assert monoid.inv(0) == _reference_inv(monoid, 0) == 0
+    assert monoid.inv(0) == oracles.inverse(monoid.table, 0) == 0
     for a in (1, 2):
-        for inv in (monoid.inv, lambda x: _reference_inv(monoid, x)):
+        for inv in (monoid.inv, lambda x: oracles.inverse(monoid.table, x)):
             with pytest.raises(KeyError) as err:
                 inv(a)
             assert err.value.args == (f"element {a} has no two-sided inverse",)
@@ -413,17 +410,14 @@ def test_cyclic_refuses_orders_below_one_and_non_ints():
 # ---------------------------------------------------------------------------
 # the homomorphism law, checked on generators
 
-def all_pairs_witness(g, image, compose):
-    """Reference: the first pair (x, y) of all of g x g breaking the law."""
-    return next(((x, y) for x in g.elements() for y in g.elements()
-                 if image(g.mul(x, y)) != compose(image(x), image(y))), None)
-
-
 def checked_witness(g, image, compose):
-    """hom_law_witness, required to agree with the reference on validity and
-    to return only a pair (x, s), s a generator, that breaks the law."""
+    """hom_law_witness, required to return the oracle's first pair, to agree
+    with a scan of all pairs on validity, and to return only a pair (x, s),
+    s a generator, that breaks the law."""
     witness = fg.hom_law_witness(g, image, compose)
-    assert (witness is None) == (all_pairs_witness(g, image, compose) is None)
+    assert witness == oracles.hom_failure(g.table, list(map(image, g.elements())), compose)
+    assert (witness is None) == all(image(g.mul(x, y)) == compose(image(x), image(y))
+                                    for x in g.elements() for y in g.elements())
     if witness is not None:
         x, s = witness
         assert s in fg.generating_sequence(g)
@@ -505,100 +499,9 @@ def test_hom_law_witness_matches_all_pairs_on_model_actions():
 # ---------------------------------------------------------------------------
 # every group table, against the hand-indexed builders `table_on` replaced
 
-_REF_Q8_AXES = "1ijk"
-_REF_Q8_MUL = {  # (axis, axis) -> (sign, axis) for the unit quaternions
-    ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"),
-    ("1", "k"): (1, "k"), ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
-    ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-    ("i", "j"): (1, "k"), ("j", "i"): (-1, "k"),
-    ("j", "k"): (1, "i"), ("k", "j"): (-1, "i"),
-    ("k", "i"): (1, "j"), ("i", "k"): (-1, "j"),
-}
-
-
-def reference_quaternion8():
-    def idx(sign, axis):
-        return 2 * _REF_Q8_AXES.index(axis) + (0 if sign == 1 else 1)
-
-    def unpack(e):
-        return (1 if e % 2 == 0 else -1), _REF_Q8_AXES[e // 2]
-
-    table = []
-    for x in range(8):
-        sx, ax = unpack(x)
-        row = []
-        for y in range(8):
-            sy, ay = unpack(y)
-            s, az = _REF_Q8_MUL[(ax, ay)]
-            row.append(idx(sx * sy * s, az))
-        table.append(tuple(row))
-    return tuple(table)
-
-
-def reference_cyclic(n):
-    return tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-
-
-def reference_direct_product(a, b):
-    """Tables in, table out: pair (x, y) is index x*|b| + y."""
-    nb = len(b)
-    size = len(a) * nb
-    return tuple(tuple(a[x // nb][y // nb] * nb + b[x % nb][y % nb] for y in range(size))
-                 for x in range(size))
-
-
-def reference_symmetric3():
-    perms = sorted(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    return tuple(tuple(index[tuple(p[q[k]] for k in range(3))] for q in perms)
-                 for p in perms)
-
-
-REFERENCE_STANDARD = {
-    "1": lambda: ((0,),),
-    "Z2": lambda: reference_cyclic(2),
-    "Z3": lambda: reference_cyclic(3),
-    "Z4": lambda: reference_cyclic(4),
-    "Z6": lambda: reference_cyclic(6),
-    "Z8": lambda: reference_cyclic(8),
-    "Z2xZ2": lambda: reference_direct_product(reference_cyclic(2), reference_cyclic(2)),
-    "S3": reference_symmetric3,
-    "Q8": reference_quaternion8,
-}
-
-
-def reference_subgroup(g, elems):
-    elems = tuple(sorted(set(elems)))
-    pos = {e: i for i, e in enumerate(elems)}
-    return tuple(tuple(pos[g.mul(x, y)] for y in elems) for x in elems)
-
-
-def reference_quotient(g, normal):
-    """(table, projection) with cosets found in element order, then sorted
-    by least member and relabelled."""
-    nset = tuple(sorted(set(normal)))
-    coset_of, cosets = {}, []
-    for x in g.elements():
-        if x in coset_of:
-            continue
-        cos = tuple(sorted(g.mul(x, n) for n in nset))
-        for m in cos:
-            coset_of[m] = len(cosets)
-        cosets.append(cos)
-    order = sorted(range(len(cosets)), key=lambda i: cosets[i][0])
-    relabel = {old: new for new, old in enumerate(order)}
-    proj = tuple(relabel[coset_of[x]] for x in g.elements())
-    table = tuple(tuple(proj[g.mul(cosets[order[i]][0], cosets[order[j]][0])]
-                        for j in range(len(cosets)))
-                  for i in range(len(cosets)))
-    return table, proj
-
-
-def reference_extension(c):
-    """(table, inclusion, projection) of E on pairs a*|G| + g."""
-    ng, size = c.G.order, c.A.order * c.G.order
-    return (oracles.extension_table(c.G.table, c.A.table, c.xi, c.perms),
-            tuple(a * ng for a in c.A.elements()), tuple(e % ng for e in range(size)))
+HAND_BUILT = {"1": ((0,),), **{f"Z{n}": oracles.cyclic(n) for n in (2, 3, 4, 6, 8)},
+              "Z2xZ2": oracles.direct_product(oracles.cyclic(2), oracles.cyclic(2)),
+              "S3": oracles.symmetric3(), "Q8": oracles.quaternion8()}
 
 
 def normal_closures(g):
@@ -612,9 +515,9 @@ def normal_closures(g):
 
 
 def test_table_on_builds_standard_groups_as_the_hand_indexed_builders():
-    assert sorted(REFERENCE_STANDARD) == sorted(fg._STANDARD)
-    for name, build in REFERENCE_STANDARD.items():
-        assert fg.standard_group(name).table == build(), name
+    assert sorted(HAND_BUILT) == sorted(fg._STANDARD)
+    for name, table in HAND_BUILT.items():
+        assert fg.standard_group(name).table == table, name
     assert fg.trivial_group().name == "1"
 
 
@@ -622,16 +525,16 @@ def test_table_on_builds_products_subgroups_and_quotients_as_before():
     groups = [fg.standard_group(name) for name in sorted(fg._STANDARD)]
     products = [fg.direct_product(a, b) for a in groups for b in groups]
     for p, (a, b) in zip(products, itertools.product(groups, groups)):
-        assert p.table == reference_direct_product(a.table, b.table), p
+        assert p.table == oracles.direct_product(a.table, b.table), p
     z2q8 = fg.direct_product(fg.cyclic(2), fg.quaternion8())
     assert z2q8.name == "Z2xQ8" and z2q8 in products
     quotients = 0
     for g in groups + products:
         for normal in normal_closures(g):
             sub, elems = fg.subgroup(g, normal)
-            assert (sub.table, elems) == (reference_subgroup(g, normal), normal)
+            assert (sub.table, elems) == (oracles.subgroup(g.table, normal), normal)
             q, proj = fg.quotient(g, normal)
-            assert (q.table, proj.map) == reference_quotient(g, normal), (g, normal)
+            assert (q.table, proj.map) == oracles.quotient(g.table, normal), (g, normal)
             quotients += 1
     assert quotients == 832
 
@@ -646,8 +549,10 @@ def test_table_on_builds_extensions_as_the_pair_loop():
     assert len(cochains) == 6 + 6 + 9 + 6 + 5
     for c in cochains:
         ext = build_extension(c)
+        ng, size = c.G.order, c.A.order * c.G.order
         assert (ext.E.table, ext.inclusion.map, ext.projection.map) \
-            == reference_extension(c), c
+            == (oracles.extension_table(c.G.table, c.A.table, c.xi, c.perms),
+                tuple(a * ng for a in c.A.elements()), tuple(e % ng for e in range(size))), c
 
 
 def test_table_on_raises_key_error_off_the_list():
@@ -656,37 +561,10 @@ def test_table_on_raises_key_error_off_the_list():
         fg.table_on((0, 1), lambda x, y: x + y)
 
 
-def reference_closure(g, elems):
-    """closure as written before it shared the breadth-first walk: products
-    on both sides and inverses, until nothing new appears."""
-    seen = {0, *elems}
-    frontier = list(seen)
-    while frontier:
-        x = frontier.pop()
-        for y in list(seen):
-            for z in (g.mul(x, y), g.mul(y, x), g.inv(x)):
-                if z not in seen:
-                    seen.add(z)
-                    frontier.append(z)
-    return tuple(sorted(seen))
-
-
-def reference_generating_sequence(g):
-    gens = []
-    gen = reference_closure(g, gens)
-    for x in g.elements():
-        if x not in gen:
-            gens.append(x)
-            gen = reference_closure(g, gens)
-            if len(gen) == g.order:
-                break
-    return tuple(gens)
-
-
 def test_closure_and_generating_sequence_match_the_closing_loop():
     for name in sorted(fg._STANDARD):
         g = fg.standard_group(name)
         for k in range(3):
             for elems in itertools.combinations(g.elements(), k):
-                assert fg.closure(g, elems) == reference_closure(g, elems), (name, elems)
-        assert fg.generating_sequence(g) == reference_generating_sequence(g), name
+                assert fg.closure(g, elems) == oracles.closure(g.table, elems), (name, elems)
+        assert fg.generating_sequence(g) == oracles.generating_sequence(g.table), name

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from covlab import fingroup as fg
 from covlab import models
 from covlab.cohomology2 import trivial_cochain
@@ -17,6 +18,11 @@ from covlab.wickscale import Monomial, WickPoly, scaling_multiplet
 
 Z2 = fg.cyclic(2)
 Z4 = fg.cyclic(4)
+
+
+def _mats(mats):
+    """Matrices as the oracles read them: lists of rows of `oracles.Qi`."""
+    return [[[oracles.Qi(v.re, v.im) for v in row] for row in m.rows] for m in mats]
 
 
 def zeros(r: int, c: int) -> Mat:
@@ -107,42 +113,6 @@ def test_field_action_violations_are_refused_when_built():
     assert FieldSpaceAction(a.dot, a.star, a.cocycle) == a
 
 
-def reference_rep_violation(r: MatrixRep):
-    """The representation laws on all pairs, determinants first, as
-    (violation, witness) or None; a law witness is `hom_law_witness`'s."""
-    G = r.group
-    if r.matrices[0] != Mat.identity(r.dim):
-        return "IdentityNotIdentityMatrix", (0,)
-    for g in G.elements():
-        if r(g).det().is_zero():
-            return "NotInvertible", (g,)
-    if any(r(G.mul(x, y)) != r(x) * r(y) for x in G.elements() for y in G.elements()):
-        return "NotAHomomorphism", fg.hom_law_witness(G, r, Mat.__mul__)
-    return None
-
-
-def reference_field_violation(dot: MatrixRep, star, c):
-    """The field-action laws on all pairs, as (violation, witness) or None."""
-    G, A = c.G, c.A
-    rep = reference_rep_violation(dot)
-    if rep is not None:
-        return f"DotRep:{rep[0]}", rep[1]
-    if star[0] != Mat.identity(dot.dim):
-        return "StarIdentity", (0,)
-    for g in G.elements():
-        if star[g].det().is_zero():
-            return "StarNotInvertible", (g,)
-    for g in G.elements():
-        for alpha in A.elements():
-            if star[g] * dot(alpha) != dot(c.perms[g][alpha]) * star[g]:
-                return "CompatibilityLaw", (g, alpha)
-    for g1 in G.elements():
-        for g0 in G.elements():
-            if star[g1] * star[g0] != dot(c.xi[g1][g0]) * star[G.mul(g1, g0)]:
-                return "TwistedActionLaw", (g1, g0)
-    return None
-
-
 def perturbed(mats, rng):
     """mats with one entry of one non-identity matrix replaced."""
     mats = list(mats)
@@ -162,7 +132,7 @@ def test_rep_and_field_checks_match_all_pairs_reference():
         r = build()
         for mats in [r.matrices] + [perturbed(r.matrices, rng) for _ in range(12)]:
             bad = MatrixRep(r.group, r.dim, mats)
-            expected = reference_rep_violation(bad)
+            expected = oracles.rep_violation(bad.group.table, _mats(bad.matrices))
             report = validate_rep(bad)
             assert (report.valid, report.violation, report.witness) == (
                 (True, None, None) if expected is None else (False, *expected))
@@ -175,7 +145,9 @@ def test_rep_and_field_checks_match_all_pairs_reference():
                        a.star) for _ in range(6)]
         cases += [(a.dot, perturbed(a.star, rng)) for _ in range(12)]
         for dot, star in cases:
-            expected = reference_field_violation(dot, star, a.cocycle)
+            c = a.cocycle
+            expected = oracles.field_violation(c.G.table, c.A.table, c.xi, c.perms,
+                                               _mats(dot.matrices), _mats(star))
             if expected is None:
                 FieldSpaceAction(dot, star, a.cocycle)
             else:
@@ -310,37 +282,6 @@ def test_equivalent_grid_fallback_decides_singular_span():
     assert not equivalent(r1, r2)
 
 
-def reference_equivalent(r1: MatrixRep, r2: MatrixRep) -> bool:
-    """The intertwiner search `equivalent` ran before it compared characters:
-    look for an invertible element of the intertwiner space among the basis,
-    64 seeded random combinations, then the whole grid {0..d}^dim(space)
-    (a nonzero polynomial of total degree d cannot vanish on all of it)."""
-    if r1.dim != r2.dim:
-        return False
-    basis = intertwiners(r1, r2)
-    if not basis:
-        return False
-    d = r1.dim
-    for b in basis:
-        if not b.det().is_zero():
-            return True
-    rng = random.Random(0xC0C)
-    for _ in range(64):
-        m = zeros(d, d)
-        for b in basis:
-            m = m + b.scale(Fraction(rng.randrange(-3, 4)))
-        if not m.det().is_zero():
-            return True
-    for coeffs in itertools.product(range(d + 1), repeat=len(basis)):
-        m = zeros(d, d)
-        for q, b in zip(coeffs, basis):
-            if q:
-                m = m + b.scale(Fraction(q))
-        if not m.det().is_zero():
-            return True
-    return False
-
-
 def direct_sum(*reps: MatrixRep) -> MatrixRep:
     dim = sum(r.dim for r in reps)
     mats = []
@@ -368,7 +309,7 @@ def similar(r: MatrixRep, rng: random.Random) -> MatrixRep:
     return MatrixRep(r.group, r.dim, tuple(s * m * s_inv for m in r.matrices))
 
 
-def oracle_rep_families():
+def _rep_families():
     """Per group: irreducibles, sums of two, and sums up to dimension 3."""
     t, s = z2_reps()
     z2 = [t, s, direct_sum(t, t), direct_sum(t, s), direct_sum(s, s),
@@ -391,13 +332,13 @@ def oracle_rep_families():
 def test_character_test_matches_intertwiner_search():
     rng = random.Random(1609)
     verdicts = []
-    for family in oracle_rep_families():
+    for family in _rep_families():
         assert all(validate_rep(r) for r in family)
         pairs = list(itertools.combinations_with_replacement(family, 2))
         pairs += [(v, r) for r in family
                   for v in (similar(r, rng), conjugate_rep(r))]
         for r1, r2 in pairs:
-            want = reference_equivalent(r1, r2)
+            want = oracles.equivalent(_mats(r1.matrices), _mats(r2.matrices))
             assert equivalent(r1, r2) == want, (r1, r2)
             verdicts.append(want)
     assert True in verdicts and False in verdicts

@@ -54,7 +54,9 @@ a `compose_table`, `identities`, `dom` or `cod` attribute or an entry of
 one, or calls `update`, `pop`, `setdefault` or `clear` on it.  No library
 handler catches `Exception`, which would turn a defect into an input error.
 The tests' brute-force references, `tests/oracles.py`, import the standard
-library alone, so no library defect can reach the reference that checks it.
+library alone, so no library defect can reach the reference that checks it,
+and no other test module defines a function named as a reference
+(`reference_*`, `_reference_*`, `oracle_*`, `_oracle_*` or `ref_*`).
 
 Run as a script, this module prints the exit code and stdout of each
 command given as a JSON list of argv lists; the -O test runs it that way.
@@ -100,6 +102,16 @@ def test_oracles_import_only_the_standard_library():
     found += [f"{_called(node)}()" for node in ast.walk(tree)
               if _called(node) in ("__import__", "import_module")]
     assert imported and found == []
+
+
+def test_references_are_defined_only_in_the_oracles():
+    prefixes = ("reference_", "_reference_", "oracle_", "_oracle_", "ref_")
+    found = [f"{path.name}:{node.lineno}: {node.name}"
+             for path in sorted((ROOT / "tests").glob("*.py")) if path.name != "oracles.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             and node.name.startswith(prefixes)]
+    assert found == []
 
 
 def test_library_catches_no_bare_exception():
