@@ -18,9 +18,8 @@ print("star(g) is the inverse rotation:", vec.star[1])
 
 # -- Schur reasoning with exact intertwiners ---------------------------------
 
-triv = models.q8_sign_rep("1")
-chi_i = models.q8_sign_rep("i")
-two = models.q8_two_dim_rep()
+reps = models.REPS["q8"]
+triv, chi_i, two = reps["sign-1"](), reps["sign-i"](), reps["2d"]()
 print("\nQ8 representations:")
 print("  hom(triv, chi_i) =", len(intertwiners(triv, chi_i)), "(Schur zero)")
 print("  end(2-dim) dimension =", len(intertwiners(two, two)),
@@ -29,11 +28,11 @@ print("  triv ~ chi_i:", equivalent(triv, chi_i))
 
 # -- mixing: forbidden for direct products, realized otherwise ---------------
 
-sub1, sub2 = models.standard_submultiplets()
-for name, action in [("inequivalent blocks", models.block_diagonal_fixtures()[0]),
-                     ("equivalent blocks", models.equivalent_blocks_action()),
-                     ("central Z4 cocycle", models.central_z4_mixing_action())]:
-    res = detect_mixing(action, sub1, sub2)
+for name, fixture in [("inequivalent blocks", "blocks"),
+                      ("equivalent blocks", "equivalent-blocks"),
+                      ("central Z4 cocycle", "central-z4")]:
+    action = models.FIELD_FIXTURES[fixture]()
+    res = detect_mixing(action, *models.SUBMULTIPLETS[fixture]())
     labels = classify_type(build_extension(action.cocycle)).labels
     print(f"\n{name}: extension {labels}")
     if res.witness is None:
@@ -43,9 +42,8 @@ for name, action in [("inequivalent blocks", models.block_diagonal_fixtures()[0]
         print("  mixed by e =", res.witness_pair, "(gauge part, group part)")
 
 # the quaternion extension mixes two inequivalent multiplier lines
-q8a = models.q8_mixing_action()
-e1, e2 = models.eigenline_submultiplets()
-res = detect_mixing(q8a, e1, e2)
+q8a = models.FIELD_FIXTURES["q8"]()
+res = detect_mixing(q8a, *models.SUBMULTIPLETS["q8"]())
 print("\nquaternion extension (nontrivial class):",
       classify_type(build_extension(q8a.cocycle)).labels)
 print("  rotation eigenlines mixed by e =", res.witness_pair)

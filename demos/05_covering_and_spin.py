@@ -8,15 +8,15 @@ when -1 acts trivially.
 Run:  python3 demos/05_covering_and_spin.py
 """
 
-from covlab import fingroup as fg
 from covlab import models
 from covlab.cohomology2 import coboundary_twist, cohomologous, trivial_cochain
 from covlab.covering import (all_sections, check_centre_hom, cyclic_cover,
-                             induced_gauge_cocycle, q8_cover, section_twist,
-                             spin_obstruction, z_class_trivial, z_cocycle)
-from covlab.fingroup import GroupHom
+                             extended_quotient, induced_gauge_cocycle,
+                             section_twist, spin_obstruction, z_class_trivial,
+                             z_cocycle)
 
-cov = q8_cover()
+cov = models.COVERS["q8"]()
+reps = models.REPS["q8"]
 print("cover: Q8 -> Z2xZ2 with kernel", cov.kernel_elements, "(central)")
 
 sections = all_sections(cov)
@@ -39,15 +39,14 @@ print("every pair of sections gives cohomologous factor sets:", same)
 
 # -- pushing the factor set into a gauge group -------------------------------
 
-a2 = fg.cyclic(2)
-flip = GroupHom(cov.K, a2, (0, 1))         # univalence: -1 acts as the flip
+flip = models.KERNEL_MAPS["flip"](cov.K)   # univalence: -1 acts as the flip
 print("\nkernel restriction is a central homomorphism:",
       check_centre_hom(flip).valid)
 induced = induced_gauge_cocycle(z0, flip)
 print("induced gauge cocycle trivial?",
       cohomologous(induced, trivial_cochain(induced.G, induced.A)) is not None)
 
-trivial_univalence = GroupHom(cov.K, a2, (0, 0))
+trivial_univalence = models.KERNEL_MAPS["trivial"](cov.K)
 induced0 = induced_gauge_cocycle(z0, trivial_univalence)
 print("with trivial univalence it is trivial:",
       cohomologous(induced0, trivial_cochain(induced0.G, induced0.A)) is not None)
@@ -55,19 +54,17 @@ print("with trivial univalence it is trivial:",
 # -- descent of representations ----------------------------------------------
 
 print("\ndescent along the cover:")
-verdict = spin_obstruction(cov, flip, models.q8_two_dim_rep())
+verdict = spin_obstruction(cov, flip, reps["2d"]())
 print("  2-dim irreducible: descends =", verdict.descends,
       "| obstruction witness =", verdict.obstruction_witness,
       "(the central -1: the finite analogue of a spinor)")
 for axis in "1ijk":
-    v = spin_obstruction(cov, flip, models.q8_sign_rep(axis))
+    v = spin_obstruction(cov, flip, reps[f"sign-{axis}"]())
     print(f"  sign character ({axis}): descends = {v.descends}")
 
 # -- the extended group of the base: a central-product quotient --------------
 
-prod = fg.direct_product(a2, cov.S)
-diag = fg.closure(prod, (0, 1 * cov.S.order + 1))  # generated by (flip, -1)
-quot, _ = fg.quotient(prod, diag)
+quot = extended_quotient(cov, flip)
 print("\n(A x S) / <(flip, -1)> has order", quot.order,
       "and profile", quot.order_profile())
 

@@ -17,13 +17,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import __version__
-from . import fingroup as fg
 from . import models
 from .cohomology2 import (SearchSpaceTooLarge, classify_h2, coboundary_twist,
                           cohomologous, is_neutral, trivial_cochain,
                           validate_cocycle)
-from .fingroup import (GroupHom, check_hom, direct_product, image,
-                       is_injective, is_surjective, kernel, quotient)
+from .fingroup import check_hom, image, is_injective, is_surjective, kernel
 from .schemas import (ParseError, SchemaError, cochain_from_obj, cochain_to_obj,
                       group_from_obj, group_to_obj, loads)
 
@@ -130,7 +128,7 @@ COCHAIN = (_flag("--input", help="cochain JSON file ('-' for stdin)"),
                  help="built-in cochain"))
 MODEL = _flag("--model", default="Z4Rot", choices=sorted(models.NAMED_MODELS))
 COVER = _flag("--cover", default="q8", choices=sorted(models.COVERS))
-ZETA = _flag("--zeta", default="flip", choices=["flip", "trivial"])
+ZETA = _flag("--zeta", default="flip", choices=sorted(models.KERNEL_MAPS))
 
 
 @verb("validate-cocycle", "check the two cocycle laws", *COCHAIN)
@@ -181,7 +179,7 @@ def cmd_build_extension(args, report: RunReport) -> None:
 @verb("gauge-group", "natural automorphisms of a model", MODEL)
 def cmd_gauge_group(args, report: RunReport) -> None:
     from .covariance import compute_gauge_group
-    impl = models.named_model(args.model)
+    impl = models.NAMED_MODELS[args.model]()
     report.digest("model", args.model)
     gauge = compute_gauge_group(impl.functor)
     report.verdict("gauge-group-computed", True, order=gauge.order)
@@ -192,7 +190,7 @@ def cmd_gauge_group(args, report: RunReport) -> None:
 @verb("extract-cocycle", "canonical cocycle of a model", MODEL)
 def cmd_extract_cocycle(args, report: RunReport) -> None:
     from .covariance import extract_cocycle
-    impl = models.named_model(args.model)
+    impl = models.NAMED_MODELS[args.model]()
     report.digest("model", args.model)
     c = extract_cocycle(impl)
     report.verdict("cocycle-valid", validate_cocycle(c).valid)
@@ -208,8 +206,8 @@ def cmd_extract_cocycle(args, report: RunReport) -> None:
       _flag("--other", default="Z4Rot3", choices=sorted(models.NAMED_MODELS)))
 def cmd_compare_impls(args, report: RunReport) -> None:
     from .covariance import compare_implementations, extract_cocycle
-    i1 = models.named_model(args.model)
-    i2 = models.named_model(args.other)
+    i1 = models.NAMED_MODELS[args.model]()
+    i2 = models.NAMED_MODELS[args.other]()
     report.digest("model", args.model)
     report.digest("other", args.other)
     w = compare_implementations(i1, i2)
@@ -221,7 +219,7 @@ def cmd_compare_impls(args, report: RunReport) -> None:
 @verb("lift-extension", "lift a model to its extension group", MODEL)
 def cmd_lift_extension(args, report: RunReport) -> None:
     from .covariance import extract_cocycle, lift_to_extension
-    impl = models.named_model(args.model)
+    impl = models.NAMED_MODELS[args.model]()
     report.digest("model", args.model)
     lifted = lift_to_extension(impl)
     report.verdict("lifted-cocycle-neutral", is_neutral(extract_cocycle(lifted)),
@@ -246,11 +244,7 @@ def cmd_detect_mixing(args, report: RunReport) -> None:
     from .multiplet import detect_mixing
     a = models.FIELD_FIXTURES[args.fixture]()
     report.digest("fixture", args.fixture)
-    if args.fixture == "q8":
-        sub1, sub2 = models.eigenline_submultiplets()
-    else:
-        sub1, sub2 = models.standard_submultiplets()
-    res = detect_mixing(a, sub1, sub2)
+    res = detect_mixing(a, *models.SUBMULTIPLETS[args.fixture]())
     report.verdict("no-mixing", res.witness is None,
                    **({} if res.witness is None else
                       {"witness": list(res.witness_pair)}))
@@ -259,17 +253,10 @@ def cmd_detect_mixing(args, report: RunReport) -> None:
     report.data["no_mixing_asserted"] = res.no_mixing_asserted
 
 
-def _kernel_map(zeta: str, k_group: fg.GroupTable) -> GroupHom:
-    """--zeta as a map from a cover's kernel to Z2: `trivial`, or `flip`,
-    which sends the kernel element e to e mod 2."""
-    return GroupHom(k_group, fg.cyclic(2), tuple(
-        0 if zeta == "trivial" else e % 2 for e in k_group.elements()))
-
-
 @verb("cover-z", "factor set of a central cover section", COVER, ZETA)
 def cmd_cover_z(args, report: RunReport) -> None:
-    from .covering import (all_sections, induced_gauge_cocycle, section_twist,
-                           z_class_trivial, z_cocycle)
+    from .covering import (all_sections, extended_quotient, induced_gauge_cocycle,
+                           section_twist, z_class_trivial, z_cocycle)
     cover = models.COVERS[args.cover]()
     report.digest("cover", args.cover)
     sections = all_sections(cover)
@@ -286,34 +273,35 @@ def cmd_cover_z(args, report: RunReport) -> None:
     report.verdict("section-independent-class", same_class,
                    sections=len(sections))
 
-    zeta = _kernel_map(args.zeta, cover.K)
+    zeta = models.KERNEL_MAPS[args.zeta](cover.K)
     # a kernel map that is not a central hom is refused here (exit 2)
     induced = induced_gauge_cocycle(z, zeta)
     report.verdict("kernel-restriction-central-hom", True)
     report.data["induced_cocycle_trivial"] = z_class_trivial(induced) is not None
 
-    # worked example: the quotient (A x S) / <(zeta(-1), -1)> when the kernel
-    # has a distinguished involution
-    if cover.K.order == 2:
-        amb = cover.kernel_elements[1]
-        prod = direct_product(zeta.target, cover.S)
-        gen = zeta(1) * cover.S.order + amb
-        q, _ = quotient(prod, fg.closure(prod, (gen,)))
+    # worked example: the extended group of the base, for a kernel of order 2
+    q = extended_quotient(cover, zeta)
+    if q is not None:
         report.data["quotient_extended_group"] = {
             "order": q.order, "order_profile": list(q.order_profile())}
 
 
 @verb("spin-obstruction", "descent of a cover representation", COVER,
-      _flag("--rep", default="2d", choices=sorted(models.Q8_REPS)), ZETA)
+      _flag("--rep", default="2d", choices=sorted(set().union(*models.REPS.values()))),
+      ZETA)
 def cmd_spin_obstruction(args, report: RunReport) -> None:
     from .covering import spin_obstruction
-    if args.cover != "q8":
-        raise SchemaError("rep", "built-in representations exist for the q8 cover")
+    reps = models.REPS.get(args.cover)
+    if reps is None:
+        raise SchemaError("rep", "built-in representations exist for the "
+                          f"{' and '.join(sorted(models.REPS))} cover")
+    if args.rep not in reps:
+        raise SchemaError("rep", f"the {args.cover} cover has no representation {args.rep!r}")
     cover = models.COVERS[args.cover]()
     report.digest("cover", args.cover)
-    rep = models.Q8_REPS[args.rep]()
+    rep = reps[args.rep]()
     report.digest("rep", args.rep)
-    zeta = _kernel_map(args.zeta, cover.K)
+    zeta = models.KERNEL_MAPS[args.zeta](cover.K)
     verdict = spin_obstruction(cover, zeta, rep)
     report.verdict("descends", verdict.descends,
                    **({} if verdict.descends else

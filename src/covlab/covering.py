@@ -24,9 +24,9 @@ from typing import Optional, Tuple
 from .cohomology2 import Cochain2, cohomologous, trivial_cochain
 from .config import capped_product
 from .exactlin import Mat
-from .fingroup import (GroupHom, GroupTable, Report, centre, check_hom, cyclic,
-                       direct_product, is_surjective, kernel, quaternion8,
-                       subgroup)
+from .fingroup import (GroupHom, GroupTable, Report, centre, check_hom, closure,
+                       cyclic, direct_product, is_surjective, kernel, quaternion8,
+                       quotient, subgroup)
 from .multiplet import MatrixRep, validate_rep
 
 
@@ -164,6 +164,18 @@ def check_centre_hom(mapping: GroupHom) -> Report:
         if bad is not None:
             return Report(False, "NotCentral", (k, bad))
     return Report(True)
+
+
+def extended_quotient(cover: CentralCover, zeta_on_k: GroupHom) -> Optional[GroupTable]:
+    """The extended group (A x S) / <(zeta(-1), -1)> of the base, A the target
+    of zeta and -1 the kernel's involution; None unless the kernel has order 2."""
+    if zeta_on_k.source != cover.K:
+        raise ValueError("zeta is not defined on the kernel group")
+    if cover.K.order != 2:
+        return None
+    prod = direct_product(zeta_on_k.target, cover.S)
+    pair = zeta_on_k.map[1] * cover.S.order + cover.kernel_elements[1]
+    return quotient(prod, closure(prod, (pair,)))[0]
 
 
 # ---------------------------------------------------------------------------

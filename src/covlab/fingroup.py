@@ -198,9 +198,9 @@ def cyclic(n: int, name: Optional[str] = None) -> GroupTable:
 
 def direct_product(a: GroupTable, b: GroupTable, name: Optional[str] = None) -> GroupTable:
     """Product group on pairs, encoded as index i*|b| + j.  Tables compare
-    without their names, so the derived name is fixed before the cache is
-    read: the product of factors named A and B is AxB."""
-    return _direct_product(a, b, name or f"{a.name}x{b.name}")
+    without their names, so the derived name, AxB for factors named A and B
+    (an unnamed factor by its order), is fixed before the cache is read."""
+    return _direct_product(a, b, name or f"{a.name or a.order}x{b.name or b.order}")
 
 
 @lru_cache(maxsize=None)

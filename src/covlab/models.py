@@ -3,22 +3,21 @@
 These are the small worked models every report and test runs on; none of
 them needs external data.
 
-The registries at the end name every shipped model and fixture, and the
-CLI's choices read their keys.  Importing this module loads only `fingroup`
+The registries at the end name every shipped model and fixture and which
+of them go together, and the CLI's choices read their keys.  Importing this module loads only `fingroup`
 and `cohomology2`: each builder imports the layers it builds with in its own
 body, so a verb loads only the layers of what it builds.
 """
 
 from __future__ import annotations
 
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 from typing import TYPE_CHECKING
 
 from . import fingroup as fg
 from .cohomology2 import Cochain2, trivial_cochain
 
 if TYPE_CHECKING:
-    from .covariance import Implementation
     from .fincat import FinCat, GAction
     from .multiplet import FieldSpaceAction
 
@@ -265,15 +264,9 @@ def q8_sign_rep(axis: str):
     character whose kernel is the cyclic subgroup spanned by the axis."""
     from .exactlin import Mat
     from .multiplet import MatrixRep
-    q8 = fg.quaternion8()
-    if axis == "1":
-        return MatrixRep(q8, 1, tuple(Mat([[1]]) for _ in range(8)))
-    kernel_axis = {"i": (2, 3), "j": (4, 5), "k": (6, 7)}[axis]
-    mats = []
-    for e in range(8):
-        inside = e in (0, 1) or e in kernel_axis
-        mats.append(Mat([[1 if inside else -1]]))
-    return MatrixRep(q8, 1, tuple(mats))
+    kernel = {"1": range(8), "i": (0, 1, 2, 3), "j": (0, 1, 4, 5), "k": (0, 1, 6, 7)}[axis]
+    return MatrixRep(fg.quaternion8(), 1,
+                     tuple(Mat([[1 if e in kernel else -1]]) for e in range(8)))
 
 
 NAMED_MODELS = {
@@ -285,16 +278,8 @@ NAMED_MODELS = {
 }
 
 
-def named_model(name: str) -> Implementation:
-    try:
-        return NAMED_MODELS[name]()
-    except KeyError:
-        raise KeyError(f"unknown model {name!r}; known: {sorted(NAMED_MODELS)}") \
-            from None
-
-
 # ---------------------------------------------------------------------------
-# fixture registries: name -> zero-argument builder
+# fixture registries: name -> builder, of no argument except in KERNEL_MAPS
 
 COCHAIN_FIXTURES = {
     "trivial-z2z2": lambda: trivial_cochain(fg.cyclic(2), fg.cyclic(2)),
@@ -314,6 +299,11 @@ FIELD_FIXTURES = {
     "q8": q8_mixing_action,
 }
 
+# the submultiplet pair `detect-mixing` scans on each field fixture
+SUBMULTIPLETS = {**dict.fromkeys(FIELD_FIXTURES, standard_submultiplets),
+                 "q8": eigenline_submultiplets}
+
+
 def _covering():
     from . import covering
     return covering
@@ -329,10 +319,12 @@ COVERS = {
     "split-z2-z3": cache(lambda: _covering().split_cover(2, fg.cyclic(3))),
 }
 
-Q8_REPS = {
-    "2d": cache(q8_two_dim_rep),
-    "sign-1": cache(lambda: q8_sign_rep("1")),
-    "sign-i": cache(lambda: q8_sign_rep("i")),
-    "sign-j": cache(lambda: q8_sign_rep("j")),
-    "sign-k": cache(lambda: q8_sign_rep("k")),
+# cover -> representation name -> builder of a representation of its S
+REPS = {"q8": {"2d": cache(q8_two_dim_rep),
+               **{f"sign-{axis}": cache(partial(q8_sign_rep, axis)) for axis in "1ijk"}}}
+
+# a cover's kernel group K -> a map from K to Z2; `flip` sends K's element e to e mod 2
+KERNEL_MAPS = {
+    "flip": lambda k: fg.GroupHom(k, fg.cyclic(2), tuple(e % 2 for e in k.elements())),
+    "trivial": lambda k: fg.GroupHom(k, fg.cyclic(2), (0,) * k.order),
 }

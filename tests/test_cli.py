@@ -350,7 +350,45 @@ def test_spin_obstruction_refuses_a_cover_before_building_it(capsys, monkeypatch
                         lambda: pytest.fail("the z4-z2 cover was built"))
     code, out, err = run(capsys, "spin-obstruction", "--cover", "z4-z2")
     assert (code, out) == (2, "")
-    assert "built-in representations exist for the q8 cover" in err
+    assert err == ("input error: schema error in field 'rep': "
+                   "built-in representations exist for the q8 cover\n")
+
+
+def test_a_cover_gains_representations_from_the_registry_alone(capsys, monkeypatch):
+    # --rep's choices are read when the parser is built, so the two
+    # characters of Z4 borrow names from them: sign-1 is the trivial one, and
+    # sign-i sends the generator to i, so the kernel element 2 acts as -1
+    from covlab import fingroup as fg
+    from covlab.exactlin import I as IU, Mat
+    from covlab.multiplet import MatrixRep
+    z4 = fg.cyclic(4)
+    monkeypatch.setitem(models.REPS, "z4-z2", {
+        "sign-1": lambda: MatrixRep(z4, 1, tuple(Mat([[1]]) for _ in range(4))),
+        "sign-i": lambda: MatrixRep(z4, 1, tuple(Mat([[IU ** e]]) for e in range(4)))})
+    spin = ("--json", "spin-obstruction", "--cover", "z4-z2")
+    code, out, _ = run(capsys, *spin, "--rep", "sign-1")
+    assert code == 0
+    assert json.loads(out)["verdicts"] == [{"check": "descends", "ok": True}]
+    code, out, _ = run(capsys, *spin, "--rep", "sign-i", "--zeta", "trivial")
+    report = json.loads(out)
+    assert code == 1
+    assert report["verdicts"] == [{"check": "descends", "ok": False, "witness": 2}]
+    assert report["data"] == {"model_consistent": False, "zeta_trivial": True}
+    code, out, err = run(capsys, *spin, "--rep", "2d")
+    assert (code, out) == (2, "")
+    assert err == ("input error: schema error in field 'rep': "
+                   "the z4-z2 cover has no representation '2d'\n")
+
+
+def test_registries_pair_each_fixture_with_inputs_that_fit_it():
+    assert set(models.SUBMULTIPLETS) == set(models.FIELD_FIXTURES)
+    for name, build in models.FIELD_FIXTURES.items():
+        dim = build().dim
+        assert all(sub.injection.nrows == dim for sub in models.SUBMULTIPLETS[name]()), name
+    assert set(models.REPS) <= set(models.COVERS)
+    for cover, reps in models.REPS.items():
+        S = models.COVERS[cover]().S
+        assert all(build().group == S for build in reps.values()), cover
 
 
 def test_schema_helpers():

@@ -65,7 +65,7 @@ def test_missing_composite_detected():
 
 def test_shipped_categories_satisfy_the_category_laws():
     cats = [cat for name in sorted(models.NAMED_MODELS)
-            for F in [models.named_model(name).functor] for cat in (F.source, F.target)]
+            for F in [models.NAMED_MODELS[name]().functor] for cat in (F.source, F.target)]
     cats += [decorated_frames_category(n, deco)
              for n, deco in ((4, fg.trivial_group()), (4, fg.cyclic(2)), (2, fg.cyclic(4)))]
     for cat in cats:
@@ -136,7 +136,7 @@ def test_hom_index_matches_morphism_scan():
     assert validate_fincat(arrows).valid
     cats = [arrows]
     for name in sorted(models.NAMED_MODELS):
-        functor = models.named_model(name).functor
+        functor = models.NAMED_MODELS[name]().functor
         cats += [functor.source, functor.target]
     for cat in cats:
         plain = _cat(cat)
@@ -196,8 +196,8 @@ def test_shared_categories_equal_their_uncached_builds():
 
 def test_separate_builds_share_one_functor_value_and_gauge_group():
     for name in sorted(models.NAMED_MODELS):
-        f1 = models.named_model(name).functor
-        f2 = models.named_model(name).functor
+        f1 = models.NAMED_MODELS[name]().functor
+        f2 = models.NAMED_MODELS[name]().functor
         assert f1 is not f2, name
         assert f1 == f2 and hash(f1) == hash(f2), name
         # SwapIso writes its category out in its builder; the others share one
@@ -210,7 +210,7 @@ def test_separate_builds_share_one_functor_value_and_gauge_group():
 def test_each_build_checks_its_functor_and_implementation(name, monkeypatch):
     # the shared categories and frame-shift actions are checked once per
     # process; a model's own functor and implementation on every build
-    models.named_model(name)
+    models.NAMED_MODELS[name]()
     calls = collections.Counter()
 
     def count(module, fn):
@@ -219,7 +219,7 @@ def test_each_build_checks_its_functor_and_implementation(name, monkeypatch):
     count(fincat, "validate_functor")
     count(fincat, "validate_gaction")
     count(covariance, "validate_implementation")
-    models.named_model(name)
+    models.NAMED_MODELS[name]()
     assert calls["validate_functor"] >= 1
     assert calls["validate_implementation"] == 1
     if name in ("FrameRot", "SpinFrame"):
@@ -391,7 +391,7 @@ def test_component_at_an_object_the_source_lacks_is_refused():
 
 
 def test_component_that_names_no_morphism_is_refused():
-    m = models.named_model("Z4Rot")
+    m = models.NAMED_MODELS["Z4Rot"]()
     with pytest.raises(ValueError) as err:
         Implementation(m.functor, m.action, [{"*": "r0"}, {"*": "bogus"}])
     assert str(err.value) == "implementation invalid: ComponentShape (1, '*')"
@@ -602,6 +602,9 @@ def test_functor_violations_are_refused_when_built():
         ((bz2, bz2, {"*": "*"}, {"r0": "r0"}), "MorphismMapNotTotal", ("r1",)),
         ((swap, swap, {"X": "X", "Y": "Y"}, {**same, "u": "v", "v": "u"}),
          "DomCodNotPreserved", ("u",)),
+        # u: X -> Y sent to idX keeps its domain and loses its codomain
+        ((swap, swap, {"X": "X", "Y": "Y"}, {**same, "u": "idX", "v": "v"}),
+         "DomCodNotPreserved", ("u",)),
         ((bz2, bz2, {"*": "*"}, {"r0": "r1", "r1": "r0"}),
          "IdentityNotPreserved", ("*",)),
         # r1 o r1 is r0 in Z2 but r2 in Z4
@@ -654,13 +657,13 @@ def test_lift_builds_no_functor(monkeypatch):
     monkeypatch.setattr(fincat, "validate_functor",
                         lambda F: calls.append(F) or counted(F))
     for name in sorted(models.NAMED_MODELS):
-        impl = models.named_model(name)
+        impl = models.NAMED_MODELS[name]()
         ext = build_extension(extract_cocycle(impl))
         calls.clear()
         lifted = lift_to_extension(impl)
         assert calls == [], name
         assert lifted.action.group.order == ext.E.order, name
-    models.named_model("SwapIso")
+    models.NAMED_MODELS["SwapIso"]()
     assert calls, "a model build checks its functors"
 
 
@@ -670,7 +673,7 @@ def test_lift_builds_no_functor(monkeypatch):
 
 def _bases():
     """Every named model, Z4Rot at each power, and the two B(S3) point models."""
-    base = [models.named_model(name) for name in sorted(models.NAMED_MODELS)]
+    base = [models.NAMED_MODELS[name]() for name in sorted(models.NAMED_MODELS)]
     base += [models.one_object_cyclic_model(p) for p in range(4)]
     return base + [_point_into_s3_model(3), _point_into_s3_model(1)]
 

@@ -8,7 +8,7 @@ from covlab import models
 from covlab.cohomology2 import (SearchSpaceTooLarge, coboundary_twist,
                                 cohomologous, trivial_cochain, validate_cocycle)
 from covlab.covering import (CentralCover, Section, all_sections,
-                             check_centre_hom, cyclic_cover,
+                             check_centre_hom, cyclic_cover, extended_quotient,
                              induced_gauge_cocycle, q8_cover, section_twist,
                              spin_obstruction, split_cover, z_class_trivial,
                              z_cocycle)
@@ -140,14 +140,10 @@ def test_section_twist_names_the_kernel_element_between_lifts():
 def test_factor_sets_and_induced_cochains_are_cocycles():
     # z_cocycle and induced_gauge_cocycle do not re-validate their output;
     # this is the check (z is a kernel-valued cocycle), on every shipped
-    # cover and both kernel homs cover-z builds (trivial, and the flip
-    # k -> k mod 2)
-    a2 = fg.cyclic(2)
+    # cover and both kernel maps of models.KERNEL_MAPS, which cover-z reads
     for name, build in models.COVERS.items():
         cov = build()
-        k = cov.K
-        homs = [GroupHom(k, a2, (0,) * k.order),
-                GroupHom(k, a2, tuple(e % 2 for e in range(k.order)))]
+        homs = [kernel_map(cov.K) for kernel_map in models.KERNEL_MAPS.values()]
         S, L = cov.S, cov.L
         for sec in all_sections(cov):
             z = z_cocycle(sec)
@@ -161,6 +157,35 @@ def test_factor_sets_and_induced_cochains_are_cocycles():
             for zeta in homs:
                 out = induced_gauge_cocycle(z, zeta)
                 assert validate_cocycle(out).valid, (name, sec.lift, zeta.map)
+
+
+def test_extended_quotient_identifies_the_kernel_involution_with_its_image():
+    # the orders in (A x S) / <(zeta(-1), -1)>, read on A x S: (a, s) has
+    # the least n with (a, s)^n in {(0, 1), (zeta(-1), -1)}, and each coset
+    # holds two pairs of one order
+    for name, build in models.COVERS.items():
+        cov = build()
+        S, amb = cov.S, cov.kernel_elements[1]
+        for kernel_map in models.KERNEL_MAPS.values():
+            zeta = kernel_map(cov.K)
+            A = zeta.target
+            kept = {(0, 0), (zeta.map[1], amb)}
+            orders = []
+            for a in A.elements():
+                for s in S.elements():
+                    x, n = (a, s), 1
+                    while x not in kept:
+                        x, n = (A.mul(x[0], a), S.mul(x[1], s)), n + 1
+                    orders.append(n)
+            q = extended_quotient(cov, zeta)
+            assert q.order_profile() == tuple(sorted(orders)[::2]), (name, zeta.map)
+    q = extended_quotient(q8_cover(), models.KERNEL_MAPS["flip"](q8_cover().K))
+    assert q.order_profile() == fg.quaternion8().order_profile()
+    # no distinguished involution in a kernel of order 4
+    wide = cyclic_cover(8, 4)
+    assert extended_quotient(wide, models.KERNEL_MAPS["flip"](wide.K)) is None
+    with pytest.raises(ValueError):
+        extended_quotient(q8_cover(), models.KERNEL_MAPS["flip"](wide.K))
 
 
 def test_section_and_twist_searches_are_capped(monkeypatch):
@@ -322,7 +347,7 @@ def test_descended_maps_are_representations():
     # spin_obstruction does not re-validate what it descends; this is the check
     cov = q8_cover()
     descended = 0
-    for name, build in models.Q8_REPS.items():
+    for name, build in models.REPS["q8"].items():
         for zeta_map in ((0, 0), (0, 1)):
             zeta = GroupHom(cov.K, fg.cyclic(2), zeta_map)
             verdict = spin_obstruction(cov, zeta, build())
@@ -339,7 +364,7 @@ def test_descent_matches_the_lift_of_every_section():
     n = split.L.order
     characters = [lambda e: 1, lambda e: (-1) ** (e % n // 2),
                   lambda e: (-1) ** (e % 2), lambda e: (-1) ** (e // n)]
-    cases = [(q8_cover(), build()) for build in models.Q8_REPS.values()]
+    cases = [(q8_cover(), build()) for build in models.REPS["q8"].values()]
     cases += [(split, MatrixRep(split.S, 1, tuple(Mat([[chi(e)]])
                                                   for e in split.S.elements())))
               for chi in characters]

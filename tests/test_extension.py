@@ -183,13 +183,14 @@ def test_equivalence_matches_reference_homomorphism_scan():
 
 
 def test_classify_type_matches_reference_twist_loop():
-    # every cocycle of S3/Z2 and Z2xZ2/Z2, and a seeded sample of the 128 of
+    # every cocycle of S3/Z2, Z2xZ2/Z2 and Z2xZ2/Z3 (where phi can be
+    # trivial on one generator only), and a seeded sample of the 128 of
     # Q8/Z2 and the 324 of S3/Z3, whose reference loops take 2^7 and 3^5
     # twists per cocycle
     rng = random.Random(3)
     seen = set()
     for gn, an, sample in [("S3", "Z2", None), ("Z2xZ2", "Z2", None),
-                           ("Q8", "Z2", 16), ("S3", "Z3", 16)]:
+                           ("Z2xZ2", "Z3", None), ("Q8", "Z2", 16), ("S3", "Z3", 16)]:
         G, A = fg.standard_group(gn), fg.standard_group(an)
         cocycles = enumerate_normalized_cocycles(G, A)
         if sample is not None:

@@ -366,22 +366,22 @@ def test_group_tables_hash_and_compare_by_table():
 
 
 def test_shared_groups_equal_their_uncached_builds():
-    # each standard group, cover and Q8 rep is built once per process; an
-    # uncached build of the same value equals it and hashes the same, so
-    # value caches keyed on it hit
+    # each standard group, cover and cover representation is built once per
+    # process; an uncached build of the same value equals it and hashes the
+    # same, so value caches keyed on it hit
     pairs = [(fg.standard_group(name), uncached_standard_group(name))
              for name in sorted(fg._STANDARD)]
     pairs += [(fg.cyclic(n), fg.cyclic.__wrapped__(n)) for n in range(1, 9)]
     with pytest.raises(TypeError):
         fg.cyclic(2.0)  # as uncached, not the shared Z2
     pairs += [(build(), build.__wrapped__())
-              for registry in (models.COVERS, models.Q8_REPS)
+              for registry in (models.COVERS, *models.REPS.values())
               for build in registry.values()]
     for shared, fresh in pairs:
         assert fresh is not shared and fresh == shared and hash(fresh) == hash(shared)
     for name in fg._STANDARD:
         assert fg.standard_group(name) is fg.standard_group(name)
-    for registry in (models.COVERS, models.Q8_REPS):
+    for registry in (models.COVERS, *models.REPS.values()):
         assert all(build() is build() for build in registry.values())
     # tables compare without names, so a product's derived name is fixed
     # before the cache is read, whichever product is built first
@@ -394,6 +394,14 @@ def test_shared_groups_equal_their_uncached_builds():
     assert fg.direct_product(b, a).name == "BxA"
     assert fg.direct_product(a, b) is fg.direct_product(a, b)
     assert fg.direct_product(a, b, "P").name == "P"
+
+
+def test_direct_product_names_an_unnamed_factor_by_its_order():
+    # the rule build_extension names Ext(A, G) by; a quotient has no name
+    q, _ = fg.quotient(fg.cyclic(4), (0, 2))
+    assert q.name is None
+    assert fg.direct_product(q, q).name == "2x2"
+    assert fg.direct_product(fg.cyclic(3), q).name == "Z3x2"
 
 
 def test_cyclic_refuses_orders_below_one_and_non_ints():
@@ -460,7 +468,7 @@ def perturbed(rep, rng):
 
 def test_hom_law_witness_matches_all_pairs_on_shipped_reps():
     rng = random.Random(1609)
-    reps = [build() for build in models.Q8_REPS.values()]
+    reps = [build() for build in models.REPS["q8"].values()]
     reps += [build().dot for build in models.FIELD_FIXTURES.values()]
     verdicts = []
     for rep in reps:
@@ -483,7 +491,7 @@ def test_hom_law_witness_matches_all_pairs_on_model_actions():
     rng = random.Random(1609)
     verdicts = []
     for name in sorted(models.NAMED_MODELS):
-        impl = models.named_model(name)
+        impl = models.NAMED_MODELS[name]()
         lifted = lift_to_extension(impl)
         for act in (impl.action, lifted.action):
             maps = [(F.obj_map, F.mor_map) for F in act.functors]
@@ -544,7 +552,7 @@ def test_table_on_builds_extensions_as_the_pair_loop():
                 for c in enumerate_normalized_cocycles(fg.standard_group(G),
                                                        fg.standard_group(A))]
     cochains += [build().cocycle for build in models.FIELD_FIXTURES.values()]
-    cochains += [extract_cocycle(models.named_model(name))
+    cochains += [extract_cocycle(models.NAMED_MODELS[name]())
                  for name in sorted(models.NAMED_MODELS)]
     assert len(cochains) == 6 + 6 + 9 + 6 + 5
     for c in cochains:

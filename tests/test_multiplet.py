@@ -128,7 +128,7 @@ def perturbed(mats, rng):
 def test_rep_and_field_checks_match_all_pairs_reference():
     rng = random.Random(1609)
     seen = set()
-    for build in models.Q8_REPS.values():
+    for build in models.REPS["q8"].values():
         r = build()
         for mats in [r.matrices] + [perturbed(r.matrices, rng) for _ in range(12)]:
             bad = MatrixRep(r.group, r.dim, mats)
@@ -158,6 +158,25 @@ def test_rep_and_field_checks_match_all_pairs_reference():
             seen.add(expected[0] if expected else None)
     assert {None, "NotInvertible", "NotAHomomorphism", "DotRep:NotAHomomorphism",
             "CompatibilityLaw", "TwistedActionLaw"} <= seen, seen
+
+
+def test_compatibility_witness_is_the_first_failing_element_of_a():
+    # star(1) swaps the two sign lines of A = Z2xZ2, so the compatibility
+    # law breaks at both generators of A for g = 1; the generator scan must
+    # name the witness a scan of all of A names
+    A = fg.standard_group("Z2xZ2")
+    dot = MatrixRep(A, 2, tuple(Mat([[(-1) ** (e // 2), 0], [0, (-1) ** (e % 2)]])
+                                for e in A.elements()))
+    star = (Mat.identity(2), Mat([[0, 1], [1, 0]]))
+    c = trivial_cochain(Z2, A)
+    expected = oracles.field_violation(c.G.table, A.table, c.xi, c.perms,
+                                       _mats(dot.matrices), _mats(star))
+    assert expected == ("CompatibilityLaw", (1, 1))
+    assert [star[1] * dot(a) == dot(a) * star[1] for a in A.elements()] == [
+        True, False, False, True]
+    with pytest.raises(ValueError) as err:
+        FieldSpaceAction(dot, star, c)
+    assert str(err.value) == "field action invalid: CompatibilityLaw (1, 1)"
 
 
 def test_build_rho_direct_product_block_fixture():

@@ -53,6 +53,9 @@ caller, so outside `FinCat.__init__` no module assigns, augments or deletes
 a `compose_table`, `identities`, `dom` or `cod` attribute or an entry of
 one, or calls `update`, `pop`, `setdefault` or `clear` on it.  No library
 handler catches `Exception`, which would turn a defect into an input error.
+The CLI reads which shipped inputs go together from the `models`
+registries: no `cli` comparison names a registry key, and `cli` calls no
+`GroupHom`, `direct_product`, `closure` or `quotient`.
 The tests' brute-force references, `tests/oracles.py`, import the standard
 library alone, so no library defect can reach the reference that checks it,
 and no other test module defines a function named as a reference
@@ -558,7 +561,7 @@ def _written(node):
 
 
 def test_shared_categories_are_never_written():
-    # the category constructors, the group builders and the cover and Q8 rep
+    # the category constructors, the group builders and the cover and cover rep
     # registries hand one object to every caller in a process: a shared
     # attribute is written only in its own class's constructor, and
     # object.__setattr__ only in a constructor
@@ -580,6 +583,29 @@ def test_shared_categories_are_never_written():
     assert found == []
     # the constructors that fill these attributes are seen doing it
     assert written == {"compose_table", "identities", "dom", "cod", "K", "kernel_elements"}
+
+
+def test_cli_names_no_shipped_fixture():
+    # which shipped inputs go together is read from the `models` registries:
+    # no cli comparison names a registry key, and cli builds no map, product
+    # or quotient group of its own
+    from covlab import models
+    keys = set()
+    for name, registry in vars(models).items():
+        if name.isupper() and isinstance(registry, dict):
+            keys |= set(registry)
+            keys |= {key for inner in registry.values() if isinstance(inner, dict)
+                     for key in inner}
+    cli = _library()["cli"]
+    found = [f"cli.py:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(cli)
+             if isinstance(node, ast.Compare)
+             and any(isinstance(n, ast.Constant) and n.value in keys
+                     for operand in (node.left, *node.comparators)
+                     for n in ast.walk(operand))]
+    found += [f"cli.py:{node.lineno}: {_called(node)}()" for node in ast.walk(cli)
+              if _called(node) in ("GroupHom", "direct_product", "closure", "quotient")]
+    assert {"q8", "z4-z2", "2d", "flip", "trivial", "blocks", "Z4Rot"} <= keys
+    assert found == []
 
 
 def readme_commands():
