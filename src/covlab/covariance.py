@@ -252,7 +252,6 @@ def lift_to_extension(impl: Implementation) -> Implementation:
 class ActivePassive:
     """The composite automorphisms Xi(g) of Af(C0), one per group element."""
 
-    base_object: str
     components: Tuple[str, ...]
     kernel_checks: Tuple[Tuple[int, str], ...]  # (g, zeta(g)_{C0}) for trivial psi_g
 
@@ -301,4 +300,4 @@ def active_passive_compose(psi: Mapping[int, str], impl: Implementation,
     eta = [fam[base_object] for fam in impl.eta]
     comps = tuple(tc[F.mor_map[T[g].mor_map[psi[g]]], eta[g]] for g in G.elements())
     kernel_checks = tuple((k, eta[k]) for k in G.elements() if psi[k] == base_id)
-    return ActivePassive(base_object, comps, kernel_checks)
+    return ActivePassive(comps, kernel_checks)

@@ -208,14 +208,6 @@ class Mat:
         return _mat(tuple(tuple(_dot(row, col) for col in cols)
                           for row in self.rows))
 
-    def __add__(self, other: "Mat") -> "Mat":
-        return _mat(tuple(tuple(a + b for a, b in zip(r1, r2))
-                          for r1, r2 in zip(self.rows, other.rows)))
-
-    def __sub__(self, other: "Mat") -> "Mat":
-        return _mat(tuple(tuple(a - b for a, b in zip(r1, r2))
-                          for r1, r2 in zip(self.rows, other.rows)))
-
     def __neg__(self) -> "Mat":
         return _mat(tuple(tuple(-v for v in r) for r in self.rows))
 
@@ -279,9 +271,6 @@ def rref(rows: Sequence[Sequence[GaussRat]]
 
 def null_space(rows: List[List[GaussRat]], ncols: int) -> List[Tuple[GaussRat, ...]]:
     """Deterministic echelon basis of the right null space."""
-    if not rows:
-        return [tuple(ONE if j == k else ZERO for j in range(ncols))
-                for k in range(ncols)]
     a, pivots, _ = rref(rows)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]

@@ -142,8 +142,6 @@ def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> Gr
                 refuse("IndexOutOfRange", (i, j, v))
         rows.append(row)
     rows = tuple(rows)
-    if n == 0:
-        refuse("NoIdentity", ())
 
     identity = None
     for e in range(n):
@@ -264,9 +262,6 @@ class GroupHom:
     target: GroupTable
     map: Tuple[int, ...]
 
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
 
 def hom_law_witness(g: GroupTable, image: Callable,
                     compose: Callable) -> Optional[Tuple[int, int]]:
@@ -353,8 +348,7 @@ def is_normal(g: GroupTable, elems: Sequence[int]) -> bool:
                for x in g.elements() for nrm in sub)
 
 
-def quotient(g: GroupTable, normal: Sequence[int],
-             name: Optional[str] = None) -> Tuple[GroupTable, GroupHom]:
+def quotient(g: GroupTable, normal: Sequence[int]) -> Tuple[GroupTable, GroupHom]:
     """Quotient by a normal subgroup, with the projection homomorphism.
 
     Cosets are ordered by their least member, so the identity coset is 0.
@@ -364,7 +358,7 @@ def quotient(g: GroupTable, normal: Sequence[int],
         raise ValueError("subgroup is not normal")
     rep = [min(g.mul(x, n) for n in normal) for x in g.elements()]
     reps = sorted(set(rep))
-    q = make_group(table_on(reps, lambda x, y: rep[g.mul(x, y)]), name)
+    q = make_group(table_on(reps, lambda x, y: rep[g.mul(x, y)]))
     proj = tuple(reps.index(r) for r in rep)
     return q, GroupHom(g, q, proj)
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -402,6 +403,10 @@ def test_schema_helpers():
     assert g.order == 2
     with pytest.raises(SchemaError):
         cochain_from_obj({"G": "Z2", "A": "Z2", "xi": [[0]], "phi": [0, 0]})
+    for not_an_object in ([], "Z2", None):
+        with pytest.raises(SchemaError) as err:
+            cochain_from_obj(not_an_object)
+        assert str(err.value) == "schema error in field 'cochain': expected an object"
     # a name stub may give the order too; it must be the group's
     assert group_from_obj({"name": "Z2", "order": 2}) is group_from_obj("Z2")
     for order in (3, True, 2.0):
@@ -415,7 +420,10 @@ def test_schema_helpers():
     ({"G": {"name": "Z2", "tabel": [[0]]}}, "G.tabel"),
     ({"A": {"table": [[0, 1], [1, 0]], "Table": [[0]]}}, "A.Table"),
     ({"Xi": [[0, 0], [0, 1]]}, "Xi"),
-], ids=["stub-order", "group-misspelled", "record-extra", "cochain-extra"])
+    ({"xi": [[0, 0], [0, 2]]}, "xi/phi"),
+    ({"phi": [0, 1]}, "xi/phi"),
+], ids=["stub-order", "group-misspelled", "record-extra", "cochain-extra",
+        "xi-outside-A", "phi-outside-Aut"])
 def test_unknown_and_contradictory_fields_are_refused(capsys, monkeypatch, payload, bad):
     obj = dict({"G": "Z2", "A": "Z2", "xi": [[0, 0], [0, 0]], "phi": [0, 0]}, **payload)
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
@@ -639,6 +647,13 @@ def test_multiplet_and_cover_verbs_do_not_load_the_wick_layer():
     assert all(code in (0, 1) for code in codes), codes
     assert {"covlab.multiplet", "covlab.covering"} <= set(loaded)
     assert "covlab.wickscale" not in loaded
+
+
+def test_human_report_ends_with_its_timing_when_asked(capsys):
+    code, out, _ = run(capsys, "--timing", "scale-power", "--k", "2")
+    assert code == 0
+    assert re.fullmatch(r"  timing_ms: \d+\.\d", out.splitlines()[-1]), out
+    assert "timing_ms" not in run(capsys, "scale-power", "--k", "2")[1]
 
 
 def test_parser_is_built_once_and_reused(capsys):

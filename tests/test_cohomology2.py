@@ -118,6 +118,12 @@ def test_z4_producing_not_cohomologous_to_trivial():
     assert cohomologous(z4_producing_cochain(), trivial_cochain(Z2, Z2)) is None
 
 
+def test_cohomologous_refuses_cochains_over_different_pairs():
+    for other in (trivial_cochain(Z2, Z4), trivial_cochain(Z4, Z2)):
+        with pytest.raises(ValueError, match=r"^cochains live over different \(G, A\)$"):
+            cohomologous(trivial_cochain(Z2, Z2), other)
+
+
 def test_cohomologous_validates_its_first_input_only():
     # every twist of the cocycle c1 is a cocycle, so a corrupted c2 lies in
     # no class of c1; c1 itself is checked, since the candidates assume it,

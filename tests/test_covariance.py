@@ -87,6 +87,7 @@ def test_each_category_law_names_its_first_witness():
         ({loop: "m1<0:0"}, ids, "BadCompositeShape", loop + ("m1<0:0",)),
         ({("m1<0:1", "m0<1:1"): None}, ids, "MissingComposite", ("m1<0:1", "m0<1:1")),
         ({("m0<0:1", "m0<0:0"): "m0<0:0"}, ids, "IdentityLaw", ("m0<0:1", "m0<0:0")),
+        ({("m0<0:0", "m0<0:1"): "m0<0:0"}, ids, "IdentityLaw", ("m0<0:0", "m0<0:1")),
         ({loop: "m0<0:1"}, ids, "NotAssociative", ("m0<0:1", "m0<0:1", "m0<1:0")),
     ]
     assert validate_fincat(cat) == Report(True)
@@ -122,6 +123,14 @@ def test_arrow_ending_off_the_objects_is_refused():
     with pytest.raises(ValueError, match="'f' ends off the objects: 'b' -> 'a'"):
         FinCat(["a"], [("ida", "a", "a"), ("f", "b", "a")],
                {("ida", "ida"): "ida"}, {"a": "ida"})
+
+
+def test_repeated_ids_are_refused():
+    ident = [("ida", "a", "a")]
+    with pytest.raises(ValueError, match="^duplicate morphism ids$"):
+        FinCat(["a"], ident + [("ida", "a", "a")], {("ida", "ida"): "ida"}, {"a": "ida"})
+    with pytest.raises(ValueError, match="^duplicate object ids$"):
+        FinCat(["a", "a"], ident, {("ida", "ida"): "ida"}, {"a": "ida"})
 
 
 def test_hom_index_matches_morphism_scan():
@@ -390,6 +399,16 @@ def test_component_at_an_object_the_source_lacks_is_refused():
             f"implementation invalid: FamilyAtUnknownObject ({g}, 'Z')")
 
 
+def test_family_missing_an_element_or_an_object_is_refused():
+    swap = models.swap_model()
+    cases = [(swap.eta[:1], "FamilyPerElementMissing (1,)"),
+             ((swap.eta[0], {"Y": "v"}), "FamilyNotTotal (1, 'X')")]
+    for eta, failure in cases:
+        with pytest.raises(ValueError) as err:
+            Implementation(swap.functor, swap.action, eta)
+        assert str(err.value) == f"implementation invalid: {failure}"
+
+
 def test_component_that_names_no_morphism_is_refused():
     m = models.NAMED_MODELS["Z4Rot"]()
     with pytest.raises(ValueError) as err:
@@ -558,6 +577,27 @@ def test_active_passive_eq18_violation():
     assert exc.value.report == Report(False, "Eq18Violated", (1, 1))
 
 
+def test_active_passive_refuses_a_psi_that_is_no_frame_family():
+    impl, psi, base = _spin_frame_active_passive()
+    # e o e = e on one object: an endomorphism of the right shape, not invertible
+    idempotent = FinCat(["a"], [("ida", "a", "a"), ("e", "a", "a")],
+                        {("ida", "ida"): "ida", ("ida", "e"): "e", ("e", "ida"): "e",
+                         ("e", "e"): "e"}, {"a": "ida"})
+    cases = [
+        (models.NAMED_MODELS["Z4Rot"](), psi, "*", "implementation cocycle must be trivial"),
+        (impl, {g: m for g, m in psi.items() if g != 3}, base,
+         "psi not total: missing element 3"),
+        (impl, {**psi, 1: psi[0]}, base, "psi_1 has the wrong shape"),
+        (_identity_family_impl(identity_functor(idempotent), fg.trivial_group()),
+         {0: "e"}, "a", "psi_0 is not invertible"),
+        (impl, {**psi, 0: "m0<0:1"}, base, "psi at the identity must be the identity morphism"),
+    ]
+    for implementation, family, obj, message in cases:
+        with pytest.raises(ValueError) as err:
+            active_passive_compose(family, implementation, obj)
+        assert str(err.value) == message
+
+
 def test_trivial_implementations_satisfy_trivial_relations():
     # implementations flagged trivial satisfy both trivial-cocycle identities
     for impl in (models.one_object_cyclic_model(power=0),
@@ -630,7 +670,7 @@ def test_action_violations_are_refused_when_built():
     to_x = TheoryFunctor(cat, cat, {"X": "X", "Y": "X"},
                          {"idX": "idX", "idY": "idX", "u": "idX", "v": "idX"})
     other = identity_functor(group_as_category(fg.cyclic(2)))
-    bz3 = group_as_category(fg.cyclic(3))
+    bz3, bz4 = group_as_category(fg.cyclic(3)), group_as_category(fg.cyclic(4))
     # r -> r^-1 fixes the one object, so only the morphism maps tell it apart
     inverse = TheoryFunctor(bz3, bz3, {"*": "*"}, {"r0": "r0", "r1": "r2", "r2": "r1"})
     z2, z3 = fg.cyclic(2), fg.cyclic(3)
@@ -639,6 +679,11 @@ def test_action_violations_are_refused_when_built():
         ((z2, (ident, to_x)), "FunctorNotInvertible", (1,)),
         ((z2, (ident, other)), "FunctorNotInvertible", (1,)),  # another category
         ((z2, (swap, ident)), "IdentityElementNotIdentityFunctor", (0,)),
+        # the trivial group's one functor must be Id on arrows too; with no
+        # other element, no homomorphism law forces it
+        ((fg.trivial_group(), (TheoryFunctor(bz4, bz4, {"*": "*"},
+                                             {"r0": "r0", "r1": "r3", "r2": "r2", "r3": "r1"}),)),
+         "IdentityElementNotIdentityFunctor", (0,)),
         # swap o swap = Id, but 1 + 1 = 2 in Z3 acts by swap
         ((z3, (ident, swap, swap)), "NotAHomomorphism", (1, 1)),
         ((z3, (identity_functor(bz3), inverse, inverse)), "NotAHomomorphism", (1, 1)),

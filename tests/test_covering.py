@@ -33,6 +33,17 @@ def test_non_central_kernel_rejected():
         CentralCover(s3, z2, GroupHom(s3, z2, sign))
 
 
+def test_cover_map_must_run_from_s_onto_l():
+    z2, z4 = fg.cyclic(2), fg.cyclic(4)
+    cases = [(GroupHom(z2, z2, (0, 1)), "pi must map S onto L"),
+             (GroupHom(z4, z4, (0, 1, 2, 3)), "pi must map S onto L"),
+             (GroupHom(z4, z2, (0, 0, 0, 0)), "pi is not surjective")]
+    for pi, message in cases:
+        with pytest.raises(ValueError) as err:
+            CentralCover(z4, z2, pi)
+        assert str(err.value) == message
+
+
 def test_section_invariants():
     cov = q8_cover()
     with pytest.raises(fg.CheckFailed) as exc:
@@ -393,6 +404,19 @@ def test_spin_obstruction_refuses_zeta_off_the_kernel_group():
     zeta = GroupHom(fg.cyclic(3), fg.cyclic(2), (0, 0, 0))
     with pytest.raises(ValueError, match="zeta is not defined on the kernel group"):
         spin_obstruction(q8_cover(), zeta, models.q8_two_dim_rep())
+
+
+def test_maps_and_representations_on_another_group_are_refused():
+    cov = q8_cover()
+    z = z_cocycle(all_sections(cov)[0])
+    off_kernel = GroupHom(fg.cyclic(3), fg.cyclic(2), (0, 0, 0))
+    with pytest.raises(ValueError, match="^zeta is not defined on the kernel group$"):
+        induced_gauge_cocycle(z, off_kernel)
+    zeta = GroupHom(cov.K, fg.cyclic(2), (0, 1))
+    on_base = MatrixRep(cov.L, 1, tuple(Mat([[1]]) for _ in cov.L.elements()))
+    with pytest.raises(ValueError,
+                       match="^representation is not defined on the covering group$"):
+        spin_obstruction(cov, zeta, on_base)
 
 
 def test_descends_iff_kernel_in_rep_kernel():

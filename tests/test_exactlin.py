@@ -152,3 +152,17 @@ def test_matrix_kernels_match_the_reference():
         rows, ref_rows = random_rows(rng, nr, nc)
         check_rows(null_space(rows, nc), oracles.mat_null_space(ref_rows, nc))
     assert singular >= 10 and inverted >= 10
+
+
+def test_matrices_refuse_ragged_rows_and_mismatched_shapes():
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        Mat([[1, 2], [3]])
+    row = Mat([[1, 2]])
+    with pytest.raises(ValueError, match="^shape mismatch$"):
+        row * row
+    with pytest.raises(ValueError, match="^determinant of non-square matrix$"):
+        row.det()
+    with pytest.raises(ValueError, match="^inverse of non-square matrix$"):
+        row.inverse()
+    # no equations: every unit vector spans the null space
+    assert null_space([], 2) == [(ONE, ZERO), (ZERO, ONE)]

@@ -67,6 +67,13 @@ def test_invalid_cocycle_rejected_with_witness():
     assert len(exc.value.report.witness) == 3
 
 
+def test_non_normalized_cochain_is_refused():
+    # xi(0, 0) = 1: not normalized, refused before the cocycle laws are checked
+    shifted = Cochain2(Z2, Z2, ((1, 0), (0, 0)), (0, 0))
+    with pytest.raises(ValueError, match="^extension construction requires a normalized cochain$"):
+        build_extension(shifted)
+
+
 def test_exactness_elementwise():
     # build_extension neither runs make_group nor checks exactness; this
     # checks both on every cocycle of the small pairs and every CLI fixture
@@ -129,6 +136,9 @@ def test_equivalence_reflexive_identity_witness():
     eq = extensions_equivalent(ext, ext)
     assert eq is not None
     assert eq.iso == tuple(range(4))
+    other = build_extension(trivial_cochain(Z2, Z4))
+    with pytest.raises(ValueError, match=r"^extensions are not over the same \(G, A\)$"):
+        extensions_equivalent(ext, other)
 
 
 def test_cohomologous_cocycles_give_equivalent_extensions():

@@ -35,13 +35,20 @@ def test_make_group_rejects_out_of_range():
     with pytest.raises(fg.CheckFailed) as exc:
         fg.make_group([[0, 2], [2, 0]])
     assert exc.value.report == fg.Report(False, "IndexOutOfRange", (0, 1, 2))
+    # a bool is no index, even where its int value would be in range
+    for table, witness in (([[False]], (0, 0, False)), ([[0, True], [True, 0]], (0, 1, True))):
+        with pytest.raises(fg.CheckFailed) as exc:
+            fg.make_group(table)
+        assert exc.value.report == fg.Report(False, "IndexOutOfRange", witness)
 
 
 def test_make_group_rejects_no_identity():
-    # each row is a permutation of {0,1} but no two-sided identity exists
-    with pytest.raises(fg.CheckFailed) as exc:
-        fg.make_group([[1, 0], [1, 0]])
-    assert exc.value.report == fg.Report(False, "NoIdentity", ())
+    # each row is a permutation of {0,1} but no two-sided identity exists;
+    # the empty table has no element to be one
+    for table in ([[1, 0], [1, 0]], []):
+        with pytest.raises(fg.CheckFailed) as exc:
+            fg.make_group(table)
+        assert exc.value.report == fg.Report(False, "NoIdentity", ())
 
 
 def test_make_group_rejects_non_associative():
@@ -225,6 +232,11 @@ def test_aut_deterministic_ordering():
     aut = fg.compute_aut(g)
     assert list(aut.perms) == sorted(aut.perms)
     assert aut.perms[0] == (0, 1, 2, 3)
+    assert aut.index_of([0, 1, 2, 3]) == 0
+    # 1 -> 0 moves the identity, so it is no automorphism
+    with pytest.raises(KeyError) as err:
+        aut.index_of((1, 0, 2, 3))
+    assert err.value.args == ("(1, 0, 2, 3) is not an automorphism of the group",)
 
 
 def test_aut_q8_order_24():
@@ -256,6 +268,10 @@ def test_check_hom_examples():
     moved = fg.check_hom(fg.GroupHom(z2, z2, (1, 0)))
     assert (moved.violation, moved.witness) == ("IdentityNotIdentity", (0, 0))
 
+    for partial in ((0,), (0, 2), (0, -1)):
+        with pytest.raises(ValueError, match="^map is not total on the source group$"):
+            fg.check_hom(fg.GroupHom(z2, z2, partial))
+
 
 def test_hom_law_witness_reads_x_major():
     # on Z2xZ2 (generators 1, 2), 3 -> 0 breaks the law at (1, 2), (2, 1),
@@ -274,6 +290,23 @@ def test_quotient_q8_by_centre():
     assert q.order == 4
     assert q.order_profile() == (1, 2, 2, 2)  # Z2 x Z2
     assert fg.check_hom(proj).valid
+
+
+def test_subgroup_and_quotient_refuse_subsets_that_are_not_normal_subgroups():
+    z4, v4, s3 = fg.cyclic(4), fg.standard_group("Z2xZ2"), fg.symmetric3()
+    transposition = next(x for x in s3.elements() if s3.element_order(x) == 2)
+    cases = [(z4, (1, 3), "subgroup must contain the identity"),
+             (z4, (0, 1), "subset not inverse-closed at 1"),
+             (v4, (0, 1, 2), "subset not closed at (1,2)")]
+    for g, elems, message in cases:
+        for build in (fg.subgroup, fg.quotient):
+            with pytest.raises(ValueError) as err:
+                build(g, elems)
+            assert str(err.value) == message, (build.__name__, elems)
+    assert fg.subgroup(s3, (0, transposition))[1] == (0, transposition)
+    with pytest.raises(ValueError) as err:
+        fg.quotient(s3, (0, transposition))
+    assert str(err.value) == "subgroup is not normal"
 
 
 def test_direct_product_encoding():

@@ -60,6 +60,11 @@ def test_validate_rep():
     bad = MatrixRep(Z2, 1, (Mat([[1]]), Mat([[2]])))
     rep = validate_rep(bad)
     assert not rep.valid and rep.violation == "NotAHomomorphism"
+    cases = [((Mat([[1]]),), "MatrixPerElementMissing", (1,)),
+             ((Mat([[1]]), Mat([[1, 0]])), "BadShape", (1,)),
+             ((Mat([[-1]]), Mat([[1]])), "IdentityNotIdentityMatrix", (0,))]
+    for mats, violation, witness in cases:
+        assert validate_rep(MatrixRep(Z2, 1, mats)) == fg.Report(False, violation, witness)
 
 
 def test_q8_two_dim_rep_is_a_rep():
@@ -365,8 +370,10 @@ def test_character_test_matches_intertwiner_search():
 
 def test_equivalent_rejects_different_groups():
     t, _ = z2_reps()
-    with pytest.raises(ValueError):
-        equivalent(t, MatrixRep(Z4, 1, tuple(Mat([[1]]) for _ in range(4))))
+    on_z4 = MatrixRep(Z4, 1, tuple(Mat([[1]]) for _ in range(4)))
+    for compare in (equivalent, intertwiners):
+        with pytest.raises(ValueError, match="^representations of different groups$"):
+            compare(t, on_z4)
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +456,13 @@ def test_detect_mixing_precondition_failures():
         detect_mixing(vec, sub1, sub2)  # lines not rotation-invariant
     assert exc.value.report == fg.Report(False, "not_invariant", (0, 1))
 
+    # the first coordinate line is invariant, but projecting along [1, 1]
+    # does not intertwine: g = 1 scales the second coordinate by -1
+    skew = SubMultiplet(Mat([[1], [0]]), Mat([[1, 1]]))
+    with pytest.raises(fg.CheckFailed) as exc:
+        detect_mixing(models.FIELD_FIXTURES["blocks"](), skew, sub2)
+    assert str(exc.value) == "submultiplet invalid: not_corestriction (0, 1)"
+
 
 # ---------------------------------------------------------------------------
 # scaling multiplets
@@ -509,6 +523,15 @@ def test_scaling_multiplet_takes_an_int_or_a_fraction_scale():
             scaling_multiplet(2, lam=lam)
     assert scaling_multiplet(2, lam=3).lam == Fraction(3)
     assert scaling_multiplet(2, lam=Fraction(5, 2)).lam == Fraction(5, 2)
+
+
+def test_scaling_multiplet_refuses_powers_below_one_and_bad_scales():
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="^field power must be >= 1$"):
+            scaling_multiplet(k)
+    for lam in (1, 0, -2, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="^sample scale factor must be positive and != 1$"):
+            scaling_multiplet(2, lam=lam)
 
 
 def test_scaling_multiplet_refuses_unknown_couplings():

@@ -28,6 +28,8 @@ def test_contraction_coeff_values():
     assert contraction_coeff(2, 2, 2) == 2
     with pytest.raises(ValueError, match=r"j=3 exceeds min\(2,3\)"):
         contraction_coeff(2, 3, 3)
+    with pytest.raises(ValueError, match="^j=-1 is negative$"):
+        contraction_coeff(2, 3, -1)
 
 
 def test_unit_field_is_the_star_unit():
@@ -89,12 +91,19 @@ def test_change_of_ordering_round_trip():
 
 
 def test_change_of_ordering_rejects_field_valued_shift():
-    with pytest.raises(ValueError):
-        change_of_ordering(PHI(2), PHI(1))
+    for shift in (PHI(1), W, D + W.scale(3)):
+        with pytest.raises(ValueError, match="^kernel shift must not carry Phi or W gradings$"):
+            change_of_ordering(PHI(2), shift)
 
 
 # ---------------------------------------------------------------------------
 # the scaling law
+
+def test_scale_power_refuses_powers_below_one():
+    for k in (0, -2):
+        with pytest.raises(ValueError, match="^field power must be >= 1$"):
+            scale_wick_power(k)
+
 
 def test_scale_power_k1():
     assert scale_wick_power(1) == WickPoly.symbol(phi=1, lam=1)
@@ -179,6 +188,15 @@ def test_text_form_round_trip():
     ]
     for p in polys:
         assert parse_wickpoly(str(p)) == p
+
+
+def test_parse_refuses_malformed_terms_and_unknown_symbols():
+    for text, message in (("1*Phi^2 + x", "cannot parse term 'x'"),
+                          ("2*Phi^1*", "cannot parse term '2*Phi^1*'"),
+                          ("1*Phi^2 + 2*Q^1", "unknown symbol 'Q'")):
+        with pytest.raises(ValueError) as err:
+            parse_wickpoly(text)
+        assert str(err.value) == message, text
 
 
 def test_text_form_example_shape():
