@@ -6,7 +6,6 @@ Run:  python3 demos/06_wick_scaling.py
 from fractions import Fraction
 
 from covlab.wickscale import (GaugeElement, WickPoly, change_of_ordering,
-                              contraction_coeff, coupling_constant_value,
                               gauge_scaling_action, parse_wickpoly,
                               scale_wick_power, scaling_cocycle_nontrivial,
                               wick_product)
@@ -16,8 +15,9 @@ D = WickPoly.symbol(delta=1)
 
 # -- the star product counts contractions ------------------------------------
 
+# the coefficients of Phi^4, W Phi^2 and W^2: j-fold contraction counts
 print("contraction coefficients for Phi^2 * Phi^2:",
-      [contraction_coeff(2, 2, j) for j in range(3)])
+      [n for _, n in wick_product(PHI(2), PHI(2)).nums])
 print("Phi^2 * Phi^2 =", wick_product(PHI(2), PHI(2)))
 print("Phi^1 * Phi^1 =", wick_product(PHI(1), PHI(1)))
 
@@ -39,8 +39,8 @@ for k in (1, 2, 3, 4):
     print(f"  lam*Phi^{k} =", scale_wick_power(k))
 print("at conformal coupling c = 0 scaling is homogeneous:",
       scale_wick_power(4).set_symbol("c", Fraction(0)))
-print("c at minimal coupling is", coupling_constant_value(Fraction(0)),
-      "/ pi^2")
+# c = (6 xi - 1) / (96 pi^2), here at xi = 0
+print("c at minimal coupling is", (6 * Fraction(0) - 1) / 96, "/ pi^2")
 
 # -- the rigid-scaling gauge cocycle ------------------------------------------
 

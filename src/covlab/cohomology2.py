@@ -300,11 +300,22 @@ def enumerate_normalized_cocycles(G: GroupTable, A: GroupTable
 
 
 def _stabiliser(c: Cochain2) -> Tuple[Tuple[int, ...], ...]:
-    """Stab(c): the normalized zeta with coboundary_twist(c, zeta) == c, as
-    the `_twist_candidates` from c to itself (central on the generators)
-    with zeta(g1 g0) = zeta(g1) * phi(g1)(zeta(g0)) on every pair."""
+    """Stab(c) of the cocycle c: the normalized zeta with
+    coboundary_twist(c, zeta) == c, as the `_twist_candidates` from c to
+    itself (central on the generators) with zeta(g1 g0) = zeta(g1) *
+    phi(g1)(zeta(g0)) on every pair, checked on the `gen_pairs`, g0 = s in
+    `generating_sequence(G)`, alone.  That suffices.  Each candidate value
+    is central: zeta(s) is, and the recurrence zeta(g s) = xi(g, s)^-1
+    zeta(g) phi(g)(zeta(s)) xi(g, s) conjugates a central product.  On
+    Z(A), phi(x) . phi(y) = ad(xi(x, y)) . phi(xy) agrees with phi(xy) by
+    the pair law.  Induction on y as a word in the generators: the law
+    holds at (x, 1), as zeta(1) = 1; and if it holds at every (x, y), it
+    holds at (x, y s), by the law at (x y, s), at (x, y) and at (y, s):
+    zeta(x y s) = zeta(x y) phi(x y)(zeta(s))
+                = zeta(x) phi(x)(zeta(y)) phi(x)(phi(y)(zeta(s)))
+                = zeta(x) phi(x)(zeta(y s))."""
     mul, perms = c.A.table, c.perms
-    pairs = _schedule(c.G).pairs
+    pairs = _schedule(c.G).gen_pairs
     return tuple(zeta for zeta in _twist_candidates(c, c.xi, c.phi)
                  if all(zeta[g] == mul[zeta[g1]][perms[g1][zeta[g0]]]
                         for g1, g0, g in pairs))

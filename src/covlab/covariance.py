@@ -282,8 +282,8 @@ def active_passive_compose(psi: Mapping[int, str], impl: Implementation,
         m = psi.get(g)
         if m is None:
             raise ValueError(f"psi not total: missing element {g}")
-        if (src.dom[m] != base_object
-                or src.cod[m] != T[G.inv(g)].obj_map[base_object]):
+        if (src.dom.get(m) != base_object
+                or src.cod.get(m) != T[G.inv(g)].obj_map[base_object]):
             raise ValueError(f"psi_{g} has the wrong shape")
         if src.inverse(m) is None:
             raise ValueError(f"psi_{g} is not invertible")

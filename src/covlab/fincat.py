@@ -18,8 +18,8 @@ from .fingroup import Report, hom_law_witness
 
 class FinCat:
     """Immutable finite category, equal by value (the name is only a label).
-    Built only with distinct ids and arrows between its objects; validate
-    the laws with validate_fincat."""
+    Built only with distinct ids and arrows between its objects, each id kept
+    as given; validate the laws with validate_fincat."""
 
     def __init__(self, objects: Sequence[str],
                  morphisms: Sequence[Tuple[str, str, str]],
@@ -27,7 +27,7 @@ class FinCat:
                  identities: Mapping[str, str],
                  name: Optional[str] = None) -> None:
         self.objects = tuple(objects)
-        self.morphisms = tuple((str(m), str(d), str(c)) for m, d, c in morphisms)
+        self.morphisms = tuple((m, d, c) for m, d, c in morphisms)
         self.compose_table = dict(compose)
         self.identities = dict(identities)
         self.name = name

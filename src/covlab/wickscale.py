@@ -244,15 +244,6 @@ def _contraction_row(k: int, l: int) -> tuple:
     return tuple(row)
 
 
-def contraction_coeff(k: int, l: int, j: int) -> int:
-    """Number of j-fold contractions between a k-fold and an l-fold power."""
-    if j > min(k, l):
-        raise ValueError(f"j={j} exceeds min({k},{l})")
-    if j < 0:
-        raise ValueError(f"j={j} is negative")
-    return _contraction_row(k, l)[j]
-
-
 def wick_product(p: WickPoly, q: WickPoly) -> WickPoly:
     """Star product: bilinear extension of the contraction expansion."""
     def terms():
@@ -388,12 +379,6 @@ def scaling_multiplet(k: int, coupling: str = "generic",
     return ScalingMultiplet(k, lam, matrix, verdict)
 
 
-def coupling_constant_value(xi: Fraction) -> Fraction:
-    """The coupling symbol c as an exact rational multiple of 1/pi^2; xi
-    must be an int or a Fraction (`_rational`)."""
-    return (6 * Fraction(_rational(xi)) - 1) / 96
-
-
 # ---------------------------------------------------------------------------
 # the rigid-scaling gauge group Z2 |x R and its scaling automorphisms
 
@@ -423,18 +408,12 @@ def gauge_ad(a: GaugeElement, x: GaugeElement) -> GaugeElement:
     return gauge_mul(gauge_mul(a, x), gauge_inv(a))
 
 
-def gauge_scaling_action(lam: Fraction, el: GaugeElement,
-                         xi_nonzero: bool = False) -> GaugeElement:
-    """The scaling automorphism (sigma, mu) -> (sigma, mu/lam).
-
-    With xi_nonzero the gauge group is just Z2 (mu must vanish).  That the
-    map is an automorphism is checked in the tests.
-    """
+def gauge_scaling_action(lam: Fraction, el: GaugeElement) -> GaugeElement:
+    """The scaling automorphism (sigma, mu) -> (sigma, mu/lam).  That the
+    map is an automorphism is checked in the tests."""
     lam = Fraction(_rational(lam))
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
-    if xi_nonzero and el.mu != 0:
-        raise ValueError("mu must vanish when the coupling is nonzero")
     return GaugeElement(el.sigma, el.mu / lam)
 
 

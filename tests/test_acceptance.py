@@ -3,6 +3,30 @@
 Every check is exact (integer/rational arithmetic); there are no numeric
 tolerances anywhere.  Run with `pytest -s tests/test_acceptance.py` to see
 the per-criterion lines, or `python3 tests/test_acceptance.py` standalone.
+
+The claims of the paper's abstract (arXiv:1609.02705), each with the verb
+and report field that state it, its criterion, its demo, and the ROADMAP
+item that closes its gap (the README holds the same table):
+
+  claim                        verb: report field               crit.  demo  gap
+  canonical class in H^2       extract-cocycle: data.cochain;   1-3    01 03 -
+                               compare-impls:
+                               cocycles-cohomologous;
+                               classify-h2: data.classes
+  trivial for S                extract-cocycle --model          -      03    6, 13
+                               SpinFrame: data.class_trivial
+  direct-product extended      build-extension: data.labels;    3, 4   02 03 17, 19
+  group                        lift-extension:
+                               lifted-cocycle-neutral
+  multiplets of S              verify-multiplet:                5      04    8
+                               extended-rep-true
+  no mixing across spins       detect-mixing: no-mixing         6      04    8
+  noninteger spin controlled   cover-z: data.class_trivial;     7      05    6, 8
+  by the centre                spin-obstruction: descends
+  rigid scale covariance       scale-power: data.scaled_power;  8-10   06    7
+                               scaling-cocycle: data.certificate
+  n >= 2 and interacting       -                                -      -     13
+  theories
 """
 
 import itertools

@@ -51,6 +51,16 @@ def test_one_object_category_valid():
     assert oracles.invertible_endos(_cat(cat), "*") == ("r0", "r1", "r2", "r3")
 
 
+def test_category_ids_are_kept_as_given():
+    # an int id is not turned into a string, in a record or anywhere else
+    cat = FinCat(["a"], [(0, "a", "a")], {(0, 0): 0}, {"a": 0})
+    assert cat.morphisms == ((0, "a", "a"),)
+    assert validate_fincat(cat) == Report(True)
+    cat = FinCat([0], [("i", 0, 0)], {("i", "i"): "i"}, {0: "i"})
+    assert (cat.dom, cat.cod) == ({"i": 0}, {"i": 0})
+    assert validate_fincat(cat) == Report(True)
+
+
 def test_missing_composite_detected():
     cat = group_as_category(fg.cyclic(2))
     broken = FinCat(cat.objects, cat.morphisms,
@@ -579,6 +589,8 @@ def test_active_passive_eq18_violation():
 
 def test_active_passive_refuses_a_psi_that_is_no_frame_family():
     impl, psi, base = _spin_frame_active_passive()
+    # m0<0:1 is an arrow of the decorated target, not of the plain source
+    rotation, rotation_psi, _ = models.frame_rotation_model(twist_parity=True)
     # e o e = e on one object: an endomorphism of the right shape, not invertible
     idempotent = FinCat(["a"], [("ida", "a", "a"), ("e", "a", "a")],
                         {("ida", "ida"): "ida", ("ida", "e"): "e", ("e", "ida"): "e",
@@ -588,6 +600,7 @@ def test_active_passive_refuses_a_psi_that_is_no_frame_family():
         (impl, {g: m for g, m in psi.items() if g != 3}, base,
          "psi not total: missing element 3"),
         (impl, {**psi, 1: psi[0]}, base, "psi_1 has the wrong shape"),
+        (rotation, {**rotation_psi, 0: "m0<0:1"}, "F0", "psi_0 has the wrong shape"),
         (_identity_family_impl(identity_functor(idempotent), fg.trivial_group()),
          {0: "e"}, "a", "psi_0 is not invertible"),
         (impl, {**psi, 0: "m0<0:1"}, base, "psi at the identity must be the identity morphism"),

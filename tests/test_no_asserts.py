@@ -60,6 +60,10 @@ The tests' brute-force references, `tests/oracles.py`, import the standard
 library alone, so no library defect can reach the reference that checks it,
 and no other test module defines a function named as a reference
 (`reference_*`, `_reference_*`, `oracle_*`, `_oracle_*` or `ref_*`).
+Every module-level public function of the library is referenced in the
+library outside its own body, by a name or an attribute, unless `verb`
+registers it as a CLI handler or `UNREFERENCED` names it with its reason;
+an entry of `UNREFERENCED` that the scan does not find is stale and fails.
 
 Run as a script, this module prints the exit code and stdout of each
 command given as a JSON list of argv lists; the -O test runs it that way.
@@ -67,6 +71,7 @@ command given as a JSON list of argv lists; the -O test runs it that way.
 
 import ast
 import builtins
+import collections
 import contextlib
 import functools
 import io
@@ -473,8 +478,7 @@ def test_each_algorithm_is_written_once():
         fn = _function(_library()[module], name, cls)
         if not any(_called(node) == callee for node in ast.walk(fn)):
             found.add(f"{module}.{name} does not call {callee}")
-    for module, name, row in (("wickscale", "contraction_coeff", "_contraction_row"),
-                              ("wickscale", "wick_product", "_contraction_row"),
+    for module, name, row in (("wickscale", "wick_product", "_contraction_row"),
                               ("wickscale", "change_of_ordering", "_matching_row"),
                               ("wickscale", "scale_wick_power", "_matching_row"),
                               ("wickscale", "scaling_multiplet", "_matching_row")):
@@ -606,6 +610,44 @@ def test_cli_names_no_shipped_fixture():
               if _called(node) in ("GroupHom", "direct_product", "closure", "quotient")]
     assert {"q8", "z4-z2", "2d", "flip", "trivial", "blocks", "Z4Rot"} <= keys
     assert found == []
+
+
+# The public functions that nothing in `src/covlab` references, each with the
+# reason it stays in the library; ROADMAP item 27 gives each a library caller
+# or removes it.
+UNREFERENCED = {
+    "covariance.twist_implementation":
+        "acceptance criterion 2 and ROADMAP item 15's differential test use it",
+    "covariance.active_passive_compose":
+        "a paper result that demo 03 prints; ROADMAP item 27 gives it a verb",
+    "extension.extensions_equivalent":
+        "a paper result that demo 02 prints; ROADMAP item 27 gives it a verb",
+    "wickscale.scaling_multiplet":
+        "a paper result that demo 04 prints; ROADMAP item 27 gives it a verb",
+    "models.block_diagonal_fixtures":
+        "the acceptance criteria run all four block specs; FIELD_FIXTURES registers two",
+    "fincat.validate_fincat": "ROADMAP item 26 gives it a caller",
+}
+
+
+def test_every_library_function_has_a_library_reference():
+    # a reference is a name or an attribute outside the function's own body,
+    # so a call or a registry entry counts and a docstring mention does not;
+    # the CLI handlers are reached through the `verb` registry
+    def references(tree):
+        return collections.Counter(node.id if isinstance(node, ast.Name) else node.attr
+                                   for node in ast.walk(tree)
+                                   if isinstance(node, (ast.Name, ast.Attribute)))
+    everywhere = sum(map(references, _library().values()), collections.Counter())
+    unreferenced = [f"{module}.{fn.name}" for module, tree in _library().items()
+                    for fn in tree.body
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+                    and not any(_called(d) == "verb" for d in fn.decorator_list)
+                    and everywhere[fn.name] == references(fn)[fn.name]]
+    missing = sorted(set(unreferenced) - set(UNREFERENCED))
+    stale = sorted(set(UNREFERENCED) - set(unreferenced))
+    assert (missing, stale) == ([], [])
+    assert all(UNREFERENCED.values())
 
 
 def readme_commands():

@@ -7,7 +7,6 @@ import pytest
 
 import oracles
 from covlab.wickscale import (GaugeElement, Monomial, WickPoly, change_of_ordering,
-                              contraction_coeff, coupling_constant_value,
                               gauge_ad, gauge_inv, gauge_mul,
                               gauge_scaling_action, ordering_route,
                               parse_wickpoly, scale_wick_power,
@@ -21,16 +20,6 @@ CLR = WickPoly.symbol(c=1, log=1, ricci=1)
 
 # ---------------------------------------------------------------------------
 # contraction coefficients and the star product
-
-def test_contraction_coeff_values():
-    assert contraction_coeff(2, 2, 0) == 1
-    assert contraction_coeff(2, 2, 1) == 4
-    assert contraction_coeff(2, 2, 2) == 2
-    with pytest.raises(ValueError, match=r"j=3 exceeds min\(2,3\)"):
-        contraction_coeff(2, 3, 3)
-    with pytest.raises(ValueError, match="^j=-1 is negative$"):
-        contraction_coeff(2, 3, -1)
-
 
 def test_unit_field_is_the_star_unit():
     p = PHI(3) + W * PHI(1).scale(Fraction(5, 2))
@@ -147,12 +136,6 @@ def test_conformal_coupling_collapses_to_homogeneous():
     for k in range(1, 9):
         collapsed = scale_wick_power(k).set_symbol("c", Fraction(0))
         assert collapsed == WickPoly.symbol(phi=k, lam=k), k
-
-
-def test_coupling_constant_value():
-    assert coupling_constant_value(Fraction(0)) == Fraction(-1, 96)
-    assert coupling_constant_value(Fraction(1, 6)) == 0
-    assert coupling_constant_value(1) == Fraction(5, 96)
 
 
 def test_gauge_element_sigma_is_the_int_plus_or_minus_one():
@@ -298,8 +281,7 @@ def test_coefficients_are_ints_or_fractions_only():
                lambda x: WickPoly([((0,) * 7, 1), ((0,) * 7, x)]),
                poly.scale, lambda x: poly.set_symbol("lam", x),
                lambda x: GaugeElement(1, x),
-               lambda x: gauge_scaling_action(x, GaugeElement(1)),
-               coupling_constant_value]
+               lambda x: gauge_scaling_action(x, GaugeElement(1))]
     for make in refused:
         for x in (0.1, 2.0, True, "1/2", None):
             with pytest.raises(TypeError, match="expected an int or a Fraction"):
@@ -463,17 +445,14 @@ def test_gauge_scaling_is_automorphism_at_sampled_rationals():
 
 
 def test_gauge_scaling_is_automorphism_on_sample_pairs():
-    for xi_nonzero in (False, True):
-        samples = [GaugeElement(s, Fraction(0) if xi_nonzero else m)
-                   for s in (1, -1) for m in _SAMPLE_MUS]
-        for lam in _ACTION_LAMS:
-            def act(x):
-                return gauge_scaling_action(lam, x, xi_nonzero=xi_nonzero)
-            assert act(GaugeElement(1)) == GaugeElement(1), lam
-            for x in samples:
-                for y in samples:
-                    assert act(gauge_mul(x, y)) == gauge_mul(act(x), act(y)), \
-                        (lam, x, y)
+    samples = [GaugeElement(s, m) for s in (1, -1) for m in _SAMPLE_MUS]
+    for lam in _ACTION_LAMS:
+        def act(x):
+            return gauge_scaling_action(lam, x)
+        assert act(GaugeElement(1)) == GaugeElement(1), lam
+        for x in samples:
+            for y in samples:
+                assert act(gauge_mul(x, y)) == gauge_mul(act(x), act(y)), (lam, x, y)
 
 
 def test_inner_automorphisms_only_flip_mu():
@@ -499,6 +478,3 @@ def test_scaling_cocycle_certificate():
 def test_scaling_cocycle_trivial_for_nonzero_coupling():
     cert = scaling_cocycle_nontrivial(xi_nonzero=True)
     assert not cert.nontrivial
-    with pytest.raises(ValueError):
-        gauge_scaling_action(Fraction(2), GaugeElement(1, Fraction(1)),
-                             xi_nonzero=True)
