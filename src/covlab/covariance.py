@@ -20,7 +20,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 from .cohomology2 import Cochain2, trivial_cochain
 from .config import capped_product
 from .extension import build_extension
-from .fincat import GAction, TheoryFunctor
+from .fincat import GAction, TheoryFunctor, is_identity_functor
 from .fingroup import GroupTable, Report, compute_aut, make_group, table_on
 
 
@@ -72,7 +72,8 @@ def compute_gauge_group(F: TheoryFunctor) -> GaugeGroup:
 
     A family {alpha_C} of invertible morphisms F(C) -> F(C) is natural when
     every square with H = F closes (`_unnatural`).  Families are ordered
-    with the identity family first, then lexicographically.  F is valid
+    with the identity family first, then lexicographically, and the table is
+    named Aut(Id) for an identity functor, Aut(A) otherwise.  F is valid
     since it was built.  Computed once per process for each functor value
     and shared by every caller; COVLAB_ENUM_CAP bounds that one computation.
     """
@@ -85,7 +86,7 @@ def compute_gauge_group(F: TheoryFunctor) -> GaugeGroup:
     ident = tuple(tgt.identities[y] for y in images)
     families.sort(key=lambda fam: (fam != ident, fam))
     gt = make_group(table_on(families, lambda a, b: tuple(tc[p] for p in zip(a, b))),
-                    name=f"Aut({F.name or 'A'})")
+                    name="Aut(Id)" if is_identity_functor(F) else "Aut(A)")
     return GaugeGroup(gt, tuple(families), objects)
 
 
@@ -94,11 +95,10 @@ class Implementation:
     checked once when built (ValueError naming the violation otherwise)."""
 
     def __init__(self, functor: TheoryFunctor, action: GAction,
-                 eta: Sequence[Mapping[str, str]], name: Optional[str] = None) -> None:
+                 eta: Sequence[Mapping[str, str]]) -> None:
         self.functor = functor
         self.action = action
         self.eta = tuple(dict(e) for e in eta)
-        self.name = name
         validate_implementation(self).require("implementation")
 
 
@@ -152,13 +152,12 @@ def _gauged(impl: Implementation, gauge: GaugeGroup, a: int, g: int) -> Dict[str
     return {x: tc[alpha[position[t_obj[x]]], eta[x]] for x in impl.functor.source.objects}
 
 
-def twist_implementation(impl: Implementation, zeta: Sequence[int],
-                         name: Optional[str] = None) -> Implementation:
+def twist_implementation(impl: Implementation, zeta: Sequence[int]) -> Implementation:
     """New implementation with eta~(g)_C = zeta(g)_{g.C} o eta(g)_C."""
     gauge = compute_gauge_group(impl.functor)
     return Implementation(impl.functor, impl.action,
                           [_gauged(impl, gauge, zeta[g], g)
-                           for g in impl.action.group.elements()], name)
+                           for g in impl.action.group.elements()])
 
 
 def extract_cocycle(impl: Implementation) -> Cochain2:
@@ -241,8 +240,7 @@ def lift_to_extension(impl: Implementation) -> Implementation:
     pairs = [ext.unpair(e) for e in ext.E.elements()]
     e_action = GAction(ext.E, [impl.action.functors[g] for _, g in pairs])
     return Implementation(impl.functor, e_action,
-                          [_gauged(impl, gauge, a, g) for a, g in pairs],
-                          name=f"lift({impl.name or 'eta'})")
+                          [_gauged(impl, gauge, a, g) for a, g in pairs])
 
 
 # ---------------------------------------------------------------------------

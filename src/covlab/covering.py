@@ -50,7 +50,7 @@ class CentralCover:
         for k in ker:
             if k not in z:
                 raise ValueError(f"kernel element {k} is not central")
-        k_group, k_elems = subgroup(self.S, ker, name="ker")
+        k_group, k_elems = subgroup(self.S, ker)
         object.__setattr__(self, "K", k_group)
         object.__setattr__(self, "kernel_elements", k_elems)
 
@@ -231,7 +231,7 @@ def spin_obstruction(cover: CentralCover, zeta_on_k: GroupHom,
 def q8_cover() -> CentralCover:
     """The quaternion double cover of Z2 x Z2 with kernel {1, -1}."""
     q8 = quaternion8()
-    l = direct_product(cyclic(2), cyclic(2), "Z2xZ2")
+    l = direct_product(cyclic(2), cyclic(2))
     # 1,-1 -> (0,0); i,-i -> (1,0); j,-j -> (0,1); k,-k -> (1,1)
     pi_map = (0, 0, 2, 2, 1, 1, 3, 3)
     return CentralCover(q8, l, GroupHom(q8, l, pi_map))
@@ -253,6 +253,6 @@ def cyclic_cover(m: int, d: int) -> CentralCover:
 def split_cover(k_order: int, l: GroupTable) -> CentralCover:
     """The trivial cover K x L -> L."""
     k = cyclic(k_order)
-    s = direct_product(k, l, name=f"Z{k_order}x{l.name}")
+    s = direct_product(k, l)
     pi_map = tuple(e % l.order for e in range(s.order))
     return CentralCover(s, l, GroupHom(s, l, pi_map))

@@ -17,26 +17,28 @@ from .fingroup import Report, hom_law_witness
 
 
 class FinCat:
-    """Immutable finite category, equal by value (the name is only a label).
-    Built only with distinct ids and arrows between its objects, each id kept
-    as given; validate the laws with validate_fincat."""
+    """Immutable finite category, equal by value.  Built only with distinct
+    ids, of one type among objects and one among arrows, and arrows between
+    its objects, each id kept as given; validate the laws with validate_fincat."""
 
     def __init__(self, objects: Sequence[str],
                  morphisms: Sequence[Tuple[str, str, str]],
                  compose: Mapping[Tuple[str, str], str],
-                 identities: Mapping[str, str],
-                 name: Optional[str] = None) -> None:
+                 identities: Mapping[str, str]) -> None:
         self.objects = tuple(objects)
         self.morphisms = tuple((m, d, c) for m, d, c in morphisms)
         self.compose_table = dict(compose)
         self.identities = dict(identities)
-        self.name = name
         self.dom = {m: d for m, d, _ in self.morphisms}
         self.cod = {m: c for m, _, c in self.morphisms}
         if len(self.dom) != len(self.morphisms):
             raise ValueError("duplicate morphism ids")
         if len(set(self.objects)) != len(self.objects):
             raise ValueError("duplicate object ids")
+        for kind, ids in (("object", self.objects), ("arrow", self.dom)):
+            types = {type(i).__name__ for i in ids}
+            if len(types) > 1:  # the tables are sorted by id
+                raise ValueError(f"{kind} ids mix types: {', '.join(sorted(types))}")
         known = set(self.objects)
         for m, d, c in self.morphisms:
             if d not in known or c not in known:
@@ -120,22 +122,20 @@ def validate_fincat(cat: FinCat) -> Report:
 class TheoryFunctor:
     """A functor between finite categories, given by its object/morphism maps;
     checked once when built (ValueError naming the violation otherwise), and
-    equal by value, name included, since the name labels its gauge group."""
+    equal by value."""
 
     def __init__(self, source: FinCat, target: FinCat,
-                 obj_map: Mapping[str, str], mor_map: Mapping[str, str],
-                 name: Optional[str] = None) -> None:
+                 obj_map: Mapping[str, str], mor_map: Mapping[str, str]) -> None:
         self.source = source
         self.target = target
         self.obj_map = dict(obj_map)
         self.mor_map = dict(mor_map)
-        self.name = name
         validate_functor(self).require("functor")
 
     @cached_property
     def _key(self) -> tuple:
         return (self.source, self.target, tuple(sorted(self.obj_map.items())),
-                tuple(sorted(self.mor_map.items())), self.name)
+                tuple(sorted(self.mor_map.items())))
 
     @cached_property
     def _hash(self) -> int:
@@ -150,7 +150,13 @@ class TheoryFunctor:
 
 def identity_functor(cat: FinCat) -> TheoryFunctor:
     return TheoryFunctor(cat, cat, {x: x for x in cat.objects},
-                         {m: m for m, _, _ in cat.morphisms}, name="Id")
+                         {m: m for m, _, _ in cat.morphisms})
+
+
+def is_identity_functor(F: TheoryFunctor) -> bool:
+    """Whether F is an endofunctor sending every object and arrow to itself."""
+    return (F.source == F.target and F.obj_map == {x: x for x in F.source.objects}
+            and F.mor_map == {m: m for m in F.source.dom})
 
 
 def validate_functor(F: TheoryFunctor) -> Report:
@@ -221,9 +227,7 @@ def validate_gaction(act: GAction) -> Report:
         if F.source != cat or F.target != cat or not functor_is_invertible(F):
             return Report(False, "FunctorNotInvertible", (g,))
         checked.add(id(F))
-    t1 = act.functors[0]
-    if (t1.obj_map != {x: x for x in cat.objects}
-            or t1.mor_map != {m: m for m, _, _ in cat.morphisms}):
+    if not is_identity_functor(act.functors[0]):
         return Report(False, "IdentityElementNotIdentityFunctor", (0,))
     maps = [(F.obj_map, F.mor_map) for F in act.functors]
     witness = hom_law_witness(grp, maps.__getitem__, lambda t, u: (  # maps of T o U
@@ -238,13 +242,13 @@ def validate_gaction(act: GAction) -> Report:
 # built once per process and shared, so no caller may write to its tables
 
 @lru_cache(maxsize=None)
-def group_as_category(group, prefix: str = "r", name: Optional[str] = None) -> FinCat:
+def group_as_category(group, prefix: str = "r") -> FinCat:
     """One-object category whose endomorphisms are the group elements."""
     obj = "*"
     mors = [(f"{prefix}{i}", obj, obj) for i in group.elements()]
     compose = {(f"{prefix}{i}", f"{prefix}{j}"): f"{prefix}{group.mul(i, j)}"
                for i in group.elements() for j in group.elements()}
-    return FinCat([obj], mors, compose, {obj: f"{prefix}0"}, name=name)
+    return FinCat([obj], mors, compose, {obj: f"{prefix}0"})
 
 
 def frame_mid(j: int, i: int, u: int) -> str:
@@ -254,7 +258,7 @@ def frame_mid(j: int, i: int, u: int) -> str:
 
 
 @lru_cache(maxsize=None)
-def decorated_frames_category(n_frames: int, deco, name: Optional[str] = None) -> FinCat:
+def decorated_frames_category(n_frames: int, deco) -> FinCat:
     """Codiscrete category on n frame objects with `deco`-decorated arrows.
 
     hom(F_i, F_j) = {m[j][i][u] : u in deco}; composition multiplies the
@@ -269,4 +273,4 @@ def decorated_frames_category(n_frames: int, deco, name: Optional[str] = None) -
                for k in frames for j in frames for i in frames
                for u, row in enumerate(deco.table) for v, w in enumerate(row)}
     identities = {objects[i]: ids[i][i][0] for i in frames}
-    return FinCat(objects, mors, compose, identities, name=name)
+    return FinCat(objects, mors, compose, identities)

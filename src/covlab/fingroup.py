@@ -194,11 +194,11 @@ def cyclic(n: int, name: Optional[str] = None) -> GroupTable:
     return GroupTable(table_on(range(n), lambda i, j: (i + j) % n), name or f"Z{n}")
 
 
-def direct_product(a: GroupTable, b: GroupTable, name: Optional[str] = None) -> GroupTable:
-    """Product group on pairs, encoded as index i*|b| + j.  Tables compare
-    without their names, so the derived name, AxB for factors named A and B
-    (an unnamed factor by its order), is fixed before the cache is read."""
-    return _direct_product(a, b, name or f"{a.name or a.order}x{b.name or b.order}")
+def direct_product(a: GroupTable, b: GroupTable) -> GroupTable:
+    """Product group on pairs, encoded as index i*|b| + j, named AxB for
+    factors named A and B (an unnamed factor by its order).  Tables compare
+    without their names, so the name is fixed before the cache is read."""
+    return _direct_product(a, b, f"{a.name or a.order}x{b.name or b.order}")
 
 
 @lru_cache(maxsize=None)
@@ -240,7 +240,7 @@ _STANDARD = {
     "Z4": lambda: cyclic(4),
     "Z6": lambda: cyclic(6),
     "Z8": lambda: cyclic(8),
-    "Z2xZ2": lambda: direct_product(cyclic(2), cyclic(2), "Z2xZ2"),
+    "Z2xZ2": lambda: direct_product(cyclic(2), cyclic(2)),
     "S3": symmetric3,
     "Q8": quaternion8,
 }
@@ -335,11 +335,10 @@ def _subgroup_elements(g: GroupTable, elems: Sequence[int]) -> Tuple[int, ...]:
     return elems
 
 
-def subgroup(g: GroupTable, elems: Sequence[int],
-             name: Optional[str] = None) -> Tuple[GroupTable, Tuple[int, ...]]:
+def subgroup(g: GroupTable, elems: Sequence[int]) -> Tuple[GroupTable, Tuple[int, ...]]:
     """Subgroup as its own GroupTable plus the sorted ambient elements."""
     elems = _subgroup_elements(g, elems)
-    return GroupTable(table_on(elems, g.mul), name), elems
+    return GroupTable(table_on(elems, g.mul)), elems
 
 
 def is_normal(g: GroupTable, elems: Sequence[int]) -> bool:

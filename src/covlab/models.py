@@ -34,7 +34,7 @@ def _frame_shift_action(group: fg.GroupTable, cat: FinCat, decos) -> GAction:
         obj_map = {f"F{i}": f"F{(i + g) % n}" for i in range(n)}
         mor_map = {frame_mid(j, i, u): frame_mid((j + g) % n, (i + g) % n, u)
                    for j in range(n) for i in range(n) for u in decos}
-        functors.append(TheoryFunctor(cat, cat, obj_map, mor_map, name=f"T{g}"))
+        functors.append(TheoryFunctor(cat, cat, obj_map, mor_map))
     return GAction(group, tuple(functors))
 
 
@@ -46,11 +46,11 @@ def one_object_cyclic_model(power: int = 1):
     eta(g) is the `power`-th rotation.  Gauge group: Z4."""
     from .covariance import Implementation
     from .fincat import GAction, group_as_category, identity_functor
-    cat = group_as_category(fg.cyclic(4), prefix="r", name="BZ4")
+    cat = group_as_category(fg.cyclic(4), prefix="r")
     functor = identity_functor(cat)
     action = GAction(fg.cyclic(2), (functor, functor))
     eta = [{"*": "r0"}, {"*": f"r{power % 4}"}]
-    return Implementation(functor, action, eta, name=f"Z4Rot[p={power}]")
+    return Implementation(functor, action, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -67,15 +67,14 @@ def swap_model():
         ("v", "idY"): "v", ("idX", "v"): "v",
         ("v", "u"): "idX", ("u", "v"): "idY",
     }
-    cat = FinCat(objects, mors, compose, {"X": "idX", "Y": "idY"}, name="SwapIso")
+    cat = FinCat(objects, mors, compose, {"X": "idX", "Y": "idY"})
     swap = TheoryFunctor(cat, cat, {"X": "Y", "Y": "X"},
-                         {"idX": "idY", "idY": "idX", "u": "v", "v": "u"},
-                         name="swap")
+                         {"idX": "idY", "idY": "idX", "u": "v", "v": "u"})
     g2 = fg.cyclic(2)
     action = GAction(g2, (identity_functor(cat), swap))
     functor = identity_functor(cat)
     eta = [{"X": "idX", "Y": "idY"}, {"X": "u", "Y": "v"}]
-    return Implementation(functor, action, eta, name="SwapIso")
+    return Implementation(functor, action, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -91,16 +90,12 @@ def frame_rotation_model(twist_parity: bool = True):
     from .covariance import Implementation
     from .fincat import TheoryFunctor, decorated_frames_category, frame_mid
     n = 4
-    plain = decorated_frames_category(n, fg.trivial_group(), name="Frames")
-    deco = decorated_frames_category(n, fg.cyclic(2), name="FramesZ2")
+    plain = decorated_frames_category(n, fg.trivial_group())
+    deco = decorated_frames_category(n, fg.cyclic(2))
 
-    functor = TheoryFunctor(
-        plain, deco,
-        {f"F{i}": f"F{i}" for i in range(n)},
-        {frame_mid(j, i, 0): frame_mid(j, i, 0)
-         for j in range(n) for i in range(n)},
-        name="A",
-    )
+    functor = TheoryFunctor(plain, deco, {f"F{i}": f"F{i}" for i in range(n)},
+                            {frame_mid(j, i, 0): frame_mid(j, i, 0)
+                             for j in range(n) for i in range(n)})
 
     action = _frame_shift_action(fg.cyclic(4), plain, (0,))
 
@@ -108,8 +103,7 @@ def frame_rotation_model(twist_parity: bool = True):
     for g in range(4):
         s = (g % 2) if twist_parity else 0
         eta.append({f"F{i}": frame_mid((i + g) % n, i, s) for i in range(n)})
-    impl = Implementation(functor, action, eta,
-                          name=f"FrameRot[{'parity' if twist_parity else 'plain'}]")
+    impl = Implementation(functor, action, eta)
     psi = {g: frame_mid((-g) % n, 0, 0) for g in range(4)}
     return impl, psi, "F0"
 
@@ -128,12 +122,12 @@ def spin_frame_model():
     from .fincat import decorated_frames_category, frame_mid, identity_functor
     z4 = fg.cyclic(4)
     n = 2
-    cat = decorated_frames_category(n, z4, name="SpinFrames")
+    cat = decorated_frames_category(n, z4)
     functor = identity_functor(cat)
     action = _frame_shift_action(z4, cat, z4.elements())
     eta = [{f"F{i}": frame_mid((i + s) % n, i, s) for i in range(n)}
            for s in range(4)]
-    return Implementation(functor, action, eta, name="SpinFrame")
+    return Implementation(functor, action, eta)
 
 
 # ---------------------------------------------------------------------------

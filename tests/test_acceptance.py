@@ -165,16 +165,16 @@ def test_criterion_3_extension_correspondence():
 def test_criterion_4_lift_neutrality():
     with criterion(4, "every lifted implementation has identically neutral "
                       "extension cocycle over all pairs"):
-        fixtures = [models.one_object_cyclic_model(p) for p in range(4)]
-        fixtures += [models.swap_model(), models.spin_frame_model(),
-                     models.frame_rotation_model()[0]]
-        for impl in fixtures:
+        fixtures = {f"Z4Rot[p={p}]": models.one_object_cyclic_model(p) for p in range(4)}
+        fixtures.update(SwapIso=models.swap_model(), SpinFrame=models.spin_frame_model(),
+                        FrameRot=models.frame_rotation_model()[0])
+        for label, impl in fixtures.items():
             lifted = lift_to_extension(impl)
             ec = extract_cocycle(lifted)
             n = lifted.action.group.order
             for e1 in range(n):
                 for e0 in range(n):
-                    assert ec.xi[e1][e0] == 0, (impl.name, e1, e0)
+                    assert ec.xi[e1][e0] == 0, (label, e1, e0)
 
 
 def _field_fixtures():

@@ -1,4 +1,5 @@
 import collections
+import importlib.util
 import io
 import json
 import os
@@ -745,6 +746,22 @@ def test_benchmark_calls_replay_their_recorded_reports(tmp_path, monkeypatch):
                     unrecorded.add(call.key)
     assert replayed == expected["calls"]
     assert (len(replayed), len(unrecorded)) == (106, 4)
+
+
+def test_report_digest_runs_every_verb_on_every_registry_key():
+    # tools/report_digest.py (standard library only) reads its argv off the
+    # registries; a new verb or registry must reach it
+    spec = importlib.util.spec_from_file_location(
+        "report_digest", ROOT / "tools" / "report_digest.py")
+    report_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report_digest)
+    argvs = report_digest.argvs()
+    assert sorted({argv[0] for argv in argvs}) == sorted(cli.HANDLERS)
+    words = {word for argv in argvs for word in argv}
+    for registry in (models.NAMED_MODELS, models.COCHAIN_FIXTURES, models.FIELD_FIXTURES,
+                     models.COVERS, models.REPS, models.KERNEL_MAPS, *models.REPS.values()):
+        assert set(registry) <= words, sorted(registry)
+    assert "--timing" not in words and "--json" not in words
 
 
 def test_cover_z_checks_the_kernel_map_once(capsys, monkeypatch):

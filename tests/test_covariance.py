@@ -59,6 +59,12 @@ def test_category_ids_are_kept_as_given():
     cat = FinCat([0], [("i", 0, 0)], {("i", "i"): "i"}, {0: "i"})
     assert (cat.dom, cat.cod) == ({"i": 0}, {"i": 0})
     assert validate_fincat(cat) == Report(True)
+    # the tables are sorted by id, so the object ids share one type, and so
+    # do the arrow ids
+    with pytest.raises(ValueError, match="^object ids mix types: int, str$"):
+        FinCat(["a", 0], [(0, "a", "a"), ("x", 0, 0)], {}, {"a": 0, 0: "x"})
+    with pytest.raises(ValueError, match="^arrow ids mix types: int, str$"):
+        FinCat(["a"], [(0, "a", "a"), ("x", "a", "a")], {}, {"a": 0})
 
 
 def test_missing_composite_detected():
@@ -74,12 +80,12 @@ def test_missing_composite_detected():
 
 
 def test_shipped_categories_satisfy_the_category_laws():
-    cats = [cat for name in sorted(models.NAMED_MODELS)
+    cats = [(name, cat) for name in sorted(models.NAMED_MODELS)
             for F in [models.NAMED_MODELS[name]().functor] for cat in (F.source, F.target)]
-    cats += [decorated_frames_category(n, deco)
+    cats += [((n, deco.name), decorated_frames_category(n, deco))
              for n, deco in ((4, fg.trivial_group()), (4, fg.cyclic(2)), (2, fg.cyclic(4)))]
-    for cat in cats:
-        assert validate_fincat(cat) == Report(True), cat.name
+    for label, cat in cats:
+        assert validate_fincat(cat) == Report(True), label
 
 
 def test_each_category_law_names_its_first_witness():
@@ -153,17 +159,17 @@ def test_hom_index_matches_morphism_scan():
                      ("idb", "f"): "f", ("idb", "z"): "z"},
                     {"a": "ida", "b": "idb"})
     assert validate_fincat(arrows).valid
-    cats = [arrows]
+    cats = [("arrows", arrows)]
     for name in sorted(models.NAMED_MODELS):
         functor = models.NAMED_MODELS[name]().functor
-        cats += [functor.source, functor.target]
-    for cat in cats:
+        cats += [(name, functor.source), (name, functor.target)]
+    for label, cat in cats:
         plain = _cat(cat)
         for x in cat.objects:
             for y in cat.objects:
-                assert cat.hom(x, y) == oracles.hom(plain, x, y), (cat.name, x, y)
+                assert cat.hom(x, y) == oracles.hom(plain, x, y), (label, x, y)
         for m, _, _ in cat.morphisms:
-            assert cat.inverse(m) == oracles.arrow_inverse(plain, m), (cat.name, m)
+            assert cat.inverse(m) == oracles.arrow_inverse(plain, m), (label, m)
     assert arrows.hom("a", "b") == ("f", "z")
     assert arrows.hom("b", "a") == ()
     assert arrows.inverse("f") is None
@@ -201,11 +207,11 @@ def test_gauge_group_search_is_capped(monkeypatch):
 def test_shared_categories_equal_their_uncached_builds():
     # each category value is built once per process; an uncached build of the
     # same value equals it and hashes the same, so value caches keyed on it hit
-    builds = [(group_as_category, (fg.cyclic(4),), {"prefix": "r", "name": "BZ4"}),
+    builds = [(group_as_category, (fg.cyclic(4),), {"prefix": "r"}),
               (group_as_category, (fg.symmetric3(),), {"prefix": "s"}),
-              (decorated_frames_category, (4, fg.trivial_group()), {"name": "Frames"}),
-              (decorated_frames_category, (4, fg.cyclic(2)), {"name": "FramesZ2"}),
-              (decorated_frames_category, (2, fg.cyclic(4)), {"name": "SpinFrames"})]
+              (decorated_frames_category, (4, fg.trivial_group()), {}),
+              (decorated_frames_category, (4, fg.cyclic(2)), {}),
+              (decorated_frames_category, (2, fg.cyclic(4)), {})]
     for build, args, kwargs in builds:
         shared = build(*args, **kwargs)
         assert build(*args, **kwargs) is shared
@@ -247,8 +253,7 @@ def test_each_build_checks_its_functor_and_implementation(name, monkeypatch):
 
 def test_category_differing_in_one_composite_is_unequal():
     cat = group_as_category(fg.cyclic(3))
-    same = FinCat(cat.objects, cat.morphisms, cat.compose_table, cat.identities,
-                  name="other label")
+    same = FinCat(cat.objects, cat.morphisms, cat.compose_table, cat.identities)
     assert same == cat and hash(same) == hash(cat)
     table = dict(cat.compose_table)
     table[("r1", "r1")] = "r0"
@@ -256,10 +261,8 @@ def test_category_differing_in_one_composite_is_unequal():
     assert changed != cat
     functor = identity_functor(cat)
     maps = (functor.obj_map, functor.mor_map)
-    assert TheoryFunctor(cat, cat, *maps, name="Id") == functor
-    assert TheoryFunctor(changed, changed, *maps, name="Id") != functor
-    # the name labels the gauge table in reports, so it is part of the value
-    assert TheoryFunctor(cat, cat, *maps, name="other") != functor
+    assert TheoryFunctor(cat, cat, *maps) == functor
+    assert TheoryFunctor(changed, changed, *maps) != functor
 
 
 def test_gauge_group_discrete_source_naturality_vacuous():
@@ -471,20 +474,21 @@ def _point_into_s3_model(eta1: int):
     """One object whose only morphism is its identity, mapped into B(S3);
     Z2 acts trivially and eta(1) is the S3 element `eta1`.  The gauge group
     is S3, so a lift that composes with a^-1 in place of a shows."""
-    point = group_as_category(fg.trivial_group(), prefix="e", name="Pt")
-    bs3 = group_as_category(fg.symmetric3(), prefix="s", name="BS3")
-    functor = TheoryFunctor(point, bs3, {"*": "*"}, {"e0": "s0"}, name="PtS3")
+    point = group_as_category(fg.trivial_group(), prefix="e")
+    bs3 = group_as_category(fg.symmetric3(), prefix="s")
+    functor = TheoryFunctor(point, bs3, {"*": "*"}, {"e0": "s0"})
     action = GAction(fg.cyclic(2), (identity_functor(point),) * 2)
-    return Implementation(functor, action, [{"*": "s0"}, {"*": f"s{eta1}"}],
-                          name=f"PtS3[eta1={eta1}]")
+    return Implementation(functor, action, [{"*": "s0"}, {"*": f"s{eta1}"}])
 
 
 def _criterion_4_fixtures():
-    fixtures = [models.one_object_cyclic_model(p) for p in range(4)]
-    return fixtures + [models.swap_model(), models.spin_frame_model(),
-                       models.frame_rotation_model()[0],
-                       _point_into_s3_model(3),   # eta(1) a 3-cycle
-                       _point_into_s3_model(1)]   # eta(1) a transposition
+    """Z4Rot at each power, the other named models and the two B(S3) point
+    models, by label."""
+    fixtures = {f"Z4Rot[p={p}]": models.one_object_cyclic_model(p) for p in range(4)}
+    return {**fixtures, "SwapIso": models.swap_model(), "SpinFrame": models.spin_frame_model(),
+            "FrameRot": models.frame_rotation_model()[0],
+            "PtS3[eta1=3]": _point_into_s3_model(3),   # eta(1) a 3-cycle
+            "PtS3[eta1=1]": _point_into_s3_model(1)}   # eta(1) a transposition
 
 
 def test_point_into_s3_model_has_a_nonabelian_gauge_group():
@@ -494,30 +498,45 @@ def test_point_into_s3_model_has_a_nonabelian_gauge_group():
         assert build_extension(extract_cocycle(impl)).E.order == 12
 
 
+def test_gauge_table_is_named_aut_id_exactly_for_an_identity_functor():
+    # the label is read off the functor's maps: extract-cocycle reports it
+    bz4 = group_as_category(fg.cyclic(4))
+    swap = models.swap_model().action.functors[1]
+    functors = {name: (models.NAMED_MODELS[name]().functor, name != "FrameRot")
+                for name in sorted(models.NAMED_MODELS)}
+    functors.update({
+        "PtS3": (_point_into_s3_model(1).functor, False),
+        "swap": (swap, False),
+        "built": (TheoryFunctor(bz4, bz4, {"*": "*"}, {m: m for m in bz4.dom}), True)})
+    for label, (F, identity) in functors.items():
+        assert fincat.is_identity_functor(F) is identity, label
+        assert compute_gauge_group(F).table.name == ("Aut(Id)" if identity else "Aut(A)"), label
+
+
 def test_extracted_cocycles_are_valid_and_normalized():
     # extract_cocycle does not re-validate its output; this is the check
-    for impl in _criterion_4_fixtures():
+    for label, impl in _criterion_4_fixtures().items():
         c = extract_cocycle(impl)
-        assert validate_cocycle(c).valid, impl.name
-        assert c.is_normalized(), impl.name
+        assert validate_cocycle(c).valid, label
+        assert c.is_normalized(), label
 
 
 def test_lift_is_valid_with_phi_ad_a_after_phi_g():
     # lift_to_extension does not re-check its output; this is the check
-    for impl in _criterion_4_fixtures():
+    for label, impl in _criterion_4_fixtures().items():
         gauge = compute_gauge_group(impl.functor)
         A = gauge.table
         aut = fg.compute_aut(A)
         c = extract_cocycle(impl)
         ext = build_extension(c)
         lifted = lift_to_extension(impl)
-        assert validate_implementation(lifted).valid, impl.name
+        assert validate_implementation(lifted).valid, label
         ec = extract_cocycle(lifted)
-        assert validate_cocycle(ec).valid and ec.is_normalized(), impl.name
+        assert validate_cocycle(ec).valid and ec.is_normalized(), label
         for e in ext.E.elements():
             a, g = ext.unpair(e)
             expected = tuple(A.mul(A.mul(a, x), A.inv(a)) for x in c.perms[g])
-            assert aut.perms[ec.phi[e]] == expected, (impl.name, e)
+            assert aut.perms[ec.phi[e]] == expected, (label, e)
 
 
 def _spin_frame_active_passive():
@@ -534,22 +553,23 @@ def _spin_frame_active_passive():
 
 def test_active_passive_composite_is_a_homomorphism():
     # active_passive_compose does not re-check Xi; this is the check
-    for impl, psi, base in (models.frame_rotation_model(twist_parity=True),
-                            models.frame_rotation_model(twist_parity=False),
-                            _spin_frame_active_passive()):
+    for label, (impl, psi, base) in {
+            "FrameRot": models.frame_rotation_model(twist_parity=True),
+            "FrameRot[plain]": models.frame_rotation_model(twist_parity=False),
+            "SpinFrame": _spin_frame_active_passive()}.items():
         res = active_passive_compose(psi, impl, base)
         G = impl.action.group
         src, tgt = impl.functor.source, impl.functor.target
         xi = res.components
-        assert xi[0] == tgt.identities[impl.functor.obj_map[base]], impl.name
+        assert xi[0] == tgt.identities[impl.functor.obj_map[base]], label
         for g1 in G.elements():
             for g0 in G.elements():
                 assert tgt.compose_table[xi[g1], xi[g0]] == xi[G.mul(g1, g0)], \
-                    (impl.name, g1, g0)
+                    (label, g1, g0)
         assert [k for k, _ in res.kernel_checks] \
             == [k for k in G.elements() if psi[k] == src.identities[base]]
         for k, zk in res.kernel_checks:
-            assert xi[k] == zk == impl.eta[k][base], (impl.name, k)
+            assert xi[k] == zk == impl.eta[k][base], (label, k)
 
 
 def test_active_passive_frame_rotation():
@@ -730,37 +750,41 @@ def test_lift_builds_no_functor(monkeypatch):
 # object-by-object loops of `oracles`
 
 def _bases():
-    """Every named model, Z4Rot at each power, and the two B(S3) point models."""
-    base = [models.NAMED_MODELS[name]() for name in sorted(models.NAMED_MODELS)]
-    base += [models.one_object_cyclic_model(p) for p in range(4)]
-    return base + [_point_into_s3_model(3), _point_into_s3_model(1)]
+    """Every named model, Z4Rot at each power, and the two B(S3) point models,
+    by label."""
+    base = {name: models.NAMED_MODELS[name]() for name in sorted(models.NAMED_MODELS)}
+    base.update({f"Z4Rot[p={p}]": models.one_object_cyclic_model(p) for p in range(4)})
+    return {**base, "PtS3[eta1=3]": _point_into_s3_model(3),
+            "PtS3[eta1=1]": _point_into_s3_model(1)}
 
 
 def _models():
-    """The bases, each followed by its lift to its extension group."""
+    """The bases, then the lift of each to its extension group, by label."""
     base = _bases()
-    return base + [lift_to_extension(impl) for impl in base]
+    return {**base, **{f"lift({label})": lift_to_extension(impl)
+                       for label, impl in base.items()}}
 
 
 def _kernel_cases():
-    """Every base and its lift, each followed by a seeded twist."""
+    """Every base and its lift, each followed by a seeded twist, by label."""
     rng = random.Random(21)
-    out = []
-    for impl in _bases():
-        for base in (impl, lift_to_extension(impl)):
+    out = {}
+    for label, impl in _bases().items():
+        for key, base in ((label, impl), (f"lift({label})", lift_to_extension(impl))):
             order = compute_gauge_group(base.functor).order
             zeta = (0,) + tuple(rng.randrange(order)
                                 for _ in range(base.action.group.order - 1))
-            out += [base, twist_implementation(base, zeta)]
+            out[key] = base
+            out[f"twist({key})"] = twist_implementation(base, zeta)
     return out
 
 
 def test_gauge_groups_match_the_reference_loop():
-    for impl in _models():
+    for label, impl in _models().items():
         gauge = compute_gauge_group(impl.functor)
         families, table = oracles.gauge_group(_functor(impl.functor))
-        assert gauge.families == tuple(families), impl.name
-        assert gauge.table.table == table, impl.name
+        assert gauge.families == tuple(families), label
+        assert gauge.table.table == table, label
         for i, fam in enumerate(families):
             assert gauge.index_of(fam) == i
             for k, x in enumerate(impl.functor.source.objects):
@@ -768,9 +792,9 @@ def test_gauge_groups_match_the_reference_loop():
 
 
 def test_extracted_cocycles_match_the_reference_loop():
-    for impl in _kernel_cases():
+    for label, impl in _kernel_cases().items():
         c = extract_cocycle(impl)
-        assert (c.xi, c.perms) == oracles.cocycle(*_implementation(impl)), impl.name
+        assert (c.xi, c.perms) == oracles.cocycle(*_implementation(impl)), label
 
 
 def test_twists_lifts_and_comparisons_match_the_reference_loops():
@@ -778,7 +802,7 @@ def test_twists_lifts_and_comparisons_match_the_reference_loops():
         return oracles.comparison(*_implementation(i1), _implementation(i2)[3])
 
     rng = random.Random(15)
-    for impl in _models():
+    for label, impl in _models().items():
         G = impl.action.group
         functor, _, action, eta = _implementation(impl)
         gauge = compute_gauge_group(impl.functor)
@@ -786,15 +810,15 @@ def test_twists_lifts_and_comparisons_match_the_reference_loops():
             zeta = (0,) + tuple(rng.randrange(gauge.order) for _ in range(G.order - 1))
             twisted = twist_implementation(impl, zeta)
             assert list(twisted.eta) == oracles.gauged(
-                functor, action, eta, [(zeta[g], g) for g in G.elements()]), impl.name
+                functor, action, eta, [(zeta[g], g) for g in G.elements()]), label
             for i1, i2 in ((impl, twisted), (twisted, impl), (impl, impl)):
                 assert compare_implementations(i1, i2) == comparison(i1, i2)
-    for impl in _bases():
+    for label, impl in _bases().items():
         functor, _, action, eta = _implementation(impl)
         ext = build_extension(extract_cocycle(impl))
         lifted = lift_to_extension(impl)
         assert list(lifted.eta) == oracles.gauged(
-            functor, action, eta, [ext.unpair(e) for e in ext.E.elements()]), impl.name
+            functor, action, eta, [ext.unpair(e) for e in ext.E.elements()]), label
     cyclic = [models.one_object_cyclic_model(p) for p in range(4)]
     for i1 in cyclic:
         for i2 in cyclic:
@@ -812,16 +836,16 @@ def _report(failure):
 def _unchecked_functor(source, target, obj_map, mor_map):
     """A TheoryFunctor built without its constructor's check."""
     F = TheoryFunctor.__new__(TheoryFunctor)
-    F.source, F.target, F.obj_map, F.mor_map, F.name = \
-        source, target, dict(obj_map), dict(mor_map), None
+    F.source, F.target, F.obj_map, F.mor_map = \
+        source, target, dict(obj_map), dict(mor_map)
     return F
 
 
 def _unchecked_implementation(functor, action, eta):
     """An Implementation built without its constructor's check."""
     impl = Implementation.__new__(Implementation)
-    impl.functor, impl.action, impl.eta, impl.name = \
-        functor, action, tuple(dict(e) for e in eta), None
+    impl.functor, impl.action, impl.eta = \
+        functor, action, tuple(dict(e) for e in eta)
     return impl
 
 
@@ -839,7 +863,7 @@ def _corrupt_targets(rng, F):
             table[key] = rng.choice(
                 [m for m in tgt.hom(tgt.dom[old], tgt.cod[old]) if m != old]
                 or [m for m, _, _ in tgt.morphisms if m != old])
-        broken = FinCat(tgt.objects, tgt.morphisms, table, tgt.identities, name=tgt.name)
+        broken = FinCat(tgt.objects, tgt.morphisms, table, tgt.identities)
         out.append(_unchecked_functor(F.source, broken, F.obj_map, F.mor_map))
     return out
 
@@ -874,12 +898,12 @@ def _corrupt_eta(rng, impl):
 def test_functor_and_implementation_checks_match_the_reference_kernels():
     rng = random.Random(22)
     verdicts = set()
-    for impl in _kernel_cases():
+    for label, impl in _kernel_cases().items():
         F = impl.functor
         functors = [F] + list(dict.fromkeys(impl.action.functors, None))
         for T in functors + [B for T in functors for B in _corrupt_targets(rng, T)]:
             rep = validate_functor(T)
-            assert rep == _report(oracles.functor_failure(_functor(T))), impl.name
+            assert rep == _report(oracles.functor_failure(_functor(T))), label
             verdicts.add(rep.violation)
         implementations = [impl] + _corrupt_eta(rng, impl) + [
             _unchecked_implementation(B, impl.action, impl.eta)
@@ -887,7 +911,7 @@ def test_functor_and_implementation_checks_match_the_reference_kernels():
         for cand in implementations:
             rep = validate_implementation(cand)
             assert rep == _report(oracles.implementation_failure(
-                *_implementation(cand), _cat(cand.action.category))), impl.name
+                *_implementation(cand), _cat(cand.action.category))), label
             verdicts.add(rep.violation)
         functor = _functor(F)
         per_object = [oracles.invertible_endos(functor[1], F.obj_map[x])
@@ -895,7 +919,7 @@ def test_functor_and_implementation_checks_match_the_reference_kernels():
         for combo in itertools.product(*per_object):
             fam = dict(zip(F.source.objects, combo))
             assert _unnatural(F, fam, F.mor_map) \
-                == oracles.unnatural(functor, fam, F.mor_map), impl.name
+                == oracles.unnatural(functor, fam, F.mor_map), label
     # the corruptions reach the composition, shape, inverse and naturality verdicts
     assert {None, "CompositionNotPreserved", "IdentityFamilyNotIdentity",
             "ComponentShape", "ComponentNotInvertible", "NotNatural"} <= verdicts

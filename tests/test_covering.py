@@ -321,7 +321,7 @@ def spin_frame_kernel_restriction():
     impl = models.spin_frame_model()
     gauge = compute_gauge_group(impl.functor)
     kernel_elems = (0, 2)
-    k_table, _ = fg.subgroup(impl.action.group, kernel_elems, name="ker")
+    k_table, _ = fg.subgroup(impl.action.group, kernel_elems)
     mapping = []
     for k in kernel_elems:
         fam = tuple(impl.eta[k][x] for x in gauge.objects)

@@ -426,7 +426,6 @@ def test_shared_groups_equal_their_uncached_builds():
         assert (p1.name, p2.name) == tuple(f"{x.name}x{y.name}" for x, y in (first, second))
     assert fg.direct_product(b, a).name == "BxA"
     assert fg.direct_product(a, b) is fg.direct_product(a, b)
-    assert fg.direct_product(a, b, "P").name == "P"
 
 
 def test_direct_product_names_an_unnamed_factor_by_its_order():
