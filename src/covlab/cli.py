@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from . import __version__
@@ -31,14 +30,17 @@ from .schemas import (ParseError, SchemaError, cochain_from_obj, cochain_to_obj,
 # verb runs.
 
 
-@dataclass
 class RunReport:
-    command: str
-    inputs: Dict[str, str] = field(default_factory=dict)
-    verdicts: List[Dict[str, Any]] = field(default_factory=list)
-    data: Dict[str, Any] = field(default_factory=dict)
-    timing_ms: Optional[float] = None
-    version: str = __version__
+    """One verb's report: its input digests, its verdicts in order and its
+    data, with the wall-clock time when asked."""
+
+    def __init__(self, command: str) -> None:
+        self.command = command
+        self.inputs: Dict[str, str] = {}
+        self.verdicts: List[Dict[str, Any]] = []
+        self.data: Dict[str, Any] = {}
+        self.timing_ms: Optional[float] = None
+        self.version = __version__
 
     def verdict(self, check: str, ok: bool, **detail) -> None:
         entry = {"check": check, "ok": bool(ok)}

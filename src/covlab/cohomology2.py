@@ -19,40 +19,39 @@ imposed (none exists for nonabelian A).
 
 from __future__ import annotations
 
-from collections import namedtuple
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .config import SearchSpaceTooLarge, capped_product, enum_cap
-from .fingroup import (AutGroup, GroupTable, Perm, Report, compose_perm, compute_aut,
+from .fingroup import (GroupTable, Perm, Report, compose_perm, compute_aut,
                        generating_sequence, generator_maps, inner_perm)
 
 
-@dataclass(frozen=True)
 class Cochain2:
     """A 2-cochain: xi as a |G| x |G| table of A-indices, phi as one
-    automorphism index (into compute_aut(A).perms) per G element."""
+    automorphism index (into compute_aut(A).perms) per G element, equal by
+    (G, A, xi, phi).  Built with `aut`, compute_aut(A) read once, and
+    `perms`, phi(g) as a permutation of A."""
 
-    G: GroupTable
-    A: GroupTable
-    xi: Tuple[Tuple[int, ...], ...]
-    phi: Tuple[int, ...]
-    aut: AutGroup = field(init=False, repr=False, compare=False)  # compute_aut(A), read once
-    perms: Tuple[Perm, ...] = field(init=False, repr=False,
-                                    compare=False)  # phi(g) as a permutation of A
-
-    def __post_init__(self) -> None:
-        n, m = self.G.order, self.A.order
-        if len(self.xi) != n or any(len(row) != n for row in self.xi):
+    def __init__(self, G: GroupTable, A: GroupTable, xi: Tuple[Tuple[int, ...], ...],
+                 phi: Tuple[int, ...]) -> None:
+        n, m = G.order, A.order
+        if len(xi) != n or any(len(row) != n for row in xi):
             raise ValueError("xi is not total on G x G")
-        if n and (min(map(min, self.xi)) < 0 or max(map(max, self.xi)) >= m):
+        if n and (min(map(min, xi)) < 0 or max(map(max, xi)) >= m):
             raise ValueError("xi has entries outside A")
-        object.__setattr__(self, "aut", compute_aut(self.A))
-        if len(self.phi) != n or n and (min(self.phi) < 0
-                                        or max(self.phi) >= self.aut.order):
+        aut = compute_aut(A)
+        if len(phi) != n or n and (min(phi) < 0 or max(phi) >= aut.order):
             raise ValueError("phi is not total on G or indexes outside Aut(A)")
-        object.__setattr__(self, "perms", tuple(self.aut.perms[p] for p in self.phi))
+        self.G, self.A, self.xi, self.phi, self.aut = G, A, xi, phi, aut
+        self.perms = tuple(aut.perms[p] for p in self.phi)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Cochain2) and (self.G, self.A, self.xi, self.phi) == (
+            other.G, other.A, other.xi, other.phi)
+
+    def __hash__(self) -> int:
+        return hash((self.G, self.A, self.xi, self.phi))
 
     def is_normalized(self) -> bool:
         if self.phi[0] != 0:
@@ -66,7 +65,14 @@ def trivial_cochain(G: GroupTable, A: GroupTable) -> Cochain2:
     return Cochain2(G, A, tuple((0,) * n for _ in range(n)), (0,) * n)
 
 
-_Schedule = namedtuple("_Schedule", "pairs laws gen_pairs gen_laws cells cell_pairs checks")
+class _Schedule(NamedTuple):
+    pairs: tuple
+    laws: tuple
+    gen_pairs: tuple
+    gen_laws: tuple
+    cells: tuple
+    cell_pairs: tuple
+    checks: tuple
 
 
 @lru_cache(maxsize=None)
@@ -217,16 +223,14 @@ def cohomologous(c1: Cochain2, c2: Cochain2) -> Optional[Tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # classification
 
-@dataclass(frozen=True)
-class H2Class:
+class H2Class(NamedTuple):
     representative: Cochain2
     size: int
     distinguished: bool
     neutral: bool
 
 
-@dataclass(frozen=True)
-class H2Classification:
+class H2Classification(NamedTuple):
     G: GroupTable
     A: GroupTable
     classes: Tuple[H2Class, ...]
@@ -295,6 +299,7 @@ def enumerate_normalized_cocycles(G: GroupTable, A: GroupTable
         else:
             perms = [aut.perms[p] for p in phi]
             solve(0)
+    del solve  # the closure refers to itself: break the cycle, so no collector is needed
     found.sort(key=lambda c: (c.xi, c.phi))
     return tuple(found)
 

@@ -13,13 +13,11 @@ where Aut(Af) is the gauge group of natural automorphisms of Af.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .cohomology2 import Cochain2, trivial_cochain
 from .config import capped_product
-from .extension import build_extension
 from .fincat import GAction, TheoryFunctor, is_identity_functor
 from .fingroup import GroupTable, Report, compute_aut, make_group, table_on
 
@@ -27,25 +25,19 @@ from .fingroup import GroupTable, Report, compute_aut, make_group, table_on
 Family = Tuple[str, ...]  # one target-morphism id per object, in object order
 
 
-@dataclass(frozen=True)
 class GaugeGroup:
     """Aut(Af): natural automorphisms of a theory functor, with realizers;
     `index` maps each family back to its element, `position` each object to
     its place in a family."""
 
-    table: GroupTable
-    families: Tuple[Family, ...]
-    objects: Tuple[str, ...]
-    index: Dict[Family, int] = field(init=False, repr=False, compare=False)
-    position: Dict[str, int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "index", {f: i for i, f in enumerate(self.families)})
-        object.__setattr__(self, "position", {x: i for i, x in enumerate(self.objects)})
-
-    @property
-    def order(self) -> int:
-        return self.table.order
+    def __init__(self, table: GroupTable, families: Tuple[Family, ...],
+                 objects: Tuple[str, ...]) -> None:
+        self.table = table
+        self.families = families
+        self.objects = objects
+        self.order = table.order
+        self.index = {f: i for i, f in enumerate(families)}
+        self.position = {x: i for i, x in enumerate(objects)}
 
     def index_of(self, fam: Family) -> int:
         try:
@@ -235,6 +227,7 @@ def lift_to_extension(impl: Implementation) -> Implementation:
     theorem; the lift-extension verdict computes the neutrality and the
     tests check both on the shipped models.
     """
+    from .extension import build_extension
     ext = build_extension(extract_cocycle(impl))
     gauge = compute_gauge_group(impl.functor)
     pairs = [ext.unpair(e) for e in ext.E.elements()]
@@ -246,8 +239,7 @@ def lift_to_extension(impl: Implementation) -> Implementation:
 # ---------------------------------------------------------------------------
 # active/passive composition at a base object
 
-@dataclass(frozen=True)
-class ActivePassive:
+class ActivePassive(NamedTuple):
     """The composite automorphisms Xi(g) of Af(C0), one per group element."""
 
     components: Tuple[str, ...]

@@ -18,50 +18,48 @@ noninteger spin).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .cohomology2 import Cochain2, cohomologous, trivial_cochain
 from .config import capped_product
-from .exactlin import Mat
 from .fingroup import (GroupHom, GroupTable, Report, centre, check_hom, closure,
                        cyclic, direct_product, is_surjective, kernel, quaternion8,
                        quotient, subgroup)
-from .multiplet import MatrixRep, validate_rep
 
 
-@dataclass(frozen=True)
 class CentralCover:
-    S: GroupTable
-    L: GroupTable
-    pi: GroupHom
-    K: GroupTable = field(init=False, repr=False, compare=False)  # the kernel
-    kernel_elements: Tuple[int, ...] = field(init=False, repr=False,
-                                             compare=False)  # K-index -> S
+    """pi: S -> L, checked when built, equal by (S, L, pi); `K` is the
+    kernel group and `kernel_elements` maps each K-index to its element of S."""
 
-    def __post_init__(self) -> None:
-        if self.pi.source != self.S or self.pi.target != self.L:
+    def __init__(self, S: GroupTable, L: GroupTable, pi: GroupHom) -> None:
+        if pi.source != S or pi.target != L:
             raise ValueError("pi must map S onto L")
-        check_hom(self.pi).require("pi")
-        if not is_surjective(self.pi):
+        check_hom(pi).require("pi")
+        if not is_surjective(pi):
             raise ValueError("pi is not surjective")
-        ker = kernel(self.pi)
-        z = set(centre(self.S))
+        ker = kernel(pi)
+        z = set(centre(S))
         for k in ker:
             if k not in z:
                 raise ValueError(f"kernel element {k} is not central")
-        k_group, k_elems = subgroup(self.S, ker)
-        object.__setattr__(self, "K", k_group)
-        object.__setattr__(self, "kernel_elements", k_elems)
+        self.S, self.L, self.pi = S, L, pi
+        self.K, self.kernel_elements = subgroup(S, ker)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CentralCover) and (self.S, self.L, self.pi) == (
+            other.S, other.L, other.pi)
+
+    def __hash__(self) -> int:
+        return hash((self.S, self.L, self.pi))
 
 
-@dataclass(frozen=True)
 class Section:
-    cover: CentralCover
-    lift: Tuple[int, ...]
+    """A lift of each element of L to its fiber in S, checked when built."""
 
-    def __post_init__(self) -> None:
-        _section_report(self.cover, self.lift).require("section")
+    def __init__(self, cover: CentralCover, lift: Tuple[int, ...]) -> None:
+        _section_report(cover, lift).require("section")
+        self.cover = cover
+        self.lift = lift
 
 
 def _section_report(cov: CentralCover, lift: Tuple[int, ...]) -> Report:
@@ -181,18 +179,18 @@ def extended_quotient(cover: CentralCover, zeta_on_k: GroupHom) -> Optional[Grou
 # ---------------------------------------------------------------------------
 # descent of representations and the spin obstruction
 
-@dataclass(frozen=True)
-class SpinVerdict:
+class SpinVerdict(NamedTuple):
     descends: bool
     obstruction_witness: Optional[int]      # kernel element acting nontrivially
-    descended: Optional[MatrixRep]          # the L-representation, if any
+    descended: Optional[tuple]              # the L-representation, a MatrixRep, if any
     zeta_trivial: bool
     model_consistent: bool
 
 
 def spin_obstruction(cover: CentralCover, zeta_on_k: GroupHom,
-                     rep: MatrixRep) -> SpinVerdict:
-    """Decide whether an S-representation descends along the cover.
+                     rep: tuple) -> SpinVerdict:
+    """Decide whether an S-representation, a `multiplet.MatrixRep`, descends
+    along the cover.
 
     The representation descends iff every kernel element acts as the
     identity; the first kernel element acting nontrivially is the witness.
@@ -203,6 +201,8 @@ def spin_obstruction(cover: CentralCover, zeta_on_k: GroupHom,
     matrix.  That the descended map is a representation of L is a theorem;
     the tests validate it for every shipped case.
     """
+    from .exactlin import Mat
+    from .multiplet import MatrixRep, validate_rep
     if rep.group != cover.S:
         raise ValueError("representation is not defined on the covering group")
     if zeta_on_k.source != cover.K:

@@ -11,9 +11,8 @@ image, giving the short exact sequence  1 -> A -> E -> G -> 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .cohomology2 import (Cochain2, _first_twist, _twist_candidates,
                           coboundary_twist, is_neutral, trivial_cochain,
@@ -21,8 +20,7 @@ from .cohomology2 import (Cochain2, _first_twist, _twist_candidates,
 from .fingroup import GroupHom, GroupTable, table_on
 
 
-@dataclass(frozen=True)
-class ExtensionGroup:
+class ExtensionGroup(NamedTuple):
     E: GroupTable
     cochain: Cochain2
     inclusion: GroupHom   # A -> E, a |-> (a, 1)
@@ -66,8 +64,7 @@ def build_extension(c: Cochain2) -> ExtensionGroup:
 # ---------------------------------------------------------------------------
 # classification of the extension type
 
-@dataclass(frozen=True)
-class ExtensionType:
+class ExtensionType(NamedTuple):
     labels: Tuple[str, ...]   # all that apply, sorted
     preferred: str            # direct > semidirect > central > general
 
@@ -111,8 +108,7 @@ def classify_type(e: ExtensionGroup) -> ExtensionType:
 # ---------------------------------------------------------------------------
 # equivalence of extensions
 
-@dataclass(frozen=True)
-class ExtensionEquivalence:
+class ExtensionEquivalence(NamedTuple):
     iso: Tuple[int, ...]    # E1 index -> E2 index
     zeta: Tuple[int, ...]   # the G -> A map realizing (a,g) -> (a*zeta(g), g)
 

@@ -11,9 +11,8 @@ Conventions shared by the whole package:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .config import capped_product
 
@@ -29,8 +28,7 @@ class CheckFailed(ValueError):
         super().__init__(f"{subject} invalid: {report.violation} {report.witness}")
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """The verdict of every check: valid, or the first violation by name
     with its witness."""
 
@@ -48,16 +46,15 @@ class Report:
             raise CheckFailed(self, subject)
 
 
-@dataclass(frozen=True, eq=False)
 class GroupTable:
-    """A finite group: square index table with identity at index 0."""
+    """A finite group: square index table with identity at index 0, equal
+    by its table alone."""
 
-    table: Tuple[Tuple[int, ...], ...]
-    name: Optional[str] = None
-
-    @property
-    def order(self) -> int:
-        return len(self.table)
+    def __init__(self, table: Tuple[Tuple[int, ...], ...],
+                 name: Optional[str] = None) -> None:
+        self.table = table
+        self.name = name
+        self.order = len(table)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -256,8 +253,7 @@ def standard_group(name: str) -> GroupTable:
 # ---------------------------------------------------------------------------
 # homomorphisms
 
-@dataclass(frozen=True)
-class GroupHom:
+class GroupHom(NamedTuple):
     source: GroupTable
     target: GroupTable
     map: Tuple[int, ...]
@@ -376,7 +372,6 @@ def invert_perm(p: Perm) -> Perm:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class AutGroup:
     """Automorphism group of A with one realizing permutation per element; an
     element is its index into `perms`, and `index` maps each perm back.
@@ -385,12 +380,14 @@ class AutGroup:
     composes a product on its first read and keeps it, so a caller pays only
     for the products it reads."""
 
-    perms: Tuple[Perm, ...]
-    index: Dict[Perm, int] = field(repr=False, compare=False)
-    inner: Tuple[int, ...] = field(repr=False, compare=False)
-    preimages: Tuple[Tuple[int, ...], ...] = field(repr=False, compare=False)
-    _products: Dict[int, int] = field(default_factory=dict, init=False, repr=False,
-                                      compare=False)
+    def __init__(self, perms: Tuple[Perm, ...], index: Dict[Perm, int],
+                 inner: Tuple[int, ...], preimages: Tuple[Tuple[int, ...], ...]) -> None:
+        self.perms = perms
+        self.index = index
+        self.inner = inner
+        self.preimages = preimages
+        self.order = len(perms)
+        self._products: Dict[int, int] = {}
 
     def mul(self, p: int, q: int) -> int:
         """The index of p . q, composed as functions."""
@@ -402,10 +399,6 @@ class AutGroup:
 
     def inv(self, p: int) -> int:
         return self.index[invert_perm(self.perms[p])]
-
-    @property
-    def order(self) -> int:
-        return len(self.perms)
 
     def index_of(self, perm: Perm) -> int:
         try:

@@ -6,17 +6,14 @@ identity below is asserted with zero tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .cohomology2 import Cochain2
 from .exactlin import Mat, null_space, ZERO
-from .extension import build_extension, classify_type
 from .fingroup import GroupTable, Report, generating_sequence, hom_law_witness
 
 
-@dataclass(frozen=True)
-class MatrixRep:
+class MatrixRep(NamedTuple):
     group: GroupTable
     dim: int
     matrices: Tuple[Mat, ...]
@@ -49,21 +46,21 @@ def validate_rep(r: MatrixRep) -> Report:
 # ---------------------------------------------------------------------------
 # field-space actions and the extended-group representation
 
-@dataclass(frozen=True)
 class FieldSpaceAction:
     """dot: a representation of A = Aut(Af); star: one invertible matrix per
-    G element; cocycle: the (G, A) cochain linking them.  Checked when built."""
+    G element; cocycle: the (G, A) cochain linking them.  Checked when built,
+    and equal by (dot, star, cocycle)."""
 
-    dot: MatrixRep
-    star: Tuple[Mat, ...]
-    cocycle: Cochain2
-
-    def __post_init__(self) -> None:
+    def __init__(self, dot: MatrixRep, star: Tuple[Mat, ...], cocycle: Cochain2) -> None:
+        self.dot = dot
+        self.star = star
+        self.cocycle = cocycle
+        self.dim = dot.dim
         verify_field_action(self).require("field action")
 
-    @property
-    def dim(self) -> int:
-        return self.dot.dim
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FieldSpaceAction) and (self.dot, self.star, self.cocycle) == (
+            other.dot, other.star, other.cocycle)
 
 
 def verify_field_action(a: FieldSpaceAction) -> Report:
@@ -114,6 +111,7 @@ def build_rho(a: FieldSpaceAction) -> MatrixRep:
     The field laws, checked when the action was built, make rho a
     homomorphism on E; acceptance criterion 5 checks that on all |E|^2
     pairs of every shipped fixture."""
+    from .extension import build_extension
     ext = build_extension(a.cocycle)
     mats = []
     for e in ext.E.elements():
@@ -171,8 +169,7 @@ def irreducible(r: MatrixRep) -> bool:
 # ---------------------------------------------------------------------------
 # mixing detection
 
-@dataclass(frozen=True)
-class SubMultiplet:
+class SubMultiplet(NamedTuple):
     """A subspace given by injection (dim x d_i) and projection (d_i x dim)."""
 
     injection: Mat
@@ -183,8 +180,7 @@ class SubMultiplet:
         return self.injection.ncols
 
 
-@dataclass(frozen=True)
-class MixingResult:
+class MixingResult(NamedTuple):
     witness: Optional[int]          # element of E, or None
     witness_pair: Optional[Tuple[int, int]]
     no_mixing_asserted: bool        # the corollary branch was armed and held
@@ -205,6 +201,7 @@ def detect_mixing(a: FieldSpaceAction,
     corollary is armed: a witness then violates it, and the result says so
     in `corollary_violated`.
     """
+    from .extension import build_extension, classify_type
     ext = build_extension(a.cocycle)
     rho = build_rho(a)
     G, E = a.cocycle.G, ext.E

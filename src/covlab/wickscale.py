@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterable, NamedTuple, Optional, Tuple
@@ -326,8 +325,7 @@ def ordering_route(k: int) -> WickPoly:
     return change_of_ordering(WickPoly.phi_power(k), shift) * WickPoly.symbol(lam=k)
 
 
-@dataclass(frozen=True)
-class ScalingMultiplet:
+class ScalingMultiplet(NamedTuple):
     """Action of a sample scale factor on span{R^j Phi^(k-2j)}.
 
     Entries are exact polynomials in the coupling symbol c and the log
@@ -382,18 +380,24 @@ def scaling_multiplet(k: int, coupling: str = "generic",
 # ---------------------------------------------------------------------------
 # the rigid-scaling gauge group Z2 |x R and its scaling automorphisms
 
-@dataclass(frozen=True)
 class GaugeElement:
-    sigma: int           # +1 or -1
-    mu: Fraction = Fraction(0)
+    """(sigma, mu) with sigma the int +1 or -1 and mu rational, kept as a
+    Fraction; equal by value."""
 
-    def __post_init__(self) -> None:
-        if type(self.sigma) is not int:
+    def __init__(self, sigma: int, mu: Fraction = Fraction(0)) -> None:
+        if type(sigma) is not int:
             raise TypeError(f"sigma must be the int +1 or -1, got "
-                            f"{type(self.sigma).__name__} {self.sigma!r}")
-        if self.sigma not in (1, -1):
+                            f"{type(sigma).__name__} {sigma!r}")
+        if sigma not in (1, -1):
             raise ValueError("sigma must be +1 or -1")
-        object.__setattr__(self, "mu", Fraction(_rational(self.mu)))
+        self.sigma = sigma
+        self.mu = Fraction(_rational(mu))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GaugeElement) and (self.sigma, self.mu) == (other.sigma, other.mu)
+
+    def __repr__(self) -> str:
+        return f"GaugeElement(sigma={self.sigma!r}, mu={self.mu!r})"
 
 
 def gauge_mul(a: GaugeElement, b: GaugeElement) -> GaugeElement:
@@ -417,8 +421,7 @@ def gauge_scaling_action(lam: Fraction, el: GaugeElement) -> GaugeElement:
     return GaugeElement(el.sigma, el.mu / lam)
 
 
-@dataclass(frozen=True)
-class ScalingCocycleCertificate:
+class ScalingCocycleCertificate(NamedTuple):
     nontrivial: bool
     lam: Optional[Fraction] = None
     element: Optional[GaugeElement] = None

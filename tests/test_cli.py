@@ -110,8 +110,10 @@ def test_detect_mixing_negative_verdict_carries_witness(capsys):
 
 def test_violated_no_mixing_corollary_is_a_failing_verdict(capsys, monkeypatch):
     # label the extension a direct product and the blocks inequivalent: the
-    # corollary is armed, so the mixing witness violates it
-    monkeypatch.setattr(multiplet, "classify_type",
+    # corollary is armed, so the mixing witness violates it; detect_mixing
+    # reads classify_type from `extension` when it runs
+    from covlab import extension
+    monkeypatch.setattr(extension, "classify_type",
                         lambda ext: ExtensionType(("direct_product",), "direct_product"))
     monkeypatch.setattr(multiplet, "equivalent", lambda r1, r2: False)
     code, out, _ = run(capsys, "--json", "detect-mixing",
@@ -556,39 +558,6 @@ def _fresh_run(argv):
     return _fresh_python("-m", "covlab.cli", *argv)
 
 
-# What a fresh process has loaded: after `import covlab` alone, after one
-# classify-h2 call, and then every name of `__all__` read as an attribute.
-_COLD_START = """
-import contextlib, io, json, sys
-def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "covlab")
-import covlab
-after_import = loaded()
-from covlab import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["--json", "classify-h2", "--G", "Z2", "--A", "Z4"])
-after_verb = loaded()
-names = {n: getattr(getattr(covlab, n), "__name__", None) for n in covlab.__all__}
-print(json.dumps([after_import, code, after_verb, names,
-                  hasattr(covlab, "no_such_layer")]))
-"""
-
-
-def test_a_verb_loads_only_the_layers_it_runs():
-    proc = _fresh_python("-c", _COLD_START)
-    assert proc.returncode == 0, proc.stderr
-    after_import, code, after_verb, names, unknown = json.loads(proc.stdout)
-    assert after_import == ["covlab"]
-    assert code == 0
-    assert after_verb == ["covlab", "covlab.cli", "covlab.cohomology2",
-                          "covlab.config", "covlab.fingroup", "covlab.models",
-                          "covlab.schemas"]
-    import covlab
-    assert names == {n: None if n == "__version__" else f"covlab.{n}"
-                     for n in covlab.__all__}
-    assert unknown is False
-
-
 def test_star_import_binds_every_public_name():
     proc = _fresh_python("-c", "import json\nfrom covlab import *\nimport covlab\n"
                          "print(json.dumps([n for n in covlab.__all__ "
@@ -615,6 +584,63 @@ FRESH_VERB_ARGV = {
     "scale-power": ["--k", "4", "--conformal"],
     "scaling-cocycle": [],
 }
+
+
+# What a fresh process has loaded: after `import covlab` alone, after one
+# call of the verb given as argv, and then every name of `__all__` read as
+# an attribute; and which of `dataclasses` and `inspect` the call loaded.
+_COLD_START = """
+import contextlib, io, json, sys
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "covlab")
+import covlab
+after_import = loaded()
+from covlab import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["--json", *json.loads(sys.argv[1])])
+after_verb = loaded()
+machinery = sorted({"dataclasses", "inspect"} & set(sys.modules))
+names = {n: getattr(getattr(covlab, n), "__name__", None) for n in covlab.__all__}
+print(json.dumps([after_import, code, after_verb, machinery, names,
+                  hasattr(covlab, "no_such_layer")]))
+"""
+
+# The layers each verb runs, beyond the six that `covlab.cli` loads
+_CLI_LAYERS = ("cli", "cohomology2", "config", "fingroup", "models", "schemas")
+VERB_LAYERS = {
+    "validate-cocycle": (),
+    "classify-h2": (),
+    "build-extension": ("extension",),
+    "gauge-group": ("covariance", "fincat"),
+    "extract-cocycle": ("covariance", "fincat"),
+    "compare-impls": ("covariance", "fincat"),
+    "lift-extension": ("covariance", "extension", "fincat"),
+    "verify-multiplet": ("exactlin", "extension", "multiplet"),
+    "detect-mixing": ("exactlin", "extension", "multiplet"),
+    "cover-z": ("covering",),
+    "spin-obstruction": ("covering", "exactlin", "multiplet"),
+    "wick-product": ("wickscale",),
+    "scale-power": ("wickscale",),
+    "scaling-cocycle": ("wickscale",),
+}
+
+
+def test_a_verb_loads_only_the_layers_it_runs():
+    import covlab
+    assert sorted(VERB_LAYERS) == sorted(FRESH_VERB_ARGV)
+    for verb, flags in FRESH_VERB_ARGV.items():
+        proc = _fresh_python("-c", _COLD_START, json.dumps([verb, *flags]))
+        assert proc.returncode == 0, (verb, proc.stderr)
+        after_import, code, after_verb, machinery, names, unknown = json.loads(proc.stdout)
+        assert after_import == ["covlab"]
+        # the q8 field fixture mixes and the q8 2d representation does not descend
+        assert code == (1 if verb in ("detect-mixing", "spin-obstruction") else 0), verb
+        assert after_verb == ["covlab"] + sorted(
+            f"covlab.{layer}" for layer in _CLI_LAYERS + VERB_LAYERS[verb]), verb
+        assert machinery == [], verb
+        assert names == {n: None if n == "__version__" else f"covlab.{n}"
+                         for n in covlab.__all__}
+        assert unknown is False
 
 
 def test_each_verb_reports_the_same_in_a_fresh_interpreter(capsys):
@@ -819,8 +845,8 @@ def test_warm_cover_verbs_keep_their_per_call_checks(capsys, monkeypatch):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args: calls.update((name,)) or real(*args))
     count(fingroup, "make_group")
-    count(covering.CentralCover, "__post_init__")
-    count(covering, "validate_rep")
+    count(covering.CentralCover, "__init__")
+    count(multiplet, "validate_rep")  # spin_obstruction reads it when it runs
     code, _, err = run(capsys, *cover_z)
     assert (code, calls) == (0, {"make_group": 1}), err
     calls.clear()
@@ -828,4 +854,4 @@ def test_warm_cover_verbs_keep_their_per_call_checks(capsys, monkeypatch):
     assert (code, calls) == (1, {"validate_rep": 1}), err
     calls.clear()
     models.COVERS["q8"].__wrapped__()  # the counter counts a fresh build
-    assert calls == {"__post_init__": 1}
+    assert calls == {"__init__": 1}

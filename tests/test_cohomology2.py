@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import itertools
 import random
@@ -583,3 +584,15 @@ def test_classify_h2_twists_each_cocycle_once(monkeypatch):
             == len(enumerate_normalized_cocycles(G, A)), (gn, an)
         fewer += len(calls) < len(classes) * A.order ** (G.order - 1)
     assert fewer > 0
+
+
+def test_classification_leaves_no_cyclic_garbage():
+    # the search's recursive closure is released when the search ends, so
+    # its cocycles and buffers are freed by reference counts alone
+    gc.collect()
+    gc.disable()
+    try:
+        classify_h2(Z3, fg.cyclic(6))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

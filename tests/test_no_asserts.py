@@ -5,7 +5,8 @@ COVLAB_ENUM_CAP alone: no other module calls `itertools.product`, and no
 function takes a per-call bound or a flag that narrows or cuts short a
 search (`normalized`, `expect`).  A functor, a group action, an
 implementation and a field-space action are each validated in their own
-constructor (`__init__`, or a dataclass's `__post_init__`) and nowhere else.
+constructor, `__init__`, and nowhere else.  Records are `NamedTuple`s or
+plain classes: no module imports `dataclasses`.
 Every check returns the one verdict type, `fingroup.Report`: the only other
 class named `...Report` is the CLI's `RunReport`.  A failed check raises the
 one failure type, `fingroup.CheckFailed`, only from `Report.require`; the
@@ -27,10 +28,10 @@ module looks a gauge family or an object up by `families.index` or
 `objects.index`, since `GaugeGroup` keeps both as dicts.  In `exactlin`,
 `Fraction(...)` is called only in `GaussRat.__init__` and the `re`/`im`
 properties, so the matrix kernels run on the integer triples alone.  In
-`covering`, `subgroup(...)` is called only inside `CentralCover.__post_init__`,
+`covering`, `subgroup(...)` is called only inside `CentralCover.__init__`,
 so the kernel group is built once per cover.  Each algorithm is written
 once: no `phi_perm` in `src/covlab`, a cochain's phi is read as
-`aut.perms[...]` only in `Cochain2.__post_init__`, the factor-set laws are
+`aut.perms[...]` only in `Cochain2.__init__`, the factor-set laws are
 listed only in `cohomology2._schedule`, which also cuts from that list
 the generator-middle laws that `validate_cocycle` reads and keeps no
 generator walk of its own, `fingroup.generator_maps` is the one loop that
@@ -97,6 +98,18 @@ def test_library_has_no_assert_statements():
     found = [f"{module}.py:{node.lineno}"
              for module, tree in _library().items() for node in ast.walk(tree)
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_library_does_not_import_dataclasses():
+    # a record is a NamedTuple or a plain class whose __init__ checks it, so
+    # no process generates record code at import or loads `inspect` for it
+    found = [f"{module}.py:{node.lineno}"
+             for module, tree in _library().items() for node in ast.walk(tree)
+             if isinstance(node, ast.Import)
+             and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[0] == "dataclasses"]
     assert found == []
 
 
@@ -170,8 +183,7 @@ def test_structures_are_checked_once_when_built():
         allowed = {id(node): cls.name
                    for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
                    for init in cls.body
-                   if isinstance(init, ast.FunctionDef)
-                   and init.name in ("__init__", "__post_init__")
+                   if isinstance(init, ast.FunctionDef) and init.name == "__init__"
                    for node in ast.walk(init) if owners.get(_called(node)) == cls.name}
         checked.update(allowed.values())
         found += [f"{module}.py:{node.lineno}: {_called(node)}"
@@ -303,17 +315,22 @@ def test_cover_kernel_group_is_built_once_per_cover():
               for cls in ast.walk(tree)
               if isinstance(cls, ast.ClassDef) and cls.name == "CentralCover"
               for fn in cls.body
-              if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+              if isinstance(fn, ast.FunctionDef) and fn.name == "__init__"
               for node in ast.walk(fn)}
     found = [inside.get(id(node), f"covering.py:{node.lineno}")
              for node in ast.walk(tree) if _called(node) == "subgroup"]
-    assert found == ["CentralCover.__post_init__"]
+    assert found == ["CentralCover.__init__"]
+
+
+def _class(tree, name):
+    """The module-level class `name` in tree."""
+    return next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == name)
 
 
 def _function(tree, name, cls=None):
     """The function `name` (a method of class `cls` if given) in tree."""
-    scope = tree if cls is None else next(
-        node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == cls)
+    scope = tree if cls is None else _class(tree, cls)
     return next(node for node in scope.body
                 if isinstance(node, ast.FunctionDef) and node.name == name)
 
@@ -418,15 +435,15 @@ def test_each_algorithm_is_written_once():
     for module, tree in _library().items():
         if "phi_perm" in (ROOT / "src" / "covlab" / f"{module}.py").read_text():
             found.add(f"{module}.py: phi_perm")
-        owner = (_function(tree, "__post_init__", "Cochain2")
+        owner = (_function(tree, "__init__", "Cochain2")
                  if module == "cohomology2" else None)
         found |= {f"{module}.py:{line}: aut.perms over phi"
                   for fn in ast.walk(tree)
                   if isinstance(fn, ast.FunctionDef) and fn is not owner
                   for line in _aut_perms_over_phi(fn)}
     cohomology2 = _library()["cohomology2"]
-    if not _aut_perms_over_phi(_function(cohomology2, "__post_init__", "Cochain2")):
-        found.add("Cochain2.__post_init__ does not build perms")
+    if not _aut_perms_over_phi(_function(cohomology2, "__init__", "Cochain2")):
+        found.add("Cochain2.__init__ does not build perms")
     # the factor-set laws are listed once, the generator-middle laws that
     # validate_cocycle reads are cut from that list, and G is walked there
     if {fn.name for fn in ast.walk(cohomology2) if isinstance(fn, ast.FunctionDef)
@@ -454,9 +471,9 @@ def test_each_algorithm_is_written_once():
                    if any(_called(node) == callee for node in ast.walk(fn))}
         if calling != callers:
             found.add(f"{callee} called in {sorted(calling)}")
-    fields = {ast.literal_eval(node.args[1]) for node in ast.walk(cohomology2)
-              if _called(node) == "namedtuple" and ast.literal_eval(node.args[0]) == "_Schedule"}
-    if len(fields) != 1 or {"gens", "recurrence"} & set(fields.pop().split()):
+    fields = {node.target.id for node in _class(cohomology2, "_Schedule").body
+              if isinstance(node, ast.AnnAssign)}
+    if not fields or {"gens", "recurrence"} & fields:
         found.add("_Schedule keeps the generators or their recurrence")
     twists = {name for name, fn in functions if _twisted_builds(fn)}
     if twists != {"cohomology2.coboundary_twist"}:
@@ -535,22 +552,32 @@ def test_model_kernels_read_the_tables():
     assert found == []
 
 
-# every attribute of a value shared for the life of the process -> the one
-# class whose constructor may write it: the category tables, a group's table,
-# a representation's matrices and a cover's projection and kernel
-_SHARED_ATTRIBUTES = {"compose_table": "FinCat", "identities": "FinCat",
-                      "dom": "FinCat", "cod": "FinCat", "table": "GroupTable",
-                      "matrices": "MatrixRep", "pi": "CentralCover",
-                      "K": "CentralCover", "kernel_elements": "CentralCover"}
+# every attribute of a value shared for the life of the process, as (the
+# class that owns it, its name); only that class's constructor may write it:
+# the category tables, a group's table, a gauge group's table, a
+# representation's matrices and a cover's projection and kernel
+_SHARED_ATTRIBUTES = {("FinCat", "compose_table"), ("FinCat", "identities"),
+                      ("FinCat", "dom"), ("FinCat", "cod"), ("GroupTable", "table"),
+                      ("GaugeGroup", "table"), ("MatrixRep", "matrices"),
+                      ("CentralCover", "pi"), ("CentralCover", "K"),
+                      ("CentralCover", "kernel_elements")}
+_SHARED_NAMES = {name for _, name in _SHARED_ATTRIBUTES}
 _DICT_WRITES = {"update", "pop", "setdefault", "clear"}
 
 
+def _is_self(node):
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
 def _written(node):
-    """The shared attribute node writes, else None: by assigning, augmenting
-    or deleting it or one of its entries, by a writing dict method on it, or
-    by name through setattr or object.__setattr__."""
+    """The shared attribute node writes, as (its name, whether it is
+    `self`'s), else None: by assigning, augmenting or deleting it or one of
+    its entries, by a writing dict method on it, or by name through setattr
+    or object.__setattr__."""
     def shared(n):
-        return n.attr if isinstance(n, ast.Attribute) and n.attr in _SHARED_ATTRIBUTES else None
+        if isinstance(n, ast.Attribute) and n.attr in _SHARED_NAMES:
+            return n.attr, _is_self(n.value)
+        return None
     if (isinstance(node, (ast.Attribute, ast.Subscript))
             and isinstance(node.ctx, (ast.Store, ast.Del))):
         return shared(node) or (shared(node.value) if isinstance(node, ast.Subscript) else None)
@@ -559,34 +586,35 @@ def _written(node):
         return shared(node.func.value)
     if _called(node) in ("setattr", "__setattr__") and len(node.args) > 1 \
             and isinstance(node.args[1], ast.Constant) \
-            and node.args[1].value in _SHARED_ATTRIBUTES:
-        return node.args[1].value
+            and node.args[1].value in _SHARED_NAMES:
+        return node.args[1].value, _is_self(node.args[0])
     return None
 
 
 def test_shared_categories_are_never_written():
-    # the category constructors, the group builders and the cover and cover rep
-    # registries hand one object to every caller in a process: a shared
-    # attribute is written only in its own class's constructor, and
-    # object.__setattr__ only in a constructor
+    # the category constructors, the group builders, the gauge group cache and
+    # the cover and cover rep registries hand one object to every caller in a
+    # process: a shared attribute is written only on `self` in the
+    # constructor of the class that owns it, and object.__setattr__ only in
+    # a constructor
     found, written = [], set()
     for module, tree in _library().items():
-        inits = {cls.name: {id(node) for init in cls.body
-                            if isinstance(init, ast.FunctionDef)
-                            and init.name in ("__init__", "__post_init__")
-                            for node in ast.walk(init)}
-                 for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)}
-        in_any_init = set().union(*inits.values())
+        owner = {id(node): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for init in cls.body
+                 if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+                 for node in ast.walk(init)}
         for node in ast.walk(tree):
-            attr = _written(node)
-            if attr is not None and id(node) in inits.get(_SHARED_ATTRIBUTES[attr], ()):
-                written.add(attr)
-            elif attr is not None or (_called(node) == "__setattr__"
-                                      and id(node) not in in_any_init):
+            write = _written(node)
+            key = None if write is None else (owner.get(id(node)), write[0])
+            if write is not None and write[1] and key in _SHARED_ATTRIBUTES:
+                written.add(key)
+            elif write is not None or (_called(node) == "__setattr__"
+                                       and id(node) not in owner):
                 found.append(f"{module}.py:{node.lineno}: {ast.unparse(node)}")
     assert found == []
-    # the constructors that fill these attributes are seen doing it
-    assert written == {"compose_table", "identities", "dom", "cod", "K", "kernel_elements"}
+    # the constructors that fill these attributes are seen doing it, but for
+    # the fields of the NamedTuple `MatrixRep`, which can be written nowhere
+    assert written == _SHARED_ATTRIBUTES - {("MatrixRep", "matrices")}
 
 
 def test_cli_names_no_shipped_fixture():
