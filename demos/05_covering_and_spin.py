@@ -19,22 +19,22 @@ cov = models.COVERS["q8"]()
 reps = models.REPS["q8"]
 print("cover: Q8 -> Z2xZ2 with kernel", cov.kernel_elements, "(central)")
 
-sections = all_sections(cov)
-print("sections with lift(1) = 1:", len(sections))
-for sec in sections[:2]:
-    z = z_cocycle(sec)
-    print("  lift", sec.lift, "gives z values",
+lifts = all_sections(cov)
+print("sections with lift(1) = 1:", len(lifts))
+for lift in lifts[:2]:
+    z = z_cocycle(cov, lift)
+    print("  lift", lift, "gives z values",
           tuple(cov.kernel_elements[v] for v in z.xi[1][1:]),
           "... class trivial?", z_class_trivial(z) is not None)
 
 # two sections differ by the central map l -> s(l) s0(l)^-1, which twists one
 # factor set into the other; the search finds a witness too
-z0 = z_cocycle(sections[0])
-named = all(coboundary_twist(z0, section_twist(sections[0], s)) == z_cocycle(s)
-            for s in sections)
+z0 = z_cocycle(cov, lifts[0])
+named = all(coboundary_twist(z0, section_twist(cov, lifts[0], lift)) == z_cocycle(cov, lift)
+            for lift in lifts)
 print("the section twist carries z(s0) to z(s) for every section:", named)
-same = all(cohomologous(z_cocycle(a), z_cocycle(b)) is not None
-           for a in sections for b in sections)
+same = all(cohomologous(z_cocycle(cov, a), z_cocycle(cov, b)) is not None
+           for a in lifts for b in lifts)
 print("every pair of sections gives cohomologous factor sets:", same)
 
 # -- pushing the factor set into a gauge group -------------------------------
@@ -72,4 +72,4 @@ print("\n(A x S) / <(flip, -1)> has order", quot.order,
 cyc = cyclic_cover(8, 2)
 print("\ncyclic cover Z8 -> Z4: sections =", len(all_sections(cyc)),
       "| z class trivial?",
-      z_class_trivial(z_cocycle(all_sections(cyc)[0])) is not None)
+      z_class_trivial(z_cocycle(cyc, all_sections(cyc)[0])) is not None)

@@ -261,8 +261,8 @@ def cmd_cover_z(args, report: RunReport) -> None:
                            section_twist, z_class_trivial, z_cocycle)
     cover = models.COVERS[args.cover]()
     report.digest("cover", args.cover)
-    sections = all_sections(cover)
-    z = z_cocycle(sections[0])
+    lifts = all_sections(cover)
+    z = z_cocycle(cover, lifts[0])
     report.verdict("factor-set-valid", validate_cocycle(z).valid)
     report.data["z_values"] = [[cover.kernel_elements[v] for v in row]
                                for row in z.xi]
@@ -270,10 +270,9 @@ def cmd_cover_z(args, report: RunReport) -> None:
     # z(s) is z(s0) twisted by the central map l -> s(l) s0(l)^-1; the verdict
     # checks that named witness, as compare-impls checks its own
     same_class = all(
-        coboundary_twist(z, section_twist(sections[0], s)) == z_cocycle(s)
-        for s in sections)
-    report.verdict("section-independent-class", same_class,
-                   sections=len(sections))
+        coboundary_twist(z, section_twist(cover, lifts[0], lift)) == z_cocycle(cover, lift)
+        for lift in lifts)
+    report.verdict("section-independent-class", same_class, sections=len(lifts))
 
     zeta = models.KERNEL_MAPS[args.zeta](cover.K)
     # a kernel map that is not a central hom is refused here (exit 2)

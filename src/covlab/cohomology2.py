@@ -169,9 +169,9 @@ def coboundary_twist(c: Cochain2, zeta: Tuple[int, ...]) -> Cochain2:
     here.  Twisting maps cocycles to cocycles (the tests validate every
     normalized twist of every enumerated cocycle), so c is not validated:
     callers holding a cochain from outside check it once, as the CLI verbs
-    and `cohomologous` (for c1) do.  phi~(g) is the Aut(A) product of
-    ad(zeta(g)) and phi(g), read on Aut indexes, and xi~ is read from the
-    rows of the A and G tables, with each zeta(g)^-1 computed once."""
+    do.  phi~(g) is the Aut(A) product of ad(zeta(g)) and phi(g), read on
+    Aut indexes, and xi~ is read from the rows of the A and G tables, with
+    each zeta(g)^-1 computed once."""
     G, A = c.G, c.A
     if len(zeta) != G.order or any(not (0 <= z < A.order) for z in zeta):
         raise ValueError("twist map is not total on G")
@@ -202,22 +202,16 @@ def _twist_candidates(c: Cochain2, xi, phi=None) -> list:
     return sorted(generator_maps(c.G, options, step, A.mul(xi[0][0], A.inv(c.xi[0][0]))))
 
 
-def _first_twist(c1: Cochain2, c2: Cochain2) -> Optional[Tuple[int, ...]]:
+def cohomologous(c1: Cochain2, c2: Cochain2) -> Optional[Tuple[int, ...]]:
     """The lexicographically first zeta twisting c1 into c2, or None.  The
     |Z(A)|^d `_twist_candidates` for c2's phi, each checked by twisting c1,
-    are complete when c1 is a cocycle, which the caller has checked."""
-    return next((zeta for zeta in _twist_candidates(c1, c2.xi, c2.phi)
-                 if coboundary_twist(c1, zeta) == c2), None)
-
-
-def cohomologous(c1: Cochain2, c2: Cochain2) -> Optional[Tuple[int, ...]]:
-    """The lexicographically first witness that c1 ~ c2, or None, among
-    |Z(A)|^d maps.  Only c1 is validated: `_first_twist` is complete for a
-    cocycle c1, and no twist of one is a non-cocycle c2."""
+    are complete when c1 is a cocycle, and no twist of one is a non-cocycle
+    c2.  c1 is not validated: callers holding a cochain from outside check
+    it once, as for `coboundary_twist`."""
     if c1.G != c2.G or c1.A != c2.A:
         raise ValueError("cochains live over different (G, A)")
-    validate_cocycle(c1).require("cocycle")
-    return _first_twist(c1, c2)
+    return next((zeta for zeta in _twist_candidates(c1, c2.xi, c2.phi)
+                 if coboundary_twist(c1, zeta) == c2), None)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple, Optional, Tuple
 
-from .cohomology2 import (Cochain2, _first_twist, _twist_candidates,
-                          coboundary_twist, is_neutral, trivial_cochain,
+from .cohomology2 import (Cochain2, _twist_candidates, coboundary_twist,
+                          cohomologous, is_neutral, trivial_cochain,
                           validate_cocycle)
 from .fingroup import GroupHom, GroupTable, table_on
 
@@ -54,8 +54,7 @@ def build_extension(c: Cochain2) -> ExtensionGroup:
         return A.mul(A.mul(a1, c.perms[g1][a0]), c.xi[g1][g0]), G.mul(g1, g0)
 
     pairs = [(a, g) for a in A.elements() for g in G.elements()]
-    E = GroupTable(table_on(pairs, mul),
-                   name=f"Ext({A.name or A.order},{G.name or G.order})")
+    E = GroupTable(table_on(pairs, mul))
     inc = GroupHom(A, E, tuple(a * G.order for a in A.elements()))
     proj = GroupHom(E, G, tuple(g for _, g in pairs))
     return ExtensionGroup(E, c, inc, proj)
@@ -122,7 +121,7 @@ def extensions_equivalent(e1: ExtensionGroup, e2: ExtensionGroup
     a homomorphism exactly when g |-> zeta(g)^-1 is a witness that the first
     cocycle is cohomologous to the second.  Twisting twice composes
     pointwise, so those zeta are exactly the witnesses that the second is
-    cohomologous to the first, and `_first_twist` returns the
+    cohomologous to the first, and `cohomologous` returns the
     lexicographically first of them, the one reported.  Both cochains were
     validated when their extensions were built, so neither is checked again.
     """
@@ -130,7 +129,7 @@ def extensions_equivalent(e1: ExtensionGroup, e2: ExtensionGroup
     if c1.G != c2.G or c1.A != c2.A:
         raise ValueError("extensions are not over the same (G, A)")
     G, A = c1.G, c1.A
-    zeta = _first_twist(c2, c1)
+    zeta = cohomologous(c2, c1)
     if zeta is None:
         return None
     return ExtensionEquivalence(

@@ -120,10 +120,12 @@ def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> Gr
     identity is such a middle, and the walk of `_walk_generators` reaches
     every element as a product 1 s1 ... sr, so every middle passes.  When a
     triple fails, all n^3 triples are scanned in order, so the witness is
-    the first failing triple.  That scan's capped product is built first,
-    so an order whose n^3 triples pass the enumeration cap is refused up
-    front either way.  The sequence comes from the uncached walk: an
-    unvalidated table enters no cache.
+    the first failing triple.  Each scan runs through `capped_product`, so
+    a table is refused (`SearchSpaceTooLarge`) when its n^2|S| Light
+    triples exceed the enumeration cap, or when it fails Light's test and
+    its n^3 triples exceed it; the n^3 scan is never built for a group.
+    The sequence comes from the uncached walk: an unvalidated table enters
+    no cache.
     """
     def refuse(violation: str, witness: tuple) -> None:
         Report(False, violation, witness).require("group table")
@@ -154,11 +156,10 @@ def make_group(table: Sequence[Sequence[int]], name: Optional[str] = None) -> Gr
     for x in range(n):
         if frozenset(rows[x]) != full or frozenset(rows[y][x] for y in range(n)) != full:
             refuse("NotInvertible", (x,))
-    triples = capped_product([range(n)] * 3)
     group = GroupTable(rows, name)
     if any(rows[rows[x][s]][z] != rows[x][rows[s][z]]
-           for s in _walk_generators(group) for x in range(n) for z in range(n)):
-        for x, y, z in triples:
+           for s, x, z in capped_product([_walk_generators(group), range(n), range(n)])):
+        for x, y, z in capped_product([range(n)] * 3):
             if rows[rows[x][y]][z] != rows[x][rows[y][z]]:
                 refuse("NotAssociative", (x, y, z))
     return group

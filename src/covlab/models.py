@@ -70,9 +70,8 @@ def swap_model():
     cat = FinCat(objects, mors, compose, {"X": "idX", "Y": "idY"})
     swap = TheoryFunctor(cat, cat, {"X": "Y", "Y": "X"},
                          {"idX": "idY", "idY": "idX", "u": "v", "v": "u"})
-    g2 = fg.cyclic(2)
-    action = GAction(g2, (identity_functor(cat), swap))
     functor = identity_functor(cat)
+    action = GAction(fg.cyclic(2), (functor, swap))
     eta = [{"X": "idX", "Y": "idY"}, {"X": "u", "Y": "v"}]
     return Implementation(functor, action, eta)
 

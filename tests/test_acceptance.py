@@ -224,24 +224,25 @@ def test_criterion_7_covering_obstruction():
                       "z class section-independent"):
         cov = q8_cover()
         S, L = cov.S, cov.L
-        sections = all_sections(cov)
-        assert len(sections) == 8
+        lifts = all_sections(cov)
+        assert len(lifts) == 8
         kernel = cov.kernel_elements
 
         # independent raw check over every section and all 2^4 twist maps
         ktable = tuple(tuple(kernel.index(S.mul(a, b)) for b in kernel) for a in kernel)
         trivial = oracles.trivial(L.table, ktable)
-        for sec in sections:
-            z = [[S.mul(S.mul(sec.lift[l1], sec.lift[l0]), S.inv(sec.lift[L.mul(l1, l0)]))
+        for lift in lifts:
+            assert lift[0] == 0 and all(cov.pi.map[lift[l]] == l for l in L.elements())
+            z = [[S.mul(S.mul(lift[l1], lift[l0]), S.inv(lift[L.mul(l1, l0)]))
                   for l0 in L.elements()] for l1 in L.elements()]
             assert all(v in kernel for row in z for v in row)
             xi = [[kernel.index(v) for v in row] for row in z]
             assert oracles.first_twist(L.table, ktable, xi, trivial[1], trivial,
                                        normalized=False) is None
 
-        for s1 in sections:
-            for s2 in sections:
-                assert cohomologous(z_cocycle(s1), z_cocycle(s2)) is not None
+        for s1 in lifts:
+            for s2 in lifts:
+                assert cohomologous(z_cocycle(cov, s1), z_cocycle(cov, s2)) is not None
 
         zeta = GroupHom(cov.K, fg.cyclic(2), (0, 1))
         verdict = spin_obstruction(cov, zeta, models.q8_two_dim_rep())

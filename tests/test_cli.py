@@ -465,8 +465,9 @@ def test_cap_counts_cocycle_search_work(capsys, monkeypatch):
 
 
 def test_ingested_group_order_is_capped(capsys, tmp_path, monkeypatch):
-    # the associativity scan of a Z12 table visits 12^3 = 1728 triples
-    monkeypatch.setenv("COVLAB_ENUM_CAP", "1000")
+    # Light's associativity test on a Z12 table visits 12^2 * 1 = 144
+    # triples, one generator in the middle
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "143")
     z12 = [[(i + j) % 12 for j in range(12)] for i in range(12)]
     f = tmp_path / "cochain.json"
     f.write_text(json.dumps({"G": {"table": z12}, "A": "Z2",
@@ -474,7 +475,7 @@ def test_ingested_group_order_is_capped(capsys, tmp_path, monkeypatch):
     code, out, err = run(capsys, "validate-cocycle", "--input", str(f))
     assert code == 2
     assert out == ""
-    assert "input error" in err and "cap 1000" in err
+    assert "input error" in err and "enumeration of size 144 exceeds cap 143" in err
 
 
 @pytest.mark.parametrize("verb, table, code, message", [
@@ -855,3 +856,28 @@ def test_warm_cover_verbs_keep_their_per_call_checks(capsys, monkeypatch):
     calls.clear()
     models.COVERS["q8"].__wrapped__()  # the counter counts a fresh build
     assert calls == {"__init__": 1}
+
+
+def test_warm_verbs_validate_each_cocycle_and_functor_once(capsys, monkeypatch):
+    # a verdict validates what it reports on, and nothing the library built
+    # is validated again: cover-z checks its factor set, extract-cocycle the
+    # extracted cocycle, and a SwapIso build its identity and swap functors
+    from covlab import cohomology2, fincat
+    cases = [(("cover-z", "--cover", "q8"), "validate_cocycle", 1),
+             (("extract-cocycle", "--model", "FrameRot"), "validate_cocycle", 1),
+             (("gauge-group", "--model", "SwapIso"), "validate_functor", 2)]
+    for argv, _, _ in cases:
+        run(capsys, *argv)
+    calls = collections.Counter()
+    for real in (cohomology2.validate_cocycle, fincat.validate_functor):
+        def counting(*args, real=real):
+            calls.update((real.__name__,))
+            return real(*args)
+        for module in list(sys.modules.values()):
+            if (module.__name__.startswith("covlab")
+                    and getattr(module, real.__name__, None) is real):
+                monkeypatch.setattr(module, real.__name__, counting)
+    for argv, name, count in cases:
+        calls.clear()
+        code, _, err = run(capsys, *argv)
+        assert (code, calls[name]) == (0, count), (argv, calls, err)

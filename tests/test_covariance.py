@@ -195,12 +195,13 @@ def test_gauge_group_search_is_capped(monkeypatch):
     with pytest.raises(SearchSpaceTooLarge) as err:
         compute_gauge_group(functor)
     assert err.value.size == 4
-    # the same bound covers make_group's 4^3 associativity triples
-    monkeypatch.setenv("COVLAB_ENUM_CAP", "63")
+    # the same bound covers make_group's 4^2 * 1 Light associativity
+    # triples (the gauge group is Z4, walked from one generator)
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "15")
     with pytest.raises(SearchSpaceTooLarge) as err:
         compute_gauge_group(functor)
-    assert err.value.size == 64
-    monkeypatch.setenv("COVLAB_ENUM_CAP", "64")
+    assert err.value.size == 16
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "16")
     assert compute_gauge_group(functor).order == 4
 
 

@@ -7,7 +7,7 @@ from covlab import fingroup as fg
 from covlab import models
 from covlab.cohomology2 import (SearchSpaceTooLarge, coboundary_twist,
                                 cohomologous, trivial_cochain, validate_cocycle)
-from covlab.covering import (CentralCover, Section, all_sections,
+from covlab.covering import (CentralCover, all_sections,
                              check_centre_hom, cyclic_cover, extended_quotient,
                              induced_gauge_cocycle, q8_cover, section_twist,
                              spin_obstruction, split_cover, z_class_trivial,
@@ -45,26 +45,17 @@ def test_cover_map_must_run_from_s_onto_l():
 
 
 def test_section_invariants():
-    cov = q8_cover()
-    with pytest.raises(fg.CheckFailed) as exc:
-        Section(cov, (1, 2, 4, 6))  # lift(1) != 1
-    assert exc.value.report == fg.Report(False, "IdentityNotIdentity", (0,))
-    with pytest.raises(fg.CheckFailed) as exc:
-        Section(cov, (0, 2, 4, 6))  # lift(1) lies in the wrong fiber
-    assert exc.value.report == fg.Report(False, "NotASection", (1,))
-    with pytest.raises(fg.CheckFailed) as exc:
-        Section(cov, (0, 2))
-    assert exc.value.report == fg.Report(False, "LiftNotTotal", (2,))
-
-
-def test_section_refuses_lifts_outside_the_cover():
-    # -4 would otherwise read pi.map[-4] as element 4's image, and 99 would
-    # leak an IndexError from the fiber check
-    cov = q8_cover()
-    for lift in [(0, -4, 2, 6), (0, 99, 2, 6)]:
-        with pytest.raises(fg.CheckFailed) as exc:
-            Section(cov, lift)
-        assert exc.value.report == fg.Report(False, "LiftOutsideS", (1,))
+    # all_sections does not re-check what it enumerates; this is the check:
+    # every lift is a section with lift(1) = 1, and one is listed for each
+    # choice of a kernel coset over every l != 1
+    covers = [build() for build in models.COVERS.values()] + [cyclic_cover(8, 2)]
+    for cov in covers:
+        lifts = all_sections(cov)
+        assert len(set(lifts)) == len(lifts) == cov.K.order ** (cov.L.order - 1), cov.S.name
+        for lift in lifts:
+            assert len(lift) == cov.L.order, (cov.S.name, lift)
+            assert lift[0] == 0, (cov.S.name, lift)
+            assert all(cov.pi.map[lift[l]] == l for l in cov.L.elements()), (cov.S.name, lift)
 
 
 def test_all_sections_count():
@@ -89,26 +80,27 @@ def test_cyclic_cover_refuses_orders_below_one():
 def test_split_cover_homomorphic_section_gives_trivial_z():
     cov = split_cover(2, fg.cyclic(3))
     lift = tuple(range(cov.L.order))  # l -> (0, l) has index l
-    z = z_cocycle(Section(cov, lift))
+    assert lift in all_sections(cov)
+    z = z_cocycle(cov, lift)
     assert all(v == 0 for row in z.xi for v in row)
     assert z_class_trivial(z) is not None
 
 
 def test_cyclic_cover_z4_over_z2():
     cov = cyclic_cover(4, 2)
-    for sec in all_sections(cov):
-        z = z_cocycle(sec)
+    for lift in all_sections(cov):
+        z = z_cocycle(cov, lift)
         # z(g,g) = lift(g)^2 in the kernel
         g = 1
-        expected = cov.S.mul(sec.lift[g], sec.lift[g])
+        expected = cov.S.mul(lift[g], lift[g])
         assert cov.kernel_elements[z.xi[g][g]] == expected
         assert z_class_trivial(z) is None  # nontrivial class
 
 
 def test_q8_every_section_gives_nontrivial_class():
     cov = q8_cover()
-    for sec in all_sections(cov):
-        z = z_cocycle(sec)
+    for lift in all_sections(cov):
+        z = z_cocycle(cov, lift)
         assert z_class_trivial(z) is None
 
 
@@ -120,32 +112,30 @@ def test_z_class_trivial_matches_reference_twist_loop():
               split_cover(2, fg.cyclic(3)), split_cover(3, fg.cyclic(2))]
     trivial = 0
     for cov in covers:
-        sections = all_sections(cov)
-        z0 = z_cocycle(sections[0])
-        for sec in sections:
-            z = z_cocycle(sec)
+        lifts = all_sections(cov)
+        z0 = z_cocycle(cov, lifts[0])
+        for lift in lifts:
+            z = z_cocycle(cov, lift)
             got = z_class_trivial(z)
             # the first zeta: L -> K in product order that kills z
             assert got == oracles.first_twist(z.G.table, z.A.table, z.xi, z.perms,
                                               oracles.trivial(z.G.table, z.A.table),
-                                              normalized=False), (cov.S.name, sec.lift)
+                                              normalized=False), (cov.S.name, lift)
             trivial += got is not None
-            assert coboundary_twist(z0, section_twist(sections[0], sec)) == z, \
-                (cov.S.name, sec.lift)
-            assert cohomologous(z0, z) is not None, (cov.S.name, sec.lift)
+            assert coboundary_twist(z0, section_twist(cov, lifts[0], lift)) == z, \
+                (cov.S.name, lift)
+            assert cohomologous(z0, z) is not None, (cov.S.name, lift)
     assert trivial > 0
 
 
 def test_section_twist_names_the_kernel_element_between_lifts():
     cov = q8_cover()
     s0, s = all_sections(cov)[0], all_sections(cov)[-1]
-    k = section_twist(s0, s)
+    k = section_twist(cov, s0, s)
     assert k[0] == 0
-    assert all(cov.S.mul(cov.kernel_elements[k[l]], s0.lift[l]) == s.lift[l]
+    assert all(cov.S.mul(cov.kernel_elements[k[l]], s0[l]) == s[l]
                for l in cov.L.elements())
-    assert section_twist(s, s) == (0,) * cov.L.order
-    with pytest.raises(ValueError):
-        section_twist(all_sections(cyclic_cover(8, 2))[0], s)
+    assert section_twist(cov, s, s) == (0,) * cov.L.order
 
 
 def test_factor_sets_and_induced_cochains_are_cocycles():
@@ -156,18 +146,16 @@ def test_factor_sets_and_induced_cochains_are_cocycles():
         cov = build()
         homs = [kernel_map(cov.K) for kernel_map in models.KERNEL_MAPS.values()]
         S, L = cov.S, cov.L
-        for sec in all_sections(cov):
-            z = z_cocycle(sec)
-            assert validate_cocycle(z).valid, (name, sec.lift)
+        for lift in all_sections(cov):
+            z = z_cocycle(cov, lift)
+            assert validate_cocycle(z).valid, (name, lift)
             # each K-index names the kernel element s(l1) s(l0) s(l1 l0)^-1
             assert all(cov.kernel_elements[z.xi[l1][l0]]
-                       == S.mul(S.mul(sec.lift[l1], sec.lift[l0]),
-                                S.inv(sec.lift[L.mul(l1, l0)]))
-                       for l1 in L.elements() for l0 in L.elements()), \
-                (name, sec.lift)
+                       == S.mul(S.mul(lift[l1], lift[l0]), S.inv(lift[L.mul(l1, l0)]))
+                       for l1 in L.elements() for l0 in L.elements()), (name, lift)
             for zeta in homs:
                 out = induced_gauge_cocycle(z, zeta)
-                assert validate_cocycle(out).valid, (name, sec.lift, zeta.map)
+                assert validate_cocycle(out).valid, (name, lift, zeta.map)
 
 
 def test_extended_quotient_identifies_the_kernel_involution_with_its_image():
@@ -201,7 +189,7 @@ def test_extended_quotient_identifies_the_kernel_involution_with_its_image():
 
 def test_section_and_twist_searches_are_capped(monkeypatch):
     cov = q8_cover()
-    z = z_cocycle(all_sections(cov)[0])
+    z = z_cocycle(cov, all_sections(cov)[0])
     monkeypatch.setenv("COVLAB_ENUM_CAP", "4")
     assert z_class_trivial(z) is None
     monkeypatch.setenv("COVLAB_ENUM_CAP", "3")
@@ -240,9 +228,9 @@ def test_q8_all_raw_lift_choices_nontrivial():
 
 def test_q8_z_class_is_section_independent():
     cov = q8_cover()
-    sections = all_sections(cov)
-    for s1, s2 in itertools.combinations(sections, 2):
-        c1, c2 = z_cocycle(s1), z_cocycle(s2)
+    lifts = all_sections(cov)
+    for s1, s2 in itertools.combinations(lifts, 2):
+        c1, c2 = z_cocycle(cov, s1), z_cocycle(cov, s2)
         assert cohomologous(c1, c2) is not None
 
 
@@ -251,9 +239,9 @@ def test_z_class_section_independent_across_cover_types():
               split_cover(2, fg.standard_group("Z2xZ2"))]
     for cov in covers:
         assert cov.L.order <= 8
-        sections = all_sections(cov)
-        for s1, s2 in itertools.combinations(sections, 2):
-            assert cohomologous(z_cocycle(s1), z_cocycle(s2)) is not None
+        lifts = all_sections(cov)
+        for s1, s2 in itertools.combinations(lifts, 2):
+            assert cohomologous(z_cocycle(cov, s1), z_cocycle(cov, s2)) is not None
 
 
 def test_induced_cocycle_trivial_zeta():
@@ -261,8 +249,8 @@ def test_induced_cocycle_trivial_zeta():
     k = cov.K
     a = fg.cyclic(2)
     zeta = GroupHom(k, a, (0, 0))
-    for sec in all_sections(cov):
-        out = induced_gauge_cocycle(z_cocycle(sec), zeta)
+    for lift in all_sections(cov):
+        out = induced_gauge_cocycle(z_cocycle(cov, lift), zeta)
         assert validate_cocycle(out).valid
         assert cohomologous(out, trivial_cochain(out.G, out.A)) is not None
 
@@ -272,8 +260,8 @@ def test_induced_cocycle_q8_univalence_nontrivial():
     k = cov.K
     a = fg.cyclic(2)
     zeta = GroupHom(k, a, (0, 1))  # -1 -> the gauge flip
-    for sec in all_sections(cov):
-        out = induced_gauge_cocycle(z_cocycle(sec), zeta)
+    for lift in all_sections(cov):
+        out = induced_gauge_cocycle(z_cocycle(cov, lift), zeta)
         assert cohomologous(out, trivial_cochain(out.G, out.A)) is None
 
 
@@ -282,8 +270,9 @@ def test_induced_cocycle_split_cover_trivial_regardless_of_zeta():
     k = cov.K
     a = fg.cyclic(2)
     lift = tuple(range(cov.L.order))
+    assert lift in all_sections(cov)
     for zeta_map in [(0, 0), (0, 1)]:
-        out = induced_gauge_cocycle(z_cocycle(Section(cov, lift)),
+        out = induced_gauge_cocycle(z_cocycle(cov, lift),
                                     GroupHom(k, a, zeta_map))
         assert cohomologous(out, trivial_cochain(out.G, out.A)) is not None
 
@@ -295,7 +284,7 @@ def test_induced_cocycle_rejects_noncentral_zeta():
     transposition = next(x for x in s3.elements() if s3.element_order(x) == 2)
     zeta = GroupHom(k, s3, (0, transposition))
     with pytest.raises(fg.CheckFailed) as exc:
-        induced_gauge_cocycle(z_cocycle(all_sections(cov)[0]), zeta)
+        induced_gauge_cocycle(z_cocycle(cov, all_sections(cov)[0]), zeta)
     assert exc.value.report == check_centre_hom(zeta)
     assert exc.value.report.violation == "NotCentral"
 
@@ -385,9 +374,9 @@ def test_descent_matches_the_lift_of_every_section():
         verdict = spin_obstruction(cov, zeta, rep)
         if not verdict.descends:
             continue
-        for sec in all_sections(cov):
+        for lift in all_sections(cov):
             assert verdict.descended.matrices == tuple(
-                rep(sec.lift[l]) for l in cov.L.elements()), (cov.S.name, sec.lift)
+                rep(lift[l]) for l in cov.L.elements()), (cov.S.name, lift)
             checked += 1
     assert checked == 4 * 8 + 3 * 8  # the sign reps of Q8; the K-trivial characters
 
@@ -408,7 +397,7 @@ def test_spin_obstruction_refuses_zeta_off_the_kernel_group():
 
 def test_maps_and_representations_on_another_group_are_refused():
     cov = q8_cover()
-    z = z_cocycle(all_sections(cov)[0])
+    z = z_cocycle(cov, all_sections(cov)[0])
     off_kernel = GroupHom(fg.cyclic(3), fg.cyclic(2), (0, 0, 0))
     with pytest.raises(ValueError, match="^zeta is not defined on the kernel group$"):
         induced_gauge_cocycle(z, off_kernel)

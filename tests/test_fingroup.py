@@ -6,7 +6,7 @@ import pytest
 import oracles
 from covlab import fingroup as fg
 from covlab import models
-from covlab.config import SearchSpaceTooLarge
+from covlab.config import SearchSpaceTooLarge, enum_cap
 from covlab.cohomology2 import enumerate_normalized_cocycles
 from covlab.covariance import extract_cocycle, lift_to_extension
 from covlab.exactlin import Mat
@@ -51,22 +51,53 @@ def test_make_group_rejects_no_identity():
         assert exc.value.report == fg.Report(False, "NoIdentity", ())
 
 
+# an order-5 loop: a Latin square with identity that is not a group (no such
+# thing exists at order 3); its generator walk has 2 elements
+LOOP5 = [
+    [0, 1, 2, 3, 4],
+    [1, 0, 3, 4, 2],
+    [2, 4, 0, 1, 3],
+    [3, 2, 4, 0, 1],
+    [4, 3, 1, 2, 0],
+]
+
+
 def test_make_group_rejects_non_associative():
-    # order-3 Latin square with identity that is not a group (no such thing
-    # exists at order 3, so use order 5: a quasigroup loop)
-    table = [
-        [0, 1, 2, 3, 4],
-        [1, 0, 3, 4, 2],
-        [2, 4, 0, 1, 3],
-        [3, 2, 4, 0, 1],
-        [4, 3, 1, 2, 0],
-    ]
     with pytest.raises(fg.CheckFailed) as exc:
-        fg.make_group(table)
+        fg.make_group(LOOP5)
     assert exc.value.report.violation == "NotAssociative"
     x, y, z = exc.value.report.witness
-    g = table
+    g = LOOP5
     assert g[g[x][y]][z] != g[x][g[y][z]]
+
+
+def test_make_group_accepts_orders_whose_cube_exceeds_the_cap():
+    # Light's test costs n^2 products here (Z_n has a one-element walk); the
+    # n^3 scan would be refused
+    for n in (216, 336):
+        assert n ** 3 > enum_cap()
+        assert fg.make_group(fg.cyclic(n).table) == fg.cyclic(n)
+
+
+def test_make_group_caps_light_triples_then_the_full_scan(monkeypatch):
+    # Q8 has n^2|S| = 8^2 * 3 = 192 Light triples and n^3 = 512; LOOP5 has
+    # 5^2 * 2 = 50 Light triples, and fails them, then n^3 = 125
+    q8 = fg.quaternion8()
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "191")
+    with pytest.raises(SearchSpaceTooLarge) as err:
+        fg.make_group(q8.table)
+    assert err.value.size == 192
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "192")
+    assert fg.make_group(q8.table) == q8
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "124")
+    with pytest.raises(SearchSpaceTooLarge) as err:
+        fg.make_group(LOOP5)
+    assert err.value.size == 125
+    monkeypatch.setenv("COVLAB_ENUM_CAP", "125")
+    with pytest.raises(fg.CheckFailed) as exc:
+        fg.make_group(LOOP5)
+    assert exc.value.report == fg.Report(False, "NotAssociative",
+                                         oracles.first_non_associative(LOOP5))
 
 
 def _central_loop(rng, G, m, kind):
@@ -429,7 +460,7 @@ def test_shared_groups_equal_their_uncached_builds():
 
 
 def test_direct_product_names_an_unnamed_factor_by_its_order():
-    # the rule build_extension names Ext(A, G) by; a quotient has no name
+    # a product spells an unnamed factor by its order; a quotient has no name
     q, _ = fg.quotient(fg.cyclic(4), (0, 2))
     assert q.name is None
     assert fg.direct_product(q, q).name == "2x2"

@@ -12,6 +12,14 @@ The argv are read off the `covlab.models` registries, so a registered
 fixture is covered with no edit here. Exits 1, naming the argv, when a call
 raises or exits with a code other than 0, 1 or 2. Standard library only;
 takes no flags and writes no file.
+
+`tools/report_digest.expected` holds this tool's output on the committed
+`src`, and CI diffs the two. A change that alters a report, or the set of
+argv, regenerates it with
+
+    PYTHONPATH=src python tools/report_digest.py > tools/report_digest.expected
+
+and says which reports changed.
 """
 
 from __future__ import annotations
